@@ -9,7 +9,7 @@
 
 use crate::model::{Allocation, SystemModel};
 use serde::{Deserialize, Serialize};
-use vlc_par::{Jobs, Pool, DEFAULT_CHUNK};
+use vlc_par::{Pool, DEFAULT_CHUNK};
 
 /// The exhaustive-search result.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -30,7 +30,7 @@ pub struct ExhaustiveResult {
 ///
 /// The candidate space partitions across `DENSEVLC_JOBS` workers
 /// (sequential when that resolves to 1); the result is bitwise identical
-/// for any worker count — see [`exhaustive_binary_jobs`].
+/// for any worker count — see [`exhaustive_binary_traced`].
 ///
 /// # Panics
 /// Panics when the search space exceeds `max_assignments` (guard against
@@ -40,10 +40,10 @@ pub fn exhaustive_binary(
     budget_w: f64,
     max_assignments: u64,
 ) -> ExhaustiveResult {
-    exhaustive_binary_jobs(model, budget_w, max_assignments, Jobs::from_env())
+    exhaustive_binary_traced(model, budget_w, max_assignments, &Pool::from_env())
 }
 
-/// [`exhaustive_binary`] with an explicit worker count.
+/// [`exhaustive_binary`] on a caller-supplied pool.
 ///
 /// Every assignment has an explicit index `i ∈ 0..(M+1)^N`, decoded as a
 /// mixed-radix code with TX 0 the least-significant digit — the same order
@@ -54,11 +54,11 @@ pub fn exhaustive_binary(
 /// chunk bests merged in chunk order, with only a *strictly better*
 /// candidate displacing the incumbent. Ties therefore always break to the
 /// lowest assignment index, on one worker or many.
-pub fn exhaustive_binary_jobs(
+pub fn exhaustive_binary_traced(
     model: &SystemModel,
     budget_w: f64,
     max_assignments: u64,
-    jobs: Jobs,
+    pool: &Pool,
 ) -> ExhaustiveResult {
     assert!(budget_w > 0.0, "budget must be positive");
     let n_tx = model.n_tx();
@@ -107,7 +107,7 @@ pub fn exhaustive_binary_jobs(
         }
     };
 
-    let best = Pool::new(jobs).argmax_by(space as usize, DEFAULT_CHUNK, score, better);
+    let best = pool.argmax_by(space as usize, DEFAULT_CHUNK, score, better);
     let (_, (allocation, objective, system_bps)) =
         best.expect("the all-off assignment (index 0) is always within budget");
     ExhaustiveResult {
@@ -125,6 +125,7 @@ mod tests {
     use crate::optimal::OptimalSolver;
     use vlc_channel::{ChannelMatrix, RxOptics};
     use vlc_geom::{Pose, Room, TxGrid};
+    use vlc_par::Jobs;
 
     /// A 3 × 3 grid with two receivers: 3⁹ ≈ 20k assignments.
     fn tiny_model() -> SystemModel {
@@ -205,7 +206,8 @@ mod tests {
         let m = SystemModel::paper(ChannelMatrix::from_gains(2, 1, vec![1e-6, 1e-6]));
         let full_power = m.dyn_resistance() * (m.led.max_swing / 2.0_f64).powi(2);
         for jobs in [1usize, 2, 7] {
-            let res = exhaustive_binary_jobs(&m, full_power * 1.5, 1 << 10, Jobs::of(jobs));
+            let res =
+                exhaustive_binary_traced(&m, full_power * 1.5, 1 << 10, &Pool::new(Jobs::of(jobs)));
             assert_eq!(res.allocation.active_tx_count(), 1, "jobs={jobs}");
             assert!(
                 res.allocation.swing(0, 0) > 0.0,
@@ -218,9 +220,9 @@ mod tests {
     #[test]
     fn worker_count_never_changes_the_result() {
         let m = tiny_model();
-        let reference = exhaustive_binary_jobs(&m, 0.3, 1 << 21, Jobs::serial());
+        let reference = exhaustive_binary_traced(&m, 0.3, 1 << 21, &Pool::sequential());
         for jobs in [2usize, 7] {
-            let res = exhaustive_binary_jobs(&m, 0.3, 1 << 21, Jobs::of(jobs));
+            let res = exhaustive_binary_traced(&m, 0.3, 1 << 21, &Pool::new(Jobs::of(jobs)));
             assert_eq!(res, reference, "jobs={jobs}");
         }
     }

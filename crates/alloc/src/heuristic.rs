@@ -261,29 +261,25 @@ pub fn heuristic_allocation(
     budget_w: f64,
     config: &HeuristicConfig,
 ) -> Allocation {
-    heuristic_allocation_instrumented(channel, led, budget_w, config, &Registry::noop())
+    heuristic_allocation_traced(
+        channel,
+        led,
+        budget_w,
+        config,
+        &Registry::noop(),
+        &Span::noop(),
+    )
 }
 
-/// [`heuristic_allocation`] with telemetry: wall-time into the
+/// [`heuristic_allocation`] with telemetry and tracing: wall-time into the
 /// `alloc.heuristic.solve_s` histogram (Fig. 11's cheap side), the number of
 /// scored (TX, RX) candidates into `alloc.heuristic.candidates`, and — when
 /// the budget activates no TX at all — an `alloc.heuristic.infeasible`
-/// count plus an `infeasible_round` event.
-pub fn heuristic_allocation_instrumented(
-    channel: &ChannelMatrix,
-    led: &LedParams,
-    budget_w: f64,
-    config: &HeuristicConfig,
-    telemetry: &Registry,
-) -> Allocation {
-    heuristic_allocation_traced(channel, led, budget_w, config, telemetry, &Span::noop())
-}
-
-/// [`heuristic_allocation_instrumented`] recording an
+/// count plus an `infeasible_round` event. Records an
 /// `alloc.heuristic.solve` span under `parent`, with `alloc.heuristic.rank`
 /// and `alloc.heuristic.allocate` children for the two phases of
-/// Algorithm 1. With a noop parent this is the instrumented path plus one
-/// branch per span site.
+/// Algorithm 1. With a noop registry and parent this is the plain path
+/// plus one branch per span site.
 pub fn heuristic_allocation_traced(
     channel: &ChannelMatrix,
     led: &LedParams,
@@ -461,12 +457,13 @@ mod tests {
         let ch = scenario2_channel();
         let led = LedParams::cree_xte_paper();
         let telemetry = Registry::new();
-        let alloc = heuristic_allocation_instrumented(
+        let alloc = heuristic_allocation_traced(
             &ch,
             &led,
             0.0,
             &HeuristicConfig::paper(),
             &telemetry,
+            &Span::noop(),
         );
         assert_eq!(alloc.active_tx_count(), 0);
         let snap = telemetry.snapshot();
@@ -487,12 +484,13 @@ mod tests {
         let ch = scenario2_channel();
         let led = LedParams::cree_xte_paper();
         let telemetry = Registry::new();
-        let alloc = heuristic_allocation_instrumented(
+        let alloc = heuristic_allocation_traced(
             &ch,
             &led,
             1.0,
             &HeuristicConfig::paper(),
             &telemetry,
+            &Span::noop(),
         );
         assert!(alloc.active_tx_count() > 0);
         let snap = telemetry.snapshot();

@@ -22,7 +22,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use vlc_channel::{ChannelSoA, SparseChannelView};
-use vlc_par::{Jobs, Pool};
+use vlc_par::Pool;
 use vlc_telemetry::Registry;
 use vlc_trace::Span;
 
@@ -430,209 +430,96 @@ impl OptimalSolver {
     ///
     /// The independent ascent starts fan out over `DENSEVLC_JOBS` workers
     /// (sequential when that resolves to 1); the report is bitwise
-    /// identical for any worker count — see [`Self::solve_jobs`].
+    /// identical for any worker count — see [`Self::solve_traced`].
     ///
     /// # Panics
     /// Panics if `budget_w` is non-positive (a zero budget admits only the
     /// all-zero allocation, whose objective is −∞).
     pub fn solve(&self, model: &SystemModel, budget_w: f64) -> SolveReport {
-        self.solve_instrumented(model, budget_w, &Registry::noop())
+        self.solve_traced(
+            model,
+            budget_w,
+            None,
+            &Registry::noop(),
+            &Pool::from_env(),
+            &Span::noop(),
+        )
     }
 
-    /// [`Self::solve`] with an explicit worker count.
-    pub fn solve_jobs(&self, model: &SystemModel, budget_w: f64, jobs: Jobs) -> SolveReport {
-        self.solve_instrumented_jobs(model, budget_w, &Registry::noop(), jobs)
-    }
-
-    /// [`Self::solve`] with telemetry: wall-time into the
-    /// `alloc.optimal.solve_s` histogram, plus `alloc.optimal.solves`,
-    /// `.iterations`, `.starts`, and `.obj_evals` counters — the cost side
-    /// of the paper's Fig. 11 optimal-vs-heuristic comparison. An
-    /// all-zero result (no TX activated) counts as `alloc.optimal.infeasible`
-    /// and emits an `infeasible_round` event.
-    pub fn solve_instrumented(
-        &self,
-        model: &SystemModel,
-        budget_w: f64,
-        telemetry: &Registry,
-    ) -> SolveReport {
-        self.solve_instrumented_jobs(model, budget_w, telemetry, Jobs::from_env())
-    }
-
-    /// [`Self::solve_instrumented`] with an explicit worker count.
+    /// [`Self::solve`] with a warm seed, telemetry, a caller-supplied
+    /// pool, and tracing.
     ///
-    /// Each start's projected-gradient ascent is an independent work item;
-    /// the winner is selected by scanning the per-start results in start
-    /// order (first finite objective seeds the incumbent, only a strictly
-    /// greater objective replaces it), which is exactly the sequential
-    /// selection rule — so ties keep the lowest start index and the report
-    /// is bitwise identical for any `jobs`.
-    pub fn solve_instrumented_jobs(
+    /// `warm` is a previous allocation (projected back onto the feasible
+    /// set) used as an extra ascent start. On a mobility tick the channel
+    /// changes slightly, so the previous plan is usually in the optimum's
+    /// basin: the warm start converges in a few iterations and — being
+    /// start 0 in the tie-keeps-lowest-index reduction — wins ties,
+    /// keeping plans stable across ticks. With `warm: None` this is
+    /// exactly the cold solve. A used seed bumps `alloc.optimal.warm_starts`
+    /// and tags the solve span `warm=true`.
+    ///
+    /// Telemetry: wall-time into the `alloc.optimal.solve_s` histogram,
+    /// plus `alloc.optimal.solves`, `.iterations`, `.starts`, and
+    /// `.obj_evals` counters — the cost side of the paper's Fig. 11
+    /// optimal-vs-heuristic comparison. An all-zero result (no TX
+    /// activated) counts as `alloc.optimal.infeasible` and emits an
+    /// `infeasible_round` event.
+    ///
+    /// Each start's projected-gradient ascent is an independent work item
+    /// on `pool`; the winner is selected by scanning the per-start results
+    /// in start order (first finite objective seeds the incumbent, only a
+    /// strictly greater objective replaces it), which is exactly the
+    /// sequential selection rule — so ties keep the lowest start index and
+    /// the report is bitwise identical for any worker count. No pool is
+    /// created inside the solve, so a long-running control plane can hoist
+    /// one pool across every solve.
+    ///
+    /// Tracing: an `alloc.optimal.solve` span under `parent`, with one
+    /// `alloc.optimal.start` child per ascent start (indexed by start, so
+    /// the span tree is worker-count independent) and an
+    /// `alloc.optimal.iters` grandchild per batch of 50 ascent iterations.
+    pub fn solve_traced(
         &self,
         model: &SystemModel,
         budget_w: f64,
+        warm: Option<&Allocation>,
         telemetry: &Registry,
-        jobs: Jobs,
-    ) -> SolveReport {
-        self.solve_traced_jobs(model, budget_w, telemetry, jobs, &Span::noop())
-    }
-
-    /// [`Self::solve_instrumented_jobs`] recording an `alloc.optimal.solve`
-    /// span under `parent`, with one `alloc.optimal.start` child per ascent
-    /// start (indexed by start, so the span tree is worker-count
-    /// independent) and an `alloc.optimal.iters` grandchild per batch of
-    /// 50 ascent iterations. With a noop parent this is the
-    /// instrumented path plus one branch per span site.
-    pub fn solve_traced_jobs(
-        &self,
-        model: &SystemModel,
-        budget_w: f64,
-        telemetry: &Registry,
-        jobs: Jobs,
+        pool: &Pool,
         parent: &Span,
     ) -> SolveReport {
-        self.solve_core(model, budget_w, telemetry, jobs, parent, None, Engine::Fast)
+        self.solve_core(model, budget_w, warm, telemetry, pool, parent, Engine::Fast)
     }
 
-    /// [`Self::solve_jobs`] forced through the historical dense kernels
+    /// [`Self::solve`] forced through the historical dense kernels
     /// (per-iteration gradient allocation, AoS gain loads, no live-link
     /// skipping). Retained as the bit-identity oracle for the sparse/SoA
     /// fast engine — `tests/sparse_solver_identity.rs` asserts both produce
     /// the same report to the last bit — and for perf A/Bs.
-    pub fn solve_dense_jobs(&self, model: &SystemModel, budget_w: f64, jobs: Jobs) -> SolveReport {
+    pub fn solve_dense(&self, model: &SystemModel, budget_w: f64, pool: &Pool) -> SolveReport {
         self.solve_core(
             model,
             budget_w,
-            &Registry::noop(),
-            jobs,
-            &Span::noop(),
             None,
-            Engine::Dense,
-        )
-    }
-
-    /// [`Self::solve_dense_jobs`] on a caller-supplied pool (see
-    /// [`Self::solve_traced_pooled`]): the dense-oracle A/B can share the
-    /// harness's hoisted pool instead of building one per solve.
-    pub fn solve_dense_pooled(
-        &self,
-        model: &SystemModel,
-        budget_w: f64,
-        pool: &Pool,
-    ) -> SolveReport {
-        self.solve_core_pooled(
-            model,
-            budget_w,
             &Registry::noop(),
             pool,
             &Span::noop(),
-            None,
             Engine::Dense,
         )
     }
 
-    /// [`Self::solve_traced_jobs`] on a caller-supplied pool: no pool is
-    /// created inside the solve, so a long-running control plane (or a
-    /// benchmark harness) can hoist one pool across every solve — watch
-    /// `par.pool.created` stay put.
-    pub fn solve_traced_pooled(
-        &self,
-        model: &SystemModel,
-        budget_w: f64,
-        telemetry: &Registry,
-        pool: &Pool,
-        parent: &Span,
-    ) -> SolveReport {
-        self.solve_core_pooled(model, budget_w, telemetry, pool, parent, None, Engine::Fast)
-    }
-
-    /// [`Self::solve_warm_traced_jobs`] on a caller-supplied pool (see
-    /// [`Self::solve_traced_pooled`]).
-    #[allow(clippy::too_many_arguments)]
-    pub fn solve_warm_traced_pooled(
-        &self,
-        model: &SystemModel,
-        budget_w: f64,
-        warm: Option<&Allocation>,
-        telemetry: &Registry,
-        pool: &Pool,
-        parent: &Span,
-    ) -> SolveReport {
-        self.solve_core_pooled(model, budget_w, telemetry, pool, parent, warm, Engine::Fast)
-    }
-
-    /// [`Self::solve`] seeded with a previous allocation (projected back
-    /// onto the feasible set) as an extra ascent start.
-    ///
-    /// On a mobility tick the channel changes slightly, so the previous
-    /// plan is usually in the optimum's basin: the warm start converges in
-    /// a few iterations and — being start 0 in the tie-keeps-lowest-index
-    /// reduction — wins ties, keeping plans stable across ticks. With
-    /// `warm: None` this is exactly [`Self::solve`].
-    pub fn solve_warm(
-        &self,
-        model: &SystemModel,
-        budget_w: f64,
-        warm: Option<&Allocation>,
-    ) -> SolveReport {
-        self.solve_warm_traced_jobs(
-            model,
-            budget_w,
-            warm,
-            &Registry::noop(),
-            Jobs::from_env(),
-            &Span::noop(),
-        )
-    }
-
-    /// [`Self::solve_warm`] with telemetry, an explicit worker count, and
-    /// tracing (see [`Self::solve_traced_jobs`]). A used seed bumps
-    /// `alloc.optimal.warm_starts` and tags the solve span `warm=true`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn solve_warm_traced_jobs(
-        &self,
-        model: &SystemModel,
-        budget_w: f64,
-        warm: Option<&Allocation>,
-        telemetry: &Registry,
-        jobs: Jobs,
-        parent: &Span,
-    ) -> SolveReport {
-        self.solve_core(model, budget_w, telemetry, jobs, parent, warm, Engine::Fast)
-    }
-
-    /// The one solve implementation behind the cold and warm entry points:
-    /// with `warm: None` it is byte-for-byte the historical cold solve
-    /// (same starts, same spans, same counters), and the fast engine
-    /// reproduces the dense engine's report bit for bit.
+    /// The one solve implementation behind every entry point: with
+    /// `warm: None` it is byte-for-byte the historical cold solve (same
+    /// starts, same spans, same counters), and the fast engine reproduces
+    /// the dense engine's report bit for bit.
     #[allow(clippy::too_many_arguments)]
     fn solve_core(
         &self,
         model: &SystemModel,
         budget_w: f64,
-        telemetry: &Registry,
-        jobs: Jobs,
-        parent: &Span,
         warm: Option<&Allocation>,
-        engine: Engine,
-    ) -> SolveReport {
-        let pool = Pool::new(jobs).with_telemetry(telemetry);
-        self.solve_core_pooled(model, budget_w, telemetry, &pool, parent, warm, engine)
-    }
-
-    /// [`Self::solve_core`] minus the pool creation: every jobs-based
-    /// entry builds a throwaway pool above, every `_pooled` entry reuses
-    /// the caller's. Dispatch is identical either way, so both paths
-    /// produce bitwise-identical reports.
-    #[allow(clippy::too_many_arguments)]
-    fn solve_core_pooled(
-        &self,
-        model: &SystemModel,
-        budget_w: f64,
         telemetry: &Registry,
         pool: &Pool,
         parent: &Span,
-        warm: Option<&Allocation>,
         engine: Engine,
     ) -> SolveReport {
         assert!(budget_w > 0.0, "power budget must be positive");
@@ -1023,11 +910,11 @@ impl OptimalSolver {
 /// Tick-to-tick replan cache around [`OptimalSolver`].
 ///
 /// Remembers the channel, budget, and report of the previous solve. When
-/// the channel is *unchanged* (exact [`ChannelMatrix`] equality — the
-/// incremental engine reproduces bitwise-identical matrices for a static
-/// world, so this hits every quiet tick) the replan is skipped entirely
-/// and the previous report returned. Otherwise the solver runs seeded with
-/// the previous allocation via [`OptimalSolver::solve_warm`].
+/// the channel is *unchanged* (exact [`vlc_channel::ChannelMatrix`]
+/// equality — the incremental engine reproduces bitwise-identical matrices
+/// for a static world, so this hits every quiet tick) the replan is
+/// skipped entirely and the previous report returned. Otherwise the solver runs seeded with
+/// the previous allocation via [`OptimalSolver::solve_traced`].
 ///
 /// State is per-run: create one `WarmOptimal` per simulation run so replays
 /// start cold and stay reproducible.
@@ -1060,49 +947,23 @@ impl WarmOptimal {
         model: &SystemModel,
         budget_w: f64,
     ) -> SolveReport {
-        self.solve_traced_jobs(
+        self.solve_traced(
             solver,
             model,
             budget_w,
             &Registry::noop(),
-            Jobs::from_env(),
+            &Pool::from_env(),
             &Span::noop(),
         )
     }
 
-    /// [`Self::solve`] with telemetry, an explicit worker count, and
+    /// [`Self::solve`] with telemetry, a caller-supplied pool, and
     /// tracing. An unchanged channel bumps `alloc.optimal.replan_hits`
     /// and records an `alloc.optimal.cached` span instead of a solve; a
-    /// changed one runs [`OptimalSolver::solve_warm_traced_jobs`].
+    /// changed one runs [`OptimalSolver::solve_traced`] seeded with the
+    /// previous allocation.
     #[allow(clippy::too_many_arguments)]
-    pub fn solve_traced_jobs(
-        &mut self,
-        solver: &OptimalSolver,
-        model: &SystemModel,
-        budget_w: f64,
-        telemetry: &Registry,
-        jobs: Jobs,
-        parent: &Span,
-    ) -> SolveReport {
-        if let Some((channel, budget, report)) = &self.last {
-            if *channel == model.channel && *budget == budget_w {
-                telemetry.counter("alloc.optimal.replan_hits").inc();
-                let span = parent.child("alloc.optimal.cached");
-                span.attr("budget_w", &format!("{budget_w}"));
-                return report.clone();
-            }
-        }
-        let warm = self.last.as_ref().map(|(_, _, r)| r.allocation.clone());
-        let report =
-            solver.solve_warm_traced_jobs(model, budget_w, warm.as_ref(), telemetry, jobs, parent);
-        self.last = Some((model.channel.clone(), budget_w, report.clone()));
-        report
-    }
-
-    /// [`Self::solve_traced_jobs`] on a caller-supplied pool (see
-    /// [`OptimalSolver::solve_traced_pooled`]).
-    #[allow(clippy::too_many_arguments)]
-    pub fn solve_traced_pooled(
+    pub fn solve_traced(
         &mut self,
         solver: &OptimalSolver,
         model: &SystemModel,
@@ -1120,14 +981,7 @@ impl WarmOptimal {
             }
         }
         let warm = self.last.as_ref().map(|(_, _, r)| r.allocation.clone());
-        let report = solver.solve_warm_traced_pooled(
-            model,
-            budget_w,
-            warm.as_ref(),
-            telemetry,
-            pool,
-            parent,
-        );
+        let report = solver.solve_traced(model, budget_w, warm.as_ref(), telemetry, pool, parent);
         self.last = Some((model.channel.clone(), budget_w, report.clone()));
         report
     }
@@ -1222,7 +1076,14 @@ mod tests {
         let m = SystemModel::paper(ChannelMatrix::from_gains(4, 2, vec![0.0; 8]));
         let telemetry = Registry::new();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            OptimalSolver::quick().solve_instrumented(&m, 0.5, &telemetry)
+            OptimalSolver::quick().solve_traced(
+                &m,
+                0.5,
+                None,
+                &telemetry,
+                &Pool::from_env().with_telemetry(&telemetry),
+                &Span::noop(),
+            )
         }));
         assert!(result.is_err(), "dead channel must not yield a solution");
         let snap = telemetry.snapshot();
@@ -1242,7 +1103,14 @@ mod tests {
     fn feasible_solve_records_work_but_no_infeasible_signal() {
         let m = two_rx_model();
         let telemetry = Registry::new();
-        let report = OptimalSolver::quick().solve_instrumented(&m, 0.4, &telemetry);
+        let report = OptimalSolver::quick().solve_traced(
+            &m,
+            0.4,
+            None,
+            &telemetry,
+            &Pool::from_env().with_telemetry(&telemetry),
+            &Span::noop(),
+        );
         assert!(report.allocation.active_tx_count() > 0);
         let snap = telemetry.snapshot();
         assert_eq!(snap.counter("alloc.optimal.infeasible"), None);
@@ -1346,7 +1214,14 @@ mod tests {
         let m = scenario2_model();
         let solver = OptimalSolver::quick();
         let cold = solver.solve(&m, 0.5);
-        let warm = solver.solve_warm(&m, 0.5, None);
+        let warm = solver.solve_traced(
+            &m,
+            0.5,
+            None,
+            &Registry::noop(),
+            &Pool::from_env(),
+            &Span::noop(),
+        );
         assert_eq!(warm, cold);
     }
 
@@ -1357,7 +1232,14 @@ mod tests {
         let m = scenario2_model();
         let solver = OptimalSolver::quick();
         let cold = solver.solve(&m, 0.5);
-        let warm = solver.solve_warm(&m, 0.5, Some(&cold.allocation));
+        let warm = solver.solve_traced(
+            &m,
+            0.5,
+            Some(&cold.allocation),
+            &Registry::noop(),
+            &Pool::from_env(),
+            &Span::noop(),
+        );
         assert!(
             warm.objective >= cold.objective - 1e-12,
             "warm {} < cold {}",
@@ -1373,12 +1255,12 @@ mod tests {
         let solver = OptimalSolver::quick();
         let foreign = Allocation::zeros(3, 3);
         let telemetry = Registry::new();
-        solver.solve_warm_traced_jobs(
+        solver.solve_traced(
             &m,
             0.4,
             Some(&foreign),
             &telemetry,
-            Jobs::serial(),
+            &Pool::sequential().with_telemetry(&telemetry),
             &Span::noop(),
         );
         let snap = telemetry.snapshot();
@@ -1390,11 +1272,10 @@ mod tests {
         let m = two_rx_model();
         let solver = OptimalSolver::quick();
         let telemetry = Registry::new();
+        let pool = Pool::sequential().with_telemetry(&telemetry);
         let mut cache = WarmOptimal::new();
-        let first =
-            cache.solve_traced_jobs(&solver, &m, 0.4, &telemetry, Jobs::serial(), &Span::noop());
-        let second =
-            cache.solve_traced_jobs(&solver, &m, 0.4, &telemetry, Jobs::serial(), &Span::noop());
+        let first = cache.solve_traced(&solver, &m, 0.4, &telemetry, &pool, &Span::noop());
+        let second = cache.solve_traced(&solver, &m, 0.4, &telemetry, &pool, &Span::noop());
         assert_eq!(second, first, "cached replan returns the same report");
         let snap = telemetry.snapshot();
         assert_eq!(snap.counter("alloc.optimal.replan_hits"), Some(1));
@@ -1405,21 +1286,15 @@ mod tests {
     fn warm_optimal_resolves_on_channel_or_budget_change() {
         let solver = OptimalSolver::quick();
         let telemetry = Registry::new();
+        let pool = Pool::sequential().with_telemetry(&telemetry);
         let mut cache = WarmOptimal::new();
         let m = two_rx_model();
-        cache.solve_traced_jobs(&solver, &m, 0.4, &telemetry, Jobs::serial(), &Span::noop());
+        cache.solve_traced(&solver, &m, 0.4, &telemetry, &pool, &Span::noop());
         // A different budget re-solves (seeded by the previous allocation).
-        cache.solve_traced_jobs(&solver, &m, 0.3, &telemetry, Jobs::serial(), &Span::noop());
+        cache.solve_traced(&solver, &m, 0.3, &telemetry, &pool, &Span::noop());
         // A perturbed channel re-solves too.
         let bumped = SystemModel::paper(m.channel.map(|g| g * 1.01));
-        cache.solve_traced_jobs(
-            &solver,
-            &bumped,
-            0.3,
-            &telemetry,
-            Jobs::serial(),
-            &Span::noop(),
-        );
+        cache.solve_traced(&solver, &bumped, 0.3, &telemetry, &pool, &Span::noop());
         let snap = telemetry.snapshot();
         assert_eq!(snap.counter("alloc.optimal.solves"), Some(3));
         assert_eq!(snap.counter("alloc.optimal.warm_starts"), Some(2));

@@ -13,7 +13,9 @@ use vlc_alloc::heuristic::{rank_by_sjr, rank_by_sjr_scalar, HeuristicConfig};
 use vlc_alloc::model::SystemModel;
 use vlc_alloc::OptimalSolver;
 use vlc_channel::ChannelMatrix;
-use vlc_par::Jobs;
+use vlc_par::{Jobs, Pool};
+use vlc_telemetry::Registry;
+use vlc_trace::Span;
 
 /// A reduced-effort solver: the identity must hold per evaluation, so a
 /// short ascent exercises it as well as a long one, much faster.
@@ -79,6 +81,23 @@ fn arb_dense_model() -> impl Strategy<Value = SystemModel> {
         })
 }
 
+/// The fast engine on a `jobs`-worker pool, untraced.
+fn solve_fast(
+    solver: &OptimalSolver,
+    model: &SystemModel,
+    budget: f64,
+    jobs: Jobs,
+) -> vlc_alloc::SolveReport {
+    solver.solve_traced(
+        model,
+        budget,
+        None,
+        &Registry::noop(),
+        &Pool::new(jobs),
+        &Span::noop(),
+    )
+}
+
 fn assert_reports_identical(
     fast: &vlc_alloc::SolveReport,
     dense: &vlc_alloc::SolveReport,
@@ -112,9 +131,9 @@ proptest! {
         budget in 0.02f64..0.5,
     ) {
         let solver = test_solver();
-        let dense = solver.solve_dense_jobs(&model, budget, Jobs::serial());
+        let dense = solver.solve_dense(&model, budget, &Pool::sequential());
         for jobs in [Jobs::serial(), Jobs::max()] {
-            let fast = solver.solve_jobs(&model, budget, jobs);
+            let fast = solve_fast(&solver, &model, budget, jobs);
             assert_reports_identical(&fast, &dense)?;
         }
     }
@@ -127,8 +146,8 @@ proptest! {
         budget in 0.02f64..0.5,
     ) {
         let solver = test_solver();
-        let dense = solver.solve_dense_jobs(&model, budget, Jobs::serial());
-        let fast = solver.solve_jobs(&model, budget, Jobs::max());
+        let dense = solver.solve_dense(&model, budget, &Pool::sequential());
+        let fast = solve_fast(&solver, &model, budget, Jobs::max());
         assert_reports_identical(&fast, &dense)?;
     }
 

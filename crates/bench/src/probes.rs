@@ -44,12 +44,13 @@ pub fn phase_probe(tracer: &Tracer, pool: &Pool) {
     let probe = tracer.root("bench.phase_probe");
     let quiet = Registry::noop();
     let dep = Deployment::scenario(Scenario::Two);
-    ChannelMatrix::compute_with_blockage_pooled(
+    ChannelMatrix::compute_traced(
         &dep.grid,
         &dep.receivers,
         dep.half_power_semi_angle,
         &dep.optics,
         &[],
+        None,
         pool,
         &probe,
     );
@@ -61,9 +62,10 @@ pub fn phase_probe(tracer: &Tracer, pool: &Pool) {
         &quiet,
         &probe,
     );
-    OptimalSolver::quick().solve_traced_pooled(&dep.model, 1.2, &quiet, pool, &probe);
+    OptimalSolver::quick().solve_traced(&dep.model, 1.2, None, &quiet, pool, &probe);
     System::scenario(Scenario::Two, 1.2).adapt_traced(&quiet, &probe);
-    Simulation::new(Deployment::scenario(Scenario::Two), 1.2, 0.25).run_traced(0.6, &quiet, &probe);
+    Simulation::new(Deployment::scenario(Scenario::Two), 1.2, 0.25)
+        .run_traced(0.6, None, &quiet, &probe);
     let link = NlosSyncLink::between_traced(
         &dep.grid.pose(1),
         &dep.grid.pose(2),
@@ -85,7 +87,7 @@ pub fn phase_probe(tracer: &Tracer, pool: &Pool) {
     drop(probe);
     let probe = tracer.root("bench.incremental_probe");
     let m = lambertian_order(dep.half_power_semi_angle);
-    let cache = NlosTxCache::new_pooled(
+    let cache = NlosTxCache::new_traced(
         &dep.grid.pose(1),
         m,
         &dep.room,
@@ -94,13 +96,13 @@ pub fn phase_probe(tracer: &Tracer, pool: &Pool) {
         &probe,
     );
     for follower in [2usize, 7, 8] {
-        cache.floor_gain_pooled(&dep.grid.pose(follower), &dep.optics, pool, &probe);
+        cache.floor_gain_traced(&dep.grid.pose(follower), &dep.optics, pool, &probe);
     }
     let mut warm = WarmOptimal::new();
     let solver = OptimalSolver::quick();
-    warm.solve_traced_pooled(&solver, &dep.model, 1.2, &quiet, pool, &probe);
+    warm.solve_traced(&solver, &dep.model, 1.2, &quiet, pool, &probe);
     // Unchanged channel: the replan is skipped (`alloc.optimal.cached`).
-    warm.solve_traced_pooled(&solver, &dep.model, 1.2, &quiet, pool, &probe);
+    warm.solve_traced(&solver, &dep.model, 1.2, &quiet, pool, &probe);
 }
 
 /// Times the SoA/sparse channel machinery under a `bench.sparse_probe`
@@ -126,7 +128,7 @@ pub fn sparse_probe(tracer: &Tracer, pool: &Pool) {
     };
     let matrix = {
         let _span = probe.child("sparse.channel.masked.paper");
-        ChannelMatrix::compute_masked_pooled(
+        ChannelMatrix::compute_traced(
             &dep.grid,
             &dep.receivers,
             dep.half_power_semi_angle,
@@ -145,11 +147,18 @@ pub fn sparse_probe(tracer: &Tracer, pool: &Pool) {
     let solver = OptimalSolver::quick();
     {
         let _span = probe.child("sparse.solve.paper");
-        solver.solve_traced_pooled(&dep.model, 1.2, &Registry::noop(), pool, &Span::noop());
+        solver.solve_traced(
+            &dep.model,
+            1.2,
+            None,
+            &Registry::noop(),
+            pool,
+            &Span::noop(),
+        );
     }
     {
         let _span = probe.child("sparse.solve.dense.paper");
-        solver.solve_dense_pooled(&dep.model, 1.2, pool);
+        solver.solve_dense(&dep.model, 1.2, pool);
     }
 
     // Synthetic building floor: 144 TX / 16 narrow-FOV RX.
@@ -180,19 +189,20 @@ pub fn sparse_probe(tracer: &Tracer, pool: &Pool) {
     let hpsa = dep.half_power_semi_angle;
     let dense_matrix = {
         let _span = probe.child("sparse.channel.dense.building");
-        ChannelMatrix::compute_with_blockage_pooled(
+        ChannelMatrix::compute_traced(
             &grid,
             &receivers,
             hpsa,
             &optics,
             &[],
+            None,
             pool,
             &Span::noop(),
         )
     };
     let masked_matrix = {
         let _span = probe.child("sparse.channel.masked.building");
-        ChannelMatrix::compute_masked_pooled(
+        ChannelMatrix::compute_traced(
             &grid,
             &receivers,
             hpsa,
@@ -218,11 +228,11 @@ pub fn sparse_probe(tracer: &Tracer, pool: &Pool) {
     };
     {
         let _span = probe.child("sparse.solve.building");
-        building_solver.solve_traced_pooled(&model, 1.2, &Registry::noop(), pool, &Span::noop());
+        building_solver.solve_traced(&model, 1.2, None, &Registry::noop(), pool, &Span::noop());
     }
     {
         let _span = probe.child("sparse.solve.dense.building");
-        building_solver.solve_dense_pooled(&model, 1.2, pool);
+        building_solver.solve_dense(&model, 1.2, pool);
     }
 }
 

@@ -103,6 +103,7 @@ struct CellMetrics {
     dirty_shards: Counter,
     replans: Counter,
     plan_hits: Counter,
+    commands_ignored: Counter,
     sessions: Gauge,
     system_bps: Gauge,
     tick_s: Histogram,
@@ -120,6 +121,7 @@ impl CellMetrics {
             dirty_shards: registry.counter("cell.dirty_shards"),
             replans: registry.counter("cell.replans"),
             plan_hits: registry.counter("cell.plan.hits"),
+            commands_ignored: registry.counter("cell.commands_ignored"),
             sessions: registry.gauge("cell.sessions"),
             system_bps: registry.gauge("cell.system_bps"),
             tick_s: registry.histogram("cell.tick_s"),
@@ -226,19 +228,25 @@ impl BuildingEngine {
         }
     }
 
-    /// Applies one session event. Commands for unknown sessions
-    /// (`Move`/`Leave` before `Arrive`) are ignored; duplicate arrivals
-    /// panic in debug builds and are ignored in release.
+    /// Applies one session event. Commands that cannot apply are ignored
+    /// and counted in `cell.commands_ignored`: `Move`/`Leave` for an
+    /// unknown session, a duplicate `Arrive`, and any command with a
+    /// non-finite coordinate (which would otherwise put a NaN pose into a
+    /// shard's channel and solver).
     pub fn apply(&mut self, cmd: &Command) {
         self.pend_events += 1;
+        if !self.try_apply(cmd) {
+            self.metrics.commands_ignored.inc();
+        }
+    }
+
+    /// [`Self::apply`] minus the ignore counter: `false` when the command
+    /// was ignored.
+    fn try_apply(&mut self, cmd: &Command) -> bool {
         match *cmd {
             Command::Arrive { session, x, y } => {
-                debug_assert!(
-                    !self.locations.contains_key(&session),
-                    "duplicate arrival for session {session}"
-                );
-                if self.locations.contains_key(&session) {
-                    return;
+                if !(x.is_finite() && y.is_finite()) || self.locations.contains_key(&session) {
+                    return false;
                 }
                 let (x, y) = self.map.clamp(x, y);
                 let cell = self.map.cell_of(x, y);
@@ -249,8 +257,11 @@ impl BuildingEngine {
                 self.pend_arrivals += 1;
             }
             Command::Move { session, x, y } => {
+                if !(x.is_finite() && y.is_finite()) {
+                    return false;
+                }
                 let Some(&src) = self.locations.get(&session) else {
-                    return;
+                    return false;
                 };
                 let (x, y) = self.map.clamp(x, y);
                 let dst = self.map.cell_of(x, y);
@@ -273,13 +284,14 @@ impl BuildingEngine {
             }
             Command::Leave { session } => {
                 let Some(cell) = self.locations.remove(&session) else {
-                    return;
+                    return false;
                 };
                 self.shards[cell].depart(session);
                 self.mark_dirty(cell);
                 self.pend_departures += 1;
             }
         }
+        true
     }
 
     /// Replans every dirty shard in one batch over `pool` and returns the

@@ -41,7 +41,7 @@ pub struct ShardTick {
     pub bps: Vec<f64>,
 }
 
-/// What one [`CellShard::replan`] produced, for the coordinator's
+/// What one `CellShard::replan` produced, for the coordinator's
 /// bookkeeping. `old_bps`/`new_bps` let the coordinator maintain the
 /// building throughput by delta in deterministic (cell-index) order.
 #[derive(Debug, Clone, Copy)]
@@ -245,7 +245,7 @@ impl CellShard {
 
         let update = self
             .updater
-            .update_pooled(&self.poses, &[], &self.inner, telemetry, parent);
+            .update_traced(&self.poses, &[], telemetry, &self.inner, parent);
         let changed = update.matrix != self.model.channel;
         self.model.channel = update.matrix;
         // An identical channel means the previous plan is still the answer
@@ -300,7 +300,7 @@ impl CellShard {
             .as_ref()
             .filter(|w| w.n_rx() == self.sessions.len());
         solver
-            .solve_warm_traced_pooled(
+            .solve_traced(
                 &self.model,
                 self.budget_w,
                 warm,

@@ -147,3 +147,53 @@ fn optimal_policy_warm_starts_the_destination_solver() {
         cold.objective
     );
 }
+
+#[test]
+fn unusable_commands_are_ignored_and_counted() {
+    let cfg = BuildingConfig::paper(2, 1);
+    let registry = Registry::new();
+    let mut engine = BuildingEngine::new(&cfg, &registry);
+    let pool = Pool::sequential();
+    engine.apply(&Command::Arrive {
+        session: 7,
+        x: 2.5,
+        y: 1.5,
+    });
+    engine.control_tick(&pool, &Span::noop());
+    let rosters = |e: &BuildingEngine| {
+        (
+            e.shard(0).sessions().to_vec(),
+            e.shard(1).sessions().to_vec(),
+        )
+    };
+    let before = rosters(&engine);
+    for cmd in [
+        Command::Arrive {
+            session: 9,
+            x: f64::NAN,
+            y: 1.0,
+        },
+        Command::Move {
+            session: 7,
+            x: 1.0,
+            y: f64::NAN,
+        },
+        Command::Arrive {
+            session: 7,
+            x: 4.0,
+            y: 1.0,
+        },
+    ] {
+        engine.apply(&cmd);
+    }
+    let report = engine.control_tick(&pool, &Span::noop());
+    assert_eq!(rosters(&engine), before);
+    assert_eq!(engine.locate(7), Some(0));
+    assert_eq!(engine.locate(9), None);
+    assert!(report.system_bps.is_finite());
+    assert!(engine.system_bps().is_finite());
+    assert_eq!(
+        registry.snapshot().counter("cell.commands_ignored"),
+        Some(3)
+    );
+}

@@ -24,7 +24,7 @@ use crate::fov::{COUNTER_FOV_CULLED, COUNTER_FOV_LIVE};
 use crate::lambertian::{lambertian_order, los_gain_profiled, RxOptics};
 use crate::matrix::ChannelMatrix;
 use vlc_geom::{Pose, TxGrid};
-use vlc_par::{Jobs, Pool};
+use vlc_par::Pool;
 use vlc_telemetry::Registry;
 use vlc_trace::Span;
 
@@ -113,11 +113,11 @@ impl ChannelUpdater {
     /// Advances the world one tick and returns the updated matrices,
     /// fanning dirty columns out over `DENSEVLC_JOBS` workers.
     pub fn update(&mut self, receivers: &[Pose], blockers: &[CylinderBlocker]) -> ChannelUpdate {
-        self.update_pooled(
+        self.update_traced(
             receivers,
             blockers,
-            &Pool::new(Jobs::from_env()),
             &Registry::noop(),
+            &Pool::from_env(),
             &Span::noop(),
         )
     }
@@ -128,12 +128,12 @@ impl ChannelUpdater {
     /// depends only on what changed, never on the worker count), and
     /// bumping the `channel.cache.hit` / `channel.cache.partial` /
     /// `channel.cache.miss` counters.
-    pub fn update_pooled(
+    pub fn update_traced(
         &mut self,
         receivers: &[Pose],
         blockers: &[CylinderBlocker],
-        pool: &Pool,
         telemetry: &Registry,
+        pool: &Pool,
         parent: &Span,
     ) -> ChannelUpdate {
         let n_tx = self.grid.len();
@@ -431,9 +431,9 @@ mod tests {
         let registry = Registry::new();
         let pool = Pool::sequential();
         let mut up = ChannelUpdater::new(&grid, 15f64.to_radians(), &optics, 0.0);
-        up.update_pooled(&rxs, &[], &pool, &registry, &Span::noop());
+        up.update_traced(&rxs, &[], &registry, &pool, &Span::noop());
         rxs[0] = Pose::face_up(1.4, 1.4, 0.8);
-        up.update_pooled(&rxs, &[], &pool, &registry, &Span::noop());
+        up.update_traced(&rxs, &[], &registry, &pool, &Span::noop());
         let snap = registry.snapshot();
         assert_eq!(snap.counter("channel.cache.updates"), Some(2));
         assert_eq!(snap.counter("channel.cache.miss"), Some(5));

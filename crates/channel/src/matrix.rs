@@ -6,7 +6,7 @@ use crate::lambertian::{lambertian_order, los_gain_profiled, RxOptics, RxProfile
 use crate::soa::LANE;
 use serde::{Deserialize, Serialize};
 use vlc_geom::{Pose, TxGrid};
-use vlc_par::{Jobs, Pool};
+use vlc_par::Pool;
 use vlc_trace::Span;
 
 /// Line-of-sight path gains `H[tx][rx]` for every TX/RX pair.
@@ -39,7 +39,7 @@ impl ChannelMatrix {
     /// Computes the LOS matrix for a TX grid and receiver poses, fanning
     /// the TX rows out over `DENSEVLC_JOBS` workers (sequential when that
     /// resolves to 1). The result is bitwise identical for any worker
-    /// count — see [`Self::compute_par`].
+    /// count — see [`Self::compute_traced`].
     pub fn compute(
         grid: &TxGrid,
         receivers: &[Pose],
@@ -47,17 +47,6 @@ impl ChannelMatrix {
         optics: &RxOptics,
     ) -> Self {
         Self::compute_with_blockage(grid, receivers, half_power_semi_angle, optics, &[])
-    }
-
-    /// [`Self::compute`] with an explicit worker count.
-    pub fn compute_par(
-        grid: &TxGrid,
-        receivers: &[Pose],
-        half_power_semi_angle: f64,
-        optics: &RxOptics,
-        jobs: Jobs,
-    ) -> Self {
-        Self::compute_with_blockage_par(grid, receivers, half_power_semi_angle, optics, &[], jobs)
     }
 
     /// Computes the LOS matrix with cylindrical occluders: a blocked pair
@@ -69,97 +58,34 @@ impl ChannelMatrix {
         optics: &RxOptics,
         blockers: &[CylinderBlocker],
     ) -> Self {
-        Self::compute_with_blockage_par(
-            grid,
-            receivers,
-            half_power_semi_angle,
-            optics,
-            blockers,
-            Jobs::from_env(),
-        )
-    }
-
-    /// [`Self::compute_with_blockage`] with an explicit worker count: each
-    /// TX row of `H` is an independent work item, and rows are reassembled
-    /// in TX order, so the matrix is bitwise identical to the sequential
-    /// one for any `jobs`.
-    pub fn compute_with_blockage_par(
-        grid: &TxGrid,
-        receivers: &[Pose],
-        half_power_semi_angle: f64,
-        optics: &RxOptics,
-        blockers: &[CylinderBlocker],
-        jobs: Jobs,
-    ) -> Self {
-        Self::compute_with_blockage_traced(
-            grid,
-            receivers,
-            half_power_semi_angle,
-            optics,
-            blockers,
-            jobs,
-            &Span::noop(),
-        )
-    }
-
-    /// [`Self::compute_with_blockage_par`] recording a `channel.sound`
-    /// span under `parent`, with one `channel.sound.row` child per TX row
-    /// (indexed by TX, so the span tree is identical for any worker
-    /// count). With a noop parent this is the uninstrumented path plus one
-    /// branch per span site.
-    #[allow(clippy::too_many_arguments)]
-    pub fn compute_with_blockage_traced(
-        grid: &TxGrid,
-        receivers: &[Pose],
-        half_power_semi_angle: f64,
-        optics: &RxOptics,
-        blockers: &[CylinderBlocker],
-        jobs: Jobs,
-        parent: &Span,
-    ) -> Self {
-        Self::compute_with_blockage_pooled(
-            grid,
-            receivers,
-            half_power_semi_angle,
-            optics,
-            blockers,
-            &Pool::new(jobs),
-            parent,
-        )
-    }
-
-    /// [`Self::compute_with_blockage_traced`] on a caller-supplied [`Pool`],
-    /// so one pool can serve many matrix builds (and the NLOS quadratures)
-    /// instead of being rebuilt per call.
-    #[allow(clippy::too_many_arguments)]
-    pub fn compute_with_blockage_pooled(
-        grid: &TxGrid,
-        receivers: &[Pose],
-        half_power_semi_angle: f64,
-        optics: &RxOptics,
-        blockers: &[CylinderBlocker],
-        pool: &Pool,
-        parent: &Span,
-    ) -> Self {
-        Self::compute_masked_pooled(
+        Self::compute_traced(
             grid,
             receivers,
             half_power_semi_angle,
             optics,
             blockers,
             None,
-            pool,
-            parent,
+            &Pool::from_env(),
+            &Span::noop(),
         )
     }
 
-    /// [`Self::compute_with_blockage_pooled`] with an optional precomputed
-    /// [`FovMask`]: culled links get an exact zero without evaluating the
-    /// Lambertian kernel or the blockage test. Because the mask is
-    /// conservative — it only culls links whose LOS gain is exactly zero —
-    /// the result is bitwise identical to the unmasked computation.
+    /// [`Self::compute_with_blockage`] with an optional precomputed
+    /// [`FovMask`], on a caller-supplied [`Pool`], recording a
+    /// `channel.sound` span under `parent`.
+    ///
+    /// Each TX row of `H` is an independent work item, and rows are
+    /// reassembled in TX order, so the matrix is bitwise identical to the
+    /// sequential one for any worker count; one pool can serve many matrix
+    /// builds (and the NLOS quadratures) instead of being rebuilt per call.
+    /// Masked links get an exact zero without evaluating the Lambertian
+    /// kernel or the blockage test. Because the mask is conservative — it
+    /// only culls links whose LOS gain is exactly zero — the result is
+    /// bitwise identical to the unmasked computation. The span has one
+    /// `channel.sound.row` child per TX row (indexed by TX, so the span
+    /// tree is identical for any worker count).
     #[allow(clippy::too_many_arguments)]
-    pub fn compute_masked_pooled(
+    pub fn compute_traced(
         grid: &TxGrid,
         receivers: &[Pose],
         half_power_semi_angle: f64,
@@ -391,8 +317,8 @@ mod tests {
         let hpsa = 15f64.to_radians();
         let mask = FovMask::compute(&grid, &rxs, &optics.profile());
         assert!(mask.culled_count() > 0, "30° FOV should cull corner links");
-        let pool = Pool::new(Jobs::serial());
-        let dense = ChannelMatrix::compute_masked_pooled(
+        let pool = Pool::sequential();
+        let dense = ChannelMatrix::compute_traced(
             &grid,
             &rxs,
             hpsa,
@@ -402,7 +328,7 @@ mod tests {
             &pool,
             &Span::noop(),
         );
-        let masked = ChannelMatrix::compute_masked_pooled(
+        let masked = ChannelMatrix::compute_traced(
             &grid,
             &rxs,
             hpsa,

@@ -18,7 +18,7 @@ use crate::lambertian::{RxOptics, RxProfile};
 use crate::soa::LANE;
 use serde::{Deserialize, Serialize};
 use vlc_geom::{Pose, Room, Vec3};
-use vlc_par::{Jobs, Pool};
+use vlc_par::Pool;
 use vlc_trace::Span;
 
 /// Configuration for the single-bounce integration.
@@ -55,59 +55,29 @@ pub fn floor_bounce_gain(
     room: &Room,
     cfg: &NlosConfig,
 ) -> f64 {
-    floor_bounce_gain_par(tx, rx, lambertian_m, optics, room, cfg, Jobs::from_env())
-}
-
-/// [`floor_bounce_gain`] with an explicit worker count.
-///
-/// The quadrature is structured as one partial sum per floor *row* (fixed
-/// `iy`), summed over rows in row order — on the sequential path too — so
-/// fanning rows out over workers reassociates nothing and the integral is
-/// bitwise identical for any `jobs`.
-pub fn floor_bounce_gain_par(
-    tx: &Pose,
-    rx: &Pose,
-    lambertian_m: f64,
-    optics: &RxOptics,
-    room: &Room,
-    cfg: &NlosConfig,
-    jobs: Jobs,
-) -> f64 {
-    floor_bounce_gain_traced(tx, rx, lambertian_m, optics, room, cfg, jobs, &Span::noop())
-}
-
-/// [`floor_bounce_gain_par`] recording a `channel.nlos.floor` span under
-/// `parent`, with one `channel.nlos.floor.row` child per quadrature row
-/// (indexed by row, so the span tree is worker-count independent). With a
-/// noop parent this is the uninstrumented path plus one branch per span
-/// site.
-#[allow(clippy::too_many_arguments)]
-pub fn floor_bounce_gain_traced(
-    tx: &Pose,
-    rx: &Pose,
-    lambertian_m: f64,
-    optics: &RxOptics,
-    room: &Room,
-    cfg: &NlosConfig,
-    jobs: Jobs,
-    parent: &Span,
-) -> f64 {
-    floor_bounce_gain_pooled(
+    floor_bounce_gain_traced(
         tx,
         rx,
         lambertian_m,
         optics,
         room,
         cfg,
-        &Pool::new(jobs),
-        parent,
+        &Pool::from_env(),
+        &Span::noop(),
     )
 }
 
-/// [`floor_bounce_gain_traced`] on a caller-supplied [`Pool`], so one pool
-/// can serve many gain evaluations instead of being rebuilt per call.
+/// [`floor_bounce_gain`] on a caller-supplied [`Pool`] (so one pool can
+/// serve many gain evaluations instead of being rebuilt per call),
+/// recording a `channel.nlos.floor` span under `parent` with one
+/// `channel.nlos.floor.row` child per quadrature row.
+///
+/// The quadrature is structured as one partial sum per floor *row* (fixed
+/// `iy`), summed over rows in row order — on the sequential path too — so
+/// fanning rows out over workers reassociates nothing and the integral,
+/// like the span tree, is identical for any worker count.
 #[allow(clippy::too_many_arguments)]
-pub fn floor_bounce_gain_pooled(
+pub fn floor_bounce_gain_traced(
     tx: &Pose,
     rx: &Pose,
     lambertian_m: f64,
@@ -211,55 +181,26 @@ pub fn wall_bounce_gain(
     room: &Room,
     cfg: &NlosConfig,
 ) -> f64 {
-    wall_bounce_gain_par(tx, rx, lambertian_m, optics, room, cfg, Jobs::from_env())
-}
-
-/// [`wall_bounce_gain`] with an explicit worker count. Work items are the
-/// vertical wall *columns* (one per `(wall, iu)`), each summed bottom-up;
-/// column partials are added in column order on every path, so the result
-/// is bitwise identical for any `jobs` (see [`floor_bounce_gain_par`]).
-pub fn wall_bounce_gain_par(
-    tx: &Pose,
-    rx: &Pose,
-    lambertian_m: f64,
-    optics: &RxOptics,
-    room: &Room,
-    cfg: &NlosConfig,
-    jobs: Jobs,
-) -> f64 {
-    wall_bounce_gain_traced(tx, rx, lambertian_m, optics, room, cfg, jobs, &Span::noop())
-}
-
-/// [`wall_bounce_gain_par`] recording a `channel.nlos.wall` span under
-/// `parent`, with one `channel.nlos.wall.col` child per wall column
-/// (indexed by column, so the span tree is worker-count independent).
-#[allow(clippy::too_many_arguments)]
-pub fn wall_bounce_gain_traced(
-    tx: &Pose,
-    rx: &Pose,
-    lambertian_m: f64,
-    optics: &RxOptics,
-    room: &Room,
-    cfg: &NlosConfig,
-    jobs: Jobs,
-    parent: &Span,
-) -> f64 {
-    wall_bounce_gain_pooled(
+    wall_bounce_gain_traced(
         tx,
         rx,
         lambertian_m,
         optics,
         room,
         cfg,
-        &Pool::new(jobs),
-        parent,
+        &Pool::from_env(),
+        &Span::noop(),
     )
 }
 
-/// [`wall_bounce_gain_traced`] on a caller-supplied [`Pool`], so one pool
-/// can serve many gain evaluations instead of being rebuilt per call.
+/// [`wall_bounce_gain`] on a caller-supplied [`Pool`], recording a
+/// `channel.nlos.wall` span under `parent` with one `channel.nlos.wall.col`
+/// child per wall column. Work items are the vertical wall *columns* (one
+/// per `(wall, iu)`), each summed bottom-up; column partials are added in
+/// column order on every path, so the result is bitwise identical for any
+/// worker count (see [`floor_bounce_gain_traced`]).
 #[allow(clippy::too_many_arguments)]
-pub fn wall_bounce_gain_pooled(
+pub fn wall_bounce_gain_traced(
     tx: &Pose,
     rx: &Pose,
     lambertian_m: f64,

@@ -25,7 +25,7 @@ use crate::nlos::{
 use crate::soa::LANE;
 use std::sync::Arc;
 use vlc_geom::{Pose, Room, Vec3};
-use vlc_par::{Jobs, Pool};
+use vlc_par::Pool;
 use vlc_trace::Span;
 
 /// Precomputed source→patch irradiance tables for one transmitter.
@@ -68,12 +68,12 @@ impl NlosTxCache {
     /// Builds the tables for one TX, fanning the floor rows / wall columns
     /// out over `DENSEVLC_JOBS` workers.
     pub fn new(tx: &Pose, lambertian_m: f64, room: &Room, cfg: &NlosConfig) -> Self {
-        Self::new_pooled(
+        Self::new_traced(
             tx,
             lambertian_m,
             room,
             cfg,
-            &Pool::new(Jobs::from_env()),
+            &Pool::from_env(),
             &Span::noop(),
         )
     }
@@ -83,7 +83,7 @@ impl NlosTxCache {
     /// `channel.nlos.cache_build.row` child per floor row and one
     /// `channel.nlos.cache_build.col` child per wall column (both indexed,
     /// so the span tree is worker-count independent).
-    pub fn new_pooled(
+    pub fn new_traced(
         tx: &Pose,
         lambertian_m: f64,
         room: &Room,
@@ -202,18 +202,13 @@ impl NlosTxCache {
     /// Floor-bounce gain toward `rx` — bitwise identical to
     /// [`crate::nlos::floor_bounce_gain`] for the cached TX.
     pub fn floor_gain(&self, rx: &Pose, optics: &RxOptics) -> f64 {
-        self.floor_gain_pooled(rx, optics, &Pool::new(Jobs::from_env()), &Span::noop())
-    }
-
-    /// [`Self::floor_gain`] with an explicit worker count.
-    pub fn floor_gain_par(&self, rx: &Pose, optics: &RxOptics, jobs: Jobs) -> f64 {
-        self.floor_gain_pooled(rx, optics, &Pool::new(jobs), &Span::noop())
+        self.floor_gain_traced(rx, optics, &Pool::from_env(), &Span::noop())
     }
 
     /// [`Self::floor_gain`] on a caller-supplied pool, recording a
     /// `channel.nlos.floor.cached` span under `parent` with one
     /// `channel.nlos.floor.cached.row` child per quadrature row.
-    pub fn floor_gain_pooled(
+    pub fn floor_gain_traced(
         &self,
         rx: &Pose,
         optics: &RxOptics,
@@ -254,18 +249,13 @@ impl NlosTxCache {
     /// Wall-bounce gain toward `rx` — bitwise identical to
     /// [`crate::nlos::wall_bounce_gain`] for the cached TX.
     pub fn wall_gain(&self, rx: &Pose, optics: &RxOptics) -> f64 {
-        self.wall_gain_pooled(rx, optics, &Pool::new(Jobs::from_env()), &Span::noop())
-    }
-
-    /// [`Self::wall_gain`] with an explicit worker count.
-    pub fn wall_gain_par(&self, rx: &Pose, optics: &RxOptics, jobs: Jobs) -> f64 {
-        self.wall_gain_pooled(rx, optics, &Pool::new(jobs), &Span::noop())
+        self.wall_gain_traced(rx, optics, &Pool::from_env(), &Span::noop())
     }
 
     /// [`Self::wall_gain`] on a caller-supplied pool, recording a
     /// `channel.nlos.wall.cached` span under `parent` with one
     /// `channel.nlos.wall.cached.col` child per wall column.
-    pub fn wall_gain_pooled(
+    pub fn wall_gain_traced(
         &self,
         rx: &Pose,
         optics: &RxOptics,
@@ -313,6 +303,7 @@ mod tests {
     use crate::lambertian::lambertian_order;
     use crate::nlos::{floor_bounce_gain, wall_bounce_gain};
     use vlc_geom::TxGrid;
+    use vlc_par::Jobs;
 
     fn setup() -> (Room, f64, RxOptics) {
         (
@@ -360,9 +351,9 @@ mod tests {
         let cfg = NlosConfig::default();
         let cache = NlosTxCache::new(&grid.pose(1), m, &room, &cfg);
         let rx = grid.pose(2);
-        let reference = cache.floor_gain_par(&rx, &optics, Jobs::serial());
+        let reference = cache.floor_gain_traced(&rx, &optics, &Pool::sequential(), &Span::noop());
         for jobs in [Jobs::of(2), Jobs::of(7), Jobs::max()] {
-            let got = cache.floor_gain_par(&rx, &optics, jobs);
+            let got = cache.floor_gain_traced(&rx, &optics, &Pool::new(jobs), &Span::noop());
             assert_eq!(got.to_bits(), reference.to_bits(), "jobs={jobs}");
         }
     }

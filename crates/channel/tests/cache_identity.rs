@@ -5,7 +5,7 @@
 //! and therefore in both halves of `cargo tier2`.
 
 use proptest::prelude::*;
-use vlc_channel::nlos::{floor_bounce_gain_par, wall_bounce_gain_par, NlosConfig};
+use vlc_channel::nlos::{floor_bounce_gain_traced, wall_bounce_gain_traced, NlosConfig};
 use vlc_channel::{
     lambertian_order, ChannelMatrix, ChannelUpdater, CylinderBlocker, NlosTxCache, RxOptics,
 };
@@ -48,8 +48,10 @@ proptest! {
         let tx = grid.pose(tx_idx);
         let cache = NlosTxCache::new(&tx, m, &room, &coarse());
         for jobs in [Jobs::serial(), Jobs::max()] {
-            let direct = floor_bounce_gain_par(&tx, &rx, m, &optics, &room, &coarse(), jobs);
-            let cached = cache.floor_gain_par(&rx, &optics, jobs);
+            let pool = Pool::new(jobs);
+            let direct =
+                floor_bounce_gain_traced(&tx, &rx, m, &optics, &room, &coarse(), &pool, &Span::noop());
+            let cached = cache.floor_gain_traced(&rx, &optics, &pool, &Span::noop());
             prop_assert_eq!(cached.to_bits(), direct.to_bits(), "jobs={}", jobs);
         }
     }
@@ -64,8 +66,10 @@ proptest! {
         let tx = grid.pose(tx_idx);
         let cache = NlosTxCache::new(&tx, m, &room, &coarse());
         for jobs in [Jobs::serial(), Jobs::max()] {
-            let direct = wall_bounce_gain_par(&tx, &rx, m, &optics, &room, &coarse(), jobs);
-            let cached = cache.wall_gain_par(&rx, &optics, jobs);
+            let pool = Pool::new(jobs);
+            let direct =
+                wall_bounce_gain_traced(&tx, &rx, m, &optics, &room, &coarse(), &pool, &Span::noop());
+            let cached = cache.wall_gain_traced(&rx, &optics, &pool, &Span::noop());
             prop_assert_eq!(cached.to_bits(), direct.to_bits(), "jobs={}", jobs);
         }
     }
@@ -88,17 +92,19 @@ proptest! {
             let pool = Pool::new(jobs);
             let mut updater = ChannelUpdater::new(&grid, HPSA, &optics, 0.0);
             for (poses, blockers) in &steps {
-                let update = updater.update_pooled(
+                let update = updater.update_traced(
                     poses,
                     blockers,
-                    &pool,
                     &Registry::noop(),
+                    &pool,
                     &Span::noop(),
                 );
-                let full = ChannelMatrix::compute_with_blockage_par(
-                    &grid, poses, HPSA, &optics, blockers, jobs,
+                let full = ChannelMatrix::compute_traced(
+                    &grid, poses, HPSA, &optics, blockers, None, &pool, &Span::noop(),
                 );
-                let clear = ChannelMatrix::compute_par(&grid, poses, HPSA, &optics, jobs);
+                let clear = ChannelMatrix::compute_traced(
+                    &grid, poses, HPSA, &optics, &[], None, &pool, &Span::noop(),
+                );
                 prop_assert_eq!(&update.matrix, &full, "masked, jobs={}", jobs);
                 prop_assert_eq!(&update.clear, &clear, "clear, jobs={}", jobs);
                 let blocked = (0..grid.len())

@@ -8,8 +8,8 @@
 use proptest::prelude::*;
 use vlc_channel::fov::cone_live;
 use vlc_channel::nlos::{
-    floor_bounce_gain_par, floor_bounce_gain_scalar, wall_bounce_gain_par, wall_bounce_gain_scalar,
-    NlosConfig,
+    floor_bounce_gain_scalar, floor_bounce_gain_traced, wall_bounce_gain_scalar,
+    wall_bounce_gain_traced, NlosConfig,
 };
 use vlc_channel::{
     lambertian_order, los_gain, los_gain_profiled, ChannelMatrix, CylinderBlocker, FovMask,
@@ -129,11 +129,11 @@ proptest! {
         let mask = FovMask::compute(&grid, &rxs, &optics.profile());
         for jobs in [Jobs::serial(), Jobs::max()] {
             let pool = Pool::new(jobs);
-            let masked = ChannelMatrix::compute_masked_pooled(
+            let masked = ChannelMatrix::compute_traced(
                 &grid, &rxs, HPSA, &optics, &blockers, Some(&mask), &pool, &Span::noop(),
             );
-            let unmasked = ChannelMatrix::compute_with_blockage_pooled(
-                &grid, &rxs, HPSA, &optics, &blockers, &pool, &Span::noop(),
+            let unmasked = ChannelMatrix::compute_traced(
+                &grid, &rxs, HPSA, &optics, &blockers, None, &pool, &Span::noop(),
             );
             for t in 0..grid.len() {
                 let tx = grid.pose(t);
@@ -172,8 +172,11 @@ proptest! {
         let floor_ref = floor_bounce_gain_scalar(&tx, &rx, m, &optics, &room, &cfg);
         let wall_ref = wall_bounce_gain_scalar(&tx, &rx, m, &optics, &room, &cfg);
         for jobs in [Jobs::serial(), Jobs::max()] {
-            let floor = floor_bounce_gain_par(&tx, &rx, m, &optics, &room, &cfg, jobs);
-            let wall = wall_bounce_gain_par(&tx, &rx, m, &optics, &room, &cfg, jobs);
+            let pool = Pool::new(jobs);
+            let floor =
+                floor_bounce_gain_traced(&tx, &rx, m, &optics, &room, &cfg, &pool, &Span::noop());
+            let wall =
+                wall_bounce_gain_traced(&tx, &rx, m, &optics, &room, &cfg, &pool, &Span::noop());
             prop_assert_eq!(floor.to_bits(), floor_ref.to_bits());
             prop_assert_eq!(wall.to_bits(), wall_ref.to_bits());
         }

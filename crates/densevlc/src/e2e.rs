@@ -121,7 +121,7 @@ pub fn run(
     frames: usize,
     seed: u64,
 ) -> E2eResult {
-    run_instrumented(txs, scheme, cfg, frames, seed, &Registry::noop())
+    run_traced(txs, scheme, cfg, frames, seed, &Registry::noop())
 }
 
 /// [`run`] with telemetry: frame encode/decode counters flow through the
@@ -133,7 +133,7 @@ pub fn run(
 /// not match the transmitted one count into `phy.frames_bad_payload`; and
 /// each sliced frame's raw chip error fraction (sliced vs. transmitted MAC
 /// chips, before FEC) lands in the `phy.ber` histogram.
-pub fn run_instrumented(
+pub fn run_traced(
     txs: &[E2eTx],
     scheme: &SyncScheme,
     cfg: &E2eConfig,
@@ -144,23 +144,13 @@ pub fn run_instrumented(
     FramePipeline::new(cfg).run(txs, scheme, cfg, frames, seed, telemetry)
 }
 
-/// The scalar reference implementation of [`run`]: `Vec<Chip>` streams,
-/// per-call Reed–Solomon buffers, and fresh waveform allocations per frame.
-/// The packed pipeline ([`FramePipeline`]) is pinned bit-identical to this
-/// path by the `packed_run_matches_scalar_reference` tests; keep the two in
-/// lockstep when changing either.
+/// The scalar reference implementation of [`run_traced`]: `Vec<Chip>`
+/// streams, per-call Reed–Solomon buffers, and fresh waveform allocations
+/// per frame. The packed pipeline ([`FramePipeline`]) is pinned
+/// bit-identical to this path — results and counters — by the
+/// `packed_run_matches_scalar_reference` tests; keep the two in lockstep
+/// when changing either.
 pub fn run_scalar(
-    txs: &[E2eTx],
-    scheme: &SyncScheme,
-    cfg: &E2eConfig,
-    frames: usize,
-    seed: u64,
-) -> E2eResult {
-    run_scalar_instrumented(txs, scheme, cfg, frames, seed, &Registry::noop())
-}
-
-/// [`run_scalar`] with telemetry — the instrumented scalar reference.
-pub fn run_scalar_instrumented(
     txs: &[E2eTx],
     scheme: &SyncScheme,
     cfg: &E2eConfig,
@@ -226,7 +216,7 @@ pub fn run_scalar_instrumented(
             },
             payload.clone(),
         );
-        let bytes = frame.to_bytes_instrumented(&rs, telemetry);
+        let bytes = frame.to_bytes_traced(&rs, telemetry);
         let mut chips: Vec<Chip> = preamble_chips.clone();
         chips.extend(manchester_encode(&bytes));
         let spc = wave_cfg.samples_per_chip();
@@ -302,7 +292,7 @@ pub fn run_scalar_instrumented(
             telemetry.counter("phy.frame_sync_errors").inc();
             continue;
         };
-        match Frame::from_bytes_instrumented(&decoded_bytes, &rs, telemetry) {
+        match Frame::from_bytes_traced(&decoded_bytes, &rs, telemetry) {
             Ok((decoded, fixed)) if decoded.payload == payload => {
                 frames_ok += 1;
                 rs_corrections += fixed;
@@ -336,7 +326,7 @@ pub fn run_scalar_instrumented(
 /// warmed pipeline runs frames (and ARQ retries) with **zero heap
 /// allocations** in steady state (`crates/densevlc/tests/e2e_identity.rs`
 /// pins this with a counting allocator). Its output is bit-identical to
-/// the scalar reference ([`run_scalar_instrumented`],
+/// the scalar reference ([`run_scalar`],
 /// [`run_concurrent_scalar`]): identical RNG draw order, identical float
 /// summation order, identical slicing predicates — so [`E2eResult`]
 /// matches exactly, not just statistically (and the trait refactor is
@@ -429,7 +419,7 @@ impl FramePipeline {
         );
     }
 
-    /// The packed twin of [`run_scalar_instrumented`]: same RNG stream,
+    /// The packed twin of [`run_scalar`]: same RNG stream,
     /// same physics, same telemetry counters, bit-identical [`E2eResult`] —
     /// but through reusable packed buffers. Packed encode work runs under
     /// the `phy.packed.encode_s` span, slice + Manchester decode under
@@ -1389,7 +1379,7 @@ mod tests {
         ];
         for (txs, scheme, seed) in cases {
             let packed = run(txs, &scheme, &cfg, 12, seed);
-            let scalar = run_scalar(txs, &scheme, &cfg, 12, seed);
+            let scalar = run_scalar(txs, &scheme, &cfg, 12, seed, &Registry::noop());
             assert_eq!(packed, scalar, "scheme {scheme:?} seed {seed}");
         }
     }
@@ -1449,8 +1439,8 @@ mod tests {
         ] {
             let reg_packed = Registry::new();
             let reg_scalar = Registry::new();
-            run_instrumented(&txs, &scheme, &cfg, 10, seed, &reg_packed);
-            run_scalar_instrumented(&txs, &scheme, &cfg, 10, seed, &reg_scalar);
+            run_traced(&txs, &scheme, &cfg, 10, seed, &reg_packed);
+            run_scalar(&txs, &scheme, &cfg, 10, seed, &reg_scalar);
             for name in [
                 "phy.frames_encoded",
                 "phy.frames_decoded",

@@ -60,19 +60,14 @@ pub fn run(frames: usize, seed: u64) -> Tab04 {
     }
 }
 
-/// [`run`] with telemetry: alongside the scope medians, probes the paper's
-/// TX2→TX3 pilot link with the instrumented detector (`sync.pilot_snr`,
-/// `sync.pilot_detections` / `sync.pilot_misses`) and publishes the state
-/// of a representative follower clock (`sync.offset_s`, `sync.drift_ppm`).
-pub fn run_instrumented(frames: usize, seed: u64, telemetry: &Registry) -> Tab04 {
-    run_traced(frames, seed, telemetry, &Span::noop())
-}
-
-/// [`run_instrumented`] recording the pilot probe under `parent`: a
+/// [`run`] with telemetry and tracing: alongside the scope medians, probes
+/// the paper's TX2→TX3 pilot link with the instrumented detector
+/// (`sync.pilot_snr`, `sync.pilot_detections` / `sync.pilot_misses`) and
+/// publishes the state of a representative follower clock (`sync.offset_s`,
+/// `sync.drift_ppm`). The pilot probe is recorded under `parent`: a
 /// `sync.link_build` span for the floor-bounce link construction, then one
 /// `sync.pilot_round` child per frame (indexed by frame) wrapping the
-/// traced detector. With a noop parent this is the instrumented path plus
-/// one branch per span site.
+/// traced detector.
 pub fn run_traced(frames: usize, seed: u64, telemetry: &Registry, parent: &Span) -> Tab04 {
     let result = run(frames, seed);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x4);

@@ -8,7 +8,7 @@
 //! | 4 TXs, no sync      | 0          | 100 %  |
 //! | 4 TXs, NLOS sync    | 33.8 kb/s  | 0.55 % |
 
-use crate::e2e::{run_instrumented as e2e_run, E2eConfig, E2eResult, E2eTx};
+use crate::e2e::{run_traced as e2e_run, E2eConfig, E2eResult, E2eTx};
 use serde::{Deserialize, Serialize};
 use vlc_sync::SyncScheme;
 use vlc_telemetry::Registry;
@@ -38,13 +38,13 @@ fn setup() -> (Vec<E2eTx>, Vec<E2eTx>) {
 
 /// Runs the three scenarios with `frames` frames each.
 pub fn run(frames: usize, seed: u64) -> Tab05 {
-    run_instrumented(frames, seed, &Registry::noop())
+    run_traced(frames, seed, &Registry::noop())
 }
 
 /// [`run`] with telemetry: the PHY counters (`phy.frames_encoded`,
 /// `phy.frames_decoded`, `phy.rs_*`, `phy.preamble_misses`, `phy.ber`)
 /// accumulate across all three rows.
-pub fn run_instrumented(frames: usize, seed: u64, telemetry: &Registry) -> Tab05 {
+pub fn run_traced(frames: usize, seed: u64, telemetry: &Registry) -> Tab05 {
     assert!(frames > 0);
     let (two, four) = setup();
     let cfg = E2eConfig::default();

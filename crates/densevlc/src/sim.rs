@@ -52,7 +52,7 @@ pub struct Timeline {
     /// All ticks in time order.
     pub ticks: Vec<Tick>,
     /// Telemetry snapshot taken at the end of the run, when the run was
-    /// driven through [`Simulation::run_instrumented`] with a live
+    /// driven through [`Simulation::run_traced`] with a live
     /// registry. `None` for uninstrumented runs.
     pub telemetry: Option<MetricsSnapshot>,
 }
@@ -194,73 +194,54 @@ impl Simulation {
     /// [`Self::run_cold`] — the incremental layers reproduce the cold
     /// values exactly (see `tests/sim_incremental.rs`) — just faster.
     pub fn run(&mut self, duration_s: f64) -> Timeline {
-        self.run_instrumented(duration_s, &Registry::noop())
+        self.run_traced(duration_s, None, &Registry::noop(), &Span::noop())
     }
 
-    /// [`Self::run`] with telemetry: every tick is timed under `sim.tick_s`
-    /// and counted into `sim.ticks`; re-plans (forwarded through the
-    /// controller's instrumented phases) count into `mac.replans` and the
-    /// ticks spent serving traffic on a stale plan into
-    /// `mac.stale_plan_ticks`; the incremental engine adds
-    /// `channel.cache.hit/partial/miss` and `mac.plan.cache_hits/misses`;
-    /// `sim.blocked_links` and the per-receiver `sim.rx{i}.bps` gauges
-    /// track the latest tick. With a live registry the returned
-    /// [`Timeline`] embeds the end-of-run snapshot.
-    pub fn run_instrumented(&mut self, duration_s: f64, telemetry: &Registry) -> Timeline {
-        self.run_traced(duration_s, telemetry, &Span::noop())
-    }
-
-    /// [`Self::run_instrumented`] recording a `sim.run` span under
-    /// `parent`, with one `sim.tick` child per tick (indexed by step), the
-    /// incremental engine's `channel.update` tree inside each tick, and
-    /// the controller's `mac.plan` (or `mac.plan.cached`) tree nested
-    /// inside re-planning ticks. With a noop parent this is the
-    /// instrumented path plus one branch per span site.
-    pub fn run_traced(&mut self, duration_s: f64, telemetry: &Registry, parent: &Span) -> Timeline {
-        self.run_engine(duration_s, telemetry, parent, true, None)
-    }
-
-    /// [`Self::run_traced`] streaming into an observability plane: the
+    /// [`Self::run`] with an optional observability plane, telemetry, and
+    /// tracing.
+    ///
+    /// Telemetry: every tick is timed under `sim.tick_s` and counted into
+    /// `sim.ticks`; re-plans (forwarded through the controller's
+    /// instrumented phases) count into `mac.replans` and the ticks spent
+    /// serving traffic on a stale plan into `mac.stale_plan_ticks`; the
+    /// incremental engine adds `channel.cache.hit/partial/miss` and
+    /// `mac.plan.cache_hits/misses`; `sim.blocked_links` and the
+    /// per-receiver `sim.rx{i}.bps` gauges track the latest tick. With a
+    /// live registry the returned [`Timeline`] embeds the end-of-run
+    /// snapshot.
+    ///
+    /// Tracing: a `sim.run` span under `parent`, with one `sim.tick` child
+    /// per tick (indexed by step), the incremental engine's
+    /// `channel.update` tree inside each tick, and the controller's
+    /// `mac.plan` (or `mac.plan.cached`) tree nested inside re-planning
+    /// ticks. With a noop registry and parent this is the plain path plus
+    /// one branch per span site.
+    ///
+    /// With `obs`, the run streams into an observability plane: the
     /// plane's meta record is written up front, every tick feeds it a
     /// [`TickSample`] (adding per-receiver SINR next to the throughput the
     /// timeline already carries), and window snapshots / SLO evaluation /
     /// event forwarding happen on the plane's flush cadence. The plane
-    /// only *reads* — the returned [`Timeline`] is byte-identical to
-    /// [`Self::run`]'s (enforced by `tests/obs_stream.rs`). The caller
+    /// only *reads* — the returned [`Timeline`] is byte-identical to the
+    /// unobserved run's (enforced by `tests/obs_stream.rs`). The caller
     /// finishes the stream with [`ObsPlane::finish`] after the run, once
     /// it knows the tracer's span-ring drop count.
-    pub fn run_observed(
+    pub fn run_traced(
         &mut self,
         duration_s: f64,
+        obs: Option<&mut ObsPlane>,
         telemetry: &Registry,
         parent: &Span,
-        obs: &mut ObsPlane,
     ) -> Timeline {
-        obs.begin(self.tick_s, self.deployment.receivers.len());
-        self.run_engine(duration_s, telemetry, parent, true, Some(obs))
+        self.run_engine(duration_s, telemetry, parent, true, obs)
     }
 
     /// [`Self::run`] on the cold engine: rebuild the full channel matrix
-    /// and re-plan from scratch every tick, like the pre-incremental code.
-    /// Kept as the reference the incremental engine is verified against.
-    pub fn run_cold(&mut self, duration_s: f64) -> Timeline {
-        self.run_cold_instrumented(duration_s, &Registry::noop())
-    }
-
-    /// [`Self::run_cold`] with telemetry (see [`Self::run_instrumented`]).
-    pub fn run_cold_instrumented(&mut self, duration_s: f64, telemetry: &Registry) -> Timeline {
-        self.run_cold_traced(duration_s, telemetry, &Span::noop())
-    }
-
-    /// [`Self::run_cold_instrumented`] with tracing (see
-    /// [`Self::run_traced`]).
-    pub fn run_cold_traced(
-        &mut self,
-        duration_s: f64,
-        telemetry: &Registry,
-        parent: &Span,
-    ) -> Timeline {
-        self.run_engine(duration_s, telemetry, parent, false, None)
+    /// and re-plan from scratch every tick, like the pre-incremental code,
+    /// with the telemetry of [`Self::run_traced`]. Kept as the reference
+    /// the incremental engine is verified against.
+    pub fn run_cold(&mut self, duration_s: f64, telemetry: &Registry) -> Timeline {
+        self.run_engine(duration_s, telemetry, &Span::noop(), false, None)
     }
 
     /// The tick loop behind both engines. `incremental` selects the warm
@@ -275,6 +256,9 @@ impl Simulation {
         incremental: bool,
         mut obs: Option<&mut ObsPlane>,
     ) -> Timeline {
+        if let Some(plane) = obs.as_deref_mut() {
+            plane.begin(self.tick_s, self.deployment.receivers.len());
+        }
         assert!(duration_s > 0.0, "duration must be positive");
         let run = parent.child("sim.run");
         run.attr("duration_s", &format!("{duration_s}"));
@@ -318,7 +302,7 @@ impl Simulation {
             // The channel the world currently presents (with occluders).
             let (channel, blocked_links) = if incremental {
                 let update =
-                    updater.update_pooled(&positions, &blockers, &pool, telemetry, &tick_trace);
+                    updater.update_traced(&positions, &blockers, telemetry, &pool, &tick_trace);
                 self.deployment.receivers = positions;
                 self.deployment.model.channel = update.clear;
                 (update.matrix, update.blocked_links)

@@ -49,21 +49,16 @@ impl System {
     /// Runs one adaptation round on the current (true) channel: the
     /// controller plans beamspots and the model evaluates the result.
     pub fn adapt(&mut self) -> AdaptationRound {
-        self.adapt_instrumented(&Registry::noop())
+        self.adapt_traced(&Registry::noop(), &Span::noop())
     }
 
-    /// [`Self::adapt`] with telemetry: times the full round under
-    /// `sim.adapt_s`, forwards the registry to the controller's planning
-    /// phases, and publishes `sim.system_bps`, `sim.power_w`, and one
-    /// `sim.rx{i}.bps` gauge per receiver.
-    pub fn adapt_instrumented(&mut self, telemetry: &Registry) -> AdaptationRound {
-        self.adapt_traced(telemetry, &Span::noop())
-    }
-
-    /// [`Self::adapt_instrumented`] recording a `sim.adapt` span under
-    /// `parent`, with the controller's `mac.plan` tree nested inside. With
-    /// a noop parent this is the instrumented path plus one branch per
-    /// span site.
+    /// [`Self::adapt`] with telemetry and tracing: times the full round
+    /// under `sim.adapt_s`, forwards the registry to the controller's
+    /// planning phases, and publishes `sim.system_bps`, `sim.power_w`, and
+    /// one `sim.rx{i}.bps` gauge per receiver. Records a `sim.adapt` span
+    /// under `parent`, with the controller's `mac.plan` tree nested inside.
+    /// With a noop registry and parent this is the plain path plus one
+    /// branch per span site.
     pub fn adapt_traced(&mut self, telemetry: &Registry, parent: &Span) -> AdaptationRound {
         let adapt = parent.child("sim.adapt");
         let _adapt_span = telemetry.span("sim.adapt_s");

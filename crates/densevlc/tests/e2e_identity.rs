@@ -51,7 +51,10 @@ fn warmed_pipeline_runs_frames_with_zero_allocations() {
 
     // The alloc-free runs still produce the reference results.
     for (seed, got) in (41..45u64).zip(results) {
-        assert_eq!(got, run_scalar(&txs, &SyncScheme::SyncOff, &cfg, 3, seed));
+        assert_eq!(
+            got,
+            run_scalar(&txs, &SyncScheme::SyncOff, &cfg, 3, seed, &Registry::noop())
+        );
     }
 }
 

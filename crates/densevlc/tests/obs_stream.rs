@@ -63,7 +63,7 @@ fn streamed_run_is_byte_identical_to_the_plain_run() {
 
     let mem = MemorySink::new();
     let mut p = plane(mem.clone(), Vec::new());
-    let tl_streamed = sim().run_observed(2.0, &Registry::noop(), &Span::noop(), &mut p);
+    let tl_streamed = sim().run_traced(2.0, Some(&mut p), &Registry::noop(), &Span::noop());
     p.finish(&Registry::noop(), 0);
 
     // Bit-for-bit identity of the recorded timelines: the plane only
@@ -127,7 +127,7 @@ fn slo_fires_and_clears_on_a_blockage_scenario_at_expected_ticks() {
         s.add_person(0.92, 0.92, 0.5, &[(0.92, 4.5)]);
         let mem = MemorySink::new();
         let mut p = plane(mem.clone(), vec![rx0_rule()]);
-        s.run_observed(3.0, &Registry::noop(), &Span::noop(), &mut p);
+        s.run_traced(3.0, Some(&mut p), &Registry::noop(), &Span::noop());
         p.finish(&Registry::noop(), 0);
         mem.text()
     };
@@ -177,7 +177,7 @@ fn streamed_runs_are_identical_for_any_worker_count() {
         s.send_receiver(0, 2.4, 2.4);
         let mem = MemorySink::new();
         let mut p = plane(mem.clone(), vec![rx0_rule()]);
-        s.run_observed(2.0, &Registry::noop(), &Span::noop(), &mut p);
+        s.run_traced(2.0, Some(&mut p), &Registry::noop(), &Span::noop());
         p.finish(&Registry::noop(), 0);
         mem.text()
     };
@@ -217,7 +217,7 @@ fn injected_panic_dumps_a_parseable_flight_recording() {
     .with_flight(flight);
 
     let result = catch_unwind(AssertUnwindSafe(|| {
-        sim().run_observed(2.0, &Registry::noop(), &Span::noop(), &mut p)
+        sim().run_traced(2.0, Some(&mut p), &Registry::noop(), &Span::noop())
     }));
     assert!(result.is_err(), "the injected panic must propagate");
 
@@ -264,7 +264,7 @@ fn live_registry_streams_derived_signals_and_embeds_snapshots() {
     let registry = Registry::new();
     let mem = MemorySink::new();
     let mut p = plane(mem.clone(), Vec::new());
-    let tl = sim().run_observed(2.0, &registry, &Span::noop(), &mut p);
+    let tl = sim().run_traced(2.0, Some(&mut p), &registry, &Span::noop());
     p.finish(&registry, 0);
     assert!(tl.telemetry.is_some(), "live registry embeds the snapshot");
     let records = parse_stream_strict(&mem.text()).unwrap();

@@ -105,12 +105,12 @@ impl Controller {
     /// # Panics
     /// Panics if the report's shape doesn't match the deployment.
     pub fn ingest_report(&mut self, report: ChannelReport) {
-        self.ingest_report_instrumented(report, &Registry::noop());
+        self.ingest_report_traced(report, &Registry::noop());
     }
 
     /// [`Self::ingest_report`] with telemetry: ingest time into the
     /// `mac.ingest_s` histogram and a `mac.reports_ingested` count.
-    pub fn ingest_report_instrumented(&mut self, report: ChannelReport, telemetry: &Registry) {
+    pub fn ingest_report_traced(&mut self, report: ChannelReport, telemetry: &Registry) {
         let _ingest_span = telemetry.span("mac.ingest_s");
         telemetry.counter("mac.reports_ingested").inc();
         assert!(report.rx < self.n_rx, "unknown RX {}", report.rx);
@@ -133,12 +133,12 @@ impl Controller {
     /// Rebuilds the estimated channel matrix from the latest reports.
     /// Unreported receivers contribute zero gains.
     pub fn estimated_channel(&self, amp_per_gain_over_noise: f64) -> ChannelMatrix {
-        self.estimated_channel_instrumented(amp_per_gain_over_noise, &Registry::noop())
+        self.estimated_channel_traced(amp_per_gain_over_noise, &Registry::noop())
     }
 
     /// [`Self::estimated_channel`] with telemetry: estimation time into the
     /// `mac.estimate_s` histogram.
-    pub fn estimated_channel_instrumented(
+    pub fn estimated_channel_traced(
         &self,
         amp_per_gain_over_noise: f64,
         telemetry: &Registry,
@@ -163,22 +163,17 @@ impl Controller {
     /// plan (paper §7.2 "Decision logic": `Isw ∈ {0, Isw,max}` per TX based
     /// on the ranking).
     pub fn plan(&self, channel: &ChannelMatrix) -> BeamspotPlan {
-        self.plan_instrumented(channel, &Registry::noop())
+        self.plan_traced(channel, &Registry::noop(), &Span::noop())
     }
 
-    /// [`Self::plan`] with telemetry: total plan time into the `mac.plan_s`
-    /// histogram with the ranking and allocation phases broken out
-    /// (`mac.rank_s`, `mac.allocate_s`), a `mac.rounds_planned` count, and —
-    /// when the budget serves no receiver — a `mac.infeasible_rounds` count
-    /// plus an `infeasible_round` event.
-    pub fn plan_instrumented(&self, channel: &ChannelMatrix, telemetry: &Registry) -> BeamspotPlan {
-        self.plan_traced(channel, telemetry, &Span::noop())
-    }
-
-    /// [`Self::plan_instrumented`] recording a `mac.plan` span under
-    /// `parent`, with `mac.rank` and `mac.allocate` children for the two
-    /// decision phases. With a noop parent this is the instrumented path
-    /// plus one branch per span site.
+    /// [`Self::plan`] with telemetry and tracing: total plan time into the
+    /// `mac.plan_s` histogram with the ranking and allocation phases broken
+    /// out (`mac.rank_s`, `mac.allocate_s`), a `mac.rounds_planned` count,
+    /// and — when the budget serves no receiver — a `mac.infeasible_rounds`
+    /// count plus an `infeasible_round` event. Records a `mac.plan` span
+    /// under `parent`, with `mac.rank` and `mac.allocate` children for the
+    /// two decision phases. With a noop registry and parent this is the
+    /// plain path plus one branch per span site.
     pub fn plan_traced(
         &self,
         channel: &ChannelMatrix,
@@ -366,7 +361,7 @@ mod tests {
     fn zero_budget_plan_is_counted_infeasible() {
         let ctl = controller(0.0);
         let telemetry = Registry::new();
-        let plan = ctl.plan_instrumented(&channel(), &telemetry);
+        let plan = ctl.plan_traced(&channel(), &telemetry, &Span::noop());
         assert!(plan.beamspots.is_empty());
         let snap = telemetry.snapshot();
         assert_eq!(snap.counter("mac.infeasible_rounds"), Some(1));
@@ -386,7 +381,7 @@ mod tests {
     fn feasible_plan_records_phases_without_infeasible_signal() {
         let ctl = controller(1.2);
         let telemetry = Registry::new();
-        let plan = ctl.plan_instrumented(&channel(), &telemetry);
+        let plan = ctl.plan_traced(&channel(), &telemetry, &Span::noop());
         assert!(!plan.beamspots.is_empty());
         let snap = telemetry.snapshot();
         assert_eq!(snap.counter("mac.infeasible_rounds"), None);
@@ -425,7 +420,7 @@ mod tests {
         let ctl = controller(1.2);
         // The default path: noop registry and noop parent span. Nothing
         // may be recorded anywhere — this is the zero-cost opt-out.
-        let plan = ctl.plan_instrumented(&channel(), &Registry::noop());
+        let plan = ctl.plan(&channel());
         assert!(!plan.beamspots.is_empty());
     }
 

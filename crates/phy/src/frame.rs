@@ -291,7 +291,7 @@ impl Frame {
 
     /// [`Self::to_bytes`] with telemetry: counts the frame into
     /// `phy.frames_encoded`.
-    pub fn to_bytes_instrumented(&self, rs: &ReedSolomon, telemetry: &Registry) -> Vec<u8> {
+    pub fn to_bytes_traced(&self, rs: &ReedSolomon, telemetry: &Registry) -> Vec<u8> {
         telemetry.counter("phy.frames_encoded").inc();
         self.to_bytes(rs)
     }
@@ -303,7 +303,7 @@ impl Frame {
     /// parse failure — bad SFD, truncation, length mismatch, i.e. loss of
     /// frame integrity before FEC even runs — counts into
     /// `phy.frame_sync_errors`.
-    pub fn from_bytes_instrumented(
+    pub fn from_bytes_traced(
         bytes: &[u8],
         rs: &ReedSolomon,
         telemetry: &Registry,

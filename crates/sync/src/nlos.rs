@@ -10,11 +10,11 @@
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use vlc_channel::nlos::{floor_bounce_gain, floor_bounce_gain_traced, NlosConfig};
+use vlc_channel::nlos::{floor_bounce_gain_traced, NlosConfig};
 use vlc_channel::{NlosTxCache, NoiseParams, RxOptics};
 use vlc_geom::{Pose, Room};
 use vlc_led::{power::optical_swing_amplitude, LedParams};
-use vlc_par::Jobs;
+use vlc_par::Pool;
 use vlc_telemetry::Registry;
 use vlc_trace::Span;
 
@@ -78,20 +78,16 @@ impl NlosSyncLink {
     ) -> Self {
         let build = parent.child("sync.link_build");
         let m = vlc_channel::lambertian::lambertian_order(half_power_semi_angle);
-        let bounce_gain = if build.is_enabled() {
-            floor_bounce_gain_traced(
-                leader,
-                follower,
-                m,
-                optics,
-                room,
-                &NlosConfig::default(),
-                Jobs::from_env(),
-                &build,
-            )
-        } else {
-            floor_bounce_gain(leader, follower, m, optics, room, &NlosConfig::default())
-        };
+        let bounce_gain = floor_bounce_gain_traced(
+            leader,
+            follower,
+            m,
+            optics,
+            room,
+            &NlosConfig::default(),
+            &Pool::from_env(),
+            &build,
+        );
         NlosSyncLink {
             bounce_gain,
             led: LedParams::cree_xte_paper(),
@@ -123,12 +119,7 @@ impl NlosSyncLink {
         parent: &Span,
     ) -> Self {
         let build = parent.child("sync.link_build_cached");
-        let bounce_gain = cache.floor_gain_pooled(
-            follower,
-            optics,
-            &vlc_par::Pool::new(Jobs::from_env()),
-            &build,
-        );
+        let bounce_gain = cache.floor_gain_traced(follower, optics, &Pool::from_env(), &build);
         NlosSyncLink {
             bounce_gain,
             led: LedParams::cree_xte_paper(),
@@ -164,21 +155,11 @@ impl NlosSyncLink {
         }
     }
 
-    /// [`Self::detect`] with telemetry: records the pre-correlation pilot
-    /// SNR into the `sync.pilot_snr` gauge and counts the outcome into
-    /// `sync.pilot_detections` or `sync.pilot_misses`.
-    pub fn detect_instrumented<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        telemetry: &Registry,
-    ) -> PilotDetection {
-        self.detect_traced(rng, telemetry, &Span::noop())
-    }
-
-    /// [`Self::detect_instrumented`] recording a `sync.pilot_detect` span
-    /// under `parent` carrying the detection outcome as attributes. With a
-    /// noop parent this is the instrumented path plus one branch per span
-    /// site.
+    /// [`Self::detect`] with telemetry and tracing: records the
+    /// pre-correlation pilot SNR into the `sync.pilot_snr` gauge, counts
+    /// the outcome into `sync.pilot_detections` or `sync.pilot_misses`,
+    /// and records a `sync.pilot_detect` span under `parent` carrying the
+    /// detection outcome as attributes.
     pub fn detect_traced<R: Rng + ?Sized>(
         &self,
         rng: &mut R,

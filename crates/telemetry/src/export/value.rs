@@ -350,17 +350,44 @@ mod tests {
     }
 
     #[test]
+    fn nested_documents_parse() {
+        let v =
+            parse_json(r#"{"a": [1, -2.5e2, "x\n\"y\""], "b": {"c": true, "d": null}}"#).unwrap();
+        let obj = v.as_obj("root").unwrap();
+        let a = field(obj, "a").unwrap().as_arr("a").unwrap();
+        assert_eq!(a[1].as_f64("a1").unwrap(), -250.0);
+        assert_eq!(a[2].as_str("a2").unwrap(), "x\n\"y\"");
+        let b = field(obj, "b").unwrap().as_obj("b").unwrap();
+        assert!(field(b, "c").unwrap().as_bool("c").unwrap());
+        assert_eq!(field(b, "d").unwrap(), &JsonValue::Null);
+    }
+
+    #[test]
+    fn unicode_escapes_decode() {
+        let v = parse_json("\"\\u03c0 direct-π\"").unwrap();
+        assert_eq!(v.as_str("s").unwrap(), "π direct-π");
+    }
+
+    #[test]
     fn trailing_garbage_is_rejected() {
-        assert!(parse_json("{} extra").is_err());
-        assert!(parse_json("").is_err());
-        assert!(parse_json("{").is_err());
+        for bad in [
+            "{} extra",
+            "",
+            "{",
+            "[1,",
+            "{\"a\" 1}",
+            "[1] trailing",
+            "\"open",
+        ] {
+            assert!(parse_json(bad).is_err(), "accepted {bad:?}");
+        }
     }
 
     #[test]
     fn writer_helpers_round_trip_through_the_parser() {
         let mut out = String::new();
         out.push_str("{\"s\":");
-        push_json_string(&mut out, "a \"b\"\n\t\\");
+        push_json_string(&mut out, "a \"b\"\n\t\\ control\u{1} π");
         out.push_str(",\"f\":");
         push_f64(&mut out, 0.1);
         out.push_str(",\"n\":");
@@ -370,7 +397,7 @@ mod tests {
         let obj = v.as_obj("root").unwrap();
         assert_eq!(
             field(obj, "s").unwrap().as_str("s").unwrap(),
-            "a \"b\"\n\t\\"
+            "a \"b\"\n\t\\ control\u{1} π"
         );
         assert_eq!(field(obj, "f").unwrap().as_f64("f").unwrap(), 0.1);
         assert_eq!(field(obj, "n").unwrap().as_f64("n").unwrap(), 0.0);

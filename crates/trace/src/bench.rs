@@ -10,8 +10,8 @@
 //! MAD-scaled noise band and an absolute floor, so sub-millisecond jitter
 //! on fast phases never trips the gate.
 
-use crate::json::{escape, parse, Json};
 use crate::snapshot::TraceSnapshot;
+use vlc_telemetry::export::value::{field, parse_json, push_json_string, JsonValue};
 
 /// Schema tag written into every BENCH.json file.
 pub const BENCH_SCHEMA: &str = "densevlc-bench/1";
@@ -152,19 +152,20 @@ impl BenchReport {
     /// Serializes to the BENCH.json format (deterministic: entries are
     /// name-sorted and floats use shortest-roundtrip formatting).
     pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\n  \"schema\": \"{}\",\n  \"jobs\": {},\n  \"repeats\": {},\n  \"phases\": {{\n",
-            escape(&self.schema),
-            self.jobs,
-            self.repeats
-        );
+        let mut out = String::from("{\n  \"schema\": ");
+        push_json_string(&mut out, &self.schema);
+        out.push_str(&format!(
+            ",\n  \"jobs\": {},\n  \"repeats\": {},\n  \"phases\": {{\n",
+            self.jobs, self.repeats
+        ));
         let rows: Vec<String> = self
             .entries
             .iter()
             .map(|(name, s)| {
+                let mut key = String::new();
+                push_json_string(&mut key, name);
                 format!(
-                    "    \"{}\": {{\"samples\": {}, \"median_s\": {:?}, \"mad_s\": {:?}, \"min_s\": {:?}, \"max_s\": {:?}}}",
-                    escape(name),
+                    "    {key}: {{\"samples\": {}, \"median_s\": {:?}, \"mad_s\": {:?}, \"min_s\": {:?}, \"max_s\": {:?}}}",
                     s.samples,
                     s.median_s,
                     s.mad_s,
@@ -180,27 +181,27 @@ impl BenchReport {
 
     /// Parses a BENCH.json document, validating the schema tag.
     pub fn from_json(text: &str) -> Result<Self, String> {
-        let doc = parse(text)?;
-        let schema = doc
-            .get("schema")
-            .and_then(Json::as_str)
-            .ok_or("missing `schema`")?;
+        let doc = parse_json(text).map_err(|e| e.to_string())?;
+        let root = doc.as_obj("BENCH.json").map_err(|e| e.to_string())?;
+        let schema = field(root, "schema")
+            .and_then(|v| v.as_str("schema"))
+            .map_err(|e| e.to_string())?;
         if schema != BENCH_SCHEMA {
             return Err(format!(
                 "unsupported schema `{schema}` (expected `{BENCH_SCHEMA}`)"
             ));
         }
-        let num = |v: &Json, key: &str| -> Result<f64, String> {
-            v.get(key)
-                .and_then(Json::as_f64)
-                .ok_or(format!("missing number `{key}`"))
+        let num = |obj: &[(String, JsonValue)], key: &str| -> Result<f64, String> {
+            field(obj, key)
+                .and_then(|v| v.as_f64(key))
+                .map_err(|e| e.to_string())
         };
-        let phases = match doc.get("phases") {
-            Some(Json::Obj(fields)) => fields,
-            _ => return Err("missing `phases` object".to_string()),
-        };
+        let phases = field(root, "phases")
+            .and_then(|v| v.as_obj("phases"))
+            .map_err(|e| e.to_string())?;
         let mut entries = Vec::with_capacity(phases.len());
         for (name, stats) in phases {
+            let stats = stats.as_obj(name).map_err(|e| e.to_string())?;
             entries.push((
                 name.clone(),
                 BenchStats {
@@ -215,8 +216,8 @@ impl BenchReport {
         entries.sort_by(|a, b| a.0.cmp(&b.0));
         Ok(BenchReport {
             schema: schema.to_string(),
-            jobs: num(&doc, "jobs").unwrap_or(0.0) as usize,
-            repeats: num(&doc, "repeats").unwrap_or(0.0) as usize,
+            jobs: num(root, "jobs").unwrap_or(0.0) as usize,
+            repeats: num(root, "repeats").unwrap_or(0.0) as usize,
             entries,
         })
     }

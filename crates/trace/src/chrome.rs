@@ -8,8 +8,9 @@
 //! structural span/parent ids ride in `args`, so the causal tree survives
 //! the export even though the Chrome format itself is flat.
 
-use crate::json::{escape, parse, Json};
 use crate::snapshot::TraceSnapshot;
+use vlc_telemetry::export::value::{field, field_opt, parse_json, push_json_string, JsonValue};
+use vlc_telemetry::export::ParseError;
 
 /// One event read back from a Chrome Trace Event file (the subset this
 /// crate emits: complete `X` events and `M` metadata events).
@@ -27,7 +28,7 @@ pub struct ChromeEvent {
     pub pid: u64,
     /// Thread id — the span's worker lane.
     pub tid: u64,
-    /// `args` fields as strings (numbers are formatted back to strings).
+    /// `args` fields as strings (numbers keep their source text).
     pub args: Vec<(String, String)>,
 }
 
@@ -71,11 +72,15 @@ impl TraceSnapshot {
                 span.id, span.parent_id
             );
             for (k, v) in &span.attrs {
-                args.push_str(&format!(r#","{}":"{}""#, escape(k), escape(v)));
+                args.push(',');
+                push_json_string(&mut args, k);
+                args.push(':');
+                push_json_string(&mut args, v);
             }
+            let mut name = String::new();
+            push_json_string(&mut name, &span.name);
             events.push(format!(
-                r#"{{"name":"{}","cat":"densevlc","ph":"X","ts":{:.3},"dur":{:.3},"pid":1,"tid":{},"args":{{{args}}}}}"#,
-                escape(&span.name),
+                r#"{{"name":{name},"cat":"densevlc","ph":"X","ts":{:.3},"dur":{:.3},"pid":1,"tid":{},"args":{{{args}}}}}"#,
                 span.start_s * 1e6,
                 span.duration_s() * 1e6,
                 span.track,
@@ -96,36 +101,40 @@ impl TraceSnapshot {
 /// `traceEvents` or a bare event array) into its events, validating the
 /// fields this crate's exporter guarantees.
 pub fn parse_chrome_json(text: &str) -> Result<Vec<ChromeEvent>, String> {
-    let doc = parse(text)?;
+    let doc = parse_json(text).map_err(|e| e.to_string())?;
     let events = match &doc {
-        Json::Arr(_) => &doc,
-        Json::Obj(_) => doc
-            .get("traceEvents")
-            .ok_or("missing `traceEvents` field")?,
-        _ => return Err("top level must be an object or array".to_string()),
+        JsonValue::Obj(fields) => field(fields, "traceEvents").map_err(|e| e.to_string())?,
+        _ => &doc,
     };
-    let items = events.as_arr().ok_or("`traceEvents` must be an array")?;
+    let items = events.as_arr("traceEvents").map_err(|e| e.to_string())?;
     let mut out = Vec::with_capacity(items.len());
     for (i, item) in items.iter().enumerate() {
-        let field_str = |key: &str| -> Result<String, String> {
-            item.get(key)
-                .and_then(Json::as_str)
+        let event = |e: ParseError| format!("event {i}: {e}");
+        let fields = item.as_obj("event").map_err(event)?;
+        let string = |key: &str| -> Result<String, String> {
+            field(fields, key)
+                .and_then(|v| v.as_str(key))
                 .map(str::to_string)
-                .ok_or(format!("event {i}: missing string `{key}`"))
+                .map_err(event)
         };
-        let field_num = |key: &str| -> Option<f64> { item.get(key).and_then(Json::as_f64) };
-        let ph = field_str("ph")?;
-        if ph == "X" && field_num("dur").is_none() {
+        let num = |key: &str| -> Result<Option<f64>, String> {
+            field_opt(fields, key)
+                .map(|v| v.as_f64(key))
+                .transpose()
+                .map_err(event)
+        };
+        let ph = string("ph")?;
+        let dur = num("dur")?;
+        if ph == "X" && dur.is_none() {
             return Err(format!("event {i}: complete event without `dur`"));
         }
-        let args = match item.get("args") {
-            Some(Json::Obj(fields)) => fields
+        let args = match field_opt(fields, "args") {
+            Some(JsonValue::Obj(args)) => args
                 .iter()
                 .map(|(k, v)| {
                     let rendered = match v {
-                        Json::Str(s) => s.clone(),
-                        Json::Num(n) => format!("{n}"),
-                        Json::Bool(b) => format!("{b}"),
+                        JsonValue::Str(s) | JsonValue::Num(s) => s.clone(),
+                        JsonValue::Bool(b) => format!("{b}"),
                         other => format!("{other:?}"),
                     };
                     (k.clone(), rendered)
@@ -134,12 +143,12 @@ pub fn parse_chrome_json(text: &str) -> Result<Vec<ChromeEvent>, String> {
             _ => Vec::new(),
         };
         out.push(ChromeEvent {
-            name: field_str("name")?,
+            name: string("name")?,
             ph,
-            ts_us: field_num("ts").unwrap_or(0.0),
-            dur_us: field_num("dur").unwrap_or(0.0),
-            pid: field_num("pid").unwrap_or(0.0) as u64,
-            tid: field_num("tid").unwrap_or(0.0) as u64,
+            ts_us: num("ts")?.unwrap_or(0.0),
+            dur_us: dur.unwrap_or(0.0),
+            pid: num("pid")?.unwrap_or(0.0) as u64,
+            tid: num("tid")?.unwrap_or(0.0) as u64,
             args,
         });
     }

@@ -37,7 +37,6 @@
 
 pub mod bench;
 pub mod chrome;
-mod json;
 mod snapshot;
 mod span;
 

@@ -42,7 +42,7 @@ fn main() {
             panic_at_tick: None,
         },
     );
-    let timeline = sim.run_observed(3.0, &telemetry, &Span::noop(), &mut plane);
+    let timeline = sim.run_traced(3.0, Some(&mut plane), &telemetry, &Span::noop());
     plane.finish(&telemetry, 0);
     println!(
         "streamed {} ticks, mean system {:.2} Mb/s",

@@ -12,7 +12,7 @@
 
 use densevlc::System;
 use vlc_alloc::OptimalSolver;
-use vlc_par::Jobs;
+use vlc_par::{Jobs, Pool};
 use vlc_prof::{to_folded, write_flamegraph, Profile, ProfileDiff};
 use vlc_telemetry::Registry;
 use vlc_testbed::Scenario;
@@ -30,11 +30,12 @@ fn traced_round(starts: usize) -> Profile {
         random_starts: starts,
         ..OptimalSolver::quick()
     };
-    solver.solve_traced_jobs(
+    solver.solve_traced(
         &system.deployment.model,
         1.2,
+        None,
         &telemetry,
-        Jobs::from_env(),
+        &Pool::from_env(),
         &root,
     );
     drop(root);

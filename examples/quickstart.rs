@@ -6,6 +6,7 @@
 use densevlc::System;
 use vlc_telemetry::Registry;
 use vlc_testbed::Scenario;
+use vlc_trace::Span;
 
 fn main() {
     // A live registry: every layer the adaptation round touches records
@@ -27,7 +28,7 @@ fn main() {
     );
 
     // One adaptation round: measure → rank → form beamspots.
-    let round = system.adapt_instrumented(&telemetry);
+    let round = system.adapt_traced(&telemetry, &Span::noop());
     println!(
         "controller formed {} beamspots:",
         round.plan.beamspots.len()
@@ -55,7 +56,7 @@ fn main() {
     // Mobility: RX1 strolls to the far corner; the cell-free design just
     // re-forms its beamspot from whatever TXs now have the best channels.
     system.move_receivers(&[(2.55, 2.55), (1.65, 0.65), (0.72, 1.93), (1.99, 1.69)]);
-    let after = system.adapt_instrumented(&telemetry);
+    let after = system.adapt_traced(&telemetry, &Span::noop());
     let spot = after.plan.beamspot_for(0).expect("RX1 still served");
     let txs: Vec<String> = spot
         .txs

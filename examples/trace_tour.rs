@@ -13,7 +13,7 @@
 
 use densevlc::System;
 use vlc_alloc::OptimalSolver;
-use vlc_par::Jobs;
+use vlc_par::Pool;
 use vlc_telemetry::Registry;
 use vlc_testbed::Scenario;
 use vlc_trace::Tracer;
@@ -36,11 +36,12 @@ fn main() {
     // The optimal solver fans out over random starts; its spans land on
     // per-worker lanes (Perfetto rows) while the *structure* of the tree
     // stays identical for any worker count.
-    OptimalSolver::quick().solve_traced_jobs(
+    OptimalSolver::quick().solve_traced(
         &system.deployment.model,
         1.2,
+        None,
         &telemetry,
-        Jobs::from_env(),
+        &Pool::from_env(),
         &root,
     );
     drop(root);

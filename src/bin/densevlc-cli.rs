@@ -271,11 +271,12 @@ fn adapt(args: &[String], telemetry: &Registry, parent: &Span) {
             telemetry,
             parent,
         );
-        let optimal = vlc_alloc::OptimalSolver::quick().solve_traced_jobs(
+        let optimal = vlc_alloc::OptimalSolver::quick().solve_traced(
             model,
             budget,
+            None,
             telemetry,
-            Jobs::from_env(),
+            &Pool::from_env().with_telemetry(telemetry),
             parent,
         );
         println!(
@@ -386,7 +387,7 @@ fn iperf(args: &[String], telemetry: &Registry) {
         .unwrap_or(50);
     print!(
         "{}",
-        tab05_iperf::run_instrumented(frames, 0x12, telemetry).report()
+        tab05_iperf::run_traced(frames, 0x12, telemetry).report()
     );
 }
 
@@ -521,7 +522,7 @@ fn sim(
         if let Some(path) = &obs.flight_recorder {
             plane = plane.with_flight(FlightRecorder::new(Path::new(path), obs.flight_last));
         }
-        let tl = simulation.run_observed(duration, telemetry, parent, &mut plane);
+        let tl = simulation.run_traced(duration, Some(&mut plane), telemetry, parent);
         // A profiled run digests its profile into the stream ahead of the
         // summary record (obs_check --expect-summary wants summary last).
         // The root `cli.sim` span is still open here, so its children
@@ -546,7 +547,7 @@ fn sim(
         }
         tl
     } else {
-        simulation.run_traced(duration, telemetry, parent)
+        simulation.run_traced(duration, None, telemetry, parent)
     };
 
     println!(

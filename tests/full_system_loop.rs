@@ -1,13 +1,14 @@
 //! Integration: the full measure → report → plan → serve loop across
 //! `vlc-mac`, `vlc-alloc`, `vlc-channel` and `vlc-testbed`.
 
-use densevlc::e2e::{run_instrumented as e2e_run, E2eConfig, E2eTx};
+use densevlc::e2e::{run_traced as e2e_run, E2eConfig, E2eTx};
 use densevlc::{Simulation, System};
 use vlc_mac::protocol::ChannelReport;
 use vlc_mac::{Controller, ControllerConfig};
 use vlc_sync::SyncScheme;
 use vlc_telemetry::Registry;
 use vlc_testbed::{Deployment, Scenario};
+use vlc_trace::Span;
 
 /// The controller reconstructs (up to calibration) the channel from RX
 /// reports and produces the same plan as on the ground-truth channel.
@@ -106,7 +107,7 @@ fn telemetry_snapshot_reflects_the_full_loop() {
 
     let mut sim = Simulation::new(Deployment::scenario(Scenario::Two), 1.2, 0.2);
     sim.send_receiver(0, 2.0, 2.0);
-    let timeline = sim.run_instrumented(1.0, &telemetry);
+    let timeline = sim.run_traced(1.0, None, &telemetry, &Span::noop());
 
     // A clean single-host link: every frame should decode without ever
     // exhausting the Reed–Solomon budget.

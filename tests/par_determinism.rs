@@ -5,13 +5,15 @@
 //! the exact legacy sequential path, so these tests also pin today's
 //! numbers against accidental reassociation.
 
-use vlc_alloc::exhaustive::exhaustive_binary_jobs;
+use vlc_alloc::exhaustive::exhaustive_binary_traced;
 use vlc_alloc::model::SystemModel;
 use vlc_alloc::OptimalSolver;
-use vlc_channel::nlos::{floor_bounce_gain_par, wall_bounce_gain_par, NlosConfig};
+use vlc_channel::nlos::{floor_bounce_gain_traced, wall_bounce_gain_traced, NlosConfig};
 use vlc_channel::{ChannelMatrix, RxOptics};
 use vlc_geom::{Pose, Room, TxGrid};
-use vlc_par::{Jobs, JOBS_ENV};
+use vlc_par::{Jobs, Pool, JOBS_ENV};
+use vlc_telemetry::Registry;
+use vlc_trace::Span;
 
 /// Worker counts exercised everywhere: sequential, even split, a count
 /// that does not divide typical item counts, and every available core.
@@ -31,6 +33,20 @@ fn paper_setup() -> (TxGrid, Vec<Pose>) {
     (grid, rxs)
 }
 
+/// The LOS matrix at the paper's 15° semi-angle on a `jobs`-worker pool.
+fn sound(grid: &TxGrid, rxs: &[Pose], optics: &RxOptics, jobs: Jobs) -> ChannelMatrix {
+    ChannelMatrix::compute_traced(
+        grid,
+        rxs,
+        15f64.to_radians(),
+        optics,
+        &[],
+        None,
+        &Pool::new(jobs),
+        &Span::noop(),
+    )
+}
+
 /// Bit-exact equality for gain vectors: `==` on f64 would also pass for
 /// `-0.0 == 0.0`, so compare the raw bit patterns.
 fn assert_bits_eq(a: &[f64], b: &[f64], what: &str) {
@@ -48,10 +64,9 @@ fn assert_bits_eq(a: &[f64], b: &[f64], what: &str) {
 fn channel_matrix_is_bitwise_identical_for_any_worker_count() {
     let (grid, rxs) = paper_setup();
     let optics = RxOptics::paper();
-    let reference =
-        ChannelMatrix::compute_par(&grid, &rxs, 15f64.to_radians(), &optics, Jobs::serial());
+    let reference = sound(&grid, &rxs, &optics, Jobs::serial());
     for jobs in job_grid() {
-        let h = ChannelMatrix::compute_par(&grid, &rxs, 15f64.to_radians(), &optics, jobs);
+        let h = sound(&grid, &rxs, &optics, jobs);
         assert_eq!(h.n_tx(), reference.n_tx());
         assert_eq!(h.n_rx(), reference.n_rx());
         for t in 0..h.n_tx() {
@@ -75,21 +90,37 @@ fn nlos_integrals_are_bitwise_identical_for_any_worker_count() {
     let follower = Pose::ceiling(1.8, 1.4, room.height);
     let rx = Pose::face_up(1.2, 1.0, 0.8);
 
-    let floor_ref = floor_bounce_gain_par(
-        &leader,
-        &follower,
-        1.0,
-        &optics,
-        &room,
-        &cfg,
-        Jobs::serial(),
-    );
-    let wall_ref = wall_bounce_gain_par(&leader, &rx, 1.0, &optics, &room, &cfg, Jobs::serial());
+    let floor_on = |jobs| {
+        floor_bounce_gain_traced(
+            &leader,
+            &follower,
+            1.0,
+            &optics,
+            &room,
+            &cfg,
+            &Pool::new(jobs),
+            &Span::noop(),
+        )
+    };
+    let wall_on = |jobs| {
+        wall_bounce_gain_traced(
+            &leader,
+            &rx,
+            1.0,
+            &optics,
+            &room,
+            &cfg,
+            &Pool::new(jobs),
+            &Span::noop(),
+        )
+    };
+    let floor_ref = floor_on(Jobs::serial());
+    let wall_ref = wall_on(Jobs::serial());
     assert!(floor_ref > 0.0 && wall_ref > 0.0);
 
     for jobs in job_grid() {
-        let floor = floor_bounce_gain_par(&leader, &follower, 1.0, &optics, &room, &cfg, jobs);
-        let wall = wall_bounce_gain_par(&leader, &rx, 1.0, &optics, &room, &cfg, jobs);
+        let floor = floor_on(jobs);
+        let wall = wall_on(jobs);
         assert_eq!(
             floor.to_bits(),
             floor_ref.to_bits(),
@@ -106,20 +137,24 @@ fn nlos_integrals_are_bitwise_identical_for_any_worker_count() {
 #[test]
 fn optimal_solver_report_is_bitwise_identical_for_any_worker_count() {
     let (grid, rxs) = paper_setup();
-    let h = ChannelMatrix::compute_par(
-        &grid,
-        &rxs,
-        15f64.to_radians(),
-        &RxOptics::paper(),
-        Jobs::serial(),
-    );
+    let h = sound(&grid, &rxs, &RxOptics::paper(), Jobs::serial());
     let model = SystemModel::paper(h);
     let solver = OptimalSolver::quick();
 
-    let reference = solver.solve_jobs(&model, 1.2, Jobs::serial());
+    let solve_on = |jobs| {
+        solver.solve_traced(
+            &model,
+            1.2,
+            None,
+            &Registry::noop(),
+            &Pool::new(jobs),
+            &Span::noop(),
+        )
+    };
+    let reference = solve_on(Jobs::serial());
     assert!(reference.objective.is_finite());
     for jobs in job_grid() {
-        let report = solver.solve_jobs(&model, 1.2, jobs);
+        let report = solve_on(jobs);
         assert_bits_eq(
             report.allocation.as_slice(),
             reference.allocation.as_slice(),
@@ -137,18 +172,12 @@ fn exhaustive_search_is_bitwise_identical_for_any_worker_count() {
     let room = Room::paper_simulation();
     let grid = TxGrid::centered(&room, 3, 2, 0.8);
     let rxs = vec![Pose::face_up(0.8, 0.9, 0.8), Pose::face_up(1.9, 1.5, 0.8)];
-    let h = ChannelMatrix::compute_par(
-        &grid,
-        &rxs,
-        15f64.to_radians(),
-        &RxOptics::paper(),
-        Jobs::serial(),
-    );
+    let h = sound(&grid, &rxs, &RxOptics::paper(), Jobs::serial());
     let model = SystemModel::paper(h);
 
-    let reference = exhaustive_binary_jobs(&model, 0.9, 1_000, Jobs::serial());
+    let reference = exhaustive_binary_traced(&model, 0.9, 1_000, &Pool::sequential());
     for jobs in job_grid() {
-        let result = exhaustive_binary_jobs(&model, 0.9, 1_000, jobs);
+        let result = exhaustive_binary_traced(&model, 0.9, 1_000, &Pool::new(jobs));
         assert_bits_eq(
             result.allocation.as_slice(),
             reference.allocation.as_slice(),

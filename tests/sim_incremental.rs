@@ -7,6 +7,7 @@ use densevlc::sim::Simulation;
 use vlc_geom::Vec3;
 use vlc_telemetry::Registry;
 use vlc_testbed::{AcroPositioner, Deployment, Scenario};
+use vlc_trace::Span;
 
 fn sim() -> Simulation {
     Simulation::new(Deployment::scenario(Scenario::Two), 1.2, 0.2)
@@ -26,9 +27,9 @@ fn run_script(incremental: bool) -> (Vec<densevlc::sim::Tick>, Registry) {
     let telemetry = Registry::new();
     let mut ticks = Vec::new();
     let first = if incremental {
-        s.run_instrumented(1.0, &telemetry)
+        s.run_traced(1.0, None, &telemetry, &Span::noop())
     } else {
-        s.run_cold_instrumented(1.0, &telemetry)
+        s.run_cold(1.0, &telemetry)
     };
     ticks.extend(first.ticks);
     // Teleport: replace the mover outright — a discontinuous jump no
@@ -36,9 +37,9 @@ fn run_script(incremental: bool) -> (Vec<densevlc::sim::Tick>, Registry) {
     let room = s.deployment.room;
     s.rx_movers[0] = AcroPositioner::new(Vec3::new(0.3, 2.7, 0.0), 0.5, room);
     let second = if incremental {
-        s.run_instrumented(1.0, &telemetry)
+        s.run_traced(1.0, None, &telemetry, &Span::noop())
     } else {
-        s.run_cold_instrumented(1.0, &telemetry)
+        s.run_cold(1.0, &telemetry)
     };
     ticks.extend(second.ticks);
     (ticks, telemetry)
@@ -78,7 +79,7 @@ fn end_of_run_deployment_state_matches_cold() {
     warm.run(2.0);
     let mut cold = sim();
     cold.send_receiver(0, 2.4, 2.4);
-    cold.run_cold(2.0);
+    cold.run_cold(2.0, &Registry::noop());
     assert_eq!(warm.deployment.receivers, cold.deployment.receivers);
     assert_eq!(warm.deployment.model.channel, cold.deployment.model.channel);
 }
@@ -98,7 +99,7 @@ fn blocked_links_are_counted_against_same_tick_clear_gains() {
         s
     };
     let warm = build().run(3.0);
-    let cold = build().run_cold(3.0);
+    let cold = build().run_cold(3.0, &Registry::noop());
     assert_eq!(warm.ticks.len(), cold.ticks.len());
     for (w, c) in warm.ticks.iter().zip(&cold.ticks) {
         assert_eq!(w.blocked_links, c.blocked_links, "t={}", w.t_s);
@@ -122,7 +123,7 @@ fn static_world_hits_plan_cache() {
     // re-plan lands in the plan cache.
     let mut s = sim();
     let telemetry = Registry::new();
-    s.run_instrumented(2.0, &telemetry);
+    s.run_traced(2.0, None, &telemetry, &Span::noop());
     let snap = telemetry.snapshot();
     assert!(snap.counter("mac.plan.cache_hits").unwrap_or(0) > 0);
     assert_eq!(snap.counter("mac.plan.cache_misses"), Some(1));

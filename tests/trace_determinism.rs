@@ -14,7 +14,7 @@ use vlc_channel::nlos::{floor_bounce_gain_traced, wall_bounce_gain_traced, NlosC
 use vlc_channel::{ChannelMatrix, RxOptics};
 use vlc_geom::{Pose, Room, TxGrid};
 use vlc_led::LedParams;
-use vlc_par::Jobs;
+use vlc_par::{Jobs, Pool};
 use vlc_telemetry::{ManualClock, Registry};
 use vlc_trace::{Span, TraceSnapshot, Tracer};
 
@@ -40,22 +40,24 @@ fn traced_workload(jobs: Jobs) -> TraceSnapshot {
         Pose::face_up(1.99, 1.69, 0.8),
     ];
     let optics = RxOptics::paper();
-    let h = ChannelMatrix::compute_with_blockage_traced(
+    let pool = Pool::new(jobs);
+    let h = ChannelMatrix::compute_traced(
         &grid,
         &rxs,
         15f64.to_radians(),
         &optics,
         &[],
-        jobs,
+        None,
+        &pool,
         &root,
     );
 
     let cfg = NlosConfig::default();
     let leader = Pose::ceiling(0.6, 0.6, room.height);
     let follower = Pose::ceiling(1.8, 1.4, room.height);
-    floor_bounce_gain_traced(&leader, &follower, 1.0, &optics, &room, &cfg, jobs, &root);
+    floor_bounce_gain_traced(&leader, &follower, 1.0, &optics, &room, &cfg, &pool, &root);
     let rx = Pose::face_up(1.2, 1.0, 0.8);
-    wall_bounce_gain_traced(&leader, &rx, 1.0, &optics, &room, &cfg, jobs, &root);
+    wall_bounce_gain_traced(&leader, &rx, 1.0, &optics, &room, &cfg, &pool, &root);
 
     let model = SystemModel::paper(h);
     let quiet = Registry::noop();
@@ -67,7 +69,7 @@ fn traced_workload(jobs: Jobs) -> TraceSnapshot {
         &quiet,
         &root,
     );
-    OptimalSolver::quick().solve_traced_jobs(&model, 1.2, &quiet, jobs, &root);
+    OptimalSolver::quick().solve_traced(&model, 1.2, None, &quiet, &pool, &root);
 
     drop(root);
     tracer.snapshot()
@@ -126,7 +128,7 @@ fn untraced_entry_points_record_zero_spans() {
 
     let mut system = densevlc::System::scenario(vlc_testbed::Scenario::Two, 1.2);
     system.adapt(); // plain, uninstrumented entry point
-    system.adapt_instrumented(&quiet); // instrumented, but noop parent inside
+    system.adapt_traced(&quiet, &Span::noop()); // instrumented, but noop parent inside
 
     let snap = tracer.snapshot();
     assert_eq!(snap.len(), 0, "no spans recorded on the default path");
