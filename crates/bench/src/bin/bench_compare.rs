@@ -5,14 +5,24 @@
 //! A phase regresses when its new median exceeds the old median by more
 //! than `max(rel·old_median, mad_k·old_MAD, abs_floor)`; phases present in
 //! only one file are skipped, and improvements never flag. Exit status:
-//! 0 = no regression, 1 = at least one phase regressed, 2 = usage or
-//! parse error.
+//! 0 = no regression, 1 = at least one phase regressed, 2 = usage, spawn
+//! or parse error.
 //!
-//! With `--explain --new-profile FILE` (and optionally `--old-profile`),
-//! a failed gate additionally cross-references each flagged phase against
-//! the `densevlc-prof/1` self-time profile of the new run and prints the
-//! call paths that own the regression — see `docs/BENCHMARKING.md`
-//! §Explaining a gate failure.
+//! Given only the baseline, it first benchmarks the working tree itself:
+//! it spawns `cargo run --release -p vlc-bench --bin run_all --
+//! --bench-out` at 5 repeats and gates that fresh report. `cargo bench-gate`
+//! (aliased in `.cargo/config.toml`) is this form against the committed
+//! `BENCH.json`.
+//!
+//! With `--explain`, a failed gate additionally cross-references each
+//! flagged phase against the `densevlc-prof/1` self-time profile of the
+//! new run and prints the call paths that own the regression — see
+//! `docs/BENCHMARKING.md` §Explaining a gate failure. The two-file form
+//! takes that profile as `--new-profile`; the one-file form profiles its
+//! fresh run.
+
+use std::path::PathBuf;
+use std::process::Command;
 
 use vlc_prof::{explain_regressions, Profile};
 use vlc_trace::{format_regressions, BenchReport, CompareTolerance};
@@ -23,10 +33,14 @@ bench_compare — BENCH.json perf-regression gate
 USAGE:
     bench_compare OLD.json NEW.json [--rel F] [--mad-k F] [--abs-floor S]
                   [--explain --new-profile FILE [--old-profile FILE] [--top N]]
+    bench_compare OLD.json [--rel F] [--mad-k F] [--abs-floor S]
+                  [--explain [--old-profile FILE] [--top N]]
 
 ARGS:
-    OLD.json        Baseline BENCH.json (e.g. from the main branch).
-    NEW.json        Candidate BENCH.json to gate.
+    OLD.json        Baseline BENCH.json (e.g. the committed BENCH.json).
+    NEW.json        Candidate BENCH.json to gate. Without it, the working
+                    tree is benchmarked first (`run_all --bench-out`,
+                    5 samples per phase) and that fresh report is gated.
 
 OPTIONS:
     --rel F         Relative tolerance on the old median (default 0.2).
@@ -34,9 +48,11 @@ OPTIONS:
     --abs-floor S   Absolute noise floor in seconds (default 0.002);
                     shields micro-phases from flagging on scheduler noise.
     --explain       On failure, name the call paths that own each flagged
-                    phase, using the new run's self-time profile.
+                    phase, using the new run's self-time profile. Without
+                    NEW.json the fresh run is profiled for this.
     --new-profile FILE  densevlc-prof/1 profile of the NEW run (from
-                    `run_all --profile-out`); required by --explain.
+                    `run_all --profile-out`); required by --explain when
+                    NEW.json is given.
     --old-profile FILE  Profile of the OLD run; with it, --explain ranks
                     paths by self-time *delta* instead of absolute self.
     --top N         Call paths printed per regressed phase (default 5).
@@ -45,12 +61,16 @@ OPTIONS:
 EXIT STATUS:
     0  no phase regressed beyond the noise band
     1  at least one phase regressed (each is printed)
-    2  usage error or unreadable/invalid BENCH.json
+    2  usage error, spawn failure, or unreadable/invalid BENCH.json
 ";
+
+/// Samples per phase when benchmarking the working tree.
+const FRESH_REPEATS: u32 = 5;
 
 struct Options {
     old_path: String,
-    new_path: String,
+    /// `None` benchmarks the working tree.
+    new_path: Option<String>,
     tol: CompareTolerance,
     explain: bool,
     new_profile: Option<String>,
@@ -101,43 +121,143 @@ fn parse_args() -> Result<Options, String> {
             _ => paths.push(arg),
         }
     }
-    if explain && new_profile.is_none() {
-        return Err("--explain needs --new-profile FILE (from run_all --profile-out)".to_string());
-    }
-    match <[String; 2]>::try_from(paths) {
-        Ok([old_path, new_path]) => Ok(Options {
-            old_path,
-            new_path,
-            tol,
-            explain,
-            new_profile,
-            old_profile,
-            top,
-        }),
-        Err(_) => Err("expected exactly two BENCH.json paths".to_string()),
-    }
-}
-
-fn load_profile(path: &str) -> Profile {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: cannot read {path}: {e}");
-            std::process::exit(2);
-        }
+    let mut paths = paths.into_iter();
+    let (Some(old_path), new_path, None) = (paths.next(), paths.next(), paths.next()) else {
+        return Err("expected one or two BENCH.json paths".to_string());
     };
-    match Profile::from_json(&text) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: {path} is not a valid profile: {e}");
-            std::process::exit(2);
+    match (&new_path, &new_profile) {
+        (Some(_), None) if explain => {
+            return Err(
+                "--explain needs --new-profile FILE (from run_all --profile-out)".to_string(),
+            )
         }
+        (None, Some(_)) => {
+            return Err("--new-profile needs NEW.json; without it the fresh run is profiled".into())
+        }
+        _ => {}
     }
+    Ok(Options {
+        old_path,
+        new_path,
+        tol,
+        explain,
+        new_profile,
+        old_profile,
+        top,
+    })
 }
 
 fn load(path: &str) -> Result<BenchReport, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     BenchReport::from_json(&text).map_err(|e| format!("{path}: {e}"))
+}
+
+fn load_profile(path: &str) -> Result<Profile, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    Profile::from_json(&text).map_err(|e| format!("{path} is not a valid profile: {e}"))
+}
+
+/// The fresh run's temp files, removed however the gate exits.
+struct TempFiles {
+    bench: PathBuf,
+    profile: PathBuf,
+}
+
+impl TempFiles {
+    fn new() -> Self {
+        let dir = std::env::temp_dir();
+        let pid = std::process::id();
+        Self {
+            bench: dir.join(format!("bench_compare_{pid}.json")),
+            profile: dir.join(format!("bench_compare_{pid}.profile.json")),
+        }
+    }
+}
+
+impl Drop for TempFiles {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.bench);
+        let _ = std::fs::remove_file(&self.profile);
+    }
+}
+
+/// Benchmarks the working tree with `run_all --bench-out` (profiled when
+/// `explain`) and returns its report and profile.
+fn bench_working_tree(explain: bool) -> Result<(BenchReport, Option<Profile>), String> {
+    let fresh = TempFiles::new();
+    println!(
+        "==== bench_compare: benchmarking working tree ({FRESH_REPEATS} samples/phase{}) ====",
+        if explain { ", profiled" } else { "" }
+    );
+    let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
+    let mut cmd = Command::new(&cargo);
+    cmd.args([
+        "run",
+        "--release",
+        "-p",
+        "vlc-bench",
+        "--bin",
+        "run_all",
+        "--",
+    ])
+    .arg("--bench-out")
+    .arg(&fresh.bench)
+    .args(["--bench-repeat", &FRESH_REPEATS.to_string()]);
+    if explain {
+        cmd.arg("--profile-out").arg(&fresh.profile);
+    }
+    let status = cmd
+        .status()
+        .map_err(|e| format!("cannot spawn `{cargo} run`: {e}"))?;
+    if !status.success() {
+        return Err("run_all --bench-out failed".to_string());
+    }
+    let report = load(&fresh.bench.to_string_lossy())?;
+    let profile = if explain {
+        Some(load_profile(&fresh.profile.to_string_lossy())?)
+    } else {
+        None
+    };
+    Ok((report, profile))
+}
+
+/// Runs the gate; `Ok(true)` means at least one phase regressed.
+fn gate(opts: &Options) -> Result<bool, String> {
+    // Read the baseline first: a bad path must not cost a benchmark run.
+    let old = load(&opts.old_path)?;
+    let (new, new_label, fresh_profile) = match &opts.new_path {
+        Some(path) => (load(path)?, path.as_str(), None),
+        None => {
+            let (new, profile) = bench_working_tree(opts.explain)?;
+            (new, "working tree", profile)
+        }
+    };
+    let regressions = old.compare(&new, &opts.tol);
+    if regressions.is_empty() {
+        println!(
+            "bench_compare: OK — no phase regressed ({} vs {new_label})",
+            opts.old_path
+        );
+        return Ok(false);
+    }
+    println!(
+        "bench_compare: {} phase(s) regressed ({} vs {new_label}):",
+        regressions.len(),
+        opts.old_path
+    );
+    print!("{}", format_regressions(&regressions));
+    if opts.explain {
+        let new_profile = match fresh_profile {
+            Some(p) => p,
+            None => load_profile(opts.new_profile.as_deref().expect("validated in parse"))?,
+        };
+        let old_profile = opts.old_profile.as_deref().map(load_profile).transpose()?;
+        print!(
+            "{}",
+            explain_regressions(&regressions, &new_profile, old_profile.as_ref(), opts.top)
+        );
+    }
+    Ok(true)
 }
 
 fn main() {
@@ -148,35 +268,12 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let (old, new) = match (load(&opts.old_path), load(&opts.new_path)) {
-        (Ok(old), Ok(new)) => (old, new),
-        (Err(e), _) | (_, Err(e)) => {
+    let code = match gate(&opts) {
+        Ok(regressed) => i32::from(regressed),
+        Err(e) => {
             eprintln!("error: {e}");
-            std::process::exit(2);
+            2
         }
     };
-    let regressions = old.compare(&new, &opts.tol);
-    if regressions.is_empty() {
-        println!(
-            "bench_compare: OK — no phase regressed ({} vs {})",
-            opts.old_path, opts.new_path
-        );
-        return;
-    }
-    println!(
-        "bench_compare: {} phase(s) regressed ({} vs {}):",
-        regressions.len(),
-        opts.old_path,
-        opts.new_path
-    );
-    print!("{}", format_regressions(&regressions));
-    if opts.explain {
-        let new_profile = load_profile(opts.new_profile.as_deref().expect("validated in parse"));
-        let old_profile = opts.old_profile.as_deref().map(load_profile);
-        print!(
-            "{}",
-            explain_regressions(&regressions, &new_profile, old_profile.as_ref(), opts.top)
-        );
-    }
-    std::process::exit(1);
+    std::process::exit(code);
 }

@@ -7,7 +7,7 @@
 //! Both inputs are `densevlc-prof/1` documents (from `run_all
 //! --profile-out` or `densevlc-cli profile`). Prints the outer join of
 //! the two profiles' call paths ranked by |self-time delta| — the
-//! "where did the time go" view `bench_gate --explain` builds on. Exit
+//! "where did the time go" view `bench_compare --explain` builds on. Exit
 //! codes: 0 on success (even with regressions; this is an analysis tool,
 //! not a gate), 2 on usage or input errors.
 

@@ -1,5 +1,7 @@
 //! Runs every experiment at a reduced scale and prints the full report —
 //! a one-shot reproduction of the paper's evaluation section.
+//! `run_all <id>…` instead runs only the named experiments, at the paper's
+//! scale, and prints just their reports.
 //!
 //! Experiments execute as a parallel job set on the `vlc-par` pool:
 //! reports are collected and printed in the fixed experiment order, so the
@@ -37,10 +39,25 @@ const USAGE: &str = "\
 run_all — regenerate the full DenseVLC evaluation (every table and figure)
 
 USAGE:
-    run_all [--jobs N] [--telemetry FORMAT] [--trace FILE]
+    run_all [ID...] [--jobs N] [--telemetry FORMAT] [--trace FILE]
             [--bench-out FILE] [--bench-repeat N]
             [--profile-out FILE] [--folded-out FILE] [--flame-out FILE]
             [--obs-stream FILE] [--watch]
+
+ARGS:
+    ID...               Run only these experiments, in the given order, at
+                        the paper's scale (e.g. 100 random instances for
+                        fig08/fig10/fig11), printing just their reports.
+                        Without IDs every experiment runs at reduced
+                        scale. IDs: fig04_taylor_error fig05_illuminance
+                        fig08_throughput_vs_power fig09_swing_levels
+                        fig10_swing_cdf fig11_heuristic_verification
+                        fig12_sync_delay tab04_sync_error tab05_iperf
+                        fig18_scenario1 fig19_scenario2 fig20_scenario3
+                        fig21_baselines complexity ablations
+                        ext_adaptive_kappa ext_density ext_orientation
+                        ext_ofdm ext_dimming ext_blockage ext_adaptation
+                        ext_concurrent ext_arq.
 
 OPTIONS:
     --jobs N            Worker count for the experiment job set and the
@@ -77,111 +94,178 @@ OPTIONS:
     -h, --help          Print this help.
 ";
 
-/// One experiment: its span label and the closure that produces its report.
-type Job = (&'static str, Box<dyn Fn() -> String + Send + Sync>);
+type Run = Box<dyn Fn() -> String + Send + Sync>;
+
+/// One experiment: its ID (also its span label), the reduced-scale call
+/// bare `run_all` makes, and the paper-scale call `run_all <id>` makes
+/// when it differs from the reduced one.
+struct Job {
+    name: &'static str,
+    reduced: Run,
+    paper: Option<Run>,
+}
+
+/// A job whose paper-scale call differs from its reduced-scale one.
+fn scaled(
+    name: &'static str,
+    reduced: impl Fn() -> String + Send + Sync + 'static,
+    paper: impl Fn() -> String + Send + Sync + 'static,
+) -> Job {
+    Job {
+        name,
+        reduced: Box::new(reduced),
+        paper: Some(Box::new(paper)),
+    }
+}
+
+/// A job that runs at paper scale either way.
+fn fixed(name: &'static str, run: impl Fn() -> String + Send + Sync + 'static) -> Job {
+    Job {
+        name,
+        reduced: Box::new(run),
+        paper: None,
+    }
+}
 
 /// The evaluation job set, in the paper's presentation order.
 /// Returns the jobs plus the index where the §9 extensions begin.
 fn job_set() -> (Vec<Job>, usize) {
-    let mut jobs: Vec<Job> = vec![
-        (
-            "fig04_taylor_error",
-            Box::new(|| fig04_taylor_error::run(&LedParams::cree_xte_paper(), 90).report()),
-        ),
-        (
+    let mut jobs = vec![
+        fixed("fig04_taylor_error", || {
+            fig04_taylor_error::run(&LedParams::cree_xte_paper(), 90).report()
+        }),
+        scaled(
             "fig05_illuminance",
-            Box::new(|| fig05_illuminance::run(&LedParams::cree_xte_paper(), 1).report()),
+            || fig05_illuminance::run(&LedParams::cree_xte_paper(), 1).report(),
+            || fig05_illuminance::run(&LedParams::cree_xte_paper(), 0xF165).report(),
         ),
-        (
+        scaled(
             "fig08_throughput_vs_power",
-            Box::new(|| fig08_throughput_vs_power::run(&budget_sweep(), 20, 8).report()),
+            || fig08_throughput_vs_power::run(&budget_sweep(), 20, 8).report(),
+            || fig08_throughput_vs_power::run(&budget_sweep(), 100, 0xF168).report(),
         ),
-        (
-            "fig09_swing_levels",
-            Box::new(|| fig09_swing_levels::run(&budget_sweep()).report()),
-        ),
-        (
+        fixed("fig09_swing_levels", || {
+            fig09_swing_levels::run(&budget_sweep()).report()
+        }),
+        // The paper's representative TXs: TX3, TX5, TX10, TX15 (zero-based).
+        scaled(
             "fig10_swing_cdf",
-            Box::new(|| fig10_swing_cdf::run(&[2, 4, 9, 14], 1.2, 20, 10).report()),
+            || fig10_swing_cdf::run(&[2, 4, 9, 14], 1.2, 20, 10).report(),
+            || fig10_swing_cdf::run(&[2, 4, 9, 14], 1.2, 100, 0xF1610).report(),
         ),
-        (
+        scaled(
             "fig11_heuristic_verification",
-            Box::new(|| fig11_heuristic_verification::run(&budget_sweep(), 20, 1.2, 11).report()),
+            || fig11_heuristic_verification::run(&budget_sweep(), 20, 1.2, 11).report(),
+            || fig11_heuristic_verification::run(&budget_sweep(), 100, 1.2, 0xF1611).report(),
         ),
-        (
+        scaled(
             "fig12_sync_delay",
-            Box::new(|| fig12_sync_delay::run(&rate_sweep(), 10_001, 12).report()),
+            || fig12_sync_delay::run(&rate_sweep(), 10_001, 12).report(),
+            || fig12_sync_delay::run(&rate_sweep(), 20_001, 0xF1612).report(),
         ),
-        (
+        scaled(
             "tab04_sync_error",
-            Box::new(|| tab04_sync_error::run(100, 4).report()),
+            || tab04_sync_error::run(100, 4).report(),
+            || tab04_sync_error::run(200, 0x7AB4).report(),
         ),
-        ("tab05_iperf", Box::new(|| tab05_iperf::run(50, 5).report())),
-        (
-            "fig18_scenario1",
-            Box::new(|| fig18_20_scenarios::run(Scenario::One).report()),
+        scaled(
+            "tab05_iperf",
+            || tab05_iperf::run(50, 5).report(),
+            || tab05_iperf::run(100, 0x7AB5).report(),
         ),
-        (
-            "fig19_scenario2",
-            Box::new(|| fig18_20_scenarios::run(Scenario::Two).report()),
-        ),
-        (
-            "fig20_scenario3",
-            Box::new(|| fig18_20_scenarios::run(Scenario::Three).report()),
-        ),
-        (
-            "fig21_baselines",
-            Box::new(|| fig21_baselines::run(Scenario::Two).report()),
-        ),
-        (
+        fixed("fig18_scenario1", || {
+            fig18_20_scenarios::run(Scenario::One).report()
+        }),
+        fixed("fig19_scenario2", || {
+            fig18_20_scenarios::run(Scenario::Two).report()
+        }),
+        fixed("fig20_scenario3", || {
+            fig18_20_scenarios::run(Scenario::Three).report()
+        }),
+        fixed("fig21_baselines", || {
+            fig21_baselines::run(Scenario::Two).report()
+        }),
+        scaled(
             "complexity",
-            Box::new(|| complexity::run(1.2, 3, 5_000).report()),
+            || complexity::run(1.2, 3, 5_000).report(),
+            || complexity::run(1.2, 5, 20_000).report(),
         ),
+        fixed("ablations", || {
+            ablations::run(&[1.0, 1.2, 1.3, 1.5], 1.2).report()
+        }),
     ];
     let extensions_at = jobs.len();
-    let extensions: Vec<Job> = vec![
-        (
+    jobs.extend([
+        scaled(
             "ext_adaptive_kappa",
-            Box::new(|| ext_adaptive_kappa::run(&[0.6, 1.2], 1.0).report()),
+            || ext_adaptive_kappa::run(&[0.6, 1.2], 1.0).report(),
+            || {
+                let budgets = [0.3, 0.6, 0.9, 1.2, 1.8];
+                ext_adaptive_kappa::run(&budgets, 1.0).report()
+                    + &ext_adaptive_kappa::run(&budgets, 1.3).report()
+            },
         ),
-        (
+        scaled(
             "ext_density",
-            Box::new(|| ext_density::run(&[3, 4, 6], 1.2).report()),
+            || ext_density::run(&[3, 4, 6], 1.2).report(),
+            || ext_density::run(&[2, 3, 4, 5, 6, 8], 1.2).report(),
         ),
-        (
+        scaled(
             "ext_orientation",
-            Box::new(|| ext_orientation::run(&[0.0, 20.0, 45.0], 1.2).report()),
+            || ext_orientation::run(&[0.0, 20.0, 45.0], 1.2).report(),
+            || ext_orientation::run(&[0.0, 10.0, 20.0, 30.0, 45.0, 60.0], 1.2).report(),
         ),
-        (
+        scaled(
             "ext_ofdm",
-            Box::new(|| ext_ofdm::run(50_000, 0xE0FD).report()),
+            || ext_ofdm::run(50_000, 0xE0FD).report(),
+            || ext_ofdm::run(100_000, 0xE0FD).report(),
         ),
-        (
+        scaled(
             "ext_dimming",
-            Box::new(|| ext_dimming::run(&[0.15, 0.3, 0.45, 0.6, 0.75], 0.6).report()),
+            || ext_dimming::run(&[0.15, 0.3, 0.45, 0.6, 0.75], 0.6).report(),
+            || {
+                let biases = [0.10, 0.15, 0.225, 0.30, 0.45, 0.60, 0.75, 0.85];
+                ext_dimming::run(&biases, 0.6).report()
+            },
         ),
-        (
+        scaled(
             "ext_blockage",
-            Box::new(|| ext_blockage::run(Scenario::Three, 6, 1.2).report()),
+            || ext_blockage::run(Scenario::Three, 6, 1.2).report(),
+            || {
+                [Scenario::One, Scenario::Two, Scenario::Three]
+                    .map(|s| format!("{}\n{}\n", s.label(), ext_blockage::run(s, 8, 1.2).report()))
+                    .concat()
+            },
         ),
-        (
+        scaled(
             "ext_adaptation",
-            Box::new(|| ext_adaptation::run(&[0.5, 2.0], &[0.07, 2.0], 0xADA7).report()),
+            || ext_adaptation::run(&[0.5, 2.0], &[0.07, 2.0], 0xADA7).report(),
+            || {
+                let speeds = [0.25, 0.5, 1.0, 2.0, 4.0];
+                ext_adaptation::run(&speeds, &[0.07, 0.5, 2.0, 10.0], 0xADA7).report()
+            },
         ),
-        (
+        scaled(
             "ext_concurrent",
-            Box::new(|| ext_concurrent::run(Scenario::Two, 1.2, 15, 0xC0C).report()),
+            || ext_concurrent::run(Scenario::Two, 1.2, 15, 0xC0C).report(),
+            || {
+                [Scenario::One, Scenario::Two, Scenario::Three]
+                    .map(|s| ext_concurrent::run(s, 1.2, 30, 0xC0C).report() + "\n")
+                    .concat()
+            },
         ),
-        (
+        scaled(
             "ext_arq",
-            Box::new(|| ext_arq::run_study(&[1.0, 0.05, 0.04], 20, 0xA2).report()),
+            || ext_arq::run_study(&[1.0, 0.05, 0.04], 20, 0xA2).report(),
+            || ext_arq::run_study(&[1.0, 0.2, 0.08, 0.05, 0.045, 0.04], 40, 0xA2).report(),
         ),
-    ];
-    jobs.extend(extensions);
+    ]);
     (jobs, extensions_at)
 }
 
 struct Options {
+    /// Experiment IDs to run at paper scale; empty runs every job reduced.
+    ids: Vec<String>,
     jobs: Jobs,
     obs: ObsOptions,
 }
@@ -195,6 +279,7 @@ fn parse_args() -> Result<Options, String> {
     // The shared observability parser consumes its flags; only run_all's
     // own arguments may remain.
     let obs = ObsOptions::parse(&mut argv)?;
+    let mut ids = Vec::new();
     let mut jobs: Option<Jobs> = None;
     let mut rest = argv.into_iter();
     while let Some(arg) = rest.next() {
@@ -203,10 +288,12 @@ fn parse_args() -> Result<Options, String> {
                 let v = rest.next().ok_or("--jobs needs a value (N or `max`)")?;
                 jobs = Some(Jobs::parse(&v).ok_or(format!("bad --jobs value `{v}`"))?);
             }
-            other => return Err(format!("unknown argument `{other}`")),
+            other if other.starts_with('-') => return Err(format!("unknown argument `{other}`")),
+            _ => ids.push(arg),
         }
     }
     Ok(Options {
+        ids,
         jobs: jobs.unwrap_or_else(Jobs::from_env),
         obs,
     })
@@ -235,6 +322,25 @@ fn main() {
     std::env::set_var(JOBS_ENV, opts.jobs.get().to_string());
 
     let (set, extensions_at) = job_set();
+    if let Some(id) = opts.ids.iter().find(|id| set.iter().all(|j| j.name != *id)) {
+        let valid: Vec<&str> = set.iter().map(|j| j.name).collect();
+        eprintln!(
+            "error: unknown experiment `{id}`; valid IDs: {}",
+            valid.join(" ")
+        );
+        std::process::exit(2);
+    }
+    // Named jobs run their paper-scale call, in the order given.
+    let named = !opts.ids.is_empty();
+    let selected: Vec<(&str, &Run)> = if named {
+        opts.ids
+            .iter()
+            .filter_map(|id| set.iter().find(|j| j.name == id))
+            .map(|j| (j.name, j.paper.as_ref().unwrap_or(&j.reduced)))
+            .collect()
+    } else {
+        set.iter().map(|j| (j.name, &j.reduced)).collect()
+    };
     let registry = Registry::new();
     let pool = Pool::new(opts.jobs).with_telemetry(&registry);
     let timing = opts.obs.wants_tracer();
@@ -245,18 +351,20 @@ fn main() {
     };
     let repeats = if timing { opts.obs.bench_repeat } else { 1 };
 
-    println!(
-        "==== DenseVLC (CoNEXT '18) — full evaluation reproduction ({} jobs, {} workers) ====\n",
-        set.len(),
-        opts.jobs
-    );
+    if !named {
+        println!(
+            "==== DenseVLC (CoNEXT '18) — full evaluation reproduction ({} jobs, {} workers) ====\n",
+            set.len(),
+            opts.jobs
+        );
+    }
     let _wall = registry.span("bench.run_all_s");
     let mut first_reports: Option<Vec<String>> = None;
     for _rep in 0..repeats {
         let root = tracer.root("bench.run_all");
         root.attr("jobs", &opts.jobs.get().to_string());
-        let reports = pool.map_indexed(set.len(), |i| {
-            let (name, run) = &set[i];
+        let reports = pool.map_indexed(selected.len(), |i| {
+            let (name, run) = selected[i];
             let trace_span = root.child_indexed(&format!("experiment.{name}"), i);
             let _span = registry.span(&format!("bench.{name}.run_s"));
             let report = run();
@@ -279,6 +387,11 @@ fn main() {
 
     let reports = first_reports.expect("at least one repeat ran");
     for (i, report) in reports.iter().enumerate() {
+        if named {
+            // Named jobs print just their reports, back to back.
+            print!("{report}");
+            continue;
+        }
         if i == extensions_at {
             println!("---- extensions (paper §9 future work) ----\n");
         }
@@ -315,7 +428,7 @@ fn main() {
             n_rx: 0,
             every: opts.obs.obs_every,
         }];
-        for (i, (name, _)) in set.iter().enumerate() {
+        for (i, (name, _)) in selected.iter().enumerate() {
             records.push(ObsRecord::Job {
                 index: i as u64,
                 name: (*name).to_string(),
@@ -392,6 +505,23 @@ fn main() {
                     }
                 }
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn usage_lists_every_job_id() {
+        let (set, _) = job_set();
+        for job in &set {
+            assert!(
+                USAGE.contains(&format!(" {}", job.name)),
+                "{} missing from USAGE",
+                job.name
+            );
         }
     }
 }

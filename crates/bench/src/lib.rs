@@ -1,10 +1,10 @@
-//! Shared plumbing for the DenseVLC benchmark harness.
+//! Shared plumbing for the DenseVLC evaluation harness.
 //!
-//! Each paper artifact (table or figure) has a binary under `src/bin/` that
-//! regenerates it and prints paper-comparable rows; the Criterion benches
-//! under `benches/` time the hot paths (allocators, PHY, channel) and run
-//! scaled-down experiment sweeps plus the design-choice ablations called
-//! out in `DESIGN.md`.
+//! `run_all` regenerates every paper artifact (table or figure) and the
+//! design-choice ablations called out in `DESIGN.md`: all of them at
+//! reduced scale, or the named ones at paper scale. With `--bench-out` it
+//! also times each experiment plus the library hot paths ([`probes`]),
+//! and `bench_compare` gates those timings against a baseline.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -12,13 +12,13 @@
 pub mod codec_lab;
 pub mod probes;
 
-/// Standard sweep of power budgets used by the figure binaries, in watts:
+/// Standard sweep of power budgets used by the figure jobs, in watts:
 /// 0.15 W steps up to the full-array 2.7 W.
 pub fn budget_sweep() -> Vec<f64> {
     (1..=18).map(|i| 0.15 * i as f64).collect()
 }
 
-/// Symbol-rate sweep for the Fig. 12 binary, in symbols/s.
+/// Symbol-rate sweep for the Fig. 12 job, in symbols/s.
 pub fn rate_sweep() -> Vec<f64> {
     vec![1e3, 2.5e3, 5e3, 10e3, 14.28e3, 20e3, 30e3, 40e3, 50e3, 60e3]
 }

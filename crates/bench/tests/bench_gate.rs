@@ -1,12 +1,16 @@
 //! End-to-end tests of the perf-regression gate: `run_all --bench-out`
 //! writes a parseable `densevlc-bench/1` report, `bench_compare` exits
 //! 0 / 1 / 2 for pass / regression / usage error, and `--explain` names
-//! the call paths that own a flagged phase from a profile sidecar.
+//! the call paths that own a flagged phase from a profile sidecar. Also
+//! `run_all <id>…`, the paper-scale path for named experiments.
 
+use densevlc::experiments::{fig04_taylor_error, fig21_baselines};
 use std::path::PathBuf;
 use std::process::Command;
+use vlc_led::LedParams;
 use vlc_prof::Profile;
 use vlc_telemetry::ManualClock;
+use vlc_testbed::Scenario;
 use vlc_trace::{parse_chrome_json, BenchReport, Tracer};
 
 fn tmp(name: &str) -> PathBuf {
@@ -290,4 +294,47 @@ fn run_all_bench_out_is_parseable_and_gates_itself() {
         String::from_utf8_lossy(&out.stdout).contains("byte for byte"),
         "{out:?}"
     );
+}
+
+#[test]
+fn a_bad_baseline_exits_2_before_benchmarking() {
+    let missing = tmp("missing-baseline.json");
+    let out = Command::new(env!("CARGO_BIN_EXE_bench_compare"))
+        .arg(&missing)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(!stdout.contains("benchmarking"), "{stdout}");
+}
+
+#[test]
+fn run_all_named_ids_print_exactly_their_paper_scale_reports() {
+    let out = Command::new(env!("CARGO_BIN_EXE_run_all"))
+        .args(["fig04_taylor_error", "fig21_baselines"])
+        .output()
+        .expect("run_all runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let expected = fig04_taylor_error::run(&LedParams::cree_xte_paper(), 90).report()
+        + &fig21_baselines::run(Scenario::Two).report();
+    assert_eq!(String::from_utf8_lossy(&out.stdout), expected);
+}
+
+#[test]
+fn run_all_unknown_id_exits_2_and_lists_the_valid_ones() {
+    let out = Command::new(env!("CARGO_BIN_EXE_run_all"))
+        .arg("nope")
+        .output()
+        .expect("run_all runs");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("`nope`"), "{stderr}");
+    for id in ["fig04_taylor_error", "tab05_iperf", "ablations", "ext_arq"] {
+        assert!(stderr.contains(id), "{id} not listed: {stderr}");
+    }
+    assert!(out.stdout.is_empty(), "nothing runs");
 }

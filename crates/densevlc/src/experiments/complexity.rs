@@ -64,7 +64,7 @@ impl Complexity {
     pub fn report(&self) -> String {
         format!(
             "§5 — complexity: optimal {:.4} s vs heuristic {:.6} s per run\n\
-             \x20 reduction {:.2} %% (paper: 99.96 %%), throughput loss {:.1} %% (paper: 1.8 %%)\n",
+             \x20 reduction {:.2} % (paper: 99.96 %), throughput loss {:.1} % (paper: 1.8 %)\n",
             self.optimal_s,
             self.heuristic_s,
             self.reduction * 100.0,
@@ -97,5 +97,6 @@ mod tests {
     fn report_quotes_paper_numbers() {
         let rep = run(1.2, 1, 10).report();
         assert!(rep.contains("99.96"));
+        assert!(!rep.contains("%%"), "{rep}");
     }
 }

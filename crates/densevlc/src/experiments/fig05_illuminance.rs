@@ -80,8 +80,8 @@ impl Fig05 {
     pub fn report(&self) -> String {
         format!(
             "Fig. 5 / §8 — illuminance over the 2.2 m × 2.2 m area of interest\n\
-               simulation: {:.0} lux avg, {:.0} %% uniformity (paper: 564 lux, 74 %%) — ISO 8995-1 {}\n\
-               testbed:    {:.0} lux avg, {:.0} %% uniformity (paper: 530 lux, 81 %%) — ISO 8995-1 {}\n",
+               simulation: {:.0} lux avg, {:.0} % uniformity (paper: 564 lux, 74 %) — ISO 8995-1 {}\n\
+               testbed:    {:.0} lux avg, {:.0} % uniformity (paper: 530 lux, 81 %) — ISO 8995-1 {}\n",
             self.simulation.average_lux,
             self.simulation.uniformity * 100.0,
             if self.simulation.meets_iso_8995() { "PASS" } else { "FAIL" },
@@ -124,5 +124,6 @@ mod tests {
     fn report_shows_both_geometries() {
         let rep = run(&LedParams::cree_xte_paper(), 3).report();
         assert!(rep.contains("simulation") && rep.contains("testbed"));
+        assert!(!rep.contains("%%"), "{rep}");
     }
 }

@@ -59,7 +59,7 @@ impl Fig12 {
             ));
         }
         out.push_str(&format!(
-            "  NTP/PTP max rate @10 %% overlap: {:.2} Ksym/s (paper: 14.28)\n",
+            "  NTP/PTP max rate @10 % overlap: {:.2} Ksym/s (paper: 14.28)\n",
             self.ntp_max_rate_hz / 1e3
         ));
         out
@@ -113,6 +113,8 @@ mod tests {
     #[test]
     fn report_has_row_per_rate() {
         let fig = run(&[5e3, 25e3], 501, 34);
-        assert_eq!(fig.report().lines().count(), 2 + 2 + 1);
+        let report = fig.report();
+        assert_eq!(report.lines().count(), 2 + 2 + 1);
+        assert!(!report.contains("%%"), "{report}");
     }
 }

@@ -4,9 +4,11 @@
 //!
 //! Every driver exposes a `run(...)` function returning a plain-data result
 //! struct with a `report()` method that prints the same rows/series the
-//! paper's artifact shows. The `vlc-bench` crate wires each driver to a
-//! binary and a Criterion bench.
+//! paper's artifact shows. `vlc-bench`'s `run_all` runs each driver as one
+//! job, at reduced scale by default and at paper scale when named
+//! (`run_all <id>`).
 
+pub mod ablations;
 pub mod complexity;
 pub mod ext_adaptation;
 pub mod ext_adaptive_kappa;

@@ -1,11 +1,11 @@
 //! Turning a bench-gate failure into an explanation.
 //!
-//! `bench_compare` and `bench_gate` flag *phases* — leaf names of
-//! `run_all`'s probe spans — but a phase name says nothing about which
-//! child owns the time. [`explain_regressions`] cross-references the
-//! flagged phases against a profile (and optionally a baseline profile)
-//! and prints, per regression, the guilty subtree ranked by self time,
-//! with full call paths.
+//! `bench_compare` flags *phases* — leaf names of `run_all`'s probe
+//! spans — but a phase name says nothing about which child owns the time.
+//! [`explain_regressions`] cross-references the flagged phases against a
+//! profile (and optionally a baseline profile) and prints, per
+//! regression, the guilty subtree ranked by self time, with full call
+//! paths.
 
 use vlc_trace::Regression;
 

@@ -78,9 +78,8 @@ pub struct Regression {
     pub threshold_s: f64,
 }
 
-/// Renders flagged regressions as the aligned table `bench_compare` and
-/// `bench_gate` both print — one place for the format, so their outputs
-/// (and the tests pinning them) cannot drift apart.
+/// Renders flagged regressions as the aligned table `bench_compare`
+/// prints, one row per regressed phase.
 pub fn format_regressions(regressions: &[Regression]) -> String {
     let mut out = String::new();
     for r in regressions {

@@ -1,7 +1,7 @@
 //! Profile tour: trace one adaptation round twice — the second time with
 //! a deliberately heavier solver — then walk span tree → profile →
 //! folded stacks → flamegraph → differential, the same pipeline
-//! `densevlc-cli profile` and `bench_gate --explain` use.
+//! `densevlc-cli profile` and `bench_compare --explain` use.
 //!
 //! Run with: `cargo run --example profile_tour`
 //!

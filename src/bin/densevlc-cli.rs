@@ -646,7 +646,7 @@ fn help() {
          --flight-recorder <file>                 crash dump of the last records\n  \
          --flight-last <k>                        flight ring capacity (lines)\n  \
          --watch                                  render the dashboard at exit\n\n\
-         Full per-figure binaries live in the vlc-bench crate:\n  \
-         cargo run --release -p vlc-bench --bin run_all"
+         Every paper table/figure (add IDs for paper scale) runs with:\n  \
+         cargo run --release -p vlc-bench --bin run_all [-- ID...]"
     );
 }
