@@ -289,8 +289,10 @@ pub fn heuristic_allocation_traced(
     parent: &Span,
 ) -> Allocation {
     let solve = parent.child("alloc.heuristic.solve");
-    solve.attr("kappa", &format!("{}", config.kappa));
-    solve.attr("budget_w", &format!("{budget_w}"));
+    if solve.is_enabled() {
+        solve.attr("kappa", &format!("{}", config.kappa));
+        solve.attr("budget_w", &format!("{budget_w}"));
+    }
     let _solve_span = telemetry.span("alloc.heuristic.solve_s");
     telemetry.counter("alloc.heuristic.solves").inc();
     telemetry

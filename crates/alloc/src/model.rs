@@ -6,6 +6,7 @@
 //! proportional-fair sum-log-throughput objective the controller maximizes.
 
 use serde::{Deserialize, Serialize};
+use vlc_channel::matrix::{append_rx_columns, remove_rx_column};
 use vlc_channel::{ChannelMatrix, NoiseParams};
 use vlc_led::{power::dynamic_resistance, LedParams};
 
@@ -109,6 +110,41 @@ impl Allocation {
             .count()
     }
 
+    /// Removes RX column `rx` in place; later columns shift left, as
+    /// `Vec::remove` does. Keeps the storage, so a following
+    /// [`Self::push_rx`] does not reallocate.
+    ///
+    /// # Panics
+    /// Panics if `rx` is out of range or is the only column.
+    pub fn remove_rx(&mut self, rx: usize) {
+        assert!(self.n_rx > 1, "allocation must keep at least one RX");
+        remove_rx_column(&mut self.swings, self.n_tx, self.n_rx, rx);
+        self.n_rx -= 1;
+    }
+
+    /// Appends one RX column holding `col` (all zeros when `col` is
+    /// empty). Storage grows to the exact new size, never by doubling.
+    ///
+    /// # Panics
+    /// Panics if `col` is neither empty nor `n_tx` long, or holds a
+    /// negative or non-finite swing.
+    pub fn push_rx(&mut self, col: &[f64]) {
+        assert!(
+            col.is_empty() || col.len() == self.n_tx,
+            "column has the wrong length"
+        );
+        assert!(
+            col.iter().all(|s| s.is_finite() && *s >= 0.0),
+            "swings must be finite and non-negative"
+        );
+        let n_rx = self.n_rx + 1;
+        append_rx_columns(&mut self.swings, self.n_tx, self.n_rx, n_rx, 0.0);
+        for (tx, &swing) in col.iter().enumerate() {
+            self.swings[tx * n_rx + self.n_rx] = swing;
+        }
+        self.n_rx = n_rx;
+    }
+
     /// Raw swings, row-major (`n_tx × n_rx`). Used by the solver.
     pub fn as_slice(&self) -> &[f64] {
         &self.swings
@@ -172,38 +208,49 @@ impl SystemModel {
             .sum()
     }
 
-    /// The received signal amplitude term of Eq. 12 for stream `stream`
-    /// measured at RX `at_rx`: `R·η·r · Σ_j H_{j,at_rx} · (I_sw^{j,stream}/2)²`
-    /// in amperes.
-    fn stream_current(&self, alloc: &Allocation, stream: usize, at_rx: usize) -> f64 {
-        let r = self.dyn_resistance();
-        let scale = self.responsivity * self.led.wall_plug_efficiency * r;
-        let mut sum = 0.0;
-        for t in 0..alloc.n_tx() {
-            let half = alloc.swing(t, stream) / 2.0;
-            sum += self.channel.gain(t, at_rx) * half * half;
-        }
-        scale * sum
-    }
-
     /// Per-receiver SINR (Eq. 12), dimensionless.
+    ///
+    /// The received amplitude of stream `k` at RX `i` is
+    /// `R·η·r · Σ_j H_{j,i} · (I_sw^{j,k}/2)²` in amperes. Only the nonzero
+    /// swings of each stream are walked, in ascending TX order: gains are
+    /// finite and non-negative, so a zero swing adds an exact `+0.0` and
+    /// skipping it leaves every sum bitwise unchanged. A heuristic
+    /// allocation (one stream per TX) thus costs `O(n_tx·n_rx)`, not
+    /// `O(n_rx²·n_tx)`.
     pub fn sinr(&self, alloc: &Allocation) -> Vec<f64> {
         self.check_shape(alloc);
-        let n_rx = alloc.n_rx();
+        let (n_tx, n_rx) = (alloc.n_tx(), alloc.n_rx());
         let noise = self.noise.noise_power();
-        (0..n_rx)
-            .map(|i| {
-                let sig = self.stream_current(alloc, i, i);
-                let interference: f64 = (0..n_rx)
-                    .filter(|&k| k != i)
-                    .map(|k| {
-                        let b = self.stream_current(alloc, k, i);
-                        b * b
-                    })
-                    .sum();
-                sig * sig / (noise + interference)
-            })
-            .collect()
+        let scale = self.responsivity * self.led.wall_plug_efficiency * self.dyn_resistance();
+        let swings = alloc.as_slice();
+        let mut sig = vec![0.0; n_rx];
+        let mut interference = vec![0.0; n_rx];
+        let mut current = vec![0.0; n_rx];
+        for stream in 0..n_rx {
+            current.fill(0.0);
+            for tx in 0..n_tx {
+                let swing = swings[tx * n_rx + stream];
+                if swing == 0.0 {
+                    continue;
+                }
+                let half = swing / 2.0;
+                for (c, &g) in current.iter_mut().zip(self.channel.tx_row(tx)) {
+                    *c += g * half * half;
+                }
+            }
+            for (rx, &c) in current.iter().enumerate() {
+                let b = scale * c;
+                if rx == stream {
+                    sig[rx] = b;
+                } else {
+                    interference[rx] += b * b;
+                }
+            }
+        }
+        for (s, &i) in sig.iter_mut().zip(&interference) {
+            *s = *s * *s / (noise + i);
+        }
+        sig
     }
 
     /// Per-receiver Shannon throughput `B·log2(1 + SINR)` in bit/s.
@@ -363,6 +410,35 @@ mod tests {
         a.set_swing(1, 0, 0.9);
         a.set_swing(3, 1, 0.2);
         assert_eq!(a.active_tx_count(), 2);
+    }
+
+    #[test]
+    fn rx_columns_are_edited_in_place() {
+        // 3 TX × 3 RX holding swing k/16 in cell k, so every cell differs
+        // and every value is exact.
+        let of = |cells: &[u32]| cells.iter().map(|&k| f64::from(k) / 16.0).collect();
+        let mut a = Allocation::from_swings(3, 3, of(&[1, 2, 3, 4, 5, 6, 7, 8, 9]));
+        a.remove_rx(1);
+        assert_eq!(a, Allocation::from_swings(3, 2, of(&[1, 3, 4, 6, 7, 9])));
+        a.push_rx(&of(&[10, 0, 11]));
+        a.push_rx(&[]);
+        let expected = of(&[1, 3, 10, 0, 4, 6, 0, 0, 7, 9, 11, 0]);
+        assert_eq!(a, Allocation::from_swings(3, 4, expected));
+        a.remove_rx(3);
+        a.remove_rx(0);
+        assert_eq!(a, Allocation::from_swings(3, 2, of(&[3, 10, 6, 0, 9, 11])));
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one RX")]
+    fn removing_the_last_rx_panics() {
+        Allocation::zeros(2, 1).remove_rx(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "wrong length")]
+    fn pushed_column_must_cover_every_tx() {
+        Allocation::zeros(2, 1).push_rx(&[0.1]);
     }
 
     #[test]

@@ -528,7 +528,9 @@ impl OptimalSolver {
             Engine::Dense => None,
         };
         let trace = parent.child("alloc.optimal.solve");
-        trace.attr("budget_w", &format!("{budget_w}"));
+        if trace.is_enabled() {
+            trace.attr("budget_w", &format!("{budget_w}"));
+        }
         let _solve_span = telemetry.span("alloc.optimal.solve_s");
         telemetry.counter("alloc.optimal.solves").inc();
         let n_tx = model.n_tx();
@@ -589,7 +591,9 @@ impl OptimalSolver {
         telemetry
             .counter("alloc.optimal.starts")
             .add(starts.len() as u64);
-        trace.attr("starts", &starts.len().to_string());
+        if trace.is_enabled() {
+            trace.attr("starts", &starts.len().to_string());
+        }
         // Fan the independent ascents out, then reduce in start order: the
         // incumbent only changes on a strictly greater objective, so ties
         // keep the lowest start index — same as the sequential loop.
@@ -601,7 +605,9 @@ impl OptimalSolver {
                 Some(ctx) => self.ascend_fast(ctx, start, budget_w, &start_span),
                 None => self.ascend(model, start, budget_w, &start_span),
             };
-            start_span.attr("iters", &out.2.to_string());
+            if start_span.is_enabled() {
+                start_span.attr("iters", &out.2.to_string());
+            }
             out
         });
         for (alloc, obj, iters, evals) in ascents {
@@ -976,7 +982,9 @@ impl WarmOptimal {
             if *channel == model.channel && *budget == budget_w {
                 telemetry.counter("alloc.optimal.replan_hits").inc();
                 let span = parent.child("alloc.optimal.cached");
-                span.attr("budget_w", &format!("{budget_w}"));
+                if span.is_enabled() {
+                    span.attr("budget_w", &format!("{budget_w}"));
+                }
                 return report.clone();
             }
         }

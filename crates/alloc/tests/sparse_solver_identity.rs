@@ -4,15 +4,18 @@
 //! objective, same iteration and start counts — for arbitrary channel zero
 //! patterns (including the all-in-FOV degenerate case where nothing is
 //! sparse), any budget, and any worker count. Likewise the heuristic's
-//! row-best ranking against its full-rescan scalar reference. These ride in
+//! row-best ranking against its full-rescan scalar reference, and the
+//! sparse [`SystemModel::sinr`] against the dense triple loop it replaced.
+//! These ride in
 //! `cargo test --workspace` and in the CI `soa` job at `DENSEVLC_JOBS` ∈
 //! {1, max}.
 
 use proptest::prelude::*;
 use vlc_alloc::heuristic::{rank_by_sjr, rank_by_sjr_scalar, HeuristicConfig};
-use vlc_alloc::model::SystemModel;
+use vlc_alloc::model::{Allocation, SystemModel};
 use vlc_alloc::OptimalSolver;
 use vlc_channel::ChannelMatrix;
+use vlc_led::power::dynamic_resistance;
 use vlc_par::{Jobs, Pool};
 use vlc_telemetry::Registry;
 use vlc_trace::Span;
@@ -120,8 +123,84 @@ fn assert_reports_identical(
     Ok(())
 }
 
+/// The dense Eq. 12 reference: every stream's amplitude at every RX sums
+/// over all TXs, zero swings included, in `O(n_rx²·n_tx)`.
+fn dense_sinr(model: &SystemModel, alloc: &Allocation) -> Vec<f64> {
+    let n_rx = alloc.n_rx();
+    let stream_current = |stream: usize, at_rx: usize| {
+        let r = dynamic_resistance(&model.led);
+        let scale = model.responsivity * model.led.wall_plug_efficiency * r;
+        let mut sum = 0.0;
+        for t in 0..alloc.n_tx() {
+            let half = alloc.swing(t, stream) / 2.0;
+            sum += model.channel.gain(t, at_rx) * half * half;
+        }
+        scale * sum
+    };
+    (0..n_rx)
+        .map(|i| {
+            let sig = stream_current(i, i);
+            let interference: f64 = (0..n_rx)
+                .filter(|&k| k != i)
+                .map(|k| {
+                    let b = stream_current(k, i);
+                    b * b
+                })
+                .sum();
+            sig * sig / (model.noise.noise_power() + interference)
+        })
+        .collect()
+}
+
+/// A channel plus raw draws for two allocations of its shape: `dense`
+/// swings for every (TX, RX) pair and one `(rx, swing)` pick per TX.
+type SinrCase = (SystemModel, Vec<f64>, Vec<(usize, f64)>);
+
+fn arb_sinr_case() -> impl Strategy<Value = SinrCase> {
+    (1usize..12, 1usize..6)
+        .prop_flat_map(|(n_tx, n_rx)| {
+            (
+                Just(n_tx),
+                Just(n_rx),
+                proptest::collection::vec(-0.4f64..1.0, n_tx * n_rx),
+                proptest::collection::vec(-0.5f64..0.9, n_tx * n_rx),
+                proptest::collection::vec((0..n_rx + 1, 0.0f64..0.9), n_tx),
+            )
+        })
+        .prop_map(|(n_tx, n_rx, raw, dense, picks)| {
+            let gains: Vec<f64> = raw.into_iter().map(sparse_gain).collect();
+            let model = SystemModel::paper(ChannelMatrix::from_gains(n_tx, n_rx, gains));
+            // Negative draws become exact zeros (~35 % of the pairs).
+            let dense = dense.into_iter().map(|v| v.max(0.0)).collect();
+            (model, dense, picks)
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The sparse SINR walk equals the dense reference bit for bit, on
+    /// optimal-like dense allocations and on heuristic-like ones where
+    /// each TX serves at most one RX (a pick of `n_rx` leaves it idle).
+    #[test]
+    fn sparse_sinr_matches_dense_reference(case in arb_sinr_case()) {
+        let (model, dense, picks) = case;
+        let (n_tx, n_rx) = (model.n_tx(), model.n_rx());
+        let mut one_per_tx = Allocation::zeros(n_tx, n_rx);
+        for (tx, &(rx, swing)) in picks.iter().enumerate() {
+            if rx < n_rx {
+                one_per_tx.set_swing(tx, rx, swing);
+            }
+        }
+        for alloc in [Allocation::from_swings(n_tx, n_rx, dense), one_per_tx] {
+            let fast = model.sinr(&alloc);
+            let reference = dense_sinr(&model, &alloc);
+            prop_assert_eq!(fast.len(), reference.len());
+            for (f, r) in fast.iter().zip(&reference) {
+                prop_assert_eq!(f.to_bits(), r.to_bits());
+            }
+        }
+    }
 
     /// Sparse zero patterns: fast engine == dense engine, at any worker
     /// count.

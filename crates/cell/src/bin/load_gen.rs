@@ -156,7 +156,7 @@ fn main() -> std::io::Result<()> {
     )?;
     writeln!(
         out,
-        "replans {} · plan-cache hits {} · handovers {}",
+        "replans {} · plan hits {} · handovers {}",
         report.replans, report.plan_hits, report.handovers
     )?;
     writeln!(

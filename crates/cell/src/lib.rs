@@ -7,7 +7,7 @@
 //!
 //! * [`building`] — the room grid and the global↔local coordinate
 //!   mapping that places sessions into cells.
-//! * [`shard`] — one cell's sessions, incremental channel, plan cache,
+//! * [`shard`] — one cell's sessions, column-stable incremental channel,
 //!   and warm-start state.
 //! * [`engine`] — the coordinator: event-driven session placement,
 //!   beamspot handover across room boundaries, and batched dirty-shard
@@ -46,9 +46,9 @@ use vlc_geom::{Room, TxGrid};
 /// Which planner a shard runs on replan.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ReplanPolicy {
-    /// The paper's SJR ranking heuristic through the MAC controller and
-    /// its [`vlc_mac::controller::PlanCache`] — a pure function of the
-    /// channel, so handover needs no seed.
+    /// The paper's SJR ranking heuristic through the MAC controller — a
+    /// pure function of the channel, so handover needs no seed and an
+    /// unchanged channel keeps the previous plan.
     Heuristic,
     /// The projected-gradient optimal solver, warm-started from the
     /// shard's previous allocation (and from the carried column on

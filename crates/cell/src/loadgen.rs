@@ -142,7 +142,7 @@ pub struct DriveReport {
     pub sessions: u64,
     /// Shard replans performed.
     pub replans: u64,
-    /// Dirty visits answered by the plan cache.
+    /// Dirty visits whose channel was bitwise unchanged (no replan).
     pub plan_hits: u64,
     /// Cross-room handovers.
     pub handovers: u64,

@@ -1,8 +1,9 @@
-//! One cell shard: a room's channel, plan cache, and MAC state.
+//! One cell shard: a room's channel and MAC state.
 //!
 //! A [`CellShard`] owns everything needed to replan its room in
 //! isolation: the session roster (ids + local poses), the incremental
-//! [`ChannelUpdater`], the [`PlanCache`], the controller, and — under the
+//! [`ChannelUpdater`] (one column per session, edited in place as
+//! sessions arrive and leave), the controller, and — under the
 //! optimal policy — the warm-start seed carried from the previous plan
 //! (and, on handover, from the source cell's allocation). Replans run on
 //! the shard's own *sequential* inner pool: the coordinator parallelises
@@ -10,7 +11,11 @@
 //! the exact `jobs = 1` code path regardless of `DENSEVLC_JOBS`.
 //!
 //! A shard never allocates on a tick that doesn't touch it; all state
-//! below persists across ticks and is reused in place.
+//! below persists across ticks and is reused in place. A replan's cost
+//! follows what changed since the last plan: a departure drops its
+//! channel and allocation columns, an arrival or handover appends one
+//! column that the next update sounds, and an in-room move re-sounds
+//! only the mover's column. An unchanged channel skips the replan.
 
 use crate::ReplanPolicy;
 use vlc_alloc::model::{Allocation, SystemModel};
@@ -18,7 +23,7 @@ use vlc_alloc::OptimalSolver;
 use vlc_channel::incremental::ChannelUpdater;
 use vlc_channel::{ChannelMatrix, NoiseParams, RxOptics};
 use vlc_geom::{Pose, TxGrid};
-use vlc_mac::controller::{Controller, ControllerConfig, PlanCache};
+use vlc_mac::controller::{Controller, ControllerConfig};
 use vlc_par::Pool;
 use vlc_telemetry::Registry;
 use vlc_trace::Span;
@@ -33,7 +38,7 @@ pub type SessionId = u64;
 pub struct ShardTick {
     /// Control tick the replan ran on.
     pub tick: u64,
-    /// `false` when the plan cache answered (channel bitwise unchanged).
+    /// `false` when the previous plan stood (channel bitwise unchanged).
     pub replanned: bool,
     /// Session roster at replan time, in shard order.
     pub sessions: Vec<SessionId>,
@@ -46,7 +51,7 @@ pub struct ShardTick {
 /// building throughput by delta in deterministic (cell-index) order.
 #[derive(Debug, Clone, Copy)]
 pub struct ReplanOutcome {
-    /// `false` when the plan cache answered without recomputing.
+    /// `false` when the previous plan stood (channel bitwise unchanged).
     pub replanned: bool,
     /// Shard throughput before the replan, bit/s.
     pub old_bps: f64,
@@ -64,7 +69,6 @@ pub struct CellShard {
     sessions: Vec<SessionId>,
     poses: Vec<Pose>,
     updater: ChannelUpdater,
-    cache: PlanCache,
     controller: Option<Controller>,
     /// Occupancy the controller was built for (it is shape-bound).
     controller_rx: usize,
@@ -106,7 +110,6 @@ impl CellShard {
             sessions: Vec::new(),
             poses: Vec::new(),
             updater: ChannelUpdater::new(grid, half_power_semi_angle, optics, 0.0),
-            cache: PlanCache::new(),
             controller: None,
             controller_rx: 0,
             model,
@@ -171,17 +174,19 @@ impl CellShard {
         self.sessions.push(id);
         self.poses.push(pose);
         let col = carried.unwrap_or_default();
-        if let Some(w) = self.warm.take() {
-            self.warm = Some(insert_column(&w, &col));
+        if let Some(w) = &mut self.warm {
+            w.push_rx(&col);
         } else if matches!(self.policy, ReplanPolicy::Optimal(_)) && !col.is_empty() {
             // First import into an unplanned cell: the carried column alone
             // is still a better seed than nothing.
             let mut w = Allocation::zeros(self.model.n_tx(), self.sessions.len());
-            copy_column(&mut w, self.sessions.len() - 1, &col);
+            for (tx, &v) in col.iter().enumerate() {
+                w.set_swing(tx, self.sessions.len() - 1, v);
+            }
             self.warm = Some(w);
         }
-        if let Some(a) = self.last_alloc.take() {
-            self.last_alloc = Some(insert_column(&a, &col));
+        if let Some(a) = &mut self.last_alloc {
+            a.push_rx(&col);
         }
     }
 
@@ -195,11 +200,14 @@ impl CellShard {
             .map(|a| (0..a.n_tx()).map(|tx| a.swing(tx, idx)).collect());
         self.sessions.remove(idx);
         self.poses.remove(idx);
-        if let Some(w) = self.warm.take() {
-            self.warm = (!self.sessions.is_empty()).then(|| remove_column(&w, idx));
-        }
-        if let Some(a) = self.last_alloc.take() {
-            self.last_alloc = (!self.sessions.is_empty()).then(|| remove_column(&a, idx));
+        self.updater.remove_rx(idx);
+        if self.sessions.is_empty() {
+            self.warm = None;
+            self.last_alloc = None;
+        } else {
+            for a in self.warm.iter_mut().chain(self.last_alloc.iter_mut()) {
+                a.remove_rx(idx);
+            }
         }
         column
     }
@@ -224,7 +232,6 @@ impl CellShard {
         if self.sessions.is_empty() {
             self.bps.clear();
             self.sum_bps = 0.0;
-            self.cache.invalidate();
             self.controller = None;
             self.warm = None;
             self.last_alloc = None;
@@ -249,21 +256,18 @@ impl CellShard {
         let changed = update.matrix != self.model.channel;
         self.model.channel = update.matrix;
         // An identical channel means the previous plan is still the answer
-        // (planning is a pure function of the channel) — the cache-hit
-        // path of the control plane.
+        // (planning is a pure function of the channel), so the replan is
+        // skipped. A plan cache could only hit on the channel last planned
+        // on, which this check already covers, so the shard keeps none.
         let hit = !changed && self.last_alloc.is_some();
         if !hit {
             let allocation = match &self.policy {
                 ReplanPolicy::Heuristic => {
                     self.ensure_controller();
                     let controller = self.controller.as_ref().expect("just ensured");
-                    let plan = controller.plan_cached_traced(
-                        &self.model.channel,
-                        &mut self.cache,
-                        telemetry,
-                        parent,
-                    );
-                    plan.allocation
+                    controller
+                        .plan_traced(&self.model.channel, telemetry, parent)
+                        .allocation
                 }
                 ReplanPolicy::Optimal(solver) => self.solve_optimal(solver, telemetry, parent),
             };
@@ -321,39 +325,5 @@ impl CellShard {
             ));
             self.controller_rx = n_rx;
         }
-    }
-}
-
-/// `alloc` with one fresh rightmost RX column holding `col` (zeros when
-/// `col` is empty — an arrival with nothing to carry).
-fn insert_column(alloc: &Allocation, col: &[f64]) -> Allocation {
-    let (n_tx, n_rx) = (alloc.n_tx(), alloc.n_rx() + 1);
-    let mut out = Allocation::zeros(n_tx, n_rx);
-    for tx in 0..n_tx {
-        for rx in 0..n_rx - 1 {
-            out.set_swing(tx, rx, alloc.swing(tx, rx));
-        }
-    }
-    copy_column(&mut out, n_rx - 1, col);
-    out
-}
-
-/// `alloc` with RX column `idx` removed (later columns shift left,
-/// mirroring `Vec::remove` on the session roster).
-fn remove_column(alloc: &Allocation, idx: usize) -> Allocation {
-    let (n_tx, n_rx) = (alloc.n_tx(), alloc.n_rx() - 1);
-    let mut out = Allocation::zeros(n_tx, n_rx);
-    for tx in 0..n_tx {
-        for rx in 0..n_rx {
-            let src = if rx < idx { rx } else { rx + 1 };
-            out.set_swing(tx, rx, alloc.swing(tx, src));
-        }
-    }
-    out
-}
-
-fn copy_column(alloc: &mut Allocation, rx: usize, col: &[f64]) {
-    for (tx, &v) in col.iter().enumerate().take(alloc.n_tx()) {
-        alloc.set_swing(tx, rx, v);
     }
 }

@@ -197,3 +197,58 @@ fn unusable_commands_are_ignored_and_counted() {
         Some(3)
     );
 }
+
+/// Channel work follows what changed: on a warmed building, each touched
+/// room still replans, but an in-room move re-sounds one column, a
+/// handover re-sounds only the migrant's new column in the destination,
+/// and a departure re-sounds nothing.
+#[test]
+fn replan_work_follows_what_changed() {
+    let cfg = BuildingConfig::paper(2, 1);
+    let registry = Registry::new();
+    let mut engine = BuildingEngine::new(&cfg, &registry);
+    let pool = Pool::sequential();
+    let arrivals = [(1, 0.5, 0.5), (2, 1.5, 2.2), (3, 2.4, 1.0), (4, 3.8, 1.4)];
+    let arrivals = arrivals.into_iter().chain([(5, 5.1, 2.5), (6, 4.4, 0.4)]);
+    for (session, x, y) in arrivals {
+        engine.apply(&Command::Arrive { session, x, y });
+    }
+    engine.control_tick(&pool, &Span::noop());
+    engine.control_tick(&pool, &Span::noop());
+
+    let counts = || {
+        let snap = registry.snapshot();
+        let get = |name| snap.counter(name).unwrap_or(0);
+        (
+            get("channel.cache.miss"),
+            get("cell.replans"),
+            get("cell.plan.hits"),
+        )
+    };
+    let mut tick = |cmd: Command| {
+        let before = counts();
+        engine.apply(&cmd);
+        engine.control_tick(&pool, &Span::noop());
+        let after = counts();
+        (after.0 - before.0, after.1 - before.1, after.2 - before.2)
+    };
+
+    // (misses, replans, plan hits) added by one tick.
+    let in_room = tick(Command::Move {
+        session: 2,
+        x: 1.0,
+        y: 2.0,
+    });
+    assert_eq!(in_room, (1, 1, 0), "in-room move");
+    // Both rooms replan. The destination must sound the migrant's new
+    // column, so one miss in total leaves none for the source.
+    let handover = tick(Command::Move {
+        session: 3,
+        x: 3.5,
+        y: 1.0,
+    });
+    assert_eq!(handover, (1, 2, 0), "cross-room move");
+    let leave = tick(Command::Leave { session: 5 });
+    assert_eq!(leave, (0, 1, 0), "departure");
+    assert_eq!(engine.locate(3), Some(1));
+}

@@ -10,6 +10,13 @@
 //! only the occlusion mask is re-tested); untouched columns are copied
 //! from the previous tick (a **hit**).
 //!
+//! Columns follow the caller's receiver list. [`ChannelUpdater::remove_rx`]
+//! drops one column in place (later columns shift left, as `Vec::remove`
+//! does on the roster), and receivers appended after the stored ones are
+//! misses while every stored column keeps its hit/partial/miss rule. So a
+//! roster that gains or loses a receiver costs one column, not a rebuild.
+//! Any other change of the receiver count re-primes every column.
+//!
 //! **Determinism contract:** matrix entries are pure per-pair functions
 //! (no accumulation), so a recomputed column is bitwise identical to the
 //! same column of a full [`ChannelMatrix::compute_with_blockage`] rebuild,
@@ -22,7 +29,7 @@
 use crate::blockage::{any_blocks, CylinderBlocker};
 use crate::fov::{COUNTER_FOV_CULLED, COUNTER_FOV_LIVE};
 use crate::lambertian::{lambertian_order, los_gain_profiled, RxOptics};
-use crate::matrix::ChannelMatrix;
+use crate::matrix::{append_rx_columns, remove_rx_column, ChannelMatrix};
 use vlc_geom::{Pose, TxGrid};
 use vlc_par::Pool;
 use vlc_telemetry::Registry;
@@ -139,11 +146,17 @@ impl ChannelUpdater {
         let n_tx = self.grid.len();
         let n_rx = receivers.len();
         let span = parent.child("channel.update");
-        span.attr("n_tx", &n_tx.to_string());
-        span.attr("n_rx", &n_rx.to_string());
+        if span.is_enabled() {
+            span.attr("n_tx", &n_tx.to_string());
+            span.attr("n_rx", &n_rx.to_string());
+        }
 
-        // A changed receiver count invalidates the column layout wholesale.
-        if self.poses.len() != n_rx {
+        // Receivers appended after the stored columns get fresh (miss)
+        // columns; any other count change invalidates the layout wholesale.
+        let stored = self.poses.len();
+        if self.primed && n_rx > stored {
+            self.append_receivers(&receivers[stored..]);
+        } else if n_rx != stored {
             self.primed = false;
         }
         if !self.primed {
@@ -164,6 +177,7 @@ impl ChannelUpdater {
         let classes: Vec<Col> = (0..n_rx)
             .map(|r| {
                 let moved = !self.primed
+                    || r >= stored
                     || self.poses[r].boresight != receivers[r].boresight
                     || self.poses[r].position.distance(receivers[r].position) > self.epsilon_m;
                 if moved {
@@ -274,8 +288,10 @@ impl ChannelUpdater {
             })
             .collect();
 
-        span.attr("hits", &hits.to_string());
-        span.attr("misses", &misses.to_string());
+        if span.is_enabled() {
+            span.attr("hits", &hits.to_string());
+            span.attr("misses", &misses.to_string());
+        }
         telemetry.counter("channel.cache.updates").inc();
         telemetry.counter("channel.cache.hit").add(hits as u64);
         telemetry
@@ -298,6 +314,40 @@ impl ChannelUpdater {
             partials,
             misses,
         }
+    }
+
+    /// Drops receiver column `idx`: its pose, clear gains, occlusion mask
+    /// and live list. Later columns shift left, as `Vec::remove` does on
+    /// the caller's receiver list, and keep their cached state, so the
+    /// next [`Self::update`] on the shortened list recomputes nothing for
+    /// them. An unprimed updater or an `idx` past the stored columns (a
+    /// receiver never sounded) re-primes on the next update instead.
+    pub fn remove_rx(&mut self, idx: usize) {
+        let n_rx = self.poses.len();
+        if !self.primed || idx >= n_rx {
+            self.primed = false;
+            return;
+        }
+        let n_tx = self.grid.len();
+        remove_rx_column(&mut self.clear, n_tx, n_rx, idx);
+        remove_rx_column(&mut self.blocked, n_tx, n_rx, idx);
+        self.poses.remove(idx);
+        self.live.remove(idx);
+    }
+
+    /// Widens the stored columns by one per entry of `appended`. The new
+    /// columns are placeholders that the calling update recomputes as
+    /// misses. Storage grows to the exact new size, never by doubling.
+    fn append_receivers(&mut self, appended: &[Pose]) {
+        let n_tx = self.grid.len();
+        let old = self.poses.len();
+        let n_rx = old + appended.len();
+        append_rx_columns(&mut self.clear, n_tx, old, n_rx, 0.0);
+        append_rx_columns(&mut self.blocked, n_tx, old, n_rx, false);
+        self.poses.reserve_exact(appended.len());
+        self.poses.extend_from_slice(appended);
+        self.live.reserve_exact(appended.len());
+        self.live.resize_with(n_rx, Vec::new);
     }
 
     /// The movement tolerance in meters.
@@ -419,6 +469,38 @@ mod tests {
         let (grid, mut rxs, optics) = setup();
         let mut up = ChannelUpdater::new(&grid, 15f64.to_radians(), &optics, 0.0);
         up.update(&rxs, &[]);
+        rxs.pop();
+        let u = up.update(&rxs, &[]);
+        assert_eq!(u.misses, 3);
+        assert_eq!(u.matrix, full(&grid, &rxs, &[]));
+    }
+
+    #[test]
+    fn removed_and_appended_receivers_recompute_only_new_columns() {
+        let (grid, mut rxs, optics) = setup();
+        let blockers = [CylinderBlocker::person(1.65, 0.65)];
+        let mut up = ChannelUpdater::new(&grid, 15f64.to_radians(), &optics, 0.0);
+        up.update(&rxs, &blockers);
+        up.remove_rx(1);
+        rxs.remove(1);
+        let u = up.update(&rxs, &blockers);
+        assert_eq!((u.hits, u.partials, u.misses), (3, 0, 0));
+        assert_eq!(u.matrix, full(&grid, &rxs, &blockers));
+        rxs.push(Pose::face_up(1.5, 1.5, 0.8));
+        rxs.push(Pose::face_up(2.5, 0.5, 0.8));
+        let u = up.update(&rxs, &blockers);
+        assert_eq!((u.hits, u.partials, u.misses), (3, 0, 2));
+        assert_eq!(u.matrix, full(&grid, &rxs, &blockers));
+        assert_eq!(u.clear, full(&grid, &rxs, &[]));
+    }
+
+    #[test]
+    fn out_of_range_or_unprimed_remove_reprimes() {
+        let (grid, mut rxs, optics) = setup();
+        let mut up = ChannelUpdater::new(&grid, 15f64.to_radians(), &optics, 0.0);
+        up.remove_rx(0);
+        assert_eq!(up.update(&rxs, &[]).misses, 4);
+        up.remove_rx(4);
         rxs.pop();
         let u = up.update(&rxs, &[]);
         assert_eq!(u.misses, 3);

@@ -176,6 +176,48 @@ impl ChannelMatrix {
     }
 }
 
+/// Removes RX column `rx` in place from a row-major `n_tx × n_rx` store
+/// (the layout of [`ChannelMatrix`] and of the allocations planned on it).
+/// Later columns shift left, as `Vec::remove` does; capacity is kept.
+///
+/// # Panics
+/// Panics if `rx >= n_rx` or `store` is shorter than `n_tx · n_rx`.
+pub fn remove_rx_column<T: Copy>(store: &mut Vec<T>, n_tx: usize, n_rx: usize, rx: usize) {
+    assert!(rx < n_rx, "RX column out of range");
+    let new_rx = n_rx - 1;
+    for t in 0..n_tx {
+        let (src, dst) = (t * n_rx, t * new_rx);
+        store.copy_within(src..src + rx, dst);
+        store.copy_within(src + rx + 1..src + n_rx, dst + rx);
+    }
+    store.truncate(n_tx * new_rx);
+}
+
+/// Widens a row-major `n_tx × old_rx` store to `n_tx × new_rx` in place,
+/// filling the appended rightmost columns with `fill`. Storage grows to
+/// the exact new size, never by amortised doubling.
+///
+/// # Panics
+/// Panics if `new_rx < old_rx` or `store` is not `n_tx · old_rx` long.
+pub fn append_rx_columns<T: Copy>(
+    store: &mut Vec<T>,
+    n_tx: usize,
+    old_rx: usize,
+    new_rx: usize,
+    fill: T,
+) {
+    assert!(new_rx >= old_rx, "append cannot shrink the store");
+    assert_eq!(store.len(), n_tx * old_rx, "store has the wrong shape");
+    let len = n_tx * new_rx;
+    store.reserve_exact(len - store.len());
+    store.resize(len, fill);
+    // Last row first: a row only moves right, onto space already vacated.
+    for t in (0..n_tx).rev() {
+        store.copy_within(t * old_rx..(t + 1) * old_rx, t * new_rx);
+        store[t * new_rx + old_rx..(t + 1) * new_rx].fill(fill);
+    }
+}
+
 /// Fills one TX row of `H` through the fused profiled kernel, processing
 /// receivers in fixed [`LANE`]-wide batches with a scalar tail. Each output
 /// element is an independent store — there is no cross-element accumulation

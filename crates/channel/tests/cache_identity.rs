@@ -34,6 +34,12 @@ fn arb_blockers() -> impl Strategy<Value = Vec<CylinderBlocker>> {
     )
 }
 
+/// Shape plus every gain's bit pattern: equality here is bit for bit.
+fn bits(m: &ChannelMatrix) -> (usize, usize, Vec<u64>) {
+    let gains = m.iter().map(|(_, _, g)| g.to_bits()).collect();
+    (m.n_tx(), m.n_rx(), gains)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -112,6 +118,67 @@ proptest! {
                     .filter(|&(t, r)| clear.gain(t, r) > 0.0 && full.gain(t, r) == 0.0)
                     .count();
                 prop_assert_eq!(update.blocked_links, blocked);
+            }
+        }
+    }
+
+    /// Column-stable roster edits keep the identity: after any sequence of
+    /// removals (in range or past the stored columns), appends, moves and
+    /// blocker changes, every update's masked matrix, clear matrix and
+    /// blocked-link count equal a cold rebuild of the same tick, bitwise,
+    /// on pools of 1 and 2 workers.
+    #[test]
+    fn roster_edits_match_full_rebuild(
+        initial in proptest::collection::vec(arb_rx_pose(), 0..5),
+        steps in proptest::collection::vec(
+            proptest::collection::vec((0u8..4, 0usize..6, arb_rx_pose(), arb_blockers()), 1..4),
+            1..6,
+        ),
+    ) {
+        let room = Room::paper_testbed();
+        let grid = TxGrid::paper(&room);
+        let optics = RxOptics::paper();
+        for jobs in [Jobs::serial(), Jobs::of(2)] {
+            let pool = Pool::new(jobs);
+            let mut updater = ChannelUpdater::new(&grid, HPSA, &optics, 0.0);
+            let mut poses = initial.clone();
+            let mut blockers = Vec::new();
+            updater.update_traced(&poses, &blockers, &Registry::noop(), &pool, &Span::noop());
+            for ops in &steps {
+                for (op, idx, pose, new_blockers) in ops {
+                    match op {
+                        // An index past the roster exercises the re-prime
+                        // fallback with the roster left as it is.
+                        0 => {
+                            if *idx < poses.len() {
+                                poses.remove(*idx);
+                            }
+                            updater.remove_rx(*idx);
+                        }
+                        1 => poses.push(*pose),
+                        2 if !poses.is_empty() => {
+                            let i = idx % poses.len();
+                            poses[i] = *pose;
+                        }
+                        _ => blockers = new_blockers.clone(),
+                    }
+                }
+                let update = updater.update_traced(
+                    &poses,
+                    &blockers,
+                    &Registry::noop(),
+                    &pool,
+                    &Span::noop(),
+                );
+                let full = ChannelMatrix::compute_with_blockage(&grid, &poses, HPSA, &optics, &blockers);
+                let clear = ChannelMatrix::compute_with_blockage(&grid, &poses, HPSA, &optics, &[]);
+                prop_assert_eq!(bits(&update.matrix), bits(&full), "masked, jobs={}", jobs);
+                prop_assert_eq!(bits(&update.clear), bits(&clear), "clear, jobs={}", jobs);
+                let blocked = clear
+                    .iter()
+                    .filter(|&(t, r, g)| g > 0.0 && full.gain(t, r) == 0.0)
+                    .count();
+                prop_assert_eq!(update.blocked_links, blocked, "jobs={}", jobs);
             }
         }
     }

@@ -183,7 +183,9 @@ impl Controller {
         assert_eq!(channel.n_tx(), self.n_tx);
         assert_eq!(channel.n_rx(), self.n_rx);
         let plan_trace = parent.child("mac.plan");
-        plan_trace.attr("budget_w", &format!("{}", self.config.budget_w));
+        if plan_trace.is_enabled() {
+            plan_trace.attr("budget_w", &format!("{}", self.config.budget_w));
+        }
         let _plan_span = telemetry.span("mac.plan_s");
         telemetry.counter("mac.rounds_planned").inc();
         let ranking = {
@@ -227,7 +229,9 @@ impl Controller {
                 &[("budget_w", &format!("{}", self.config.budget_w))],
             );
         }
-        plan_trace.attr("beamspots", &beamspots.len().to_string());
+        if plan_trace.is_enabled() {
+            plan_trace.attr("beamspots", &beamspots.len().to_string());
+        }
         BeamspotPlan {
             beamspots,
             allocation,
@@ -254,7 +258,9 @@ impl Controller {
             if cached_channel == channel {
                 telemetry.counter("mac.plan.cache_hits").inc();
                 let span = parent.child("mac.plan.cached");
-                span.attr("beamspots", &plan.beamspots.len().to_string());
+                if span.is_enabled() {
+                    span.attr("beamspots", &plan.beamspots.len().to_string());
+                }
                 return plan.clone();
             }
         }

@@ -11,7 +11,7 @@ use vlc_prof::alloc_counter::{
     allocations_during, counts_during, AllocScope, CountingAlloc, ALLOCS_ATTR, DEALLOCS_ATTR,
 };
 use vlc_prof::Profile;
-use vlc_telemetry::ManualClock;
+use vlc_telemetry::{ManualClock, Registry};
 use vlc_trace::Tracer;
 
 #[global_allocator]
@@ -124,4 +124,21 @@ fn profile_sums_attributed_allocations_per_path() {
         node.allocs
     );
     assert!(node.deallocs >= 3);
+}
+
+#[test]
+fn registry_lookup_of_an_existing_name_allocates_nothing() {
+    let registry = Registry::new();
+    registry.counter("test.counter").inc();
+    registry.gauge("test.gauge").set(1.0);
+    registry.histogram("test.histogram").record(1.0);
+    let n = allocations_during(|| {
+        for _ in 0..8 {
+            registry.counter("test.counter").inc();
+            registry.gauge("test.gauge").set(2.0);
+            registry.histogram("test.histogram").record(2.0);
+            drop(registry.span("test.histogram"));
+        }
+    });
+    assert_eq!(n, 0, "repeated lookups made {n} heap allocations");
 }

@@ -80,41 +80,29 @@ impl Registry {
 
     /// Returns the counter registered under `name`, creating it on first use.
     pub fn counter(&self, name: &str) -> Counter {
-        Counter(self.inner.as_ref().map(|i| {
-            Arc::clone(
-                i.counters
-                    .lock()
-                    .unwrap()
-                    .entry(name.to_string())
-                    .or_default(),
-            )
-        }))
+        Counter(
+            self.inner
+                .as_ref()
+                .map(|i| lookup(&i.counters, name, Arc::default)),
+        )
     }
 
     /// Returns the gauge registered under `name`, creating it on first use.
     pub fn gauge(&self, name: &str) -> Gauge {
         Gauge(self.inner.as_ref().map(|i| {
-            Arc::clone(
-                i.gauges
-                    .lock()
-                    .unwrap()
-                    .entry(name.to_string())
-                    .or_insert_with(|| Arc::new(AtomicU64::new(0.0f64.to_bits()))),
-            )
+            lookup(&i.gauges, name, || {
+                Arc::new(AtomicU64::new(0.0f64.to_bits()))
+            })
         }))
     }
 
     /// Returns the histogram registered under `name`, creating it on first use.
     pub fn histogram(&self, name: &str) -> Histogram {
-        Histogram(self.inner.as_ref().map(|i| {
-            Arc::clone(
-                i.histograms
-                    .lock()
-                    .unwrap()
-                    .entry(name.to_string())
-                    .or_insert_with(|| Arc::new(HistogramCore::new())),
-            )
-        }))
+        Histogram(
+            self.inner
+                .as_ref()
+                .map(|i| lookup(&i.histograms, name, || Arc::new(HistogramCore::new()))),
+        )
     }
 
     /// Starts an RAII span; on drop, its duration (seconds) is recorded
@@ -182,6 +170,21 @@ impl Registry {
             events: ring.events().cloned().collect(),
             events_dropped: ring.dropped(),
         }
+    }
+}
+
+/// The instrument registered under `name`, created by `make` on first
+/// use. The name is copied only on insert, so looking up an existing
+/// instrument allocates nothing.
+fn lookup<T>(
+    map: &Mutex<BTreeMap<String, Arc<T>>>,
+    name: &str,
+    make: impl FnOnce() -> Arc<T>,
+) -> Arc<T> {
+    let mut map = map.lock().expect("metric map poisoned by a panic");
+    match map.get(name) {
+        Some(existing) => Arc::clone(existing),
+        None => Arc::clone(map.entry(name.to_string()).or_insert_with(make)),
     }
 }
 
