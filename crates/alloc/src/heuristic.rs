@@ -75,6 +75,15 @@ pub struct RankedTx {
 /// (TX, RX) assignment. TXs whose channel is zero toward every RX receive an
 /// SJR of zero and sink to the end of the ranking.
 ///
+/// A TX row costs one `powf`, not one per RX: for κ > 0 the SJR is monotone
+/// in the gain, so the row's best RX is found on the raw gains and only the
+/// winner is raised to κ. Entries within a 1e-8 relative band of the best
+/// gain are scored explicitly, which keeps the reference's first-maximum
+/// tie-break bit for bit; κ ≤ 1e-6, non-finite κ and a non-normal winning
+/// power or score fall back to scoring every entry. The row bests are then
+/// ordered by one sort instead of a rescan per rank. The result is bitwise
+/// identical to [`rank_by_sjr_scalar`] (`tests/rank_identity.rs`).
+///
 /// ```
 /// use vlc_alloc::heuristic::{rank_by_sjr, HeuristicConfig};
 /// use vlc_channel::ChannelMatrix;
@@ -99,10 +108,9 @@ pub fn rank_by_sjr(channel: &ChannelMatrix, config: &HeuristicConfig) -> Vec<Ran
     // selects a row's best entry, and the reference scan keeps the
     // lexicographically-first entry attaining each maximum (strictly-greater
     // comparisons in ascending order), so precomputing (lowest-RX row best,
-    // score) and scanning those in ascending TX order selects the exact
-    // same sequence — collapsing the O(n_tx²·n_rx) rescan to O(n_tx²).
-    // `tests/sparse_solver_identity.rs` property-tests the equivalence with
-    // [`rank_by_sjr_scalar`].
+    // score) and ordering those by score, then TX, selects the exact same
+    // sequence. `tests/rank_identity.rs` property-tests the equivalence
+    // with [`rank_by_sjr_scalar`].
     let mut best_rx = vec![0usize; n_tx];
     let mut best_sjr = vec![0.0f64; n_tx];
     for i in 0..n_tx {
@@ -112,47 +120,116 @@ pub fn rank_by_sjr(channel: &ChannelMatrix, config: &HeuristicConfig) -> Vec<Ran
             // All-zero SJR row: the reference selects its RX 0 entry.
             continue;
         }
-        let kappa = config.kappa_for(i);
-        let mut bj = 0usize;
-        let mut bs = row[0].powf(kappa) / denom;
-        for (j, &g) in row.iter().enumerate().skip(1) {
-            let s = g.powf(kappa) / denom;
-            if s > bs {
-                bj = j;
-                bs = s;
-            }
-        }
-        best_rx[i] = bj;
-        best_sjr[i] = bs;
+        (best_rx[i], best_sjr[i]) = row_best(row, config.kappa_for(i), denom);
     }
 
-    // Greedy extraction over the row bests: take the global maximum,
-    // record it, remove the TX, repeat until every TX is ranked.
-    let mut ranked = Vec::with_capacity(n_tx);
-    let mut tx_taken = vec![false; n_tx];
-    for _ in 0..n_tx {
-        let mut best: Option<(usize, f64)> = None;
-        for (i, &s) in best_sjr.iter().enumerate() {
-            if tx_taken[i] {
-                continue;
+    let mut order: Vec<usize> = (0..n_tx).collect();
+    if best_sjr.iter().any(|s| s.is_nan()) {
+        // A NaN score never compares greater, so the reference's greedy
+        // rounds are not a sort: replay them, taking the first untaken TX
+        // unless a later one scores strictly higher.
+        let mut tx_taken = vec![false; n_tx];
+        for slot in order.iter_mut() {
+            let mut best: Option<(usize, f64)> = None;
+            for (i, &s) in best_sjr.iter().enumerate() {
+                if tx_taken[i] {
+                    continue;
+                }
+                if best.is_none_or(|(_, b)| s > b) {
+                    best = Some((i, s));
+                }
             }
-            let better = match best {
-                None => true,
-                Some((_, b)) => s > b,
-            };
-            if better {
-                best = Some((i, s));
-            }
+            let (i, _) = best.expect("at least one unranked TX remains");
+            tx_taken[i] = true;
+            *slot = i;
         }
-        let (i, s) = best.expect("at least one unranked TX remains");
-        tx_taken[i] = true;
-        ranked.push(RankedTx {
-            tx: i,
-            rx: best_rx[i],
-            sjr: s,
+    } else {
+        // Without NaNs each greedy round takes the highest score, lowest
+        // TX first: a sort on (score descending, TX ascending).
+        order.sort_unstable_by(|&a, &b| {
+            best_sjr[b]
+                .partial_cmp(&best_sjr[a])
+                .expect("scores are not NaN")
+                .then(a.cmp(&b))
         });
     }
-    ranked
+    order
+        .into_iter()
+        .map(|i| RankedTx {
+            tx: i,
+            rx: best_rx[i],
+            sjr: best_sjr[i],
+        })
+        .collect()
+}
+
+/// Relative half-width of the band below a row's largest gain inside which
+/// [`row_best`] re-scores entries with `powf` instead of trusting the raw
+/// gain order.
+const TIE_BAND: f64 = 1e-8;
+
+/// Smallest κ for which [`row_best`] takes its one-`powf` path. Below it
+/// the band's score gap `κ · TIE_BAND` nears the rounding error, so the
+/// row is scored in full.
+const MIN_FAST_KAPPA: f64 = 1e-6;
+
+/// The first RX attaining the row's largest `g^κ / denom`, with that score
+/// — exactly what the reference's strictly-greater ascending scan keeps.
+///
+/// For κ > 0 the map `g ↦ g^κ / denom` is monotone, so the winner is found
+/// on the raw gains and only it is raised to κ. Rounding can still tie (or,
+/// for a merely faithfully rounded `powf`, reorder) gains that are nearly
+/// equal, so every entry within [`TIE_BAND`] of the largest gain is scored
+/// explicitly and compared the way the reference compares. An entry below
+/// the band cannot reach the winner's score: its exact power lies a
+/// relative `κ · TIE_BAND ≥ 1e-14` (≈ 45 ulps) below the winner's, `powf`
+/// is faithfully rounded (under 1 ulp each), and a correctly rounded
+/// division by the shared `denom` preserves a strict gap of more than a few
+/// ulps as long as the winner's power and score are normal floats (below
+/// `f64::MIN_POSITIVE` an ulp is no longer relative). Rows outside those
+/// premises — κ tiny, non-positive or non-finite, or a winning power or
+/// score that is zero, subnormal, infinite or NaN (e.g. `denom`
+/// overflowing) — take the reference loop, one `powf` per entry.
+fn row_best(row: &[f64], kappa: f64, denom: f64) -> (usize, f64) {
+    if kappa.is_finite() && kappa > MIN_FAST_KAPPA {
+        let mut top = 0usize;
+        for (j, &g) in row.iter().enumerate().skip(1) {
+            if g > row[top] {
+                top = j;
+            }
+        }
+        let top_pow = row[top].powf(kappa);
+        let top_sjr = top_pow / denom;
+        if top_pow.is_normal() && top_sjr.is_normal() {
+            let band = row[top] * (1.0 - TIE_BAND);
+            let (mut bj, mut bs) = (top, f64::NEG_INFINITY);
+            for (j, &g) in row.iter().enumerate() {
+                if g < band {
+                    continue;
+                }
+                let s = if j == top {
+                    top_sjr
+                } else {
+                    g.powf(kappa) / denom
+                };
+                if s > bs {
+                    bj = j;
+                    bs = s;
+                }
+            }
+            return (bj, bs);
+        }
+    }
+    let mut bj = 0usize;
+    let mut bs = row[0].powf(kappa) / denom;
+    for (j, &g) in row.iter().enumerate().skip(1) {
+        let s = g.powf(kappa) / denom;
+        if s > bs {
+            bj = j;
+            bs = s;
+        }
+    }
+    (bj, bs)
 }
 
 /// The historical reference implementation of [`rank_by_sjr`]: materialize

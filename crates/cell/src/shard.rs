@@ -15,7 +15,9 @@
 //! follows what changed since the last plan: a departure drops its
 //! channel and allocation columns, an arrival or handover appends one
 //! column that the next update sounds, and an in-room move re-sounds
-//! only the mover's column. An unchanged channel skips the replan.
+//! only the mover's column. The updater writes those columns straight
+//! into the model's channel; a tick whose channel comes out unchanged,
+//! with no session arriving or leaving, skips the replan.
 
 use crate::ReplanPolicy;
 use vlc_alloc::model::{Allocation, SystemModel};
@@ -200,7 +202,7 @@ impl CellShard {
             .map(|a| (0..a.n_tx()).map(|tx| a.swing(tx, idx)).collect());
         self.sessions.remove(idx);
         self.poses.remove(idx);
-        self.updater.remove_rx(idx);
+        self.updater.remove_rx(idx, &mut self.model.channel);
         if self.sessions.is_empty() {
             self.warm = None;
             self.last_alloc = None;
@@ -250,16 +252,21 @@ impl CellShard {
             };
         }
 
-        let update = self
-            .updater
-            .update_traced(&self.poses, &[], telemetry, &self.inner, parent);
-        let changed = update.matrix != self.model.channel;
-        self.model.channel = update.matrix;
-        // An identical channel means the previous plan is still the answer
-        // (planning is a pure function of the channel), so the replan is
-        // skipped. A plan cache could only hit on the channel last planned
+        let update = self.updater.update_traced(
+            &self.poses,
+            &[],
+            &mut self.model.channel,
+            telemetry,
+            &self.inner,
+            parent,
+        );
+        // An unchanged channel over an unchanged roster means the previous
+        // plan is still the answer (planning is a pure function of the
+        // channel), so the replan is skipped. A roster edit always replans:
+        // its allocation columns were edited in place and no longer match
+        // a plan. A plan cache could only hit on the channel last planned
         // on, which this check already covers, so the shard keeps none.
-        let hit = !changed && self.last_alloc.is_some();
+        let hit = !update.changed && self.last_alloc.is_some();
         if !hit {
             let allocation = match &self.policy {
                 ReplanPolicy::Heuristic => {

@@ -8,7 +8,7 @@
 //! allocate.
 
 use vlc_cell::{
-    drive, BuildingConfig, BuildingEngine, BuildingObs, BuildingObsConfig, LoadGenConfig,
+    drive, BuildingConfig, BuildingEngine, BuildingObs, BuildingObsConfig, Command, LoadGenConfig,
     TickReport,
 };
 use vlc_obs::NoopSink;
@@ -64,4 +64,49 @@ fn steady_state_ticks_are_allocation_free() {
         }
     });
     assert_eq!(n, 0, "steady-state control tick made {n} heap allocations");
+}
+
+/// A ratchet on the dirty tick, the next target after the steady one: the
+/// heap allocations of one in-room move tick and one handover tick in a
+/// warmed 2×1 building with 12 sessions in cell 0. The ceilings are this
+/// code's counts; lower them as per-update scratch moves into the shards.
+#[test]
+fn dirty_ticks_stay_under_their_allocation_ceilings() {
+    let cfg = BuildingConfig::paper(2, 1);
+    let mut engine = BuildingEngine::new(&cfg, &Registry::noop());
+    let pool = Pool::sequential();
+    let span = Span::noop();
+    for session in 0..12u64 {
+        engine.apply(&Command::Arrive {
+            session,
+            x: 0.3 + 0.2 * session as f64,
+            y: 0.5 + 0.15 * session as f64,
+        });
+    }
+    engine.control_tick(&pool, &span);
+    engine.control_tick(&pool, &span);
+
+    let mut tick_with = |cmd: Command| {
+        allocations_during(|| {
+            engine.apply(&cmd);
+            let report = engine.control_tick(&pool, &span);
+            assert_eq!(report.replans, 1 + report.handovers);
+        })
+    };
+    let in_room = tick_with(Command::Move {
+        session: 3,
+        x: 1.9,
+        y: 1.1,
+    });
+    let handover = tick_with(Command::Move {
+        session: 5,
+        x: 4.2,
+        y: 1.4,
+    });
+    eprintln!("dirty tick allocations: in-room move {in_room}, handover {handover}");
+    assert!(
+        in_room <= 25,
+        "in-room move tick made {in_room} allocations"
+    );
+    assert!(handover <= 53, "handover tick made {handover} allocations");
 }

@@ -7,20 +7,29 @@
 //! and blocker set of the previous update and recomputes only the matrix
 //! *columns* whose receiver moved beyond `epsilon_m` (a **miss**) or whose
 //! blockage geometry changed (a **partial** — the LOS gains are reused and
-//! only the occlusion mask is re-tested); untouched columns are copied
-//! from the previous tick (a **hit**).
+//! only the occlusion mask is re-tested); untouched columns are left as
+//! they are (a **hit**).
+//!
+//! The caller owns the masked matrix it plans on and passes it to every
+//! update; the updater writes the recomputed and re-masked columns into it
+//! in place and reports whether any entry changed. The clear
+//! (blockage-free) gains live in the updater
+//! ([`ChannelUpdater::clear_channel`]). No update builds, clones or
+//! compares a whole matrix.
 //!
 //! Columns follow the caller's receiver list. [`ChannelUpdater::remove_rx`]
-//! drops one column in place (later columns shift left, as `Vec::remove`
-//! does on the roster), and receivers appended after the stored ones are
-//! misses while every stored column keeps its hit/partial/miss rule. So a
-//! roster that gains or loses a receiver costs one column, not a rebuild.
-//! Any other change of the receiver count re-primes every column.
+//! drops one column in place from both the updater and the caller's matrix
+//! (later columns shift left, as `Vec::remove` does on the roster), and
+//! receivers appended after the stored ones are misses while every stored
+//! column keeps its hit/partial/miss rule. So a roster that gains or loses
+//! a receiver costs one column, not a rebuild. Any other change of the
+//! receiver count, or a caller matrix whose shape does not match the
+//! stored columns, re-primes every column.
 //!
 //! **Determinism contract:** matrix entries are pure per-pair functions
 //! (no accumulation), so a recomputed column is bitwise identical to the
 //! same column of a full [`ChannelMatrix::compute_with_blockage`] rebuild,
-//! and a reused column is a verbatim copy of a previously recomputed one.
+//! and a reused column is a previously recomputed one left in place.
 //! With `epsilon_m == 0.0` the updater therefore produces **bitwise
 //! identical** matrices to a cold rebuild on every tick, for any worker
 //! count (property-tested in `tests/cache_identity.rs`). A positive
@@ -30,18 +39,20 @@ use crate::blockage::{any_blocks, CylinderBlocker};
 use crate::fov::{COUNTER_FOV_CULLED, COUNTER_FOV_LIVE};
 use crate::lambertian::{lambertian_order, los_gain_profiled, RxOptics};
 use crate::matrix::{append_rx_columns, remove_rx_column, ChannelMatrix};
+use std::mem;
 use vlc_geom::{Pose, TxGrid};
 use vlc_par::Pool;
 use vlc_telemetry::Registry;
 use vlc_trace::Span;
 
-/// What one [`ChannelUpdater::update`] call produced.
-#[derive(Debug, Clone, PartialEq)]
+/// What one [`ChannelUpdater::update`] call did to the caller's matrix.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChannelUpdate {
-    /// The channel with blockage applied — what the controller plans on.
-    pub matrix: ChannelMatrix,
-    /// The clear (blockage-free) channel of the *same* tick.
-    pub clear: ChannelMatrix,
+    /// Whether the masked matrix may differ from what the caller held
+    /// before: a column was removed or appended since the last update, the
+    /// layout re-primed, or a written entry changed (f64 `!=`). `false`
+    /// means the matrix, and every column index in it, is as it was.
+    pub changed: bool,
     /// Links with positive clear gain currently occluded — computed
     /// against the same-tick clear gains, so a receiver that moved under
     /// a blocker between replans is counted once, not double-counted
@@ -55,11 +66,20 @@ pub struct ChannelUpdate {
     pub misses: usize,
 }
 
+/// How much of a column one update must redo, in increasing order of work.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Col {
+    Hit,
+    Partial,
+    Miss,
+}
+
 /// Per-column state for the incremental channel engine.
 ///
 /// One updater tracks one deployment's TX grid and optics; feed it the
 /// receiver poses and blockers of each tick via [`ChannelUpdater::update`]
-/// and it returns the full matrices while recomputing only what changed.
+/// and it brings the caller's masked matrix up to date while recomputing
+/// only what changed.
 #[derive(Debug, Clone)]
 pub struct ChannelUpdater {
     grid: TxGrid,
@@ -69,16 +89,22 @@ pub struct ChannelUpdater {
     /// Pose each column was last *computed* for (within ε of the true one).
     poses: Vec<Pose>,
     blockers: Vec<CylinderBlocker>,
-    /// Clear LOS gains, row-major `n_tx × n_rx` (same layout as the matrix).
-    clear: Vec<f64>,
-    /// Occlusion mask, row-major `n_tx × n_rx`.
+    /// Clear LOS gains.
+    clear: ChannelMatrix,
+    /// Occlusion mask, row-major `n_tx × n_rx` (the matrix layout).
     blocked: Vec<bool>,
+    /// Per-column count of occluded live links.
+    col_blocked: Vec<usize>,
     /// Per-column ascending live-TX lists: the indices with nonzero clear
     /// gain, rebuilt whenever a column is recomputed. The partial path
     /// re-tests occlusion only for these links — a dead link masks to the
     /// same exact zero whether or not a blocker crosses it.
     live: Vec<Vec<u32>>,
+    /// Per-column classification scratch, reused across updates.
+    classes: Vec<Col>,
     primed: bool,
+    /// A column was removed since the last update.
+    removed: bool,
 }
 
 impl ChannelUpdater {
@@ -110,19 +136,29 @@ impl ChannelUpdater {
             epsilon_m,
             poses: Vec::new(),
             blockers: Vec::new(),
-            clear: Vec::new(),
+            clear: ChannelMatrix::from_gains(grid.len(), 0, Vec::new()),
             blocked: Vec::new(),
+            col_blocked: Vec::new(),
             live: Vec::new(),
+            classes: Vec::new(),
             primed: false,
+            removed: false,
         }
     }
 
-    /// Advances the world one tick and returns the updated matrices,
-    /// fanning dirty columns out over `DENSEVLC_JOBS` workers.
-    pub fn update(&mut self, receivers: &[Pose], blockers: &[CylinderBlocker]) -> ChannelUpdate {
+    /// Advances the world one tick, writing the masked channel into
+    /// `channel` (the caller's copy, kept across updates) and fanning dirty
+    /// columns out over `DENSEVLC_JOBS` workers.
+    pub fn update(
+        &mut self,
+        receivers: &[Pose],
+        blockers: &[CylinderBlocker],
+        channel: &mut ChannelMatrix,
+    ) -> ChannelUpdate {
         self.update_traced(
             receivers,
             blockers,
+            channel,
             &Registry::noop(),
             &Pool::from_env(),
             &Span::noop(),
@@ -139,6 +175,7 @@ impl ChannelUpdater {
         &mut self,
         receivers: &[Pose],
         blockers: &[CylinderBlocker],
+        channel: &mut ChannelMatrix,
         telemetry: &Registry,
         pool: &Pool,
         parent: &Span,
@@ -152,43 +189,45 @@ impl ChannelUpdater {
         }
 
         // Receivers appended after the stored columns get fresh (miss)
-        // columns; any other count change invalidates the layout wholesale.
+        // columns; any other count change, or a caller matrix that does not
+        // hold the stored columns, invalidates the layout wholesale.
         let stored = self.poses.len();
+        if channel.n_tx() != n_tx || channel.n_rx() != stored {
+            self.primed = false;
+        }
+        let mut changed = self.removed || !self.primed;
         if self.primed && n_rx > stored {
             self.append_receivers(&receivers[stored..]);
+            channel.append_rx(n_rx);
+            changed = true;
         } else if n_rx != stored {
             self.primed = false;
         }
         if !self.primed {
             self.poses = receivers.to_vec();
-            self.clear = vec![0.0; n_tx * n_rx];
+            self.clear.reset_zeroed(n_tx, n_rx);
             self.blocked = vec![false; n_tx * n_rx];
+            self.col_blocked = vec![0; n_rx];
             self.live = vec![Vec::new(); n_rx];
+            channel.reset_zeroed(n_tx, n_rx);
         }
         let blockers_changed = !self.primed || self.blockers != blockers;
 
-        /// Column classification, in increasing order of work.
-        #[derive(Clone, Copy, PartialEq)]
-        enum Col {
-            Hit,
-            Partial,
-            Miss,
-        }
-        let classes: Vec<Col> = (0..n_rx)
-            .map(|r| {
-                let moved = !self.primed
-                    || r >= stored
-                    || self.poses[r].boresight != receivers[r].boresight
-                    || self.poses[r].position.distance(receivers[r].position) > self.epsilon_m;
-                if moved {
-                    Col::Miss
-                } else if blockers_changed {
-                    Col::Partial
-                } else {
-                    Col::Hit
-                }
-            })
-            .collect();
+        let mut classes = mem::take(&mut self.classes);
+        classes.clear();
+        classes.extend((0..n_rx).map(|r| {
+            let moved = !self.primed
+                || r >= stored
+                || self.poses[r].boresight != receivers[r].boresight
+                || self.poses[r].position.distance(receivers[r].position) > self.epsilon_m;
+            if moved {
+                Col::Miss
+            } else if blockers_changed {
+                Col::Partial
+            } else {
+                Col::Hit
+            }
+        }));
 
         // Recompute the dirty columns in parallel; each work item returns
         // the new LOS column (misses only) and occlusion column.
@@ -239,10 +278,20 @@ impl ChannelUpdater {
             }
         });
 
-        // Scatter the recomputed columns into the row-major store.
+        // Scatter the recomputed columns into the row-major stores and
+        // re-mask each into the caller's matrix, noting any entry that
+        // changes. A partial column only re-masks its live links: a dead
+        // link is an exact zero either way.
         let mut hits = 0usize;
         let mut partials = 0usize;
         let mut misses = 0usize;
+        let clear = self.clear.gains_mut();
+        let masked = channel.gains_mut();
+        let mut write = |i: usize, gain: f64, blocked: bool| {
+            let g = if blocked { 0.0 } else { gain };
+            changed |= masked[i] != g;
+            masked[i] = g;
+        };
         for (r, col) in cols.into_iter().enumerate() {
             match (classes[r], col) {
                 (Col::Hit, None) => hits += 1,
@@ -251,42 +300,40 @@ impl ChannelUpdater {
                     for (t, &blocked) in mask.iter().enumerate() {
                         self.blocked[t * n_rx + r] = blocked;
                     }
+                    for &t in &self.live[r] {
+                        let i = t as usize * n_rx + r;
+                        write(i, clear[i], self.blocked[i]);
+                    }
+                    self.col_blocked[r] = mask.iter().filter(|&&b| b).count();
                 }
                 (Col::Miss, Some((Some(gains), mask))) => {
                     misses += 1;
                     self.poses[r] = receivers[r];
-                    let mut col_live = Vec::new();
+                    let col_live = &mut self.live[r];
+                    col_live.clear();
+                    col_live.reserve_exact(gains.iter().filter(|&&g| g != 0.0).count());
                     for (t, (&gain, &blocked)) in gains.iter().zip(mask.iter()).enumerate() {
-                        self.clear[t * n_rx + r] = gain;
-                        self.blocked[t * n_rx + r] = blocked;
+                        let i = t * n_rx + r;
+                        clear[i] = gain;
+                        self.blocked[i] = blocked;
+                        write(i, gain, blocked);
                         if gain != 0.0 {
                             col_live.push(t as u32);
                         }
                     }
-                    self.live[r] = col_live;
+                    self.col_blocked[r] = mask.iter().filter(|&&b| b).count();
                 }
                 _ => unreachable!("column result matches its class"),
             }
         }
-        self.blockers = blockers.to_vec();
+        self.classes = classes;
+        if blockers_changed {
+            self.blockers.clear();
+            self.blockers.extend_from_slice(blockers);
+        }
         self.primed = true;
-
-        let mut blocked_links = 0usize;
-        let gains: Vec<f64> = self
-            .clear
-            .iter()
-            .zip(self.blocked.iter())
-            .map(|(&g, &b)| {
-                if b {
-                    if g > 0.0 {
-                        blocked_links += 1;
-                    }
-                    0.0
-                } else {
-                    g
-                }
-            })
-            .collect();
+        self.removed = false;
+        let blocked_links = self.col_blocked.iter().sum();
 
         if span.is_enabled() {
             span.attr("hits", &hits.to_string());
@@ -307,8 +354,7 @@ impl ChannelUpdater {
             .add((n_tx * n_rx - live_links) as u64);
 
         ChannelUpdate {
-            matrix: ChannelMatrix::from_gains(n_tx, n_rx, gains),
-            clear: ChannelMatrix::from_gains(n_tx, n_rx, self.clear.clone()),
+            changed,
             blocked_links,
             hits,
             partials,
@@ -317,22 +363,35 @@ impl ChannelUpdater {
     }
 
     /// Drops receiver column `idx`: its pose, clear gains, occlusion mask
-    /// and live list. Later columns shift left, as `Vec::remove` does on
-    /// the caller's receiver list, and keep their cached state, so the
-    /// next [`Self::update`] on the shortened list recomputes nothing for
-    /// them. An unprimed updater or an `idx` past the stored columns (a
-    /// receiver never sounded) re-primes on the next update instead.
-    pub fn remove_rx(&mut self, idx: usize) {
+    /// and live list, and the same column of the caller's masked
+    /// `channel`, whose storage shrinks to the exact new size. Later
+    /// columns shift left, as `Vec::remove` does on the caller's receiver
+    /// list, and keep their cached state, so the next [`Self::update`] on
+    /// the shortened list recomputes nothing for them (and reports
+    /// `changed`). An unprimed updater, an `idx` past the stored columns (a
+    /// receiver never sounded) or a `channel` that does not hold the stored
+    /// columns re-primes on the next update instead.
+    pub fn remove_rx(&mut self, idx: usize, channel: &mut ChannelMatrix) {
+        let n_tx = self.grid.len();
         let n_rx = self.poses.len();
-        if !self.primed || idx >= n_rx {
+        if !self.primed || idx >= n_rx || channel.n_tx() != n_tx || channel.n_rx() != n_rx {
             self.primed = false;
             return;
         }
-        let n_tx = self.grid.len();
-        remove_rx_column(&mut self.clear, n_tx, n_rx, idx);
+        self.clear.remove_rx(idx);
         remove_rx_column(&mut self.blocked, n_tx, n_rx, idx);
+        self.col_blocked.remove(idx);
         self.poses.remove(idx);
         self.live.remove(idx);
+        channel.remove_rx(idx);
+        channel.shrink_to_fit();
+        self.removed = true;
+    }
+
+    /// The clear (blockage-free) channel as of the last update: same
+    /// receivers and tick as the caller's masked matrix.
+    pub fn clear_channel(&self) -> &ChannelMatrix {
+        &self.clear
     }
 
     /// Widens the stored columns by one per entry of `appended`. The new
@@ -342,8 +401,10 @@ impl ChannelUpdater {
         let n_tx = self.grid.len();
         let old = self.poses.len();
         let n_rx = old + appended.len();
-        append_rx_columns(&mut self.clear, n_tx, old, n_rx, 0.0);
+        self.clear.append_rx(n_rx);
         append_rx_columns(&mut self.blocked, n_tx, old, n_rx, false);
+        self.col_blocked.reserve_exact(appended.len());
+        self.col_blocked.resize(n_rx, 0);
         self.poses.reserve_exact(appended.len());
         self.poses.extend_from_slice(appended);
         self.live.reserve_exact(appended.len());
@@ -373,6 +434,11 @@ mod tests {
         (grid, rxs, RxOptics::paper())
     }
 
+    /// An empty caller matrix: the first update re-primes it.
+    fn empty(grid: &TxGrid) -> ChannelMatrix {
+        ChannelMatrix::from_gains(grid.len(), 0, Vec::new())
+    }
+
     fn full(grid: &TxGrid, rxs: &[Pose], blockers: &[CylinderBlocker]) -> ChannelMatrix {
         ChannelMatrix::compute_with_blockage(
             grid,
@@ -387,10 +453,12 @@ mod tests {
     fn first_update_is_all_misses_and_matches_full_build() {
         let (grid, rxs, optics) = setup();
         let mut up = ChannelUpdater::new(&grid, 15f64.to_radians(), &optics, 0.0);
-        let u = up.update(&rxs, &[]);
+        let mut h = empty(&grid);
+        let u = up.update(&rxs, &[], &mut h);
         assert_eq!((u.hits, u.partials, u.misses), (0, 0, 4));
-        assert_eq!(u.matrix, full(&grid, &rxs, &[]));
-        assert_eq!(u.clear, u.matrix);
+        assert!(u.changed);
+        assert_eq!(h, full(&grid, &rxs, &[]));
+        assert_eq!(up.clear_channel(), &h);
         assert_eq!(u.blocked_links, 0);
     }
 
@@ -398,35 +466,42 @@ mod tests {
     fn static_world_is_all_hits_and_identical() {
         let (grid, rxs, optics) = setup();
         let mut up = ChannelUpdater::new(&grid, 15f64.to_radians(), &optics, 0.0);
-        let first = up.update(&rxs, &[]);
-        let second = up.update(&rxs, &[]);
+        let mut h = empty(&grid);
+        up.update(&rxs, &[], &mut h);
+        let first = h.clone();
+        let second = up.update(&rxs, &[], &mut h);
         assert_eq!((second.hits, second.partials, second.misses), (4, 0, 0));
-        assert_eq!(second.matrix, first.matrix);
+        assert!(!second.changed);
+        assert_eq!(h, first);
     }
 
     #[test]
     fn moving_one_receiver_recomputes_one_column() {
         let (grid, mut rxs, optics) = setup();
         let mut up = ChannelUpdater::new(&grid, 15f64.to_radians(), &optics, 0.0);
-        up.update(&rxs, &[]);
+        let mut h = empty(&grid);
+        up.update(&rxs, &[], &mut h);
         rxs[2] = Pose::face_up(1.0, 1.5, 0.8);
-        let u = up.update(&rxs, &[]);
+        let u = up.update(&rxs, &[], &mut h);
         assert_eq!((u.hits, u.partials, u.misses), (3, 0, 1));
-        assert_eq!(u.matrix, full(&grid, &rxs, &[]));
+        assert!(u.changed);
+        assert_eq!(h, full(&grid, &rxs, &[]));
     }
 
     #[test]
     fn blocker_change_retests_masks_without_recomputing_gains() {
         let (grid, rxs, optics) = setup();
         let mut up = ChannelUpdater::new(&grid, 15f64.to_radians(), &optics, 0.0);
-        up.update(&rxs, &[]);
+        let mut h = empty(&grid);
+        up.update(&rxs, &[], &mut h);
         let blockers = [CylinderBlocker::person(0.92, 0.92)];
-        let u = up.update(&rxs, &blockers);
+        let u = up.update(&rxs, &blockers, &mut h);
         assert_eq!((u.hits, u.partials, u.misses), (0, 4, 0));
-        assert_eq!(u.matrix, full(&grid, &rxs, &blockers));
+        assert!(u.changed);
+        assert_eq!(h, full(&grid, &rxs, &blockers));
         assert!(u.blocked_links > 0);
         // The clear channel of the same tick is blockage-free.
-        assert_eq!(u.clear, full(&grid, &rxs, &[]));
+        assert_eq!(up.clear_channel(), &full(&grid, &rxs, &[]));
     }
 
     #[test]
@@ -435,10 +510,11 @@ mod tests {
         // counted against its new clear gains, not a stale stored channel.
         let (grid, mut rxs, optics) = setup();
         let mut up = ChannelUpdater::new(&grid, 15f64.to_radians(), &optics, 0.0);
-        up.update(&rxs, &[]);
+        let mut h = empty(&grid);
+        up.update(&rxs, &[], &mut h);
         rxs[0] = Pose::face_up(1.2, 1.2, 0.8);
         let blockers = [CylinderBlocker::person(1.2, 1.2)];
-        let u = up.update(&rxs, &blockers);
+        let u = up.update(&rxs, &blockers, &mut h);
         let clear = full(&grid, &rxs, &[]);
         let masked = full(&grid, &rxs, &blockers);
         let expected = clear
@@ -453,26 +529,30 @@ mod tests {
     fn epsilon_tolerates_sub_threshold_motion() {
         let (grid, mut rxs, optics) = setup();
         let mut up = ChannelUpdater::new(&grid, 15f64.to_radians(), &optics, 0.05);
-        let first = up.update(&rxs, &[]);
+        let mut h = empty(&grid);
+        up.update(&rxs, &[], &mut h);
+        let first = h.clone();
         rxs[1].position.x += 0.01; // 1 cm — under the 5 cm threshold
-        let u = up.update(&rxs, &[]);
+        let u = up.update(&rxs, &[], &mut h);
         assert_eq!((u.hits, u.partials, u.misses), (4, 0, 0));
-        assert_eq!(u.matrix, first.matrix, "cached column retained under ε");
+        assert_eq!(h, first, "cached column retained under ε");
         rxs[1].position.x += 0.2; // now well past it
-        let u = up.update(&rxs, &[]);
+        let u = up.update(&rxs, &[], &mut h);
         assert_eq!(u.misses, 1);
-        assert_eq!(u.matrix, full(&grid, &rxs, &[]));
+        assert_eq!(h, full(&grid, &rxs, &[]));
     }
 
     #[test]
     fn receiver_count_change_reprimes() {
         let (grid, mut rxs, optics) = setup();
         let mut up = ChannelUpdater::new(&grid, 15f64.to_radians(), &optics, 0.0);
-        up.update(&rxs, &[]);
+        let mut h = empty(&grid);
+        up.update(&rxs, &[], &mut h);
         rxs.pop();
-        let u = up.update(&rxs, &[]);
+        let u = up.update(&rxs, &[], &mut h);
         assert_eq!(u.misses, 3);
-        assert_eq!(u.matrix, full(&grid, &rxs, &[]));
+        assert!(u.changed);
+        assert_eq!(h, full(&grid, &rxs, &[]));
     }
 
     #[test]
@@ -480,31 +560,69 @@ mod tests {
         let (grid, mut rxs, optics) = setup();
         let blockers = [CylinderBlocker::person(1.65, 0.65)];
         let mut up = ChannelUpdater::new(&grid, 15f64.to_radians(), &optics, 0.0);
-        up.update(&rxs, &blockers);
-        up.remove_rx(1);
+        let mut h = empty(&grid);
+        up.update(&rxs, &blockers, &mut h);
+        up.remove_rx(1, &mut h);
         rxs.remove(1);
-        let u = up.update(&rxs, &blockers);
+        let u = up.update(&rxs, &blockers, &mut h);
         assert_eq!((u.hits, u.partials, u.misses), (3, 0, 0));
-        assert_eq!(u.matrix, full(&grid, &rxs, &blockers));
+        assert!(u.changed, "a removed column always reports a change");
+        assert_eq!(h, full(&grid, &rxs, &blockers));
         rxs.push(Pose::face_up(1.5, 1.5, 0.8));
         rxs.push(Pose::face_up(2.5, 0.5, 0.8));
-        let u = up.update(&rxs, &blockers);
+        let u = up.update(&rxs, &blockers, &mut h);
         assert_eq!((u.hits, u.partials, u.misses), (3, 0, 2));
-        assert_eq!(u.matrix, full(&grid, &rxs, &blockers));
-        assert_eq!(u.clear, full(&grid, &rxs, &[]));
+        assert!(u.changed);
+        assert_eq!(h, full(&grid, &rxs, &blockers));
+        assert_eq!(up.clear_channel(), &full(&grid, &rxs, &[]));
     }
 
     #[test]
     fn out_of_range_or_unprimed_remove_reprimes() {
         let (grid, mut rxs, optics) = setup();
         let mut up = ChannelUpdater::new(&grid, 15f64.to_radians(), &optics, 0.0);
-        up.remove_rx(0);
-        assert_eq!(up.update(&rxs, &[]).misses, 4);
-        up.remove_rx(4);
+        let mut h = empty(&grid);
+        up.remove_rx(0, &mut h);
+        assert_eq!(up.update(&rxs, &[], &mut h).misses, 4);
+        up.remove_rx(4, &mut h);
         rxs.pop();
-        let u = up.update(&rxs, &[]);
+        let u = up.update(&rxs, &[], &mut h);
         assert_eq!(u.misses, 3);
-        assert_eq!(u.matrix, full(&grid, &rxs, &[]));
+        assert_eq!(h, full(&grid, &rxs, &[]));
+    }
+
+    #[test]
+    fn remove_then_identical_append_still_reports_a_change() {
+        // The roster swaps one receiver for another at the same pose: the
+        // masked matrix comes out bitwise as before, but its columns now
+        // belong to different receivers.
+        let (grid, mut rxs, optics) = setup();
+        let mut up = ChannelUpdater::new(&grid, 15f64.to_radians(), &optics, 0.0);
+        let mut h = empty(&grid);
+        up.update(&rxs, &[], &mut h);
+        let before = h.clone();
+        up.remove_rx(3, &mut h);
+        let pose = rxs.pop().expect("four receivers");
+        rxs.push(pose);
+        let u = up.update(&rxs, &[], &mut h);
+        assert_eq!((u.hits, u.partials, u.misses), (3, 0, 1));
+        assert!(u.changed);
+        assert_eq!(h, before);
+        assert!(!up.update(&rxs, &[], &mut h).changed);
+    }
+
+    #[test]
+    fn removal_shrinks_the_callers_matrix_to_exact_size() {
+        let (grid, mut rxs, optics) = setup();
+        let mut up = ChannelUpdater::new(&grid, 15f64.to_radians(), &optics, 0.0);
+        let mut h = empty(&grid);
+        up.update(&rxs, &[], &mut h);
+        up.remove_rx(0, &mut h);
+        rxs.remove(0);
+        assert_eq!((h.n_tx(), h.n_rx()), (grid.len(), 3));
+        assert_eq!(h.capacity(), grid.len() * 3);
+        up.update(&rxs, &[], &mut h);
+        assert_eq!(h, full(&grid, &rxs, &[]));
     }
 
     #[test]
@@ -513,9 +631,10 @@ mod tests {
         let registry = Registry::new();
         let pool = Pool::sequential();
         let mut up = ChannelUpdater::new(&grid, 15f64.to_radians(), &optics, 0.0);
-        up.update_traced(&rxs, &[], &registry, &pool, &Span::noop());
+        let mut h = empty(&grid);
+        up.update_traced(&rxs, &[], &mut h, &registry, &pool, &Span::noop());
         rxs[0] = Pose::face_up(1.4, 1.4, 0.8);
-        up.update_traced(&rxs, &[], &registry, &pool, &Span::noop());
+        up.update_traced(&rxs, &[], &mut h, &registry, &pool, &Span::noop());
         let snap = registry.snapshot();
         assert_eq!(snap.counter("channel.cache.updates"), Some(2));
         assert_eq!(snap.counter("channel.cache.miss"), Some(5));

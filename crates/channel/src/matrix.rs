@@ -174,6 +174,46 @@ impl ChannelMatrix {
             gains: self.gains.iter().map(|&g| f(g).max(0.0)).collect(),
         }
     }
+
+    /// Drops RX column `rx` in place; later columns shift left. Capacity
+    /// is kept.
+    pub(crate) fn remove_rx(&mut self, rx: usize) {
+        remove_rx_column(&mut self.gains, self.n_tx, self.n_rx, rx);
+        self.n_rx -= 1;
+    }
+
+    /// Widens the matrix to `n_rx` columns; the appended ones are zero.
+    /// Storage grows to the exact new size.
+    pub(crate) fn append_rx(&mut self, n_rx: usize) {
+        append_rx_columns(&mut self.gains, self.n_tx, self.n_rx, n_rx, 0.0);
+        self.n_rx = n_rx;
+    }
+
+    /// Reshapes to an all-zero `n_tx × n_rx` matrix with exact-size
+    /// storage.
+    pub(crate) fn reset_zeroed(&mut self, n_tx: usize, n_rx: usize) {
+        self.gains.clear();
+        self.gains.resize(n_tx * n_rx, 0.0);
+        self.gains.shrink_to_fit();
+        self.n_tx = n_tx;
+        self.n_rx = n_rx;
+    }
+
+    /// Releases capacity beyond the current `n_tx · n_rx` gains.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.gains.shrink_to_fit();
+    }
+
+    /// The row-major gains, for in-place column writes. Callers keep them
+    /// finite and non-negative.
+    pub(crate) fn gains_mut(&mut self) -> &mut [f64] {
+        &mut self.gains
+    }
+
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.gains.capacity()
+    }
 }
 
 /// Removes RX column `rx` in place from a row-major `n_tx × n_rx` store

@@ -82,8 +82,10 @@ proptest! {
 
     /// With ε = 0 the dirty-row updater is a drop-in replacement for a full
     /// rebuild: after any sequence of pose jitters and blocker changes, the
-    /// masked matrix, the clear matrix, and the blocked-link count all match
-    /// a from-scratch computation of the same tick, bitwise, at any jobs.
+    /// caller's masked matrix, the clear matrix, and the blocked-link count
+    /// all match a from-scratch computation of the same tick, bitwise, at
+    /// any jobs, and `changed` is set exactly when the first update primes
+    /// the layout or the masked matrix differs from the previous tick's.
     #[test]
     fn zero_epsilon_updater_matches_full_rebuild(
         steps in proptest::collection::vec(
@@ -97,10 +99,13 @@ proptest! {
         for jobs in [Jobs::serial(), Jobs::max()] {
             let pool = Pool::new(jobs);
             let mut updater = ChannelUpdater::new(&grid, HPSA, &optics, 0.0);
-            for (poses, blockers) in &steps {
+            let mut masked = ChannelMatrix::from_gains(grid.len(), 0, Vec::new());
+            for (step, (poses, blockers)) in steps.iter().enumerate() {
+                let previous = masked.clone();
                 let update = updater.update_traced(
                     poses,
                     blockers,
+                    &mut masked,
                     &Registry::noop(),
                     &pool,
                     &Span::noop(),
@@ -111,8 +116,9 @@ proptest! {
                 let clear = ChannelMatrix::compute_traced(
                     &grid, poses, HPSA, &optics, &[], None, &pool, &Span::noop(),
                 );
-                prop_assert_eq!(&update.matrix, &full, "masked, jobs={}", jobs);
-                prop_assert_eq!(&update.clear, &clear, "clear, jobs={}", jobs);
+                prop_assert_eq!(&masked, &full, "masked, jobs={}", jobs);
+                prop_assert_eq!(updater.clear_channel(), &clear, "clear, jobs={}", jobs);
+                prop_assert_eq!(update.changed, step == 0 || masked != previous, "jobs={}", jobs);
                 let blocked = (0..grid.len())
                     .flat_map(|t| (0..poses.len()).map(move |r| (t, r)))
                     .filter(|&(t, r)| clear.gain(t, r) > 0.0 && full.gain(t, r) == 0.0)
@@ -126,7 +132,9 @@ proptest! {
     /// removals (in range or past the stored columns), appends, moves and
     /// blocker changes, every update's masked matrix, clear matrix and
     /// blocked-link count equal a cold rebuild of the same tick, bitwise,
-    /// on pools of 1 and 2 workers.
+    /// on pools of 1 and 2 workers. `changed` is set exactly when a column
+    /// was removed, appended or re-primed since the last update, or the
+    /// masked matrix differs from the previous one.
     #[test]
     fn roster_edits_match_full_rebuild(
         initial in proptest::collection::vec(arb_rx_pose(), 0..5),
@@ -141,10 +149,23 @@ proptest! {
         for jobs in [Jobs::serial(), Jobs::of(2)] {
             let pool = Pool::new(jobs);
             let mut updater = ChannelUpdater::new(&grid, HPSA, &optics, 0.0);
+            let mut masked = ChannelMatrix::from_gains(grid.len(), 0, Vec::new());
             let mut poses = initial.clone();
             let mut blockers = Vec::new();
-            updater.update_traced(&poses, &blockers, &Registry::noop(), &pool, &Span::noop());
+            let first = updater.update_traced(
+                &poses,
+                &blockers,
+                &mut masked,
+                &Registry::noop(),
+                &pool,
+                &Span::noop(),
+            );
+            prop_assert!(first.changed, "the first update primes the layout");
             for ops in &steps {
+                let previous = masked.clone();
+                // Every removal either drops a column or (past the stored
+                // columns) re-primes; every push appends or re-primes.
+                let reshaped = ops.iter().any(|&(op, ..)| op < 2);
                 for (op, idx, pose, new_blockers) in ops {
                     match op {
                         // An index past the roster exercises the re-prime
@@ -153,7 +174,7 @@ proptest! {
                             if *idx < poses.len() {
                                 poses.remove(*idx);
                             }
-                            updater.remove_rx(*idx);
+                            updater.remove_rx(*idx, &mut masked);
                         }
                         1 => poses.push(*pose),
                         2 if !poses.is_empty() => {
@@ -166,14 +187,21 @@ proptest! {
                 let update = updater.update_traced(
                     &poses,
                     &blockers,
+                    &mut masked,
                     &Registry::noop(),
                     &pool,
                     &Span::noop(),
                 );
                 let full = ChannelMatrix::compute_with_blockage(&grid, &poses, HPSA, &optics, &blockers);
                 let clear = ChannelMatrix::compute_with_blockage(&grid, &poses, HPSA, &optics, &[]);
-                prop_assert_eq!(bits(&update.matrix), bits(&full), "masked, jobs={}", jobs);
-                prop_assert_eq!(bits(&update.clear), bits(&clear), "clear, jobs={}", jobs);
+                prop_assert_eq!(bits(&masked), bits(&full), "masked, jobs={}", jobs);
+                prop_assert_eq!(bits(updater.clear_channel()), bits(&clear), "clear, jobs={}", jobs);
+                prop_assert_eq!(
+                    update.changed,
+                    reshaped || masked != previous,
+                    "changed, jobs={}",
+                    jobs
+                );
                 let blocked = clear
                     .iter()
                     .filter(|&(t, r, g)| g > 0.0 && full.gain(t, r) == 0.0)
@@ -200,10 +228,11 @@ proptest! {
         let grid = TxGrid::paper(&room);
         let optics = RxOptics::paper();
         let mut updater = ChannelUpdater::new(&grid, HPSA, &optics, epsilon);
+        let mut masked = ChannelMatrix::from_gains(grid.len(), 0, Vec::new());
         // Shadow model of the invalidation rule.
         let mut effective: Vec<Pose> = Vec::new();
         for (poses, blockers) in &steps {
-            let update = updater.update(poses, blockers);
+            updater.update(poses, blockers, &mut masked);
             if effective.is_empty() {
                 effective = poses.clone();
             } else {
@@ -218,7 +247,7 @@ proptest! {
             let full = ChannelMatrix::compute_with_blockage(
                 &grid, &effective, HPSA, &optics, blockers,
             );
-            prop_assert_eq!(&update.matrix, &full);
+            prop_assert_eq!(&masked, &full);
         }
     }
 }

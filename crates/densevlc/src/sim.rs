@@ -300,19 +300,27 @@ impl Simulation {
                 self.people.iter().map(WalkingPerson::blocker).collect();
 
             // The channel the world currently presents (with occluders).
-            let (channel, blocked_links) = if incremental {
-                let update =
-                    updater.update_traced(&positions, &blockers, telemetry, &pool, &tick_trace);
+            let blocked_links = if incremental {
+                let update = updater.update_traced(
+                    &positions,
+                    &blockers,
+                    &mut world.channel,
+                    telemetry,
+                    &pool,
+                    &tick_trace,
+                );
                 self.deployment.receivers = positions;
-                self.deployment.model.channel = update.clear;
-                (update.matrix, update.blocked_links)
+                self.deployment.model.channel = updater.clear_channel().clone();
+                update.blocked_links
             } else {
                 self.deployment.update_receivers(positions);
                 // `update_receivers` just recomputed the clear channel, so
                 // the stored one is same-tick by construction here.
-                self.masked_channel(&self.deployment.model.channel, &blockers)
+                let (channel, blocked_links) =
+                    self.masked_channel(&self.deployment.model.channel, &blockers);
+                world.channel = channel;
+                blocked_links
             };
-            world.channel = channel;
 
             // Re-plan when the adaptation round allows.
             self.time_since_replan_s += self.tick_s;
