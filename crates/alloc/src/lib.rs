@@ -33,4 +33,4 @@ pub use baselines::{dmiso_allocation, siso_allocation};
 pub use exhaustive::exhaustive_binary;
 pub use heuristic::{rank_by_sjr, rank_by_sjr_scalar, HeuristicConfig, RankedTx};
 pub use model::{Allocation, SystemModel};
-pub use optimal::{OptimalSolver, SolveReport, WarmOptimal};
+pub use optimal::{OptimalSolver, SolveReport};

@@ -913,88 +913,6 @@ impl OptimalSolver {
     }
 }
 
-/// Tick-to-tick replan cache around [`OptimalSolver`].
-///
-/// Remembers the channel, budget, and report of the previous solve. When
-/// the channel is *unchanged* (exact [`vlc_channel::ChannelMatrix`]
-/// equality — the incremental engine reproduces bitwise-identical matrices
-/// for a static world, so this hits every quiet tick) the replan is
-/// skipped entirely and the previous report returned. Otherwise the solver runs seeded with
-/// the previous allocation via [`OptimalSolver::solve_traced`].
-///
-/// State is per-run: create one `WarmOptimal` per simulation run so replays
-/// start cold and stay reproducible.
-#[derive(Debug, Clone, Default)]
-pub struct WarmOptimal {
-    last: Option<(vlc_channel::ChannelMatrix, f64, SolveReport)>,
-}
-
-impl WarmOptimal {
-    /// An empty cache: the first solve is cold.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Whether the cache holds a previous solve.
-    pub fn is_warm(&self) -> bool {
-        self.last.is_some()
-    }
-
-    /// Drops the cached solve; the next one runs cold.
-    pub fn invalidate(&mut self) {
-        self.last = None;
-    }
-
-    /// Solves `model` under `budget_w`, reusing or seeding from the
-    /// previous solve when possible.
-    pub fn solve(
-        &mut self,
-        solver: &OptimalSolver,
-        model: &SystemModel,
-        budget_w: f64,
-    ) -> SolveReport {
-        self.solve_traced(
-            solver,
-            model,
-            budget_w,
-            &Registry::noop(),
-            &Pool::from_env(),
-            &Span::noop(),
-        )
-    }
-
-    /// [`Self::solve`] with telemetry, a caller-supplied pool, and
-    /// tracing. An unchanged channel bumps `alloc.optimal.replan_hits`
-    /// and records an `alloc.optimal.cached` span instead of a solve; a
-    /// changed one runs [`OptimalSolver::solve_traced`] seeded with the
-    /// previous allocation.
-    #[allow(clippy::too_many_arguments)]
-    pub fn solve_traced(
-        &mut self,
-        solver: &OptimalSolver,
-        model: &SystemModel,
-        budget_w: f64,
-        telemetry: &Registry,
-        pool: &Pool,
-        parent: &Span,
-    ) -> SolveReport {
-        if let Some((channel, budget, report)) = &self.last {
-            if *channel == model.channel && *budget == budget_w {
-                telemetry.counter("alloc.optimal.replan_hits").inc();
-                let span = parent.child("alloc.optimal.cached");
-                if span.is_enabled() {
-                    span.attr("budget_w", &format!("{budget_w}"));
-                }
-                return report.clone();
-            }
-        }
-        let warm = self.last.as_ref().map(|(_, _, r)| r.allocation.clone());
-        let report = solver.solve_traced(model, budget_w, warm.as_ref(), telemetry, pool, parent);
-        self.last = Some((model.channel.clone(), budget_w, report.clone()));
-        report
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1276,39 +1194,35 @@ mod tests {
     }
 
     #[test]
-    fn warm_optimal_skips_replan_on_unchanged_channel() {
-        let m = two_rx_model();
+    fn warm_seed_is_used_after_budget_or_channel_change() {
         let solver = OptimalSolver::quick();
         let telemetry = Registry::new();
         let pool = Pool::sequential().with_telemetry(&telemetry);
-        let mut cache = WarmOptimal::new();
-        let first = cache.solve_traced(&solver, &m, 0.4, &telemetry, &pool, &Span::noop());
-        let second = cache.solve_traced(&solver, &m, 0.4, &telemetry, &pool, &Span::noop());
-        assert_eq!(second, first, "cached replan returns the same report");
-        let snap = telemetry.snapshot();
-        assert_eq!(snap.counter("alloc.optimal.replan_hits"), Some(1));
-        assert_eq!(snap.counter("alloc.optimal.solves"), Some(1));
-    }
-
-    #[test]
-    fn warm_optimal_resolves_on_channel_or_budget_change() {
-        let solver = OptimalSolver::quick();
-        let telemetry = Registry::new();
-        let pool = Pool::sequential().with_telemetry(&telemetry);
-        let mut cache = WarmOptimal::new();
         let m = two_rx_model();
-        cache.solve_traced(&solver, &m, 0.4, &telemetry, &pool, &Span::noop());
-        // A different budget re-solves (seeded by the previous allocation).
-        cache.solve_traced(&solver, &m, 0.3, &telemetry, &pool, &Span::noop());
-        // A perturbed channel re-solves too.
+        let first = solver.solve_traced(&m, 0.4, None, &telemetry, &pool, &Span::noop());
+        // A different budget re-solves seeded by the previous allocation.
+        let second = solver.solve_traced(
+            &m,
+            0.3,
+            Some(&first.allocation),
+            &telemetry,
+            &pool,
+            &Span::noop(),
+        );
+        assert!(m.is_feasible(&second.allocation, 0.3));
+        // So does a perturbed channel.
         let bumped = SystemModel::paper(m.channel.map(|g| g * 1.01));
-        cache.solve_traced(&solver, &bumped, 0.3, &telemetry, &pool, &Span::noop());
+        let third = solver.solve_traced(
+            &bumped,
+            0.3,
+            Some(&second.allocation),
+            &telemetry,
+            &pool,
+            &Span::noop(),
+        );
+        assert!(bumped.is_feasible(&third.allocation, 0.3));
         let snap = telemetry.snapshot();
         assert_eq!(snap.counter("alloc.optimal.solves"), Some(3));
         assert_eq!(snap.counter("alloc.optimal.warm_starts"), Some(2));
-        assert_eq!(snap.counter("alloc.optimal.replan_hits"), None);
-        // Invalidation forces the next solve cold.
-        cache.invalidate();
-        assert!(!cache.is_warm());
     }
 }

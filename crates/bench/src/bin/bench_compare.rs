@@ -3,8 +3,9 @@
 //! perf-regression gate.
 //!
 //! A phase regresses when its new median exceeds the old median by more
-//! than `max(rel·old_median, mad_k·old_MAD, abs_floor)`; phases present in
-//! only one file are skipped, and improvements never flag. Exit status:
+//! than `max(rel·old_median, mad_k·old_MAD, abs_floor)`; baseline phases
+//! the new run lacks are listed as not measured, phases only in the new run
+//! are skipped, and improvements never flag. Exit status:
 //! 0 = no regression, 1 = at least one phase regressed, 2 = usage, spawn
 //! or parse error.
 //!
@@ -233,11 +234,22 @@ fn gate(opts: &Options) -> Result<bool, String> {
         }
     };
     let regressions = old.compare(&new, &opts.tol);
+    let unmeasured = old.unmeasured(&new);
+    let not_measured = if unmeasured.is_empty() {
+        String::new()
+    } else {
+        format!(
+            "bench_compare: {} baseline phase(s) not measured: {}\n",
+            unmeasured.len(),
+            unmeasured.join(", ")
+        )
+    };
     if regressions.is_empty() {
         println!(
             "bench_compare: OK — no phase regressed ({} vs {new_label})",
             opts.old_path
         );
+        print!("{not_measured}");
         return Ok(false);
     }
     println!(
@@ -246,6 +258,7 @@ fn gate(opts: &Options) -> Result<bool, String> {
         opts.old_path
     );
     print!("{}", format_regressions(&regressions));
+    print!("{not_measured}");
     if opts.explain {
         let new_profile = match fresh_profile {
             Some(p) => p,

@@ -14,7 +14,7 @@ use rand::Rng;
 use rand::SeedableRng;
 use vlc_alloc::heuristic::heuristic_allocation_traced;
 use vlc_alloc::model::SystemModel;
-use vlc_alloc::{HeuristicConfig, OptimalSolver, WarmOptimal};
+use vlc_alloc::{HeuristicConfig, OptimalSolver};
 use vlc_cell::{BuildingConfig, BuildingEngine, Command};
 use vlc_channel::nlos::NlosConfig;
 use vlc_channel::{
@@ -81,9 +81,9 @@ pub fn phase_probe(tracer: &Tracer, pool: &Pool) {
     }
 
     // Incremental-engine probes under their own root: they add *new* span
-    // names only (`channel.nlos.cache_build`, `channel.nlos.floor.cached`,
-    // `alloc.optimal.cached`, …) and sit outside `bench.phase_probe`, so
-    // pre-cache BENCH baselines stay comparable row for row.
+    // names only (`channel.nlos.cache_build`, `channel.nlos.floor.cached`)
+    // and sit outside `bench.phase_probe`, so pre-cache BENCH baselines
+    // stay comparable row for row.
     drop(probe);
     let probe = tracer.root("bench.incremental_probe");
     let m = lambertian_order(dep.half_power_semi_angle);
@@ -98,11 +98,6 @@ pub fn phase_probe(tracer: &Tracer, pool: &Pool) {
     for follower in [2usize, 7, 8] {
         cache.floor_gain_traced(&dep.grid.pose(follower), &dep.optics, pool, &probe);
     }
-    let mut warm = WarmOptimal::new();
-    let solver = OptimalSolver::quick();
-    warm.solve_traced(&solver, &dep.model, 1.2, &quiet, pool, &probe);
-    // Unchanged channel: the replan is skipped (`alloc.optimal.cached`).
-    warm.solve_traced(&solver, &dep.model, 1.2, &quiet, pool, &probe);
 }
 
 /// Times the SoA/sparse channel machinery under a `bench.sparse_probe`
@@ -273,7 +268,7 @@ pub fn shard_probe(tracer: &Tracer, pool: &Pool) {
         drop(span);
 
         // Alternate between two in-room poses so every rep's move really
-        // changes the channel (no replan-cache hits inside the rows).
+        // changes the channel (no skipped replans inside the rows).
         let lx = if rep % 2 == 0 { 1.3 } else { 1.0 };
         let (x, y) = global(0, lx, 1.1);
         engine.apply(&Command::Move { session: 0, x, y });

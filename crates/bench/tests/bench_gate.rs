@@ -21,14 +21,18 @@ fn tmp(name: &str) -> PathBuf {
 
 /// A synthetic two-phase BENCH.json where `phase.a` takes `a_s` seconds.
 fn synthetic_bench(a_s: f64) -> String {
+    bench_of(&[("phase.a", a_s), ("phase.b", 0.05)])
+}
+
+/// A BENCH.json with one single-sample row per `(phase, seconds)`.
+fn bench_of(phases: &[(&str, f64)]) -> String {
     let clock = ManualClock::new();
     let tracer = Tracer::with_clock(clock.clone());
-    let a = tracer.root("phase.a");
-    clock.advance(a_s);
-    drop(a);
-    let b = tracer.root("phase.b");
-    clock.advance(0.05);
-    drop(b);
+    for &(name, secs) in phases {
+        let span = tracer.root(name);
+        clock.advance(secs);
+        drop(span);
+    }
     BenchReport::from_snapshot(&tracer.snapshot(), 1, 1).to_json()
 }
 
@@ -72,6 +76,26 @@ fn improvements_never_flag() {
     std::fs::write(&old, synthetic_bench(1.0)).unwrap();
     std::fs::write(&new, synthetic_bench(0.1)).unwrap();
     assert_eq!(compare(&old, &new).status.code(), Some(0));
+}
+
+#[test]
+fn baseline_phases_the_new_run_lacks_are_named_not_measured() {
+    let old = tmp("unmeasured_old.json");
+    let same = tmp("unmeasured_same.json");
+    let slow = tmp("unmeasured_slow.json");
+    std::fs::write(&old, synthetic_bench(0.1)).unwrap();
+    std::fs::write(&same, bench_of(&[("phase.a", 0.1), ("phase.new", 0.1)])).unwrap();
+    std::fs::write(&slow, bench_of(&[("phase.a", 1.0)])).unwrap();
+    for (new, code) in [(&same, 0), (&slow, 1)] {
+        let out = compare(&old, new);
+        assert_eq!(out.status.code(), Some(code), "{out:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            stdout.contains("1 baseline phase(s) not measured: phase.b\n"),
+            "{stdout}"
+        );
+        assert!(!stdout.contains("phase.new"), "new-only phases stay silent");
+    }
 }
 
 #[test]

@@ -264,8 +264,8 @@ impl CellShard {
         // plan is still the answer (planning is a pure function of the
         // channel), so the replan is skipped. A roster edit always replans:
         // its allocation columns were edited in place and no longer match
-        // a plan. A plan cache could only hit on the channel last planned
-        // on, which this check already covers, so the shard keeps none.
+        // a plan, and the updater reports the added or removed column as a
+        // change.
         let hit = !update.changed && self.last_alloc.is_some();
         if !hit {
             let allocation = match &self.policy {

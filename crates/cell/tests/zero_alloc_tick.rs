@@ -3,7 +3,7 @@
 //! The tentpole contract: once a building is warmed up, a control tick
 //! that touches no shard — bookkeeping, metric updates, obs window
 //! appends — performs exactly **zero** heap allocations. Per-shard
-//! scratch (updater buffers, plan caches, window rings, the dirty list)
+//! scratch (updater buffers, warm allocations, window rings, the dirty list)
 //! persists across ticks; only replans and flush boundaries may
 //! allocate.
 

@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 use vlc_alloc::model::SystemModel;
 use vlc_channel::{ChannelMatrix, ChannelUpdater, CylinderBlocker};
 use vlc_geom::Pose;
-use vlc_mac::{BeamspotPlan, Controller, ControllerConfig, PlanCache};
+use vlc_mac::{BeamspotPlan, Controller, ControllerConfig};
 use vlc_obs::{ObsPlane, TickSample};
 use vlc_par::{Jobs, Pool};
 use vlc_telemetry::{MetricsSnapshot, Registry};
@@ -205,7 +205,9 @@ impl Simulation {
     /// instrumented phases) count into `mac.replans` and the ticks spent
     /// serving traffic on a stale plan into `mac.stale_plan_ticks`; the
     /// incremental engine adds `channel.cache.hit/partial/miss` and
-    /// `mac.plan.cache_hits/misses`; `sim.blocked_links` and the
+    /// `mac.plan.cache_hits/misses` (rounds that kept the stored plan
+    /// because the channel was unchanged since the last plan, and rounds
+    /// that re-planned); `sim.blocked_links` and the
     /// per-receiver `sim.rx{i}.bps` gauges track the latest tick. With a
     /// live registry the returned [`Timeline`] embeds the end-of-run
     /// snapshot.
@@ -213,9 +215,9 @@ impl Simulation {
     /// Tracing: a `sim.run` span under `parent`, with one `sim.tick` child
     /// per tick (indexed by step), the incremental engine's
     /// `channel.update` tree inside each tick, and the controller's
-    /// `mac.plan` (or `mac.plan.cached`) tree nested inside re-planning
-    /// ticks. With a noop registry and parent this is the plain path plus
-    /// one branch per span site.
+    /// `mac.plan` tree (or, for a kept plan, a `mac.plan.cached` span)
+    /// nested inside re-planning ticks. With a noop registry and parent
+    /// this is the plain path plus one branch per span site.
     ///
     /// With `obs`, the run streams into an observability plane: the
     /// plane's meta record is written up front, every tick feeds it a
@@ -245,9 +247,11 @@ impl Simulation {
     }
 
     /// The tick loop behind both engines. `incremental` selects the warm
-    /// path (dirty-column channel updates + plan cache); the recorded
+    /// path (dirty-column channel updates, and a round keeps the stored
+    /// plan while the updater reports the channel unchanged); the recorded
     /// [`Timeline`] and the end-of-run deployment state are identical
-    /// either way.
+    /// either way. Panics unless `duration_s` and `tick_s` are finite and
+    /// positive.
     fn run_engine(
         &mut self,
         duration_s: f64,
@@ -256,10 +260,17 @@ impl Simulation {
         incremental: bool,
         mut obs: Option<&mut ObsPlane>,
     ) -> Timeline {
+        assert!(
+            duration_s.is_finite() && duration_s > 0.0,
+            "duration must be finite and positive"
+        );
+        assert!(
+            self.tick_s.is_finite() && self.tick_s > 0.0,
+            "tick must be finite and positive"
+        );
         if let Some(plane) = obs.as_deref_mut() {
             plane.begin(self.tick_s, self.deployment.receivers.len());
         }
-        assert!(duration_s > 0.0, "duration must be positive");
         let run = parent.child("sim.run");
         run.attr("duration_s", &format!("{duration_s}"));
         run.attr("engine", if incremental { "incremental" } else { "cold" });
@@ -267,8 +278,10 @@ impl Simulation {
         let mut ticks = Vec::with_capacity(steps);
         // Run-local engine state: one worker pool for the whole run
         // (hoisted out of the per-matrix calls), one channel updater with
-        // ε = 0 (exact: any movement recomputes), one plan cache. Kept off
-        // the struct so serialized simulations and replays stay unaffected.
+        // ε = 0 (exact: any movement recomputes), and whether the channel
+        // changed since this run last planned. Kept off the struct so
+        // serialized simulations and replays stay unaffected; `stale`
+        // starts set so every run plans afresh on its first round.
         let pool = Pool::new(Jobs::from_env()).with_telemetry(telemetry);
         let mut updater = ChannelUpdater::new(
             &self.deployment.grid,
@@ -276,7 +289,7 @@ impl Simulation {
             &self.deployment.optics,
             0.0,
         );
-        let mut plan_cache = PlanCache::new();
+        let mut stale = true;
         let mut world: SystemModel = self.deployment.model.clone();
         for step in 0..steps {
             let tick_trace = run.child_indexed("sim.tick", step);
@@ -309,6 +322,7 @@ impl Simulation {
                     &pool,
                     &tick_trace,
                 );
+                stale |= update.changed;
                 self.deployment.receivers = positions;
                 self.deployment.model.channel = updater.clear_channel().clone();
                 update.blocked_links
@@ -326,17 +340,28 @@ impl Simulation {
             self.time_since_replan_s += self.tick_s;
             let mut replanned = false;
             if self.time_since_replan_s >= self.adaptation_period_s || self.plan.is_none() {
-                self.plan = Some(if incremental {
-                    self.controller.plan_cached_traced(
-                        &world.channel,
-                        &mut plan_cache,
-                        telemetry,
-                        &tick_trace,
-                    )
-                } else {
-                    self.controller
-                        .plan_traced(&world.channel, telemetry, &tick_trace)
-                });
+                match &self.plan {
+                    // Planning is a pure function of the channel, so an
+                    // unchanged channel keeps the stored plan.
+                    Some(plan) if incremental && !stale => {
+                        telemetry.counter("mac.plan.cache_hits").inc();
+                        let span = tick_trace.child("mac.plan.cached");
+                        if span.is_enabled() {
+                            span.attr("beamspots", &plan.beamspots.len().to_string());
+                        }
+                    }
+                    _ => {
+                        if incremental {
+                            telemetry.counter("mac.plan.cache_misses").inc();
+                            stale = false;
+                        }
+                        self.plan = Some(self.controller.plan_traced(
+                            &world.channel,
+                            telemetry,
+                            &tick_trace,
+                        ));
+                    }
+                }
                 self.time_since_replan_s = 0.0;
                 replanned = true;
                 telemetry.counter("mac.replans").inc();
@@ -491,5 +516,25 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_duration_panics() {
         sim().run(0.0);
+    }
+
+    #[test]
+    fn non_finite_duration_panics_before_the_stream_begins() {
+        let mem = vlc_obs::MemorySink::new();
+        let mut plane = ObsPlane::new(Box::new(mem.clone()), vlc_obs::ObsConfig::default());
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sim().run_traced(
+                f64::INFINITY,
+                Some(&mut plane),
+                &Registry::noop(),
+                &Span::noop(),
+            )
+        }));
+        assert!(run.is_err());
+        assert!(
+            mem.lines().is_empty(),
+            "meta record written: {:?}",
+            mem.lines()
+        );
     }
 }

@@ -237,68 +237,6 @@ impl Controller {
             allocation,
         }
     }
-
-    /// [`Self::plan`] through a [`PlanCache`]: an unchanged channel returns
-    /// the previous plan without re-ranking.
-    pub fn plan_cached(&self, channel: &ChannelMatrix, cache: &mut PlanCache) -> BeamspotPlan {
-        self.plan_cached_traced(channel, cache, &Registry::noop(), &Span::noop())
-    }
-
-    /// [`Self::plan_cached`] with telemetry and tracing. A hit bumps
-    /// `mac.plan.cache_hits` and records a `mac.plan.cached` span; a miss
-    /// bumps `mac.plan.cache_misses` and runs [`Self::plan_traced`].
-    pub fn plan_cached_traced(
-        &self,
-        channel: &ChannelMatrix,
-        cache: &mut PlanCache,
-        telemetry: &Registry,
-        parent: &Span,
-    ) -> BeamspotPlan {
-        if let Some((cached_channel, plan)) = &cache.last {
-            if cached_channel == channel {
-                telemetry.counter("mac.plan.cache_hits").inc();
-                let span = parent.child("mac.plan.cached");
-                if span.is_enabled() {
-                    span.attr("beamspots", &plan.beamspots.len().to_string());
-                }
-                return plan.clone();
-            }
-        }
-        telemetry.counter("mac.plan.cache_misses").inc();
-        let plan = self.plan_traced(channel, telemetry, parent);
-        cache.last = Some((channel.clone(), plan.clone()));
-        plan
-    }
-}
-
-/// Tick-to-tick plan cache for [`Controller::plan_cached`].
-///
-/// Remembers the exact channel matrix the last plan was computed on; the
-/// decision logic is a pure function of the channel (and the static
-/// config), so an *identical* matrix — which the incremental channel
-/// engine reproduces bitwise for a static world — means the previous plan
-/// is still the answer. State is per-run: create one cache per simulation
-/// run so replays start cold and stay reproducible.
-#[derive(Debug, Clone, Default)]
-pub struct PlanCache {
-    last: Option<(ChannelMatrix, BeamspotPlan)>,
-}
-
-impl PlanCache {
-    /// An empty cache: the first plan is a miss.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Whether the cache holds a previous plan.
-    pub fn is_warm(&self) -> bool {
-        self.last.is_some()
-    }
-
-    /// Drops the cached plan; the next one recomputes.
-    pub fn invalidate(&mut self) {
-        self.last = None;
-    }
 }
 
 #[cfg(test)]
@@ -481,40 +419,6 @@ mod tests {
             assert_eq!(plan.beamspot_for(spot.rx).expect("present").rx, spot.rx);
         }
         assert!(plan.beamspot_for(99).is_none());
-    }
-
-    #[test]
-    fn plan_cache_hits_on_identical_channel_and_misses_on_change() {
-        let ctl = controller(1.2);
-        let ch = channel();
-        let telemetry = Registry::new();
-        let mut cache = PlanCache::new();
-        let first = ctl.plan_cached_traced(&ch, &mut cache, &telemetry, &Span::noop());
-        let second = ctl.plan_cached_traced(&ch, &mut cache, &telemetry, &Span::noop());
-        assert_eq!(second, first, "hit returns the identical plan");
-        assert_eq!(second, ctl.plan(&ch), "and it matches an uncached plan");
-        let moved = ch.map(|g| g * 0.99);
-        let third = ctl.plan_cached_traced(&moved, &mut cache, &telemetry, &Span::noop());
-        assert_eq!(third, ctl.plan(&moved));
-        let snap = telemetry.snapshot();
-        assert_eq!(snap.counter("mac.plan.cache_hits"), Some(1));
-        assert_eq!(snap.counter("mac.plan.cache_misses"), Some(2));
-        assert_eq!(snap.counter("mac.rounds_planned"), Some(2));
-    }
-
-    #[test]
-    fn plan_cache_invalidation_forces_a_miss() {
-        let ctl = controller(1.2);
-        let ch = channel();
-        let mut cache = PlanCache::new();
-        ctl.plan_cached(&ch, &mut cache);
-        assert!(cache.is_warm());
-        cache.invalidate();
-        assert!(!cache.is_warm());
-        let telemetry = Registry::new();
-        ctl.plan_cached_traced(&ch, &mut cache, &telemetry, &Span::noop());
-        let snap = telemetry.snapshot();
-        assert_eq!(snap.counter("mac.plan.cache_misses"), Some(1));
     }
 
     #[test]

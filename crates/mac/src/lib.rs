@@ -27,6 +27,6 @@ pub mod schedule;
 pub mod wire;
 
 pub use backhaul::{EthernetMulticast, WifiUplink};
-pub use controller::{BeamspotPlan, Controller, ControllerConfig, PlanCache};
+pub use controller::{BeamspotPlan, Controller, ControllerConfig};
 pub use round::{simulate_round, RoundTimeline};
 pub use schedule::PilotSchedule;

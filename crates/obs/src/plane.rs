@@ -22,7 +22,8 @@
 //!   (`alloc.optimal.solve_s` + `alloc.heuristic.solve_s` +
 //!   `mac.plan_s`, whichever the call path records). Wall-time is the
 //!   one nondeterministic signal in the stream.
-//! * `mac.plan.cache_hit_rate` — plan-cache hits ÷ lookups
+//! * `mac.plan.cache_hit_rate` — rounds that kept the stored plan
+//!   (channel unchanged since the last plan) ÷ adaptation rounds
 //! * `phy.rs_uncorrectable` — RS-uncorrectable blocks in the interval
 
 use std::collections::BTreeMap;

@@ -225,7 +225,8 @@ impl BenchReport {
     /// its new median exceeds
     /// `old median + max(rel · old median, mad_k · old MAD, abs floor)`.
     /// Phases present in only one report are skipped (the workload set may
-    /// legitimately evolve across PRs). Improvements never flag.
+    /// legitimately evolve across PRs); [`Self::unmeasured`] names the
+    /// baseline phases `new` lacks. Improvements never flag.
     pub fn compare(&self, new: &BenchReport, tol: &CompareTolerance) -> Vec<Regression> {
         let mut regressions = Vec::new();
         for (name, old) in &self.entries {
@@ -246,6 +247,16 @@ impl BenchReport {
             }
         }
         regressions
+    }
+
+    /// Baseline phases that `new` did not measure, in name order: rows
+    /// [`Self::compare`] cannot gate, such as a renamed or deleted span.
+    pub fn unmeasured<'a>(&'a self, new: &BenchReport) -> Vec<&'a str> {
+        self.entries
+            .iter()
+            .map(|(name, _)| name.as_str())
+            .filter(|name| new.stats(name).is_none())
+            .collect()
     }
 }
 

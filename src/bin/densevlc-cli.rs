@@ -214,10 +214,13 @@ fn u64_flag(args: &[String], flag: &str, default: u64) -> u64 {
 fn f64_flag(args: &[String], flag: &str, default: f64) -> f64 {
     match flag_value(args, flag) {
         None => default,
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("bad {flag} value `{v}`");
-            std::process::exit(2);
-        }),
+        Some(v) => match v.parse::<f64>() {
+            Ok(x) if x.is_finite() => x,
+            _ => {
+                eprintln!("bad {flag} value `{v}` (expected a finite number)");
+                std::process::exit(2);
+            }
+        },
     }
 }
 
@@ -482,6 +485,12 @@ fn sim(
     let period = f64_flag(args, "--period", 0.25);
     let slo_bps = f64_flag(args, "--slo-bps", 1e6);
     let slo_solver_s = f64_flag(args, "--slo-solver-s", 0.05);
+    for (flag, value) in [("--duration", duration), ("--period", period)] {
+        if value <= 0.0 {
+            eprintln!("bad {flag} value `{value}` (must be positive)");
+            std::process::exit(2);
+        }
+    }
     let mut simulation = Simulation::new(Deployment::scenario(scenario), budget, period);
     if let Some(x) = flag_value(args, "--person") {
         let i = args.iter().position(|a| a == "--person").unwrap();

@@ -296,3 +296,24 @@ fn streamed_sim_validates_and_the_monitor_renders_it() {
     let out = cli().arg("monitor").arg(&bad).output().unwrap();
     assert_eq!(out.status.code(), Some(2));
 }
+
+#[test]
+fn bad_numbers_exit_2_naming_the_flag() {
+    for args in [
+        &["sim", "--duration", "inf"][..],
+        &["sim", "--duration", "0"],
+        &["sim", "--duration", "-1"],
+        &["sim", "--period", "0"],
+        &["sim", "--period", "nan"],
+        &["sim", "--budget", "nan"],
+        &["adapt", "--budget", "inf"],
+    ] {
+        let out = cli().args(args).output().expect("densevlc-cli runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(args[1]),
+            "{args:?} names the flag: {stderr}"
+        );
+    }
+}

@@ -119,8 +119,9 @@ fn blocked_links_are_counted_against_same_tick_clear_gains() {
 
 #[test]
 fn static_world_hits_plan_cache() {
-    // Nothing moves → after the first tick every column is a hit and every
-    // re-plan lands in the plan cache.
+    // Nothing moves → after the first tick every column is a hit, the
+    // updater reports the channel unchanged, and every later re-plan keeps
+    // the stored plan.
     let mut s = sim();
     let telemetry = Registry::new();
     s.run_traced(2.0, None, &telemetry, &Span::noop());
@@ -129,4 +130,26 @@ fn static_world_hits_plan_cache() {
     assert_eq!(snap.counter("mac.plan.cache_misses"), Some(1));
     assert!(snap.counter("channel.cache.hit").unwrap_or(0) > 0);
     assert!(snap.counter("par.pool.created").unwrap_or(0) >= 1);
+}
+
+#[test]
+fn channel_that_returns_to_the_planned_one_still_replans() {
+    // A walking person's shadow changes the channel between two rounds and
+    // can leave it bit for bit as it was at the last plan. The updater
+    // reported a change in between, so that round re-plans (to the same
+    // plan): the skip reads `ChannelUpdate::changed`, never the matrix.
+    let build = || {
+        let mut s = Simulation::new(Deployment::scenario(Scenario::One), 1.2, 0.2);
+        s.add_person(0.1, 0.92, 0.8, &[(2.9, 0.92), (2.9, 2.9), (0.1, 2.9)]);
+        s
+    };
+    let telemetry = Registry::new();
+    let warm = build().run_traced(12.0, None, &telemetry, &Span::noop());
+    let cold = build().run_cold(12.0, &Registry::noop());
+    assert_eq!(warm.ticks, cold.ticks);
+    let snap = telemetry.snapshot();
+    let hits = snap.counter("mac.plan.cache_hits").unwrap_or(0);
+    let misses = snap.counter("mac.plan.cache_misses").unwrap_or(0);
+    assert_eq!(hits + misses, warm.replans() as u64);
+    assert_eq!((hits, misses), (21, 39));
 }
