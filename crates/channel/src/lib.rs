@@ -52,6 +52,6 @@ pub use incremental::{ChannelUpdate, ChannelUpdater};
 pub use lambertian::{lambertian_order, los_gain, los_gain_profiled, RxOptics, RxProfile};
 pub use matrix::ChannelMatrix;
 pub use nlos_cache::NlosTxCache;
-pub use noise::{AwgnChannel, NoiseParams};
+pub use noise::{AwgnChannel, AwgnCursor, NoiseParams, NOISE_BOUND_SIGMAS};
 pub use photometry::{IlluminanceMap, IlluminanceStats};
 pub use soa::{ChannelSoA, PoseSoA, SparseChannelView};

@@ -5,8 +5,9 @@
 //! (Table 1). We carry those as [`NoiseParams`] and provide an
 //! [`AwgnChannel`] sampler for symbol-level simulations (Gaussian samples
 //! via an in-tree Box–Muller transform, since `rand_distr` is outside the
-//! allowed dependency set), plus an optional ambient-light shot-noise term
-//! for sensitivity studies.
+//! allowed dependency set), with an [`AwgnCursor`] that evaluates only the
+//! samples a caller reads from a block, plus an optional ambient-light
+//! shot-noise term for sensitivity studies.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -65,6 +66,26 @@ impl Default for NoiseParams {
     }
 }
 
+/// Bound, in standard deviations, on every sample [`AwgnChannel::sample`]
+/// returns. The uniform `u1` is drawn from `[f64::MIN_POSITIVE, 1)`, so the
+/// Box–Muller radius `√(−2 ln u1)` is at most `√(−2 ln MIN_POSITIVE) =
+/// 37.6404…`, and `|cos|, |sin| ≤ 1`; the margin to 37.7 dwarfs the few
+/// ulps of rounding in `ln`, `sqrt` and the two products.
+pub const NOISE_BOUND_SIGMAS: f64 = 37.7;
+
+/// One Box–Muller pair of uniforms, drawn in the order `sample` draws them.
+fn draw_pair<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
+    let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+    let u2: f64 = rng.gen::<f64>();
+    (u1, u2)
+}
+
+/// Box–Muller: the radius and angle of a pair of uniforms; the pair's two
+/// standard normals are `r·cos θ` and `r·sin θ`.
+fn polar((u1, u2): (f64, f64)) -> (f64, f64) {
+    ((-2.0 * u1.ln()).sqrt(), 2.0 * std::f64::consts::PI * u2)
+}
+
 /// A sampler of zero-mean Gaussian noise currents with the configured RMS.
 #[derive(Debug, Clone, Copy)]
 pub struct AwgnChannel {
@@ -94,17 +115,42 @@ impl AwgnChannel {
     }
 
     /// Draws one noise sample (Box–Muller on top of the supplied RNG).
+    /// Its magnitude never exceeds [`NOISE_BOUND_SIGMAS`]` · σ`.
     pub fn sample<R: Rng + ?Sized>(&mut self, rng: &mut R) -> f64 {
         if let Some(z) = self.spare.take() {
             return z * self.sigma;
         }
-        // Box–Muller: two uniforms → two independent standard normals.
-        let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-        let u2: f64 = rng.gen::<f64>();
-        let r = (-2.0 * u1.ln()).sqrt();
-        let theta = 2.0 * std::f64::consts::PI * u2;
+        let (r, theta) = polar(draw_pair(rng));
         self.spare = Some(r * theta.sin());
         r * theta.cos() * self.sigma
+    }
+
+    /// A bound no sample can reach: [`NOISE_BOUND_SIGMAS`]` · σ`. A
+    /// signal level beyond it keeps its sign under any noise draw.
+    pub fn bound(&self) -> f64 {
+        NOISE_BOUND_SIGMAS * self.sigma
+    }
+
+    /// A cursor over the next `n` samples, the ones `n` calls to
+    /// [`Self::sample`] would return. It draws the RNG stream in the same
+    /// order but evaluates the Box–Muller transcendentals only for the
+    /// samples it adds somewhere; dropping it (or [`AwgnCursor::finish`])
+    /// draws the rest of the block and leaves this channel exactly as the
+    /// `n` eager calls would.
+    pub fn cursor<'a, R: Rng + ?Sized>(
+        &'a mut self,
+        rng: &'a mut R,
+        n: usize,
+    ) -> AwgnCursor<'a, R> {
+        let carry = self.spare.take();
+        AwgnCursor {
+            channel: self,
+            rng,
+            pos: 0,
+            len: n,
+            carry,
+            pending: None,
+        }
     }
 
     /// Fills `out` with independent noise samples.
@@ -112,6 +158,99 @@ impl AwgnChannel {
         for v in out {
             *v = self.sample(rng);
         }
+    }
+}
+
+/// A streaming view of one block of [`AwgnChannel`] samples, made by
+/// [`AwgnChannel::cursor`]. Sample `i` of the block is the value the
+/// `i`-th of `n` eager [`AwgnChannel::sample`] calls would return, bit for
+/// bit. The cursor moves forward only: [`Self::add_to`] draws past the
+/// samples before `from` (two RNG draws per pair, no transcendentals) and
+/// evaluates the ones in `from..to`. It holds no per-block buffer.
+pub struct AwgnCursor<'a, R: Rng + ?Sized> {
+    channel: &'a mut AwgnChannel,
+    rng: &'a mut R,
+    /// Samples before `pos` are spent: added somewhere or drawn past.
+    pos: usize,
+    len: usize,
+    /// The spare carried in from before the block — sample 0 — until spent.
+    carry: Option<f64>,
+    /// The uniforms of the pair whose cosine half is sample `pos − 1`,
+    /// kept so its sine half (sample `pos`) can still be evaluated.
+    pending: Option<(f64, f64)>,
+}
+
+impl<R: Rng + ?Sized> AwgnCursor<'_, R> {
+    /// Adds samples `from..to` of the block (clamped to the block, and to
+    /// the unspent samples) onto `out[from..to]`, the way `out[i] +=
+    /// sample()` would. Samples between the cursor and `from` are drawn
+    /// past and never evaluated.
+    pub fn add_to(&mut self, out: &mut [f64], from: usize, to: usize) {
+        self.skip_to(from);
+        let to = to.min(self.len);
+        if self.pos >= to {
+            return;
+        }
+        let sigma = self.channel.sigma;
+        if let Some(z) = self.carry.take() {
+            out[self.pos] += z * sigma;
+            self.pos += 1;
+        } else if let Some(pair) = self.pending.take() {
+            let (r, theta) = polar(pair);
+            out[self.pos] += r * theta.sin() * sigma;
+            self.pos += 1;
+        }
+        while self.pos + 2 <= to {
+            let (r, theta) = polar(draw_pair(self.rng));
+            out[self.pos] += r * theta.cos() * sigma;
+            out[self.pos + 1] += r * theta.sin() * sigma;
+            self.pos += 2;
+        }
+        if self.pos < to {
+            let pair = draw_pair(self.rng);
+            let (r, theta) = polar(pair);
+            out[self.pos] += r * theta.cos() * sigma;
+            self.pending = Some(pair);
+            self.pos += 1;
+        }
+    }
+
+    /// Draws past every sample before `to` without evaluating it.
+    fn skip_to(&mut self, to: usize) {
+        let to = to.min(self.len);
+        if self.pos >= to {
+            return;
+        }
+        if self.carry.take().is_some() || self.pending.take().is_some() {
+            self.pos += 1;
+        }
+        while self.pos + 2 <= to {
+            draw_pair(self.rng);
+            self.pos += 2;
+        }
+        if self.pos < to {
+            self.pending = Some(draw_pair(self.rng));
+            self.pos += 1;
+        }
+    }
+
+    /// Draws the rest of the block. Dropping the cursor does the same; this
+    /// spelling marks the point in the caller's code.
+    pub fn finish(self) {}
+}
+
+impl<R: Rng + ?Sized> Drop for AwgnCursor<'_, R> {
+    /// Draws the rest of the block and hands the channel the spare the
+    /// eager calls would leave: the carried one if the block was empty,
+    /// else the sine half of a pair whose cosine half ended the block.
+    fn drop(&mut self) {
+        self.skip_to(self.len);
+        self.channel.spare = self.carry.take().or_else(|| {
+            self.pending.take().map(|pair| {
+                let (r, theta) = polar(pair);
+                r * theta.sin()
+            })
+        });
     }
 }
 

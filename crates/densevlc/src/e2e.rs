@@ -20,7 +20,7 @@ use std::sync::OnceLock;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use vlc_channel::{AwgnChannel, NoiseParams};
+use vlc_channel::{AwgnChannel, AwgnCursor, NoiseParams};
 use vlc_led::power::optical_swing_amplitude;
 use vlc_led::LedParams;
 use vlc_phy::codec::RsStack;
@@ -30,7 +30,7 @@ use vlc_phy::packed::{packed_encode, PackedChips};
 use vlc_phy::rs::ReedSolomon;
 use vlc_phy::waveform::{
     correlate_pattern, correlate_template, mix_into, render, render_packed_into, slice_chips,
-    slice_chips_packed_into, template_energy, WaveformConfig,
+    slice_chips_packed_by, template_energy, ChipRuns, WaveformConfig,
 };
 use vlc_sync::SyncScheme;
 use vlc_telemetry::Registry;
@@ -52,6 +52,43 @@ fn preamble() -> &'static (Vec<Chip>, PackedChips) {
         assert_eq!(packed.to_chips(), scalar, "preamble encodings diverge");
         (scalar, packed)
     })
+}
+
+/// Samples one frame of `chips` chips spans: a guard of `floor(8·spc)`
+/// samples on each side (for start offsets and filter transients) around
+/// `ceil(chips·spc)` samples of chips. The packed run paths and the ARQ
+/// air-time charge all count a frame this way; the scalar oracles spell
+/// out the same expression.
+fn frame_samples(cfg: &E2eConfig, chips: usize) -> usize {
+    let spc = cfg.sample_rate_hz / cfg.symbol_rate_hz;
+    let guard = (8.0 * spc) as usize;
+    guard + (chips as f64 * spc).ceil() as usize + guard
+}
+
+/// The chip decision on the slicing window `lo..hi` of a photocurrent
+/// whose noise `noise` is still drawing. A window whose every sample lies
+/// beyond `bound` (the noise channel's [`AwgnChannel::bound`]) on one side
+/// of zero keeps no further noise: each `fl(s + n)` with `|n| < |s|` is
+/// nonzero with the sign of `s`, samples noised already are final, so the
+/// noisy window sum has that sign too and `sum >= 0` decides as it would
+/// with every sample noised. Every other window gets its exact noise on
+/// the samples not noised yet and is summed as the eager slicer sums it.
+fn lazy_window_is_high<R: Rng + ?Sized>(
+    samples: &mut [f64],
+    noise: &mut AwgnCursor<'_, R>,
+    bound: f64,
+    lo: usize,
+    hi: usize,
+) -> bool {
+    let window = &samples[lo..hi];
+    if window.iter().all(|&s| s > bound) {
+        return true;
+    }
+    if window.iter().all(|&s| s < -bound) {
+        return false;
+    }
+    noise.add_to(samples, lo, hi);
+    samples[lo..hi].iter().sum::<f64>() >= 0.0
 }
 
 /// One transmitter participating in the joint transmission.
@@ -322,7 +359,7 @@ pub fn run_scalar(
 /// template, the FEC stack (the paper's Manchester+RS path as a
 /// [`vlc_phy::codec::CodecStack`], routed through
 /// [`Frame::encode_parts_with`] / [`Frame::decode_parts_with`]), packed
-/// chip streams, and the waveform/photocurrent/decode scratch — so that a
+/// chip streams, and the chip-run/photocurrent/decode scratch — so that a
 /// warmed pipeline runs frames (and ARQ retries) with **zero heap
 /// allocations** in steady state (`crates/densevlc/tests/e2e_identity.rs`
 /// pins this with a counting allocator). Its output is bit-identical to
@@ -332,6 +369,16 @@ pub fn run_scalar(
 /// matches exactly, not just statistically (and the trait refactor is
 /// pinned against hard-coded pre-refactor values by
 /// `pipeline_results_are_pinned_to_pre_codec_stack_values`).
+///
+/// A frame pays only for work that can change its output:
+/// - Render: each host's chip-run boundaries are resolved once per frame
+///   ([`ChipRuns`]), and every TX adds its `±amp` straight into the
+///   photocurrent, in TX order.
+/// - Noise: an [`AwgnCursor`] draws the RNG stream exactly as the eager
+///   path does, but evaluates Box–Muller only where a sample is read —
+///   the preamble search region, then each slicing window that noise could
+///   flip (see `lazy_window_is_high`). Whatever is left is drawn past
+///   when the frame ends, so the next frame starts on the same stream.
 #[derive(Debug)]
 pub struct FramePipeline {
     wave_cfg: WaveformConfig,
@@ -346,7 +393,6 @@ pub struct FramePipeline {
     mac_tx: PackedChips,
     tx_chips: PackedChips,
     photocurrent: Vec<f64>,
-    wave: Vec<f64>,
     sliced: PackedChips,
     rx_bytes: Vec<u8>,
     payload_rx: Vec<u8>,
@@ -354,6 +400,10 @@ pub struct FramePipeline {
     hosts: Vec<usize>,
     loop_phase: Vec<(usize, f64)>,
     offsets: Vec<(usize, f64)>,
+    /// Chip-run boundaries, one slot per host (per beamspot when
+    /// concurrent), and the amplitudes of the TXs adding into one.
+    runs: Vec<ChipRuns>,
+    amps: Vec<f64>,
     // Concurrent-mode scratch (one slot per beamspot).
     spot_payloads: Vec<Vec<u8>>,
     spot_mac: Vec<PackedChips>,
@@ -394,13 +444,14 @@ impl FramePipeline {
             mac_tx: PackedChips::new(),
             tx_chips: PackedChips::new(),
             photocurrent: Vec::new(),
-            wave: Vec::new(),
             sliced: PackedChips::new(),
             rx_bytes: Vec::new(),
             payload_rx: Vec::new(),
             hosts: Vec::new(),
             loop_phase: Vec::new(),
             offsets: Vec::new(),
+            runs: Vec::new(),
+            amps: Vec::new(),
             spot_payloads: Vec::new(),
             spot_mac: Vec::new(),
             spot_chips: Vec::new(),
@@ -422,8 +473,12 @@ impl FramePipeline {
     /// The packed twin of [`run_scalar`]: same RNG stream,
     /// same physics, same telemetry counters, bit-identical [`E2eResult`] —
     /// but through reusable packed buffers. Packed encode work runs under
-    /// the `phy.packed.encode_s` span, slice + Manchester decode under
-    /// `phy.packed.decode_s`, and the Reed–Solomon block decode under
+    /// the `phy.packed.encode_s` span, the one-pass render under
+    /// `phy.waveform.render_s`, the preamble search under
+    /// `phy.preamble.lock_s`, slice + Manchester decode (with the noise of
+    /// the windows that need it) under `phy.packed.decode_s`, the rest of
+    /// the noise (search region, then drawing out the frame) under
+    /// `phy.noise_s`, and the Reed–Solomon block decode under
     /// `phy.rs.block_s`.
     pub fn run(
         &mut self,
@@ -448,23 +503,28 @@ impl FramePipeline {
             mac_tx,
             tx_chips,
             photocurrent,
-            wave,
             sliced,
             rx_bytes,
             payload_rx,
             hosts,
             loop_phase,
             offsets,
+            runs,
+            amps,
             ..
         } = self;
         let mut rng = StdRng::seed_from_u64(seed);
         let a_opt = optical_swing_amplitude(&cfg.led, cfg.led.max_swing);
         let mut awgn = AwgnChannel::new(cfg.noise);
+        let bound = awgn.bound();
 
         hosts.clear();
         hosts.extend(txs.iter().map(|t| t.host));
         hosts.sort_unstable();
         hosts.dedup();
+        if runs.len() < hosts.len() {
+            runs.resize_with(hosts.len(), ChipRuns::new);
+        }
 
         // Same persistent loop-phase model (and RNG draws) as the scalar
         // reference: one uniform phase per host, relative to the earliest.
@@ -513,7 +573,7 @@ impl FramePipeline {
             }
             let spc = wave_cfg.samples_per_chip();
             let guard = (8.0 * spc) as usize;
-            let n_samples = guard + (tx_chips.len() as f64 * spc).ceil() as usize + guard;
+            let n_samples = frame_samples(cfg, tx_chips.len());
             air_time_s += n_samples as f64 / cfg.sample_rate_hz;
 
             offsets.clear();
@@ -529,54 +589,83 @@ impl FramePipeline {
                 ));
             }
 
-            photocurrent.clear();
-            photocurrent.resize(n_samples, 0.0);
-            for tx in txs {
-                let offset = offsets
-                    .iter()
-                    .find(|(h, _)| *h == tx.host)
-                    .expect("host offset exists")
-                    .1;
-                let amp = cfg.responsivity * tx.gain * a_opt;
-                let delay = guard as f64 / cfg.sample_rate_hz + offset;
-                render_packed_into(tx_chips, wave_cfg, amp, delay, n_samples, wave);
-                mix_into(photocurrent, wave);
-            }
-            for s in photocurrent.iter_mut() {
-                *s += awgn.sample(&mut rng);
+            {
+                let _render = telemetry.span("phy.waveform.render_s");
+                photocurrent.clear();
+                photocurrent.resize(n_samples, 0.0);
+                for (host_runs, &(_, offset)) in runs.iter_mut().zip(offsets.iter()) {
+                    let delay = guard as f64 / cfg.sample_rate_hz + offset;
+                    host_runs.resolve(tx_chips.len(), wave_cfg, delay, n_samples);
+                }
+                // Consecutive TXs on one host add in one pass over its runs.
+                for group in txs.chunk_by(|a, b| a.host == b.host) {
+                    let h = hosts
+                        .iter()
+                        .position(|&h| h == group[0].host)
+                        .expect("host offset exists");
+                    amps.clear();
+                    amps.extend(group.iter().map(|tx| cfg.responsivity * tx.gain * a_opt));
+                    runs[h].add_into(tx_chips, amps, photocurrent);
+                }
             }
 
-            let Some((start, score)) = correlate_template(
-                photocurrent,
-                preamble_template,
-                *preamble_energy,
-                0,
-                3 * guard,
-            ) else {
-                telemetry.counter("phy.preamble_misses").inc();
-                continue;
-            };
-            if score < 0.5 {
-                telemetry.counter("phy.preamble_misses").inc();
-                continue;
-            }
-            let mac_start = start + (pre.len() as f64 * spc).round() as usize;
-            let n_mac_chips = wire.len() * 16;
+            let mut noise = awgn.cursor(&mut rng, n_samples);
             {
+                let _noise = telemetry.span("phy.noise_s");
+                let search_end = 3 * guard + preamble_template.len();
+                noise.add_to(photocurrent, 0, search_end);
+            }
+            let lock = {
+                let _lock = telemetry.span("phy.preamble.lock_s");
+                correlate_template(
+                    photocurrent,
+                    preamble_template,
+                    *preamble_energy,
+                    0,
+                    3 * guard,
+                )
+            };
+            let locked = match lock {
+                Some((_, score)) if score < 0.5 => None,
+                lock => lock,
+            };
+            let n_mac_chips = wire.len() * 16;
+            // `Some(decoded)` once the preamble locked: whether slicing and
+            // Manchester decoding both succeeded.
+            let decoded = locked.map(|(start, _)| {
                 let _decode = telemetry.span("phy.packed.decode_s");
-                if !slice_chips_packed_into(photocurrent, wave_cfg, mac_start, n_mac_chips, sliced)
-                {
-                    telemetry.counter("phy.frame_sync_errors").inc();
-                    continue;
+                let mac_start = start + (pre.len() as f64 * spc).round() as usize;
+                let in_frame = slice_chips_packed_by(
+                    n_samples,
+                    wave_cfg,
+                    mac_start,
+                    n_mac_chips,
+                    sliced,
+                    |lo, hi| lazy_window_is_high(photocurrent, &mut noise, bound, lo, hi),
+                );
+                if !in_frame {
+                    return false;
                 }
                 let chip_errors = sliced.diff_count(mac_tx);
                 telemetry
                     .histogram("phy.ber")
                     .record(chip_errors as f64 / mac_tx.len().max(1) as f64);
-                if !sliced.decode_bytes_into(rx_bytes) {
+                sliced.decode_bytes_into(rx_bytes)
+            });
+            {
+                let _noise = telemetry.span("phy.noise_s");
+                noise.finish();
+            }
+            match decoded {
+                None => {
+                    telemetry.counter("phy.preamble_misses").inc();
+                    continue;
+                }
+                Some(false) => {
                     telemetry.counter("phy.frame_sync_errors").inc();
                     continue;
                 }
+                Some(true) => {}
             }
             let parsed = {
                 let _rs_block = telemetry.span("phy.rs.block_s");
@@ -652,7 +741,7 @@ impl FramePipeline {
             preamble_energy,
             wire,
             photocurrent,
-            wave,
+            runs,
             sliced,
             rx_bytes,
             payload_rx,
@@ -668,6 +757,7 @@ impl FramePipeline {
         let mut rng = StdRng::seed_from_u64(seed);
         let a_opt = optical_swing_amplitude(&cfg.led, cfg.led.max_swing);
         let mut awgn = AwgnChannel::new(cfg.noise);
+        let bound = awgn.bound();
         let scheme = SyncScheme::nlos_paper();
         let header = FrameHeader {
             dst: 1,
@@ -680,6 +770,9 @@ impl FramePipeline {
             spot_payloads.resize_with(n, Vec::new);
             spot_mac.resize_with(n, PackedChips::new);
             spot_chips.resize_with(n, PackedChips::new);
+        }
+        if runs.len() < n {
+            runs.resize_with(n, ChipRuns::new);
         }
         spot_wire_lens.clear();
         spot_wire_lens.resize(n, 0);
@@ -714,12 +807,18 @@ impl FramePipeline {
                 .map(PackedChips::len)
                 .max()
                 .expect("non-empty plan");
-            let n_samples = guard + (max_chips as f64 * spc).ceil() as usize + guard;
+            let n_samples = frame_samples(cfg, max_chips);
             air_time_s += n_samples as f64 / cfg.sample_rate_hz;
 
             spot_offsets.clear();
             for _ in beamspots {
                 spot_offsets.push(scheme.sample_start_offset(cfg.symbol_rate_hz, &mut rng));
+            }
+            // A beamspot's runs depend only on its own stream and offset,
+            // so every receiver shares them.
+            for (i, spot_runs) in runs[..n].iter_mut().enumerate() {
+                let delay = guard as f64 / cfg.sample_rate_hz + spot_offsets[i];
+                spot_runs.resolve(spot_chips[i].len(), wave_cfg, delay, n_samples);
             }
 
             for (b, spot) in beamspots.iter().enumerate() {
@@ -735,14 +834,13 @@ impl FramePipeline {
                         continue;
                     }
                     let amp = cfg.responsivity * gain_sum * a_opt;
-                    let delay = guard as f64 / cfg.sample_rate_hz + spot_offsets[other];
-                    render_packed_into(&spot_chips[other], wave_cfg, amp, delay, n_samples, wave);
-                    mix_into(photocurrent, wave);
-                }
-                for s in photocurrent.iter_mut() {
-                    *s += awgn.sample(&mut rng);
+                    runs[other].add_into(&spot_chips[other], &[amp], photocurrent);
                 }
 
+                // Dropping `noise` on any exit from this receiver's turn
+                // draws out the rest of its block.
+                let mut noise = awgn.cursor(&mut rng, n_samples);
+                noise.add_to(photocurrent, 0, 3 * guard + preamble_template.len());
                 let Some((start, score)) = correlate_template(
                     photocurrent,
                     preamble_template,
@@ -756,13 +854,16 @@ impl FramePipeline {
                     continue;
                 }
                 let mac_start = start + (pre.len() as f64 * spc).round() as usize;
-                if !slice_chips_packed_into(
-                    photocurrent,
+                let in_frame = slice_chips_packed_by(
+                    n_samples,
                     wave_cfg,
                     mac_start,
                     spot_wire_lens[b] * 16,
                     sliced,
-                ) {
+                    |lo, hi| lazy_window_is_high(photocurrent, &mut noise, bound, lo, hi),
+                );
+                noise.finish();
+                if !in_frame {
                     continue;
                 }
                 if !sliced.decode_bytes_into(rx_bytes) {
@@ -836,10 +937,8 @@ pub fn run_with_arq(
     let mut time_s = 0.0;
     // Frame air time (guard + chips + guard) matches `run`'s accounting.
     let rs = ReedSolomon::paper();
-    let chips_per_frame =
-        (Frame::wire_len(cfg.payload_len, &rs) + PREAMBLE_BYTES.len()) as f64 * 16.0;
-    let spc = cfg.sample_rate_hz / cfg.symbol_rate_hz;
-    let air_s = ((8.0 * spc) * 2.0 + chips_per_frame * spc).ceil() / cfg.sample_rate_hz;
+    let chips_per_frame = (Frame::wire_len(cfg.payload_len, &rs) + PREAMBLE_BYTES.len()) * 16;
+    let air_s = frame_samples(cfg, chips_per_frame) as f64 / cfg.sample_rate_hz;
 
     // One pipeline reused across every payload and retry: after the first
     // attempt warms its buffers, retransmissions allocate nothing.
@@ -1369,6 +1468,14 @@ mod tests {
         }];
         let two = two_tx();
         let four = four_tx();
+        // Around the lazy-noise skip edge: one TX whose level sits at
+        // 37.0σ (never skipped), 37.7σ (the bound itself, never skipped)
+        // and 38.5σ (every clean window skipped).
+        let [at_37_0, at_37_7, at_38_5] =
+            [37.0, 37.7, 38.5].map(|k| vec![tx_at_sigmas(&cfg, k, 0)]);
+        // Two hosts at 20σ each under NLOS sync: their sub-chip skew
+        // leaves windows that straddle a transition, partly at ±0.
+        let skewed = vec![tx_at_sigmas(&cfg, 20.0, 0), tx_at_sigmas(&cfg, 20.0, 1)];
         let cases: Vec<(&[E2eTx], SyncScheme, u64)> = vec![
             (&two, SyncScheme::SyncOff, 1),
             (&four, SyncScheme::SyncOff, 2),
@@ -1376,12 +1483,69 @@ mod tests {
             (&four, SyncScheme::NtpPtp, 5),
             (&marginal, SyncScheme::SyncOff, 202),
             (&weak, SyncScheme::SyncOff, 6),
+            (&at_37_0, SyncScheme::SyncOff, 7),
+            (&at_37_7, SyncScheme::SyncOff, 8),
+            (&at_38_5, SyncScheme::SyncOff, 9),
+            (&skewed, SyncScheme::nlos_paper(), 10),
         ];
         for (txs, scheme, seed) in cases {
             let packed = run(txs, &scheme, &cfg, 12, seed);
             let scalar = run_scalar(txs, &scheme, &cfg, 12, seed, &Registry::noop());
             assert_eq!(packed, scalar, "scheme {scheme:?} seed {seed}");
         }
+        // A fractional samples-per-chip (10.3) takes the non-integer
+        // render, window and air-time paths.
+        let fractional = fractional_rate();
+        for (txs, scheme, seed) in [
+            (&two, SyncScheme::SyncOff, 11u64),
+            (&four, SyncScheme::nlos_paper(), 12),
+            (&at_38_5, SyncScheme::SyncOff, 13),
+        ] {
+            let packed = run(txs, &scheme, &fractional, 6, seed);
+            let scalar = run_scalar(txs, &scheme, &fractional, 6, seed, &Registry::noop());
+            assert_eq!(
+                packed, scalar,
+                "10.3 samples/chip, scheme {scheme:?} seed {seed}"
+            );
+        }
+    }
+
+    /// A TX on `host` whose received level is `k` noise standard
+    /// deviations.
+    fn tx_at_sigmas(cfg: &E2eConfig, k: f64, host: usize) -> E2eTx {
+        let a_opt = optical_swing_amplitude(&cfg.led, cfg.led.max_swing);
+        E2eTx {
+            gain: k * cfg.noise.noise_rms() / (cfg.responsivity * a_opt),
+            host,
+        }
+    }
+
+    /// The default link sampled at 10.3 samples per chip.
+    fn fractional_rate() -> E2eConfig {
+        E2eConfig {
+            sample_rate_hz: 1_030_000.0,
+            ..E2eConfig::default()
+        }
+    }
+
+    #[test]
+    fn arq_charges_the_air_time_run_charges() {
+        // At 10.3 samples per chip, 8·spc is fractional: ARQ used to charge
+        // `ceil(16·spc + chips·spc)` samples per attempt against `run`'s
+        // `2·floor(8·spc) + ceil(chips·spc)`. One clean payload with a
+        // lossless ACK costs exactly one `run` frame.
+        let cfg = fractional_rate();
+        let txs = two_tx();
+        let wifi = vlc_mac::WifiUplink {
+            loss_probability: 0.0,
+            ..vlc_mac::WifiUplink::paper()
+        };
+        let seed = 301;
+        let arq = run_with_arq(&txs, &SyncScheme::SyncOff, &cfg, &wifi, 1, 0, seed);
+        // ARQ's first attempt of payload 0 runs the pipeline on this seed.
+        let single = run(&txs, &SyncScheme::SyncOff, &cfg, 1, seed ^ 1);
+        assert_eq!((arq.delivered, single.frames_ok), (1, 1));
+        assert_eq!(arq.goodput_bps, single.goodput_bps);
     }
 
     #[test]
@@ -1416,10 +1580,11 @@ mod tests {
                 txs: s.txs.clone(),
             })
             .collect();
-        let cfg = E2eConfig::default();
-        let packed = run_concurrent(&d.model.channel, &beamspots, &cfg, 4, 71);
-        let scalar = run_concurrent_scalar(&d.model.channel, &beamspots, &cfg, 4, 71);
-        assert_eq!(packed, scalar);
+        for cfg in [E2eConfig::default(), fractional_rate()] {
+            let packed = run_concurrent(&d.model.channel, &beamspots, &cfg, 4, 71);
+            let scalar = run_concurrent_scalar(&d.model.channel, &beamspots, &cfg, 4, 71);
+            assert_eq!(packed, scalar, "{} samples/s", cfg.sample_rate_hz);
+        }
     }
 
     #[test]
@@ -1435,7 +1600,9 @@ mod tests {
         for (txs, scheme, seed) in [
             (two_tx(), SyncScheme::SyncOff, 1u64),
             (four_tx(), SyncScheme::SyncOff, 2),
+            (four_tx(), SyncScheme::nlos_paper(), 3),
             (marginal, SyncScheme::SyncOff, 202),
+            (vec![tx_at_sigmas(&cfg, 37.0, 0)], SyncScheme::SyncOff, 7),
         ] {
             let reg_packed = Registry::new();
             let reg_scalar = Registry::new();
@@ -1456,6 +1623,15 @@ mod tests {
                     "{name} diverged for scheme {scheme:?} seed {seed}"
                 );
             }
+            // Each sliced frame's raw chip error fraction: equal counts and
+            // a bitwise-equal sum pin every chip decision.
+            let ber_packed = reg_packed.histogram("phy.ber").snapshot();
+            let ber_scalar = reg_scalar.histogram("phy.ber").snapshot();
+            assert_eq!(
+                (ber_packed.count, ber_packed.sum.to_bits()),
+                (ber_scalar.count, ber_scalar.sum.to_bits()),
+                "phy.ber diverged for scheme {scheme:?} seed {seed}"
+            );
         }
     }
 

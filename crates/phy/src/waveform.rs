@@ -77,34 +77,27 @@ pub fn render(
         .collect()
 }
 
-/// Shared fixed-stride render kernel: fills `out` chip run by chip run
-/// (each run is a contiguous constant-valued slice — no per-sample branch
-/// or division, so the fill autovectorizes) while reproducing the scalar
-/// [`render`]'s per-sample boundary decisions *exactly*: a sample `i`
-/// belongs to chip `k` iff `i as f64 - delay_samples >= 0` and
+/// Shared run-boundary kernel: visits chip `k`'s constant run `start..end`
+/// of a stream rendered with `delay_s` over `n_samples`, in chip order,
+/// and returns the first sample past the last run. A run holds exactly the
+/// samples the scalar [`render`] assigns to chip `k`: sample `i` belongs
+/// to chip `k` iff `i as f64 - delay_samples >= 0` and
 /// `((i - delay) / spc) as usize == k`, the very expression `render`
-/// evaluates. Run boundaries are estimated in closed form and then
-/// corrected by at most a couple of samples against that predicate, so the
-/// output is bit-identical to the scalar path for any delay or rate.
-fn render_runs_into(
+/// evaluates. Run boundaries are exact integer strides where that is
+/// provably the predicate's answer, else closed-form estimates corrected
+/// by a couple of samples against it, so any renderer built on the runs
+/// is bit-identical to the scalar path for any delay or rate. Samples before the first run and past the last are
+/// off the air (`0.0`). Runs can be empty; the visit order never goes
+/// back.
+fn for_each_run(
     n_chips: usize,
-    chip_high: impl Fn(usize) -> bool,
     cfg: &WaveformConfig,
-    amplitude: f64,
     delay_s: f64,
     n_samples: usize,
-    out: &mut Vec<f64>,
-) {
-    assert!(amplitude >= 0.0, "amplitude must be non-negative");
+    mut visit: impl FnMut(usize, usize, usize),
+) -> usize {
     let spc = cfg.samples_per_chip();
     let d = delay_s * cfg.sample_rate_hz;
-    // Every sample is written exactly once below (zero prefix, one run per
-    // chip, zero suffix — the runs are contiguous), so a stale buffer of
-    // the right length needs no zeroing pass first.
-    if out.len() != n_samples {
-        out.clear();
-        out.resize(n_samples, 0.0);
-    }
     // Chip index of sample `i` (valid only for i as f64 >= d): the exact
     // scalar expression, used to verify estimated run boundaries.
     let idx_at = |i: usize| ((i as f64 - d) / spc) as usize;
@@ -114,42 +107,47 @@ fn render_runs_into(
     } else {
         (d.ceil() as usize).min(n_samples)
     };
-    out[..first].fill(0.0);
-    // Exact-grid fast path: when the delay and samples-per-chip are both
-    // integer-valued (the paper configuration and any synchronized TX),
-    // the scalar predicate `((i - d) / spc) as usize` equals exact integer
-    // floor division — `i - d` is an exact integer below 2^51, so the
-    // quotient's rounding error is under `2^-53 · (i-d)/spc`, far smaller
-    // than the `1/spc` gap to the nearest integer (and exact multiples
-    // divide exactly). Chip k therefore ends at sample `d + (k+1)·spc`
-    // precisely: no divisions, no boundary corrections.
-    if spc.fract() == 0.0
+    // Integer-stride fast path: for an integer samples-per-chip `s`, chip
+    // k ends at sample `ceil(d) + (k+1)·s` exactly — no divisions, no
+    // boundary corrections — unless `d` lies within a hair of an integer
+    // without being one. In exact arithmetic, sample `i ≥ first` has chip
+    // index `floor(x)`, `x = (i − d)/s`, so chip k ends at the first `i`
+    // with `i − d ≥ (k+1)·s`, which is `ceil(d) + (k+1)·s`. The scalar
+    // predicate evaluates `x` with two roundings, off by at most
+    // `2^-51·|x|`, and truncates; it agrees whenever no integer lies
+    // within that error of `x`:
+    // - `d` integer: `i − d` is an exact integer below 2^51, so `x` is an
+    //   exact multiple of `1/s` — an integer quotient divides exactly, any
+    //   other sits `≥ 1/s` from the nearest integer.
+    // - `d` with fractional part `f`: `x = (M − f)/s` for an integer `M`,
+    //   at least `min(f, 1 − f)/s` from any integer; the `1e-12` margin
+    //   below dwarfs `2^-51·(n_samples + |d|)/s`.
+    let frac = d - d.floor();
+    let integer_grid = spc.fract() == 0.0
         && spc >= 1.0
-        && d.fract() == 0.0
         && d.abs() + (n_chips as f64 + 1.0) * spc < 2.0e15
-    {
+        && (frac == 0.0 || frac.min(1.0 - frac) > 1e-12 * (n_samples as f64 + d.abs()));
+    if integer_grid {
         let s = spc as i64;
-        let d_i = d as i64;
+        let d_i = d.ceil() as i64;
         let mut start = first;
         for k in 0..n_chips {
             if start >= n_samples {
                 break;
             }
             let end = ((d_i + (k as i64 + 1) * s).clamp(0, n_samples as i64) as usize).max(start);
-            let value = if chip_high(k) { amplitude } else { -amplitude };
-            out[start..end].fill(value);
+            visit(k, start, end);
             start = end;
         }
-        out[start..].fill(0.0);
-        return;
+        return start;
     }
-    // Chip k ends at the first sample whose exact scalar index exceeds k
-    // (`idx_at` is monotone in `i`, so that boundary is unique). The
-    // boundaries are found from a closed-form estimate corrected by a
-    // couple of samples against `idx_at` — and because each boundary is
-    // independent of the previous one, they are resolved in blocks of 64
-    // ahead of the sequential run fill, keeping the divisions pipelined
-    // instead of serialized behind each fill.
+    // General path. Chip k ends at the first sample whose exact scalar
+    // index exceeds k (`idx_at` is monotone in `i`, so that boundary is
+    // unique). The boundaries are found from a closed-form estimate
+    // corrected by a couple of samples against `idx_at` — and because
+    // each boundary is independent of the previous one, they are resolved
+    // in blocks of 64 ahead of the sequential visits, keeping the
+    // divisions pipelined instead of serialized behind each run.
     let mut bounds = [0usize; 64];
     let mut start = first;
     let mut k0 = 0usize;
@@ -173,17 +171,116 @@ fn render_runs_into(
         }
         for (j, &b) in bounds[..block].iter().enumerate() {
             let end = b.max(start);
-            let value = if chip_high(k0 + j) {
-                amplitude
-            } else {
-                -amplitude
-            };
-            out[start..end].fill(value);
+            visit(k0 + j, start, end);
             start = end;
         }
         k0 += block;
     }
-    out[start..].fill(0.0);
+    start
+}
+
+/// Renders chip runs into `out` (resized to `n_samples`), every sample
+/// written exactly once: zero prefix, one constant run per chip, zero
+/// suffix. So a stale buffer of the right length needs no zeroing pass.
+fn render_runs_into(
+    n_chips: usize,
+    chip_high: impl Fn(usize) -> bool,
+    cfg: &WaveformConfig,
+    amplitude: f64,
+    delay_s: f64,
+    n_samples: usize,
+    out: &mut Vec<f64>,
+) {
+    assert!(amplitude >= 0.0, "amplitude must be non-negative");
+    if out.len() != n_samples {
+        out.clear();
+        out.resize(n_samples, 0.0);
+    }
+    let mut first = None;
+    let last = for_each_run(n_chips, cfg, delay_s, n_samples, |k, start, end| {
+        first.get_or_insert(start);
+        let value = if chip_high(k) { amplitude } else { -amplitude };
+        out[start..end].fill(value);
+    });
+    out[..first.unwrap_or(last)].fill(0.0);
+    out[last..].fill(0.0);
+}
+
+/// The chip-run boundaries of one rendered stream, resolved once and then
+/// added into a photocurrent for every TX that shares the stream's delay —
+/// the one-pass form of [`render_packed_into`] + [`mix_into`].
+#[derive(Debug, Clone, Default)]
+pub struct ChipRuns {
+    /// First sample of chip 0's run.
+    first: usize,
+    /// `ends[k]`: one past the last sample of chip `k`'s run (chips whose
+    /// runs would start past the stream end are left out).
+    ends: Vec<usize>,
+}
+
+impl ChipRuns {
+    /// An empty set of runs (no allocation until [`Self::resolve`]).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Resolves the runs of `n_chips` chips rendered with `delay_s` over
+    /// `n_samples` — the boundaries [`render`] draws, bit for bit.
+    /// Reuses the buffer: no allocation once its capacity is warm.
+    pub fn resolve(
+        &mut self,
+        n_chips: usize,
+        cfg: &WaveformConfig,
+        delay_s: f64,
+        n_samples: usize,
+    ) {
+        self.ends.clear();
+        let mut first = None;
+        let ends = &mut self.ends;
+        for_each_run(n_chips, cfg, delay_s, n_samples, |_, start, end| {
+            first.get_or_insert(start);
+            ends.push(end);
+        });
+        self.first = first.unwrap_or(0);
+    }
+
+    /// Adds `±a` (`+` for a high chip of `chips`) over each chip's run into
+    /// `out`, for every `a` of `amplitudes` in order — the TXs sharing
+    /// these runs. Bit-identical to [`render_packed_into`] followed by
+    /// [`mix_into`] per amplitude on any `out` holding no `−0.0`: each
+    /// sample takes the same adds in the same order, the skipped off-air
+    /// samples would add `+0.0`, which leaves every other value unchanged,
+    /// and `x + y` is `−0.0` only when both are, so a buffer that starts at
+    /// `+0.0` never reaches `−0.0`.
+    pub fn add_into(&self, chips: &PackedChips, amplitudes: &[f64], out: &mut [f64]) {
+        assert!(
+            amplitudes.iter().all(|&a| a >= 0.0),
+            "amplitude must be non-negative"
+        );
+        let words = chips.words();
+        let mut start = self.first;
+        for (k, &end) in self.ends.iter().enumerate() {
+            let high = (words[k >> 6] >> (k & 63)) & 1 == 1;
+            let level = |a: f64| if high { a } else { -a };
+            let run = &mut out[start..end];
+            // Two TXs per pass over the run: `(x + a) + b` is the order
+            // two separate passes add in.
+            let mut pairs = amplitudes.chunks_exact(2);
+            for pair in &mut pairs {
+                let (a, b) = (level(pair[0]), level(pair[1]));
+                for x in run.iter_mut() {
+                    *x = *x + a + b;
+                }
+            }
+            if let [a] = *pairs.remainder() {
+                let a = level(a);
+                for x in run.iter_mut() {
+                    *x += a;
+                }
+            }
+            start = end;
+        }
+    }
 }
 
 /// [`render`] into a caller-owned buffer (cleared and resized; no
@@ -278,21 +375,39 @@ pub fn slice_chips_packed_into(
     n_chips: usize,
     out: &mut PackedChips,
 ) -> bool {
+    // The window count divides out of the scalar decision (`mean >= 0` ⟺
+    // `sum >= 0` for a positive count, including the −0.0 and NaN cases),
+    // so the per-chip division goes.
+    slice_chips_packed_by(samples.len(), cfg, start_sample, n_chips, out, |lo, hi| {
+        samples[lo..hi].iter().sum::<f64>() >= 0.0
+    })
+}
+
+/// The slicing loop of [`slice_chips_packed_into`] with the chip decision
+/// left to `decide(lo, hi)`: `true` for a high chip whose window is
+/// `lo..hi`. Windows come in chip order, each one checked against
+/// `n_samples` (and for emptiness) before `decide` sees it, at the same
+/// chip index as the scalar loop. On a too-short stream `out` is cleared
+/// and the result is `false`. A caller that prepares each window just in
+/// time — adds noise, say — gets exactly the windows the slicer reads.
+pub fn slice_chips_packed_by(
+    n_samples: usize,
+    cfg: &WaveformConfig,
+    start_sample: usize,
+    n_chips: usize,
+    out: &mut PackedChips,
+    mut decide: impl FnMut(usize, usize) -> bool,
+) -> bool {
     let spc = cfg.samples_per_chip();
     out.clear();
-    // Chips accumulate in a local word flushed every 64 — no per-chip
-    // indexing into the word vector. The window count divides out of the
-    // scalar decision (`mean >= 0` ⟺ `sum >= 0` for a positive count,
-    // including the −0.0 and NaN cases), so the per-chip division goes too.
-    let mut word = 0u64;
-    let mut filled = 0usize;
+    let mut word = WordFill::default();
     // Exact-grid fast path: for an integer samples-per-chip, `begin` is an
     // exact integer and `0.25·spc`/`0.75·spc` are exact (two fractional
     // bits at most), so the scalar `floor(begin + 0.25·spc)` equals
     // `begin + floor(0.25·spc)` — the per-chip window is a fixed integer
     // stride and width, no float rounding involved. The window is never
     // empty for spc ≥ 1 (`floor(0.25·spc) < ceil(0.75·spc)`), so only the
-    // length check remains, at the same chip index as the scalar loop.
+    // length check remains.
     if spc.fract() == 0.0
         && spc >= 1.0
         && start_sample as f64 + (n_chips as f64 + 1.0) * spc < 2.0e15
@@ -302,58 +417,66 @@ pub fn slice_chips_packed_into(
         let mut lo = start_sample + (0.25 * spc).floor() as usize;
         for _ in 0..n_chips {
             let hi = lo + width;
-            if hi > samples.len() {
+            if hi > n_samples {
                 out.clear();
                 return false;
             }
-            let sum: f64 = samples[lo..hi].iter().sum();
-            if sum >= 0.0 {
-                word |= 1 << filled;
-            }
-            filled += 1;
-            if filled == 64 {
-                out.push_word_aligned(word, 64);
-                word = 0;
-                filled = 0;
-            }
+            word.push(out, decide(lo, hi));
             lo += s;
         }
-        if filled > 0 {
-            out.push_word_aligned(word, filled);
-        }
-        return true;
-    }
-    for k in 0..n_chips {
-        let begin = start_sample as f64 + k as f64 * spc;
-        let lo = (begin + 0.25 * spc).floor() as usize;
-        let hi = (begin + 0.75 * spc).ceil() as usize;
-        if hi > samples.len() || lo >= hi {
-            out.clear();
-            return false;
-        }
-        let sum: f64 = samples[lo..hi].iter().sum();
-        if sum >= 0.0 {
-            word |= 1 << filled;
-        }
-        filled += 1;
-        if filled == 64 {
-            out.push_word_aligned(word, 64);
-            word = 0;
-            filled = 0;
+    } else {
+        for k in 0..n_chips {
+            let begin = start_sample as f64 + k as f64 * spc;
+            let lo = (begin + 0.25 * spc).floor() as usize;
+            let hi = (begin + 0.75 * spc).ceil() as usize;
+            if hi > n_samples || lo >= hi {
+                out.clear();
+                return false;
+            }
+            word.push(out, decide(lo, hi));
         }
     }
-    if filled > 0 {
-        out.push_word_aligned(word, filled);
-    }
+    word.flush(out);
     true
 }
 
+/// Sliced chips accumulate in a local word flushed every 64 — no per-chip
+/// indexing into the word vector.
+#[derive(Default)]
+struct WordFill {
+    word: u64,
+    filled: usize,
+}
+
+impl WordFill {
+    fn push(&mut self, out: &mut PackedChips, high: bool) {
+        if high {
+            self.word |= 1 << self.filled;
+        }
+        self.filled += 1;
+        if self.filled == 64 {
+            out.push_word_aligned(self.word, 64);
+            *self = WordFill::default();
+        }
+    }
+
+    fn flush(self, out: &mut PackedChips) {
+        if self.filled > 0 {
+            out.push_word_aligned(self.word, self.filled);
+        }
+    }
+}
+
+/// Start offsets [`correlate_template`] scores per pass over the template.
+const CORRELATE_LANES: usize = 4;
+
 /// Correlation against a pre-rendered template — the hoisted kernel under
-/// [`correlate_pattern`]. The dot product and window energy accumulate in
-/// one fixed-stride pass (two independent accumulators, each summing in
-/// the same order as the scalar two-pass loop, so scores are
-/// bit-identical); the template and its energy are computed once by the
-/// caller instead of on every call.
+/// [`correlate_pattern`]. Each pass over the template scores four
+/// consecutive start offsets, each with its own dot and window-energy
+/// accumulators summed in the same order as the scalar two-pass loop, so
+/// scores are bit-identical; the best start is then picked in start
+/// order, so ties keep the first index. The template and its energy are
+/// computed once by the caller instead of on every call.
 pub fn correlate_template(
     samples: &[f64],
     template: &[f64],
@@ -364,26 +487,51 @@ pub fn correlate_template(
     if template.is_empty() {
         return None;
     }
-    let mut best: Option<(usize, f64)> = None;
+    let n = template.len();
     let last_start = search_from
         .checked_add(search_len)?
-        .min(samples.len().checked_sub(template.len())?);
-    for start in search_from..=last_start {
-        let window = &samples[start..start + template.len()];
-        let mut dot = 0.0f64;
-        let mut energy = 0.0f64;
-        for (&a, &b) in window.iter().zip(template) {
-            dot += a * b;
-            energy += a * a;
-        }
+        .min(samples.len().checked_sub(n)?);
+    let mut best: Option<(usize, f64)> = None;
+    let mut consider = |start: usize, dot: f64, energy: f64| {
         let w_energy = energy.sqrt();
         if w_energy < 1e-30 {
-            continue;
+            return;
         }
         let score = dot / (t_energy * w_energy);
         if best.is_none_or(|(_, b)| score > b) {
             best = Some((start, score));
         }
+    };
+    let mut start = search_from;
+    while start + CORRELATE_LANES - 1 <= last_start {
+        let w = &samples[start..start + n + CORRELATE_LANES - 1];
+        let mut dot = [0.0f64; CORRELATE_LANES];
+        let mut energy = [0.0f64; CORRELATE_LANES];
+        for ((((&t, &a0), &a1), &a2), &a3) in template
+            .iter()
+            .zip(&w[..n])
+            .zip(&w[1..n + 1])
+            .zip(&w[2..n + 2])
+            .zip(&w[3..n + 3])
+        {
+            for (l, a) in [a0, a1, a2, a3].into_iter().enumerate() {
+                dot[l] += a * t;
+                energy[l] += a * a;
+            }
+        }
+        for l in 0..CORRELATE_LANES {
+            consider(start + l, dot[l], energy[l]);
+        }
+        start += CORRELATE_LANES;
+    }
+    for start in start..=last_start {
+        let mut dot = 0.0f64;
+        let mut energy = 0.0f64;
+        for (&a, &t) in samples[start..start + n].iter().zip(template) {
+            dot += a * t;
+            energy += a * a;
+        }
+        consider(start, dot, energy);
     }
     best
 }
@@ -518,12 +666,24 @@ mod tests {
         let packed = crate::packed::PackedChips::from_chips(&chips);
         let mut buf = Vec::new();
         // Awkward delays and non-integer samples-per-chip included.
-        for (sym, samp) in [(100_000.0, 1_000_000.0), (97_000.0, 1_000_000.0)] {
+        // At 1 sample/s the delay in seconds is the delay in samples, so
+        // the last ones sit one ulp off a whole sample: `13 − d` rounds to
+        // a chip boundary the exact quotient has not reached yet, and only
+        // the corrected path draws the scalar boundary.
+        let near_whole = [3.0f64.next_up(), 7.0f64.next_down(), 13.0f64.next_up()];
+        for (sym, samp) in [
+            (100_000.0, 1_000_000.0),
+            (97_000.0, 1_000_000.0),
+            (0.1, 1.0),
+        ] {
             let c = WaveformConfig {
                 symbol_rate_hz: sym,
                 sample_rate_hz: samp,
             };
-            for delay in [0.0, 5e-6, 3.7e-6, -2.3e-6, 1.0e-3, 1e-7] {
+            for delay in [0.0, 5e-6, 3.7e-6, -2.3e-6, 1.0e-3, 1e-7]
+                .into_iter()
+                .chain(near_whole)
+            {
                 let reference = render(&chips, &c, 0.8, delay, 800);
                 render_into(&chips, &c, 0.8, delay, 800, &mut buf);
                 assert_eq!(buf, reference, "render_into sym={sym} delay={delay}");

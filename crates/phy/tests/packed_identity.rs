@@ -16,8 +16,8 @@ use vlc_phy::manchester::{
 use vlc_phy::packed::{packed_encode, PackedChips};
 use vlc_phy::rs::{ReedSolomon, RsCodec};
 use vlc_phy::waveform::{
-    correlate_pattern, correlate_template, render, render_into, render_packed_into, slice_chips,
-    slice_chips_packed_into, template_energy, WaveformConfig,
+    correlate_pattern, correlate_template, mix_into, render, render_into, render_packed_into,
+    slice_chips, slice_chips_packed_into, template_energy, ChipRuns, WaveformConfig,
 };
 use vlc_phy::{Frame, FrameHeader};
 
@@ -211,5 +211,138 @@ proptest! {
         let via_template =
             correlate_template(&reference, &template, template_energy(&template), 0, 100);
         prop_assert_eq!(via_pattern, via_template);
+    }
+
+    /// One-pass render: resolving each delay's chip runs once and adding
+    /// every TX's `±amp` straight into the photocurrent, in TX order, is
+    /// bit-identical to rendering each TX and mixing it in — for 1–4 TXs
+    /// over 1–2 delays, integer and fractional delays and rates, and
+    /// zero amplitudes.
+    #[test]
+    fn one_pass_render_matches_render_and_mix(
+        data in proptest::collection::vec(any::<u8>(), 1..10),
+        txs in proptest::collection::vec((0usize..2, 0u8..4, 0.0f64..2.0), 1..5),
+        delays_us in (-15.0f64..40.0, -15.0f64..40.0, any::<bool>()),
+        spc_num in 2u32..25,
+    ) {
+        let cfg = WaveformConfig {
+            symbol_rate_hz: 100_000.0,
+            sample_rate_hz: 100_000.0 * spc_num as f64 / 2.0,
+        };
+        let (d0, d1, integer) = delays_us;
+        // Integer delays land on whole samples (the exact-grid path).
+        let delay_of = |d: f64| {
+            if integer {
+                (d * cfg.sample_rate_hz * 1e-6).round() / cfg.sample_rate_hz
+            } else {
+                d * 1e-6
+            }
+        };
+        let delays = [delay_of(d0), delay_of(d1)];
+        let chips = manchester_encode(&data);
+        let packed = packed_encode(&data);
+        let n = (chips.len() as f64 * cfg.samples_per_chip()).ceil() as usize + 60;
+        // A quarter of the TXs radiate at amplitude 0.0.
+        let amp = |(_, z, a): (usize, u8, f64)| if z == 0 { 0.0 } else { a };
+
+        let mut reference = vec![0.0f64; n];
+        for &tx in &txs {
+            mix_into(&mut reference, &render(&chips, &cfg, amp(tx), delays[tx.0], n));
+        }
+        let mut runs = [ChipRuns::new(), ChipRuns::new()];
+        for (r, &delay) in runs.iter_mut().zip(&delays) {
+            r.resolve(packed.len(), &cfg, delay, n);
+        }
+        // Consecutive TXs on one delay add in one pass, as the pipeline
+        // groups them.
+        let mut one_pass = vec![0.0f64; n];
+        for group in txs.chunk_by(|a, b| a.0 == b.0) {
+            let amps: Vec<f64> = group.iter().map(|&tx| amp(tx)).collect();
+            runs[group[0].0].add_into(&packed, &amps, &mut one_pass);
+        }
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&one_pass), bits(&reference));
+    }
+
+    /// The lane-parallel correlator equals the one-start-at-a-time loop
+    /// it replaced, for search lengths that are not a multiple of the
+    /// lane count, windows running into the stream end, all-zero windows
+    /// (skipped below the `1e-30` energy floor) and exact ties.
+    #[test]
+    fn lane_correlator_matches_one_start_loop(
+        template in proptest::collection::vec(-2i8..3, 1..40),
+        samples in proptest::collection::vec(-2i8..3, 0..160),
+        zero_run in (0usize..160, 0usize..60),
+        search_from in 0usize..40,
+        search_len in 0usize..150,
+    ) {
+        // Small integers make equal scores (exact ties) common.
+        let template: Vec<f64> = template.into_iter().map(f64::from).collect();
+        let mut samples: Vec<f64> = samples.into_iter().map(f64::from).collect();
+        let (at, len) = zero_run;
+        let end = (at + len).min(samples.len());
+        if at < end {
+            samples[at..end].fill(0.0);
+        }
+        let t_energy = template_energy(&template);
+        let got = correlate_template(&samples, &template, t_energy, search_from, search_len);
+        let want = one_start_correlate(&samples, &template, t_energy, search_from, search_len);
+        prop_assert_eq!(
+            got.map(|(i, s)| (i, s.to_bits())),
+            want.map(|(i, s)| (i, s.to_bits()))
+        );
+    }
+}
+
+/// The single-start correlation loop `correlate_template` ran before it
+/// scored four starts per pass: the reference it must equal bit for bit.
+fn one_start_correlate(
+    samples: &[f64],
+    template: &[f64],
+    t_energy: f64,
+    search_from: usize,
+    search_len: usize,
+) -> Option<(usize, f64)> {
+    if template.is_empty() {
+        return None;
+    }
+    let mut best: Option<(usize, f64)> = None;
+    let last_start = search_from
+        .checked_add(search_len)?
+        .min(samples.len().checked_sub(template.len())?);
+    for start in search_from..=last_start {
+        let window = &samples[start..start + template.len()];
+        let mut dot = 0.0f64;
+        let mut energy = 0.0f64;
+        for (&a, &b) in window.iter().zip(template) {
+            dot += a * b;
+            energy += a * a;
+        }
+        let w_energy = energy.sqrt();
+        if w_energy < 1e-30 {
+            continue;
+        }
+        let score = dot / (t_energy * w_energy);
+        if best.is_none_or(|(_, b)| score > b) {
+            best = Some((start, score));
+        }
+    }
+    best
+}
+
+#[test]
+fn lane_correlator_keeps_the_first_of_tied_starts() {
+    // A periodic stream scores every period's start equally: the first
+    // one wins, whichever lane of a pass it falls in.
+    let template = [1.0, -1.0, 1.0];
+    let samples: Vec<f64> = (0..40)
+        .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 })
+        .collect();
+    for from in 0..6 {
+        let t_energy = template_energy(&template);
+        let got = correlate_template(&samples, &template, t_energy, from, 17);
+        let want = one_start_correlate(&samples, &template, t_energy, from, 17);
+        assert_eq!(got, want, "from {from}");
+        assert_eq!(got.map(|(i, _)| i), Some(from + from % 2));
     }
 }
