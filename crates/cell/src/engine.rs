@@ -9,7 +9,11 @@
 //! `vlc-par` pool — untouched shards are not visited at all, so a tick
 //! that touches `k` of `N` shards costs O(k · replan), and a tick that
 //! touches nothing is O(1) and allocation-free (proven by
-//! `tests/zero_alloc_tick.rs`).
+//! `tests/zero_alloc_tick.rs`). On a multi-worker pool the dirty shards
+//! (boxed, so a hand-off moves one pointer each) move out to the pool's
+//! resident workers through [`Pool::map_owned`] and are all back in place
+//! before the tick folds their outcomes: a tick wakes parked threads
+//! instead of spawning new ones.
 //!
 //! Determinism: dirty shards are replanned in ascending cell order, each
 //! under a `cell.replan` span indexed by its position in that order, and
@@ -25,14 +29,17 @@
 //! what the handover identity test relies on).
 
 use crate::building::BuildingMap;
-use crate::shard::{CellShard, SessionId};
+use crate::shard::{CellShard, ReplanOutcome, SessionId};
 use crate::BuildingConfig;
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Mutex, PoisonError};
 use vlc_geom::Pose;
 use vlc_par::Pool;
 use vlc_telemetry::{Counter, Gauge, Histogram, Registry};
 use vlc_trace::Span;
+
+const IN_PLACE: &str = "every shard is in its cell slot outside a replan";
 
 /// A session event, in global building coordinates.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -134,7 +141,9 @@ impl CellMetrics {
 pub struct BuildingEngine {
     map: BuildingMap,
     rx_height: f64,
-    shards: Vec<CellShard>,
+    /// One shard per cell; a slot is empty only while its shard is out on
+    /// a worker inside `control_tick`.
+    shards: Vec<Option<Box<CellShard>>>,
     /// session → owning cell. Never iterated, so hash order is moot.
     locations: HashMap<SessionId, usize>,
     /// Cells dirtied since the last tick (unsorted; deduped via the
@@ -162,7 +171,7 @@ impl BuildingEngine {
         let map = config.map();
         let shards = (0..map.cells())
             .map(|cell| {
-                CellShard::new(
+                Some(Box::new(CellShard::new(
                     cell,
                     &config.grid,
                     config.half_power_semi_angle,
@@ -171,7 +180,7 @@ impl BuildingEngine {
                     config.budget_w,
                     config.policy.clone(),
                     config.record_timelines,
-                )
+                )))
             })
             .collect();
         BuildingEngine {
@@ -199,7 +208,11 @@ impl BuildingEngine {
 
     /// The shard owning `cell` (timelines, rosters, allocations).
     pub fn shard(&self, cell: usize) -> &CellShard {
-        &self.shards[cell]
+        self.shards[cell].as_deref().expect(IN_PLACE)
+    }
+
+    fn shard_mut(&mut self, cell: usize) -> &mut CellShard {
+        self.shards[cell].as_deref_mut().expect(IN_PLACE)
     }
 
     /// Live sessions across the building.
@@ -223,8 +236,9 @@ impl BuildingEngine {
     }
 
     fn mark_dirty(&mut self, cell: usize) {
-        if !self.shards[cell].dirty {
-            self.shards[cell].dirty = true;
+        let shard = self.shard_mut(cell);
+        if !shard.dirty {
+            shard.dirty = true;
             self.dirty.push(cell);
         }
     }
@@ -252,7 +266,8 @@ impl BuildingEngine {
                 let (x, y) = self.map.clamp(x, y);
                 let cell = self.map.cell_of(x, y);
                 let (lx, ly) = self.map.to_local(cell, x, y);
-                self.shards[cell].arrive(session, Pose::face_up(lx, ly, self.rx_height));
+                let pose = Pose::face_up(lx, ly, self.rx_height);
+                self.shard_mut(cell).arrive(session, pose);
                 self.locations.insert(session, cell);
                 self.mark_dirty(cell);
                 self.pend_arrivals += 1;
@@ -269,13 +284,13 @@ impl BuildingEngine {
                 let (lx, ly) = self.map.to_local(dst, x, y);
                 let pose = Pose::face_up(lx, ly, self.rx_height);
                 if dst == src {
-                    self.shards[src].move_to(session, pose);
+                    self.shard_mut(src).move_to(session, pose);
                     self.mark_dirty(src);
                 } else {
                     // Beamspot handover: carry the allocation column so the
                     // destination's solver can warm-start from it.
-                    let carried = self.shards[src].depart(session);
-                    self.shards[dst].import(session, pose, carried);
+                    let carried = self.shard_mut(src).depart(session);
+                    self.shard_mut(dst).import(session, pose, carried);
                     self.locations.insert(session, dst);
                     self.mark_dirty(src);
                     self.mark_dirty(dst);
@@ -287,7 +302,7 @@ impl BuildingEngine {
                 let Some(cell) = self.locations.remove(&session) else {
                     return false;
                 };
-                self.shards[cell].depart(session);
+                self.shard_mut(cell).depart(session);
                 self.mark_dirty(cell);
                 self.pend_departures += 1;
             }
@@ -328,45 +343,20 @@ impl BuildingEngine {
                 span.attr("tick", &tick.to_string());
                 span.attr("dirty", &self.dirty.len().to_string());
             }
-            let telemetry = &self.telemetry;
-            let outcomes = if pool.jobs().is_serial() || self.dirty.len() == 1 {
+            if pool.jobs().is_serial() || self.dirty.len() == 1 {
                 // Thread-free path: replan in place, in order.
                 let mut out = Vec::with_capacity(self.dirty.len());
                 for (i, &cell) in self.dirty.iter().enumerate() {
                     let child = span.child_indexed("cell.replan", i);
-                    out.push(self.shards[cell].replan(tick, telemetry, &child));
+                    let shard = self.shards[cell].as_deref_mut().expect(IN_PLACE);
+                    out.push(shard.replan(tick, &self.telemetry, &child));
                 }
-                out
+                self.settle(&out, &mut report);
             } else {
-                // Fan the disjoint dirty shards out over the pool. Each
-                // index owns exactly one shard, so every lock is
-                // uncontended; the Mutex exists only to hand a `&mut`
-                // across the scoped workers without unsafe code.
-                let mut slots: Vec<Mutex<&mut CellShard>> = Vec::with_capacity(self.dirty.len());
-                {
-                    let mut rest: &mut [CellShard] = &mut self.shards;
-                    let mut taken = 0usize;
-                    for &cell in &self.dirty {
-                        let (_, tail) = rest.split_at_mut(cell - taken);
-                        let (shard, tail) = tail.split_first_mut().expect("dirty cell in range");
-                        slots.push(Mutex::new(shard));
-                        rest = tail;
-                        taken = cell + 1;
-                    }
-                }
-                pool.map_indexed(slots.len(), |i| {
-                    let child = span.child_indexed("cell.replan", i);
-                    let mut shard = slots[i].lock().expect("shard slot poisoned");
-                    shard.replan(tick, telemetry, &child)
-                })
-            };
-            for outcome in &outcomes {
-                self.sum_bps += outcome.new_bps - outcome.old_bps;
-                if outcome.replanned {
-                    report.replans += 1;
-                } else {
-                    report.plan_hits += 1;
-                }
+                let span = Arc::new(span);
+                let outcomes = self.replan_owned(pool, tick, &span);
+                self.settle(&outcomes, &mut report);
+                // `span` closes here, after the fold.
             }
             self.dirty.clear();
         }
@@ -388,5 +378,53 @@ impl BuildingEngine {
         m.system_bps.set(report.system_bps);
         m.tick_s.record(self.telemetry.now_s() - t0);
         report
+    }
+
+    /// Replans the dirty shards on `pool`'s resident workers. Each shard
+    /// moves out of its cell slot into a slot list shared with the
+    /// dispatch, and every one is back in place before this returns —
+    /// also when a replan panics, whose panic is re-raised after.
+    fn replan_owned(&mut self, pool: &Pool, tick: u64, span: &Arc<Span>) -> Vec<ReplanOutcome> {
+        let slots: Arc<Vec<Mutex<Box<CellShard>>>> = Arc::new(
+            self.dirty
+                .iter()
+                .map(|&cell| Mutex::new(self.shards[cell].take().expect(IN_PLACE)))
+                .collect(),
+        );
+        let replans = {
+            let slots = Arc::clone(&slots);
+            let span = Arc::clone(span);
+            let telemetry = self.telemetry.clone();
+            let n = slots.len();
+            catch_unwind(AssertUnwindSafe(|| {
+                pool.map_owned(n, move |i| {
+                    let child = span.child_indexed("cell.replan", i);
+                    let mut shard = slots[i].lock().expect("each slot is locked once per tick");
+                    shard.replan(tick, &telemetry, &child)
+                })
+            }))
+        };
+        let Ok(slots) = Arc::try_unwrap(slots) else {
+            unreachable!("map_owned drops its closure before it returns");
+        };
+        for (slot, &cell) in slots.into_iter().zip(&self.dirty) {
+            // A poisoned slot held a panicking replan; its shard goes back
+            // as the panic left it, as on the in-place path.
+            self.shards[cell] = Some(slot.into_inner().unwrap_or_else(PoisonError::into_inner));
+        }
+        replans.unwrap_or_else(|payload| resume_unwind(payload))
+    }
+
+    /// Folds replan outcomes, in dirty-cell order, into the building
+    /// throughput and the tick report.
+    fn settle(&mut self, outcomes: &[ReplanOutcome], report: &mut TickReport) {
+        for outcome in outcomes {
+            self.sum_bps += outcome.new_bps - outcome.old_bps;
+            if outcome.replanned {
+                report.replans += 1;
+            } else {
+                report.plan_hits += 1;
+            }
+        }
     }
 }

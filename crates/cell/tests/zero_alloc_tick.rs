@@ -12,7 +12,7 @@ use vlc_cell::{
     TickReport,
 };
 use vlc_obs::NoopSink;
-use vlc_par::Pool;
+use vlc_par::{Jobs, Pool};
 use vlc_prof::alloc_counter::{allocations_during, CountingAlloc};
 use vlc_telemetry::Registry;
 use vlc_trace::Span;
@@ -109,4 +109,55 @@ fn dirty_ticks_stay_under_their_allocation_ceilings() {
         "in-room move tick made {in_room} allocations"
     );
     assert!(handover <= 53, "handover tick made {handover} allocations");
+}
+
+/// The same ratchet for the fan-out: a handover tick dirties two shards,
+/// so a 2-worker pool hands them to its resident helper. The counter sees
+/// only this thread, and the helper may run either replan, so the bound
+/// is per tick against the in-place path on an identical building: the
+/// hand-off may add at most a fixed handful of allocations (slot list,
+/// shared span, job, result slots, results) — no thread spawn, nothing
+/// per worker. The ceiling is this code's count.
+#[test]
+fn a_fanned_out_dirty_tick_adds_a_fixed_allocation_count() {
+    const DISPATCH_ALLOCS: u64 = 5;
+    let cfg = BuildingConfig::paper(2, 1);
+    let span = Span::noop();
+    let mut engines = [Jobs::serial(), Jobs::of(2)].map(|jobs| {
+        let mut engine = BuildingEngine::new(&cfg, &Registry::noop());
+        let pool = Pool::new(jobs);
+        for session in 0..12u64 {
+            engine.apply(&Command::Arrive {
+                session,
+                x: 0.3 + 0.2 * session as f64,
+                y: 0.5 + 0.15 * session as f64,
+            });
+        }
+        engine.apply(&Command::Arrive {
+            session: 12,
+            x: 4.5,
+            y: 1.5,
+        });
+        engine.control_tick(&pool, &span);
+        engine.control_tick(&pool, &span);
+        (engine, pool)
+    });
+
+    for session in 3..9u64 {
+        let [in_place, fanned_out] = engines.each_mut().map(|(engine, pool)| {
+            allocations_during(|| {
+                engine.apply(&Command::Move {
+                    session,
+                    x: 4.2,
+                    y: 1.4,
+                });
+                let report = engine.control_tick(pool, &span);
+                assert_eq!(report.dirty_shards, 2);
+            })
+        });
+        assert!(
+            fanned_out <= in_place + DISPATCH_ALLOCS,
+            "handover of session {session}: {fanned_out} allocations fanned out, {in_place} in place"
+        );
+    }
 }

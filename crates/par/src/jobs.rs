@@ -1,6 +1,6 @@
 //! The worker-count knob shared by every parallel call site.
 
-use std::sync::OnceLock;
+use std::sync::{Once, OnceLock};
 
 /// Environment variable consulted by [`Jobs::from_env`]: `1` forces the
 /// exact legacy sequential path, `0` or `max` means all available cores,
@@ -33,13 +33,32 @@ impl Jobs {
     }
 
     /// Resolves the worker count from the `DENSEVLC_JOBS` environment
-    /// variable (re-read on every call so tests can vary it): unset, `0`,
-    /// or `max` mean all available cores; `N` means `N` workers; anything
-    /// unparsable falls back to all cores.
+    /// variable (re-read on every call so tests can vary it): unset,
+    /// empty, `0`, or `max` mean all available cores; `N` means `N`
+    /// workers; anything unparsable falls back to all cores, with one
+    /// warning on stderr per process naming the variable and the value.
     pub fn from_env() -> Self {
-        match std::env::var(JOBS_ENV) {
-            Ok(v) => Self::parse(&v).unwrap_or_else(Self::max),
-            Err(_) => Self::max(),
+        let value = std::env::var_os(JOBS_ENV).map(|v| v.to_string_lossy().into_owned());
+        Self::from_env_value(value.as_deref()).unwrap_or_else(|| {
+            static WARNED: Once = Once::new();
+            let value = value.unwrap_or_default();
+            WARNED.call_once(|| {
+                eprintln!(
+                    "warning: {JOBS_ENV}={value:?} is not a worker count \
+                     (expected N, 0 or max); using all {} cores",
+                    available_parallelism()
+                );
+            });
+            Self::max()
+        })
+    }
+
+    /// The decision behind [`Jobs::from_env`] for the variable's value
+    /// (`None` when unset): `None` means the value is unparsable.
+    fn from_env_value(value: Option<&str>) -> Option<Self> {
+        match value.map(str::trim) {
+            None | Some("") => Some(Self::max()),
+            Some(v) => Self::parse(v),
         }
     }
 
@@ -115,6 +134,20 @@ mod tests {
         assert_eq!(Jobs::parse(" 2 "), Some(Jobs::of(2)));
         assert_eq!(Jobs::parse("many"), None);
         assert_eq!(Jobs::parse("-1"), None);
+    }
+
+    #[test]
+    fn env_values_resolve_or_are_flagged() {
+        assert_eq!(Jobs::from_env_value(Some("1")), Some(Jobs::serial()));
+        assert_eq!(Jobs::from_env_value(Some("3")), Some(Jobs::of(3)));
+        assert_eq!(Jobs::from_env_value(Some("max")), Some(Jobs::max()));
+        assert_eq!(Jobs::from_env_value(Some("0")), Some(Jobs::max()));
+        assert_eq!(Jobs::from_env_value(None), Some(Jobs::max()));
+        assert_eq!(Jobs::from_env_value(Some("")), Some(Jobs::max()));
+        assert_eq!(Jobs::from_env_value(Some("  ")), Some(Jobs::max()));
+        assert_eq!(Jobs::from_env_value(Some("1x")), None);
+        assert_eq!(Jobs::from_env_value(Some("-2")), None);
+        assert_eq!(Jobs::from_env_value(Some("\u{fffd}")), None);
     }
 
     #[test]

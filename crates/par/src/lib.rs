@@ -1,7 +1,9 @@
 //! # vlc-par — deterministic parallel execution for the DenseVLC stack
 //!
 //! A dependency-free (std-only, plus the in-workspace telemetry crate)
-//! scoped worker pool with one non-negotiable contract:
+//! worker pool — scoped threads for borrowed one-shot fan-outs, a resident
+//! crew for owned per-tick ones ([`Pool::map_owned`]) — with one
+//! non-negotiable contract:
 //!
 //! > **Parallel output is bitwise identical to sequential output, for any
 //! > worker count.**
@@ -37,6 +39,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod crew;
 pub mod jobs;
 pub mod pool;
 pub mod seed;

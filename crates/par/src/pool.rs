@@ -1,9 +1,11 @@
-//! The scoped worker pool and its deterministic reduction primitives.
+//! The worker pool and its deterministic reduction primitives.
 
+use crate::crew::Crew;
 use crate::jobs::Jobs;
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use vlc_telemetry::Registry;
 
 /// Default item count per reduction chunk for [`Pool::fold_chunks`] and
@@ -12,7 +14,7 @@ use vlc_telemetry::Registry;
 /// many workers happen to run.
 pub const DEFAULT_CHUNK: usize = 1024;
 
-/// A deterministic fan-out pool over `std::thread::scope`.
+/// A deterministic fan-out pool.
 ///
 /// Work items are indexed `0..n`; workers claim items dynamically (an
 /// atomic cursor) but every reduction is performed **in index order on the
@@ -20,24 +22,46 @@ pub const DEFAULT_CHUNK: usize = 1024;
 /// path for any worker count. `jobs = 1` never spawns a thread and runs
 /// the exact legacy sequential code.
 ///
+/// Two kinds of fan-out share that contract:
+///
+/// * [`Pool::map_indexed`] (and [`Pool::fold_chunks`], [`Pool::argmax_by`])
+///   take closures that **borrow** the caller's data, so they run on fresh
+///   scoped threads spawned per call. Use them for one-shot batch work —
+///   an experiment set, channel rows, solver starts — where a spawn is
+///   small next to the work.
+/// * [`Pool::map_owned`] takes an **owned** `'static` closure and runs it on
+///   the pool's resident crew: at most `jobs − 1` threads, spawned once on
+///   the first dispatch that needs them, parked on a condvar between
+///   dispatches (no spinning, so an idle pool uses no CPU), and joined when
+///   the last clone of the pool drops. Clones share the crew. Use it for a
+///   fan-out that repeats at a high rate, such as a control tick, where a
+///   spawn would cost more than the work.
+///
 /// With [`Pool::with_telemetry`], each dispatch records:
 ///
 /// * `par.map_calls` / `par.items` — dispatches and total items,
-/// * `par.spawns` — worker threads spawned (0 on the sequential path),
-/// * `par.worker.busy_s` — one span sample per worker per dispatch,
+/// * `par.spawns` — worker threads spawned (0 on the sequential path; once
+///   per resident crew thread for `map_owned`),
+/// * `par.worker.busy_s` — one span sample per participating worker per
+///   dispatch,
 /// * `par.worker{w}.items` — items completed by worker `w`.
 #[derive(Debug, Clone)]
 pub struct Pool {
     jobs: Jobs,
     telemetry: Registry,
+    /// Resident workers for [`Pool::map_owned`], shared by clones; `None`
+    /// on a one-worker pool, which never spawns.
+    crew: Option<Arc<Crew>>,
 }
 
 impl Pool {
-    /// A pool with an explicit worker count and no telemetry.
+    /// A pool with an explicit worker count and no telemetry. No thread is
+    /// spawned until a dispatch needs one.
     pub fn new(jobs: Jobs) -> Self {
         Pool {
             jobs,
             telemetry: Registry::noop(),
+            crew: (!jobs.is_serial()).then(Arc::default),
         }
     }
 
@@ -87,15 +111,7 @@ impl Pool {
         self.telemetry.counter("par.items").add(n as u64);
         let workers = self.jobs.get().min(n);
         if workers <= 1 {
-            let _busy = self.telemetry.span("par.worker.busy_s");
-            let items = self.telemetry.counter("par.worker0.items");
-            return (0..n)
-                .map(|i| {
-                    let v = guarded(i, &f);
-                    items.inc();
-                    v
-                })
-                .collect();
+            return self.map_inline(n, &f);
         }
         self.telemetry.counter("par.spawns").add(workers as u64);
 
@@ -158,6 +174,57 @@ impl Pool {
         slots
             .into_iter()
             .map(|s| s.expect("every index was claimed exactly once"))
+            .collect()
+    }
+
+    /// [`Pool::map_indexed`] for an owned closure, run on the pool's
+    /// resident crew instead of freshly spawned threads (see the type
+    /// docs): the calling thread takes part as worker 0 and the crew's
+    /// helpers are woken, not spawned, so a dispatch costs a wake-up.
+    ///
+    /// The contract is `map_indexed`'s: results in index order, bitwise
+    /// identical for every worker count; `jobs = 1` or `n ≤ 1` runs inline
+    /// and spawns nothing; the same telemetry. `f` is dropped before this
+    /// returns, so nothing it captured outlives the call — an `Arc` it
+    /// shares with the caller is unique again afterwards.
+    ///
+    /// A dispatch from inside one of this crew's own items, or one that
+    /// arrives while another thread's dispatch holds the crew, runs inline
+    /// on its calling thread.
+    ///
+    /// # Panics
+    /// As [`Pool::map_indexed`]: the lowest panicking index is re-raised as
+    /// `parallel item {i} panicked: ...` after every worker has drained,
+    /// and the crew stays usable.
+    pub fn map_owned<T, F>(&self, n: usize, f: F) -> Vec<T>
+    where
+        T: Send + 'static,
+        F: Fn(usize) -> T + Send + Sync + 'static,
+    {
+        self.telemetry.counter("par.map_calls").inc();
+        self.telemetry.counter("par.items").add(n as u64);
+        let workers = self.jobs.get().min(n);
+        let f = match &self.crew {
+            Some(crew) if workers > 1 => match crew.dispatch(n, workers, f, &self.telemetry) {
+                Ok(out) => return out,
+                Err(f) => f,
+            },
+            _ => f,
+        };
+        self.map_inline(n, &f)
+    }
+
+    /// The thread-free path of both maps: every item in order on the
+    /// calling thread, recorded as worker 0.
+    fn map_inline<T>(&self, n: usize, f: &impl Fn(usize) -> T) -> Vec<T> {
+        let _busy = self.telemetry.span("par.worker.busy_s");
+        let items = self.telemetry.counter("par.worker0.items");
+        (0..n)
+            .map(|i| {
+                let v = guarded(i, f);
+                items.inc();
+                v
+            })
             .collect()
     }
 
@@ -256,7 +323,7 @@ fn guarded<T>(i: usize, f: impl FnOnce(usize) -> T) -> T {
 }
 
 /// Best-effort extraction of a panic payload's message.
-fn payload_message(payload: &Box<dyn Any + Send>) -> &str {
+pub(crate) fn payload_message(payload: &Box<dyn Any + Send>) -> &str {
     if let Some(s) = payload.downcast_ref::<&'static str>() {
         s
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -354,6 +421,96 @@ mod tests {
         assert!(snap
             .histogram("par.worker.busy_s")
             .is_some_and(|h| h.count == 3));
+    }
+
+    #[test]
+    fn map_owned_records_the_same_telemetry() {
+        use std::sync::{Arc, Barrier};
+
+        let registry = Registry::new();
+        let pool = Pool::new(Jobs::of(3)).with_telemetry(&registry);
+        // Items wait for each other, so all three participants take one.
+        let barrier = Arc::new(Barrier::new(3));
+        let out = pool.map_owned(3, move |i| {
+            barrier.wait();
+            i
+        });
+        assert_eq!(out, [0, 1, 2]);
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("par.map_calls"), Some(1));
+        assert_eq!(snap.counter("par.items"), Some(3));
+        assert_eq!(
+            snap.counter("par.spawns"),
+            Some(2),
+            "the caller is worker 0"
+        );
+        for w in 0..3 {
+            assert_eq!(snap.counter(&format!("par.worker{w}.items")), Some(1));
+        }
+        assert!(snap
+            .histogram("par.worker.busy_s")
+            .is_some_and(|h| h.count == 3));
+    }
+
+    #[test]
+    fn a_resident_crew_spawns_once_per_thread() {
+        // (jobs, largest n dispatched) → min(jobs, n) − 1 resident threads.
+        for (jobs, max_n) in [(3, 9), (7, 4), (2, 1)] {
+            let registry = Registry::new();
+            let pool = Pool::new(Jobs::of(jobs)).with_telemetry(&registry);
+            let clone = pool.clone();
+            for k in 0..1_000 {
+                let n = k % (max_n + 1);
+                let on = if k % 2 == 0 { &pool } else { &clone };
+                assert_eq!(
+                    on.map_owned(n, move |i| i * k),
+                    (0..n).map(|i| i * k).collect::<Vec<_>>()
+                );
+            }
+            let spawns = registry.snapshot().counter("par.spawns").unwrap_or(0);
+            assert_eq!(
+                spawns as usize,
+                jobs.min(max_n) - 1,
+                "jobs={jobs} max_n={max_n}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_pool_that_never_dispatches_never_spawns() {
+        let registry = Registry::new();
+        let pool = Pool::new(Jobs::of(4)).with_telemetry(&registry);
+        drop(pool.clone());
+        pool.map_owned(1, |i| i);
+        assert_eq!(registry.snapshot().counter("par.spawns"), None);
+    }
+
+    #[test]
+    fn map_owned_items_open_spans_on_worker_lanes() {
+        use std::sync::Arc;
+        use vlc_telemetry::ManualClock;
+        use vlc_trace::{worker_track, Tracer};
+
+        let tracer = Tracer::with_clock(ManualClock::new());
+        let root = Arc::new(tracer.root("fanout"));
+        let pool = Pool::new(Jobs::of(3));
+        let parent = Arc::clone(&root);
+        pool.map_owned(9, move |i| drop(parent.child_indexed("item", i)));
+        let Ok(root) = Arc::try_unwrap(root) else {
+            panic!("map_owned kept its closure alive");
+        };
+        drop(root);
+
+        let snap = tracer.snapshot();
+        assert_eq!(snap.spans_named("item").count(), 9);
+        let lanes: Vec<u32> = (0..3).map(|w| worker_track(0, w)).collect();
+        assert!(snap.spans_named("item").all(|s| lanes.contains(&s.track)));
+        assert_eq!(snap.children_of(snap.find("fanout").unwrap().id).len(), 9);
+        assert_eq!(
+            vlc_trace::current_track(),
+            0,
+            "the caller gets its lane back"
+        );
     }
 
     #[test]
