@@ -43,9 +43,9 @@ enum Engine {
 /// Per-solve immutable context for the fast kernels: the channel transposed
 /// into contiguous per-RX gain rows ([`ChannelSoA`]), CSR live-link lists in
 /// both orientations ([`SparseChannelView`] — the zero pattern already
-/// contains every FOV-culled link, since a culled link has exactly-zero
-/// gain), and the model constants every dense evaluation re-derived per
-/// call.
+/// drops every link outside a receiver's FOV, since such a link has
+/// exactly-zero gain), and the model constants every dense evaluation
+/// re-derived per call.
 ///
 /// Both kernels reproduce the dense fold orders bit for bit: zero-gain
 /// terms of the non-negative stream/interference sums are skipped (`x +

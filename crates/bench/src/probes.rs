@@ -16,10 +16,7 @@ use vlc_alloc::heuristic::heuristic_allocation_traced;
 use vlc_alloc::model::SystemModel;
 use vlc_alloc::{HeuristicConfig, OptimalSolver};
 use vlc_cell::{BuildingConfig, BuildingEngine, Command};
-use vlc_channel::nlos::NlosConfig;
-use vlc_channel::{
-    lambertian_order, ChannelMatrix, FovMask, NlosTxCache, RxOptics, SparseChannelView,
-};
+use vlc_channel::{ChannelMatrix, RxOptics, SparseChannelView};
 use vlc_geom::{Pose, Room, TxGrid};
 use vlc_led::LedParams;
 use vlc_par::Pool;
@@ -50,7 +47,6 @@ pub fn phase_probe(tracer: &Tracer, pool: &Pool) {
         dep.half_power_semi_angle,
         &dep.optics,
         &[],
-        None,
         pool,
         &probe,
     );
@@ -79,64 +75,25 @@ pub fn phase_probe(tracer: &Tracer, pool: &Pool) {
         let round = probe.child_indexed("sync.pilot_round", frame);
         link.detect_traced(&mut rng, &quiet, &round);
     }
-
-    // Incremental-engine probes under their own root: they add *new* span
-    // names only (`channel.nlos.cache_build`, `channel.nlos.floor.cached`)
-    // and sit outside `bench.phase_probe`, so pre-cache BENCH baselines
-    // stay comparable row for row.
-    drop(probe);
-    let probe = tracer.root("bench.incremental_probe");
-    let m = lambertian_order(dep.half_power_semi_angle);
-    let cache = NlosTxCache::new_traced(
-        &dep.grid.pose(1),
-        m,
-        &dep.room,
-        &NlosConfig::default(),
-        pool,
-        &probe,
-    );
-    for follower in [2usize, 7, 8] {
-        cache.floor_gain_traced(&dep.grid.pose(follower), &dep.optics, pool, &probe);
-    }
 }
 
 /// Times the SoA/sparse channel machinery under a `bench.sparse_probe`
-/// root: FOV-mask construction, masked vs dense channel sounding, CSR view
-/// builds, and the fast vs historical dense solver engines — once at the
-/// paper's 36 × 4 geometry (90° receivers: nothing culls, the fused lane
-/// kernels carry the win) and once at a synthetic 144 × 16 building floor
-/// with 35° receivers (the regime where culling drops most links). Every
-/// row is a *new* span name (`sparse.*`), and each timed workload calls an
-/// untraced entry point inside the timing span, so all pre-existing BENCH
-/// rows keep their historical meaning and stay gate-comparable.
+/// root: channel sounding, CSR view builds, and the fast vs historical
+/// dense solver engines — once at the paper's 36 × 4 geometry (90°
+/// receivers: every link is nonzero) and once at a synthetic 144 × 16
+/// building floor with 35° receivers (where most links are exact zeros).
+/// Every row is a *new* span name (`sparse.*`), and each timed workload
+/// calls an untraced entry point inside the timing span, so all
+/// pre-existing BENCH rows keep their historical meaning and stay
+/// gate-comparable.
 pub fn sparse_probe(tracer: &Tracer, pool: &Pool) {
     let probe = tracer.root("bench.sparse_probe");
 
     // Paper geometry: Scenario 2, 36 TX / 4 RX, wide-open receivers.
     let dep = Deployment::scenario(Scenario::Two);
-    let mask = {
-        let span = probe.child("sparse.fov.build.paper");
-        let mask = FovMask::compute(&dep.grid, &dep.receivers, &dep.optics.profile());
-        span.attr("live", &mask.live_count().to_string());
-        span.attr("culled", &mask.culled_count().to_string());
-        mask
-    };
-    let matrix = {
-        let _span = probe.child("sparse.channel.masked.paper");
-        ChannelMatrix::compute_traced(
-            &dep.grid,
-            &dep.receivers,
-            dep.half_power_semi_angle,
-            &dep.optics,
-            &[],
-            Some(&mask),
-            pool,
-            &Span::noop(),
-        )
-    };
     {
         let span = probe.child("sparse.view.build.paper");
-        let view = SparseChannelView::from_matrix(&matrix);
+        let view = SparseChannelView::from_matrix(&dep.model.channel);
         span.attr("live_links", &view.live_links().to_string());
     }
     let solver = OptimalSolver::quick();
@@ -174,47 +131,17 @@ pub fn sparse_probe(tracer: &Tracer, pool: &Pool) {
             Pose::face_up((ix as f64 + 0.5) * 1.5, (iy as f64 + 0.5) * 1.5, 0.8)
         })
         .collect();
-    let mask = {
-        let span = probe.child("sparse.fov.build.building");
-        let mask = FovMask::compute(&grid, &receivers, &optics.profile());
-        span.attr("live", &mask.live_count().to_string());
-        span.attr("culled", &mask.culled_count().to_string());
-        mask
-    };
     let hpsa = dep.half_power_semi_angle;
     let dense_matrix = {
         let _span = probe.child("sparse.channel.dense.building");
-        ChannelMatrix::compute_traced(
-            &grid,
-            &receivers,
-            hpsa,
-            &optics,
-            &[],
-            None,
-            pool,
-            &Span::noop(),
-        )
+        ChannelMatrix::compute_traced(&grid, &receivers, hpsa, &optics, &[], pool, &Span::noop())
     };
-    let masked_matrix = {
-        let _span = probe.child("sparse.channel.masked.building");
-        ChannelMatrix::compute_traced(
-            &grid,
-            &receivers,
-            hpsa,
-            &optics,
-            &[],
-            Some(&mask),
-            pool,
-            &Span::noop(),
-        )
-    };
-    assert_eq!(masked_matrix, dense_matrix, "conservative culling identity");
     {
         let span = probe.child("sparse.view.build.building");
-        let view = SparseChannelView::from_mask(&masked_matrix, &mask);
+        let view = SparseChannelView::from_matrix(&dense_matrix);
         span.attr("live_links", &view.live_links().to_string());
     }
-    let model = SystemModel::paper(masked_matrix);
+    let model = SystemModel::paper(dense_matrix);
     let building_solver = OptimalSolver {
         max_iters: 40,
         random_starts: 1,

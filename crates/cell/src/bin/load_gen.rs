@@ -40,6 +40,15 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// A positive count, or the usage message and exit code 2: a building
+/// needs at least one room and a workload at least one tick.
+fn positive<T: std::str::FromStr + Default + PartialEq>(v: &str) -> T {
+    match v.parse() {
+        Ok(n) if n != T::default() => n,
+        _ => usage(),
+    }
+}
+
 fn parse_options() -> Options {
     let mut load = LoadGenConfig::default();
     let mut policy = ReplanPolicy::Heuristic;
@@ -54,10 +63,10 @@ fn parse_options() -> Options {
             "--rooms" => {
                 let v = value();
                 let (c, r) = v.split_once('x').unwrap_or_else(|| usage());
-                load.cols = c.parse().unwrap_or_else(|_| usage());
-                load.rows = r.parse().unwrap_or_else(|_| usage());
+                load.cols = positive(c);
+                load.rows = positive(r);
             }
-            "--ticks" => load.ticks = value().parse().unwrap_or_else(|_| usage()),
+            "--ticks" => load.ticks = positive(&value()),
             "--events" => load.target_events = value().parse().unwrap_or_else(|_| usage()),
             "--seed" => load.seed = value().parse().unwrap_or_else(|_| usage()),
             "--jobs" => jobs = Jobs::parse(&value()).unwrap_or_else(|| usage()),

@@ -111,7 +111,7 @@ impl CellShard {
             record_timeline,
             sessions: Vec::new(),
             poses: Vec::new(),
-            updater: ChannelUpdater::new(grid, half_power_semi_angle, optics, 0.0),
+            updater: ChannelUpdater::new(grid, half_power_semi_angle, optics),
             controller: None,
             controller_rx: 0,
             model,

@@ -5,10 +5,10 @@
 //! in a mobility run typically one receiver moves per tick while the rest
 //! idle. [`ChannelUpdater`] exploits that: it remembers the per-RX poses
 //! and blocker set of the previous update and recomputes only the matrix
-//! *columns* whose receiver moved beyond `epsilon_m` (a **miss**) or whose
-//! blockage geometry changed (a **partial** — the LOS gains are reused and
-//! only the occlusion mask is re-tested); untouched columns are left as
-//! they are (a **hit**).
+//! *columns* whose receiver moved (a **miss**) or whose blockage geometry
+//! changed (a **partial** — the LOS gains are reused and only the
+//! occlusion mask is re-tested); untouched columns are left as they are
+//! (a **hit**).
 //!
 //! The caller owns the masked matrix it plans on and passes it to every
 //! update; the updater writes the recomputed and re-masked columns into it
@@ -30,13 +30,11 @@
 //! (no accumulation), so a recomputed column is bitwise identical to the
 //! same column of a full [`ChannelMatrix::compute_with_blockage`] rebuild,
 //! and a reused column is a previously recomputed one left in place.
-//! With `epsilon_m == 0.0` the updater therefore produces **bitwise
-//! identical** matrices to a cold rebuild on every tick, for any worker
-//! count (property-tested in `tests/cache_identity.rs`). A positive
-//! `epsilon_m` deliberately trades staleness (bounded by ε) for speed.
+//! The updater therefore produces **bitwise identical** matrices to a
+//! cold rebuild on every tick, for any worker count (property-tested in
+//! `tests/cache_identity.rs`).
 
 use crate::blockage::{any_blocks, CylinderBlocker};
-use crate::fov::{COUNTER_FOV_CULLED, COUNTER_FOV_LIVE};
 use crate::lambertian::{lambertian_order, los_gain_profiled, RxOptics};
 use crate::matrix::{append_rx_columns, remove_rx_column, ChannelMatrix};
 use std::mem;
@@ -44,6 +42,13 @@ use vlc_geom::{Pose, TxGrid};
 use vlc_par::Pool;
 use vlc_telemetry::Registry;
 use vlc_trace::Span;
+
+/// Telemetry counter: links with nonzero clear gain that the updater
+/// holds after an update, summed over updates.
+pub const COUNTER_FOV_LIVE: &str = "channel.fov.live";
+/// Telemetry counter: links with zero clear gain that the updater holds
+/// after an update, summed over updates.
+pub const COUNTER_FOV_CULLED: &str = "channel.fov.culled";
 
 /// What one [`ChannelUpdater::update`] call did to the caller's matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,7 +67,7 @@ pub struct ChannelUpdate {
     pub hits: usize,
     /// Columns whose occlusion mask was re-tested but LOS gains reused.
     pub partials: usize,
-    /// Columns fully recomputed (receiver moved beyond ε, or first use).
+    /// Columns fully recomputed (receiver moved, or first use).
     pub misses: usize,
 }
 
@@ -85,8 +90,7 @@ pub struct ChannelUpdater {
     grid: TxGrid,
     lambertian_m: f64,
     optics: RxOptics,
-    epsilon_m: f64,
-    /// Pose each column was last *computed* for (within ε of the true one).
+    /// Pose each column was last computed for.
     poses: Vec<Pose>,
     blockers: Vec<CylinderBlocker>,
     /// Clear LOS gains.
@@ -109,31 +113,13 @@ pub struct ChannelUpdater {
 
 impl ChannelUpdater {
     /// Creates an unprimed updater: the first [`Self::update`] recomputes
-    /// every column (all misses).
-    ///
-    /// `epsilon_m` is the movement tolerance: a receiver whose position
-    /// stays within `epsilon_m` of the pose its column was last computed
-    /// for (and whose boresight is unchanged) keeps the cached column.
-    /// `0.0` means *any* pose change recomputes — the exact mode the
-    /// simulation uses.
-    ///
-    /// # Panics
-    /// Panics if `epsilon_m` is negative or non-finite.
-    pub fn new(
-        grid: &TxGrid,
-        half_power_semi_angle: f64,
-        optics: &RxOptics,
-        epsilon_m: f64,
-    ) -> Self {
-        assert!(
-            epsilon_m.is_finite() && epsilon_m >= 0.0,
-            "epsilon must be finite and non-negative"
-        );
+    /// every column (all misses). Afterwards any change of a receiver's
+    /// pose recomputes its column.
+    pub fn new(grid: &TxGrid, half_power_semi_angle: f64, optics: &RxOptics) -> Self {
         ChannelUpdater {
             grid: grid.clone(),
             lambertian_m: lambertian_order(half_power_semi_angle),
             optics: *optics,
-            epsilon_m,
             poses: Vec::new(),
             blockers: Vec::new(),
             clear: ChannelMatrix::from_gains(grid.len(), 0, Vec::new()),
@@ -219,7 +205,7 @@ impl ChannelUpdater {
             let moved = !self.primed
                 || r >= stored
                 || self.poses[r].boresight != receivers[r].boresight
-                || self.poses[r].position.distance(receivers[r].position) > self.epsilon_m;
+                || self.poses[r].position.distance(receivers[r].position) > 0.0;
             if moved {
                 Col::Miss
             } else if blockers_changed {
@@ -243,11 +229,11 @@ impl ChannelUpdater {
                 Col::Hit => None,
                 Col::Partial => {
                     let _col = span.child_indexed("channel.update.col", r);
-                    // Pose unchanged (within ε): keep the cached LOS gains,
-                    // re-test occlusion against the pose they were computed
-                    // for so gains and mask stay geometrically consistent.
-                    // Only the live (nonzero-gain) links are re-tested: a
-                    // dead link masks to the same exact zero either way and
+                    // Pose unchanged: keep the cached LOS gains, re-test
+                    // occlusion against the pose they were computed for so
+                    // gains and mask stay geometrically consistent. Only
+                    // the live (nonzero-gain) links are re-tested: a dead
+                    // link masks to the same exact zero either way and
                     // never counts as blocked.
                     let pose = poses[r];
                     let mut mask = vec![false; n_tx];
@@ -345,8 +331,8 @@ impl ChannelUpdater {
             .counter("channel.cache.partial")
             .add(partials as u64);
         telemetry.counter("channel.cache.miss").add(misses as u64);
-        // FOV-culling effectiveness of this tick's occlusion re-tests:
-        // live links were (or would be) tested, dead ones skipped.
+        // Links with nonzero clear gain (the ones a blocker change
+        // re-tests) and the exact zeros it skips.
         let live_links: usize = self.live.iter().map(Vec::len).sum();
         telemetry.counter(COUNTER_FOV_LIVE).add(live_links as u64);
         telemetry
@@ -410,11 +396,6 @@ impl ChannelUpdater {
         self.live.reserve_exact(appended.len());
         self.live.resize_with(n_rx, Vec::new);
     }
-
-    /// The movement tolerance in meters.
-    pub fn epsilon_m(&self) -> f64 {
-        self.epsilon_m
-    }
 }
 
 #[cfg(test)]
@@ -452,7 +433,7 @@ mod tests {
     #[test]
     fn first_update_is_all_misses_and_matches_full_build() {
         let (grid, rxs, optics) = setup();
-        let mut up = ChannelUpdater::new(&grid, 15f64.to_radians(), &optics, 0.0);
+        let mut up = ChannelUpdater::new(&grid, 15f64.to_radians(), &optics);
         let mut h = empty(&grid);
         let u = up.update(&rxs, &[], &mut h);
         assert_eq!((u.hits, u.partials, u.misses), (0, 0, 4));
@@ -465,7 +446,7 @@ mod tests {
     #[test]
     fn static_world_is_all_hits_and_identical() {
         let (grid, rxs, optics) = setup();
-        let mut up = ChannelUpdater::new(&grid, 15f64.to_radians(), &optics, 0.0);
+        let mut up = ChannelUpdater::new(&grid, 15f64.to_radians(), &optics);
         let mut h = empty(&grid);
         up.update(&rxs, &[], &mut h);
         let first = h.clone();
@@ -478,7 +459,7 @@ mod tests {
     #[test]
     fn moving_one_receiver_recomputes_one_column() {
         let (grid, mut rxs, optics) = setup();
-        let mut up = ChannelUpdater::new(&grid, 15f64.to_radians(), &optics, 0.0);
+        let mut up = ChannelUpdater::new(&grid, 15f64.to_radians(), &optics);
         let mut h = empty(&grid);
         up.update(&rxs, &[], &mut h);
         rxs[2] = Pose::face_up(1.0, 1.5, 0.8);
@@ -491,7 +472,7 @@ mod tests {
     #[test]
     fn blocker_change_retests_masks_without_recomputing_gains() {
         let (grid, rxs, optics) = setup();
-        let mut up = ChannelUpdater::new(&grid, 15f64.to_radians(), &optics, 0.0);
+        let mut up = ChannelUpdater::new(&grid, 15f64.to_radians(), &optics);
         let mut h = empty(&grid);
         up.update(&rxs, &[], &mut h);
         let blockers = [CylinderBlocker::person(0.92, 0.92)];
@@ -509,7 +490,7 @@ mod tests {
         // A receiver that moves *and* is occluded on the same tick must be
         // counted against its new clear gains, not a stale stored channel.
         let (grid, mut rxs, optics) = setup();
-        let mut up = ChannelUpdater::new(&grid, 15f64.to_radians(), &optics, 0.0);
+        let mut up = ChannelUpdater::new(&grid, 15f64.to_radians(), &optics);
         let mut h = empty(&grid);
         up.update(&rxs, &[], &mut h);
         rxs[0] = Pose::face_up(1.2, 1.2, 0.8);
@@ -526,26 +507,9 @@ mod tests {
     }
 
     #[test]
-    fn epsilon_tolerates_sub_threshold_motion() {
-        let (grid, mut rxs, optics) = setup();
-        let mut up = ChannelUpdater::new(&grid, 15f64.to_radians(), &optics, 0.05);
-        let mut h = empty(&grid);
-        up.update(&rxs, &[], &mut h);
-        let first = h.clone();
-        rxs[1].position.x += 0.01; // 1 cm — under the 5 cm threshold
-        let u = up.update(&rxs, &[], &mut h);
-        assert_eq!((u.hits, u.partials, u.misses), (4, 0, 0));
-        assert_eq!(h, first, "cached column retained under ε");
-        rxs[1].position.x += 0.2; // now well past it
-        let u = up.update(&rxs, &[], &mut h);
-        assert_eq!(u.misses, 1);
-        assert_eq!(h, full(&grid, &rxs, &[]));
-    }
-
-    #[test]
     fn receiver_count_change_reprimes() {
         let (grid, mut rxs, optics) = setup();
-        let mut up = ChannelUpdater::new(&grid, 15f64.to_radians(), &optics, 0.0);
+        let mut up = ChannelUpdater::new(&grid, 15f64.to_radians(), &optics);
         let mut h = empty(&grid);
         up.update(&rxs, &[], &mut h);
         rxs.pop();
@@ -559,7 +523,7 @@ mod tests {
     fn removed_and_appended_receivers_recompute_only_new_columns() {
         let (grid, mut rxs, optics) = setup();
         let blockers = [CylinderBlocker::person(1.65, 0.65)];
-        let mut up = ChannelUpdater::new(&grid, 15f64.to_radians(), &optics, 0.0);
+        let mut up = ChannelUpdater::new(&grid, 15f64.to_radians(), &optics);
         let mut h = empty(&grid);
         up.update(&rxs, &blockers, &mut h);
         up.remove_rx(1, &mut h);
@@ -580,7 +544,7 @@ mod tests {
     #[test]
     fn out_of_range_or_unprimed_remove_reprimes() {
         let (grid, mut rxs, optics) = setup();
-        let mut up = ChannelUpdater::new(&grid, 15f64.to_radians(), &optics, 0.0);
+        let mut up = ChannelUpdater::new(&grid, 15f64.to_radians(), &optics);
         let mut h = empty(&grid);
         up.remove_rx(0, &mut h);
         assert_eq!(up.update(&rxs, &[], &mut h).misses, 4);
@@ -597,7 +561,7 @@ mod tests {
         // masked matrix comes out bitwise as before, but its columns now
         // belong to different receivers.
         let (grid, mut rxs, optics) = setup();
-        let mut up = ChannelUpdater::new(&grid, 15f64.to_radians(), &optics, 0.0);
+        let mut up = ChannelUpdater::new(&grid, 15f64.to_radians(), &optics);
         let mut h = empty(&grid);
         up.update(&rxs, &[], &mut h);
         let before = h.clone();
@@ -614,7 +578,7 @@ mod tests {
     #[test]
     fn removal_shrinks_the_callers_matrix_to_exact_size() {
         let (grid, mut rxs, optics) = setup();
-        let mut up = ChannelUpdater::new(&grid, 15f64.to_radians(), &optics, 0.0);
+        let mut up = ChannelUpdater::new(&grid, 15f64.to_radians(), &optics);
         let mut h = empty(&grid);
         up.update(&rxs, &[], &mut h);
         up.remove_rx(0, &mut h);
@@ -630,21 +594,52 @@ mod tests {
         let (grid, mut rxs, optics) = setup();
         let registry = Registry::new();
         let pool = Pool::sequential();
-        let mut up = ChannelUpdater::new(&grid, 15f64.to_radians(), &optics, 0.0);
+        // After each update, `channel.fov.live` grows by the nonzero clear
+        // gains the updater holds and `live + culled` by `n_tx · n_rx`.
+        let fov_delta = |before: (u64, u64)| {
+            let snap = registry.snapshot();
+            let live = snap.counter(COUNTER_FOV_LIVE).unwrap_or(0);
+            let culled = snap.counter(COUNTER_FOV_CULLED).unwrap_or(0);
+            ((live, culled), (live - before.0, culled - before.1))
+        };
+        let nonzero = |up: &ChannelUpdater| {
+            up.clear_channel()
+                .iter()
+                .filter(|&(_, _, g)| g != 0.0)
+                .count() as u64
+        };
+        let links = (grid.len() * rxs.len()) as u64;
+        let mut up = ChannelUpdater::new(&grid, 15f64.to_radians(), &optics);
         let mut h = empty(&grid);
+        let mut fov = (0, 0);
         up.update_traced(&rxs, &[], &mut h, &registry, &pool, &Span::noop());
+        let (now, (live, culled)) = fov_delta(fov);
+        assert_eq!((live, live + culled), (nonzero(&up), links));
+        fov = now;
         rxs[0] = Pose::face_up(1.4, 1.4, 0.8);
         up.update_traced(&rxs, &[], &mut h, &registry, &pool, &Span::noop());
+        let (now, (live, culled)) = fov_delta(fov);
+        assert_eq!((live, live + culled), (nonzero(&up), links));
+        fov = now;
         let snap = registry.snapshot();
         assert_eq!(snap.counter("channel.cache.updates"), Some(2));
         assert_eq!(snap.counter("channel.cache.miss"), Some(5));
         assert_eq!(snap.counter("channel.cache.hit"), Some(3));
-    }
 
-    #[test]
-    #[should_panic(expected = "non-negative")]
-    fn negative_epsilon_panics() {
-        let (grid, _, optics) = setup();
-        ChannelUpdater::new(&grid, 15f64.to_radians(), &optics, -0.1);
+        // A 30° receiver FOV zeroes the far links, so `culled` is nonzero;
+        // the split still follows the clear gains across a blocker change.
+        let narrow = RxOptics {
+            fov_half_angle: 30f64.to_radians(),
+            ..optics
+        };
+        let mut up = ChannelUpdater::new(&grid, 15f64.to_radians(), &narrow);
+        let mut h = empty(&grid);
+        for blockers in [vec![], vec![CylinderBlocker::person(0.92, 0.92)]] {
+            up.update_traced(&rxs, &blockers, &mut h, &registry, &pool, &Span::noop());
+            let (now, (live, culled)) = fov_delta(fov);
+            assert!(culled > 0, "a 30° FOV zeroes some links");
+            assert_eq!((live, live + culled), (nonzero(&up), links));
+            fov = now;
+        }
     }
 }

@@ -43,8 +43,8 @@ impl RxOptics {
 
     /// Precompute the per-receiver constants the hot kernels need: the
     /// peak concentrator gain (hoisting the `sin²(Ψc)` that [`Self::gain`]
-    /// historically recomputed per call) and the FOV cone threshold shared
-    /// with [`crate::FovMask`].
+    /// historically recomputed per call) and the FOV cone threshold the
+    /// NLOS lane kernels compare against.
     pub fn profile(&self) -> RxProfile {
         let n = self.concentrator_index;
         RxProfile {
@@ -60,10 +60,9 @@ impl RxOptics {
 ///
 /// [`RxOptics::gain`] evaluates `filter_gain · n² / sin²(Ψc)` on every
 /// call even though every operand is a per-receiver constant; the profile
-/// hoists that into [`RxProfile::peak_gain`] once. Both the LOS/NLOS
-/// kernels and the [`crate::FovMask`] cone test go through the same
-/// [`RxProfile::in_cone`] predicate, so there is exactly one definition of
-/// "inside the field of view".
+/// hoists that into [`RxProfile::peak_gain`] once. The LOS/NLOS kernels go
+/// through the same [`RxProfile::in_cone`] predicate, so there is exactly
+/// one definition of "inside the field of view".
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RxProfile {
     /// Field of view half-angle `Ψc` in radians (copied from [`RxOptics`]).
@@ -134,9 +133,8 @@ fn from_ord_key(k: u64) -> f64 {
 }
 
 impl RxProfile {
-    /// The FOV cone test: `ψ ≤ Ψc`. The single shared predicate behind
-    /// [`Self::gain`], [`Self::in_cone_cos`], and the [`crate::FovMask`]
-    /// cone test.
+    /// The FOV cone test: `ψ ≤ Ψc`. The single predicate behind
+    /// [`Self::gain`].
     #[inline]
     pub fn in_cone(&self, incidence: f64) -> bool {
         incidence <= self.fov_half_angle
@@ -173,13 +171,6 @@ impl RxProfile {
         } else {
             0.0
         }
-    }
-
-    /// [`Self::in_cone`] from the cosine of the incidence angle, with the
-    /// same clamp-then-`acos` recovery as the reference path.
-    #[inline]
-    pub fn in_cone_cos(&self, cos_incidence: f64) -> bool {
-        self.in_cone(cos_incidence.clamp(-1.0, 1.0).acos())
     }
 }
 

@@ -20,38 +20,29 @@
 //!   receiver poses, the direct input of the allocation algorithms.
 //! * [`ambient`] — the DC photocurrent from the grid's bias illumination
 //!   and the shot noise it contributes.
-//! * [`nlos_cache`] — TX-side precomputation of the single-bounce source→
-//!   patch leg ([`NlosTxCache`]), bitwise identical to the direct
-//!   quadratures at roughly half the per-call cost.
 //! * [`incremental`] — dirty-column [`ChannelMatrix`] updates
 //!   ([`ChannelUpdater`]) that recompute only the receivers that moved.
-//! * [`fov`] — sparse FOV culling: a conservative per-RX bitset of in-cone
-//!   TXs ([`FovMask`]) so sweeps and solvers skip geometrically-zero links.
-//! * [`soa`] — structure-of-arrays views: the per-RX transpose
-//!   ([`ChannelSoA`]), CSR live-link lists ([`SparseChannelView`]), and
-//!   split pose coordinates ([`PoseSoA`]) behind the lane-batched kernels.
+//! * [`soa`] — structure-of-arrays views for the optimal solver: the per-RX
+//!   transpose ([`ChannelSoA`]) and CSR lists of the nonzero links
+//!   ([`SparseChannelView`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ambient;
 pub mod blockage;
-pub mod fov;
 pub mod incremental;
 pub mod lambertian;
 pub mod matrix;
 pub mod nlos;
-pub mod nlos_cache;
 pub mod noise;
 pub mod photometry;
 pub mod soa;
 
 pub use blockage::CylinderBlocker;
-pub use fov::FovMask;
 pub use incremental::{ChannelUpdate, ChannelUpdater};
 pub use lambertian::{lambertian_order, los_gain, los_gain_profiled, RxOptics, RxProfile};
 pub use matrix::ChannelMatrix;
-pub use nlos_cache::NlosTxCache;
 pub use noise::{AwgnChannel, AwgnCursor, NoiseParams, NOISE_BOUND_SIGMAS};
 pub use photometry::{IlluminanceMap, IlluminanceStats};
-pub use soa::{ChannelSoA, PoseSoA, SparseChannelView};
+pub use soa::{ChannelSoA, SparseChannelView};

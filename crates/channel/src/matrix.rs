@@ -1,9 +1,7 @@
 //! The N × M channel matrix between a TX grid and a set of receivers.
 
 use crate::blockage::{any_blocks, CylinderBlocker};
-use crate::fov::FovMask;
-use crate::lambertian::{lambertian_order, los_gain_profiled, RxOptics, RxProfile};
-use crate::soa::LANE;
+use crate::lambertian::{lambertian_order, los_gain_profiled, RxOptics};
 use serde::{Deserialize, Serialize};
 use vlc_geom::{Pose, TxGrid};
 use vlc_par::Pool;
@@ -64,44 +62,35 @@ impl ChannelMatrix {
             half_power_semi_angle,
             optics,
             blockers,
-            None,
             &Pool::from_env(),
             &Span::noop(),
         )
     }
 
-    /// [`Self::compute_with_blockage`] with an optional precomputed
-    /// [`FovMask`], on a caller-supplied [`Pool`], recording a
-    /// `channel.sound` span under `parent`.
+    /// [`Self::compute_with_blockage`] on a caller-supplied [`Pool`],
+    /// recording a `channel.sound` span under `parent`.
     ///
     /// Each TX row of `H` is an independent work item, and rows are
     /// reassembled in TX order, so the matrix is bitwise identical to the
     /// sequential one for any worker count; one pool can serve many matrix
     /// builds (and the NLOS quadratures) instead of being rebuilt per call.
-    /// Masked links get an exact zero without evaluating the Lambertian
-    /// kernel or the blockage test. Because the mask is conservative — it
-    /// only culls links whose LOS gain is exactly zero — the result is
-    /// bitwise identical to the unmasked computation. The span has one
+    /// Each entry is an independent store of the fused profiled kernel, so
+    /// the matrix is bitwise identical to a per-link scalar assembly
+    /// (pinned by `tests/soa_identity.rs`). The span has one
     /// `channel.sound.row` child per TX row (indexed by TX, so the span
     /// tree is identical for any worker count).
-    #[allow(clippy::too_many_arguments)]
     pub fn compute_traced(
         grid: &TxGrid,
         receivers: &[Pose],
         half_power_semi_angle: f64,
         optics: &RxOptics,
         blockers: &[CylinderBlocker],
-        mask: Option<&FovMask>,
         pool: &Pool,
         parent: &Span,
     ) -> Self {
         let m = lambertian_order(half_power_semi_angle);
         let n_tx = grid.len();
         let n_rx = receivers.len();
-        if let Some(mask) = mask {
-            assert_eq!(mask.n_tx(), n_tx, "mask/grid TX count mismatch");
-            assert_eq!(mask.n_rx(), n_rx, "mask/receiver count mismatch");
-        }
         let profile = optics.profile();
         let sound = parent.child("channel.sound");
         sound.attr("n_tx", &n_tx.to_string());
@@ -109,9 +98,16 @@ impl ChannelMatrix {
         let rows = pool.map_indexed(n_tx, |t| {
             let _row = sound.child_indexed("channel.sound.row", t);
             let tx = grid.pose(t);
-            let mut out = vec![0.0f64; n_rx];
-            los_row_into(&tx, t, receivers, blockers, mask, m, &profile, &mut out);
-            out
+            receivers
+                .iter()
+                .map(|rx| {
+                    if any_blocks(blockers, tx.position, rx.position) {
+                        0.0
+                    } else {
+                        los_gain_profiled(&tx, rx, m, &profile)
+                    }
+                })
+                .collect::<Vec<f64>>()
         });
         let mut gains = Vec::with_capacity(n_tx * n_rx);
         for row in rows {
@@ -258,47 +254,6 @@ pub fn append_rx_columns<T: Copy>(
     }
 }
 
-/// Fills one TX row of `H` through the fused profiled kernel, processing
-/// receivers in fixed [`LANE`]-wide batches with a scalar tail. Each output
-/// element is an independent store — there is no cross-element accumulation
-/// to reassociate — so the row is bitwise identical to the historical
-/// per-link path (pinned by `tests/soa_identity.rs`).
-#[allow(clippy::too_many_arguments)]
-fn los_row_into(
-    tx: &Pose,
-    t: usize,
-    receivers: &[Pose],
-    blockers: &[CylinderBlocker],
-    mask: Option<&FovMask>,
-    m: f64,
-    profile: &RxProfile,
-    out: &mut [f64],
-) {
-    let link = |r: usize, rx: &Pose| -> f64 {
-        if let Some(mask) = mask {
-            if !mask.is_live(t, r) {
-                return 0.0;
-            }
-        }
-        if any_blocks(blockers, tx.position, rx.position) {
-            0.0
-        } else {
-            los_gain_profiled(tx, rx, m, profile)
-        }
-    };
-    let n = receivers.len();
-    let tail = n - n % LANE;
-    for base in (0..tail).step_by(LANE) {
-        for l in 0..LANE {
-            let r = base + l;
-            out[r] = link(r, &receivers[r]);
-        }
-    }
-    for r in tail..n {
-        out[r] = link(r, &receivers[r]);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -386,43 +341,6 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn from_gains_rejects_negative() {
         ChannelMatrix::from_gains(1, 1, vec![-1.0]);
-    }
-
-    #[test]
-    fn masked_compute_is_bitwise_identical_to_dense() {
-        let (grid, rxs) = paper_setup();
-        let optics = RxOptics {
-            fov_half_angle: 30f64.to_radians(),
-            ..RxOptics::paper()
-        };
-        let blockers = [CylinderBlocker::person(0.92, 0.92)];
-        let hpsa = 15f64.to_radians();
-        let mask = FovMask::compute(&grid, &rxs, &optics.profile());
-        assert!(mask.culled_count() > 0, "30° FOV should cull corner links");
-        let pool = Pool::sequential();
-        let dense = ChannelMatrix::compute_traced(
-            &grid,
-            &rxs,
-            hpsa,
-            &optics,
-            &blockers,
-            None,
-            &pool,
-            &Span::noop(),
-        );
-        let masked = ChannelMatrix::compute_traced(
-            &grid,
-            &rxs,
-            hpsa,
-            &optics,
-            &blockers,
-            Some(&mask),
-            &pool,
-            &Span::noop(),
-        );
-        for (t, r, g) in dense.iter() {
-            assert_eq!(g.to_bits(), masked.gain(t, r).to_bits(), "({t},{r})");
-        }
     }
 
     #[test]

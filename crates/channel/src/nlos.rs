@@ -364,12 +364,12 @@ pub(crate) fn wall_patch_center(
 /// Source→patch leg of the single-bounce integrand, *including* the surface
 /// reflectance: `(m+1)/(2π·d1²)·cosᵐ(φ1)·cos(ψ1) · ρ`, or exactly `0.0`
 /// when the patch is out of the emitter's half-space (the same early-outs
-/// as the fused integrand). Depends only on the TX pose and the patch, so
-/// it is the quantity [`crate::nlos_cache::NlosTxCache`] precomputes.
+/// as the fused integrand). The scalar references build their integrand
+/// from this leg and [`patch_rx_leg`].
 ///
 /// The fused product `first_leg · ρ · second_leg` evaluates left-to-right
-/// as `(first_leg · ρ) · second_leg`, so splitting here keeps the cached
-/// path bitwise identical to the direct one.
+/// as `(first_leg · ρ) · second_leg`, so splitting the integrand here keeps
+/// the scalar references bitwise identical to the fused kernels.
 pub(crate) fn patch_tx_leg(tx: &Pose, w: Vec3, normal: Vec3, m: f64, reflectance: f64) -> f64 {
     let v1 = w - tx.position;
     let d1_sq = v1.norm_sq();
@@ -522,7 +522,6 @@ pub(crate) fn patch_contribution_fused(
 
 /// Fused patch→RX leg with a precomputed [`RxProfile`] — bitwise identical
 /// to [`patch_rx_leg`] (same argument as [`patch_contribution_fused`]).
-/// Shared with the [`crate::nlos_cache`] cached sweeps.
 pub(crate) fn patch_rx_leg_profiled(rx: &Pose, w: Vec3, normal: Vec3, profile: &RxProfile) -> f64 {
     let v2 = rx.position - w;
     let d2_sq = v2.norm_sq();

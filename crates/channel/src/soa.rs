@@ -5,20 +5,16 @@
 //! the solver: every objective/gradient evaluation walks per-**RX** columns
 //! with stride `n_rx`. [`ChannelSoA`] is the transpose — contiguous per-RX
 //! gain rows — and [`SparseChannelView`] compounds it with CSR-style live
-//! index lists (from the zero pattern, optionally intersected with a
-//! [`crate::FovMask`]) so the solver iterates only links that can carry
-//! signal. [`PoseSoA`] splits pose coordinates into parallel arrays for the
-//! lane-batched geometry sweeps.
+//! index lists (the nonzero pattern) so the solver iterates only links that
+//! can carry signal.
 //!
-//! None of these views change a single bit of any result: they are
+//! Neither view changes a single bit of any result: they are
 //! re-orderings of *loads*, not of the fixed-order partial sums (see
 //! docs/BENCHMARKING.md §SoA & sparse channel for the ordering contract).
 
-use crate::fov::FovMask;
 use crate::matrix::ChannelMatrix;
-use vlc_geom::Pose;
 
-/// Fixed width of the f64 lane batches used by the fused kernels: four
+/// Fixed width of the f64 lane batches used by the NLOS kernels: four
 /// independent accumulators or stores per step, scalar tail, never a
 /// reassociation of a fixed-order partial sum across lanes.
 pub(crate) const LANE: usize = 4;
@@ -77,11 +73,10 @@ impl ChannelSoA {
 /// orientations: per-RX ascending TX lists (objective accumulation) and
 /// per-TX ascending RX lists (gradient rows).
 ///
-/// A link is live iff its gain is nonzero **and** — when built with
-/// [`Self::from_mask`] — the FOV mask keeps it. Skipping exactly-zero
-/// terms of a non-negative fixed-order sum is bitwise neutral (`x + 0.0
-/// == x` for every `x ≥ +0.0`), which is what lets the solver iterate
-/// these lists without changing a single result bit.
+/// A link is live iff its gain is nonzero. Skipping exactly-zero terms of
+/// a non-negative fixed-order sum is bitwise neutral (`x + 0.0 == x` for
+/// every `x ≥ +0.0`), which is what lets the solver iterate these lists
+/// without changing a single result bit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SparseChannelView {
     n_tx: usize,
@@ -95,7 +90,8 @@ pub struct SparseChannelView {
 }
 
 impl SparseChannelView {
-    fn build<F: Fn(usize, usize) -> bool>(matrix: &ChannelMatrix, keep: F) -> Self {
+    /// Live set from the zero pattern of the matrix.
+    pub fn from_matrix(matrix: &ChannelMatrix) -> Self {
         let n_tx = matrix.n_tx();
         let n_rx = matrix.n_rx();
         let mut rx_ptr = Vec::with_capacity(n_rx + 1);
@@ -105,7 +101,7 @@ impl SparseChannelView {
         for r in 0..n_rx {
             for t in 0..n_tx {
                 let g = matrix.tx_row(t)[r];
-                if g != 0.0 && keep(t, r) {
+                if g != 0.0 {
                     rx_tx_idx.push(t as u32);
                     rx_gain.push(g);
                 }
@@ -118,7 +114,7 @@ impl SparseChannelView {
         tx_ptr.push(0);
         for t in 0..n_tx {
             for (r, &g) in matrix.tx_row(t).iter().enumerate() {
-                if g != 0.0 && keep(t, r) {
+                if g != 0.0 {
                     tx_rx_idx.push(r as u32);
                     tx_gain.push(g);
                 }
@@ -135,21 +131,6 @@ impl SparseChannelView {
             tx_rx_idx,
             tx_gain,
         }
-    }
-
-    /// Live set from the zero pattern of the matrix alone.
-    pub fn from_matrix(matrix: &ChannelMatrix) -> Self {
-        Self::build(matrix, |_, _| true)
-    }
-
-    /// Live set from the zero pattern intersected with a [`FovMask`].
-    /// Since the mask is conservative, any masked-out link has zero gain
-    /// and the result equals [`Self::from_matrix`] — this constructor just
-    /// skips the gain loads for culled links.
-    pub fn from_mask(matrix: &ChannelMatrix, mask: &FovMask) -> Self {
-        assert_eq!(mask.n_tx(), matrix.n_tx(), "mask/matrix TX count mismatch");
-        assert_eq!(mask.n_rx(), matrix.n_rx(), "mask/matrix RX count mismatch");
-        Self::build(matrix, |t, r| mask.is_live(t, r))
     }
 
     /// Number of transmitters.
@@ -190,62 +171,11 @@ impl SparseChannelView {
     }
 }
 
-/// Pose coordinates split into parallel arrays for the lane kernels.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct PoseSoA {
-    /// Position x components.
-    pub px: Vec<f64>,
-    /// Position y components.
-    pub py: Vec<f64>,
-    /// Position z components.
-    pub pz: Vec<f64>,
-    /// Boresight x components.
-    pub bx: Vec<f64>,
-    /// Boresight y components.
-    pub by: Vec<f64>,
-    /// Boresight z components.
-    pub bz: Vec<f64>,
-}
-
-impl PoseSoA {
-    /// Split an array-of-structs pose slice into coordinate arrays.
-    pub fn from_poses(poses: &[Pose]) -> Self {
-        let mut soa = PoseSoA::default();
-        for p in poses {
-            soa.px.push(p.position.x);
-            soa.py.push(p.position.y);
-            soa.pz.push(p.position.z);
-            soa.bx.push(p.boresight.x);
-            soa.by.push(p.boresight.y);
-            soa.bz.push(p.boresight.z);
-        }
-        soa
-    }
-
-    /// Number of poses.
-    pub fn len(&self) -> usize {
-        self.px.len()
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.px.is_empty()
-    }
-
-    /// Reassemble pose `i` (test/debug helper).
-    pub fn pose(&self, i: usize) -> Pose {
-        Pose {
-            position: vlc_geom::Vec3::new(self.px[i], self.py[i], self.pz[i]),
-            boresight: vlc_geom::Vec3::new(self.bx[i], self.by[i], self.bz[i]),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lambertian::RxOptics;
-    use vlc_geom::{Room, TxGrid};
+    use vlc_geom::{Pose, Room, TxGrid};
     use vlc_par::Pool;
     use vlc_trace::Span;
 
@@ -259,7 +189,6 @@ mod tests {
             15f64.to_radians(),
             &RxOptics::paper(),
             &[],
-            None,
             &Pool::sequential(),
             &Span::noop(),
         )
@@ -297,26 +226,6 @@ mod tests {
                 assert_eq!(g.to_bits(), m.gain(t, r as usize).to_bits());
             }
             assert_eq!(view.tx_any_live(t), !idx.is_empty());
-        }
-    }
-
-    #[test]
-    fn mask_view_equals_zero_pattern_view() {
-        let m = small_matrix();
-        let mask = FovMask::all_live(m.n_tx(), m.n_rx());
-        assert_eq!(
-            SparseChannelView::from_mask(&m, &mask),
-            SparseChannelView::from_matrix(&m)
-        );
-    }
-
-    #[test]
-    fn pose_soa_round_trips() {
-        let poses = vec![Pose::ceiling(0.5, 1.0, 2.8), Pose::face_up(2.0, 1.0, 0.8)];
-        let soa = PoseSoA::from_poses(&poses);
-        assert_eq!(soa.len(), 2);
-        for (i, p) in poses.iter().enumerate() {
-            assert_eq!(soa.pose(i), *p);
         }
     }
 }

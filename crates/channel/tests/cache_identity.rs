@@ -1,26 +1,17 @@
 //! Property tests for the incremental channel engine's identity contract:
-//! the cached/incremental paths must be *bitwise* equal to the cold paths
-//! (paper-faithful per-pair quadrature), for any receiver poses, any ε, any
-//! blocker set, and any worker count. These ride in `cargo test --workspace`
-//! and therefore in both halves of `cargo tier2`.
+//! the dirty-column updater must be *bitwise* equal to a cold rebuild, for
+//! any receiver poses, any blocker set, any roster edit, and any worker
+//! count. These ride in `cargo test --workspace` and therefore in both
+//! halves of `cargo tier2`.
 
 use proptest::prelude::*;
-use vlc_channel::nlos::{floor_bounce_gain_traced, wall_bounce_gain_traced, NlosConfig};
-use vlc_channel::{
-    lambertian_order, ChannelMatrix, ChannelUpdater, CylinderBlocker, NlosTxCache, RxOptics,
-};
+use vlc_channel::{ChannelMatrix, ChannelUpdater, CylinderBlocker, RxOptics};
 use vlc_geom::{Pose, Room, TxGrid};
 use vlc_par::{Jobs, Pool};
 use vlc_telemetry::Registry;
 use vlc_trace::Span;
 
 const HPSA: f64 = 0.2617993877991494; // 15° in radians
-
-/// Coarser patches than the 5 cm default keep the per-case quadrature cheap
-/// without weakening the identity being tested (it must hold for any grid).
-fn coarse() -> NlosConfig {
-    NlosConfig { patch_size_m: 0.2 }
-}
 
 fn arb_rx_pose() -> impl Strategy<Value = Pose> {
     // Anywhere in the testbed room's interior, desk to head height.
@@ -43,44 +34,7 @@ fn bits(m: &ChannelMatrix) -> (usize, usize, Vec<u64>) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// A leader-side NLOS cache reproduces the direct floor-bounce
-    /// quadrature bit for bit, for any receiver pose and worker count.
-    #[test]
-    fn cached_floor_gain_matches_direct_bitwise(rx in arb_rx_pose(), tx_idx in 0usize..36) {
-        let room = Room::paper_testbed();
-        let grid = TxGrid::paper(&room);
-        let optics = RxOptics::paper();
-        let m = lambertian_order(HPSA);
-        let tx = grid.pose(tx_idx);
-        let cache = NlosTxCache::new(&tx, m, &room, &coarse());
-        for jobs in [Jobs::serial(), Jobs::max()] {
-            let pool = Pool::new(jobs);
-            let direct =
-                floor_bounce_gain_traced(&tx, &rx, m, &optics, &room, &coarse(), &pool, &Span::noop());
-            let cached = cache.floor_gain_traced(&rx, &optics, &pool, &Span::noop());
-            prop_assert_eq!(cached.to_bits(), direct.to_bits(), "jobs={}", jobs);
-        }
-    }
-
-    /// Same identity for the four-wall bounce.
-    #[test]
-    fn cached_wall_gain_matches_direct_bitwise(rx in arb_rx_pose(), tx_idx in 0usize..36) {
-        let room = Room::paper_testbed();
-        let grid = TxGrid::paper(&room);
-        let optics = RxOptics::paper();
-        let m = lambertian_order(HPSA);
-        let tx = grid.pose(tx_idx);
-        let cache = NlosTxCache::new(&tx, m, &room, &coarse());
-        for jobs in [Jobs::serial(), Jobs::max()] {
-            let pool = Pool::new(jobs);
-            let direct =
-                wall_bounce_gain_traced(&tx, &rx, m, &optics, &room, &coarse(), &pool, &Span::noop());
-            let cached = cache.wall_gain_traced(&rx, &optics, &pool, &Span::noop());
-            prop_assert_eq!(cached.to_bits(), direct.to_bits(), "jobs={}", jobs);
-        }
-    }
-
-    /// With ε = 0 the dirty-row updater is a drop-in replacement for a full
+    /// The dirty-row updater is a drop-in replacement for a full
     /// rebuild: after any sequence of pose jitters and blocker changes, the
     /// caller's masked matrix, the clear matrix, and the blocked-link count
     /// all match a from-scratch computation of the same tick, bitwise, at
@@ -98,7 +52,7 @@ proptest! {
         let optics = RxOptics::paper();
         for jobs in [Jobs::serial(), Jobs::max()] {
             let pool = Pool::new(jobs);
-            let mut updater = ChannelUpdater::new(&grid, HPSA, &optics, 0.0);
+            let mut updater = ChannelUpdater::new(&grid, HPSA, &optics);
             let mut masked = ChannelMatrix::from_gains(grid.len(), 0, Vec::new());
             for (step, (poses, blockers)) in steps.iter().enumerate() {
                 let previous = masked.clone();
@@ -111,10 +65,10 @@ proptest! {
                     &Span::noop(),
                 );
                 let full = ChannelMatrix::compute_traced(
-                    &grid, poses, HPSA, &optics, blockers, None, &pool, &Span::noop(),
+                    &grid, poses, HPSA, &optics, blockers, &pool, &Span::noop(),
                 );
                 let clear = ChannelMatrix::compute_traced(
-                    &grid, poses, HPSA, &optics, &[], None, &pool, &Span::noop(),
+                    &grid, poses, HPSA, &optics, &[], &pool, &Span::noop(),
                 );
                 prop_assert_eq!(&masked, &full, "masked, jobs={}", jobs);
                 prop_assert_eq!(updater.clear_channel(), &clear, "clear, jobs={}", jobs);
@@ -148,7 +102,7 @@ proptest! {
         let optics = RxOptics::paper();
         for jobs in [Jobs::serial(), Jobs::of(2)] {
             let pool = Pool::new(jobs);
-            let mut updater = ChannelUpdater::new(&grid, HPSA, &optics, 0.0);
+            let mut updater = ChannelUpdater::new(&grid, HPSA, &optics);
             let mut masked = ChannelMatrix::from_gains(grid.len(), 0, Vec::new());
             let mut poses = initial.clone();
             let mut blockers = Vec::new();
@@ -208,46 +162,6 @@ proptest! {
                     .count();
                 prop_assert_eq!(update.blocked_links, blocked, "jobs={}", jobs);
             }
-        }
-    }
-
-    /// With ε > 0 the updater trades bounded staleness for reuse: its output
-    /// equals a full rebuild at the *effective* poses (each column's pose
-    /// re-snaps only when the receiver drifts beyond ε of the last computed
-    /// pose), so the approximation is exactly "each RX is where we last
-    /// looked, at most ε ago" — never an uncontrolled mixture.
-    #[test]
-    fn positive_epsilon_updater_matches_rebuild_at_effective_poses(
-        epsilon in 0.0f64..0.5,
-        steps in proptest::collection::vec(
-            (proptest::collection::vec(arb_rx_pose(), 2), arb_blockers()),
-            1..5,
-        ),
-    ) {
-        let room = Room::paper_testbed();
-        let grid = TxGrid::paper(&room);
-        let optics = RxOptics::paper();
-        let mut updater = ChannelUpdater::new(&grid, HPSA, &optics, epsilon);
-        let mut masked = ChannelMatrix::from_gains(grid.len(), 0, Vec::new());
-        // Shadow model of the invalidation rule.
-        let mut effective: Vec<Pose> = Vec::new();
-        for (poses, blockers) in &steps {
-            updater.update(poses, blockers, &mut masked);
-            if effective.is_empty() {
-                effective = poses.clone();
-            } else {
-                for (eff, new) in effective.iter_mut().zip(poses) {
-                    if eff.boresight != new.boresight
-                        || eff.position.distance(new.position) > epsilon
-                    {
-                        *eff = *new;
-                    }
-                }
-            }
-            let full = ChannelMatrix::compute_with_blockage(
-                &grid, &effective, HPSA, &optics, blockers,
-            );
-            prop_assert_eq!(&masked, &full);
         }
     }
 }

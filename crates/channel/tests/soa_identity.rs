@@ -1,19 +1,16 @@
 //! Property tests for the SoA / lane-kernel identity contract: every fused
 //! fast path introduced by the SoA refactor must be *bitwise* equal to its
 //! retained scalar reference, for any poses, optics, blockers, and worker
-//! count, and the FOV mask must be conservative (it never culls a link
-//! whose scalar LOS gain is nonzero). These ride in `cargo test
-//! --workspace` and in the CI `soa` job at `DENSEVLC_JOBS` ∈ {1, max}.
+//! count. These ride in `cargo test --workspace` and in the CI `soa` job
+//! at `DENSEVLC_JOBS` ∈ {1, max}.
 
 use proptest::prelude::*;
-use vlc_channel::fov::cone_live;
 use vlc_channel::nlos::{
     floor_bounce_gain_scalar, floor_bounce_gain_traced, wall_bounce_gain_scalar,
     wall_bounce_gain_traced, NlosConfig,
 };
 use vlc_channel::{
-    lambertian_order, los_gain, los_gain_profiled, ChannelMatrix, CylinderBlocker, FovMask,
-    RxOptics, SparseChannelView,
+    lambertian_order, los_gain, los_gain_profiled, ChannelMatrix, CylinderBlocker, RxOptics,
 };
 use vlc_geom::{Pose, Room, TxGrid};
 use vlc_par::{Jobs, Pool};
@@ -56,7 +53,7 @@ fn arb_rx_pose() -> impl Strategy<Value = Pose> {
 }
 
 fn arb_optics() -> impl Strategy<Value = RxOptics> {
-    // FOV half-angles from narrow (heavy culling) to the paper's wide open.
+    // FOV half-angles from narrow (most links zero) to the paper's wide open.
     (10.0f64..90.0).prop_map(|fov_deg| RxOptics {
         fov_half_angle: fov_deg.to_radians(),
         ..RxOptics::paper()
@@ -87,38 +84,10 @@ proptest! {
         prop_assert_eq!(fused.to_bits(), reference.to_bits());
     }
 
-    /// The FOV mask is conservative: any link with a nonzero scalar LOS
-    /// gain is live, and the cheap cone test agrees with the mask bits.
+    /// The fused matrix sweep equals a per-link scalar assembly, bitwise,
+    /// for any worker count.
     #[test]
-    fn fov_mask_is_conservative(
-        txs in proptest::collection::vec(arb_tx_pose(), 1..6),
-        rxs in proptest::collection::vec(arb_rx_pose(), 1..4),
-        optics in arb_optics(),
-    ) {
-        let m = lambertian_order(HPSA);
-        let profile = optics.profile();
-        let mask = FovMask::compute_poses(&txs, &rxs, &profile);
-        let mut live = 0;
-        for (r, rx) in rxs.iter().enumerate() {
-            for (t, tx) in txs.iter().enumerate() {
-                let g = los_gain(tx, rx, m, &optics);
-                if g != 0.0 {
-                    prop_assert!(mask.is_live(t, r), "culled nonzero link tx={} rx={}", t, r);
-                }
-                prop_assert_eq!(mask.is_live(t, r), cone_live(tx, rx, &profile));
-                if mask.is_live(t, r) {
-                    live += 1;
-                }
-            }
-        }
-        prop_assert_eq!(mask.live_count(), live);
-        prop_assert_eq!(mask.culled_count(), txs.len() * rxs.len() - live);
-    }
-
-    /// The lane-batched masked matrix sweep equals (a) a per-link scalar
-    /// assembly and (b) the unmasked sweep, bitwise, for any worker count.
-    #[test]
-    fn masked_lane_compute_matches_scalar_assembly(
+    fn lane_compute_matches_scalar_assembly(
         rxs in proptest::collection::vec(arb_rx_pose(), 1..4),
         optics in arb_optics(),
         blockers in arb_blockers(),
@@ -126,14 +95,10 @@ proptest! {
         let room = Room::paper_testbed();
         let grid = TxGrid::paper(&room);
         let m = lambertian_order(HPSA);
-        let mask = FovMask::compute(&grid, &rxs, &optics.profile());
         for jobs in [Jobs::serial(), Jobs::max()] {
             let pool = Pool::new(jobs);
-            let masked = ChannelMatrix::compute_traced(
-                &grid, &rxs, HPSA, &optics, &blockers, Some(&mask), &pool, &Span::noop(),
-            );
-            let unmasked = ChannelMatrix::compute_traced(
-                &grid, &rxs, HPSA, &optics, &blockers, None, &pool, &Span::noop(),
+            let sweep = ChannelMatrix::compute_traced(
+                &grid, &rxs, HPSA, &optics, &blockers, &pool, &Span::noop(),
             );
             for t in 0..grid.len() {
                 let tx = grid.pose(t);
@@ -145,16 +110,9 @@ proptest! {
                     } else {
                         los_gain(&tx, rx, m, &optics)
                     };
-                    prop_assert_eq!(masked.gain(t, r).to_bits(), scalar.to_bits());
-                    prop_assert_eq!(unmasked.gain(t, r).to_bits(), scalar.to_bits());
+                    prop_assert_eq!(sweep.gain(t, r).to_bits(), scalar.to_bits());
                 }
             }
-            // The sparse view built through the mask carries exactly the
-            // zero-pattern live set (conservativeness again, CSR-side).
-            prop_assert_eq!(
-                SparseChannelView::from_mask(&masked, &mask),
-                SparseChannelView::from_matrix(&masked)
-            );
         }
     }
 

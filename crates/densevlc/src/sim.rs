@@ -277,8 +277,8 @@ impl Simulation {
         let steps = (duration_s / self.tick_s).ceil() as usize;
         let mut ticks = Vec::with_capacity(steps);
         // Run-local engine state: one worker pool for the whole run
-        // (hoisted out of the per-matrix calls), one channel updater with
-        // ε = 0 (exact: any movement recomputes), and whether the channel
+        // (hoisted out of the per-matrix calls), one exact channel updater
+        // (any movement recomputes its column), and whether the channel
         // changed since this run last planned. Kept off the struct so
         // serialized simulations and replays stay unaffected; `stale`
         // starts set so every run plans afresh on its first round.
@@ -287,7 +287,6 @@ impl Simulation {
             &self.deployment.grid,
             self.deployment.half_power_semi_angle,
             &self.deployment.optics,
-            0.0,
         );
         let mut stale = true;
         let mut world: SystemModel = self.deployment.model.clone();

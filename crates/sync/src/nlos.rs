@@ -11,7 +11,7 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use vlc_channel::nlos::{floor_bounce_gain_traced, NlosConfig};
-use vlc_channel::{NlosTxCache, NoiseParams, RxOptics};
+use vlc_channel::{NoiseParams, RxOptics};
 use vlc_geom::{Pose, Room};
 use vlc_led::{power::optical_swing_amplitude, LedParams};
 use vlc_par::Pool;
@@ -96,37 +96,6 @@ impl NlosSyncLink {
             // 32 pilot chips × 10 samples/chip of coherent correlation.
             pilot_gain: 320.0,
             detection_threshold: 4.0, // ≈ 6 dB post-correlation
-        }
-    }
-
-    /// [`Self::between`] evaluated through a leader-side [`NlosTxCache`]:
-    /// the source→patch table is reused across every follower of the same
-    /// leader, so building N follower links costs one cache build plus N
-    /// patch→RX sweeps that skip the source-side leg (and its `cosᵐ`
-    /// power) per patch. The bounce gain is bitwise identical to
-    /// [`Self::between`] for the cached leader pose and room.
-    pub fn between_cached(cache: &NlosTxCache, follower: &Pose, optics: &RxOptics) -> Self {
-        Self::between_cached_traced(cache, follower, optics, &Span::noop())
-    }
-
-    /// [`Self::between_cached`] recording a `sync.link_build_cached` span
-    /// under `parent` (the cache's `channel.nlos.floor.cached` quadrature
-    /// span nests inside).
-    pub fn between_cached_traced(
-        cache: &NlosTxCache,
-        follower: &Pose,
-        optics: &RxOptics,
-        parent: &Span,
-    ) -> Self {
-        let build = parent.child("sync.link_build_cached");
-        let bounce_gain = cache.floor_gain_traced(follower, optics, &Pool::from_env(), &build);
-        NlosSyncLink {
-            bounce_gain,
-            led: LedParams::cree_xte_paper(),
-            noise: NoiseParams::paper(),
-            responsivity: optics.responsivity,
-            pilot_gain: 320.0,
-            detection_threshold: 4.0,
         }
     }
 
@@ -253,32 +222,5 @@ mod tests {
         let near = grid_link(1, 2, 0.6);
         let far = grid_link(0, 35, 0.6);
         assert!(far.raw_snr() < near.raw_snr());
-    }
-
-    #[test]
-    fn cached_links_are_bitwise_identical_to_direct_ones() {
-        // One leader-side cache serves every follower with the exact gains
-        // the per-pair quadrature produces.
-        let room = Room::paper_testbed();
-        let grid = TxGrid::paper(&room);
-        let optics = RxOptics::paper();
-        let m = vlc_channel::lambertian::lambertian_order(15f64.to_radians());
-        let cache = NlosTxCache::shared(&grid.pose(1), m, &room, &NlosConfig::default());
-        for follower in [0usize, 2, 7, 8] {
-            let direct = NlosSyncLink::between(
-                &grid.pose(1),
-                &grid.pose(follower),
-                &room,
-                15f64.to_radians(),
-                &optics,
-            );
-            let cached = NlosSyncLink::between_cached(&cache, &grid.pose(follower), &optics);
-            assert_eq!(
-                cached.bounce_gain.to_bits(),
-                direct.bounce_gain.to_bits(),
-                "follower {follower}"
-            );
-            assert_eq!(cached, direct);
-        }
     }
 }

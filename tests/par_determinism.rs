@@ -41,7 +41,6 @@ fn sound(grid: &TxGrid, rxs: &[Pose], optics: &RxOptics, jobs: Jobs) -> ChannelM
         15f64.to_radians(),
         optics,
         &[],
-        None,
         &Pool::new(jobs),
         &Span::noop(),
     )

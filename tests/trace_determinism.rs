@@ -41,16 +41,8 @@ fn traced_workload(jobs: Jobs) -> TraceSnapshot {
     ];
     let optics = RxOptics::paper();
     let pool = Pool::new(jobs);
-    let h = ChannelMatrix::compute_traced(
-        &grid,
-        &rxs,
-        15f64.to_radians(),
-        &optics,
-        &[],
-        None,
-        &pool,
-        &root,
-    );
+    let h =
+        ChannelMatrix::compute_traced(&grid, &rxs, 15f64.to_radians(), &optics, &[], &pool, &root);
 
     let cfg = NlosConfig::default();
     let leader = Pose::ceiling(0.6, 0.6, room.height);
