@@ -21,7 +21,7 @@ use crate::model::{Allocation, SystemModel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use vlc_channel::{ChannelSoA, SparseChannelView};
+use vlc_channel::{ChannelMatrix, ChannelSoA, SparseChannelView};
 use vlc_par::Pool;
 use vlc_telemetry::Registry;
 use vlc_trace::Span;
@@ -40,26 +40,35 @@ enum Engine {
     Dense,
 }
 
-/// Per-solve immutable context for the fast kernels: the channel transposed
-/// into contiguous per-RX gain rows ([`ChannelSoA`]), CSR live-link lists in
-/// both orientations ([`SparseChannelView`] — the zero pattern already
-/// drops every link outside a receiver's FOV, since such a link has
-/// exactly-zero gain), and the model constants every dense evaluation
-/// re-derived per call.
+/// Per-solve immutable context for the fast kernels: the channel in both
+/// orientations (padded TX-major rows for the objective's stream sweep, the
+/// [`ChannelSoA`] transpose for the gradient's TX columns), the CSR
+/// live-link lists ([`SparseChannelView`]) when some link is dead — the
+/// zero pattern already drops every link outside a receiver's FOV, since
+/// such a link has exactly-zero gain — and the model constants every dense
+/// evaluation re-derived per call.
 ///
-/// Both kernels reproduce the dense fold orders bit for bit: zero-gain
-/// terms of the non-negative stream/interference sums are skipped (`x +
-/// (+0.0) == x` for `x ≥ +0.0`), everything else accumulates in the same
-/// ascending order with the same association.
+/// Every kernel reproduces the dense engine bit for bit: each product is
+/// formed from the same operands in the same association, each division
+/// stays last in its term, and every partial sum accumulates in the same
+/// ascending order. The kernels only change *how often* a product is
+/// formed and the loop nesting around it. The CSR arms skip zero-gain
+/// terms of the non-negative stream/interference sums (`x + (+0.0) == x`
+/// for `x ≥ +0.0`).
 struct SolveContext {
     n_tx: usize,
     n_rx: usize,
+    /// TX-major gain rows padded with zero gains to `padded_rx` (a
+    /// multiple of [`RX_BLOCK`]): `tx_gains[t * padded_rx + i] ==
+    /// channel.gain(t, i)` for `i < n_rx`.
+    tx_gains: Vec<f64>,
+    padded_rx: usize,
     soa: ChannelSoA,
-    view: SparseChannelView,
-    /// Every link live (the paper's wide-FOV geometries): the kernels take
-    /// branch-free lane paths with contiguous row sweeps instead of CSR
-    /// indirection — same operations in the same order, so still bitwise.
-    all_live: bool,
+    /// The live links when some gain is exactly zero; `None` when every
+    /// link is live (the paper's wide-FOV geometries), where the kernels
+    /// take branch-free contiguous sweeps instead of CSR indirection —
+    /// same operations in the same order, so still bitwise.
+    sparse: Option<SparseChannelView>,
     /// Stream-amplitude scale of Eq. 12: `R·η·r`.
     scale: f64,
     noise: f64,
@@ -68,26 +77,25 @@ struct SolveContext {
     max_swing: f64,
 }
 
-/// Stream-axis lane width: the paper geometries carry four MRC streams, so
-/// the per-RX accumulator of the stream pass fits one register lane.
-const STREAM_LANE: usize = 4;
-
-/// TX-axis lane width of the gradient fill: eight independent per-TX
-/// evaluations run per step (each element-wise identical to the scalar op
-/// sequence), deep enough to keep the divide pipeline busy.
-const GRAD_LANE: usize = 8;
+/// RX lanes per register block of the objective's stream sweep.
+const RX_BLOCK: usize = 4;
 
 impl SolveContext {
     fn new(model: &SystemModel) -> Self {
         let r = model.dyn_resistance();
-        let view = SparseChannelView::from_matrix(&model.channel);
-        let all_live = view.live_links() == model.n_tx() * model.n_rx();
+        let all_live = (0..model.n_tx()).all(|t| model.channel.tx_row(t).iter().all(|&g| g != 0.0));
+        let padded_rx = model.n_rx().div_ceil(RX_BLOCK) * RX_BLOCK;
+        let mut tx_gains = vec![0.0; model.n_tx() * padded_rx];
+        for (t, row) in tx_gains.chunks_exact_mut(padded_rx).enumerate() {
+            row[..model.n_rx()].copy_from_slice(model.channel.tx_row(t));
+        }
         SolveContext {
             n_tx: model.n_tx(),
             n_rx: model.n_rx(),
+            tx_gains,
+            padded_rx,
             soa: ChannelSoA::from_matrix(&model.channel),
-            view,
-            all_live,
+            sparse: (!all_live).then(|| SparseChannelView::from_matrix(&model.channel)),
             scale: model.responsivity * model.led.wall_plug_efficiency * r,
             noise: model.noise.noise_power(),
             bandwidth_hz: model.noise.bandwidth_hz,
@@ -96,66 +104,52 @@ impl SolveContext {
         }
     }
 
-    /// Accumulates all `n_rx` stream amplitudes at RX `i` into `acc`
-    /// (before the `scale` factor), the shared first pass of both kernels:
-    /// ascending-TX, stream-inner, exactly the dense triple loop's order.
-    /// The all-live arm sweeps `x` row-chunks against the contiguous SoA
-    /// gain row; the sparse arm hops the CSR live list (skipped terms are
-    /// exactly `+0.0` in a non-negative ascending sum).
-    #[inline]
-    fn accumulate_streams_at(&self, i: usize, x: &[f64], acc: &mut [f64]) {
-        acc.fill(0.0);
-        if self.all_live && self.n_rx == STREAM_LANE {
-            // Four streams exactly: the accumulator lane lives in registers
-            // and the compiler sees a fixed-width inner loop. Same ops in
-            // the same order as the generic arm below.
-            let mut lane = [0.0f64; STREAM_LANE];
-            for (row, &g) in x.chunks_exact(STREAM_LANE).zip(self.soa.rx_row(i)) {
-                for (a, &swing) in lane.iter_mut().zip(row) {
-                    let half = swing / 2.0;
-                    *a += g * half * half;
-                }
-            }
-            acc.copy_from_slice(&lane);
-        } else if self.all_live {
-            for (row, &g) in x.chunks_exact(self.n_rx).zip(self.soa.rx_row(i)) {
-                for (a, &swing) in acc.iter_mut().zip(row) {
-                    let half = swing / 2.0;
-                    *a += g * half * half;
-                }
-            }
-        } else {
-            let (idx, gains) = self.view.rx_live(i);
-            for (&t, &g) in idx.iter().zip(gains) {
-                let row = &x[t as usize * self.n_rx..(t as usize + 1) * self.n_rx];
-                for (a, &swing) in acc.iter_mut().zip(row) {
-                    let half = swing / 2.0;
-                    *a += g * half * half;
-                }
-            }
-        }
-    }
-
     /// `Σ_i ln(B·log2(1+SINR_i))` over the raw swing slice — bitwise equal
-    /// to `SystemModel::sum_log_throughput` on the same swings. One pass
-    /// over each RX's live TX list accumulates all `n_rx` stream amplitudes
-    /// at that RX (one gain load shared across the stream lane; each
-    /// stream's partial sum runs in ascending-TX order exactly as the dense
-    /// triple loop).
+    /// to `SystemModel::sum_log_throughput` on the same swings.
+    ///
+    /// The all-live arm takes each stream `k` once: one sweep down the TX
+    /// rows forms the half-swing `h_tk` once per row and adds
+    /// `(g_ti·h_tk)·h_tk` to [`RX_BLOCK`] register sums at a time (the
+    /// padding lanes see zero gains and are dropped). Each `(k, i)` sum
+    /// runs in ascending-TX order, exactly the dense triple loop's.
     /// On top of the return value, the call leaves the stream amplitudes,
     /// denominators, SINRs, and throughput factors of `x` in `st` — exactly
-    /// the state [`Self::gradient_cached`] needs, so an accepted
-    /// backtracking candidate's evaluation doubles as the next iteration's
-    /// first two gradient passes. Every intermediate is the same product in
-    /// the same order as the historical fused objective, so the return is
-    /// still bitwise `SystemModel::sum_log_throughput`.
+    /// the state [`Self::gradient`] needs, so an accepted backtracking
+    /// candidate's evaluation doubles as the next iteration's first two
+    /// gradient passes.
     fn objective(&self, x: &[f64], st: &mut Scratch) -> f64 {
         let n_rx = self.n_rx;
         let ln2 = std::f64::consts::LN_2;
-        for i in 0..n_rx {
-            self.accumulate_streams_at(i, x, &mut st.acc);
-            for (k, &a) in st.acc.iter().enumerate() {
-                st.stream_at[k * n_rx + i] = self.scale * a;
+        // stream_at[k * n_rx + i]: amplitude of stream k at RX i.
+        if let Some(view) = &self.sparse {
+            st.stream_at.fill(0.0);
+            for (t, row) in x.chunks_exact(n_rx).enumerate() {
+                let (idx, gains) = view.tx_live(t);
+                for (acc, &swing) in st.stream_at.chunks_exact_mut(n_rx).zip(row) {
+                    let half = swing / 2.0;
+                    for (&i, &g) in idx.iter().zip(gains) {
+                        acc[i as usize] += g * half * half;
+                    }
+                }
+            }
+            for a in st.stream_at.iter_mut() {
+                *a *= self.scale;
+            }
+        } else {
+            for k in 0..n_rx {
+                for block in (0..self.padded_rx).step_by(RX_BLOCK) {
+                    let mut lane = [0.0f64; RX_BLOCK];
+                    for (t, gains) in self.tx_gains.chunks_exact(self.padded_rx).enumerate() {
+                        let half = x[t * n_rx + k] / 2.0;
+                        for (a, &g) in lane.iter_mut().zip(&gains[block..block + RX_BLOCK]) {
+                            *a += g * half * half;
+                        }
+                    }
+                    let out = &mut st.stream_at[k * n_rx + block..(k + 1) * n_rx];
+                    for (o, &a) in out.iter_mut().zip(&lane) {
+                        *o = self.scale * a;
+                    }
+                }
             }
         }
         let mut obj = 0.0;
@@ -182,102 +176,88 @@ impl SolveContext {
         obj
     }
 
-    /// The analytic gradient into `st.grad` — bitwise equal to the dense
-    /// `OptimalSolver::gradient`. Gradient rows of TXs with no live link
-    /// are exactly `+0.0` in the dense formula and are zero-filled without
-    /// evaluation; jam sums skip zero-gain receivers (each skipped term is
-    /// `+0.0` in a non-negative ascending sum).
+    /// The analytic gradient into `st.grad`, returning its Euclidean norm —
+    /// both bitwise equal to the dense `OptimalSolver::gradient` and the
+    /// ascent's `√Σ g²` (squares summed in ascending index order).
     /// `st` must hold the stream/denominator/SINR state of `x` from an
     /// immediately preceding [`Self::objective`] call at the same point —
     /// the ascent's invariant (every gradient follows an accepted
     /// evaluation), which saves recomputing both shared passes.
-    fn gradient_cached(&self, x: &[f64], st: &mut Scratch) {
-        if self.all_live {
-            self.fill_gradient_lanes(x, st);
-        } else {
-            self.fill_gradient_sparse(x, st);
+    fn gradient(&self, x: &[f64], st: &mut Scratch) -> f64 {
+        match &self.sparse {
+            None => self.fill_gradient_all_live(x, st),
+            Some(view) => {
+                self.fill_gradient_sparse(view, x, st);
+                st.grad.iter().map(|g| g * g).sum::<f64>().sqrt()
+            }
         }
     }
 
-    /// The gradient fill for an all-live channel: per RX `k`, the TX axis
-    /// runs in [`GRAD_LANE`]-wide batches over the contiguous SoA gain rows.
-    /// Each lane element executes the dense reference's exact op sequence
-    /// (`((((g·tfac)·2)·s)/denom)`, jam summed over ascending `i ≠ k`), so
-    /// every `grad[j,k]` is bitwise the dense value; the batch only lets
-    /// four independent divide chains overlap.
-    fn fill_gradient_lanes(&self, x: &[f64], st: &mut Scratch) {
-        let n_rx = self.n_rx;
-        let tail = self.n_tx - self.n_tx % GRAD_LANE;
-        for k in 0..n_rx {
-            let gk = self.soa.rx_row(k);
-            let tfac_k = st.tfac[k];
-            let s_kk = st.stream_at[k * n_rx + k];
-            let denom_k = st.denom[k];
-            for base in (0..tail).step_by(GRAD_LANE) {
-                let mut sig = [0.0f64; GRAD_LANE];
-                for (l, s) in sig.iter_mut().enumerate() {
-                    *s = gk[base + l] * tfac_k * 2.0 * s_kk / denom_k;
-                }
-                let mut jam = [0.0f64; GRAD_LANE];
-                for i in 0..n_rx {
-                    if i == k {
-                        continue;
-                    }
-                    let gi = &self.soa.rx_row(i)[base..base + GRAD_LANE];
-                    let tfac_i = st.tfac[i];
-                    let sinr_i = st.sinr[i];
-                    let s_ki = st.stream_at[k * n_rx + i];
-                    let denom_i = st.denom[i];
-                    for (j, &g) in jam.iter_mut().zip(gi) {
-                        *j += g * tfac_i * 2.0 * sinr_i * s_ki / denom_i;
-                    }
-                }
-                for l in 0..GRAD_LANE {
-                    let j = base + l;
-                    let dq = x[j * n_rx + k] / 2.0;
-                    st.grad[j * n_rx + k] = if dq == 0.0 {
-                        1e-3 * self.scale * (sig[l] - jam[l]).max(0.0)
-                    } else {
-                        dq * self.scale * (sig[l] - jam[l])
-                    };
-                }
-            }
-            for j in tail..self.n_tx {
-                let dq = x[j * n_rx + k] / 2.0;
-                let signal = gk[j] * tfac_k * 2.0 * s_kk / denom_k;
-                let mut jam = 0.0;
-                for i in 0..n_rx {
-                    if i == k {
-                        continue;
-                    }
-                    jam += self.soa.gain(j, i)
-                        * st.tfac[i]
-                        * 2.0
-                        * st.sinr[i]
-                        * st.stream_at[k * n_rx + i]
-                        / st.denom[i];
-                }
-                st.grad[j * n_rx + k] = if dq == 0.0 {
-                    1e-3 * self.scale * (signal - jam).max(0.0)
-                } else {
-                    dq * self.scale * (signal - jam)
-                };
+    /// The gradient fill for an all-live channel, in three straight passes
+    /// over contiguous TX columns.
+    ///
+    /// 1. The stream-independent interference prefix `((g_ji·tfac_i)·2)·SINR_i`,
+    ///    once per `(RX i, TX j)` instead of once per stream.
+    /// 2. Per stream `k`, signal minus interference for every TX: the jam
+    ///    `Σ_{i≠k} (prefix·s_ki)/denom_i` in ascending `i`, then the signal
+    ///    `(((g_jk·tfac_k)·2)·s_kk)/denom_k` minus it. Each division stays
+    ///    last in its term.
+    /// 3. `grad` in index order, `Σ g²` folded in as it is written.
+    fn fill_gradient_all_live(&self, x: &[f64], st: &mut Scratch) -> f64 {
+        let (n_tx, n_rx) = (self.n_tx, self.n_rx);
+        for i in 0..n_rx {
+            let (tfac, sinr) = (st.tfac[i], st.sinr[i]);
+            let jam_pre = &mut st.jam_pre[i * n_tx..(i + 1) * n_tx];
+            for (p, &g) in jam_pre.iter_mut().zip(self.soa.rx_row(i)) {
+                *p = g * tfac * 2.0 * sinr;
             }
         }
+        for k in 0..n_rx {
+            let diff = &mut st.diff[k * n_tx..(k + 1) * n_tx];
+            diff.fill(0.0);
+            for i in (0..n_rx).filter(|&i| i != k) {
+                let (s_ki, denom_i) = (st.stream_at[k * n_rx + i], st.denom[i]);
+                for (d, &p) in diff.iter_mut().zip(&st.jam_pre[i * n_tx..]) {
+                    *d += p * s_ki / denom_i;
+                }
+            }
+            let (tfac_k, s_kk, denom_k) = (st.tfac[k], st.stream_at[k * n_rx + k], st.denom[k]);
+            for (d, &g) in diff.iter_mut().zip(self.soa.rx_row(k)) {
+                *d = g * tfac_k * 2.0 * s_kk / denom_k - *d;
+            }
+        }
+        let cue = 1e-3 * self.scale;
+        let mut sum_sq = 0.0;
+        for (j, (grow, xrow)) in st
+            .grad
+            .chunks_exact_mut(n_rx)
+            .zip(x.chunks_exact(n_rx))
+            .enumerate()
+        {
+            for (k, (g, &swing)) in grow.iter_mut().zip(xrow).enumerate() {
+                let diff = st.diff[k * n_tx + j];
+                let dq = swing / 2.0;
+                // Both arms are formed so the pick compiles to a select.
+                let (off, on) = (cue * diff.max(0.0), dq * self.scale * diff);
+                *g = if dq == 0.0 { off } else { on };
+                sum_sq += *g * *g;
+            }
+        }
+        sum_sq.sqrt()
     }
 
     /// The gradient fill over the CSR live lists: rows of TXs with no live
     /// link are exactly `+0.0` in the dense formula and are zero-filled
     /// without evaluation; jam sums skip zero-gain receivers (each skipped
     /// term is `+0.0` in a non-negative ascending sum).
-    fn fill_gradient_sparse(&self, x: &[f64], st: &mut Scratch) {
+    fn fill_gradient_sparse(&self, view: &SparseChannelView, x: &[f64], st: &mut Scratch) {
         let n_rx = self.n_rx;
         st.grad.fill(0.0);
         for j in 0..self.n_tx {
-            if !self.view.tx_any_live(j) {
+            if !view.tx_any_live(j) {
                 continue;
             }
-            let (jidx, jgains) = self.view.tx_live(j);
+            let (jidx, jgains) = view.tx_live(j);
             for k in 0..n_rx {
                 let dq = x[j * n_rx + k] / 2.0;
                 let signal = self.soa.gain(j, k) * st.tfac[k] * 2.0 * st.stream_at[k * n_rx + k]
@@ -305,11 +285,14 @@ impl SolveContext {
 /// dense path allocated a fresh gradient (plus `n_rx` inner vectors) per
 /// iteration and a fresh candidate clone per backtracking step.
 struct Scratch {
-    acc: Vec<f64>,
     stream_at: Vec<f64>,
     denom: Vec<f64>,
     sinr: Vec<f64>,
     tfac: Vec<f64>,
+    /// The all-live gradient's RX-major interference prefixes and
+    /// per-stream signal-minus-jam columns, `n_rx × n_tx` each.
+    jam_pre: Vec<f64>,
+    diff: Vec<f64>,
     grad: Vec<f64>,
     cand: Vec<f64>,
 }
@@ -317,35 +300,50 @@ struct Scratch {
 impl Scratch {
     fn new(n_tx: usize, n_rx: usize) -> Self {
         Scratch {
-            acc: vec![0.0; n_rx],
             stream_at: vec![0.0; n_rx * n_rx],
             denom: vec![0.0; n_rx],
             sinr: vec![0.0; n_rx],
             tfac: vec![0.0; n_rx],
+            jam_pre: vec![0.0; n_tx * n_rx],
+            diff: vec![0.0; n_tx * n_rx],
             grad: vec![0.0; n_tx * n_rx],
             cand: vec![0.0; n_tx * n_rx],
         }
     }
 }
 
+/// The projection's non-negativity clamp of one swing: the value itself
+/// when it is finite and `≥ 0` (`-0.0` included), else literal `0.0` —
+/// exactly the historical `is_finite() && v >= 0.0` test. The range form
+/// compiles to two float compares, so a pass of it vectorizes.
+#[inline]
+fn non_negative(v: f64) -> f64 {
+    if (0.0..=f64::MAX).contains(&v) {
+        v
+    } else {
+        0.0
+    }
+}
+
 /// The feasible-set projection over a raw swing slice (see module docs) —
 /// the one implementation behind both engines, operation-for-operation the
 /// historical `Allocation`-based projection.
-fn project_slice(x: &mut [f64], n_tx: usize, n_rx: usize, max_swing: f64, r: f64, budget_w: f64) {
-    // Non-negativity. Written as a per-element select (each slot gets
-    // either its own value or literal `0.0`, exactly as the branchy
-    // historical form) so the pass vectorizes.
+fn project_slice(x: &mut [f64], n_rx: usize, max_swing: f64, r: f64, budget_w: f64) {
     for v in x.iter_mut() {
-        *v = if v.is_finite() && *v >= 0.0 { *v } else { 0.0 };
+        *v = non_negative(*v);
     }
-    // Per-TX swing cap and power total in one sweep. The historical form
-    // ran a second full pass re-summing every row for the power ball; an
-    // uncapped row's re-sum is bit-identical to the first (same elements,
-    // same fold), so only capped rows are re-summed, and the per-row
-    // powers accumulate in the same ascending-row order.
+    project_rows(x, n_rx, max_swing, r, budget_w);
+}
+
+/// The projection after the clamp: per-TX swing cap and power total in one
+/// sweep, then the power ball. The historical form ran a second full pass
+/// re-summing every row for the power ball; an uncapped row's re-sum is
+/// bit-identical to the first (same elements, same fold), so only capped
+/// rows are re-summed, and the per-row powers accumulate in the same
+/// ascending-row order.
+fn project_rows(x: &mut [f64], n_rx: usize, max_swing: f64, r: f64, budget_w: f64) {
     let mut p = 0.0;
-    for t in 0..n_tx {
-        let row = &mut x[t * n_rx..(t + 1) * n_rx];
+    for row in x.chunks_exact_mut(n_rx) {
         let mut total: f64 = row.iter().sum();
         if total > max_swing {
             let f = max_swing / total;
@@ -413,6 +411,10 @@ pub struct SolveReport {
     pub power_w: f64,
     /// Total ascent iterations across all starts.
     pub iterations: usize,
+    /// Receivers no TX reaches (an all-zero gain column): they get all-zero
+    /// columns, and `objective` covers the others. When every receiver is
+    /// unserved the allocation is all zero and `objective` is −∞.
+    pub unserved: Vec<usize>,
 }
 
 impl OptimalSolver {
@@ -461,9 +463,10 @@ impl OptimalSolver {
     /// Telemetry: wall-time into the `alloc.optimal.solve_s` histogram,
     /// plus `alloc.optimal.solves`, `.iterations`, `.starts`, and
     /// `.obj_evals` counters — the cost side of the paper's Fig. 11
-    /// optimal-vs-heuristic comparison. An all-zero result (no TX
-    /// activated) counts as `alloc.optimal.infeasible` and emits an
-    /// `infeasible_round` event.
+    /// optimal-vs-heuristic comparison. Receivers no TX reaches count in
+    /// `alloc.optimal.unserved` (see [`SolveReport::unserved`]). A result
+    /// that activates no TX or has no finite objective counts as
+    /// `alloc.optimal.infeasible` and emits an `infeasible_round` event.
     ///
     /// Each start's projected-gradient ascent is an independent work item
     /// on `pool`; the winner is selected by scanning the per-start results
@@ -511,6 +514,12 @@ impl OptimalSolver {
     /// `warm: None` it is byte-for-byte the historical cold solve (same
     /// starts, same spans, same counters), and the fast engine reproduces
     /// the dense engine's report bit for bit.
+    ///
+    /// A receiver whose gain column is all zero has zero throughput under
+    /// every allocation, so every objective would be −∞. Such receivers are
+    /// counted in `alloc.optimal.unserved`, listed in
+    /// [`SolveReport::unserved`] with all-zero columns, and the program is
+    /// solved over the rest.
     #[allow(clippy::too_many_arguments)]
     fn solve_core(
         &self,
@@ -523,16 +532,109 @@ impl OptimalSolver {
         engine: Engine,
     ) -> SolveReport {
         assert!(budget_w > 0.0, "power budget must be positive");
-        let ctx = match engine {
-            Engine::Fast => Some(SolveContext::new(model)),
-            Engine::Dense => None,
-        };
         let trace = parent.child("alloc.optimal.solve");
         if trace.is_enabled() {
             trace.attr("budget_w", &format!("{budget_w}"));
         }
         let _solve_span = telemetry.span("alloc.optimal.solve_s");
         telemetry.counter("alloc.optimal.solves").inc();
+        let (n_tx, n_rx) = (model.n_tx(), model.n_rx());
+        let unserved: Vec<usize> = (0..n_rx)
+            .filter(|&rx| (0..n_tx).all(|t| model.channel.gain(t, rx) == 0.0))
+            .collect();
+        let (allocation, objective, total_iters, obj_evals) = if unserved.is_empty() {
+            self.search(model, budget_w, warm, telemetry, pool, &trace, engine)
+        } else {
+            telemetry
+                .counter("alloc.optimal.unserved")
+                .add(unserved.len() as u64);
+            let served: Vec<usize> = (0..n_rx).filter(|rx| !unserved.contains(rx)).collect();
+            let mut allocation = Allocation::zeros(n_tx, n_rx);
+            if served.is_empty() {
+                (allocation, f64::NEG_INFINITY, 0, 0)
+            } else {
+                // Row-major `n_tx × served` values of a full-width matrix.
+                let served_columns = |value: &dyn Fn(usize, usize) -> f64| -> Vec<f64> {
+                    (0..n_tx)
+                        .flat_map(|t| served.iter().map(move |&rx| value(t, rx)))
+                        .collect()
+                };
+                let gains = served_columns(&|t, rx| model.channel.gain(t, rx));
+                let sub = SystemModel {
+                    channel: ChannelMatrix::from_gains(n_tx, served.len(), gains),
+                    ..model.clone()
+                };
+                let warm = warm
+                    .filter(|w| w.n_tx() == n_tx && w.n_rx() == n_rx)
+                    .map(|w| {
+                        let swings = served_columns(&|t, rx| w.swing(t, rx));
+                        Allocation::from_swings(n_tx, served.len(), swings)
+                    });
+                let (sub_alloc, objective, iters, evals) = self.search(
+                    &sub,
+                    budget_w,
+                    warm.as_ref(),
+                    telemetry,
+                    pool,
+                    &trace,
+                    engine,
+                );
+                for (col, &rx) in served.iter().enumerate() {
+                    for t in 0..n_tx {
+                        allocation.set_swing(t, rx, sub_alloc.swing(t, col));
+                    }
+                }
+                (allocation, objective, iters, evals)
+            }
+        };
+        let power_w = model.comm_power(&allocation);
+        telemetry
+            .counter("alloc.optimal.iterations")
+            .add(total_iters as u64);
+        telemetry
+            .counter("alloc.optimal.obj_evals")
+            .add(obj_evals as u64);
+        if !objective.is_finite() || allocation.active_tx_count() == 0 {
+            telemetry.counter("alloc.optimal.infeasible").inc();
+            telemetry.event(
+                "alloc.optimal",
+                "infeasible_round",
+                &[("budget_w", &format!("{budget_w}"))],
+            );
+        }
+        SolveReport {
+            allocation,
+            objective,
+            power_w,
+            iterations: total_iters,
+            unserved,
+        }
+    }
+
+    /// The multi-start ascent over a model whose every receiver has a live
+    /// link: the best allocation, its objective, and the iterations and
+    /// objective evaluations spent.
+    ///
+    /// When no start reaches a finite objective — a crowded room where two
+    /// receivers share a best TX whose swing the first one's share already
+    /// fills, so the second gets nothing — one more start gives each
+    /// receiver in turn its best TX that still has swing room, and its
+    /// ascent is the result.
+    #[allow(clippy::too_many_arguments)]
+    fn search(
+        &self,
+        model: &SystemModel,
+        budget_w: f64,
+        warm: Option<&Allocation>,
+        telemetry: &Registry,
+        pool: &Pool,
+        trace: &Span,
+        engine: Engine,
+    ) -> (Allocation, f64, usize, usize) {
+        let ctx = match engine {
+            Engine::Fast => Some(SolveContext::new(model)),
+            Engine::Dense => None,
+        };
         let n_tx = model.n_tx();
         let n_rx = model.n_rx();
         let mut rng = StdRng::seed_from_u64(self.seed);
@@ -551,11 +653,12 @@ impl OptimalSolver {
             }
         }
         // Baseline start: every RX served by its best TX with an equal share
-        // of the budget (always gives a finite objective).
-        starts.push(self.equal_share_start(model, budget_w));
+        // of the budget. Finite unless two RXs share a best TX that the
+        // first one's share fills (see the fallback below).
+        starts.push(self.equal_share_start(model, budget_w, false));
         // Random perturbations of the equal-share start.
         for _ in 0..self.random_starts {
-            let mut a = self.equal_share_start(model, budget_w);
+            let mut a = self.equal_share_start(model, budget_w, false);
             for v in a.as_mut_slice() {
                 if *v > 0.0 {
                     *v *= rng.gen_range(0.25..1.0);
@@ -598,17 +701,7 @@ impl OptimalSolver {
         // incumbent only changes on a strictly greater objective, so ties
         // keep the lowest start index — same as the sequential loop.
         let ascents = pool.map_indexed(starts.len(), |i| {
-            let start_span = trace.child_indexed("alloc.optimal.start", i);
-            let mut start = starts[i].clone();
-            self.project(model, &mut start, budget_w);
-            let out = match &ctx {
-                Some(ctx) => self.ascend_fast(ctx, start, budget_w, &start_span),
-                None => self.ascend(model, start, budget_w, &start_span),
-            };
-            if start_span.is_enabled() {
-                start_span.attr("iters", &out.2.to_string());
-            }
-            out
+            self.ascend_start(model, ctx.as_ref(), &starts[i], budget_w, trace, i)
         });
         for (alloc, obj, iters, evals) in ascents {
             total_iters += iters;
@@ -621,57 +714,70 @@ impl OptimalSolver {
                 best = Some((alloc, obj));
             }
         }
-        let (allocation, objective) = match best {
-            Some(found) => found,
-            None => {
-                // Record the infeasibility before unwinding so a monitoring
-                // registry keeps the evidence.
-                telemetry.counter("alloc.optimal.infeasible").inc();
-                telemetry.event(
-                    "alloc.optimal",
-                    "infeasible_round",
-                    &[("budget_w", &format!("{budget_w}"))],
-                );
-                panic!("no start yields a finite objective at {budget_w} W");
-            }
-        };
-        let power_w = model.comm_power(&allocation);
-        telemetry
-            .counter("alloc.optimal.iterations")
-            .add(total_iters as u64);
-        telemetry
-            .counter("alloc.optimal.obj_evals")
-            .add(obj_evals as u64);
-        if allocation.active_tx_count() == 0 {
-            telemetry.counter("alloc.optimal.infeasible").inc();
-            telemetry.event(
-                "alloc.optimal",
-                "infeasible_round",
-                &[("budget_w", &format!("{budget_w}"))],
-            );
+        if let Some((alloc, obj)) = best {
+            return (alloc, obj, total_iters, obj_evals);
         }
-        SolveReport {
-            allocation,
-            objective,
-            power_w,
-            iterations: total_iters,
-        }
+        telemetry.counter("alloc.optimal.starts").inc();
+        let start = self.equal_share_start(model, budget_w, true);
+        let (alloc, obj, iters, evals) =
+            self.ascend_start(model, ctx.as_ref(), &start, budget_w, trace, starts.len());
+        (alloc, obj, total_iters + iters, obj_evals + 1 + evals)
     }
 
-    /// Equal-budget-share start: each RX's best TX gets the swing that its
-    /// share of the budget affords.
-    fn equal_share_start(&self, model: &SystemModel, budget_w: f64) -> Allocation {
-        let n_rx = model.n_rx();
+    /// One start's projected ascent, under an `alloc.optimal.start` span
+    /// indexed by start (so the span tree is worker-count independent).
+    fn ascend_start(
+        &self,
+        model: &SystemModel,
+        ctx: Option<&SolveContext>,
+        start: &Allocation,
+        budget_w: f64,
+        trace: &Span,
+        index: usize,
+    ) -> (Allocation, f64, usize, usize) {
+        let start_span = trace.child_indexed("alloc.optimal.start", index);
+        let mut start = start.clone();
+        self.project(model, &mut start, budget_w);
+        let out = match ctx {
+            Some(ctx) => self.ascend_fast(ctx, start, budget_w, &start_span),
+            None => self.ascend(model, start, budget_w, &start_span),
+        };
+        if start_span.is_enabled() {
+            start_span.attr("iters", &out.2.to_string());
+        }
+        out
+    }
+
+    /// Equal-budget-share start: each RX in turn gets the swing its share
+    /// of the budget affords, clipped to the swing room left on its TX.
+    /// The TX is the RX's best one, so two RXs sharing a best TX split its
+    /// range and the second may get nothing; with `room_aware` (the
+    /// crowded-room fallback) it is the RX's best TX that still has room.
+    fn equal_share_start(
+        &self,
+        model: &SystemModel,
+        budget_w: f64,
+        room_aware: bool,
+    ) -> Allocation {
+        let (n_tx, n_rx) = (model.n_tx(), model.n_rx());
+        let max_swing = model.led.max_swing;
         let r = model.dyn_resistance();
         let share = budget_w / n_rx as f64;
-        let swing = (2.0 * (share / r).sqrt()).min(model.led.max_swing);
-        let mut a = Allocation::zeros(model.n_tx(), n_rx);
+        let swing = (2.0 * (share / r).sqrt()).min(max_swing);
+        let mut a = Allocation::zeros(n_tx, n_rx);
         for rx in 0..n_rx {
-            let tx = model.channel.best_tx_for(rx);
-            // Two RXs sharing a best TX split its swing range.
-            let existing = a.tx_total_swing(tx);
-            let room = (model.led.max_swing - existing).max(0.0);
-            a.set_swing(tx, rx, swing.min(room));
+            let tx = if room_aware {
+                let gain = |t: usize| model.channel.gain(t, rx);
+                (0..n_tx)
+                    .filter(|&t| gain(t) > 0.0 && a.tx_total_swing(t) < max_swing)
+                    .max_by(|&p, &q| gain(p).total_cmp(&gain(q)))
+            } else {
+                Some(model.channel.best_tx_for(rx))
+            };
+            if let Some(tx) = tx {
+                let room = (max_swing - a.tx_total_swing(tx)).max(0.0);
+                a.set_swing(tx, rx, swing.min(room));
+            }
         }
         a
     }
@@ -765,27 +871,20 @@ impl OptimalSolver {
                 _batch = b;
             }
             iters += 1;
-            ctx.gradient_cached(&x, &mut st);
-            let gnorm = st.grad.iter().map(|g| g * g).sum::<f64>().sqrt();
+            let gnorm = ctx.gradient(&x, &mut st);
             if gnorm < 1e-14 {
                 break;
             }
             let mut improved = false;
             let mut local_step = step;
             for _ in 0..30 {
-                // One fused pass: `cand = x + step·g/gnorm`, the same value
-                // the dense path forms by cloning `x` then adding in place.
-                for ((c, &xv), g) in cand.iter_mut().zip(&x).zip(&st.grad) {
-                    *c = xv + local_step * g / gnorm;
+                // One branch-free pass forms `x + step·g/gnorm` (the value
+                // the dense path forms by cloning `x` then adding in place)
+                // and clamps it; the row pass finishes the projection.
+                for ((c, &xv), &g) in cand.iter_mut().zip(&x).zip(&st.grad) {
+                    *c = non_negative(xv + local_step * g / gnorm);
                 }
-                project_slice(
-                    &mut cand,
-                    ctx.n_tx,
-                    ctx.n_rx,
-                    ctx.max_swing,
-                    ctx.r,
-                    budget_w,
-                );
+                project_rows(&mut cand, ctx.n_rx, ctx.max_swing, ctx.r, budget_w);
                 let fc = ctx.objective(&cand, &mut st);
                 evals += 1;
                 if fc > f {
@@ -900,11 +999,9 @@ impl OptimalSolver {
 
     /// Projects an allocation onto the feasible set (see module docs).
     fn project(&self, model: &SystemModel, x: &mut Allocation, budget_w: f64) {
-        let n_tx = x.n_tx();
         let n_rx = x.n_rx();
         project_slice(
             x.as_mut_slice(),
-            n_tx,
             n_rx,
             model.led.max_swing,
             model.dyn_resistance(),
@@ -995,24 +1092,28 @@ mod tests {
     }
 
     #[test]
-    fn infeasible_model_is_counted_and_evented_before_unwinding() {
-        // A dead channel (every gain zero) starves every receiver: no start
-        // can produce a finite objective, so the solver records the
-        // infeasibility and panics.
+    fn dead_channel_is_an_unserved_all_zero_outcome() {
+        // A dead channel (every gain zero) starves every receiver: no
+        // allocation serves anyone, so the solve returns the all-zero
+        // allocation with every receiver unserved, and records the
+        // infeasibility.
         let m = SystemModel::paper(ChannelMatrix::from_gains(4, 2, vec![0.0; 8]));
         let telemetry = Registry::new();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            OptimalSolver::quick().solve_traced(
-                &m,
-                0.5,
-                None,
-                &telemetry,
-                &Pool::from_env().with_telemetry(&telemetry),
-                &Span::noop(),
-            )
-        }));
-        assert!(result.is_err(), "dead channel must not yield a solution");
+        let report = OptimalSolver::quick().solve_traced(
+            &m,
+            0.5,
+            None,
+            &telemetry,
+            &Pool::from_env().with_telemetry(&telemetry),
+            &Span::noop(),
+        );
+        assert_eq!(report.unserved, vec![0, 1]);
+        assert_eq!(report.allocation, Allocation::zeros(4, 2));
+        assert_eq!(report.objective, f64::NEG_INFINITY);
+        assert_eq!(report.power_w, 0.0);
+        assert_eq!(report.iterations, 0);
         let snap = telemetry.snapshot();
+        assert_eq!(snap.counter("alloc.optimal.unserved"), Some(2));
         assert_eq!(snap.counter("alloc.optimal.infeasible"), Some(1));
         let event = snap
             .events_of_kind("infeasible_round")
@@ -1023,6 +1124,92 @@ mod tests {
             .fields
             .iter()
             .any(|(k, v)| k == "budget_w" && v == "0.5"));
+    }
+
+    #[test]
+    fn an_unreachable_receiver_gets_a_zero_column_and_the_rest_are_served() {
+        // RX 1 sees no TX; RXs 0 and 2 each have a TX of their own.
+        #[rustfmt::skip]
+        let gains = vec![
+            2e-5, 0.0, 1e-7,
+            1e-7, 0.0, 1e-7,
+            1e-7, 0.0, 2e-5,
+        ];
+        let m = SystemModel::paper(ChannelMatrix::from_gains(3, 3, gains));
+        let telemetry = Registry::new();
+        let report = OptimalSolver::quick().solve_traced(
+            &m,
+            0.3,
+            None,
+            &telemetry,
+            &Pool::sequential().with_telemetry(&telemetry),
+            &Span::noop(),
+        );
+        assert_eq!(report.unserved, vec![1]);
+        assert!(m.is_feasible(&report.allocation, 0.3));
+        assert!(report.objective.is_finite());
+        assert!((0..3).all(|t| report.allocation.swing(t, 1) == 0.0));
+        let bps = m.throughput(&report.allocation);
+        assert!(bps[0] > 0.0 && bps[2] > 0.0, "{bps:?}");
+        // A warm seed reaches the served columns' solve.
+        let warm = OptimalSolver::quick().solve_traced(
+            &m,
+            0.3,
+            Some(&report.allocation),
+            &telemetry,
+            &Pool::sequential().with_telemetry(&telemetry),
+            &Span::noop(),
+        );
+        assert_eq!(warm.unserved, vec![1]);
+        assert!(warm.objective >= report.objective);
+        let snap = telemetry.snapshot();
+        assert_eq!(snap.counter("alloc.optimal.unserved"), Some(2));
+        assert_eq!(snap.counter("alloc.optimal.warm_starts"), Some(1));
+        assert_eq!(snap.counter("alloc.optimal.infeasible"), None);
+    }
+
+    /// A paper room (36 TX) with `n_rx` receivers at seeded uniform
+    /// positions.
+    fn random_paper_room(seed: u64, n_rx: usize) -> SystemModel {
+        let mut state = seed;
+        let mut unit = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let room = Room::paper_simulation();
+        let rxs: Vec<Pose> = (0..n_rx)
+            .map(|_| Pose::face_up(0.1 + 2.8 * unit(), 0.1 + 2.8 * unit(), 0.8))
+            .collect();
+        SystemModel::paper(ChannelMatrix::compute(
+            &TxGrid::paper(&room),
+            &rxs,
+            15f64.to_radians(),
+            &RxOptics::paper(),
+        ))
+    }
+
+    #[test]
+    fn crowded_rooms_serve_every_receiver() {
+        // At 10 sessions, seed 0 used to panic with "no start yields a
+        // finite objective": two receivers share a best TX whose swing the
+        // first one's share fills, and every start left one of them dark.
+        for (n_rx, seeds) in [(6, 0..2), (8, 0..2), (10, 0..3), (16, 0..2)] {
+            for seed in seeds {
+                let m = random_paper_room(seed, n_rx);
+                let report = OptimalSolver::quick().solve(&m, 1.2);
+                assert!(
+                    m.is_feasible(&report.allocation, 1.2),
+                    "{n_rx} RX, seed {seed}"
+                );
+                assert!(report.objective.is_finite(), "{n_rx} RX, seed {seed}");
+                assert!(report.unserved.is_empty());
+                for (i, bps) in m.throughput(&report.allocation).iter().enumerate() {
+                    assert!(*bps > 0.0, "{n_rx} RX, seed {seed}: RX{i} starved");
+                }
+            }
+        }
     }
 
     #[test]

@@ -14,7 +14,8 @@ use proptest::prelude::*;
 use vlc_alloc::heuristic::{rank_by_sjr, rank_by_sjr_scalar, HeuristicConfig};
 use vlc_alloc::model::{Allocation, SystemModel};
 use vlc_alloc::OptimalSolver;
-use vlc_channel::ChannelMatrix;
+use vlc_channel::{ChannelMatrix, RxOptics};
+use vlc_geom::{Pose, Room, TxGrid};
 use vlc_led::power::dynamic_resistance;
 use vlc_par::{Jobs, Pool};
 use vlc_telemetry::Registry;
@@ -44,13 +45,19 @@ fn sparse_gain(v: f64) -> f64 {
     }
 }
 
+/// A TX count of at least `n_rx` (`arb_model` gives each RX a TX of its
+/// own) up to past the paper's 36; RX counts reach 6 and include the
+/// paper's 4, so the objective's 4-wide RX blocks run full and padded.
+fn arb_shape() -> impl Strategy<Value = (usize, usize)> {
+    (1usize..7).prop_flat_map(|n_rx| (n_rx.max(2)..41, Just(n_rx)))
+}
+
 /// Random channel with a controllable zero pattern. Each RX gets a distinct
 /// dominant TX so the solver's equal-share baseline start serves everyone
-/// and the program stays feasible (an unreachable RX makes every objective
-/// −∞ and the solver panics by contract); every other link draws from the
-/// sparse distribution.
+/// and every start is finite; every other link draws from the sparse
+/// distribution.
 fn arb_model() -> impl Strategy<Value = SystemModel> {
-    (4usize..8, 1usize..4)
+    arb_shape()
         .prop_flat_map(|(n_tx, n_rx)| {
             (
                 Just(n_tx),
@@ -69,9 +76,9 @@ fn arb_model() -> impl Strategy<Value = SystemModel> {
 }
 
 /// The degenerate all-live case: every gain nonzero, so the sparse view
-/// culls nothing and the fast engine runs fully dense index lists.
+/// culls nothing and the fast engine runs its all-live kernels.
 fn arb_dense_model() -> impl Strategy<Value = SystemModel> {
-    (2usize..6, 1usize..4)
+    arb_shape()
         .prop_flat_map(|(n_tx, n_rx)| {
             (
                 Just(n_tx),
@@ -254,6 +261,101 @@ proptest! {
         for (f, s) in fast.iter().zip(&scalar) {
             prop_assert_eq!((f.tx, f.rx), (s.tx, s.rx));
             prop_assert_eq!(f.sjr.to_bits(), s.sjr.to_bits());
+        }
+    }
+}
+
+/// The paper's room (36 TX) with receivers at `rxs`, under the
+/// building's 15° LED semi-angle: every link is live, so the fast engine
+/// runs the all-live kernels `building-optimal` spends its time in.
+fn paper_model(rxs: &[(f64, f64)]) -> SystemModel {
+    let room = Room::paper_simulation();
+    let poses: Vec<Pose> = rxs.iter().map(|&(x, y)| Pose::face_up(x, y, 0.8)).collect();
+    SystemModel::paper(ChannelMatrix::compute(
+        &TxGrid::paper(&room),
+        &poses,
+        15f64.to_radians(),
+        &RxOptics::paper(),
+    ))
+}
+
+/// Solves `model` at `budget` with the fast engine at one and at every
+/// worker and checks both against the dense oracle, bit for bit.
+fn assert_paper_case_identical(model: &SystemModel, budget: f64) -> vlc_alloc::SolveReport {
+    let solver = OptimalSolver::quick();
+    let dense = solver.solve_dense(model, budget, &Pool::sequential());
+    for jobs in [Jobs::serial(), Jobs::max()] {
+        let fast = solve_fast(&solver, model, budget, jobs);
+        if let Err(e) = assert_reports_identical(&fast, &dense) {
+            panic!("budget {budget} W, {jobs:?}: {e:?}");
+        }
+    }
+    dense
+}
+
+/// Table 6's Scenario-2 positions: the paper's Fig. 7 instance.
+const SCENARIO2: [(f64, f64); 4] = [(0.92, 0.92), (1.65, 0.65), (0.72, 1.93), (1.99, 1.69)];
+
+#[test]
+fn fast_engine_matches_dense_on_paper_rooms() {
+    let model = paper_model(&SCENARIO2);
+    assert_eq!(model.n_tx(), 36);
+    for budget in [0.2, 0.6, 1.2] {
+        assert_paper_case_identical(&model, budget);
+    }
+}
+
+#[test]
+fn fast_engine_matches_dense_with_the_power_ball_active() {
+    // A budget far below one full-swing TX: the power total binds.
+    let model = paper_model(&SCENARIO2);
+    let budget = 0.05;
+    let report = assert_paper_case_identical(&model, budget);
+    assert!(
+        report.power_w > budget * (1.0 - 1e-9),
+        "power ball inactive: {} of {budget} W",
+        report.power_w
+    );
+}
+
+#[test]
+fn fast_engine_matches_dense_with_a_capped_row() {
+    // Receivers clustered under one corner with a budget worth ~27 full
+    // swings: the ascent drives TX rows onto the per-TX swing cap.
+    let model = paper_model(&[(0.4, 0.4), (0.9, 0.45), (0.45, 0.9), (0.85, 0.85)]);
+    let report = assert_paper_case_identical(&model, 2.0);
+    let max_swing = model.led.max_swing;
+    assert!(
+        (0..model.n_tx()).any(|t| report.allocation.tx_total_swing(t) > max_swing * (1.0 - 1e-9)),
+        "no TX row reached the swing cap"
+    );
+}
+
+#[test]
+fn fast_engine_matches_dense_through_the_crowded_room_start() {
+    // Ten receivers where every regular start leaves one dark: RXs 0 and
+    // 6 share a best TX, as do RXs 1 and 5, and the first of each pair
+    // takes its whole swing. Both engines run the crowded-room start.
+    let rxs = [
+        (0.32, 0.38),
+        (1.79, 1.22),
+        (1.17, 1.67),
+        (0.32, 1.1),
+        (1.45, 1.35),
+        (1.87, 1.12),
+        (0.24, 0.37),
+        (2.66, 0.65),
+        (1.54, 2.83),
+        (0.7, 1.25),
+    ];
+    let model = paper_model(&rxs);
+    let solver = OptimalSolver::quick();
+    let dense = solver.solve_dense(&model, 1.2, &Pool::sequential());
+    assert!(dense.objective.is_finite());
+    for jobs in [Jobs::serial(), Jobs::max()] {
+        let fast = solve_fast(&solver, &model, 1.2, jobs);
+        if let Err(e) = assert_reports_identical(&fast, &dense) {
+            panic!("{jobs:?}: {e:?}");
         }
     }
 }
