@@ -30,7 +30,7 @@ use vlc_phy::packed::{packed_encode, PackedChips};
 use vlc_phy::rs::ReedSolomon;
 use vlc_phy::waveform::{
     correlate_pattern, correlate_template, mix_into, render, render_packed_into, slice_chips,
-    slice_chips_packed_by, template_energy, ChipRuns, WaveformConfig,
+    slice_chips_packed_by, template_energy, ChipRuns, Sliced, Superposition, WaveformConfig,
 };
 use vlc_sync::SyncScheme;
 use vlc_telemetry::Registry;
@@ -66,13 +66,19 @@ fn frame_samples(cfg: &E2eConfig, chips: usize) -> usize {
 }
 
 /// The chip decision on the slicing window `lo..hi` of a photocurrent
-/// whose noise `noise` is still drawing. A window whose every sample lies
-/// beyond `bound` (the noise channel's [`AwgnChannel::bound`]) on one side
-/// of zero keeps no further noise: each `fl(s + n)` with `|n| < |s|` is
-/// nonzero with the sign of `s`, samples noised already are final, so the
-/// noisy window sum has that sign too and `sum >= 0` decides as it would
-/// with every sample noised. Every other window gets its exact noise on
-/// the samples not noised yet and is summed as the eager slicer sums it.
+/// whose noise `noise` is still drawing — `true` exactly when the eager
+/// slicer's fixed-order sum of the fully noised window, `Σ fl(c_i + z_i)`,
+/// is `>= 0`. Samples noised already are final; the rest are clean and
+/// would each get one draw `z_i` with `|z_i| < b` (`b` = `bound`, the noise
+/// channel's [`AwgnChannel::bound`]). Three checks, cheapest first:
+///
+/// 1. Every sample beyond `b` on one side of zero: each `fl(c + z)` with
+///    `|z| < |c|` is nonzero with the sign of `c`, so the noisy sum has
+///    that sign too.
+/// 2. The window sum rule: decide from the sign of the clean sum `S` when
+///    `|S| > n·b + δ`, `δ` from [`sum_rule_threshold`].
+/// 3. Otherwise the window gets its exact noise on the samples not noised
+///    yet and is summed as the eager slicer sums it.
 fn lazy_window_is_high<R: Rng + ?Sized>(
     samples: &mut [f64],
     noise: &mut AwgnCursor<'_, R>,
@@ -87,8 +93,180 @@ fn lazy_window_is_high<R: Rng + ?Sized>(
     if window.iter().all(|&s| s < -bound) {
         return false;
     }
+    let (sum, abs_sum) = window
+        .iter()
+        .fold((0.0f64, 0.0f64), |(s, a), &x| (s + x, a + x.abs()));
+    let threshold = sum_rule_threshold(window.len(), abs_sum, bound);
+    if sum > threshold {
+        return true;
+    }
+    if sum < -threshold {
+        return false;
+    }
     noise.add_to(samples, lo, hi);
     samples[lo..hi].iter().sum::<f64>() >= 0.0
+}
+
+/// The window sum rule's threshold `n·b + δ` for a window of `n` samples
+/// `c_i` whose absolute values sum (left to right, in floating point) to
+/// `abs_sum`, under noise bounded by `b`:
+/// `δ = 2(n + 1)·ε·(abs_sum + n·b)`, `ε = 2⁻⁵²` ([`f64::EPSILON`]).
+///
+/// Why a clean sum `S` beyond it decides the window. Write `u = ε/2` for
+/// the unit roundoff, `A = Σ|c_i|` exactly, and `γ = (n−1)u/(1−(n−1)u)`,
+/// the bound on the relative error of an `n`-term left-to-right sum
+/// against the sum of its absolute values. A clean sample becomes
+/// `w_i = fl(c_i + z_i)`, a final one stays `w_i = c_i`, so
+/// `|w_i − c_i| < b + u(|c_i| + b)` and `Σ|w_i| ≤ (1 + u)(A + n·b)`. The
+/// eager slicer computes `N = fl(Σ w_i)`, this rule `S = fl(Σ c_i)`:
+///
+/// - `|S − Σc| ≤ γA`, `|N − Σw| ≤ γ(1 + u)(A + n·b)`,
+///   `|Σw − Σc| < n·b + u(A + n·b)`;
+/// - so `|N − S| < n·b + (u + (2 + u)γ)(A + n·b) ≤ n·b + 2.04·n·u·(A + n·b)`
+///   for any window below 10¹³ samples.
+///
+/// The threshold as computed (`abs_sum ≥ (1 − γ)A`, four roundings) is at
+/// least `n·b − 2u·n·b + (4n + 4)(1 − (1.01·n + 3)u)·u·(A + n·b)`, which
+/// exceeds `n·b + 2.04·n·u·(A + n·b)` since `(1.96·n + 3.9)(A + n·b)`
+/// exceeds `2·n·b`. Hence `S > threshold` gives
+/// `N > 0` (a high chip, as `N >= 0` decides), and `S < −threshold` gives
+/// `N < 0` (a low one), whatever the noise. Additions of finite values are
+/// exact near zero (subnormals included), so the bound has no underflow
+/// term.
+fn sum_rule_threshold(n: usize, abs_sum: f64, bound: f64) -> f64 {
+    let nb = n as f64 * bound;
+    nb + 2.0 * (n + 1) as f64 * f64::EPSILON * (abs_sum + nb)
+}
+
+/// Where a locked frame's MAC chips sit: `n_chips` chips from sample
+/// `mac_start` of a frame of `n_samples`.
+struct MacSpan {
+    mac_start: usize,
+    n_chips: usize,
+    n_samples: usize,
+}
+
+/// One receiver's photocurrent for the frame being decoded, rendered on
+/// demand. The preamble search region `0..search_end` is rendered (and
+/// noised) eagerly; past it, a slicing window is decided from its level
+/// when every TX holds one chip over it (or is off the air there) and
+/// that level is beyond the noise bound, and only the other windows are
+/// rendered. The buffer is indexed by absolute sample position, so the
+/// noise cursor sees the same positions as on the eager path; samples no
+/// window reads hold stale values and are never read.
+#[derive(Debug, Default)]
+struct Photodiode {
+    samples: Vec<f64>,
+    /// The TXs this receiver hears, in TX order.
+    light: Superposition,
+    search_end: usize,
+    /// Samples before this are rendered (and some noised as well).
+    rendered_to: usize,
+    /// The sliced MAC chips and their Manchester-decoded bytes.
+    sliced: PackedChips,
+    rx_bytes: Vec<u8>,
+}
+
+impl Photodiode {
+    /// Starts a frame of `n_samples` once `light` holds its TXs: renders
+    /// the preamble search region `0..min(n_samples, search_len)`.
+    fn begin(&mut self, runs: &[ChipRuns], n_samples: usize, search_len: usize) {
+        self.light.rewind();
+        self.samples.resize(n_samples, 0.0);
+        self.search_end = search_len.min(n_samples);
+        self.rendered_to = 0;
+        self.render(runs, 0, self.search_end);
+    }
+
+    /// Renders `lo..hi`, skipping the samples rendered already: those may
+    /// carry noise, and keep it.
+    fn render(&mut self, runs: &[ChipRuns], lo: usize, hi: usize) {
+        let from = lo.max(self.rendered_to);
+        if from < hi {
+            self.light.render(runs, &mut self.samples, from, hi);
+            self.rendered_to = hi;
+        }
+    }
+
+    /// The chip decision on window `lo..hi`, bit-identical to the eager
+    /// render + noise + [`lazy_window_is_high`]. A window past the search
+    /// region whose TXs each hold one chip (or are off the air) has one
+    /// value `v` on every sample, bit for bit the eager render's (see
+    /// [`Superposition::level`]); with `|v| > bound` every sample passes
+    /// the first check of [`lazy_window_is_high`] with `v`'s sign, so `v`
+    /// decides without a sample written. Every other window is rendered
+    /// and goes through [`lazy_window_is_high`].
+    fn window_is_high<R: Rng + ?Sized>(
+        &mut self,
+        runs: &[ChipRuns],
+        noise: &mut AwgnCursor<'_, R>,
+        bound: f64,
+        lo: usize,
+        hi: usize,
+    ) -> bool {
+        match (lo >= self.search_end)
+            .then(|| self.light.level(runs, lo, hi))
+            .flatten()
+        {
+            Some(v) if v > bound => return true,
+            Some(v) if v < -bound => return false,
+            // Every sample not rendered yet renders to `v`.
+            Some(v) => {
+                let from = lo.max(self.rendered_to);
+                if from < hi {
+                    self.samples[from..hi].fill(v);
+                    self.rendered_to = hi;
+                }
+            }
+            None => self.render(runs, lo, hi),
+        }
+        lazy_window_is_high(&mut self.samples, noise, bound, lo, hi)
+    }
+
+    /// Slices a locked frame's MAC chips into `sliced` and
+    /// Manchester-decodes them into `rx_bytes`: `true` when both succeed —
+    /// the scalar path's `slice_chips` + `manchester_decode`, shared by
+    /// [`FramePipeline::run`] and [`FramePipeline::run_concurrent`].
+    ///
+    /// With `ber` set — the sent chips and a live registry — every chip
+    /// is sliced and the raw chip error fraction recorded into `phy.ber`
+    /// before the decode, as the scalar path records it. Without it,
+    /// slicing stops at the first pair of equal chips: the decode rejects
+    /// any stream holding one, and a window past the stream ends in the
+    /// same `false`, so no later window can change the outcome. The noise
+    /// left undrawn is drawn past when the caller finishes the cursor, as
+    /// for every window that needed none.
+    fn slice_and_decode<R: Rng + ?Sized>(
+        &mut self,
+        runs: &[ChipRuns],
+        noise: &mut AwgnCursor<'_, R>,
+        bound: f64,
+        wave_cfg: &WaveformConfig,
+        span: MacSpan,
+        ber: Option<(&PackedChips, &Registry)>,
+    ) -> bool {
+        let mut sliced = std::mem::take(&mut self.sliced);
+        let outcome = slice_chips_packed_by(
+            span.n_samples,
+            wave_cfg,
+            span.mac_start,
+            span.n_chips,
+            ber.is_none(),
+            &mut sliced,
+            |lo, hi| self.window_is_high(runs, noise, bound, lo, hi),
+        );
+        self.sliced = sliced;
+        if outcome != Sliced::Whole {
+            return false;
+        }
+        if let Some((sent, telemetry)) = ber {
+            let chip_errors = self.sliced.diff_count(sent);
+            telemetry
+                .histogram("phy.ber")
+                .record(chip_errors as f64 / sent.len().max(1) as f64);
+        }
+        self.sliced.decode_bytes_into(&mut self.rx_bytes)
+    }
 }
 
 /// One transmitter participating in the joint transmission.
@@ -371,14 +549,20 @@ pub fn run_scalar(
 /// `pipeline_results_are_pinned_to_pre_codec_stack_values`).
 ///
 /// A frame pays only for work that can change its output:
-/// - Render: each host's chip-run boundaries are resolved once per frame
-///   ([`ChipRuns`]), and every TX adds its `±amp` straight into the
-///   photocurrent, in TX order.
+/// - Render: each host's chip runs are resolved once per frame
+///   ([`ChipRuns`]). Only the preamble search region is rendered up front;
+///   past it, a slicing window that sits inside one chip of every TX is
+///   decided from that one level, and only the other windows are
+///   rendered (see `Photodiode`).
 /// - Noise: an [`AwgnCursor`] draws the RNG stream exactly as the eager
 ///   path does, but evaluates Box–Muller only where a sample is read —
 ///   the preamble search region, then each slicing window that noise could
-///   flip (see `lazy_window_is_high`). Whatever is left is drawn past
-///   when the frame ends, so the next frame starts on the same stream.
+///   flip (see `lazy_window_is_high` and its window sum rule). Whatever is
+///   left is drawn past when the frame ends, so the next frame starts on
+///   the same stream.
+/// - Slicing: a frame stops at its first pair of equal chips, which no
+///   decode accepts — except under a live registry, where every chip is
+///   sliced to record `phy.ber` (see `Photodiode::slice_and_decode`).
 #[derive(Debug)]
 pub struct FramePipeline {
     wave_cfg: WaveformConfig,
@@ -392,18 +576,14 @@ pub struct FramePipeline {
     wire: Vec<u8>,
     mac_tx: PackedChips,
     tx_chips: PackedChips,
-    photocurrent: Vec<f64>,
-    sliced: PackedChips,
-    rx_bytes: Vec<u8>,
+    pd: Photodiode,
     payload_rx: Vec<u8>,
     // Per-run scratch.
     hosts: Vec<usize>,
     loop_phase: Vec<(usize, f64)>,
     offsets: Vec<(usize, f64)>,
-    /// Chip-run boundaries, one slot per host (per beamspot when
-    /// concurrent), and the amplitudes of the TXs adding into one.
+    /// Chip runs, one slot per host (per beamspot when concurrent).
     runs: Vec<ChipRuns>,
-    amps: Vec<f64>,
     // Concurrent-mode scratch (one slot per beamspot).
     spot_payloads: Vec<Vec<u8>>,
     spot_mac: Vec<PackedChips>,
@@ -443,15 +623,12 @@ impl FramePipeline {
             wire: Vec::new(),
             mac_tx: PackedChips::new(),
             tx_chips: PackedChips::new(),
-            photocurrent: Vec::new(),
-            sliced: PackedChips::new(),
-            rx_bytes: Vec::new(),
+            pd: Photodiode::default(),
             payload_rx: Vec::new(),
             hosts: Vec::new(),
             loop_phase: Vec::new(),
             offsets: Vec::new(),
             runs: Vec::new(),
-            amps: Vec::new(),
             spot_payloads: Vec::new(),
             spot_mac: Vec::new(),
             spot_chips: Vec::new(),
@@ -473,13 +650,13 @@ impl FramePipeline {
     /// The packed twin of [`run_scalar`]: same RNG stream,
     /// same physics, same telemetry counters, bit-identical [`E2eResult`] —
     /// but through reusable packed buffers. Packed encode work runs under
-    /// the `phy.packed.encode_s` span, the one-pass render under
-    /// `phy.waveform.render_s`, the preamble search under
-    /// `phy.preamble.lock_s`, slice + Manchester decode (with the noise of
-    /// the windows that need it) under `phy.packed.decode_s`, the rest of
-    /// the noise (search region, then drawing out the frame) under
-    /// `phy.noise_s`, and the Reed–Solomon block decode under
-    /// `phy.rs.block_s`.
+    /// the `phy.packed.encode_s` span, chip-run resolution and the render
+    /// of the preamble search region under `phy.waveform.render_s`, the
+    /// preamble search under `phy.preamble.lock_s`, slice + Manchester
+    /// decode (with the render and noise of the windows that need them)
+    /// under `phy.packed.decode_s`, the rest of the noise (search region,
+    /// then drawing out the frame) under `phy.noise_s`, and the
+    /// Reed–Solomon block decode under `phy.rs.block_s`.
     pub fn run(
         &mut self,
         txs: &[E2eTx],
@@ -502,15 +679,12 @@ impl FramePipeline {
             wire,
             mac_tx,
             tx_chips,
-            photocurrent,
-            sliced,
-            rx_bytes,
+            pd,
             payload_rx,
             hosts,
             loop_phase,
             offsets,
             runs,
-            amps,
             ..
         } = self;
         let mut rng = StdRng::seed_from_u64(seed);
@@ -552,6 +726,15 @@ impl FramePipeline {
             src: 0,
             protocol: protocol::DATA,
         };
+        // The TXs in TX order, each on its host's runs.
+        pd.light.clear();
+        for tx in txs {
+            let h = hosts
+                .iter()
+                .position(|&h| h == tx.host)
+                .expect("every TX's host is listed");
+            pd.light.push(h, cfg.responsivity * tx.gain * a_opt);
+        }
         let mut frames_ok = 0;
         let mut rs_corrections = 0;
         let mut air_time_s = 0.0;
@@ -589,36 +772,25 @@ impl FramePipeline {
                 ));
             }
 
+            let search_len = 3 * guard + preamble_template.len();
             {
                 let _render = telemetry.span("phy.waveform.render_s");
-                photocurrent.clear();
-                photocurrent.resize(n_samples, 0.0);
                 for (host_runs, &(_, offset)) in runs.iter_mut().zip(offsets.iter()) {
                     let delay = guard as f64 / cfg.sample_rate_hz + offset;
-                    host_runs.resolve(tx_chips.len(), wave_cfg, delay, n_samples);
+                    host_runs.resolve(tx_chips, wave_cfg, delay, n_samples);
                 }
-                // Consecutive TXs on one host add in one pass over its runs.
-                for group in txs.chunk_by(|a, b| a.host == b.host) {
-                    let h = hosts
-                        .iter()
-                        .position(|&h| h == group[0].host)
-                        .expect("host offset exists");
-                    amps.clear();
-                    amps.extend(group.iter().map(|tx| cfg.responsivity * tx.gain * a_opt));
-                    runs[h].add_into(tx_chips, amps, photocurrent);
-                }
+                pd.begin(runs, n_samples, search_len);
             }
 
             let mut noise = awgn.cursor(&mut rng, n_samples);
             {
                 let _noise = telemetry.span("phy.noise_s");
-                let search_end = 3 * guard + preamble_template.len();
-                noise.add_to(photocurrent, 0, search_end);
+                noise.add_to(&mut pd.samples, 0, search_len);
             }
             let lock = {
                 let _lock = telemetry.span("phy.preamble.lock_s");
                 correlate_template(
-                    photocurrent,
+                    &pd.samples,
                     preamble_template,
                     *preamble_energy,
                     0,
@@ -629,28 +801,23 @@ impl FramePipeline {
                 Some((_, score)) if score < 0.5 => None,
                 lock => lock,
             };
-            let n_mac_chips = wire.len() * 16;
             // `Some(decoded)` once the preamble locked: whether slicing and
             // Manchester decoding both succeeded.
             let decoded = locked.map(|(start, _)| {
                 let _decode = telemetry.span("phy.packed.decode_s");
-                let mac_start = start + (pre.len() as f64 * spc).round() as usize;
-                let in_frame = slice_chips_packed_by(
+                let span = MacSpan {
+                    mac_start: start + (pre.len() as f64 * spc).round() as usize,
+                    n_chips: wire.len() * 16,
                     n_samples,
+                };
+                pd.slice_and_decode(
+                    runs,
+                    &mut noise,
+                    bound,
                     wave_cfg,
-                    mac_start,
-                    n_mac_chips,
-                    sliced,
-                    |lo, hi| lazy_window_is_high(photocurrent, &mut noise, bound, lo, hi),
-                );
-                if !in_frame {
-                    return false;
-                }
-                let chip_errors = sliced.diff_count(mac_tx);
-                telemetry
-                    .histogram("phy.ber")
-                    .record(chip_errors as f64 / mac_tx.len().max(1) as f64);
-                sliced.decode_bytes_into(rx_bytes)
+                    span,
+                    telemetry.is_enabled().then_some((&*mac_tx, telemetry)),
+                )
             });
             {
                 let _noise = telemetry.span("phy.noise_s");
@@ -669,7 +836,7 @@ impl FramePipeline {
             }
             let parsed = {
                 let _rs_block = telemetry.span("phy.rs.block_s");
-                Frame::decode_parts_with(rx_bytes, stack, payload_rx)
+                Frame::decode_parts_with(&pd.rx_bytes, stack, payload_rx)
             };
             match parsed {
                 Ok((_, _, fixed)) => {
@@ -740,10 +907,8 @@ impl FramePipeline {
             preamble_template,
             preamble_energy,
             wire,
-            photocurrent,
+            pd,
             runs,
-            sliced,
-            rx_bytes,
             payload_rx,
             spot_payloads,
             spot_mac,
@@ -783,6 +948,7 @@ impl FramePipeline {
 
         let spc = wave_cfg.samples_per_chip();
         let guard = (8.0 * spc) as usize;
+        let search_len = 3 * guard + preamble_template.len();
         let mut air_time_s = 0.0;
         for _ in 0..frames {
             for i in 0..n {
@@ -818,31 +984,29 @@ impl FramePipeline {
             // so every receiver shares them.
             for (i, spot_runs) in runs[..n].iter_mut().enumerate() {
                 let delay = guard as f64 / cfg.sample_rate_hz + spot_offsets[i];
-                spot_runs.resolve(spot_chips[i].len(), wave_cfg, delay, n_samples);
+                spot_runs.resolve(&spot_chips[i], wave_cfg, delay, n_samples);
             }
 
             for (b, spot) in beamspots.iter().enumerate() {
-                photocurrent.clear();
-                photocurrent.resize(n_samples, 0.0);
+                pd.light.clear();
                 for (other, other_spot) in beamspots.iter().enumerate() {
                     let gain_sum: f64 = other_spot
                         .txs
                         .iter()
                         .map(|&t| channel.gain(t, spot.rx))
                         .sum();
-                    if gain_sum <= 0.0 {
-                        continue;
+                    if gain_sum > 0.0 {
+                        pd.light.push(other, cfg.responsivity * gain_sum * a_opt);
                     }
-                    let amp = cfg.responsivity * gain_sum * a_opt;
-                    runs[other].add_into(&spot_chips[other], &[amp], photocurrent);
                 }
+                pd.begin(runs, n_samples, search_len);
 
                 // Dropping `noise` on any exit from this receiver's turn
                 // draws out the rest of its block.
                 let mut noise = awgn.cursor(&mut rng, n_samples);
-                noise.add_to(photocurrent, 0, 3 * guard + preamble_template.len());
+                noise.add_to(&mut pd.samples, 0, search_len);
                 let Some((start, score)) = correlate_template(
-                    photocurrent,
+                    &pd.samples,
                     preamble_template,
                     *preamble_energy,
                     0,
@@ -853,23 +1017,18 @@ impl FramePipeline {
                 if score < 0.3 {
                     continue;
                 }
-                let mac_start = start + (pre.len() as f64 * spc).round() as usize;
-                let in_frame = slice_chips_packed_by(
+                let span = MacSpan {
+                    mac_start: start + (pre.len() as f64 * spc).round() as usize,
+                    n_chips: spot_wire_lens[b] * 16,
                     n_samples,
-                    wave_cfg,
-                    mac_start,
-                    spot_wire_lens[b] * 16,
-                    sliced,
-                    |lo, hi| lazy_window_is_high(photocurrent, &mut noise, bound, lo, hi),
-                );
+                };
+                let decoded = pd.slice_and_decode(runs, &mut noise, bound, wave_cfg, span, None);
                 noise.finish();
-                if !in_frame {
+                if !decoded {
                     continue;
                 }
-                if !sliced.decode_bytes_into(rx_bytes) {
-                    continue;
-                }
-                if let Ok((_, _, fixed)) = Frame::decode_parts_with(rx_bytes, stack, payload_rx) {
+                if let Ok((_, _, fixed)) = Frame::decode_parts_with(&pd.rx_bytes, stack, payload_rx)
+                {
                     if *payload_rx == spot_payloads[b] {
                         spot_frames_ok[b] += 1;
                         spot_rs_corrections[b] += fixed;
@@ -1455,7 +1614,7 @@ mod tests {
     fn packed_run_matches_scalar_reference() {
         // The pipeline must be bit-identical to the scalar path — not just
         // statistically close — across clean, marginal, unsynchronized, and
-        // preamble-missing regimes.
+        // preamble-missing regimes, under both registries.
         let cfg = E2eConfig::default();
         let (gains, hosts) = table5_setup();
         let marginal = vec![E2eTx {
@@ -1489,9 +1648,7 @@ mod tests {
             (&skewed, SyncScheme::nlos_paper(), 10),
         ];
         for (txs, scheme, seed) in cases {
-            let packed = run(txs, &scheme, &cfg, 12, seed);
-            let scalar = run_scalar(txs, &scheme, &cfg, 12, seed, &Registry::noop());
-            assert_eq!(packed, scalar, "scheme {scheme:?} seed {seed}");
+            assert_pipeline_matches_scalar(txs, &scheme, &cfg, 12, seed);
         }
         // A fractional samples-per-chip (10.3) takes the non-integer
         // render, window and air-time paths.
@@ -1499,15 +1656,316 @@ mod tests {
         for (txs, scheme, seed) in [
             (&two, SyncScheme::SyncOff, 11u64),
             (&four, SyncScheme::nlos_paper(), 12),
+            (&four, SyncScheme::NtpPtp, 13),
             (&at_38_5, SyncScheme::SyncOff, 13),
         ] {
-            let packed = run(txs, &scheme, &fractional, 6, seed);
-            let scalar = run_scalar(txs, &scheme, &fractional, 6, seed, &Registry::noop());
+            assert_pipeline_matches_scalar(txs, &scheme, &fractional, 6, seed);
+        }
+    }
+
+    #[test]
+    fn early_exit_matches_scalar_reference_at_its_edges() {
+        // Frames that break where the early exit has to be exact: at the
+        // first pair, only at the last pair, and before a window that
+        // runs past the frame. Each edge is first confirmed on the scalar
+        // reference's own slicer (`scalar_fates`). At 1 Msym/s and 10
+        // samples per chip, NTP/PTP's start error spans several chips.
+        let cfg = E2eConfig::default();
+        let fast = E2eConfig {
+            symbol_rate_hz: 1e6,
+            sample_rate_hz: 1e7,
+            ..E2eConfig::default()
+        };
+        let four = four_tx();
+        let uneven = vec![tx_at_sigmas(&cfg, 20.0, 0), tx_at_sigmas(&cfg, 22.0, 1)];
+        let last_pair = Frame::wire_len(cfg.payload_len, &ReedSolomon::paper()) * 8 - 1;
+        let first = |f: &Fate| !f.short && f.broken_pairs().first() == Some(&0);
+        let last = |f: &Fate| !f.short && f.broken_pairs() == [last_pair];
+        let short = |f: &Fate| f.short && !f.broken_pairs().is_empty();
+        let check = |txs: &[E2eTx],
+                     scheme: SyncScheme,
+                     cfg: &E2eConfig,
+                     seed,
+                     edge: &dyn Fn(&Fate) -> bool| {
+            let fates = scalar_fates(txs, &scheme, cfg, 2, seed);
+            assert!(
+                fates.iter().flatten().any(edge),
+                "seed {seed} no longer reaches its edge"
+            );
+            assert_pipeline_matches_scalar(txs, &scheme, cfg, 2, seed);
+        };
+        check(&four, SyncScheme::NtpPtp, &cfg, 5, &first);
+        check(&four, SyncScheme::NtpPtp, &fast, 1, &first);
+        check(&uneven, SyncScheme::SyncOff, &cfg, 133_699, &last);
+        check(&four, SyncScheme::NtpPtp, &fast, 949, &last);
+        check(&four, SyncScheme::NtpPtp, &fast, 73, &short);
+    }
+
+    #[test]
+    fn early_exit_matches_scalar_reference_concurrently() {
+        // RX0 hears its own stream and RX1's at the same amplitude, nearly
+        // aligned: wherever the chips differ the clean level is exactly 0,
+        // so noise breaks a pair soon after the payloads part. RX1 hears
+        // only its own stream and decodes.
+        let g = tx_at_sigmas(&E2eConfig::default(), 20.0, 0).gain;
+        let channel = vlc_channel::ChannelMatrix::from_gains(2, 2, vec![g, 0.0, g, g]);
+        let beamspots = [
+            E2eBeamspot {
+                rx: 0,
+                txs: vec![0],
+            },
+            E2eBeamspot {
+                rx: 1,
+                txs: vec![1],
+            },
+        ];
+        for cfg in [E2eConfig::default(), fractional_rate()] {
+            let packed = run_concurrent(&channel, &beamspots, &cfg, 4, 81);
+            let scalar = run_concurrent_scalar(&channel, &beamspots, &cfg, 4, 81);
+            assert_eq!(packed, scalar, "{} samples/s", cfg.sample_rate_hz);
             assert_eq!(
-                packed, scalar,
-                "10.3 samples/chip, scheme {scheme:?} seed {seed}"
+                (packed[0].frames_ok, packed[1].frames_ok),
+                (0, 4),
+                "{} samples/s",
+                cfg.sample_rate_hz
             );
         }
+    }
+
+    /// The eager slicer's decision on `window` under the first
+    /// `window.len()` samples of a `sigma` channel seeded with `seed`,
+    /// next to [`lazy_window_is_high`]'s on the same draws; also whether
+    /// the lazy path drew noise into the window.
+    fn lazy_vs_eager(window: &[f64], sigma: f64, seed: u64) -> (bool, bool, bool) {
+        let mut eager: Vec<f64> = window.to_vec();
+        let mut awgn = AwgnChannel::with_sigma(sigma);
+        let mut rng = StdRng::seed_from_u64(seed);
+        for s in eager.iter_mut() {
+            *s += awgn.sample(&mut rng);
+        }
+        let want = eager.iter().sum::<f64>() >= 0.0;
+        let mut lazy = window.to_vec();
+        let mut awgn = AwgnChannel::with_sigma(sigma);
+        let bound = awgn.bound();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut noise = awgn.cursor(&mut rng, lazy.len());
+        let got = lazy_window_is_high(&mut lazy, &mut noise, bound, 0, window.len());
+        noise.finish();
+        (want, got, lazy != window)
+    }
+
+    #[test]
+    fn sum_rule_decides_exactly_at_its_margin() {
+        // `[L, −L, x]` sums to exactly `x` while the large `L` makes δ,
+        // the rounding term, thousands of times the noise bound. With `x`
+        // a few ulps either side of `n·b + δ`, the windows beyond it are
+        // decided clean (no noise drawn) and the rest take their noise;
+        // both match the eager slicer.
+        let sigma = 1.5;
+        let bound = AwgnChannel::with_sigma(sigma).bound();
+        for big in [2f64.powi(40), 2f64.powi(52), 2f64.powi(60)] {
+            // `x` sits at the threshold of its own window: iterate the
+            // threshold's weak dependence on `|x|` to a fixed point.
+            let mut x = 3.0 * bound;
+            for _ in 0..4 {
+                x = sum_rule_threshold(3, big + big + x, bound);
+            }
+            let mut sides = [false; 2];
+            for ulps in -3i32..=3 {
+                let mut xk = x;
+                for _ in 0..ulps.abs() {
+                    xk = if ulps > 0 {
+                        xk.next_up()
+                    } else {
+                        xk.next_down()
+                    };
+                }
+                for sign in [1.0, -1.0] {
+                    let window = [big, -big, sign * xk];
+                    let abs_sum = window.iter().fold(0.0, |a, x: &f64| a + x.abs());
+                    let beyond = xk > sum_rule_threshold(3, abs_sum, bound);
+                    sides[usize::from(beyond)] = true;
+                    for seed in 0..4 {
+                        let (want, got, noised) = lazy_vs_eager(&window, sigma, seed);
+                        assert_eq!(got, want, "L {big} x {xk} sign {sign} seed {seed}");
+                        assert_eq!(noised, !beyond, "L {big} x {xk} sign {sign}");
+                    }
+                }
+            }
+            assert_eq!(sides, [true; 2], "L {big}: windows on one side only");
+        }
+    }
+
+    #[test]
+    fn sum_rule_margin_covers_the_noisy_sum_rounding() {
+        // `[L, t, −L, −e]` with `L = 2^60` (ulp 256): the clean sum is
+        // `fl(L + 129) − L − 25 = 231`, past `n·b = 4 · 37.7 · 1.5 = 226.2`.
+        // Noise moves `t` below 128 in about a quarter of the draws; then
+        // `L + fl(t + z)` rounds back to `L` and the noisy sum is
+        // `−25 + z'`, negative unless `z'` exceeds 16σ. Only δ keeps such
+        // windows from being decided by their clean sum: without it this
+        // test fails.
+        let big = 2f64.powi(60);
+        let window = [big, 129.0, -big, -25.0];
+        let mut lows = 0;
+        for seed in 0..64 {
+            let (want, got, _) = lazy_vs_eager(&window, 1.5, seed);
+            assert_eq!(got, want, "seed {seed}");
+            lows += usize::from(!want);
+        }
+        assert!(lows > 0, "no draw exercised the rounding flip");
+    }
+
+    /// Runs one pipeline under a no-op and then a live registry and
+    /// asserts both match [`run_scalar`]: the result, and under the live
+    /// registry every counter either path sets and the `phy.ber`
+    /// histogram (count and sum bits, which pin every sliced chip).
+    fn assert_pipeline_matches_scalar(
+        txs: &[E2eTx],
+        scheme: &SyncScheme,
+        cfg: &E2eConfig,
+        frames: usize,
+        seed: u64,
+    ) {
+        let case = format!(
+            "scheme {scheme:?}, {} samples/s, seed {seed}",
+            cfg.sample_rate_hz
+        );
+        let scalar_reg = Registry::new();
+        let scalar = run_scalar(txs, scheme, cfg, frames, seed, &scalar_reg);
+        let mut pipeline = FramePipeline::new(cfg);
+        let noop = pipeline.run(txs, scheme, cfg, frames, seed, &Registry::noop());
+        assert_eq!(noop, scalar, "no-op registry: {case}");
+        let live_reg = Registry::new();
+        let live = pipeline.run(txs, scheme, cfg, frames, seed, &live_reg);
+        assert_eq!(live, scalar, "live registry: {case}");
+        let (want, got) = (scalar_reg.snapshot(), live_reg.snapshot());
+        for (name, _) in want.counters.iter().chain(&got.counters) {
+            assert_eq!(
+                got.counter(name).unwrap_or(0),
+                want.counter(name).unwrap_or(0),
+                "{name}: {case}"
+            );
+        }
+        let ber = |s: &vlc_telemetry::MetricsSnapshot| {
+            s.histogram("phy.ber").map(|h| (h.count, h.sum.to_bits()))
+        };
+        assert_eq!(ber(&got), ber(&want), "phy.ber: {case}");
+    }
+
+    /// What the scalar reference's slicer cuts from one locked frame.
+    #[derive(Debug)]
+    struct Fate {
+        /// The MAC chips cut before the first window past the frame.
+        chips: Vec<Chip>,
+        /// Whether such a window came (the scalar slicer's `None`).
+        short: bool,
+    }
+
+    impl Fate {
+        /// The Manchester pairs holding two equal chips, in order.
+        fn broken_pairs(&self) -> Vec<usize> {
+            self.chips
+                .chunks_exact(2)
+                .enumerate()
+                .filter(|(_, pair)| pair[0] == pair[1])
+                .map(|(k, _)| k)
+                .collect()
+        }
+    }
+
+    /// Replays [`run_scalar`] on the same RNG stream with the same scalar
+    /// kernels up to its slicer, and reports per frame what the slicer
+    /// cuts (`None`: the preamble missed). The slicer runs on past the
+    /// first broken pair and records where the frame runs out.
+    fn scalar_fates(
+        txs: &[E2eTx],
+        scheme: &SyncScheme,
+        cfg: &E2eConfig,
+        frames: usize,
+        seed: u64,
+    ) -> Vec<Option<Fate>> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let rs = ReedSolomon::paper();
+        let wave_cfg = WaveformConfig {
+            symbol_rate_hz: cfg.symbol_rate_hz,
+            sample_rate_hz: cfg.sample_rate_hz,
+        };
+        let preamble_chips = &preamble().0;
+        let a_opt = optical_swing_amplitude(&cfg.led, cfg.led.max_swing);
+        let mut awgn = AwgnChannel::new(cfg.noise);
+        let mut hosts: Vec<usize> = txs.iter().map(|t| t.host).collect();
+        hosts.sort_unstable();
+        hosts.dedup();
+        let chips_per_frame =
+            (Frame::wire_len(cfg.payload_len, &rs) + PREAMBLE_BYTES.len()) as f64 * 16.0;
+        let frame_duration_s = chips_per_frame / cfg.symbol_rate_hz;
+        let mut loop_phase = vec![0.0; hosts.len()];
+        if matches!(scheme, SyncScheme::SyncOff) && hosts.len() > 1 {
+            for p in loop_phase.iter_mut() {
+                *p = rng.gen_range(0.0..frame_duration_s);
+            }
+            let min = loop_phase.iter().copied().fold(f64::INFINITY, f64::min);
+            for p in loop_phase.iter_mut() {
+                *p -= min;
+            }
+        }
+        let header = FrameHeader {
+            dst: 1,
+            src: 0,
+            protocol: protocol::DATA,
+        };
+        (0..frames)
+            .map(|_| {
+                let payload: Vec<u8> = (0..cfg.payload_len).map(|_| rng.gen()).collect();
+                let bytes = Frame::new(u64::MAX, header, payload).to_bytes(&rs);
+                let mut chips = preamble_chips.clone();
+                chips.extend(manchester_encode(&bytes));
+                let spc = wave_cfg.samples_per_chip();
+                let guard = (8.0 * spc) as usize;
+                let n_samples = frame_samples(cfg, chips.len());
+                let offsets: Vec<f64> = loop_phase
+                    .iter()
+                    .map(|p| p + scheme.sample_start_offset(cfg.symbol_rate_hz, &mut rng))
+                    .collect();
+                let mut photocurrent = vec![0.0f64; n_samples];
+                for tx in txs {
+                    let h = hosts.iter().position(|&h| h == tx.host).expect("host");
+                    let amp = cfg.responsivity * tx.gain * a_opt;
+                    let delay = guard as f64 / cfg.sample_rate_hz + offsets[h];
+                    mix_into(
+                        &mut photocurrent,
+                        &render(&chips, &wave_cfg, amp, delay, n_samples),
+                    );
+                }
+                for s in photocurrent.iter_mut() {
+                    *s += awgn.sample(&mut rng);
+                }
+                let (start, score) =
+                    correlate_pattern(&photocurrent, &wave_cfg, preamble_chips, 0, 3 * guard)?;
+                if score < 0.5 {
+                    return None;
+                }
+                let mac_start = start + (preamble_chips.len() as f64 * spc).round() as usize;
+                let mut fate = Fate {
+                    chips: Vec::new(),
+                    short: false,
+                };
+                for k in 0..bytes.len() * 16 {
+                    let begin = mac_start as f64 + k as f64 * spc;
+                    let lo = (begin + 0.25 * spc).floor() as usize;
+                    let hi = (begin + 0.75 * spc).ceil() as usize;
+                    if hi > n_samples || lo >= hi {
+                        fate.short = true;
+                        break;
+                    }
+                    let mean = photocurrent[lo..hi].iter().sum::<f64>() / (hi - lo) as f64;
+                    fate.chips
+                        .push(if mean >= 0.0 { Chip::High } else { Chip::Low });
+                }
+                Some(fate)
+            })
+            .collect()
     }
 
     /// A TX on `host` whose received level is `k` noise standard

@@ -206,9 +206,11 @@ fn render_runs_into(
     out[last..].fill(0.0);
 }
 
-/// The chip-run boundaries of one rendered stream, resolved once and then
-/// added into a photocurrent for every TX that shares the stream's delay —
-/// the one-pass form of [`render_packed_into`] + [`mix_into`].
+/// The chip runs of one rendered stream — each chip's sample boundaries
+/// and its level — resolved once per frame and then added into a
+/// photocurrent, or read off directly ([`Superposition`]), for every TX
+/// that shares the stream's delay: the one-pass form of
+/// [`render_packed_into`] + [`mix_into`].
 #[derive(Debug, Clone, Default)]
 pub struct ChipRuns {
     /// First sample of chip 0's run.
@@ -216,6 +218,8 @@ pub struct ChipRuns {
     /// `ends[k]`: one past the last sample of chip `k`'s run (chips whose
     /// runs would start past the stream end are left out).
     ends: Vec<usize>,
+    /// The stream's chips, packed as [`PackedChips::words`] packs them.
+    words: Vec<u64>,
 }
 
 impl ChipRuns {
@@ -224,43 +228,68 @@ impl ChipRuns {
         Self::default()
     }
 
-    /// Resolves the runs of `n_chips` chips rendered with `delay_s` over
+    /// Resolves the runs of `chips` rendered with `delay_s` over
     /// `n_samples` — the boundaries [`render`] draws, bit for bit.
-    /// Reuses the buffer: no allocation once its capacity is warm.
+    /// Reuses the buffers: no allocation once their capacity is warm.
     pub fn resolve(
         &mut self,
-        n_chips: usize,
+        chips: &PackedChips,
         cfg: &WaveformConfig,
         delay_s: f64,
         n_samples: usize,
     ) {
+        self.words.clear();
+        self.words.extend_from_slice(chips.words());
         self.ends.clear();
         let mut first = None;
         let ends = &mut self.ends;
-        for_each_run(n_chips, cfg, delay_s, n_samples, |_, start, end| {
+        for_each_run(chips.len(), cfg, delay_s, n_samples, |_, start, end| {
             first.get_or_insert(start);
             ends.push(end);
         });
         self.first = first.unwrap_or(0);
     }
 
-    /// Adds `±a` (`+` for a high chip of `chips`) over each chip's run into
-    /// `out`, for every `a` of `amplitudes` in order — the TXs sharing
-    /// these runs. Bit-identical to [`render_packed_into`] followed by
+    fn is_high(&self, k: usize) -> bool {
+        (self.words[k >> 6] >> (k & 63)) & 1 == 1
+    }
+
+    /// Adds `±a` (`+` for a high chip) over each chip's run into `out`,
+    /// for every `a` of `amplitudes` in order — the TXs sharing these
+    /// runs. Bit-identical to [`render_packed_into`] followed by
     /// [`mix_into`] per amplitude on any `out` holding no `−0.0`: each
     /// sample takes the same adds in the same order, the skipped off-air
     /// samples would add `+0.0`, which leaves every other value unchanged,
     /// and `x + y` is `−0.0` only when both are, so a buffer that starts at
     /// `+0.0` never reaches `−0.0`.
-    pub fn add_into(&self, chips: &PackedChips, amplitudes: &[f64], out: &mut [f64]) {
+    pub fn add_into(&self, amplitudes: &[f64], out: &mut [f64]) {
         assert!(
             amplitudes.iter().all(|&a| a >= 0.0),
             "amplitude must be non-negative"
         );
-        let words = chips.words();
-        let mut start = self.first;
-        for (k, &end) in self.ends.iter().enumerate() {
-            let high = (words[k >> 6] >> (k & 63)) & 1 == 1;
+        self.add_range_into(amplitudes, out, (0, out.len()), 0);
+    }
+
+    /// [`Self::add_into`] restricted to the samples `lo..hi`: every sample
+    /// there takes exactly the adds `add_into` gives it. The search for
+    /// the first run starts at run `from_run`, which must not lie past the
+    /// run holding `lo` (`0` always works).
+    fn add_range_into(
+        &self,
+        amplitudes: &[f64],
+        out: &mut [f64],
+        range: (usize, usize),
+        from_run: usize,
+    ) {
+        let (lo, hi) = range;
+        let mut k = from_run;
+        while k < self.ends.len() && self.ends[k] <= lo {
+            k += 1;
+        }
+        let mut start = if k == 0 { self.first } else { self.ends[k - 1] }.max(lo);
+        while k < self.ends.len() && start < hi {
+            let end = self.ends[k].min(hi);
+            let high = self.is_high(k);
             let level = |a: f64| if high { a } else { -a };
             let run = &mut out[start..end];
             // Two TXs per pass over the run: `(x + a) + b` is the order
@@ -279,7 +308,148 @@ impl ChipRuns {
                 }
             }
             start = end;
+            k += 1;
         }
+    }
+
+    /// The sign of the level this stream holds over the whole window
+    /// `lo..hi` — `+1.0` for high chips, `−1.0` for low ones, `0.0` off
+    /// the air — or `None` when the level changes inside the window. `at`
+    /// is a run cursor that only moves forward: start a pass at `0` and
+    /// keep `lo` non-decreasing through it.
+    #[inline]
+    fn sign_over(&self, lo: usize, hi: usize, at: &mut usize) -> Option<f64> {
+        let ends = &self.ends;
+        let mut k = *at;
+        while k < ends.len() && ends[k] <= lo {
+            k += 1;
+        }
+        *at = k;
+        if k == ends.len() || hi <= self.first {
+            return Some(0.0);
+        }
+        if lo < self.first {
+            return None;
+        }
+        // Runs `k..` of one level must reach `hi`.
+        let high = self.is_high(k);
+        while hi > ends[k] {
+            k += 1;
+            if k == ends.len() || self.is_high(k) != high {
+                return None;
+            }
+        }
+        Some(if high { 1.0 } else { -1.0 })
+    }
+}
+
+/// The TXs one photodiode hears, in TX order: each radiates one slot of
+/// a `&[ChipRuns]` at its amplitude. It renders any sample range, or reads
+/// a window's level straight off the runs, bit for bit as the eager
+/// render — [`ChipRuns::add_into`] per group of consecutive TXs on one
+/// slot, in TX order, into a buffer of `+0.0` — would leave those samples.
+///
+/// Windows come in passes: [`Self::rewind`] starts one, and within it the
+/// window starts `lo` must not decrease. Each slot keeps a cursor on the
+/// run holding the last `lo`, so a pass walks each stream's runs once.
+#[derive(Debug, Clone, Default)]
+pub struct Superposition {
+    /// Per TX: its index into `streams`, and its amplitude.
+    txs: Vec<(usize, f64)>,
+    /// The slots the TXs use, each once.
+    streams: Vec<Stream>,
+}
+
+/// One slot of a [`Superposition`] within a pass.
+#[derive(Debug, Clone, Copy)]
+struct Stream {
+    slot: usize,
+    /// The run cursor of [`ChipRuns::sign_over`].
+    at: usize,
+    /// The sign of the level held over the last window.
+    sign: f64,
+}
+
+impl Superposition {
+    /// No TXs (no allocation until [`Self::push`]).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Drops every TX.
+    pub fn clear(&mut self) {
+        self.txs.clear();
+        self.streams.clear();
+    }
+
+    /// Adds the next TX in TX order: the runs of `slot` at `amplitude`.
+    pub fn push(&mut self, slot: usize, amplitude: f64) {
+        assert!(amplitude >= 0.0, "amplitude must be non-negative");
+        let i = match self.streams.iter().position(|s| s.slot == slot) {
+            Some(i) => i,
+            None => {
+                self.streams.push(Stream {
+                    slot,
+                    at: 0,
+                    sign: 0.0,
+                });
+                self.streams.len() - 1
+            }
+        };
+        self.txs.push((i, amplitude));
+    }
+
+    /// Starts a pass over windows.
+    pub fn rewind(&mut self) {
+        for s in &mut self.streams {
+            s.at = 0;
+        }
+    }
+
+    /// Overwrites `out[lo..hi]` with the rendered light: `+0.0`, then every
+    /// TX's adds there in TX order. `lo` must not precede the pass's last
+    /// window start.
+    pub fn render(&self, runs: &[ChipRuns], out: &mut [f64], lo: usize, hi: usize) {
+        out[lo..hi].fill(0.0);
+        let mut amps = [0.0f64; 2];
+        for group in self.txs.chunk_by(|a, b| a.0 == b.0) {
+            let stream = &self.streams[group[0].0];
+            // Two TXs per add pass, as the eager render pairs them.
+            for pair in group.chunks(2) {
+                for (a, tx) in amps.iter_mut().zip(pair) {
+                    *a = tx.1;
+                }
+                runs[stream.slot].add_range_into(&amps[..pair.len()], out, (lo, hi), stream.at);
+            }
+        }
+    }
+
+    /// The value every sample of the window `lo..hi` renders to, when
+    /// each stream holds one level over all of it (equal chips, or off
+    /// the air); `None` when some stream changes level inside the window.
+    /// The value is the fold of `sign·amp` over the TXs from `+0.0` in TX
+    /// order: `±1·amp` is exactly the `±amp` the eager render adds to each
+    /// of those samples, and an off-air TX's `0·amp = +0.0` leaves the
+    /// fold unchanged as the eager render's skipped add does (the fold
+    /// never holds `−0.0`).
+    #[inline]
+    pub fn level(&mut self, runs: &[ChipRuns], lo: usize, hi: usize) -> Option<f64> {
+        let mut split = false;
+        for s in &mut self.streams {
+            match runs[s.slot].sign_over(lo, hi, &mut s.at) {
+                Some(sign) => s.sign = sign,
+                None => split = true,
+            }
+        }
+        if split {
+            return None;
+        }
+        let streams = &self.streams;
+        Some(
+            self.txs
+                .iter()
+                .fold(0.0, |level, &(i, amp)| level + streams[i].sign * amp),
+        )
     }
 }
 
@@ -378,9 +548,28 @@ pub fn slice_chips_packed_into(
     // The window count divides out of the scalar decision (`mean >= 0` ⟺
     // `sum >= 0` for a positive count, including the −0.0 and NaN cases),
     // so the per-chip division goes.
-    slice_chips_packed_by(samples.len(), cfg, start_sample, n_chips, out, |lo, hi| {
-        samples[lo..hi].iter().sum::<f64>() >= 0.0
-    })
+    let sliced = slice_chips_packed_by(
+        samples.len(),
+        cfg,
+        start_sample,
+        n_chips,
+        false,
+        out,
+        |lo, hi| samples[lo..hi].iter().sum::<f64>() >= 0.0,
+    );
+    sliced == Sliced::Whole
+}
+
+/// How a [`slice_chips_packed_by`] pass ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Sliced {
+    /// Every chip was sliced.
+    Whole,
+    /// A window ran past the stream — the scalar `None`. `out` is cleared.
+    Short,
+    /// A Manchester pair (chips `2k`, `2k + 1`) came out as two equal
+    /// chips, so no decode can succeed, and slicing stopped after it.
+    BrokenPair,
 }
 
 /// The slicing loop of [`slice_chips_packed_into`] with the chip decision
@@ -388,16 +577,20 @@ pub fn slice_chips_packed_into(
 /// `lo..hi`. Windows come in chip order, each one checked against
 /// `n_samples` (and for emptiness) before `decide` sees it, at the same
 /// chip index as the scalar loop. On a too-short stream `out` is cleared
-/// and the result is `false`. A caller that prepares each window just in
-/// time — adds noise, say — gets exactly the windows the slicer reads.
+/// and the result is [`Sliced::Short`]. With `stop_at_broken_pair`, the
+/// pass ends at the first pair of equal chips, counted from chip 0; the
+/// later windows are never checked or decided. A caller that prepares each
+/// window just in time — adds noise, say — gets exactly the windows the
+/// slicer reads.
 pub fn slice_chips_packed_by(
     n_samples: usize,
     cfg: &WaveformConfig,
     start_sample: usize,
     n_chips: usize,
+    stop_at_broken_pair: bool,
     out: &mut PackedChips,
     mut decide: impl FnMut(usize, usize) -> bool,
-) -> bool {
+) -> Sliced {
     let spc = cfg.samples_per_chip();
     out.clear();
     let mut word = WordFill::default();
@@ -408,36 +601,43 @@ pub fn slice_chips_packed_by(
     // stride and width, no float rounding involved. The window is never
     // empty for spc ≥ 1 (`floor(0.25·spc) < ceil(0.75·spc)`), so only the
     // length check remains.
-    if spc.fract() == 0.0
+    let grid = (spc.fract() == 0.0
         && spc >= 1.0
-        && start_sample as f64 + (n_chips as f64 + 1.0) * spc < 2.0e15
-    {
-        let s = spc as usize;
-        let width = (0.75 * spc).ceil() as usize - (0.25 * spc).floor() as usize;
-        let mut lo = start_sample + (0.25 * spc).floor() as usize;
-        for _ in 0..n_chips {
-            let hi = lo + width;
-            if hi > n_samples {
-                out.clear();
-                return false;
+        && start_sample as f64 + (n_chips as f64 + 1.0) * spc < 2.0e15)
+        .then(|| {
+            let width = (0.75 * spc).ceil() as usize - (0.25 * spc).floor() as usize;
+            (
+                start_sample + (0.25 * spc).floor() as usize,
+                spc as usize,
+                width,
+            )
+        });
+    let mut first_of_pair = false;
+    for k in 0..n_chips {
+        let (lo, hi) = match grid {
+            Some((lo0, stride, width)) => (lo0 + k * stride, lo0 + k * stride + width),
+            None => {
+                let begin = start_sample as f64 + k as f64 * spc;
+                (
+                    (begin + 0.25 * spc).floor() as usize,
+                    (begin + 0.75 * spc).ceil() as usize,
+                )
             }
-            word.push(out, decide(lo, hi));
-            lo += s;
+        };
+        if hi > n_samples || lo >= hi {
+            out.clear();
+            return Sliced::Short;
         }
-    } else {
-        for k in 0..n_chips {
-            let begin = start_sample as f64 + k as f64 * spc;
-            let lo = (begin + 0.25 * spc).floor() as usize;
-            let hi = (begin + 0.75 * spc).ceil() as usize;
-            if hi > n_samples || lo >= hi {
-                out.clear();
-                return false;
-            }
-            word.push(out, decide(lo, hi));
+        let high = decide(lo, hi);
+        word.push(out, high);
+        if k % 2 == 1 && high == first_of_pair && stop_at_broken_pair {
+            word.flush(out);
+            return Sliced::BrokenPair;
         }
+        first_of_pair = high;
     }
     word.flush(out);
-    true
+    Sliced::Whole
 }
 
 /// Sliced chips accumulate in a local word flushed every 64 — no per-chip

@@ -17,7 +17,7 @@ use vlc_phy::packed::{packed_encode, PackedChips};
 use vlc_phy::rs::{ReedSolomon, RsCodec};
 use vlc_phy::waveform::{
     correlate_pattern, correlate_template, mix_into, render, render_into, render_packed_into,
-    slice_chips, slice_chips_packed_into, template_energy, ChipRuns, WaveformConfig,
+    slice_chips, slice_chips_packed_into, template_energy, ChipRuns, Superposition, WaveformConfig,
 };
 use vlc_phy::{Frame, FrameHeader};
 
@@ -251,17 +251,85 @@ proptest! {
         }
         let mut runs = [ChipRuns::new(), ChipRuns::new()];
         for (r, &delay) in runs.iter_mut().zip(&delays) {
-            r.resolve(packed.len(), &cfg, delay, n);
+            r.resolve(&packed, &cfg, delay, n);
         }
         // Consecutive TXs on one delay add in one pass, as the pipeline
         // groups them.
         let mut one_pass = vec![0.0f64; n];
         for group in txs.chunk_by(|a, b| a.0 == b.0) {
             let amps: Vec<f64> = group.iter().map(|&tx| amp(tx)).collect();
-            runs[group[0].0].add_into(&packed, &amps, &mut one_pass);
+            runs[group[0].0].add_into(&amps, &mut one_pass);
         }
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         prop_assert_eq!(bits(&one_pass), bits(&reference));
+    }
+
+    /// On-demand render: over windows of every width and stride — many of
+    /// them straddling run edges — for 1–4 TXs on 1–2 delays, integer
+    /// and fractional delays and rates (10.3 samples per chip among them)
+    /// and zero amplitudes (whose low chips add `−0.0`), a covered
+    /// window's `Superposition::level` equals every eager sample in it and
+    /// `Superposition::render` of any window equals the eager samples, bit
+    /// for bit. The eager reference is `ChipRuns::add_into` per group of
+    /// consecutive TXs on one delay, in TX order, into a zeroed buffer.
+    #[test]
+    fn on_demand_render_matches_eager_render(
+        data in proptest::collection::vec(any::<u8>(), 1..8),
+        txs in proptest::collection::vec((0usize..2, 0u8..4, 0.0f64..2.0), 1..5),
+        delays_us in (-15.0f64..40.0, -15.0f64..40.0, any::<bool>()),
+        spc_pick in 0u32..26,
+        window in (1usize..9, 1usize..13),
+    ) {
+        // 0 → 10.3 samples per chip, 1 → 10, else a half-integer grid.
+        let spc = match spc_pick {
+            0 => 10.3,
+            1 => 10.0,
+            n => n as f64 / 2.0,
+        };
+        let cfg = WaveformConfig {
+            symbol_rate_hz: 100_000.0,
+            sample_rate_hz: 100_000.0 * spc,
+        };
+        let (d0, d1, integer) = delays_us;
+        let delay_of = |d: f64| {
+            if integer {
+                (d * cfg.sample_rate_hz * 1e-6).round() / cfg.sample_rate_hz
+            } else {
+                d * 1e-6
+            }
+        };
+        let packed = packed_encode(&data);
+        let n = (packed.len() as f64 * spc).ceil() as usize + 60;
+        let mut runs = [ChipRuns::new(), ChipRuns::new()];
+        for (r, d) in runs.iter_mut().zip([d0, d1]) {
+            r.resolve(&packed, &cfg, delay_of(d), n);
+        }
+        let amp = |(_, z, a): (usize, u8, f64)| if z == 0 { 0.0 } else { a };
+        let mut eager = vec![0.0f64; n];
+        for group in txs.chunk_by(|a, b| a.0 == b.0) {
+            let amps: Vec<f64> = group.iter().map(|&tx| amp(tx)).collect();
+            runs[group[0].0].add_into(&amps, &mut eager);
+        }
+        let mut light = Superposition::new();
+        for &tx in &txs {
+            light.push(tx.0, amp(tx));
+        }
+        light.rewind();
+        let (width, stride) = window;
+        let mut rendered = vec![f64::NAN; n];
+        let mut lo = 0;
+        while lo + width <= n {
+            let hi = lo + width;
+            if let Some(level) = light.level(&runs, lo, hi) {
+                for (i, x) in eager[lo..hi].iter().enumerate() {
+                    prop_assert_eq!(level.to_bits(), x.to_bits(), "covered window {}..{} at {}", lo, hi, lo + i);
+                }
+            }
+            light.render(&runs, &mut rendered, lo, hi);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&rendered[lo..hi]), bits(&eager[lo..hi]), "window {}..{}", lo, hi);
+            lo += stride;
+        }
     }
 
     /// The lane-parallel correlator equals the one-start-at-a-time loop
