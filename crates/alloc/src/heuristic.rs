@@ -110,57 +110,48 @@ pub fn rank_by_sjr(channel: &ChannelMatrix, config: &HeuristicConfig) -> Vec<Ran
     // comparisons in ascending order), so precomputing (lowest-RX row best,
     // score) and ordering those by score, then TX, selects the exact same
     // sequence. `tests/rank_identity.rs` property-tests the equivalence
-    // with [`rank_by_sjr_scalar`].
-    let mut best_rx = vec![0usize; n_tx];
-    let mut best_sjr = vec![0.0f64; n_tx];
-    for i in 0..n_tx {
-        let row = channel.tx_row(i);
-        let denom: f64 = row.iter().sum();
-        if denom <= 0.0 {
-            // All-zero SJR row: the reference selects its RX 0 entry.
-            continue;
-        }
-        (best_rx[i], best_sjr[i]) = row_best(row, config.kappa_for(i), denom);
-    }
+    // with [`rank_by_sjr_scalar`]. The entries are ordered in place: the
+    // ranking is the only allocation.
+    let mut ranked: Vec<RankedTx> = (0..n_tx)
+        .map(|i| {
+            let row = channel.tx_row(i);
+            let denom: f64 = row.iter().sum();
+            // An all-zero SJR row: the reference selects its RX 0 entry.
+            let (rx, sjr) = if denom <= 0.0 {
+                (0, 0.0)
+            } else {
+                row_best(row, config.kappa_for(i), denom)
+            };
+            RankedTx { tx: i, rx, sjr }
+        })
+        .collect();
 
-    let mut order: Vec<usize> = (0..n_tx).collect();
-    if best_sjr.iter().any(|s| s.is_nan()) {
+    if ranked.iter().any(|e| e.sjr.is_nan()) {
         // A NaN score never compares greater, so the reference's greedy
         // rounds are not a sort: replay them, taking the first untaken TX
-        // unless a later one scores strictly higher.
-        let mut tx_taken = vec![false; n_tx];
-        for slot in order.iter_mut() {
-            let mut best: Option<(usize, f64)> = None;
-            for (i, &s) in best_sjr.iter().enumerate() {
-                if tx_taken[i] {
-                    continue;
-                }
-                if best.is_none_or(|(_, b)| s > b) {
-                    best = Some((i, s));
+        // unless a later one scores strictly higher. The untaken tail stays
+        // in ascending TX order, so each pick rotates into place.
+        for k in 0..n_tx {
+            let mut best = k;
+            for j in k + 1..n_tx {
+                if ranked[j].sjr > ranked[best].sjr {
+                    best = j;
                 }
             }
-            let (i, _) = best.expect("at least one unranked TX remains");
-            tx_taken[i] = true;
-            *slot = i;
+            ranked[k..=best].rotate_right(1);
         }
     } else {
         // Without NaNs each greedy round takes the highest score, lowest
-        // TX first: a sort on (score descending, TX ascending).
-        order.sort_unstable_by(|&a, &b| {
-            best_sjr[b]
-                .partial_cmp(&best_sjr[a])
+        // TX first: a sort on (score descending, TX ascending), a total
+        // order because TXs are distinct.
+        ranked.sort_unstable_by(|a, b| {
+            b.sjr
+                .partial_cmp(&a.sjr)
                 .expect("scores are not NaN")
-                .then(a.cmp(&b))
+                .then(a.tx.cmp(&b.tx))
         });
     }
-    order
-        .into_iter()
-        .map(|i| RankedTx {
-            tx: i,
-            rx: best_rx[i],
-            sjr: best_sjr[i],
-        })
-        .collect()
+    ranked
 }
 
 /// Relative half-width of the band below a row's largest gain inside which

@@ -16,11 +16,29 @@ use vlc_led::{power::dynamic_resistance, LedParams};
 /// an all-zero row and stays in pure illumination mode. The per-TX *total*
 /// swing `Σ_k I_sw^{j,k}` is what the hardware realizes and what both the
 /// swing bound (Eq. 6) and the power model (Eq. 7) constrain.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct Allocation {
     n_tx: usize,
     n_rx: usize,
     swings: Vec<f64>,
+}
+
+impl Clone for Allocation {
+    fn clone(&self) -> Self {
+        Allocation {
+            n_tx: self.n_tx,
+            n_rx: self.n_rx,
+            swings: self.swings.clone(),
+        }
+    }
+
+    /// Copies `source` into this allocation's storage, which is reused
+    /// when large enough.
+    fn clone_from(&mut self, source: &Self) {
+        self.n_tx = source.n_tx;
+        self.n_rx = source.n_rx;
+        self.swings.clone_from(&source.swings);
+    }
 }
 
 impl Allocation {
@@ -224,8 +242,8 @@ impl SystemModel {
         let scale = self.responsivity * self.led.wall_plug_efficiency * self.dyn_resistance();
         let swings = alloc.as_slice();
         let mut sig = vec![0.0; n_rx];
-        let mut interference = vec![0.0; n_rx];
-        let mut current = vec![0.0; n_rx];
+        let mut scratch = vec![0.0; 2 * n_rx];
+        let (interference, current) = scratch.split_at_mut(n_rx);
         for stream in 0..n_rx {
             current.fill(0.0);
             for tx in 0..n_tx {
@@ -247,7 +265,7 @@ impl SystemModel {
                 }
             }
         }
-        for (s, &i) in sig.iter_mut().zip(&interference) {
+        for (s, &i) in sig.iter_mut().zip(&*interference) {
             *s = *s * *s / (noise + i);
         }
         sig

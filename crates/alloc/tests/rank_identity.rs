@@ -152,3 +152,40 @@ fn subnormal_powers_take_the_full_scan() {
     assert_eq!(ranked, rank_by_sjr_scalar(&channel, &cfg));
     assert_eq!(ranked[0].rx, 0);
 }
+
+/// Whole rows that tie on their best score, scattered over the grid and
+/// mixed with all-zero rows (every one scores 0): each group of equal scores
+/// must come out in ascending TX order, as the reference's rescan keeps the
+/// first untaken TX on a tie. κ = NaN exercises the replay path (NaN scores
+/// never compare greater), κ = 1e-9 the full-scan rows.
+#[test]
+fn equal_scores_rank_in_ascending_tx_order() {
+    let (n_tx, n_rx) = (36, 4);
+    let rows = [[4e-7, 1e-7, 0.0, 2e-8], [1e-8, 3e-7, 3e-7, 0.0], [0.0; 4]];
+    let gains: Vec<f64> = (0..n_tx).flat_map(|tx| rows[(tx * 7) % 3]).collect();
+    let channel = ChannelMatrix::from_gains(n_tx, n_rx, gains);
+    for kappa in [1.3, 1e-9, f64::NAN] {
+        let cfg = HeuristicConfig::with_kappa(kappa);
+        let ranked = rank_by_sjr(&channel, &cfg);
+        assert_eq!(ranked.len(), n_tx);
+        let scalar = rank_by_sjr_scalar(&channel, &cfg);
+        for (f, s) in ranked.iter().zip(&scalar) {
+            assert_eq!((f.tx, f.rx, f.sjr.to_bits()), (s.tx, s.rx, s.sjr.to_bits()));
+        }
+        let mut ties = 0;
+        for pair in ranked.windows(2) {
+            if pair[0].sjr.to_bits() == pair[1].sjr.to_bits() {
+                assert!(pair[0].tx < pair[1].tx, "κ {kappa}: {pair:?}");
+                ties += 1;
+            }
+        }
+        if kappa.is_nan() {
+            // Nothing beats a NaN or is beaten by one: every round keeps
+            // the first untaken TX.
+            assert!(ranked.iter().map(|e| e.tx).eq(0..n_tx));
+        } else {
+            // Three groups of equal scores: all neighbours but two tie.
+            assert_eq!(ties, n_tx - 3, "κ {kappa}");
+        }
+    }
+}

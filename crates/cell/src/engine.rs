@@ -137,6 +137,13 @@ impl CellMetrics {
     }
 }
 
+/// What one fanned-out tick shares with its dispatch: the tick span and
+/// the dirty shards, one slot each in dirty-cell order.
+struct Batch {
+    span: Span,
+    slots: Vec<Mutex<Box<CellShard>>>,
+}
+
 /// The sharded multi-cell engine. See the module docs.
 pub struct BuildingEngine {
     map: BuildingMap,
@@ -149,6 +156,9 @@ pub struct BuildingEngine {
     /// Cells dirtied since the last tick (unsorted; deduped via the
     /// per-shard flag). Capacity persists across ticks.
     dirty: Vec<usize>,
+    /// The in-place path's replan outcomes, in dirty-cell order. Capacity
+    /// persists across ticks.
+    outcomes: Vec<ReplanOutcome>,
     tick: u64,
     sum_bps: f64,
     metrics: CellMetrics,
@@ -189,6 +199,7 @@ impl BuildingEngine {
             shards,
             locations: HashMap::new(),
             dirty: Vec::new(),
+            outcomes: Vec::new(),
             tick: 0,
             sum_bps: 0.0,
             metrics: CellMetrics::new(registry),
@@ -345,18 +356,20 @@ impl BuildingEngine {
             }
             if pool.jobs().is_serial() || self.dirty.len() == 1 {
                 // Thread-free path: replan in place, in order.
-                let mut out = Vec::with_capacity(self.dirty.len());
+                let mut outcomes = std::mem::take(&mut self.outcomes);
+                outcomes.clear();
                 for (i, &cell) in self.dirty.iter().enumerate() {
                     let child = span.child_indexed("cell.replan", i);
                     let shard = self.shards[cell].as_deref_mut().expect(IN_PLACE);
-                    out.push(shard.replan(tick, &self.telemetry, &child));
+                    outcomes.push(shard.replan(tick, &self.telemetry, &child));
                 }
-                self.settle(&out, &mut report);
+                self.settle(&outcomes, &mut report);
+                self.outcomes = outcomes;
             } else {
-                let span = Arc::new(span);
-                let outcomes = self.replan_owned(pool, tick, &span);
+                let (outcomes, span) = self.replan_owned(pool, tick, span);
                 self.settle(&outcomes, &mut report);
                 // `span` closes here, after the fold.
+                drop(span);
             }
             self.dirty.clear();
         }
@@ -380,31 +393,35 @@ impl BuildingEngine {
         report
     }
 
-    /// Replans the dirty shards on `pool`'s resident workers. Each shard
+    /// Replans the dirty shards on `pool`'s resident workers under the
+    /// tick span `span`, which comes back with the outcomes. Each shard
     /// moves out of its cell slot into a slot list shared with the
     /// dispatch, and every one is back in place before this returns —
     /// also when a replan panics, whose panic is re-raised after.
-    fn replan_owned(&mut self, pool: &Pool, tick: u64, span: &Arc<Span>) -> Vec<ReplanOutcome> {
-        let slots: Arc<Vec<Mutex<Box<CellShard>>>> = Arc::new(
-            self.dirty
+    fn replan_owned(&mut self, pool: &Pool, tick: u64, span: Span) -> (Vec<ReplanOutcome>, Span) {
+        let batch = Arc::new(Batch {
+            span,
+            slots: self
+                .dirty
                 .iter()
                 .map(|&cell| Mutex::new(self.shards[cell].take().expect(IN_PLACE)))
                 .collect(),
-        );
+        });
         let replans = {
-            let slots = Arc::clone(&slots);
-            let span = Arc::clone(span);
+            let batch = Arc::clone(&batch);
             let telemetry = self.telemetry.clone();
-            let n = slots.len();
+            let n = batch.slots.len();
             catch_unwind(AssertUnwindSafe(|| {
                 pool.map_owned(n, move |i| {
-                    let child = span.child_indexed("cell.replan", i);
-                    let mut shard = slots[i].lock().expect("each slot is locked once per tick");
+                    let child = batch.span.child_indexed("cell.replan", i);
+                    let mut shard = batch.slots[i]
+                        .lock()
+                        .expect("each slot is locked once per tick");
                     shard.replan(tick, &telemetry, &child)
                 })
             }))
         };
-        let Ok(slots) = Arc::try_unwrap(slots) else {
+        let Ok(Batch { span, slots }) = Arc::try_unwrap(batch) else {
             unreachable!("map_owned drops its closure before it returns");
         };
         for (slot, &cell) in slots.into_iter().zip(&self.dirty) {
@@ -412,7 +429,10 @@ impl BuildingEngine {
             // as the panic left it, as on the in-place path.
             self.shards[cell] = Some(slot.into_inner().unwrap_or_else(PoisonError::into_inner));
         }
-        replans.unwrap_or_else(|payload| resume_unwind(payload))
+        (
+            replans.unwrap_or_else(|payload| resume_unwind(payload)),
+            span,
+        )
     }
 
     /// Folds replan outcomes, in dirty-cell order, into the building

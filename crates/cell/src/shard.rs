@@ -71,9 +71,9 @@ pub struct CellShard {
     sessions: Vec<SessionId>,
     poses: Vec<Pose>,
     updater: ChannelUpdater,
-    controller: Option<Controller>,
-    /// Occupancy the controller was built for (it is shape-bound).
-    controller_rx: usize,
+    /// The heuristic planner. It ingests no reports, so one serves every
+    /// roster size.
+    controller: Controller,
     model: SystemModel,
     /// Warm seed for the optimal policy: the previous allocation with
     /// columns remapped as sessions arrive/leave/hand over.
@@ -112,8 +112,7 @@ impl CellShard {
             sessions: Vec::new(),
             poses: Vec::new(),
             updater: ChannelUpdater::new(grid, half_power_semi_angle, optics),
-            controller: None,
-            controller_rx: 0,
+            controller: Controller::new(ControllerConfig::paper(budget_w), grid.len(), 0),
             model,
             warm: None,
             last_alloc: None,
@@ -234,7 +233,6 @@ impl CellShard {
         if self.sessions.is_empty() {
             self.bps.clear();
             self.sum_bps = 0.0;
-            self.controller = None;
             self.warm = None;
             self.last_alloc = None;
             if self.record_timeline {
@@ -270,9 +268,7 @@ impl CellShard {
         if !hit {
             let allocation = match &self.policy {
                 ReplanPolicy::Heuristic => {
-                    self.ensure_controller();
-                    let controller = self.controller.as_ref().expect("just ensured");
-                    controller
+                    self.controller
                         .plan_traced(&self.model.channel, telemetry, parent)
                         .allocation
                 }
@@ -280,10 +276,11 @@ impl CellShard {
             };
             self.bps = self.model.throughput(&allocation);
             self.sum_bps = self.bps.iter().sum();
-            if matches!(self.policy, ReplanPolicy::Optimal(_)) {
-                self.warm = Some(allocation.clone());
-            }
             self.last_alloc = Some(allocation);
+            if matches!(self.policy, ReplanPolicy::Optimal(_)) {
+                // Reuses the seed's storage when it has one.
+                self.warm.clone_from(&self.last_alloc);
+            }
         }
         if self.record_timeline {
             self.timeline.push(ShardTick {
@@ -320,17 +317,5 @@ impl CellShard {
                 parent,
             )
             .allocation
-    }
-
-    fn ensure_controller(&mut self) {
-        let n_rx = self.sessions.len();
-        if self.controller.is_none() || self.controller_rx != n_rx {
-            self.controller = Some(Controller::new(
-                ControllerConfig::paper(self.budget_w),
-                self.model.n_tx(),
-                n_rx,
-            ));
-            self.controller_rx = n_rx;
-        }
     }
 }

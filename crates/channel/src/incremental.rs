@@ -35,9 +35,10 @@
 //! `tests/cache_identity.rs`).
 
 use crate::blockage::{any_blocks, CylinderBlocker};
-use crate::lambertian::{lambertian_order, los_gain_profiled, RxOptics};
-use crate::matrix::{append_rx_columns, remove_rx_column, ChannelMatrix};
+use crate::lambertian::{lambertian_order, los_gain_profiled, RxOptics, RxProfile};
+use crate::matrix::ChannelMatrix;
 use std::mem;
+use std::sync::Mutex;
 use vlc_geom::{Pose, TxGrid};
 use vlc_par::Pool;
 use vlc_telemetry::Registry;
@@ -71,12 +72,139 @@ pub struct ChannelUpdate {
     pub misses: usize,
 }
 
-/// How much of a column one update must redo, in increasing order of work.
+/// What one update redoes for a dirty column; every other column is a
+/// hit.
 #[derive(Debug, Clone, Copy, PartialEq)]
-enum Col {
-    Hit,
+enum Redo {
+    /// Re-test the occlusion of the live links; keep the LOS gains.
     Partial,
+    /// Recompute the column.
     Miss,
+}
+
+/// One receiver column's cached state.
+#[derive(Debug, Clone)]
+struct Column {
+    /// The pose the column was last computed for.
+    pose: Pose,
+    /// Ascending live-TX list: the indices with nonzero clear gain, rebuilt
+    /// whenever the column is recomputed. The partial path re-tests
+    /// occlusion only for these links — a dead link masks to the same exact
+    /// zero whether or not a blocker crosses it.
+    live: Vec<u32>,
+    /// Occluded live links.
+    occluded: usize,
+}
+
+impl Column {
+    /// A column for `pose` that the calling update recomputes.
+    fn new(pose: Pose) -> Self {
+        Column {
+            pose,
+            live: Vec::new(),
+            occluded: 0,
+        }
+    }
+}
+
+/// One lane's column buffer: the miss path's LOS gains, the partial path's
+/// copy of the live-TX list, and the occluded TXs (ascending) of either.
+/// Each holds at most `n_tx` entries and keeps its capacity across updates.
+#[derive(Debug, Default)]
+struct ColumnBuf {
+    gains: Vec<f64>,
+    live: Vec<u32>,
+    occluded: Vec<u32>,
+}
+
+/// The per-lane column buffers. Their contents never outlive an update, so
+/// a clone starts with none.
+#[derive(Debug, Default)]
+struct Lanes(Vec<Mutex<ColumnBuf>>);
+
+impl Clone for Lanes {
+    fn clone(&self) -> Self {
+        Lanes::default()
+    }
+}
+
+impl Lanes {
+    /// Grows to at least `n` lanes, to the exact size.
+    fn ensure(&mut self, n: usize) {
+        if self.0.len() < n {
+            self.0.reserve_exact(n - self.0.len());
+            self.0.resize_with(n, Mutex::default);
+        }
+    }
+}
+
+/// The updater's columns and clear gains and the caller's masked matrix,
+/// borrowed for one update; lanes write their columns through it one at a
+/// time.
+struct Scatter<'a> {
+    n_rx: usize,
+    cols: &'a mut [Column],
+    clear: &'a mut [f64],
+    masked: &'a mut [f64],
+    changed: bool,
+    partials: usize,
+    misses: usize,
+}
+
+impl Scatter<'_> {
+    /// Writes one masked entry, noting whether it changed.
+    fn write(&mut self, i: usize, gain: f64, occluded: bool) {
+        let g = if occluded { 0.0 } else { gain };
+        self.changed |= self.masked[i] != g;
+        self.masked[i] = g;
+    }
+
+    /// Copies column `r`'s live-TX list into `out` and returns the pose its
+    /// gains were computed for.
+    fn read_live(&self, r: usize, out: &mut Vec<u32>) -> Pose {
+        out.clear();
+        out.extend_from_slice(&self.cols[r].live);
+        self.cols[r].pose
+    }
+
+    /// A partial: re-masks column `r`'s live links, of which `occluded`
+    /// (an ascending subset) are blocked. Dead links stay exact zeros.
+    fn partial(&mut self, r: usize, occluded: &[u32]) {
+        self.partials += 1;
+        let live = mem::take(&mut self.cols[r].live);
+        let mut next = occluded.iter().peekable();
+        for &t in &live {
+            let i = t as usize * self.n_rx + r;
+            self.write(i, self.clear[i], next.next_if_eq(&&t).is_some());
+        }
+        let col = &mut self.cols[r];
+        col.live = live;
+        col.occluded = occluded.len();
+    }
+
+    /// A miss: stores column `r`'s new pose, clear gains and live list,
+    /// and masks it into the caller's matrix, blocking the `occluded` TXs
+    /// (ascending).
+    fn miss(&mut self, r: usize, pose: Pose, gains: &[f64], occluded: &[u32]) {
+        self.misses += 1;
+        let mut live = mem::take(&mut self.cols[r].live);
+        live.clear();
+        live.reserve_exact(gains.iter().filter(|&&g| g != 0.0).count());
+        let mut next = occluded.iter().peekable();
+        for (t, &gain) in gains.iter().enumerate() {
+            let i = t * self.n_rx + r;
+            self.clear[i] = gain;
+            self.write(i, gain, next.next_if_eq(&&(t as u32)).is_some());
+            if gain != 0.0 {
+                live.push(t as u32);
+            }
+        }
+        self.cols[r] = Column {
+            pose,
+            live,
+            occluded: occluded.len(),
+        };
+    }
 }
 
 /// Per-column state for the incremental channel engine.
@@ -89,23 +217,18 @@ enum Col {
 pub struct ChannelUpdater {
     grid: TxGrid,
     lambertian_m: f64,
-    optics: RxOptics,
-    /// Pose each column was last computed for.
-    poses: Vec<Pose>,
+    /// The receiver optics' kernel constants, derived once (the FOV
+    /// threshold is a bisection).
+    profile: RxProfile,
+    /// One entry per receiver column.
+    cols: Vec<Column>,
     blockers: Vec<CylinderBlocker>,
     /// Clear LOS gains.
     clear: ChannelMatrix,
-    /// Occlusion mask, row-major `n_tx × n_rx` (the matrix layout).
-    blocked: Vec<bool>,
-    /// Per-column count of occluded live links.
-    col_blocked: Vec<usize>,
-    /// Per-column ascending live-TX lists: the indices with nonzero clear
-    /// gain, rebuilt whenever a column is recomputed. The partial path
-    /// re-tests occlusion only for these links — a dead link masks to the
-    /// same exact zero whether or not a blocker crosses it.
-    live: Vec<Vec<u32>>,
-    /// Per-column classification scratch, reused across updates.
-    classes: Vec<Col>,
+    /// The current update's dirty columns, reused across updates.
+    dirty: Vec<(usize, Redo)>,
+    /// One column buffer per worker lane, reused across updates.
+    lanes: Lanes,
     primed: bool,
     /// A column was removed since the last update.
     removed: bool,
@@ -119,14 +242,12 @@ impl ChannelUpdater {
         ChannelUpdater {
             grid: grid.clone(),
             lambertian_m: lambertian_order(half_power_semi_angle),
-            optics: *optics,
-            poses: Vec::new(),
+            profile: optics.profile(),
+            cols: Vec::new(),
             blockers: Vec::new(),
             clear: ChannelMatrix::from_gains(grid.len(), 0, Vec::new()),
-            blocked: Vec::new(),
-            col_blocked: Vec::new(),
-            live: Vec::new(),
-            classes: Vec::new(),
+            dirty: Vec::new(),
+            lanes: Lanes::default(),
             primed: false,
             removed: false,
         }
@@ -156,7 +277,9 @@ impl ChannelUpdater {
     /// child per *recomputed* column (indexed by RX, so the span tree
     /// depends only on what changed, never on the worker count), and
     /// bumping the `channel.cache.hit` / `channel.cache.partial` /
-    /// `channel.cache.miss` counters.
+    /// `channel.cache.miss` counters. Dirty columns are computed into
+    /// buffers the updater keeps (one per worker lane), so an update that
+    /// keeps the receiver count allocates nothing once warm.
     pub fn update_traced(
         &mut self,
         receivers: &[Pose],
@@ -177,7 +300,7 @@ impl ChannelUpdater {
         // Receivers appended after the stored columns get fresh (miss)
         // columns; any other count change, or a caller matrix that does not
         // hold the stored columns, invalidates the layout wholesale.
-        let stored = self.poses.len();
+        let stored = self.cols.len();
         if channel.n_tx() != n_tx || channel.n_rx() != stored {
             self.primed = false;
         }
@@ -190,136 +313,118 @@ impl ChannelUpdater {
             self.primed = false;
         }
         if !self.primed {
-            self.poses = receivers.to_vec();
+            self.cols.clear();
+            self.cols.reserve_exact(n_rx);
+            self.cols
+                .extend(receivers.iter().map(|&pose| Column::new(pose)));
             self.clear.reset_zeroed(n_tx, n_rx);
-            self.blocked = vec![false; n_tx * n_rx];
-            self.col_blocked = vec![0; n_rx];
-            self.live = vec![Vec::new(); n_rx];
             channel.reset_zeroed(n_tx, n_rx);
         }
         let blockers_changed = !self.primed || self.blockers != blockers;
 
-        let mut classes = mem::take(&mut self.classes);
-        classes.clear();
-        classes.extend((0..n_rx).map(|r| {
-            let moved = !self.primed
-                || r >= stored
-                || self.poses[r].boresight != receivers[r].boresight
-                || self.poses[r].position.distance(receivers[r].position) > 0.0;
-            if moved {
-                Col::Miss
-            } else if blockers_changed {
-                Col::Partial
-            } else {
-                Col::Hit
-            }
-        }));
+        let mut dirty = mem::take(&mut self.dirty);
+        dirty.clear();
+        dirty.reserve_exact(n_rx);
+        dirty.extend(
+            self.cols
+                .iter()
+                .zip(receivers)
+                .enumerate()
+                .filter_map(|(r, (col, rx))| {
+                    let moved = !self.primed
+                        || r >= stored
+                        || col.pose.boresight != rx.boresight
+                        || col.pose.position.distance(rx.position) > 0.0;
+                    if moved {
+                        Some((r, Redo::Miss))
+                    } else if blockers_changed {
+                        Some((r, Redo::Partial))
+                    } else {
+                        None
+                    }
+                }),
+        );
+        let hits = n_rx - dirty.len();
 
-        // Recompute the dirty columns in parallel; each work item returns
-        // the new LOS column (misses only) and occlusion column.
+        // Recompute the dirty columns on up to one lane per worker: lane `k`
+        // takes dirty columns `k`, `k + lanes`, …, computes each into its
+        // own buffer and writes it into the stores under the scatter lock.
+        // Columns are disjoint and `changed` is an OR, so the stores come
+        // out the same whichever lane writes first.
+        let n_lanes = pool.jobs().get().min(dirty.len());
+        self.lanes.ensure(n_lanes);
+        let scatter = Mutex::new(Scatter {
+            n_rx,
+            cols: &mut self.cols,
+            clear: self.clear.gains_mut(),
+            masked: channel.gains_mut(),
+            changed,
+            partials: 0,
+            misses: 0,
+        });
+        let store = || scatter.lock().expect("a column write never panics");
         let grid = &self.grid;
         let m = self.lambertian_m;
-        let profile = self.optics.profile();
-        let poses = &self.poses;
-        let live = &self.live;
-        // New LOS gains (misses only) plus the occlusion column.
-        type DirtyCol = (Option<Vec<f64>>, Vec<bool>);
-        let cols: Vec<Option<DirtyCol>> = pool.map_indexed(n_rx, |r| {
-            match classes[r] {
-                Col::Hit => None,
-                Col::Partial => {
-                    let _col = span.child_indexed("channel.update.col", r);
-                    // Pose unchanged: keep the cached LOS gains, re-test
-                    // occlusion against the pose they were computed for so
-                    // gains and mask stay geometrically consistent. Only
-                    // the live (nonzero-gain) links are re-tested: a dead
-                    // link masks to the same exact zero either way and
-                    // never counts as blocked.
-                    let pose = poses[r];
-                    let mut mask = vec![false; n_tx];
-                    for &t in &live[r] {
-                        let t = t as usize;
-                        mask[t] = any_blocks(blockers, grid.pose(t).position, pose.position);
+        let profile = &self.profile;
+        let lanes = &self.lanes.0;
+        pool.map_indexed(n_lanes, |lane| {
+            let mut buf = lanes[lane].lock().expect("each lane is one item");
+            let ColumnBuf {
+                gains,
+                live,
+                occluded,
+            } = &mut *buf;
+            for &(r, redo) in dirty[lane..].iter().step_by(n_lanes) {
+                let _col = span.child_indexed("channel.update.col", r);
+                occluded.clear();
+                match redo {
+                    Redo::Partial => {
+                        // Pose unchanged: keep the cached LOS gains and
+                        // re-test occlusion against the pose they were
+                        // computed for, so gains and mask stay
+                        // geometrically consistent.
+                        let pose = store().read_live(r, live);
+                        for &t in live.iter() {
+                            let tx = grid.pose(t as usize).position;
+                            if any_blocks(blockers, tx, pose.position) {
+                                occluded.push(t);
+                            }
+                        }
+                        store().partial(r, occluded);
                     }
-                    Some((None, mask))
-                }
-                Col::Miss => {
-                    let _col = span.child_indexed("channel.update.col", r);
-                    let pose = receivers[r];
-                    let mut gains = Vec::with_capacity(n_tx);
-                    for t in 0..n_tx {
-                        gains.push(los_gain_profiled(&grid.pose(t), &pose, m, &profile));
+                    Redo::Miss => {
+                        // Occlusion only matters where the clear gain is
+                        // nonzero; dead links are never blocked.
+                        let pose = receivers[r];
+                        gains.clear();
+                        gains.reserve_exact(n_tx);
+                        for t in 0..n_tx {
+                            let tx = grid.pose(t);
+                            let g = los_gain_profiled(&tx, &pose, m, profile);
+                            gains.push(g);
+                            if g != 0.0 && any_blocks(blockers, tx.position, pose.position) {
+                                occluded.push(t as u32);
+                            }
+                        }
+                        store().miss(r, pose, gains, occluded);
                     }
-                    // Occlusion only matters where the clear gain is
-                    // nonzero; dead links keep a clear `false` mask.
-                    let mask = gains
-                        .iter()
-                        .enumerate()
-                        .map(|(t, &g)| {
-                            g != 0.0 && any_blocks(blockers, grid.pose(t).position, pose.position)
-                        })
-                        .collect();
-                    Some((Some(gains), mask))
                 }
             }
         });
-
-        // Scatter the recomputed columns into the row-major stores and
-        // re-mask each into the caller's matrix, noting any entry that
-        // changes. A partial column only re-masks its live links: a dead
-        // link is an exact zero either way.
-        let mut hits = 0usize;
-        let mut partials = 0usize;
-        let mut misses = 0usize;
-        let clear = self.clear.gains_mut();
-        let masked = channel.gains_mut();
-        let mut write = |i: usize, gain: f64, blocked: bool| {
-            let g = if blocked { 0.0 } else { gain };
-            changed |= masked[i] != g;
-            masked[i] = g;
-        };
-        for (r, col) in cols.into_iter().enumerate() {
-            match (classes[r], col) {
-                (Col::Hit, None) => hits += 1,
-                (Col::Partial, Some((None, mask))) => {
-                    partials += 1;
-                    for (t, &blocked) in mask.iter().enumerate() {
-                        self.blocked[t * n_rx + r] = blocked;
-                    }
-                    for &t in &self.live[r] {
-                        let i = t as usize * n_rx + r;
-                        write(i, clear[i], self.blocked[i]);
-                    }
-                    self.col_blocked[r] = mask.iter().filter(|&&b| b).count();
-                }
-                (Col::Miss, Some((Some(gains), mask))) => {
-                    misses += 1;
-                    self.poses[r] = receivers[r];
-                    let col_live = &mut self.live[r];
-                    col_live.clear();
-                    col_live.reserve_exact(gains.iter().filter(|&&g| g != 0.0).count());
-                    for (t, (&gain, &blocked)) in gains.iter().zip(mask.iter()).enumerate() {
-                        let i = t * n_rx + r;
-                        clear[i] = gain;
-                        self.blocked[i] = blocked;
-                        write(i, gain, blocked);
-                        if gain != 0.0 {
-                            col_live.push(t as u32);
-                        }
-                    }
-                    self.col_blocked[r] = mask.iter().filter(|&&b| b).count();
-                }
-                _ => unreachable!("column result matches its class"),
-            }
-        }
-        self.classes = classes;
+        let Scatter {
+            changed,
+            partials,
+            misses,
+            ..
+        } = scatter.into_inner().expect("a column write never panics");
+        self.dirty = dirty;
         if blockers_changed {
             self.blockers.clear();
             self.blockers.extend_from_slice(blockers);
         }
         self.primed = true;
         self.removed = false;
-        let blocked_links = self.col_blocked.iter().sum();
+        let blocked_links = self.cols.iter().map(|c| c.occluded).sum();
 
         if span.is_enabled() {
             span.attr("hits", &hits.to_string());
@@ -333,7 +438,7 @@ impl ChannelUpdater {
         telemetry.counter("channel.cache.miss").add(misses as u64);
         // Links with nonzero clear gain (the ones a blocker change
         // re-tests) and the exact zeros it skips.
-        let live_links: usize = self.live.iter().map(Vec::len).sum();
+        let live_links: usize = self.cols.iter().map(|c| c.live.len()).sum();
         telemetry.counter(COUNTER_FOV_LIVE).add(live_links as u64);
         telemetry
             .counter(COUNTER_FOV_CULLED)
@@ -348,27 +453,24 @@ impl ChannelUpdater {
         }
     }
 
-    /// Drops receiver column `idx`: its pose, clear gains, occlusion mask
-    /// and live list, and the same column of the caller's masked
-    /// `channel`, whose storage shrinks to the exact new size. Later
-    /// columns shift left, as `Vec::remove` does on the caller's receiver
-    /// list, and keep their cached state, so the next [`Self::update`] on
-    /// the shortened list recomputes nothing for them (and reports
-    /// `changed`). An unprimed updater, an `idx` past the stored columns (a
-    /// receiver never sounded) or a `channel` that does not hold the stored
-    /// columns re-primes on the next update instead.
+    /// Drops receiver column `idx`: its pose, clear gains and live list,
+    /// and the same column of the caller's masked `channel`, whose storage
+    /// shrinks to the exact new size. Later columns shift left, as
+    /// `Vec::remove` does on the caller's receiver list, and keep their
+    /// cached state, so the next [`Self::update`] on the shortened list
+    /// recomputes nothing for them (and reports `changed`). An unprimed
+    /// updater, an `idx` past the stored columns (a receiver never
+    /// sounded) or a `channel` that does not hold the stored columns
+    /// re-primes on the next update instead.
     pub fn remove_rx(&mut self, idx: usize, channel: &mut ChannelMatrix) {
         let n_tx = self.grid.len();
-        let n_rx = self.poses.len();
+        let n_rx = self.cols.len();
         if !self.primed || idx >= n_rx || channel.n_tx() != n_tx || channel.n_rx() != n_rx {
             self.primed = false;
             return;
         }
         self.clear.remove_rx(idx);
-        remove_rx_column(&mut self.blocked, n_tx, n_rx, idx);
-        self.col_blocked.remove(idx);
-        self.poses.remove(idx);
-        self.live.remove(idx);
+        self.cols.remove(idx);
         channel.remove_rx(idx);
         channel.shrink_to_fit();
         self.removed = true;
@@ -384,17 +486,10 @@ impl ChannelUpdater {
     /// columns are placeholders that the calling update recomputes as
     /// misses. Storage grows to the exact new size, never by doubling.
     fn append_receivers(&mut self, appended: &[Pose]) {
-        let n_tx = self.grid.len();
-        let old = self.poses.len();
-        let n_rx = old + appended.len();
-        self.clear.append_rx(n_rx);
-        append_rx_columns(&mut self.blocked, n_tx, old, n_rx, false);
-        self.col_blocked.reserve_exact(appended.len());
-        self.col_blocked.resize(n_rx, 0);
-        self.poses.reserve_exact(appended.len());
-        self.poses.extend_from_slice(appended);
-        self.live.reserve_exact(appended.len());
-        self.live.resize_with(n_rx, Vec::new);
+        self.clear.append_rx(self.cols.len() + appended.len());
+        self.cols.reserve_exact(appended.len());
+        self.cols
+            .extend(appended.iter().map(|&pose| Column::new(pose)));
     }
 }
 

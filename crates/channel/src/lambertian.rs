@@ -162,8 +162,9 @@ impl RxProfile {
     /// [`Self::gain_from_cos`] without the per-call `acos`: one comparison
     /// against the bisected [`Self::cos_fov_threshold`], which takes the
     /// same branch for every representable input (see
-    /// [`cos_fov_threshold`]). The quadrature lane kernels call this per
-    /// patch; the `acos` form stays as the scalar reference.
+    /// [`cos_fov_threshold`]). [`los_gain_profiled`] calls this per link and
+    /// the quadrature lane kernels per patch; the `acos` form stays as the
+    /// scalar reference.
     #[inline]
     pub fn gain_from_cos_fast(&self, cos_incidence: f64) -> f64 {
         if cos_incidence.clamp(-1.0, 1.0) >= self.cos_fov_threshold {
@@ -222,16 +223,20 @@ pub fn los_gain(tx: &Pose, rx: &Pose, lambertian_m: f64, optics: &RxOptics) -> f
 }
 
 /// [`los_gain`] with a precomputed [`RxProfile`]: the fused kernel behind
-/// the SoA channel sweeps. One subtraction, one squared norm, and one
-/// square root serve both the irradiation and incidence cosines (the
-/// reference path normalizes the TX→RX ray three times), and the
-/// concentrator peak comes from the profile instead of a per-call `sin²`.
+/// the SoA channel sweeps and the incremental updater. One subtraction, one
+/// squared norm, and one square root serve both the irradiation and
+/// incidence cosines (the reference path normalizes the TX→RX ray three
+/// times), the concentrator peak comes from the profile instead of a
+/// per-call `sin²`, and the FOV test is one comparison against the
+/// bisected [`RxProfile::cos_fov_threshold`] instead of an `acos`
+/// ([`RxProfile::gain_from_cos_fast`], which takes the same branch as the
+/// `acos` form for every input).
 ///
 /// Bitwise identical to [`los_gain`] — pinned by the
-/// `tests/soa_identity.rs` proptests. The only representational
-/// difference is the sign of zero in components of the negated ray
-/// direction, which can only flip the sign of a *zero* `cos ψ`, and both
-/// signed zeros take the same `≤ 0` early-out.
+/// `tests/soa_identity.rs` proptests and by the FOV-boundary cases below.
+/// The only representational difference is the sign of zero in components
+/// of the negated ray direction, which can only flip the sign of a *zero*
+/// `cos ψ`, and both signed zeros take the same `≤ 0` early-out.
 pub fn los_gain_profiled(tx: &Pose, rx: &Pose, lambertian_m: f64, profile: &RxProfile) -> f64 {
     let ray = rx.position - tx.position;
     let d2 = ray.norm_sq();
@@ -246,7 +251,7 @@ pub fn los_gain_profiled(tx: &Pose, rx: &Pose, lambertian_m: f64, profile: &RxPr
     if cos_phi <= 0.0 || cos_psi <= 0.0 {
         return 0.0;
     }
-    let g = profile.gain_from_cos(cos_psi);
+    let g = profile.gain_from_cos_fast(cos_psi);
     if g == 0.0 {
         return 0.0;
     }
@@ -458,6 +463,41 @@ mod tests {
             let reference = los_gain(&tx, &rx, m, &optics);
             let fused = los_gain_profiled(&tx, &rx, m, &profile);
             assert_eq!(reference.to_bits(), fused.to_bits(), "tx {tx:?} rx {rx:?}");
+        }
+    }
+
+    #[test]
+    fn profiled_los_gain_matches_reference_across_the_fov_boundary() {
+        // An RX straight below a ceiling TX sees it along +z, so its
+        // incidence cosine is exactly its boresight's z component: a
+        // boresight tilted to z = c puts cos ψ on any chosen value. Walk c
+        // over the bisected threshold and the 16 representable cosines on
+        // each side of it. `los_gain` decides the cone by `acos`.
+        let m = m15();
+        let tx = Pose::ceiling(1.0, 1.0, 2.8);
+        for fov_deg in [15.0, 40.0, 60.0] {
+            let optics = RxOptics {
+                fov_half_angle: f64::to_radians(fov_deg),
+                ..RxOptics::paper()
+            };
+            let profile = optics.profile();
+            let t = profile.cos_fov_threshold;
+            for step in -16i64..=16 {
+                let c = f64::from_bits(t.to_bits().wrapping_add_signed(step));
+                let rx = Pose {
+                    position: Vec3::new(1.0, 1.0, 0.8),
+                    boresight: Vec3::new((1.0 - c * c).sqrt(), 0.0, c),
+                };
+                assert_eq!(rx.cos_incidence(tx.position), c);
+                let reference = los_gain(&tx, &rx, m, &optics);
+                let fused = los_gain_profiled(&tx, &rx, m, &profile);
+                assert_eq!(
+                    reference.to_bits(),
+                    fused.to_bits(),
+                    "fov {fov_deg}°, {step} ulps from the threshold"
+                );
+                assert_eq!(reference > 0.0, step >= 0, "fov {fov_deg}°, step {step}");
+            }
         }
     }
 

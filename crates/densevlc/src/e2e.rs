@@ -1550,11 +1550,11 @@ mod tests {
         let controller = Controller::new(ControllerConfig::paper(1.2), 36, 4);
         let plan = controller.plan(&d.model.channel);
         let beamspots: Vec<E2eBeamspot> = plan
-            .beamspots
-            .iter()
+            .beamspots()
+            .into_iter()
             .map(|s| E2eBeamspot {
                 rx: s.rx,
-                txs: s.txs.clone(),
+                txs: s.txs,
             })
             .collect();
         assert_eq!(beamspots.len(), 4);
@@ -1581,11 +1581,11 @@ mod tests {
         let controller = Controller::new(ControllerConfig::paper(0.6), 36, 4);
         let plan = controller.plan(&d.model.channel);
         let mut beamspots: Vec<E2eBeamspot> = plan
-            .beamspots
-            .iter()
+            .beamspots()
+            .into_iter()
             .map(|s| E2eBeamspot {
                 rx: s.rx,
-                txs: s.txs.clone(),
+                txs: s.txs,
             })
             .collect();
         assert!(beamspots.len() >= 2);
@@ -2031,11 +2031,11 @@ mod tests {
         let controller = Controller::new(ControllerConfig::paper(1.2), 36, 4);
         let plan = controller.plan(&d.model.channel);
         let beamspots: Vec<E2eBeamspot> = plan
-            .beamspots
-            .iter()
+            .beamspots()
+            .into_iter()
             .map(|s| E2eBeamspot {
                 rx: s.rx,
-                txs: s.txs.clone(),
+                txs: s.txs,
             })
             .collect();
         for cfg in [E2eConfig::default(), fractional_rate()] {

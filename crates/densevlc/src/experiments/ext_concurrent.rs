@@ -45,11 +45,11 @@ pub fn run(scenario: Scenario, budget_w: f64, frames: usize, seed: u64) -> ExtCo
     );
     let plan = controller.plan(&d.model.channel);
     let beamspots: Vec<E2eBeamspot> = plan
-        .beamspots
-        .iter()
+        .beamspots()
+        .into_iter()
         .map(|s| E2eBeamspot {
             rx: s.rx,
-            txs: s.txs.clone(),
+            txs: s.txs,
         })
         .collect();
     let results = run_concurrent(

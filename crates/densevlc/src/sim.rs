@@ -346,7 +346,7 @@ impl Simulation {
                         telemetry.counter("mac.plan.cache_hits").inc();
                         let span = tick_trace.child("mac.plan.cached");
                         if span.is_enabled() {
-                            span.attr("beamspots", &plan.beamspots.len().to_string());
+                            span.attr("beamspots", &plan.beamspots().len().to_string());
                         }
                     }
                     _ => {

@@ -108,7 +108,7 @@ mod tests {
     fn adapt_serves_all_receivers_with_enough_budget() {
         let mut sys = System::scenario(Scenario::Two, 1.2);
         let round = sys.adapt();
-        assert_eq!(round.plan.beamspots.len(), 4);
+        assert_eq!(round.plan.beamspots().len(), 4);
         assert!(round.per_rx_bps.iter().all(|&t| t > 0.0));
         assert!(round.power_w <= 1.2 + 1e-9);
     }

@@ -1,14 +1,14 @@
 //! The controller's decision logic (paper §3.2, §7.2).
 //!
 //! After each channel-measurement round the controller rebuilds the channel
-//! matrix from the receivers' reports, runs the SJR ranking heuristic under
-//! the configured power budget, groups the selected TXs into per-receiver
-//! beamspots, and appoints each beamspot's highest-ranked TX as its leading
-//! TX for NLOS-VLC synchronization.
+//! matrix from the receivers' reports and runs the SJR ranking heuristic
+//! under the configured power budget. The plan's beamspots group the
+//! selected TXs per receiver, and each beamspot's highest-ranked TX is its
+//! leading TX for NLOS-VLC synchronization.
 
 use crate::protocol::{ChannelReport, RxId, TxId};
 use serde::{Deserialize, Serialize};
-use vlc_alloc::heuristic::{allocate_by_ranking, rank_by_sjr};
+use vlc_alloc::heuristic::{allocate_by_ranking, rank_by_sjr, RankedTx};
 use vlc_alloc::model::Allocation;
 use vlc_alloc::HeuristicConfig;
 use vlc_channel::ChannelMatrix;
@@ -27,29 +27,60 @@ pub struct Beamspot {
     pub leader: TxId,
 }
 
-/// The controller's output for one adaptation round.
+/// The controller's output for one adaptation round: Algorithm 1's
+/// ranking and the swing allocation it produced. The beamspots are a view
+/// of the two, derived on demand by [`Self::beamspots`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BeamspotPlan {
-    /// One beamspot per served receiver (receivers with no assigned TX
-    /// under the current budget are absent).
-    pub beamspots: Vec<Beamspot>,
+    /// The SJR ranking, best first: one entry per TX.
+    pub ranking: Vec<RankedTx>,
     /// The full swing allocation backing the plan.
     pub allocation: Allocation,
 }
 
 impl BeamspotPlan {
-    /// The beamspot serving `rx`, if any.
-    pub fn beamspot_for(&self, rx: RxId) -> Option<&Beamspot> {
-        self.beamspots.iter().find(|b| b.rx == rx)
+    /// The ranked entries the allocation switched on, best first.
+    fn served(&self) -> impl Iterator<Item = &RankedTx> + '_ {
+        self.ranking
+            .iter()
+            .filter(|e| self.allocation.swing(e.tx, e.rx) > 0.0)
     }
 
-    /// All communicating TXs across beamspots.
+    /// Whether the plan serves any receiver: false exactly when the budget
+    /// switched on no TX (an infeasible round).
+    pub fn serves_anyone(&self) -> bool {
+        self.served().next().is_some()
+    }
+
+    /// One beamspot per served receiver, ordered by each receiver's
+    /// best-ranked TX. A beamspot lists its TXs best-ranked first, and that
+    /// first TX (the best channel) leads it. Receivers with no assigned TX
+    /// under the budget are absent.
+    pub fn beamspots(&self) -> Vec<Beamspot> {
+        let mut beamspots: Vec<Beamspot> = Vec::new();
+        for entry in self.served() {
+            match beamspots.iter_mut().find(|b| b.rx == entry.rx) {
+                Some(spot) => spot.txs.push(entry.tx),
+                None => beamspots.push(Beamspot {
+                    rx: entry.rx,
+                    txs: vec![entry.tx],
+                    leader: entry.tx,
+                }),
+            }
+        }
+        beamspots
+    }
+
+    /// The beamspot serving `rx`, if any.
+    pub fn beamspot_for(&self, rx: RxId) -> Option<Beamspot> {
+        let txs: Vec<TxId> = self.served().filter(|e| e.rx == rx).map(|e| e.tx).collect();
+        let leader = *txs.first()?;
+        Some(Beamspot { rx, txs, leader })
+    }
+
+    /// All communicating TXs across beamspots, ascending.
     pub fn active_txs(&self) -> Vec<TxId> {
-        let mut txs: Vec<TxId> = self
-            .beamspots
-            .iter()
-            .flat_map(|b| b.txs.iter().copied())
-            .collect();
+        let mut txs: Vec<TxId> = self.served().map(|e| e.tx).collect();
         txs.sort_unstable();
         txs
     }
@@ -78,6 +109,11 @@ impl ControllerConfig {
 }
 
 /// The DenseVLC controller.
+///
+/// Its receiver count sizes the report table only: [`Self::plan`] takes a
+/// channel with any number of receivers, so a planner that never ingests
+/// reports (a building shard, whose roster changes) can be built with
+/// `n_rx = 0` once.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Controller {
     /// Configuration.
@@ -89,9 +125,10 @@ pub struct Controller {
 }
 
 impl Controller {
-    /// Creates a controller for an `n_tx × n_rx` deployment.
+    /// Creates a controller for `n_tx` TXs that takes reports from `n_rx`
+    /// receivers.
     pub fn new(config: ControllerConfig, n_tx: usize, n_rx: usize) -> Self {
-        assert!(n_tx > 0 && n_rx > 0, "deployment must have TXs and RXs");
+        assert!(n_tx > 0, "deployment must have TXs");
         Controller {
             config,
             n_tx,
@@ -169,11 +206,13 @@ impl Controller {
     /// [`Self::plan`] with telemetry and tracing: total plan time into the
     /// `mac.plan_s` histogram with the ranking and allocation phases broken
     /// out (`mac.rank_s`, `mac.allocate_s`), a `mac.rounds_planned` count,
-    /// and — when the budget serves no receiver — a `mac.infeasible_rounds`
-    /// count plus an `infeasible_round` event. Records a `mac.plan` span
-    /// under `parent`, with `mac.rank` and `mac.allocate` children for the
-    /// two decision phases. With a noop registry and parent this is the
-    /// plain path plus one branch per span site.
+    /// and — when no ranked TX gets a positive swing, so the plan serves no
+    /// receiver — a `mac.infeasible_rounds` count plus an
+    /// `infeasible_round` event. Records a `mac.plan` span under `parent`,
+    /// with `mac.rank` and `mac.allocate` children for the two decision
+    /// phases; its `beamspots` attribute is derived only when the span is
+    /// enabled. With a noop registry and parent this is the plain path plus
+    /// one branch per span site.
     pub fn plan_traced(
         &self,
         channel: &ChannelMatrix,
@@ -181,7 +220,6 @@ impl Controller {
         parent: &Span,
     ) -> BeamspotPlan {
         assert_eq!(channel.n_tx(), self.n_tx);
-        assert_eq!(channel.n_rx(), self.n_rx);
         let plan_trace = parent.child("mac.plan");
         if plan_trace.is_enabled() {
             plan_trace.attr("budget_w", &format!("{}", self.config.budget_w));
@@ -198,30 +236,18 @@ impl Controller {
             let _allocate_span = telemetry.span("mac.allocate_s");
             allocate_by_ranking(
                 &ranking,
-                self.n_tx,
-                self.n_rx,
+                channel.n_tx(),
+                channel.n_rx(),
                 &self.config.led,
                 self.config.budget_w,
                 &self.config.heuristic,
             )
         };
-        // Group active TXs into beamspots, preserving rank order so the
-        // first TX of each group (the best channel) becomes the leader.
-        let mut beamspots: Vec<Beamspot> = Vec::new();
-        for entry in &ranking {
-            if allocation.swing(entry.tx, entry.rx) <= 0.0 {
-                continue;
-            }
-            match beamspots.iter_mut().find(|b| b.rx == entry.rx) {
-                Some(spot) => spot.txs.push(entry.tx),
-                None => beamspots.push(Beamspot {
-                    rx: entry.rx,
-                    txs: vec![entry.tx],
-                    leader: entry.tx,
-                }),
-            }
-        }
-        if beamspots.is_empty() {
+        let plan = BeamspotPlan {
+            ranking,
+            allocation,
+        };
+        if !plan.serves_anyone() {
             telemetry.counter("mac.infeasible_rounds").inc();
             telemetry.event(
                 "mac.controller",
@@ -230,12 +256,9 @@ impl Controller {
             );
         }
         if plan_trace.is_enabled() {
-            plan_trace.attr("beamspots", &beamspots.len().to_string());
+            plan_trace.attr("beamspots", &plan.beamspots().len().to_string());
         }
-        BeamspotPlan {
-            beamspots,
-            allocation,
-        }
+        plan
     }
 }
 
@@ -266,8 +289,8 @@ mod tests {
     fn plan_groups_txs_into_beamspots_with_leaders() {
         let ctl = controller(1.2);
         let plan = ctl.plan(&channel());
-        assert!(!plan.beamspots.is_empty());
-        for spot in &plan.beamspots {
+        assert!(!plan.beamspots().is_empty());
+        for spot in plan.beamspots() {
             assert_eq!(spot.leader, spot.txs[0], "leader is the best-ranked TX");
             assert!(!spot.txs.is_empty());
             // Every TX in the spot has full swing toward this RX.
@@ -306,7 +329,7 @@ mod tests {
         let ctl = controller(0.0);
         let telemetry = Registry::new();
         let plan = ctl.plan_traced(&channel(), &telemetry, &Span::noop());
-        assert!(plan.beamspots.is_empty());
+        assert!(plan.beamspots().is_empty());
         let snap = telemetry.snapshot();
         assert_eq!(snap.counter("mac.infeasible_rounds"), Some(1));
         assert_eq!(snap.counter("mac.rounds_planned"), Some(1));
@@ -326,7 +349,7 @@ mod tests {
         let ctl = controller(1.2);
         let telemetry = Registry::new();
         let plan = ctl.plan_traced(&channel(), &telemetry, &Span::noop());
-        assert!(!plan.beamspots.is_empty());
+        assert!(!plan.beamspots().is_empty());
         let snap = telemetry.snapshot();
         assert_eq!(snap.counter("mac.infeasible_rounds"), None);
         assert_eq!(snap.events_of_kind("infeasible_round").count(), 0);
@@ -365,7 +388,7 @@ mod tests {
         // The default path: noop registry and noop parent span. Nothing
         // may be recorded anywhere — this is the zero-cost opt-out.
         let plan = ctl.plan(&channel());
-        assert!(!plan.beamspots.is_empty());
+        assert!(!plan.beamspots().is_empty());
     }
 
     #[test]
@@ -415,7 +438,7 @@ mod tests {
     fn beamspot_lookup() {
         let ctl = controller(1.2);
         let plan = ctl.plan(&channel());
-        for spot in &plan.beamspots {
+        for spot in plan.beamspots() {
             assert_eq!(plan.beamspot_for(spot.rx).expect("present").rx, spot.rx);
         }
         assert!(plan.beamspot_for(99).is_none());

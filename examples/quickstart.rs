@@ -31,9 +31,9 @@ fn main() {
     let round = system.adapt_traced(&telemetry, &Span::noop());
     println!(
         "controller formed {} beamspots:",
-        round.plan.beamspots.len()
+        round.plan.beamspots().len()
     );
-    for spot in &round.plan.beamspots {
+    for spot in round.plan.beamspots() {
         let txs: Vec<String> = spot
             .txs
             .iter()

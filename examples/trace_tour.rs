@@ -28,7 +28,7 @@ fn main() {
     let round = system.adapt_traced(&telemetry, &root);
     println!(
         "adaptation round: {} beamspots, {:.2} Mb/s at {:.3} W",
-        round.plan.beamspots.len(),
+        round.plan.beamspots().len(),
         round.system_throughput_bps / 1e6,
         round.power_w
     );

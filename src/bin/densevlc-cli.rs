@@ -242,7 +242,7 @@ fn adapt(args: &[String], telemetry: &Registry, parent: &Span) {
     let mut system = System::scenario(scenario, budget);
     let round = system.adapt_traced(telemetry, parent);
     println!("{} @ {budget} W", scenario.label());
-    for spot in &round.plan.beamspots {
+    for spot in round.plan.beamspots() {
         let txs: Vec<String> = spot
             .txs
             .iter()
@@ -302,7 +302,7 @@ fn map(args: &[String], telemetry: &Registry, parent: &Span) {
 
     // Per-TX glyph: the digit of the served RX, or '.' for illumination.
     let mut glyph = vec!['.'; grid.len()];
-    for spot in &round.plan.beamspots {
+    for spot in round.plan.beamspots() {
         for &tx in &spot.txs {
             glyph[tx] = char::from_digit(spot.rx as u32 + 1, 10).unwrap_or('?');
         }
@@ -337,7 +337,7 @@ fn map(args: &[String], telemetry: &Registry, parent: &Span) {
         "\nsystem: {:.2} Mb/s at {:.3} W across {} beamspots",
         round.system_throughput_bps / 1e6,
         round.power_w,
-        round.plan.beamspots.len()
+        round.plan.beamspots().len()
     );
 }
 

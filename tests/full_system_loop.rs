@@ -29,7 +29,7 @@ fn report_driven_plan_matches_truth() {
     let plan_est = ctl.plan(&estimated);
     let plan_truth = ctl.plan(truth);
     assert_eq!(plan_est.active_txs(), plan_truth.active_txs());
-    assert_eq!(plan_est.beamspots.len(), plan_truth.beamspots.len());
+    assert_eq!(plan_est.beamspots().len(), plan_truth.beamspots().len());
 }
 
 /// The adaptation loop under mobility: the moving receiver keeps service

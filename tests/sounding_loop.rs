@@ -80,7 +80,7 @@ fn measured_sounding_reproduces_the_truth_plan() {
     // plan in its TX selection (weak-tail links may differ).
     let plan_measured = ctl.plan(&estimated);
     let plan_truth = ctl.plan(truth);
-    assert_eq!(plan_measured.beamspots.len(), 4, "an RX went unserved");
+    assert_eq!(plan_measured.beamspots().len(), 4, "an RX went unserved");
     let measured_txs = plan_measured.active_txs();
     let truth_txs = plan_truth.active_txs();
     let overlap = measured_txs
