@@ -74,6 +74,9 @@ impl Default for NoiseParams {
 pub const NOISE_BOUND_SIGMAS: f64 = 37.7;
 
 /// One Box–Muller pair of uniforms, drawn in the order `sample` draws them.
+/// A pair is exactly two `next_u64` outputs: `gen_range` over an `f64`
+/// range and `gen::<f64>` each take one and never reject, so
+/// [`AwgnCursor`] skips `k` pairs with `discard(2k)`.
 fn draw_pair<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
     let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
     let u2: f64 = rng.gen::<f64>();
@@ -132,11 +135,11 @@ impl AwgnChannel {
     }
 
     /// A cursor over the next `n` samples, the ones `n` calls to
-    /// [`Self::sample`] would return. It draws the RNG stream in the same
-    /// order but evaluates the Box–Muller transcendentals only for the
-    /// samples it adds somewhere; dropping it (or [`AwgnCursor::finish`])
-    /// draws the rest of the block and leaves this channel exactly as the
-    /// `n` eager calls would.
+    /// [`Self::sample`] would return. It walks the RNG stream in the same
+    /// order but draws uniforms and evaluates the Box–Muller
+    /// transcendentals only for the samples it adds somewhere; dropping it
+    /// (or [`AwgnCursor::finish`]) skips the rest of the block and leaves
+    /// this channel and the RNG exactly as the `n` eager calls would.
     pub fn cursor<'a, R: Rng + ?Sized>(
         &'a mut self,
         rng: &'a mut R,
@@ -164,9 +167,10 @@ impl AwgnChannel {
 /// A streaming view of one block of [`AwgnChannel`] samples, made by
 /// [`AwgnChannel::cursor`]. Sample `i` of the block is the value the
 /// `i`-th of `n` eager [`AwgnChannel::sample`] calls would return, bit for
-/// bit. The cursor moves forward only: [`Self::add_to`] draws past the
-/// samples before `from` (two RNG draws per pair, no transcendentals) and
-/// evaluates the ones in `from..to`. It holds no per-block buffer.
+/// bit. The cursor moves forward only: [`Self::add_to`] jumps the RNG
+/// past the whole pairs before `from` ([`rand::RngCore::discard`], no uniforms
+/// and no transcendentals) and evaluates the samples in `from..to`. It
+/// holds no per-block buffer.
 pub struct AwgnCursor<'a, R: Rng + ?Sized> {
     channel: &'a mut AwgnChannel,
     rng: &'a mut R,
@@ -215,7 +219,9 @@ impl<R: Rng + ?Sized> AwgnCursor<'_, R> {
         }
     }
 
-    /// Draws past every sample before `to` without evaluating it.
+    /// Draws past every sample before `to` without evaluating it: the RNG
+    /// jumps past the whole pairs, and only a pair whose sine half is
+    /// sample `to` is drawn.
     fn skip_to(&mut self, to: usize) {
         let to = to.min(self.len);
         if self.pos >= to {
@@ -224,10 +230,9 @@ impl<R: Rng + ?Sized> AwgnCursor<'_, R> {
         if self.carry.take().is_some() || self.pending.take().is_some() {
             self.pos += 1;
         }
-        while self.pos + 2 <= to {
-            draw_pair(self.rng);
-            self.pos += 2;
-        }
+        let pairs = (to - self.pos) / 2;
+        self.rng.discard(2 * pairs as u64);
+        self.pos += 2 * pairs;
         if self.pos < to {
             self.pending = Some(draw_pair(self.rng));
             self.pos += 1;

@@ -1,8 +1,9 @@
 //! Lazy-vs-eager identity for the AWGN cursor: every sample the cursor
 //! adds equals the eager `AwgnChannel::sample` value bit for bit, samples
 //! it skips stay untouched, and after `finish` the channel and the RNG are
-//! where `n` eager calls would leave them — odd tails and a spare carried
-//! in from an earlier block included.
+//! where `n` eager calls would leave them — odd tails, a spare carried
+//! in from an earlier block, and frame-sized blocks whose gaps the RNG
+//! jumps past included.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -94,6 +95,64 @@ proptest! {
         let a = eager_ch.sample(&mut eager_rng);
         let b = lazy_ch.sample(&mut lazy_rng);
         prop_assert_eq!(a.to_bits(), b.to_bits());
+        prop_assert_eq!(eager_rng.next_u64(), lazy_rng.next_u64());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Frame-sized blocks, read the way the frame pipeline reads them: a
+    /// few short ranges separated by gaps the cursor jumps. Gap lengths sit
+    /// within a few samples of 512 and 1024 — where the RNG's jump-ahead
+    /// switches from stepping to jumping (512 outputs, one pair per two
+    /// samples) — or span tens of thousands of samples.
+    #[test]
+    fn frame_sized_blocks_jump_exactly(
+        seed in any::<u64>(),
+        n in 30_000usize..60_000,
+        carry in any::<bool>(),
+        reads in proptest::collection::vec((0usize..4, 0usize..9, 1usize..40), 1..6),
+    ) {
+        let mut eager_ch = AwgnChannel::with_sigma(1.0);
+        let mut lazy_ch = AwgnChannel::with_sigma(1.0);
+        let mut eager_rng = StdRng::seed_from_u64(seed);
+        let mut lazy_rng = StdRng::seed_from_u64(seed);
+        if carry {
+            eager_ch.sample(&mut eager_rng);
+            lazy_ch.sample(&mut lazy_rng);
+        }
+        let eager: Vec<f64> = (0..n).map(|_| eager_ch.sample(&mut eager_rng)).collect();
+
+        let mut out: Vec<f64> = (0..n).map(base).collect();
+        let mut read = vec![false; n];
+        {
+            let mut cursor = lazy_ch.cursor(&mut lazy_rng, n);
+            let mut pos = 0;
+            for (kind, jitter, len) in reads {
+                let gap = match kind {
+                    0 => 508 + jitter,
+                    1 => 1020 + jitter,
+                    2 => 9_000 + 1_000 * jitter,
+                    _ => jitter,
+                };
+                let from = (pos + gap).min(n);
+                let to = (from + len).min(n);
+                cursor.add_to(&mut out, from, to);
+                read[from..to].fill(true);
+                pos = to;
+            }
+            cursor.finish();
+        }
+        for i in 0..n {
+            let want = if read[i] { base(i) + eager[i] } else { base(i) };
+            prop_assert_eq!(out[i].to_bits(), want.to_bits(), "sample {}", i);
+        }
+        for _ in 0..3 {
+            let a = eager_ch.sample(&mut eager_rng);
+            let b = lazy_ch.sample(&mut lazy_rng);
+            prop_assert_eq!(a.to_bits(), b.to_bits());
+        }
         prop_assert_eq!(eager_rng.next_u64(), lazy_rng.next_u64());
     }
 }

@@ -29,8 +29,8 @@ use vlc_phy::manchester::{manchester_decode, manchester_encode, Chip};
 use vlc_phy::packed::{packed_encode, PackedChips};
 use vlc_phy::rs::ReedSolomon;
 use vlc_phy::waveform::{
-    correlate_pattern, correlate_template, mix_into, render, render_packed_into, slice_chips,
-    slice_chips_packed_by, template_energy, ChipRuns, Sliced, Superposition, WaveformConfig,
+    correlate_pattern, mix_into, render, render_packed_into, slice_chips, slice_chips_packed_by,
+    ChipRuns, PreambleCorrelator, Sliced, Superposition, WaveformConfig,
 };
 use vlc_sync::SyncScheme;
 use vlc_telemetry::Registry;
@@ -554,12 +554,15 @@ pub fn run_scalar(
 ///   past it, a slicing window that sits inside one chip of every TX is
 ///   decided from that one level, and only the other windows are
 ///   rendered (see `Photodiode`).
-/// - Noise: an [`AwgnCursor`] draws the RNG stream exactly as the eager
-///   path does, but evaluates Box–Muller only where a sample is read —
-///   the preamble search region, then each slicing window that noise could
-///   flip (see `lazy_window_is_high` and its window sum rule). Whatever is
-///   left is drawn past when the frame ends, so the next frame starts on
-///   the same stream.
+/// - Noise: an [`AwgnCursor`] leaves the RNG stream exactly where the
+///   eager path does, but draws and evaluates Box–Muller only where a
+///   sample is read — the preamble search region, then each slicing
+///   window that noise could flip (see `lazy_window_is_high` and its
+///   window sum rule). The RNG jumps past the rest when the frame ends,
+///   so the next frame starts on the same stream.
+/// - Preamble lock: [`PreambleCorrelator`] scores exactly only the start
+///   offsets whose score bound can reach the best; the others cannot
+///   win, so the lock is the exhaustive scan's.
 /// - Slicing: a frame stops at its first pair of equal chips, which no
 ///   decode accepts — except under a live registry, where every chip is
 ///   sliced to record `phy.ber` (see `Photodiode::slice_and_decode`).
@@ -567,10 +570,10 @@ pub fn run_scalar(
 pub struct FramePipeline {
     wave_cfg: WaveformConfig,
     stack: RsStack,
-    /// The preamble rendered at unit amplitude, zero delay — exactly the
-    /// template `correlate_pattern` re-renders per call on the scalar path.
-    preamble_template: Vec<f64>,
-    preamble_energy: f64,
+    /// The preamble search over the preamble rendered at unit amplitude,
+    /// zero delay — exactly the template `correlate_pattern` re-renders
+    /// per call on the scalar path.
+    preamble: PreambleCorrelator,
     // Per-frame scratch (capacities persist across frames and runs).
     payload: Vec<u8>,
     wire: Vec<u8>,
@@ -613,12 +616,10 @@ impl FramePipeline {
             (pre.len() as f64 * wave_cfg.samples_per_chip()).round() as usize,
             &mut preamble_template,
         );
-        let preamble_energy = template_energy(&preamble_template);
         FramePipeline {
             wave_cfg,
             stack: RsStack::paper(),
-            preamble_template,
-            preamble_energy,
+            preamble: PreambleCorrelator::new(preamble_template),
             payload: Vec::new(),
             wire: Vec::new(),
             mac_tx: PackedChips::new(),
@@ -673,8 +674,7 @@ impl FramePipeline {
         let Self {
             wave_cfg,
             stack,
-            preamble_template,
-            preamble_energy,
+            preamble,
             payload,
             wire,
             mac_tx,
@@ -772,7 +772,7 @@ impl FramePipeline {
                 ));
             }
 
-            let search_len = 3 * guard + preamble_template.len();
+            let search_len = 3 * guard + preamble.template().len();
             {
                 let _render = telemetry.span("phy.waveform.render_s");
                 for (host_runs, &(_, offset)) in runs.iter_mut().zip(offsets.iter()) {
@@ -789,13 +789,7 @@ impl FramePipeline {
             }
             let lock = {
                 let _lock = telemetry.span("phy.preamble.lock_s");
-                correlate_template(
-                    &pd.samples,
-                    preamble_template,
-                    *preamble_energy,
-                    0,
-                    3 * guard,
-                )
+                preamble.search(&pd.samples, 0, 3 * guard)
             };
             let locked = match lock {
                 Some((_, score)) if score < 0.5 => None,
@@ -904,8 +898,7 @@ impl FramePipeline {
         let Self {
             wave_cfg,
             stack,
-            preamble_template,
-            preamble_energy,
+            preamble,
             wire,
             pd,
             runs,
@@ -948,7 +941,7 @@ impl FramePipeline {
 
         let spc = wave_cfg.samples_per_chip();
         let guard = (8.0 * spc) as usize;
-        let search_len = 3 * guard + preamble_template.len();
+        let search_len = 3 * guard + preamble.template().len();
         let mut air_time_s = 0.0;
         for _ in 0..frames {
             for i in 0..n {
@@ -1005,13 +998,7 @@ impl FramePipeline {
                 // draws out the rest of its block.
                 let mut noise = awgn.cursor(&mut rng, n_samples);
                 noise.add_to(&mut pd.samples, 0, search_len);
-                let Some((start, score)) = correlate_template(
-                    &pd.samples,
-                    preamble_template,
-                    *preamble_energy,
-                    0,
-                    3 * guard,
-                ) else {
+                let Some((start, score)) = preamble.search(&pd.samples, 0, 3 * guard) else {
                     continue;
                 };
                 if score < 0.3 {

@@ -670,13 +670,45 @@ impl WordFill {
 /// Start offsets [`correlate_template`] scores per pass over the template.
 const CORRELATE_LANES: usize = 4;
 
+/// Energy-root floor of the correlators: a window whose `√energy` is below
+/// it is skipped.
+const ENERGY_FLOOR: f64 = 1e-30;
+
+/// The correlators' selection rule for one scored start: a window below
+/// [`ENERGY_FLOOR`] is skipped, and a score replaces the best only when it
+/// is strictly greater, so among starts scored in ascending order ties
+/// keep the first.
+fn consider(best: &mut Option<(usize, f64)>, start: usize, dot: f64, energy: f64, t_energy: f64) {
+    let w_energy = energy.sqrt();
+    if w_energy < ENERGY_FLOOR {
+        return;
+    }
+    let score = dot / (t_energy * w_energy);
+    if best.is_none_or(|(_, b)| score > b) {
+        *best = Some((start, score));
+    }
+}
+
+/// One start's dot product with the template and its window energy,
+/// each summed left to right: the scalar per-start loop.
+fn window_sums(window: &[f64], template: &[f64]) -> (f64, f64) {
+    let mut dot = 0.0f64;
+    let mut energy = 0.0f64;
+    for (&a, &t) in window.iter().zip(template) {
+        dot += a * t;
+        energy += a * a;
+    }
+    (dot, energy)
+}
+
 /// Correlation against a pre-rendered template — the hoisted kernel under
 /// [`correlate_pattern`]. Each pass over the template scores four
 /// consecutive start offsets, each with its own dot and window-energy
 /// accumulators summed in the same order as the scalar two-pass loop, so
 /// scores are bit-identical; the best start is then picked in start
 /// order, so ties keep the first index. The template and its energy are
-/// computed once by the caller instead of on every call.
+/// computed once by the caller instead of on every call. This exhaustive
+/// scan is the oracle of [`PreambleCorrelator`].
 pub fn correlate_template(
     samples: &[f64],
     template: &[f64],
@@ -692,16 +724,6 @@ pub fn correlate_template(
         .checked_add(search_len)?
         .min(samples.len().checked_sub(n)?);
     let mut best: Option<(usize, f64)> = None;
-    let mut consider = |start: usize, dot: f64, energy: f64| {
-        let w_energy = energy.sqrt();
-        if w_energy < 1e-30 {
-            return;
-        }
-        let score = dot / (t_energy * w_energy);
-        if best.is_none_or(|(_, b)| score > b) {
-            best = Some((start, score));
-        }
-    };
     let mut start = search_from;
     while start + CORRELATE_LANES - 1 <= last_start {
         let w = &samples[start..start + n + CORRELATE_LANES - 1];
@@ -720,18 +742,13 @@ pub fn correlate_template(
             }
         }
         for l in 0..CORRELATE_LANES {
-            consider(start + l, dot[l], energy[l]);
+            consider(&mut best, start + l, dot[l], energy[l], t_energy);
         }
         start += CORRELATE_LANES;
     }
     for start in start..=last_start {
-        let mut dot = 0.0f64;
-        let mut energy = 0.0f64;
-        for (&a, &t) in samples[start..start + n].iter().zip(template) {
-            dot += a * t;
-            energy += a * a;
-        }
-        consider(start, dot, energy);
+        let (dot, energy) = window_sums(&samples[start..start + n], template);
+        consider(&mut best, start, dot, energy, t_energy);
     }
     best
 }
@@ -740,6 +757,232 @@ pub fn correlate_template(
 /// summation order [`correlate_template`] expects.
 pub fn template_energy(template: &[f64]) -> f64 {
     template.iter().map(|x| x * x).sum::<f64>().sqrt()
+}
+
+/// [`correlate_template`] for one fixed template, bit-identical to it, that
+/// scores exactly only the start offsets that can win.
+///
+/// A rendered chip template is piecewise constant with values `±1` (and
+/// `0` off the air), in a few tens of runs. Prefix sums of the search
+/// region's samples and squares then give every start's dot product (one
+/// difference per run) and window energy (one difference) in O(runs),
+/// within the rigorous margins of `prefix_margins` of the values the
+/// per-start loop computes. Since rounding to nearest is monotone, those
+/// bounds carried through the loop's own `dot / (t_energy · √energy)`
+/// bound its computed score from both sides. The search then scores
+/// exactly, with the per-start loop and [`correlate_template`]'s selection
+/// rule in ascending order, only the starts whose score bound reaches the
+/// best lower bound among starts surely above the energy floor, and every
+/// start whose floor test is uncertain. No other start can score the
+/// maximum, so the winner — the first start with the maximum score — and
+/// its score are the exhaustive scan's. Non-finite samples, a template
+/// with a value other than `±1` or `0`, or no start surely above the floor
+/// take the exhaustive scan.
+///
+/// The prefix and bound buffers persist across searches, so a warmed
+/// correlator searches without allocating.
+#[derive(Debug)]
+pub struct PreambleCorrelator {
+    template: Vec<f64>,
+    energy: f64,
+    /// The template's nonzero runs `(from, to, ±1.0)`; empty when the
+    /// template holds another value, so every search is exhaustive.
+    runs: Vec<(usize, usize, f64)>,
+    /// Left-to-right prefix sums of the search region's samples.
+    prefix: Vec<f64>,
+    /// Per start, its dot estimate, then an upper bound on its computed
+    /// score: `+∞` when its floor test is uncertain, `−∞` when it is
+    /// surely below the floor.
+    upper: Vec<f64>,
+    pruned: bool,
+}
+
+impl PreambleCorrelator {
+    /// A correlator for `template`, with its [`template_energy`].
+    pub fn new(template: Vec<f64>) -> Self {
+        let energy = template_energy(&template);
+        let mut runs: Vec<(usize, usize, f64)> = Vec::new();
+        for (i, &t) in template.iter().enumerate() {
+            if t == 0.0 {
+                continue;
+            }
+            if t.abs() != 1.0 {
+                runs.clear();
+                break;
+            }
+            match runs.last_mut() {
+                Some((_, to, sign)) if *to == i && *sign == t => *to = i + 1,
+                _ => runs.push((i, i + 1, t)),
+            }
+        }
+        PreambleCorrelator {
+            template,
+            energy,
+            runs,
+            prefix: Vec::new(),
+            upper: Vec::new(),
+            pruned: false,
+        }
+    }
+
+    /// The template samples.
+    pub fn template(&self) -> &[f64] {
+        &self.template
+    }
+
+    /// Whether the last [`Self::search`] took the pruned path (else it ran
+    /// the exhaustive scan).
+    pub fn last_pruned(&self) -> bool {
+        self.pruned
+    }
+
+    /// The best start in `search_from..=search_from + search_len` and its
+    /// score: exactly `correlate_template(samples, template, energy,
+    /// search_from, search_len)`.
+    pub fn search(
+        &mut self,
+        samples: &[f64],
+        search_from: usize,
+        search_len: usize,
+    ) -> Option<(usize, f64)> {
+        let n = self.template.len();
+        let last_start = search_from
+            .checked_add(search_len)
+            .zip(samples.len().checked_sub(n))
+            .map(|(a, b)| a.min(b));
+        let best_lower = match last_start {
+            Some(last) if n > 0 && last >= search_from => {
+                self.bound(&samples[search_from..last + n])
+            }
+            _ => None,
+        };
+        self.pruned = best_lower.is_some();
+        let Some(best_lower) = best_lower else {
+            return correlate_template(
+                samples,
+                &self.template,
+                self.energy,
+                search_from,
+                search_len,
+            );
+        };
+        let mut best = None;
+        for (i, &upper) in self.upper.iter().enumerate() {
+            if upper >= best_lower {
+                let start = search_from + i;
+                let (dot, energy) = window_sums(&samples[start..start + n], &self.template);
+                consider(&mut best, start, dot, energy, self.energy);
+            }
+        }
+        best
+    }
+
+    /// Fills `upper` for every start of the template in `region` and
+    /// returns the best lower score bound among starts surely above the
+    /// floor — `None` when the search must be exhaustive.
+    fn bound(&mut self, region: &[f64]) -> Option<f64> {
+        let n = self.template.len();
+        let (m, l) = (self.runs.len(), region.len());
+        if m == 0 || (m + 1) as f64 * (l + 1) as f64 * f64::EPSILON >= 1e-3 {
+            return None;
+        }
+        self.prefix.clear();
+        self.prefix.reserve_exact(l + 1);
+        let (mut sum, mut sq_sum, mut abs_sum) = (0.0f64, 0.0f64, 0.0f64);
+        self.prefix.push(sum);
+        for &a in region {
+            sum += a;
+            sq_sum += a * a;
+            abs_sum += a.abs();
+            self.prefix.push(sum);
+        }
+        // Non-finite samples fail both tests; so do sums near overflow.
+        if !(abs_sum < 1e300 && sq_sum < 1e300) {
+            return None;
+        }
+        let (dot_margin, energy_margin) = prefix_margins(m, l, abs_sum, sq_sum);
+        let t_energy = self.energy;
+        let score = |dot: f64, energy: f64| dot / (t_energy * energy.sqrt());
+        // Every start's dot estimate, each folded over the runs in order
+        // from `0.0`; runs outside, starts inside, so the loop vectorizes.
+        let starts = l - n + 1;
+        self.upper.clear();
+        self.upper.resize(starts, 0.0);
+        for &(from, to, sign) in &self.runs {
+            let (hi, lo) = (
+                &self.prefix[to..to + starts],
+                &self.prefix[from..from + starts],
+            );
+            for ((d, &h), &l) in self.upper.iter_mut().zip(hi).zip(lo) {
+                *d += sign * (h - l);
+            }
+        }
+        let mut best_lower: Option<f64> = None;
+        // The prefix sums of the squares at the window's two ends, each
+        // summed left to right as far as it reaches.
+        let mut sq_from = 0.0f64;
+        let mut sq_to = region[..n].iter().fold(0.0f64, |q, &a| q + a * a);
+        for (s, slot) in self.upper.iter_mut().enumerate() {
+            if s > 0 {
+                sq_from += region[s - 1] * region[s - 1];
+                sq_to += region[s + n - 1] * region[s + n - 1];
+            }
+            let (dot, energy) = (*slot, sq_to - sq_from);
+            let (e_lo, e_hi) = (energy - energy_margin, energy + energy_margin);
+            *slot = if e_lo > 0.0 && e_lo.sqrt() >= ENERGY_FLOOR {
+                let (d_lo, d_hi) = (dot - dot_margin, dot + dot_margin);
+                let lower = score(d_lo, if d_lo >= 0.0 { e_hi } else { e_lo });
+                best_lower = Some(best_lower.map_or(lower, |b| b.max(lower)));
+                score(d_hi, if d_hi >= 0.0 { e_lo } else { e_hi })
+            } else if e_hi.sqrt() < ENERGY_FLOOR {
+                f64::NEG_INFINITY
+            } else {
+                f64::INFINITY
+            };
+        }
+        best_lower
+    }
+}
+
+/// Margins `(dot, energy)` by which a start's prefix-sum dot and energy,
+/// as [`PreambleCorrelator`] computes them, may differ from the per-start
+/// loop's: `4(m + 1)(l + 1)·ε·abs_sum` and `4(l + 1)·ε·sq_sum`, for a
+/// template of `m` runs of `±1` over a region of `l` samples `a_i` whose
+/// absolute values and squares sum (left to right, in floating point) to
+/// `abs_sum` and `sq_sum`, `ε = 2⁻⁵²` ([`f64::EPSILON`]); the caller
+/// ensures `(m + 1)(l + 1)·ε < 10⁻³`.
+///
+/// Why. Write `u = ε/2`, `A = Σ|a_i|` exactly and `γ_k = ku/(1 − ku)`
+/// (`≤ 1.001·ku` here), the relative error bound of a `k`-term
+/// left-to-right sum against the sum of its absolute values. Each product
+/// `a·t` is exact (`t ∈ {0, ±1}`). Let `X` be a start's exact dot, `W_j`
+/// the exact absolute sum of run `j`'s samples (`Σ W_j ≤ A`).
+///
+/// - Every prefix sum is within `γ_l·A` of its exact value, so run `j`'s
+///   rounded difference `d_j` is within `2γ_l·A + u(W_j + 2γ_l·A)` of its
+///   exact run sum, and `Σ|d_j| ≤ (1 + u)(1 + 2mγ_l)·A`.
+/// - The fold `Σ ±d_j` from `0.0` adds at most `γ_m·Σ|d_j|`.
+/// - The per-start loop's own dot is within `γ_n·A ≤ γ_l·A` of `X`.
+///
+/// So the two dots differ by at most
+/// `(2mγ_l + (u + (1 + u)γ_m)(1 + 2mγ_l) + γ_l)·A ≤ 2.01(m + 1)(l + 1)·u·A`.
+/// With `abs_sum ≥ (1 − γ_l)·A` that is below `1.01(m + 1)(l + 1)·ε·abs_sum`;
+/// the margin's remaining `≈ 3(m + 1)(l + 1)·ε·abs_sum` covers the few
+/// roundings of the margin itself and of `dot ± margin`, each at most
+/// `u(|dot| + margin) < ε·abs_sum`.
+///
+/// The energy sums the same rounded squares `q_i` on both sides, all
+/// `≥ 0` with exact sum `Q ≤ 1.001·sq_sum`: prefix error `γ_l·Q`, the
+/// difference's rounding `u(Y + 2γ_l·Q)` for a window sum `Y ≤ Q`, and the
+/// loop's own `γ_n·Y`, in all at most `(3γ_l + 2u)·Q ≤ 1.51(l + 1)·ε·sq_sum`.
+/// Sums of finite values round relatively (no underflow term), so the
+/// margins hold down to zero.
+fn prefix_margins(m: usize, l: usize, abs_sum: f64, sq_sum: f64) -> (f64, f64) {
+    let eps = f64::EPSILON;
+    (
+        4.0 * (m + 1) as f64 * (l + 1) as f64 * eps * abs_sum,
+        4.0 * (l + 1) as f64 * eps * sq_sum,
+    )
 }
 
 /// Finds the start of a known chip pattern in a sample stream by normalized

@@ -3,12 +3,14 @@
 //! invalid streams), non-byte-aligned bit slices, and the Reed–Solomon
 //! workspace (parity bytes, corrected blocks, error positions/results) —
 //! for random payloads and random bit flips beyond the correction
-//! capacity. `cargo tier2` replays this suite at `DENSEVLC_JOBS=1` and
-//! `DENSEVLC_JOBS=max`.
+//! capacity — and the pruned preamble search against the exhaustive
+//! correlation scan. `cargo tier2` replays this suite at `DENSEVLC_JOBS=1`
+//! and `DENSEVLC_JOBS=max`.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::atomic::{AtomicU32, Ordering};
 use vlc_phy::manchester::{
     dc_balance, manchester_decode, manchester_decode_bits, manchester_encode,
     manchester_encode_bits, Chip,
@@ -17,7 +19,8 @@ use vlc_phy::packed::{packed_encode, PackedChips};
 use vlc_phy::rs::{ReedSolomon, RsCodec};
 use vlc_phy::waveform::{
     correlate_pattern, correlate_template, mix_into, render, render_into, render_packed_into,
-    slice_chips, slice_chips_packed_into, template_energy, ChipRuns, Superposition, WaveformConfig,
+    slice_chips, slice_chips_packed_into, template_energy, ChipRuns, PreambleCorrelator,
+    Superposition, WaveformConfig,
 };
 use vlc_phy::{Frame, FrameHeader};
 
@@ -360,6 +363,214 @@ proptest! {
             want.map(|(i, s)| (i, s.to_bits()))
         );
     }
+}
+
+/// Cases of `pruned_correlator_matches_one_start_loop`, and the counts of
+/// cases run and of cases that took the pruned path.
+const CORRELATOR_CASES: u32 = 384;
+static CORRELATOR_RUN: AtomicU32 = AtomicU32::new(0);
+static CORRELATOR_PRUNED: AtomicU32 = AtomicU32::new(0);
+
+/// The receiver noise RMS of the paper's Table 1, `√(N0·B)`, in amperes.
+const SIGMA_A: f64 = 8.378e-9;
+
+/// The Table 5 preamble (`AA AA AA 55`) rendered at unit amplitude, zero
+/// delay: the template the frame pipeline searches for.
+fn table5_template(cfg: &WaveformConfig) -> Vec<f64> {
+    let pre = packed_encode(&[0xAA, 0xAA, 0xAA, 0x55]);
+    let mut template = Vec::new();
+    let len = (pre.len() as f64 * cfg.samples_per_chip()).round() as usize;
+    render_packed_into(&pre, cfg, 1.0, 0.0, len, &mut template);
+    template
+}
+
+/// One Gaussian draw (Box–Muller) of unit variance.
+fn gaussian(rng: &mut StdRng) -> f64 {
+    let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+    let u2: f64 = rng.gen();
+    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+}
+
+/// A received stream for one case of `pruned_correlator_matches_one_start_loop`,
+/// by `kind`:
+///
+/// - 0, 1: a Table 5 frame (preamble + payload) from 1–4 TXs, in sync or
+///   spread over tens of samples, at the testbed's SNR (kind 0) or at
+///   SNRs where lock fails (kind 1), with the paper's noise;
+/// - 2: a periodic stream — copies of the template or of a short
+///   pattern — whose equal windows score exact ties;
+/// - 3: zero runs and near-floor amplitudes, where windows sit at or near
+///   the `1e-30` energy floor;
+/// - 4: a frame with a NaN or ±∞ sample, which must take the exhaustive
+///   scan.
+fn correlator_stream(kind: u8, seed: u64, template: &[f64], cfg: &WaveformConfig) -> Vec<f64> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let n = template.len();
+    let guard = (8.0 * cfg.samples_per_chip()) as usize;
+    let len = guard + n + 160 + guard + rng.gen_range(0..200usize);
+    let frame = |rng: &mut StdRng, amp_sigmas: f64| {
+        let payload: Vec<u8> = (0..10).map(|_| rng.gen()).collect();
+        let mut chips = packed_encode(&[0xAA, 0xAA, 0xAA, 0x55]);
+        chips.encode_bytes(&payload);
+        let spread = if rng.gen_bool(0.5) { 3.0 } else { 60.0 };
+        let mut samples = vec![0.0f64; len];
+        let mut tx = Vec::new();
+        for _ in 0..rng.gen_range(1..=4) {
+            let delay = (guard as f64 + rng.gen_range(0.0..spread)) / cfg.sample_rate_hz;
+            let amp = amp_sigmas * SIGMA_A * rng.gen_range(0.2..1.0);
+            render_packed_into(&chips, cfg, amp, delay, len, &mut tx);
+            mix_into(&mut samples, &tx);
+        }
+        for x in &mut samples {
+            *x += SIGMA_A * gaussian(rng);
+        }
+        samples
+    };
+    match kind {
+        0 => {
+            let snr = rng.gen_range(20.0..400.0);
+            frame(&mut rng, snr)
+        }
+        1 => {
+            let snr = rng.gen_range(0.005..0.5);
+            frame(&mut rng, snr)
+        }
+        2 => {
+            let amp = [0.3, 1.7e-6, 5.0, 1.0 / 3.0][rng.gen_range(0..4usize)];
+            let period: Vec<f64> = if rng.gen_bool(0.5) {
+                template.to_vec()
+            } else {
+                (0..rng.gen_range(1..30))
+                    .map(|_| rng.gen_range(-2i8..3) as f64)
+                    .collect()
+            };
+            (0..len).map(|i| amp * period[i % period.len()]).collect()
+        }
+        3 => {
+            let amp = [0.0, 1e-32, 4e-32, 1e-31, 1e-29, 1e-6][rng.gen_range(0..6usize)];
+            let mut samples: Vec<f64> = (0..len).map(|_| amp * gaussian(&mut rng)).collect();
+            let at = rng.gen_range(0..len);
+            let end = (at + rng.gen_range(0..2 * n)).min(len);
+            samples[at..end].fill(0.0);
+            if rng.gen_bool(0.5) {
+                // A loud burst makes the energy margin dwarf the quiet
+                // windows' energy, so their floor test is uncertain.
+                let at = rng.gen_range(0..len);
+                let end = (at + rng.gen_range(1..40usize)).min(len);
+                for x in &mut samples[at..end] {
+                    *x = 1e-22 * gaussian(&mut rng);
+                }
+            }
+            samples
+        }
+        _ => {
+            let mut samples = frame(&mut rng, 100.0);
+            let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][rng.gen_range(0..3usize)];
+            let at = rng.gen_range(0..guard + n + 3 * guard);
+            samples[at] = bad;
+            samples
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(CORRELATOR_CASES))]
+
+    /// The pruned preamble search returns what the one-start loop returns
+    /// — start and score bits — on the real Table 5 template, over
+    /// rendered multi-TX frames at the testbed's SNR and below lock, exact
+    /// ties, zero and near-floor windows, non-finite samples, and search
+    /// ranges clipped by the stream end. One correlator serves every case,
+    /// as one pipeline serves every frame. Most cases must take the pruned
+    /// path, so the exhaustive fallback alone cannot pass.
+    #[test]
+    fn pruned_correlator_matches_one_start_loop(
+        kind in 0u8..5,
+        seed in any::<u64>(),
+        search in (0usize..120, 0usize..300, 0u8..4),
+    ) {
+        thread_local! {
+            static CORRELATOR: std::cell::RefCell<Option<PreambleCorrelator>> =
+                const { std::cell::RefCell::new(None) };
+        }
+        let cfg = WaveformConfig::paper();
+        let template = table5_template(&cfg);
+        let samples = correlator_stream(kind, seed, &template, &cfg);
+        // The pipeline's range in a quarter of the cases; else a shifted
+        // one, often running past the stream end.
+        let (from, len) = match search {
+            (_, _, 0) => (0, 3 * 80),
+            (from, len, _) => (from, len),
+        };
+        let (got, pruned) = CORRELATOR.with(|c| {
+            let mut c = c.borrow_mut();
+            let c = c.get_or_insert_with(|| PreambleCorrelator::new(template.clone()));
+            (c.search(&samples, from, len), c.last_pruned())
+        });
+        let want = one_start_correlate(&samples, &template, template_energy(&template), from, len);
+        prop_assert_eq!(
+            got.map(|(i, s)| (i, s.to_bits())),
+            want.map(|(i, s)| (i, s.to_bits())),
+            "kind {}", kind
+        );
+        let n = template.len();
+        let last = (from + len).min(samples.len().saturating_sub(n));
+        if samples[from.min(last)..last + n].iter().any(|x| !x.is_finite()) {
+            prop_assert!(!pruned, "a non-finite sample must take the exhaustive scan");
+        }
+        let run = CORRELATOR_RUN.fetch_add(1, Ordering::Relaxed) + 1;
+        let pruned_count = CORRELATOR_PRUNED.fetch_add(u32::from(pruned), Ordering::Relaxed)
+            + u32::from(pruned);
+        if run == CORRELATOR_CASES {
+            prop_assert!(
+                2 * pruned_count > run,
+                "only {} of {} cases took the pruned path", pruned_count, run
+            );
+        }
+    }
+
+    /// Random `±1`/`0` templates over small-integer streams, where exact
+    /// ties are common: the pruned search still equals the one-start loop.
+    #[test]
+    fn pruned_correlator_keeps_ties_on_small_integers(
+        template in proptest::collection::vec(-1i8..2, 1..40),
+        samples in proptest::collection::vec(-2i8..3, 0..160),
+        search_from in 0usize..40,
+        search_len in 0usize..150,
+    ) {
+        let template: Vec<f64> = template.into_iter().map(f64::from).collect();
+        let samples: Vec<f64> = samples.into_iter().map(f64::from).collect();
+        let mut correlator = PreambleCorrelator::new(template.clone());
+        let got = correlator.search(&samples, search_from, search_len);
+        let want =
+            one_start_correlate(&samples, &template, template_energy(&template), search_from, search_len);
+        prop_assert_eq!(
+            got.map(|(i, s)| (i, s.to_bits())),
+            want.map(|(i, s)| (i, s.to_bits()))
+        );
+    }
+}
+
+#[test]
+fn pruned_correlator_keeps_the_first_of_ties_its_prefix_sums_split() {
+    // Two copies of the Table 5 preamble at amplitude 0.1: starts 0 and
+    // 640 see bit-identical windows and tie exactly, but their prefix-sum
+    // estimates differ by rounding (0.1 is not a binary fraction), and
+    // start 640's estimate comes out higher. Without the rounding margin
+    // the search prunes start 0 and returns 640.
+    let cfg = WaveformConfig::paper();
+    let template = table5_template(&cfg);
+    let n = template.len();
+    let samples: Vec<f64> = (0..2 * n + 10).map(|i| 0.1 * template[i % n]).collect();
+    let mut correlator = PreambleCorrelator::new(template.clone());
+    let got = correlator.search(&samples, 0, n + 5);
+    assert!(correlator.last_pruned());
+    let want = one_start_correlate(&samples, &template, template_energy(&template), 0, n + 5);
+    assert_eq!(want.map(|(i, _)| i), Some(0));
+    assert_eq!(
+        got.map(|(i, s)| (i, s.to_bits())),
+        want.map(|(i, s)| (i, s.to_bits()))
+    );
 }
 
 /// The single-start correlation loop `correlate_template` ran before it

@@ -12,7 +12,7 @@ use vlc_phy::packed::{packed_encode, PackedChips};
 use vlc_phy::rs::RsCodec;
 use vlc_phy::waveform::{
     correlate_template, render_packed_into, slice_chips_packed_into, template_energy,
-    WaveformConfig,
+    PreambleCorrelator, WaveformConfig,
 };
 use vlc_phy::{Frame, FrameHeader};
 use vlc_prof::alloc_counter::{allocations_during, CountingAlloc};
@@ -234,4 +234,42 @@ fn warmed_frame_render_slice_cycle_is_zero_alloc() {
         }
     });
     assert_eq!(n, 0, "warmed frame cycle made {n} heap allocations");
+}
+
+#[test]
+fn warmed_preamble_correlator_is_zero_alloc() {
+    // The frame pipeline's preamble search: once a search over the full
+    // region has sized the prefix and bound buffers, later searches —
+    // full or shorter — allocate nothing.
+    let cfg = WaveformConfig::paper();
+    let preamble = packed_encode(&[0xAA, 0xAA, 0xAA, 0x55]);
+    let mut template = Vec::new();
+    render_packed_into(
+        &preamble,
+        &cfg,
+        1.0,
+        0.0,
+        (preamble.len() as f64 * cfg.samples_per_chip()).round() as usize,
+        &mut template,
+    );
+    let mut correlator = PreambleCorrelator::new(template);
+    let mut chips = packed_encode(&[0xAA, 0xAA, 0xAA, 0x55]);
+    chips.encode_bytes(&[0x3C; 40]);
+    let n_samples = (chips.len() as f64 * cfg.samples_per_chip()).ceil() as usize + 160;
+    let mut samples = Vec::new();
+    render_packed_into(&chips, &cfg, 0.8, 83e-6, n_samples, &mut samples);
+
+    let want = correlator.search(&samples, 0, 240).expect("preamble found");
+    assert!(
+        correlator.last_pruned(),
+        "a clean frame takes the pruned path"
+    );
+
+    let n = allocations_during(|| {
+        for len in [240, 200, 240, 120] {
+            let got = correlator.search(&samples, 0, len).expect("preamble found");
+            assert_eq!(got, want);
+        }
+    });
+    assert_eq!(n, 0, "warmed preamble correlator made {n} heap allocations");
 }
