@@ -26,6 +26,7 @@ use vlc_phy::rs::RsCodec;
 use vlc_phy::waveform::{
     render, render_packed_into, slice_chips, slice_chips_packed_into, WaveformConfig,
 };
+use vlc_phy::RsStack;
 use vlc_phy::{Frame, FrameHeader, ReedSolomon};
 use vlc_sync::NlosSyncLink;
 use vlc_telemetry::Registry;
@@ -260,17 +261,16 @@ pub fn phy_probe(tracer: &Tracer) {
 
     // Packed fast path: reusable buffers, warmed before the timed reps so
     // the rows reflect the steady state the e2e pipeline runs in.
-    let mut codec = RsCodec::paper();
+    let mut stack = RsStack::paper();
     let mut wire = Vec::new();
     let mut chips = PackedChips::new();
     let mut wave = Vec::new();
     let mut sliced = PackedChips::new();
     let mut rx_bytes = Vec::new();
-    let mut coded = Vec::new();
     let mut payload_rx = Vec::new();
     let mut packed_cycle = |payload: &[u8]| -> usize {
         wire.clear();
-        Frame::encode_parts_into(u64::MAX, &header, payload, &mut codec, &mut wire);
+        Frame::encode_parts_with(u64::MAX, &header, payload, &mut stack, &mut wire);
         chips.clear();
         chips.encode_bytes(&wire);
         let n_samples = (chips.len() as f64 * cfg.samples_per_chip()).ceil() as usize;
@@ -283,8 +283,7 @@ pub fn phy_probe(tracer: &Tracer) {
             &mut sliced
         ));
         assert!(sliced.decode_bytes_into(&mut rx_bytes));
-        Frame::decode_parts_into(&rx_bytes, &mut codec, &mut coded, &mut payload_rx)
-            .expect("clean frame");
+        Frame::decode_parts_with(&rx_bytes, &mut stack, &mut payload_rx).expect("clean frame");
         payload_rx.len()
     };
     packed_cycle(&payloads[0]);
@@ -318,6 +317,8 @@ pub fn phy_probe(tracer: &Tracer) {
     }
 
     // A full Reed–Solomon block correction at capacity (t = 8 errors).
+    let mut codec = RsCodec::paper();
+    let mut coded = Vec::new();
     let block_payload = &payloads[0];
     for _ in 0..REPS {
         let span = probe.child("phy.rs.block");

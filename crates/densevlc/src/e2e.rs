@@ -225,8 +225,8 @@ impl Photodiode {
 
     /// Slices a locked frame's MAC chips into `sliced` and
     /// Manchester-decodes them into `rx_bytes`: `true` when both succeed —
-    /// the scalar path's `slice_chips` + `manchester_decode`, shared by
-    /// [`FramePipeline::run`] and [`FramePipeline::run_concurrent`].
+    /// the scalar path's `slice_chips` + `manchester_decode`, the middle of
+    /// `Phy::receive`.
     ///
     /// With `ber` set — the sent chips and a live registry — every chip
     /// is sliced and the raw chip error fraction recorded into `phy.ber`
@@ -531,6 +531,179 @@ pub fn run_scalar(
     }
 }
 
+/// The header of every data frame the pipelines send.
+const DATA_HEADER: FrameHeader = FrameHeader {
+    dst: 1,
+    src: 0,
+    protocol: protocol::DATA,
+};
+
+/// One frame a [`FramePipeline`] sends: its payload, its MAC chips, and
+/// the chips on air — the preamble, then the MAC chips.
+#[derive(Debug, Default)]
+struct TxFrame {
+    payload: Vec<u8>,
+    mac: PackedChips,
+    chips: PackedChips,
+}
+
+/// The per-frame PHY that [`FramePipeline::run`] and
+/// [`FramePipeline::run_concurrent`] share: one encode step and one
+/// per-receiver receive step, with the FEC stack, the preamble search and
+/// the receiver buffers they reuse.
+#[derive(Debug)]
+struct Phy {
+    wave_cfg: WaveformConfig,
+    /// The guard of `floor(8·spc)` samples before a frame's chips.
+    guard: usize,
+    stack: RsStack,
+    /// The preamble search over the preamble rendered at unit amplitude,
+    /// zero delay — exactly the template `correlate_pattern` re-renders
+    /// per call on the scalar path.
+    preamble: PreambleCorrelator,
+    wire: Vec<u8>,
+    pd: Photodiode,
+    payload_rx: Vec<u8>,
+}
+
+impl Phy {
+    /// Samples the preamble search renders and noises up front: every
+    /// start the search scores, plus the template.
+    fn search_len(&self) -> usize {
+        3 * self.guard + self.preamble.template().len()
+    }
+
+    /// Starts the photodiode on a frame of `n_samples` once `pd.light`
+    /// holds its TXs, rendering the preamble search region.
+    fn begin(&mut self, runs: &[ChipRuns], n_samples: usize) {
+        let search_len = self.search_len();
+        self.pd.begin(runs, n_samples, search_len);
+    }
+
+    /// Draws `frame`'s fresh payload of `payload_len` bytes from `rng`,
+    /// frames it through the stack and Manchester-codes it after the
+    /// preamble, under `phy.packed.encode_s`.
+    fn encode(
+        &mut self,
+        rng: &mut StdRng,
+        payload_len: usize,
+        frame: &mut TxFrame,
+        telemetry: &Registry,
+    ) {
+        let _encode = telemetry.span("phy.packed.encode_s");
+        frame.payload.clear();
+        for _ in 0..payload_len {
+            frame.payload.push(rng.gen());
+        }
+        telemetry.counter("phy.frames_encoded").inc();
+        self.wire.clear();
+        Frame::encode_parts_with(
+            u64::MAX,
+            &DATA_HEADER,
+            &frame.payload,
+            &mut self.stack,
+            &mut self.wire,
+        );
+        frame.mac.clear();
+        frame.mac.encode_bytes(&self.wire);
+        frame.chips.clear();
+        frame.chips.extend_from(&preamble().1);
+        frame.chips.extend_from(&frame.mac);
+    }
+
+    /// One receiver's turn at `sent`, once [`Self::begin`] has started the
+    /// frame: noise
+    /// the preamble search region, lock the preamble (a best score below
+    /// `min_score` is a miss), slice and Manchester-decode the MAC chips,
+    /// draw out the frame's noise, and Reed–Solomon-decode. Returns the
+    /// corrected byte count when the payload arrives intact. The spans and
+    /// counters are the ones [`FramePipeline::run`] documents.
+    fn receive(
+        &mut self,
+        runs: &[ChipRuns],
+        awgn: &mut AwgnChannel,
+        rng: &mut StdRng,
+        sent: &TxFrame,
+        min_score: f64,
+        telemetry: &Registry,
+    ) -> Option<usize> {
+        let n_samples = self.pd.samples.len();
+        let search_len = self.search_len();
+        let bound = awgn.bound();
+        let mut noise = awgn.cursor(rng, n_samples);
+        {
+            let _noise = telemetry.span("phy.noise_s");
+            noise.add_to(&mut self.pd.samples, 0, search_len);
+        }
+        let lock = {
+            let _lock = telemetry.span("phy.preamble.lock_s");
+            self.preamble.search(&self.pd.samples, 0, 3 * self.guard)
+        };
+        let locked = match lock {
+            Some((_, score)) if score < min_score => None,
+            lock => lock,
+        };
+        // `Some(decoded)` once the preamble locked: whether slicing and
+        // Manchester decoding both succeeded.
+        let decoded = locked.map(|(start, _)| {
+            let _decode = telemetry.span("phy.packed.decode_s");
+            let spc = self.wave_cfg.samples_per_chip();
+            let span = MacSpan {
+                mac_start: start + (preamble().1.len() as f64 * spc).round() as usize,
+                n_chips: sent.mac.len(),
+                n_samples,
+            };
+            self.pd.slice_and_decode(
+                runs,
+                &mut noise,
+                bound,
+                &self.wave_cfg,
+                span,
+                telemetry.is_enabled().then_some((&sent.mac, telemetry)),
+            )
+        });
+        {
+            let _noise = telemetry.span("phy.noise_s");
+            noise.finish();
+        }
+        match decoded {
+            None => {
+                telemetry.counter("phy.preamble_misses").inc();
+                return None;
+            }
+            Some(false) => {
+                telemetry.counter("phy.frame_sync_errors").inc();
+                return None;
+            }
+            Some(true) => {}
+        }
+        let parsed = {
+            let _rs_block = telemetry.span("phy.rs.block_s");
+            Frame::decode_parts_with(&self.pd.rx_bytes, &mut self.stack, &mut self.payload_rx)
+        };
+        match parsed {
+            Ok((_, _, fixed)) => {
+                telemetry.counter("phy.frames_decoded").inc();
+                telemetry
+                    .counter("phy.rs_symbols_corrected")
+                    .add(fixed as u64);
+                if self.payload_rx == sent.payload {
+                    return Some(fixed);
+                }
+                telemetry.counter("phy.frames_bad_payload").inc();
+            }
+            Err(FrameError::Uncorrectable) => {
+                telemetry.counter("phy.rs_uncorrectable").inc();
+                telemetry.event("phy.frame", "rs_uncorrectable", &[]);
+            }
+            Err(_) => {
+                telemetry.counter("phy.frame_sync_errors").inc();
+            }
+        }
+        None
+    }
+}
+
 /// The packed-chip fast path through the end-to-end simulation.
 ///
 /// Owns every buffer the per-frame PHY cycle needs — the hoisted preamble
@@ -568,33 +741,17 @@ pub fn run_scalar(
 ///   sliced to record `phy.ber` (see `Photodiode::slice_and_decode`).
 #[derive(Debug)]
 pub struct FramePipeline {
-    wave_cfg: WaveformConfig,
-    stack: RsStack,
-    /// The preamble search over the preamble rendered at unit amplitude,
-    /// zero delay — exactly the template `correlate_pattern` re-renders
-    /// per call on the scalar path.
-    preamble: PreambleCorrelator,
-    // Per-frame scratch (capacities persist across frames and runs).
-    payload: Vec<u8>,
-    wire: Vec<u8>,
-    mac_tx: PackedChips,
-    tx_chips: PackedChips,
-    pd: Photodiode,
-    payload_rx: Vec<u8>,
-    // Per-run scratch.
+    phy: Phy,
+    /// The frames in flight: one for [`Self::run`], one per beamspot for
+    /// [`Self::run_concurrent`] (capacities persist across frames and
+    /// runs).
+    sent: Vec<TxFrame>,
+    // Per-run scratch, one slot per host in `hosts` order.
     hosts: Vec<usize>,
-    loop_phase: Vec<(usize, f64)>,
-    offsets: Vec<(usize, f64)>,
+    loop_phase: Vec<f64>,
+    offsets: Vec<f64>,
     /// Chip runs, one slot per host (per beamspot when concurrent).
     runs: Vec<ChipRuns>,
-    // Concurrent-mode scratch (one slot per beamspot).
-    spot_payloads: Vec<Vec<u8>>,
-    spot_mac: Vec<PackedChips>,
-    spot_chips: Vec<PackedChips>,
-    spot_wire_lens: Vec<usize>,
-    spot_offsets: Vec<f64>,
-    spot_frames_ok: Vec<usize>,
-    spot_rs_corrections: Vec<usize>,
 }
 
 impl FramePipeline {
@@ -617,33 +774,28 @@ impl FramePipeline {
             &mut preamble_template,
         );
         FramePipeline {
-            wave_cfg,
-            stack: RsStack::paper(),
-            preamble: PreambleCorrelator::new(preamble_template),
-            payload: Vec::new(),
-            wire: Vec::new(),
-            mac_tx: PackedChips::new(),
-            tx_chips: PackedChips::new(),
-            pd: Photodiode::default(),
-            payload_rx: Vec::new(),
+            phy: Phy {
+                wave_cfg,
+                guard: (8.0 * wave_cfg.samples_per_chip()) as usize,
+                stack: RsStack::paper(),
+                preamble: PreambleCorrelator::new(preamble_template),
+                wire: Vec::new(),
+                pd: Photodiode::default(),
+                payload_rx: Vec::new(),
+            },
+            sent: Vec::new(),
             hosts: Vec::new(),
             loop_phase: Vec::new(),
             offsets: Vec::new(),
             runs: Vec::new(),
-            spot_payloads: Vec::new(),
-            spot_mac: Vec::new(),
-            spot_chips: Vec::new(),
-            spot_wire_lens: Vec::new(),
-            spot_offsets: Vec::new(),
-            spot_frames_ok: Vec::new(),
-            spot_rs_corrections: Vec::new(),
         }
     }
 
     fn assert_rates(&self, cfg: &E2eConfig) {
+        let wave_cfg = &self.phy.wave_cfg;
         assert!(
-            cfg.symbol_rate_hz == self.wave_cfg.symbol_rate_hz
-                && cfg.sample_rate_hz == self.wave_cfg.sample_rate_hz,
+            cfg.symbol_rate_hz == wave_cfg.symbol_rate_hz
+                && cfg.sample_rate_hz == wave_cfg.sample_rate_hz,
             "pipeline was built for different rates"
         );
     }
@@ -670,27 +822,17 @@ impl FramePipeline {
         assert!(!txs.is_empty(), "need at least one transmitter");
         assert!(frames > 0, "need at least one frame");
         self.assert_rates(cfg);
-        let (_, pre) = preamble();
         let Self {
-            wave_cfg,
-            stack,
-            preamble,
-            payload,
-            wire,
-            mac_tx,
-            tx_chips,
-            pd,
-            payload_rx,
+            phy,
+            sent,
             hosts,
             loop_phase,
             offsets,
             runs,
-            ..
         } = self;
         let mut rng = StdRng::seed_from_u64(seed);
         let a_opt = optical_swing_amplitude(&cfg.led, cfg.led.max_swing);
         let mut awgn = AwgnChannel::new(cfg.noise);
-        let bound = awgn.bound();
 
         hosts.clear();
         hosts.extend(txs.iter().map(|t| t.host));
@@ -699,159 +841,61 @@ impl FramePipeline {
         if runs.len() < hosts.len() {
             runs.resize_with(hosts.len(), ChipRuns::new);
         }
+        if sent.is_empty() {
+            sent.push(TxFrame::default());
+        }
+        let frame = &mut sent[0];
 
         // Same persistent loop-phase model (and RNG draws) as the scalar
         // reference: one uniform phase per host, relative to the earliest.
-        let chips_per_frame =
-            (Frame::wire_len_with(cfg.payload_len, stack) + PREAMBLE_BYTES.len()) as f64 * 16.0;
+        let chips_per_frame = (Frame::wire_len_with(cfg.payload_len, &phy.stack)
+            + PREAMBLE_BYTES.len()) as f64
+            * 16.0;
         let frame_duration_s = chips_per_frame / cfg.symbol_rate_hz;
         loop_phase.clear();
         if matches!(scheme, SyncScheme::SyncOff) && hosts.len() > 1 {
-            for &h in hosts.iter() {
-                loop_phase.push((h, rng.gen_range(0.0..frame_duration_s)));
-            }
-            let min = loop_phase
-                .iter()
-                .map(|&(_, p)| p)
-                .fold(f64::INFINITY, f64::min);
-            for (_, p) in loop_phase.iter_mut() {
+            loop_phase.extend(hosts.iter().map(|_| rng.gen_range(0.0..frame_duration_s)));
+            let min = loop_phase.iter().copied().fold(f64::INFINITY, f64::min);
+            for p in loop_phase.iter_mut() {
                 *p -= min;
             }
         } else {
-            loop_phase.extend(hosts.iter().map(|&h| (h, 0.0)));
+            loop_phase.resize(hosts.len(), 0.0);
         }
 
-        let header = FrameHeader {
-            dst: 1,
-            src: 0,
-            protocol: protocol::DATA,
-        };
         // The TXs in TX order, each on its host's runs.
-        pd.light.clear();
+        phy.pd.light.clear();
         for tx in txs {
             let h = hosts
                 .iter()
                 .position(|&h| h == tx.host)
                 .expect("every TX's host is listed");
-            pd.light.push(h, cfg.responsivity * tx.gain * a_opt);
+            phy.pd.light.push(h, cfg.responsivity * tx.gain * a_opt);
         }
         let mut frames_ok = 0;
         let mut rs_corrections = 0;
         let mut air_time_s = 0.0;
         for _ in 0..frames {
-            {
-                let _encode = telemetry.span("phy.packed.encode_s");
-                payload.clear();
-                for _ in 0..cfg.payload_len {
-                    payload.push(rng.gen());
-                }
-                telemetry.counter("phy.frames_encoded").inc();
-                wire.clear();
-                Frame::encode_parts_with(u64::MAX, &header, payload, stack, wire);
-                mac_tx.clear();
-                mac_tx.encode_bytes(wire);
-                tx_chips.clear();
-                tx_chips.extend_from(pre);
-                tx_chips.extend_from(mac_tx);
-            }
-            let spc = wave_cfg.samples_per_chip();
-            let guard = (8.0 * spc) as usize;
-            let n_samples = frame_samples(cfg, tx_chips.len());
+            phy.encode(&mut rng, cfg.payload_len, frame, telemetry);
+            let n_samples = frame_samples(cfg, frame.chips.len());
             air_time_s += n_samples as f64 / cfg.sample_rate_hz;
 
             offsets.clear();
-            for &h in hosts.iter() {
-                let phase = loop_phase
-                    .iter()
-                    .find(|(host, _)| *host == h)
-                    .expect("host has a phase")
-                    .1;
-                offsets.push((
-                    h,
-                    phase + scheme.sample_start_offset(cfg.symbol_rate_hz, &mut rng),
-                ));
+            for &phase in loop_phase.iter() {
+                offsets.push(phase + scheme.sample_start_offset(cfg.symbol_rate_hz, &mut rng));
             }
 
-            let search_len = 3 * guard + preamble.template().len();
             {
                 let _render = telemetry.span("phy.waveform.render_s");
-                for (host_runs, &(_, offset)) in runs.iter_mut().zip(offsets.iter()) {
-                    let delay = guard as f64 / cfg.sample_rate_hz + offset;
-                    host_runs.resolve(tx_chips, wave_cfg, delay, n_samples);
+                for (host_runs, &offset) in runs.iter_mut().zip(offsets.iter()) {
+                    let delay = phy.guard as f64 / cfg.sample_rate_hz + offset;
+                    host_runs.resolve(&frame.chips, &phy.wave_cfg, delay, n_samples);
                 }
-                pd.begin(runs, n_samples, search_len);
+                phy.begin(runs, n_samples);
             }
-
-            let mut noise = awgn.cursor(&mut rng, n_samples);
-            {
-                let _noise = telemetry.span("phy.noise_s");
-                noise.add_to(&mut pd.samples, 0, search_len);
-            }
-            let lock = {
-                let _lock = telemetry.span("phy.preamble.lock_s");
-                preamble.search(&pd.samples, 0, 3 * guard)
-            };
-            let locked = match lock {
-                Some((_, score)) if score < 0.5 => None,
-                lock => lock,
-            };
-            // `Some(decoded)` once the preamble locked: whether slicing and
-            // Manchester decoding both succeeded.
-            let decoded = locked.map(|(start, _)| {
-                let _decode = telemetry.span("phy.packed.decode_s");
-                let span = MacSpan {
-                    mac_start: start + (pre.len() as f64 * spc).round() as usize,
-                    n_chips: wire.len() * 16,
-                    n_samples,
-                };
-                pd.slice_and_decode(
-                    runs,
-                    &mut noise,
-                    bound,
-                    wave_cfg,
-                    span,
-                    telemetry.is_enabled().then_some((&*mac_tx, telemetry)),
-                )
-            });
-            {
-                let _noise = telemetry.span("phy.noise_s");
-                noise.finish();
-            }
-            match decoded {
-                None => {
-                    telemetry.counter("phy.preamble_misses").inc();
-                    continue;
-                }
-                Some(false) => {
-                    telemetry.counter("phy.frame_sync_errors").inc();
-                    continue;
-                }
-                Some(true) => {}
-            }
-            let parsed = {
-                let _rs_block = telemetry.span("phy.rs.block_s");
-                Frame::decode_parts_with(&pd.rx_bytes, stack, payload_rx)
-            };
-            match parsed {
-                Ok((_, _, fixed)) => {
-                    telemetry.counter("phy.frames_decoded").inc();
-                    telemetry
-                        .counter("phy.rs_symbols_corrected")
-                        .add(fixed as u64);
-                    if payload_rx == payload {
-                        frames_ok += 1;
-                        rs_corrections += fixed;
-                    } else {
-                        telemetry.counter("phy.frames_bad_payload").inc();
-                    }
-                }
-                Err(FrameError::Uncorrectable) => {
-                    telemetry.counter("phy.rs_uncorrectable").inc();
-                    telemetry.event("phy.frame", "rs_uncorrectable", &[]);
-                }
-                Err(_) => {
-                    telemetry.counter("phy.frame_sync_errors").inc();
-                }
+            if let Some(fixed) = phy.receive(runs, &mut awgn, &mut rng, frame, 0.5, telemetry) {
+                frames_ok += 1;
+                rs_corrections += fixed;
             }
         }
 
@@ -894,94 +938,56 @@ impl FramePipeline {
             }
         }
         self.assert_rates(cfg);
-        let (_, pre) = preamble();
         let Self {
-            wave_cfg,
-            stack,
-            preamble,
-            wire,
-            pd,
-            runs,
-            payload_rx,
-            spot_payloads,
-            spot_mac,
-            spot_chips,
-            spot_wire_lens,
-            spot_offsets,
-            spot_frames_ok,
-            spot_rs_corrections,
-            ..
+            phy, sent, runs, ..
         } = self;
+        let noop = Registry::noop();
         let mut rng = StdRng::seed_from_u64(seed);
         let a_opt = optical_swing_amplitude(&cfg.led, cfg.led.max_swing);
         let mut awgn = AwgnChannel::new(cfg.noise);
-        let bound = awgn.bound();
         let scheme = SyncScheme::nlos_paper();
-        let header = FrameHeader {
-            dst: 1,
-            src: 0,
-            protocol: protocol::DATA,
-        };
 
         let n = beamspots.len();
-        if spot_payloads.len() < n {
-            spot_payloads.resize_with(n, Vec::new);
-            spot_mac.resize_with(n, PackedChips::new);
-            spot_chips.resize_with(n, PackedChips::new);
+        if sent.len() < n {
+            sent.resize_with(n, TxFrame::default);
         }
         if runs.len() < n {
             runs.resize_with(n, ChipRuns::new);
         }
-        spot_wire_lens.clear();
-        spot_wire_lens.resize(n, 0);
-        spot_frames_ok.clear();
-        spot_frames_ok.resize(n, 0);
-        spot_rs_corrections.clear();
-        spot_rs_corrections.resize(n, 0);
+        let mut results = vec![
+            E2eResult {
+                frames_total: frames,
+                frames_ok: 0,
+                per: 0.0,
+                goodput_bps: 0.0,
+                rs_corrections: 0,
+            };
+            n
+        ];
 
-        let spc = wave_cfg.samples_per_chip();
-        let guard = (8.0 * spc) as usize;
-        let search_len = 3 * guard + preamble.template().len();
         let mut air_time_s = 0.0;
         for _ in 0..frames {
-            for i in 0..n {
-                let payload = &mut spot_payloads[i];
-                payload.clear();
-                for _ in 0..cfg.payload_len {
-                    payload.push(rng.gen());
-                }
-                wire.clear();
-                Frame::encode_parts_with(u64::MAX, &header, payload, stack, wire);
-                spot_wire_lens[i] = wire.len();
-                let mac = &mut spot_mac[i];
-                mac.clear();
-                mac.encode_bytes(wire);
-                let chips = &mut spot_chips[i];
-                chips.clear();
-                chips.extend_from(pre);
-                chips.extend_from(mac);
+            for frame in &mut sent[..n] {
+                phy.encode(&mut rng, cfg.payload_len, frame, &noop);
             }
-            let max_chips = spot_chips[..n]
+            let max_chips = sent[..n]
                 .iter()
-                .map(PackedChips::len)
+                .map(|frame| frame.chips.len())
                 .max()
                 .expect("non-empty plan");
             let n_samples = frame_samples(cfg, max_chips);
             air_time_s += n_samples as f64 / cfg.sample_rate_hz;
 
-            spot_offsets.clear();
-            for _ in beamspots {
-                spot_offsets.push(scheme.sample_start_offset(cfg.symbol_rate_hz, &mut rng));
-            }
             // A beamspot's runs depend only on its own stream and offset,
             // so every receiver shares them.
-            for (i, spot_runs) in runs[..n].iter_mut().enumerate() {
-                let delay = guard as f64 / cfg.sample_rate_hz + spot_offsets[i];
-                spot_runs.resolve(&spot_chips[i], wave_cfg, delay, n_samples);
+            for (spot_runs, frame) in runs[..n].iter_mut().zip(&sent[..n]) {
+                let offset = scheme.sample_start_offset(cfg.symbol_rate_hz, &mut rng);
+                let delay = phy.guard as f64 / cfg.sample_rate_hz + offset;
+                spot_runs.resolve(&frame.chips, &phy.wave_cfg, delay, n_samples);
             }
 
             for (b, spot) in beamspots.iter().enumerate() {
-                pd.light.clear();
+                phy.pd.light.clear();
                 for (other, other_spot) in beamspots.iter().enumerate() {
                     let gain_sum: f64 = other_spot
                         .txs
@@ -989,51 +995,25 @@ impl FramePipeline {
                         .map(|&t| channel.gain(t, spot.rx))
                         .sum();
                     if gain_sum > 0.0 {
-                        pd.light.push(other, cfg.responsivity * gain_sum * a_opt);
+                        phy.pd
+                            .light
+                            .push(other, cfg.responsivity * gain_sum * a_opt);
                     }
                 }
-                pd.begin(runs, n_samples, search_len);
-
-                // Dropping `noise` on any exit from this receiver's turn
-                // draws out the rest of its block.
-                let mut noise = awgn.cursor(&mut rng, n_samples);
-                noise.add_to(&mut pd.samples, 0, search_len);
-                let Some((start, score)) = preamble.search(&pd.samples, 0, 3 * guard) else {
-                    continue;
-                };
-                if score < 0.3 {
-                    continue;
-                }
-                let span = MacSpan {
-                    mac_start: start + (pre.len() as f64 * spc).round() as usize,
-                    n_chips: spot_wire_lens[b] * 16,
-                    n_samples,
-                };
-                let decoded = pd.slice_and_decode(runs, &mut noise, bound, wave_cfg, span, None);
-                noise.finish();
-                if !decoded {
-                    continue;
-                }
-                if let Ok((_, _, fixed)) = Frame::decode_parts_with(&pd.rx_bytes, stack, payload_rx)
-                {
-                    if *payload_rx == spot_payloads[b] {
-                        spot_frames_ok[b] += 1;
-                        spot_rs_corrections[b] += fixed;
-                    }
+                phy.begin(runs, n_samples);
+                if let Some(fixed) = phy.receive(runs, &mut awgn, &mut rng, &sent[b], 0.3, &noop) {
+                    results[b].frames_ok += 1;
+                    results[b].rs_corrections += fixed;
                 }
             }
         }
 
         let total_time_s = air_time_s + frames as f64 * cfg.turnaround_s;
-        (0..n)
-            .map(|b| E2eResult {
-                frames_total: frames,
-                frames_ok: spot_frames_ok[b],
-                per: 1.0 - spot_frames_ok[b] as f64 / frames as f64,
-                goodput_bps: (cfg.payload_len * 8 * spot_frames_ok[b]) as f64 / total_time_s,
-                rs_corrections: spot_rs_corrections[b],
-            })
-            .collect()
+        for result in &mut results {
+            result.per = 1.0 - result.frames_ok as f64 / frames as f64;
+            result.goodput_bps = (cfg.payload_len * 8 * result.frames_ok) as f64 / total_time_s;
+        }
+        results
     }
 }
 

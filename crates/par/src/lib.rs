@@ -30,9 +30,9 @@
 //! for the design discussion and the determinism test layer.
 //!
 //! ```
-//! use vlc_par::{par_map_indexed, Jobs};
+//! use vlc_par::{Jobs, Pool};
 //!
-//! let squares = par_map_indexed(Jobs::of(4), 8, |i| i * i);
+//! let squares = Pool::new(Jobs::of(4)).map_indexed(8, |i| i * i);
 //! assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
 //! ```
 
@@ -45,5 +45,5 @@ pub mod pool;
 pub mod seed;
 
 pub use jobs::{available_parallelism, Jobs, JOBS_ENV};
-pub use pool::{par_map_indexed, Pool, DEFAULT_CHUNK};
+pub use pool::{Pool, DEFAULT_CHUNK};
 pub use seed::{cell_seed, SEED_GAMMA};

@@ -333,16 +333,6 @@ pub(crate) fn payload_message(payload: &Box<dyn Any + Send>) -> &str {
     }
 }
 
-/// [`Pool::map_indexed`] on a throwaway pool: the common "fan this loop
-/// out" entry point.
-pub fn par_map_indexed<T, F>(jobs: Jobs, n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    Pool::new(jobs).map_indexed(n, f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,22 +343,24 @@ mod tests {
             .map(|i| (i as u64).wrapping_mul(2654435761))
             .collect();
         for jobs in [1, 2, 3, 7, 16] {
-            let got = par_map_indexed(Jobs::of(jobs), 137, |i| (i as u64).wrapping_mul(2654435761));
+            let got =
+                Pool::new(Jobs::of(jobs)).map_indexed(137, |i| (i as u64).wrapping_mul(2654435761));
             assert_eq!(got, expect, "jobs={jobs}");
         }
     }
 
     #[test]
     fn empty_and_single_item_maps_work() {
-        assert_eq!(par_map_indexed(Jobs::of(4), 0, |i| i), Vec::<usize>::new());
-        assert_eq!(par_map_indexed(Jobs::of(4), 1, |i| i + 10), vec![10]);
+        let pool = Pool::new(Jobs::of(4));
+        assert_eq!(pool.map_indexed(0, |i| i), Vec::<usize>::new());
+        assert_eq!(pool.map_indexed(1, |i| i + 10), vec![10]);
     }
 
     #[test]
     fn lowest_panicking_index_is_reported_on_every_path() {
         for jobs in [1, 4] {
             let err = catch_unwind(AssertUnwindSafe(|| {
-                par_map_indexed(Jobs::of(jobs), 20, |i| {
+                Pool::new(Jobs::of(jobs)).map_indexed(20, |i| {
                     if i == 5 || i == 17 {
                         panic!("boom at {i}");
                     }

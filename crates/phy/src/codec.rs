@@ -27,7 +27,7 @@
 use crate::conv::{self, ConvWorkspace};
 use crate::crc::{crc32, CRC_LEN};
 use crate::interleave::Interleaver;
-use crate::rs::{ReedSolomon, RsCodec, RsError, RsParams};
+use crate::rs::{RsCodec, RsError, RsParams};
 use std::fmt;
 
 /// Errors surfaced by a [`CodecStack`] decode.
@@ -147,12 +147,6 @@ impl RsStack {
     /// The paper's RS(216, 200) stack.
     pub fn paper() -> Self {
         RsStack::new(RsParams::PAPER.nroots)
-    }
-
-    /// The underlying scalar codec (for [`crate::frame::Frame::to_bytes`]
-    /// interop and reference paths).
-    pub fn reference(&self) -> &ReedSolomon {
-        self.codec.reference()
     }
 }
 

@@ -7,8 +7,8 @@
 //! portion — SFD (1 B), Length (2 B), Dst (2 B), Src (2 B), Protocol (2 B),
 //! the payload, and `⌈x/200⌉ × 16` Reed–Solomon parity bytes.
 
-use crate::codec::{CodecError, CodecStack, Correction};
-use crate::rs::{ReedSolomon, RsCodec, RsError};
+use crate::codec::{CodecError, CodecStack};
+use crate::rs::{ReedSolomon, RsError};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use vlc_telemetry::Registry;
@@ -251,44 +251,6 @@ impl Frame {
         Ok((tx_id_mask, FrameHeader { dst, src, protocol }, corrected))
     }
 
-    /// Serializes a frame's parts into `out` (appended) through a reusable
-    /// [`RsCodec`] — the zero-alloc twin of [`Frame::to_bytes`], producing
-    /// byte-identical wire bytes without owning a [`Frame`]. Routed through
-    /// [`Frame::encode_parts_with`] over the RS stack adapter.
-    pub fn encode_parts_into(
-        tx_id_mask: u64,
-        header: &FrameHeader,
-        payload: &[u8],
-        codec: &mut RsCodec,
-        out: &mut Vec<u8>,
-    ) {
-        let mut stack = RsParts {
-            codec,
-            scratch: None,
-        };
-        Frame::encode_parts_with(tx_id_mask, header, payload, &mut stack, out);
-    }
-
-    /// Parses and error-corrects a wire stream into caller-owned buffers —
-    /// the zero-alloc twin of [`Frame::from_bytes`]: identical field
-    /// decoding, identical errors, and the corrected payload lands in
-    /// `payload_out` (cleared first; `coded_scratch` holds the working
-    /// copy of the RS region). Returns the TX mask, header, and corrected
-    /// byte count. Routed through [`Frame::decode_parts_with`] over the RS
-    /// stack adapter.
-    pub fn decode_parts_into(
-        bytes: &[u8],
-        codec: &mut RsCodec,
-        coded_scratch: &mut Vec<u8>,
-        payload_out: &mut Vec<u8>,
-    ) -> Result<(u64, FrameHeader, usize), FrameError> {
-        let mut stack = RsParts {
-            codec,
-            scratch: Some(coded_scratch),
-        };
-        Frame::decode_parts_with(bytes, &mut stack, payload_out)
-    }
-
     /// [`Self::to_bytes`] with telemetry: counts the frame into
     /// `phy.frames_encoded`.
     pub fn to_bytes_traced(&self, rs: &ReedSolomon, telemetry: &Registry) -> Vec<u8> {
@@ -341,71 +303,6 @@ impl Frame {
     }
 }
 
-/// The historical RS parts path as a [`CodecStack`]: borrows the caller's
-/// [`RsCodec`] and (for decode) external coded scratch, so
-/// [`Frame::encode_parts_into`] / [`Frame::decode_parts_into`] keep their
-/// exact signatures and buffer contracts while running on the same generic
-/// code as every other stack.
-struct RsParts<'a> {
-    codec: &'a mut RsCodec,
-    /// Working copy of the coded region; `None` on the encode-only path.
-    scratch: Option<&'a mut Vec<u8>>,
-}
-
-impl CodecStack for RsParts<'_> {
-    fn name(&self) -> &str {
-        "rs"
-    }
-
-    fn encoded_len(&self, payload_len: usize) -> usize {
-        let n_chunks = payload_len.div_ceil(crate::rs::PAPER_CHUNK);
-        payload_len + n_chunks * self.codec.parity_len()
-    }
-
-    fn correction(&self) -> Correction {
-        let t = self.codec.correction_capacity();
-        Correction {
-            t_per_block: t,
-            block_len: crate::rs::PAPER_CHUNK + self.codec.parity_len(),
-            burst_tolerance: t,
-        }
-    }
-
-    fn encode_into(&mut self, payload: &[u8], out: &mut Vec<u8>) {
-        self.codec.encode_payload_into(payload, out);
-    }
-
-    fn decode_into(
-        &mut self,
-        coded: &[u8],
-        payload_len: usize,
-        payload_out: &mut Vec<u8>,
-    ) -> Result<usize, CodecError> {
-        let scratch = self
-            .scratch
-            .as_deref_mut()
-            .expect("decode requires coded scratch");
-        scratch.clear();
-        scratch.extend_from_slice(coded);
-        let corrected = self.codec.decode_payload_in_place(scratch, payload_len)?;
-        self.codec
-            .extract_payload_into(scratch, payload_len, payload_out);
-        Ok(corrected)
-    }
-
-    fn encode_ref(&self, payload: &[u8]) -> Vec<u8> {
-        self.codec.reference().encode_payload(payload)
-    }
-
-    fn decode_ref(&self, coded: &[u8], payload_len: usize) -> Result<(Vec<u8>, usize), CodecError> {
-        let mut buf = coded.to_vec();
-        Ok(self
-            .codec
-            .reference()
-            .decode_payload(&mut buf, payload_len)?)
-    }
-}
-
 /// Well-known protocol discriminators used by the MAC.
 pub mod protocol {
     /// Downlink user data.
@@ -421,6 +318,7 @@ pub mod protocol {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::RsStack;
     use proptest::prelude::*;
 
     fn rs() -> ReedSolomon {
@@ -536,24 +434,22 @@ mod tests {
 
     #[test]
     fn parts_codec_matches_owned_frame_path() {
-        let mut codec = RsCodec::paper();
+        let mut stack = RsStack::paper();
         let frame = sample_frame((0..300u16).map(|i| (i % 256) as u8).collect());
         let mut wire = Vec::new();
-        Frame::encode_parts_into(
+        Frame::encode_parts_with(
             frame.tx_id_mask,
             &frame.header,
             &frame.payload,
-            &mut codec,
+            &mut stack,
             &mut wire,
         );
         assert_eq!(wire, frame.to_bytes(&rs()));
         wire[20] ^= 0x41;
         wire[260] ^= 0x7f;
-        let mut scratch = Vec::new();
         let mut payload = Vec::new();
         let (mask, header, corrected) =
-            Frame::decode_parts_into(&wire, &mut codec, &mut scratch, &mut payload)
-                .expect("repairable");
+            Frame::decode_parts_with(&wire, &mut stack, &mut payload).expect("repairable");
         let (parsed, fixed) = Frame::from_bytes(&wire, &rs()).expect("repairable");
         assert_eq!(mask, parsed.tx_id_mask);
         assert_eq!(header, parsed.header);
@@ -563,24 +459,23 @@ mod tests {
 
     #[test]
     fn parts_codec_reports_same_errors() {
-        let mut codec = RsCodec::paper();
-        let mut scratch = Vec::new();
+        let mut stack = RsStack::paper();
         let mut payload = Vec::new();
         let frame = sample_frame(vec![1, 2, 3]);
         let mut bytes = frame.to_bytes(&rs());
         bytes[8] = 0x00;
         assert_eq!(
-            Frame::decode_parts_into(&bytes, &mut codec, &mut scratch, &mut payload),
+            Frame::decode_parts_with(&bytes, &mut stack, &mut payload),
             Err(FrameError::BadSfd { found: 0x00 })
         );
         assert_eq!(
-            Frame::decode_parts_into(&[0u8; 5], &mut codec, &mut scratch, &mut payload),
+            Frame::decode_parts_with(&[0u8; 5], &mut stack, &mut payload),
             Err(FrameError::Truncated)
         );
         let mut short = frame.to_bytes(&rs());
         short.pop();
         assert!(matches!(
-            Frame::decode_parts_into(&short, &mut codec, &mut scratch, &mut payload),
+            Frame::decode_parts_with(&short, &mut stack, &mut payload),
             Err(FrameError::LengthMismatch { .. })
         ));
     }

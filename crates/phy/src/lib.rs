@@ -29,6 +29,15 @@
 //!   interleaved RS, convolutional+CRC, CRC-only baseline).
 //! * [`conv`] + [`crc`] — the primitives behind the alternative stacks: a
 //!   K=7 rate-1/2 convolutional code with Viterbi decoding, and CRC-32.
+//!
+//! The frame path has two tiers. The scalar functions —
+//! [`manchester_encode`]/[`manchester_decode`], [`Frame::to_bytes`]/
+//! [`Frame::from_bytes`], and [`waveform`]'s `render`, `mix_into`,
+//! `slice_chips` and `correlate_pattern` — are the reference the packed
+//! tier is pinned to, bit for bit. The packed tier is what the frame
+//! pipeline runs: [`PackedChips`], [`Frame::encode_parts_with`]/
+//! [`Frame::decode_parts_with`] over a [`CodecStack`], and [`waveform`]'s
+//! chip runs, superposition, packed slicer and preamble correlator.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,6 +60,6 @@ pub mod waveform;
 pub use codec::{CodecError, CodecStack, Correction, CrcStack, InterleavedRsStack, RsStack};
 pub use frame::{Frame, FrameError, FrameHeader};
 pub use manchester::{manchester_decode, manchester_encode, Chip};
-pub use packed::{packed_decode, packed_encode, PackedChips};
+pub use packed::{packed_encode, PackedChips};
 pub use rs::{ReedSolomon, RsCodec, RsError, RsParams};
 pub use snr::m2m4_snr;

@@ -53,21 +53,6 @@ pub fn manchester_encode(data: &[u8]) -> Vec<Chip> {
     chips
 }
 
-/// Encodes a bit slice (not byte-aligned) into chips.
-pub fn manchester_encode_bits(bits: &[bool]) -> Vec<Chip> {
-    let mut chips = Vec::with_capacity(bits.len() * 2);
-    for &b in bits {
-        if b {
-            chips.push(Chip::High);
-            chips.push(Chip::Low);
-        } else {
-            chips.push(Chip::Low);
-            chips.push(Chip::High);
-        }
-    }
-    chips
-}
-
 /// Decodes Manchester chips back to bytes. Requires a whole number of bytes
 /// (16 chips each) and valid mid-bit transitions.
 ///
@@ -92,21 +77,6 @@ pub fn manchester_decode(chips: &[Chip]) -> Option<Vec<u8>> {
         out.push(byte);
     }
     Some(out)
-}
-
-/// Decodes chips into bits, tolerating a non-byte-aligned length.
-pub fn manchester_decode_bits(chips: &[Chip]) -> Option<Vec<bool>> {
-    if !chips.len().is_multiple_of(2) {
-        return None;
-    }
-    chips
-        .chunks(2)
-        .map(|pair| match (pair[0], pair[1]) {
-            (Chip::Low, Chip::High) => Some(false),
-            (Chip::High, Chip::Low) => Some(true),
-            _ => None,
-        })
-        .collect()
 }
 
 /// The DC balance of a chip stream: mean amplitude (0.0 = perfectly
@@ -165,15 +135,6 @@ mod tests {
     fn misaligned_length_is_rejected() {
         let chips = manchester_encode(&[0x42]);
         assert_eq!(manchester_decode(&chips[..15]), None);
-        assert_eq!(manchester_decode_bits(&chips[..15]), None);
-    }
-
-    #[test]
-    fn bit_level_roundtrip() {
-        let bits = vec![true, false, true, true, false];
-        let chips = manchester_encode_bits(&bits);
-        assert_eq!(chips.len(), 10);
-        assert_eq!(manchester_decode_bits(&chips), Some(bits));
     }
 
     #[test]

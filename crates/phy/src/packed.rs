@@ -9,8 +9,7 @@
 //!   ([`MANCHESTER_LUT`]), appended with two shifts;
 //! * the mid-bit transition check is a word-wide XOR against the even-bit
 //!   mask (`w ^ (w >> 1)` must light every even bit);
-//! * soft statistics (HIGH counts, DC balance, chip-error counts) are
-//!   `count_ones` over whole words.
+//! * the pre-FEC chip-error count is a `count_ones` over whole words.
 //!
 //! Every operation is bit-identical to its scalar counterpart in
 //! [`crate::manchester`]; `crates/phy/tests/packed_identity.rs` pins the
@@ -181,22 +180,6 @@ impl PackedChips {
         }
     }
 
-    /// Appends the Manchester encoding of a bit slice, the packed
-    /// equivalent of [`crate::manchester::manchester_encode_bits`].
-    pub fn encode_bits(&mut self, bits: &[bool]) {
-        for &b in bits {
-            // 1 → HIGH, LOW (0b01); 0 → LOW, HIGH (0b10).
-            let pair = if b { 0b01u64 } else { 0b10u64 };
-            let (w, off) = (self.len >> 6, self.len & 63);
-            if w == self.words.len() {
-                self.words.push(0);
-            }
-            self.words[w] |= pair << off;
-            // A pair never straddles a word: len is even here.
-            self.len += 2;
-        }
-    }
-
     /// Word-wise Manchester decode into `out` (cleared first), the packed
     /// equivalent of [`crate::manchester::manchester_decode`]. Returns
     /// `false` — like the scalar `None` — when the stream is not a whole
@@ -230,57 +213,6 @@ impl PackedChips {
             }
         }
         true
-    }
-
-    /// Convenience wrapper over [`Self::decode_bytes_into`] that allocates.
-    pub fn decode_bytes(&self) -> Option<Vec<u8>> {
-        let mut out = Vec::with_capacity(self.len / 16);
-        self.decode_bytes_into(&mut out).then_some(out)
-    }
-
-    /// Word-wise decode to bits (non-byte-aligned lengths allowed), the
-    /// packed equivalent of [`crate::manchester::manchester_decode_bits`].
-    pub fn decode_bits_into(&self, out: &mut Vec<bool>) -> bool {
-        out.clear();
-        if !self.len.is_multiple_of(2) {
-            return false;
-        }
-        for (wi, &w) in self.words.iter().enumerate() {
-            let chips_here = (self.len - wi * 64).min(64);
-            if chips_here == 0 {
-                break;
-            }
-            let pair_mask = if chips_here == 64 {
-                EVEN
-            } else {
-                EVEN & ((1u64 << chips_here) - 1)
-            };
-            if (w ^ (w >> 1)) & pair_mask != pair_mask {
-                return false;
-            }
-            let bits = compress_even(w);
-            for k in 0..chips_here / 2 {
-                out.push((bits >> k) & 1 == 1);
-            }
-        }
-        true
-    }
-
-    /// Number of HIGH chips (a `count_ones` sweep — the soft statistic
-    /// behind DC balance and chip-error counting).
-    pub fn count_high(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// DC balance: mean chip amplitude with HIGH = +1, LOW = −1
-    /// (0.0 = perfectly balanced). Matches
-    /// [`crate::manchester::dc_balance`].
-    pub fn dc_balance(&self) -> f64 {
-        if self.len == 0 {
-            return 0.0;
-        }
-        let high = self.count_high() as f64;
-        (2.0 * high - self.len as f64) / self.len as f64
     }
 
     /// Number of chip positions where `self` and `other` differ
@@ -338,11 +270,6 @@ impl PackedChips {
     pub fn to_chips(&self) -> Vec<Chip> {
         (0..self.len).map(|i| self.get(i)).collect()
     }
-
-    /// Iterates the chips in order without unpacking to a `Vec`.
-    pub fn iter(&self) -> impl Iterator<Item = Chip> + '_ {
-        (0..self.len).map(|i| self.get(i))
-    }
 }
 
 /// Encodes bytes into a fresh packed stream (allocating counterpart of
@@ -353,16 +280,16 @@ pub fn packed_encode(data: &[u8]) -> PackedChips {
     out
 }
 
-/// Decodes a packed stream to bytes, `None` on an invalid stream —
-/// the packed twin of [`crate::manchester::manchester_decode`].
-pub fn packed_decode(chips: &PackedChips) -> Option<Vec<u8>> {
-    chips.decode_bytes()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::manchester::{manchester_decode, manchester_encode};
+
+    /// [`PackedChips::decode_bytes_into`] in the scalar decoder's shape.
+    fn decoded(p: &PackedChips) -> Option<Vec<u8>> {
+        let mut out = Vec::new();
+        p.decode_bytes_into(&mut out).then_some(out)
+    }
 
     #[test]
     fn lut_matches_scalar_encoder() {
@@ -381,9 +308,8 @@ mod tests {
         let data = [0x00, 0xFF, 0x55, 0xAA, 0x13, 0x37, 0x7E];
         let packed = packed_encode(&data);
         assert_eq!(packed.len(), data.len() * 16);
-        assert_eq!(packed.decode_bytes(), Some(data.to_vec()));
+        assert_eq!(decoded(&packed), Some(data.to_vec()));
         assert_eq!(packed.to_chips(), manchester_encode(&data));
-        assert_eq!(packed.dc_balance(), 0.0);
     }
 
     #[test]
@@ -392,30 +318,17 @@ mod tests {
         chips[3] = chips[2]; // destroy a transition
         let packed = PackedChips::from_chips(&chips);
         assert_eq!(manchester_decode(&chips), None);
-        assert_eq!(packed.decode_bytes(), None);
+        assert_eq!(decoded(&packed), None);
     }
 
     #[test]
     fn misaligned_length_is_rejected() {
         let mut p = packed_encode(&[0xAB]);
         p.push(Chip::High);
-        assert_eq!(p.decode_bytes(), None);
-        let mut bits = Vec::new();
+        assert_eq!(decoded(&p), None);
         p.push(Chip::Low);
-        // 18 chips: byte-decode fails, bit-decode handles 9 bits.
-        assert!(!p.decode_bytes_into(&mut Vec::new()));
-        assert!(!p.decode_bits_into(&mut bits) || bits.len() == 9);
-    }
-
-    #[test]
-    fn bit_level_roundtrip_non_aligned() {
-        let bits = vec![true, false, true, true, false];
-        let mut p = PackedChips::new();
-        p.encode_bits(&bits);
-        assert_eq!(p.len(), 10);
-        let mut got = Vec::new();
-        assert!(p.decode_bits_into(&mut got));
-        assert_eq!(got, bits);
+        // 18 chips: whole chip pairs, but not whole bytes.
+        assert_eq!(decoded(&p), None);
     }
 
     #[test]
@@ -436,7 +349,7 @@ mod tests {
         assert!(p.is_empty());
         p.encode_bytes(&[0x22; 100]);
         assert_eq!(p.words.capacity(), cap, "clear must keep the allocation");
-        assert_eq!(p.decode_bytes(), Some(vec![0x22; 100]));
+        assert_eq!(decoded(&p), Some(vec![0x22; 100]));
     }
 
     #[test]
@@ -472,6 +385,7 @@ mod tests {
     #[test]
     fn count_high_is_half_for_manchester() {
         let p = packed_encode(&[0xC3, 0x00, 0xFF]);
-        assert_eq!(p.count_high(), p.len() / 2);
+        let high: u32 = p.words().iter().map(|w| w.count_ones()).sum();
+        assert_eq!(high as usize, p.len() / 2);
     }
 }

@@ -179,33 +179,6 @@ fn for_each_run(
     start
 }
 
-/// Renders chip runs into `out` (resized to `n_samples`), every sample
-/// written exactly once: zero prefix, one constant run per chip, zero
-/// suffix. So a stale buffer of the right length needs no zeroing pass.
-fn render_runs_into(
-    n_chips: usize,
-    chip_high: impl Fn(usize) -> bool,
-    cfg: &WaveformConfig,
-    amplitude: f64,
-    delay_s: f64,
-    n_samples: usize,
-    out: &mut Vec<f64>,
-) {
-    assert!(amplitude >= 0.0, "amplitude must be non-negative");
-    if out.len() != n_samples {
-        out.clear();
-        out.resize(n_samples, 0.0);
-    }
-    let mut first = None;
-    let last = for_each_run(n_chips, cfg, delay_s, n_samples, |k, start, end| {
-        first.get_or_insert(start);
-        let value = if chip_high(k) { amplitude } else { -amplitude };
-        out[start..end].fill(value);
-    });
-    out[..first.unwrap_or(last)].fill(0.0);
-    out[last..].fill(0.0);
-}
-
 /// The chip runs of one rendered stream — each chip's sample boundaries
 /// and its level — resolved once per frame and then added into a
 /// photocurrent, or read off directly ([`Superposition`]), for every TX
@@ -254,24 +227,14 @@ impl ChipRuns {
         (self.words[k >> 6] >> (k & 63)) & 1 == 1
     }
 
-    /// Adds `±a` (`+` for a high chip) over each chip's run into `out`,
-    /// for every `a` of `amplitudes` in order — the TXs sharing these
-    /// runs. Bit-identical to [`render_packed_into`] followed by
-    /// [`mix_into`] per amplitude on any `out` holding no `−0.0`: each
-    /// sample takes the same adds in the same order, the skipped off-air
-    /// samples would add `+0.0`, which leaves every other value unchanged,
-    /// and `x + y` is `−0.0` only when both are, so a buffer that starts at
-    /// `+0.0` never reaches `−0.0`.
-    pub fn add_into(&self, amplitudes: &[f64], out: &mut [f64]) {
-        assert!(
-            amplitudes.iter().all(|&a| a >= 0.0),
-            "amplitude must be non-negative"
-        );
-        self.add_range_into(amplitudes, out, (0, out.len()), 0);
-    }
-
-    /// [`Self::add_into`] restricted to the samples `lo..hi`: every sample
-    /// there takes exactly the adds `add_into` gives it. The search for
+    /// Adds `±a` (`+` for a high chip) over each chip's run within the
+    /// samples `lo..hi` of `out`, for every `a` of `amplitudes` in order —
+    /// the TXs sharing these runs. Bit-identical there to [`render`]
+    /// followed by [`mix_into`] per amplitude on any `out` holding no
+    /// `−0.0`: each sample takes the same adds in the same order, the
+    /// skipped off-air samples would add `+0.0`, which leaves every other
+    /// value unchanged, and `x + y` is `−0.0` only when both are, so a
+    /// buffer that starts at `+0.0` never reaches `−0.0`. The search for
     /// the first run starts at run `from_run`, which must not lie past the
     /// run holding `lo` (`0` always works).
     fn add_range_into(
@@ -346,8 +309,8 @@ impl ChipRuns {
 /// The TXs one photodiode hears, in TX order: each radiates one slot of
 /// a `&[ChipRuns]` at its amplitude. It renders any sample range, or reads
 /// a window's level straight off the runs, bit for bit as the eager
-/// render — [`ChipRuns::add_into`] per group of consecutive TXs on one
-/// slot, in TX order, into a buffer of `+0.0` — would leave those samples.
+/// render — [`render`] of each TX mixed in with [`mix_into`], in TX
+/// order, into a buffer of `+0.0` — would leave those samples.
 ///
 /// Windows come in passes: [`Self::rewind`] starts one, and within it the
 /// window starts `lo` must not decrease. Each slot keeps a cursor on the
@@ -453,30 +416,11 @@ impl Superposition {
     }
 }
 
-/// [`render`] into a caller-owned buffer (cleared and resized; no
-/// allocation once `out`'s capacity covers `n_samples`), using the
-/// fixed-stride run kernel. Bit-identical to [`render`].
-pub fn render_into(
-    chips: &[Chip],
-    cfg: &WaveformConfig,
-    amplitude: f64,
-    delay_s: f64,
-    n_samples: usize,
-    out: &mut Vec<f64>,
-) {
-    render_runs_into(
-        chips.len(),
-        |k| chips[k] == Chip::High,
-        cfg,
-        amplitude,
-        delay_s,
-        n_samples,
-        out,
-    );
-}
-
-/// [`render_into`] over a bit-packed chip stream — the zero-alloc fast
-/// path used by the frame pipeline.
+/// [`render`] of a bit-packed chip stream into a caller-owned buffer
+/// (resized to `n_samples`; no allocation once `out`'s capacity covers
+/// it), bit-identical to [`render`]. Every sample is written exactly
+/// once — zero prefix, one constant run per chip, zero suffix — so a stale
+/// buffer of the right length needs no zeroing pass.
 pub fn render_packed_into(
     chips: &PackedChips,
     cfg: &WaveformConfig,
@@ -485,16 +429,20 @@ pub fn render_packed_into(
     n_samples: usize,
     out: &mut Vec<f64>,
 ) {
+    assert!(amplitude >= 0.0, "amplitude must be non-negative");
+    if out.len() != n_samples {
+        out.clear();
+        out.resize(n_samples, 0.0);
+    }
     let words = chips.words();
-    render_runs_into(
-        chips.len(),
-        |k| (words[k >> 6] >> (k & 63)) & 1 == 1,
-        cfg,
-        amplitude,
-        delay_s,
-        n_samples,
-        out,
-    );
+    let mut first = None;
+    let last = for_each_run(chips.len(), cfg, delay_s, n_samples, |k, start, end| {
+        first.get_or_insert(start);
+        let high = (words[k >> 6] >> (k & 63)) & 1 == 1;
+        out[start..end].fill(if high { amplitude } else { -amplitude });
+    });
+    out[..first.unwrap_or(last)].fill(0.0);
+    out[last..].fill(0.0);
 }
 
 /// Adds waveform `b` into `a` element-wise (superposition of several TXs'
@@ -1104,7 +1052,7 @@ mod tests {
     }
 
     #[test]
-    fn render_into_is_bit_identical_to_render() {
+    fn render_packed_is_bit_identical_to_render() {
         let chips = manchester_encode(&[0x5A, 0xC3, 0xFF, 0x00]);
         let packed = crate::packed::PackedChips::from_chips(&chips);
         let mut buf = Vec::new();
@@ -1128,8 +1076,6 @@ mod tests {
                 .chain(near_whole)
             {
                 let reference = render(&chips, &c, 0.8, delay, 800);
-                render_into(&chips, &c, 0.8, delay, 800, &mut buf);
-                assert_eq!(buf, reference, "render_into sym={sym} delay={delay}");
                 render_packed_into(&packed, &c, 0.8, delay, 800, &mut buf);
                 assert_eq!(buf, reference, "render_packed_into sym={sym} delay={delay}");
             }

@@ -1,28 +1,31 @@
 //! Packed-vs-scalar identity: the bit-packed fast path must be
 //! bit-identical to the scalar reference for encode, decode (including
-//! invalid streams), non-byte-aligned bit slices, and the Reed–Solomon
-//! workspace (parity bytes, corrected blocks, error positions/results) —
-//! for random payloads and random bit flips beyond the correction
-//! capacity — and the pruned preamble search against the exhaustive
-//! correlation scan. `cargo tier2` replays this suite at `DENSEVLC_JOBS=1`
-//! and `DENSEVLC_JOBS=max`.
+//! invalid streams), the frame layer over the RS stack, rendering, and
+//! the Reed–Solomon workspace (parity bytes, corrected blocks, error
+//! positions/results) — for random payloads and random bit flips beyond
+//! the correction capacity — and the pruned preamble search against the
+//! exhaustive correlation scan. `cargo tier2` replays this suite at
+//! `DENSEVLC_JOBS=1` and `DENSEVLC_JOBS=max`.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicU32, Ordering};
-use vlc_phy::manchester::{
-    dc_balance, manchester_decode, manchester_decode_bits, manchester_encode,
-    manchester_encode_bits, Chip,
-};
+use vlc_phy::manchester::{manchester_decode, manchester_encode, Chip};
 use vlc_phy::packed::{packed_encode, PackedChips};
 use vlc_phy::rs::{ReedSolomon, RsCodec};
 use vlc_phy::waveform::{
-    correlate_pattern, correlate_template, mix_into, render, render_into, render_packed_into,
-    slice_chips, slice_chips_packed_into, template_energy, ChipRuns, PreambleCorrelator,
-    Superposition, WaveformConfig,
+    correlate_pattern, correlate_template, mix_into, render, render_packed_into, slice_chips,
+    slice_chips_packed_into, template_energy, ChipRuns, PreambleCorrelator, Superposition,
+    WaveformConfig,
 };
-use vlc_phy::{Frame, FrameHeader};
+use vlc_phy::{Frame, FrameHeader, RsStack};
+
+/// [`PackedChips::decode_bytes_into`] in the scalar decoder's shape.
+fn decoded(packed: &PackedChips) -> Option<Vec<u8>> {
+    let mut out = Vec::new();
+    packed.decode_bytes_into(&mut out).then_some(out)
+}
 
 proptest! {
     /// Packed encode produces the exact chip stream of the scalar encoder,
@@ -33,10 +36,8 @@ proptest! {
         let packed = packed_encode(&data);
         prop_assert_eq!(packed.len(), scalar.len());
         prop_assert_eq!(packed.to_chips(), scalar.clone());
-        prop_assert_eq!(packed.decode_bytes(), manchester_decode(&scalar));
-        prop_assert_eq!(packed.decode_bytes(), Some(data));
-        // Soft statistics agree too.
-        prop_assert!((packed.dc_balance() - dc_balance(&scalar)).abs() < 1e-15);
+        prop_assert_eq!(decoded(&packed), manchester_decode(&scalar));
+        prop_assert_eq!(decoded(&packed), Some(data));
     }
 
     /// Random chip-level corruption (which may destroy mid-bit
@@ -53,30 +54,7 @@ proptest! {
             chips[i] = if chips[i] == Chip::High { Chip::Low } else { Chip::High };
         }
         let packed = PackedChips::from_chips(&chips);
-        prop_assert_eq!(packed.decode_bytes(), manchester_decode(&chips));
-        let mut bits = Vec::new();
-        let ok = packed.decode_bits_into(&mut bits);
-        match manchester_decode_bits(&chips) {
-            Some(scalar_bits) => {
-                prop_assert!(ok);
-                prop_assert_eq!(bits, scalar_bits);
-            }
-            None => prop_assert!(!ok),
-        }
-    }
-
-    /// Non-byte-aligned bit slices: packed bit encode/decode mirrors the
-    /// scalar bit path exactly.
-    #[test]
-    fn bit_slice_identity(bits in proptest::collection::vec(any::<bool>(), 0..200)) {
-        let scalar = manchester_encode_bits(&bits);
-        let mut packed = PackedChips::new();
-        packed.encode_bits(&bits);
-        prop_assert_eq!(packed.to_chips(), scalar.clone());
-        let mut decoded = Vec::new();
-        prop_assert!(packed.decode_bits_into(&mut decoded));
-        prop_assert_eq!(&decoded, &bits);
-        prop_assert_eq!(manchester_decode_bits(&scalar), Some(bits));
+        prop_assert_eq!(decoded(&packed), manchester_decode(&chips));
     }
 
     /// Truncated (odd / non-multiple-of-16) streams are rejected by both.
@@ -89,10 +67,7 @@ proptest! {
         let cut = cut.min(chips.len() - 1);
         let truncated = &chips[..chips.len() - cut];
         let packed = PackedChips::from_chips(truncated);
-        prop_assert_eq!(packed.decode_bytes(), manchester_decode(truncated));
-        let mut bits = Vec::new();
-        let ok = packed.decode_bits_into(&mut bits);
-        prop_assert_eq!(ok, manchester_decode_bits(truncated).is_some());
+        prop_assert_eq!(decoded(&packed), manchester_decode(truncated));
     }
 
     /// The RsCodec workspace is byte-identical to the scalar codec:
@@ -133,8 +108,8 @@ proptest! {
         prop_assert_eq!(scalar_block, packed_block);
     }
 
-    /// Multi-chunk payloads through the frame layer: the parts-based
-    /// zero-alloc path reproduces `to_bytes`/`from_bytes` exactly.
+    /// Multi-chunk payloads through the frame layer: the parts path over
+    /// the paper's RS stack reproduces `to_bytes`/`from_bytes` exactly.
     #[test]
     fn frame_parts_identity(
         payload in proptest::collection::vec(any::<u8>(), 0..450),
@@ -142,19 +117,18 @@ proptest! {
         at_pos in any::<u32>(),
     ) {
         let rs = ReedSolomon::paper();
-        let mut codec = RsCodec::paper();
+        let mut stack = RsStack::paper();
         let header = FrameHeader { dst: 7, src: 3, protocol: 1 };
         let frame = Frame::new(mask, header, payload.clone());
         let mut wire = Vec::new();
-        Frame::encode_parts_into(mask, &header, &payload, &mut codec, &mut wire);
+        Frame::encode_parts_with(mask, &header, &payload, &mut stack, &mut wire);
         prop_assert_eq!(&wire, &frame.to_bytes(&rs));
         if !wire.is_empty() {
             let p = at_pos as usize % wire.len();
             wire[p] ^= 0x5a;
         }
-        let mut scratch = Vec::new();
         let mut payload_out = Vec::new();
-        let parts = Frame::decode_parts_into(&wire, &mut codec, &mut scratch, &mut payload_out);
+        let parts = Frame::decode_parts_with(&wire, &mut stack, &mut payload_out);
         match Frame::from_bytes(&wire, &rs) {
             Ok((f, fixed)) => {
                 let (got_mask, got_header, got_fixed) = parts.expect("parts path must agree");
@@ -187,8 +161,6 @@ proptest! {
         let delay = delay_us * 1e-6;
         let reference = render(&chips, &cfg, amp, delay, n);
         let mut buf = Vec::new();
-        render_into(&chips, &cfg, amp, delay, n, &mut buf);
-        prop_assert_eq!(&buf, &reference);
         render_packed_into(&packed, &cfg, amp, delay, n, &mut buf);
         prop_assert_eq!(&buf, &reference);
 
@@ -217,10 +189,10 @@ proptest! {
     }
 
     /// One-pass render: resolving each delay's chip runs once and adding
-    /// every TX's `±amp` straight into the photocurrent, in TX order, is
-    /// bit-identical to rendering each TX and mixing it in — for 1–4 TXs
-    /// over 1–2 delays, integer and fractional delays and rates, and
-    /// zero amplitudes.
+    /// every TX's `±amp` straight into the photocurrent, in TX order
+    /// (`Superposition::render` over the whole frame), is bit-identical to
+    /// rendering each TX and mixing it in — for 1–4 TXs over 1–2 delays,
+    /// integer and fractional delays and rates, and zero amplitudes.
     #[test]
     fn one_pass_render_matches_render_and_mix(
         data in proptest::collection::vec(any::<u8>(), 1..10),
@@ -256,13 +228,14 @@ proptest! {
         for (r, &delay) in runs.iter_mut().zip(&delays) {
             r.resolve(&packed, &cfg, delay, n);
         }
-        // Consecutive TXs on one delay add in one pass, as the pipeline
-        // groups them.
-        let mut one_pass = vec![0.0f64; n];
-        for group in txs.chunk_by(|a, b| a.0 == b.0) {
-            let amps: Vec<f64> = group.iter().map(|&tx| amp(tx)).collect();
-            runs[group[0].0].add_into(&amps, &mut one_pass);
+        let mut light = Superposition::new();
+        for &tx in &txs {
+            light.push(tx.0, amp(tx));
         }
+        light.rewind();
+        // A stale buffer: `render` overwrites every sample.
+        let mut one_pass = vec![f64::NAN; n];
+        light.render(&runs, &mut one_pass, 0, n);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         prop_assert_eq!(bits(&one_pass), bits(&reference));
     }
@@ -273,8 +246,8 @@ proptest! {
     /// and zero amplitudes (whose low chips add `−0.0`), a covered
     /// window's `Superposition::level` equals every eager sample in it and
     /// `Superposition::render` of any window equals the eager samples, bit
-    /// for bit. The eager reference is `ChipRuns::add_into` per group of
-    /// consecutive TXs on one delay, in TX order, into a zeroed buffer.
+    /// for bit. The eager reference is the scalar `render` of each TX mixed
+    /// in with `mix_into`, in TX order, into a zeroed buffer.
     #[test]
     fn on_demand_render_matches_eager_render(
         data in proptest::collection::vec(any::<u8>(), 1..8),
@@ -301,17 +274,18 @@ proptest! {
                 d * 1e-6
             }
         };
+        let delays = [delay_of(d0), delay_of(d1)];
+        let chips = manchester_encode(&data);
         let packed = packed_encode(&data);
         let n = (packed.len() as f64 * spc).ceil() as usize + 60;
         let mut runs = [ChipRuns::new(), ChipRuns::new()];
-        for (r, d) in runs.iter_mut().zip([d0, d1]) {
-            r.resolve(&packed, &cfg, delay_of(d), n);
+        for (r, &delay) in runs.iter_mut().zip(&delays) {
+            r.resolve(&packed, &cfg, delay, n);
         }
         let amp = |(_, z, a): (usize, u8, f64)| if z == 0 { 0.0 } else { a };
         let mut eager = vec![0.0f64; n];
-        for group in txs.chunk_by(|a, b| a.0 == b.0) {
-            let amps: Vec<f64> = group.iter().map(|&tx| amp(tx)).collect();
-            runs[group[0].0].add_into(&amps, &mut eager);
+        for &tx in &txs {
+            mix_into(&mut eager, &render(&chips, &cfg, amp(tx), delays[tx.0], n));
         }
         let mut light = Superposition::new();
         for &tx in &txs {

@@ -14,6 +14,7 @@ use vlc_phy::waveform::{
     correlate_template, render_packed_into, slice_chips_packed_into, template_energy,
     PreambleCorrelator, WaveformConfig,
 };
+use vlc_phy::RsStack;
 use vlc_phy::{Frame, FrameHeader};
 use vlc_prof::alloc_counter::{allocations_during, CountingAlloc};
 
@@ -143,9 +144,10 @@ fn warmed_packed_manchester_is_zero_alloc() {
 fn warmed_frame_render_slice_cycle_is_zero_alloc() {
     // The full per-frame PHY cycle the e2e pipeline performs, minus the
     // channel: frame bytes → packed chips → waveform → correlate → slice →
-    // chips → frame bytes. Everything below reuses caller-owned scratch.
+    // chips → frame bytes, framed through the paper's RS stack. Everything
+    // below reuses caller-owned or stack-owned scratch.
     let cfg = WaveformConfig::paper();
-    let mut codec = RsCodec::paper();
+    let mut stack = RsStack::paper();
     let header = FrameHeader {
         dst: 2,
         src: 1,
@@ -158,7 +160,6 @@ fn warmed_frame_render_slice_cycle_is_zero_alloc() {
     let mut samples = Vec::new();
     let mut sliced = PackedChips::new();
     let mut rx_bytes = Vec::new();
-    let mut coded_scratch = Vec::new();
     let mut payload_out = Vec::new();
 
     let preamble = packed_encode(&[0xAA, 0xAA, 0xAA, 0x55]);
@@ -178,10 +179,9 @@ fn warmed_frame_render_slice_cycle_is_zero_alloc() {
                      samples: &mut Vec<f64>,
                      sliced: &mut PackedChips,
                      rx_bytes: &mut Vec<u8>,
-                     coded_scratch: &mut Vec<u8>,
                      payload_out: &mut Vec<u8>| {
         wire.clear();
-        Frame::encode_parts_into(0b11, &header, &payload, &mut codec, wire);
+        Frame::encode_parts_with(0b11, &header, &payload, &mut stack, wire);
         chips.clear();
         chips.extend_from(&preamble);
         chips.encode_bytes(wire);
@@ -201,7 +201,7 @@ fn warmed_frame_render_slice_cycle_is_zero_alloc() {
         assert!(sliced.decode_bytes_into(rx_bytes));
         let skip = preamble.len() / 16;
         let (mask, got_header, corrected) =
-            Frame::decode_parts_into(&rx_bytes[skip..], &mut codec, coded_scratch, payload_out)
+            Frame::decode_parts_with(&rx_bytes[skip..], &mut stack, payload_out)
                 .expect("clean frame decodes");
         assert_eq!(mask, 0b11);
         assert_eq!(got_header, header);
@@ -216,7 +216,6 @@ fn warmed_frame_render_slice_cycle_is_zero_alloc() {
         &mut samples,
         &mut sliced,
         &mut rx_bytes,
-        &mut coded_scratch,
         &mut payload_out,
     );
 
@@ -228,7 +227,6 @@ fn warmed_frame_render_slice_cycle_is_zero_alloc() {
                 &mut samples,
                 &mut sliced,
                 &mut rx_bytes,
-                &mut coded_scratch,
                 &mut payload_out,
             );
         }
