@@ -61,7 +61,7 @@ ARGS:
 
 OPTIONS:
     --jobs N            Worker count for the experiment job set and the
-                        parallel layers underneath it (channel sounding,
+                        parallel layers underneath it (NLOS quadratures,
                         allocator search). N = a positive integer, or
                         `max`/`0` for all available cores. Defaults to the
                         DENSEVLC_JOBS environment variable, then to all
@@ -318,7 +318,7 @@ fn main() {
         }
     };
     // Propagate the job count to the parallel layers underneath the
-    // experiments (channel sounding, allocator candidate search).
+    // experiments (NLOS quadratures, allocator candidate search).
     std::env::set_var(JOBS_ENV, opts.jobs.get().to_string());
 
     let (set, extensions_at) = job_set();

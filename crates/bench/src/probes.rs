@@ -48,7 +48,6 @@ pub fn phase_probe(tracer: &Tracer, pool: &Pool) {
         dep.half_power_semi_angle,
         &dep.optics,
         &[],
-        pool,
         &probe,
     );
     heuristic_allocation_traced(
@@ -135,7 +134,7 @@ pub fn sparse_probe(tracer: &Tracer, pool: &Pool) {
     let hpsa = dep.half_power_semi_angle;
     let dense_matrix = {
         let _span = probe.child("sparse.channel.dense.building");
-        ChannelMatrix::compute_traced(&grid, &receivers, hpsa, &optics, &[], pool, &Span::noop())
+        ChannelMatrix::compute_traced(&grid, &receivers, hpsa, &optics, &[], &Span::noop())
     };
     {
         let span = probe.child("sparse.view.build.building");

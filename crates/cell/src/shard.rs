@@ -6,9 +6,10 @@
 //! sessions arrive and leave), the controller, and — under the
 //! optimal policy — the warm-start seed carried from the previous plan
 //! (and, on handover, from the source cell's allocation). Replans run on
-//! the shard's own *sequential* inner pool: the coordinator parallelises
-//! **across** shards, never inside one, so the per-shard computation is
-//! the exact `jobs = 1` code path regardless of `DENSEVLC_JOBS`.
+//! the calling worker, and the optimal solver on the shard's own
+//! *sequential* inner pool: the coordinator parallelises **across**
+//! shards, never inside one, so the per-shard computation is the exact
+//! `jobs = 1` code path regardless of `DENSEVLC_JOBS`.
 //!
 //! A shard never allocates on a tick that doesn't touch it; all state
 //! below persists across ticks and is reused in place. A replan's cost
@@ -84,7 +85,8 @@ pub struct CellShard {
     bps: Vec<f64>,
     sum_bps: f64,
     timeline: Vec<ShardTick>,
-    /// Sequential inner pool: across-shard parallelism only.
+    /// Sequential inner pool for the optimal solver: across-shard
+    /// parallelism only.
     inner: Pool,
     pub(crate) dirty: bool,
 }
@@ -220,8 +222,7 @@ impl CellShard {
     }
 
     /// Recomputes the room's channel and plan. Called by the coordinator
-    /// only when the shard is dirty; runs entirely on the shard's
-    /// sequential inner pool.
+    /// only when the shard is dirty; runs entirely on the calling worker.
     pub(crate) fn replan(
         &mut self,
         tick: u64,
@@ -255,7 +256,6 @@ impl CellShard {
             &[],
             &mut self.model.channel,
             telemetry,
-            &self.inner,
             parent,
         );
         // An unchanged channel over an unchanged roster means the previous

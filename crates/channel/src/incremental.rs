@@ -31,16 +31,16 @@
 //! same column of a full [`ChannelMatrix::compute_with_blockage`] rebuild,
 //! and a reused column is a previously recomputed one left in place.
 //! The updater therefore produces **bitwise identical** matrices to a
-//! cold rebuild on every tick, for any worker count (property-tested in
-//! `tests/cache_identity.rs`).
+//! cold rebuild on every tick (property-tested in `tests/cache_identity.rs`).
+//!
+//! An update runs on the calling thread. A column is a few microseconds
+//! of work, too little to pay for handing it to a worker, and a building
+//! already runs one updater per shard on its own worker.
 
 use crate::blockage::{any_blocks, CylinderBlocker};
 use crate::lambertian::{lambertian_order, los_gain_profiled, RxOptics, RxProfile};
 use crate::matrix::ChannelMatrix;
-use std::mem;
-use std::sync::Mutex;
 use vlc_geom::{Pose, TxGrid};
-use vlc_par::Pool;
 use vlc_telemetry::Registry;
 use vlc_trace::Span;
 
@@ -72,16 +72,6 @@ pub struct ChannelUpdate {
     pub misses: usize,
 }
 
-/// What one update redoes for a dirty column; every other column is a
-/// hit.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Redo {
-    /// Re-test the occlusion of the live links; keep the LOS gains.
-    Partial,
-    /// Recompute the column.
-    Miss,
-}
-
 /// One receiver column's cached state.
 #[derive(Debug, Clone)]
 struct Column {
@@ -107,104 +97,13 @@ impl Column {
     }
 }
 
-/// One lane's column buffer: the miss path's LOS gains, the partial path's
-/// copy of the live-TX list, and the occluded TXs (ascending) of either.
-/// Each holds at most `n_tx` entries and keeps its capacity across updates.
-#[derive(Debug, Default)]
-struct ColumnBuf {
-    gains: Vec<f64>,
-    live: Vec<u32>,
-    occluded: Vec<u32>,
-}
-
-/// The per-lane column buffers. Their contents never outlive an update, so
-/// a clone starts with none.
-#[derive(Debug, Default)]
-struct Lanes(Vec<Mutex<ColumnBuf>>);
-
-impl Clone for Lanes {
-    fn clone(&self) -> Self {
-        Lanes::default()
-    }
-}
-
-impl Lanes {
-    /// Grows to at least `n` lanes, to the exact size.
-    fn ensure(&mut self, n: usize) {
-        if self.0.len() < n {
-            self.0.reserve_exact(n - self.0.len());
-            self.0.resize_with(n, Mutex::default);
-        }
-    }
-}
-
-/// The updater's columns and clear gains and the caller's masked matrix,
-/// borrowed for one update; lanes write their columns through it one at a
-/// time.
-struct Scatter<'a> {
-    n_rx: usize,
-    cols: &'a mut [Column],
-    clear: &'a mut [f64],
-    masked: &'a mut [f64],
-    changed: bool,
-    partials: usize,
-    misses: usize,
-}
-
-impl Scatter<'_> {
-    /// Writes one masked entry, noting whether it changed.
-    fn write(&mut self, i: usize, gain: f64, occluded: bool) {
-        let g = if occluded { 0.0 } else { gain };
-        self.changed |= self.masked[i] != g;
-        self.masked[i] = g;
-    }
-
-    /// Copies column `r`'s live-TX list into `out` and returns the pose its
-    /// gains were computed for.
-    fn read_live(&self, r: usize, out: &mut Vec<u32>) -> Pose {
-        out.clear();
-        out.extend_from_slice(&self.cols[r].live);
-        self.cols[r].pose
-    }
-
-    /// A partial: re-masks column `r`'s live links, of which `occluded`
-    /// (an ascending subset) are blocked. Dead links stay exact zeros.
-    fn partial(&mut self, r: usize, occluded: &[u32]) {
-        self.partials += 1;
-        let live = mem::take(&mut self.cols[r].live);
-        let mut next = occluded.iter().peekable();
-        for &t in &live {
-            let i = t as usize * self.n_rx + r;
-            self.write(i, self.clear[i], next.next_if_eq(&&t).is_some());
-        }
-        let col = &mut self.cols[r];
-        col.live = live;
-        col.occluded = occluded.len();
-    }
-
-    /// A miss: stores column `r`'s new pose, clear gains and live list,
-    /// and masks it into the caller's matrix, blocking the `occluded` TXs
-    /// (ascending).
-    fn miss(&mut self, r: usize, pose: Pose, gains: &[f64], occluded: &[u32]) {
-        self.misses += 1;
-        let mut live = mem::take(&mut self.cols[r].live);
-        live.clear();
-        live.reserve_exact(gains.iter().filter(|&&g| g != 0.0).count());
-        let mut next = occluded.iter().peekable();
-        for (t, &gain) in gains.iter().enumerate() {
-            let i = t * self.n_rx + r;
-            self.clear[i] = gain;
-            self.write(i, gain, next.next_if_eq(&&(t as u32)).is_some());
-            if gain != 0.0 {
-                live.push(t as u32);
-            }
-        }
-        self.cols[r] = Column {
-            pose,
-            live,
-            occluded: occluded.len(),
-        };
-    }
+/// Stores one masked entry (zero when `blocked`) and reports whether it
+/// changed.
+fn store_masked(entry: &mut f64, gain: f64, blocked: bool) -> bool {
+    let g = if blocked { 0.0 } else { gain };
+    let changed = *entry != g;
+    *entry = g;
+    changed
 }
 
 /// Per-column state for the incremental channel engine.
@@ -225,10 +124,6 @@ pub struct ChannelUpdater {
     blockers: Vec<CylinderBlocker>,
     /// Clear LOS gains.
     clear: ChannelMatrix,
-    /// The current update's dirty columns, reused across updates.
-    dirty: Vec<(usize, Redo)>,
-    /// One column buffer per worker lane, reused across updates.
-    lanes: Lanes,
     primed: bool,
     /// A column was removed since the last update.
     removed: bool,
@@ -246,16 +141,13 @@ impl ChannelUpdater {
             cols: Vec::new(),
             blockers: Vec::new(),
             clear: ChannelMatrix::from_gains(grid.len(), 0, Vec::new()),
-            dirty: Vec::new(),
-            lanes: Lanes::default(),
             primed: false,
             removed: false,
         }
     }
 
     /// Advances the world one tick, writing the masked channel into
-    /// `channel` (the caller's copy, kept across updates) and fanning dirty
-    /// columns out over `DENSEVLC_JOBS` workers.
+    /// `channel` (the caller's copy, kept across updates).
     pub fn update(
         &mut self,
         receivers: &[Pose],
@@ -267,26 +159,23 @@ impl ChannelUpdater {
             blockers,
             channel,
             &Registry::noop(),
-            &Pool::from_env(),
             &Span::noop(),
         )
     }
 
-    /// [`Self::update`] on a caller-supplied pool, recording a
-    /// `channel.update` span under `parent` with one `channel.update.col`
-    /// child per *recomputed* column (indexed by RX, so the span tree
-    /// depends only on what changed, never on the worker count), and
+    /// [`Self::update`], recording a `channel.update` span under `parent`
+    /// with one `channel.update.col` child per *recomputed* column
+    /// (indexed by RX, so the span tree depends only on what changed), and
     /// bumping the `channel.cache.hit` / `channel.cache.partial` /
-    /// `channel.cache.miss` counters. Dirty columns are computed into
-    /// buffers the updater keeps (one per worker lane), so an update that
-    /// keeps the receiver count allocates nothing once warm.
+    /// `channel.cache.miss` counters. Dirty columns are computed straight
+    /// into the stored clear gains and the caller's matrix, so an update
+    /// that keeps the receiver count allocates nothing once warm.
     pub fn update_traced(
         &mut self,
         receivers: &[Pose],
         blockers: &[CylinderBlocker],
         channel: &mut ChannelMatrix,
         telemetry: &Registry,
-        pool: &Pool,
         parent: &Span,
     ) -> ChannelUpdate {
         let n_tx = self.grid.len();
@@ -322,102 +211,59 @@ impl ChannelUpdater {
         }
         let blockers_changed = !self.primed || self.blockers != blockers;
 
-        let mut dirty = mem::take(&mut self.dirty);
-        dirty.clear();
-        dirty.reserve_exact(n_rx);
-        dirty.extend(
-            self.cols
-                .iter()
-                .zip(receivers)
-                .enumerate()
-                .filter_map(|(r, (col, rx))| {
-                    let moved = !self.primed
-                        || r >= stored
-                        || col.pose.boresight != rx.boresight
-                        || col.pose.position.distance(rx.position) > 0.0;
-                    if moved {
-                        Some((r, Redo::Miss))
-                    } else if blockers_changed {
-                        Some((r, Redo::Partial))
-                    } else {
-                        None
-                    }
-                }),
-        );
-        let hits = n_rx - dirty.len();
-
-        // Recompute the dirty columns on up to one lane per worker: lane `k`
-        // takes dirty columns `k`, `k + lanes`, …, computes each into its
-        // own buffer and writes it into the stores under the scatter lock.
-        // Columns are disjoint and `changed` is an OR, so the stores come
-        // out the same whichever lane writes first.
-        let n_lanes = pool.jobs().get().min(dirty.len());
-        self.lanes.ensure(n_lanes);
-        let scatter = Mutex::new(Scatter {
-            n_rx,
-            cols: &mut self.cols,
-            clear: self.clear.gains_mut(),
-            masked: channel.gains_mut(),
-            changed,
-            partials: 0,
-            misses: 0,
-        });
-        let store = || scatter.lock().expect("a column write never panics");
+        // Each column is a hit (left as it is), a partial (pose unchanged,
+        // blockers changed: re-mask the live links) or a miss (recomputed).
+        let (mut hits, mut partials, mut misses) = (0, 0, 0);
         let grid = &self.grid;
         let m = self.lambertian_m;
         let profile = &self.profile;
-        let lanes = &self.lanes.0;
-        pool.map_indexed(n_lanes, |lane| {
-            let mut buf = lanes[lane].lock().expect("each lane is one item");
-            let ColumnBuf {
-                gains,
-                live,
-                occluded,
-            } = &mut *buf;
-            for &(r, redo) in dirty[lane..].iter().step_by(n_lanes) {
+        let clear = self.clear.gains_mut();
+        let masked = channel.gains_mut();
+        for (r, (col, pose)) in self.cols.iter_mut().zip(receivers).enumerate() {
+            let moved = !self.primed
+                || r >= stored
+                || col.pose.boresight != pose.boresight
+                || col.pose.position.distance(pose.position) > 0.0;
+            if moved {
+                misses += 1;
                 let _col = span.child_indexed("channel.update.col", r);
-                occluded.clear();
-                match redo {
-                    Redo::Partial => {
-                        // Pose unchanged: keep the cached LOS gains and
-                        // re-test occlusion against the pose they were
-                        // computed for, so gains and mask stay
-                        // geometrically consistent.
-                        let pose = store().read_live(r, live);
-                        for &t in live.iter() {
-                            let tx = grid.pose(t as usize).position;
-                            if any_blocks(blockers, tx, pose.position) {
-                                occluded.push(t);
-                            }
-                        }
-                        store().partial(r, occluded);
-                    }
-                    Redo::Miss => {
-                        // Occlusion only matters where the clear gain is
-                        // nonzero; dead links are never blocked.
-                        let pose = receivers[r];
-                        gains.clear();
-                        gains.reserve_exact(n_tx);
-                        for t in 0..n_tx {
-                            let tx = grid.pose(t);
-                            let g = los_gain_profiled(&tx, &pose, m, profile);
-                            gains.push(g);
-                            if g != 0.0 && any_blocks(blockers, tx.position, pose.position) {
-                                occluded.push(t as u32);
-                            }
-                        }
-                        store().miss(r, pose, gains, occluded);
-                    }
+                // Occlusion only matters where the clear gain is nonzero;
+                // dead links are never blocked.
+                let (mut n_live, mut occluded) = (0, 0);
+                for t in 0..n_tx {
+                    let i = t * n_rx + r;
+                    let tx = grid.pose(t);
+                    let g = los_gain_profiled(&tx, pose, m, profile);
+                    let blocked = g != 0.0 && any_blocks(blockers, tx.position, pose.position);
+                    clear[i] = g;
+                    changed |= store_masked(&mut masked[i], g, blocked);
+                    n_live += usize::from(g != 0.0);
+                    occluded += usize::from(blocked);
                 }
+                col.live.clear();
+                col.live.reserve_exact(n_live);
+                col.live
+                    .extend((0..n_tx as u32).filter(|&t| clear[t as usize * n_rx + r] != 0.0));
+                col.pose = *pose;
+                col.occluded = occluded;
+            } else if blockers_changed {
+                partials += 1;
+                let _col = span.child_indexed("channel.update.col", r);
+                // Pose unchanged: keep the cached LOS gains and re-test
+                // occlusion against the pose they were computed for, so
+                // gains and mask stay geometrically consistent.
+                col.occluded = 0;
+                for &t in &col.live {
+                    let i = t as usize * n_rx + r;
+                    let tx = grid.pose(t as usize).position;
+                    let blocked = any_blocks(blockers, tx, col.pose.position);
+                    changed |= store_masked(&mut masked[i], clear[i], blocked);
+                    col.occluded += usize::from(blocked);
+                }
+            } else {
+                hits += 1;
             }
-        });
-        let Scatter {
-            changed,
-            partials,
-            misses,
-            ..
-        } = scatter.into_inner().expect("a column write never panics");
-        self.dirty = dirty;
+        }
         if blockers_changed {
             self.blockers.clear();
             self.blockers.extend_from_slice(blockers);
@@ -693,7 +539,6 @@ mod tests {
     fn telemetry_counts_hits_and_misses() {
         let (grid, mut rxs, optics) = setup();
         let registry = Registry::new();
-        let pool = Pool::sequential();
         // After each update, `channel.fov.live` grows by the nonzero clear
         // gains the updater holds and `live + culled` by `n_tx · n_rx`.
         let fov_delta = |before: (u64, u64)| {
@@ -712,12 +557,12 @@ mod tests {
         let mut up = ChannelUpdater::new(&grid, 15f64.to_radians(), &optics);
         let mut h = empty(&grid);
         let mut fov = (0, 0);
-        up.update_traced(&rxs, &[], &mut h, &registry, &pool, &Span::noop());
+        up.update_traced(&rxs, &[], &mut h, &registry, &Span::noop());
         let (now, (live, culled)) = fov_delta(fov);
         assert_eq!((live, live + culled), (nonzero(&up), links));
         fov = now;
         rxs[0] = Pose::face_up(1.4, 1.4, 0.8);
-        up.update_traced(&rxs, &[], &mut h, &registry, &pool, &Span::noop());
+        up.update_traced(&rxs, &[], &mut h, &registry, &Span::noop());
         let (now, (live, culled)) = fov_delta(fov);
         assert_eq!((live, live + culled), (nonzero(&up), links));
         fov = now;
@@ -735,7 +580,7 @@ mod tests {
         let mut up = ChannelUpdater::new(&grid, 15f64.to_radians(), &narrow);
         let mut h = empty(&grid);
         for blockers in [vec![], vec![CylinderBlocker::person(0.92, 0.92)]] {
-            up.update_traced(&rxs, &blockers, &mut h, &registry, &pool, &Span::noop());
+            up.update_traced(&rxs, &blockers, &mut h, &registry, &Span::noop());
             let (now, (live, culled)) = fov_delta(fov);
             assert!(culled > 0, "a 30° FOV zeroes some links");
             assert_eq!((live, live + culled), (nonzero(&up), links));

@@ -4,7 +4,6 @@ use crate::blockage::{any_blocks, CylinderBlocker};
 use crate::lambertian::{lambertian_order, los_gain_profiled, RxOptics};
 use serde::{Deserialize, Serialize};
 use vlc_geom::{Pose, TxGrid};
-use vlc_par::Pool;
 use vlc_trace::Span;
 
 /// Line-of-sight path gains `H[tx][rx]` for every TX/RX pair.
@@ -34,10 +33,7 @@ impl ChannelMatrix {
         ChannelMatrix { n_tx, n_rx, gains }
     }
 
-    /// Computes the LOS matrix for a TX grid and receiver poses, fanning
-    /// the TX rows out over `DENSEVLC_JOBS` workers (sequential when that
-    /// resolves to 1). The result is bitwise identical for any worker
-    /// count — see [`Self::compute_traced`].
+    /// Computes the LOS matrix for a TX grid and receiver poses.
     pub fn compute(
         grid: &TxGrid,
         receivers: &[Pose],
@@ -48,7 +44,7 @@ impl ChannelMatrix {
     }
 
     /// Computes the LOS matrix with cylindrical occluders: a blocked pair
-    /// gets zero gain. Parallelism as in [`Self::compute`].
+    /// gets zero gain.
     pub fn compute_with_blockage(
         grid: &TxGrid,
         receivers: &[Pose],
@@ -62,30 +58,26 @@ impl ChannelMatrix {
             half_power_semi_angle,
             optics,
             blockers,
-            &Pool::from_env(),
             &Span::noop(),
         )
     }
 
-    /// [`Self::compute_with_blockage`] on a caller-supplied [`Pool`],
-    /// recording a `channel.sound` span under `parent`.
+    /// [`Self::compute_with_blockage`], recording a `channel.sound` span
+    /// under `parent` with one `channel.sound.row` child per TX row
+    /// (indexed by TX).
     ///
-    /// Each TX row of `H` is an independent work item, and rows are
-    /// reassembled in TX order, so the matrix is bitwise identical to the
-    /// sequential one for any worker count; one pool can serve many matrix
-    /// builds (and the NLOS quadratures) instead of being rebuilt per call.
-    /// Each entry is an independent store of the fused profiled kernel, so
-    /// the matrix is bitwise identical to a per-link scalar assembly
-    /// (pinned by `tests/soa_identity.rs`). The span has one
-    /// `channel.sound.row` child per TX row (indexed by TX, so the span
-    /// tree is identical for any worker count).
+    /// The sound runs on the calling thread and fills the gains row by row
+    /// into one allocation: a row is well under a microsecond of work, too
+    /// little to pay for handing it to a worker. Each entry is an
+    /// independent store of the fused profiled kernel, so the matrix is
+    /// bitwise identical to a per-link scalar assembly (pinned by
+    /// `tests/soa_identity.rs`).
     pub fn compute_traced(
         grid: &TxGrid,
         receivers: &[Pose],
         half_power_semi_angle: f64,
         optics: &RxOptics,
         blockers: &[CylinderBlocker],
-        pool: &Pool,
         parent: &Span,
     ) -> Self {
         let m = lambertian_order(half_power_semi_angle);
@@ -93,25 +85,21 @@ impl ChannelMatrix {
         let n_rx = receivers.len();
         let profile = optics.profile();
         let sound = parent.child("channel.sound");
-        sound.attr("n_tx", &n_tx.to_string());
-        sound.attr("n_rx", &n_rx.to_string());
-        let rows = pool.map_indexed(n_tx, |t| {
+        if sound.is_enabled() {
+            sound.attr("n_tx", &n_tx.to_string());
+            sound.attr("n_rx", &n_rx.to_string());
+        }
+        let mut gains = Vec::with_capacity(n_tx * n_rx);
+        for t in 0..n_tx {
             let _row = sound.child_indexed("channel.sound.row", t);
             let tx = grid.pose(t);
-            receivers
-                .iter()
-                .map(|rx| {
-                    if any_blocks(blockers, tx.position, rx.position) {
-                        0.0
-                    } else {
-                        los_gain_profiled(&tx, rx, m, &profile)
-                    }
-                })
-                .collect::<Vec<f64>>()
-        });
-        let mut gains = Vec::with_capacity(n_tx * n_rx);
-        for row in rows {
-            gains.extend(row);
+            gains.extend(receivers.iter().map(|rx| {
+                if any_blocks(blockers, tx.position, rx.position) {
+                    0.0
+                } else {
+                    los_gain_profiled(&tx, rx, m, &profile)
+                }
+            }));
         }
         ChannelMatrix { n_tx, n_rx, gains }
     }

@@ -176,7 +176,6 @@ mod tests {
     use super::*;
     use crate::lambertian::RxOptics;
     use vlc_geom::{Pose, Room, TxGrid};
-    use vlc_par::Pool;
     use vlc_trace::Span;
 
     fn small_matrix() -> ChannelMatrix {
@@ -189,7 +188,6 @@ mod tests {
             15f64.to_radians(),
             &RxOptics::paper(),
             &[],
-            &Pool::sequential(),
             &Span::noop(),
         )
     }

@@ -84,8 +84,7 @@ proptest! {
         prop_assert_eq!(fused.to_bits(), reference.to_bits());
     }
 
-    /// The fused matrix sweep equals a per-link scalar assembly, bitwise,
-    /// for any worker count.
+    /// The fused matrix sweep equals a per-link scalar assembly, bitwise.
     #[test]
     fn lane_compute_matches_scalar_assembly(
         rxs in proptest::collection::vec(arb_rx_pose(), 1..4),
@@ -95,23 +94,20 @@ proptest! {
         let room = Room::paper_testbed();
         let grid = TxGrid::paper(&room);
         let m = lambertian_order(HPSA);
-        for jobs in [Jobs::serial(), Jobs::max()] {
-            let pool = Pool::new(jobs);
-            let sweep = ChannelMatrix::compute_traced(
-                &grid, &rxs, HPSA, &optics, &blockers, &pool, &Span::noop(),
-            );
-            for t in 0..grid.len() {
-                let tx = grid.pose(t);
-                for (r, rx) in rxs.iter().enumerate() {
-                    let scalar = if vlc_channel::blockage::any_blocks(
-                        &blockers, tx.position, rx.position,
-                    ) {
-                        0.0
-                    } else {
-                        los_gain(&tx, rx, m, &optics)
-                    };
-                    prop_assert_eq!(sweep.gain(t, r).to_bits(), scalar.to_bits());
-                }
+        let sweep = ChannelMatrix::compute_traced(
+            &grid, &rxs, HPSA, &optics, &blockers, &Span::noop(),
+        );
+        for t in 0..grid.len() {
+            let tx = grid.pose(t);
+            for (r, rx) in rxs.iter().enumerate() {
+                let scalar = if vlc_channel::blockage::any_blocks(
+                    &blockers, tx.position, rx.position,
+                ) {
+                    0.0
+                } else {
+                    los_gain(&tx, rx, m, &optics)
+                };
+                prop_assert_eq!(sweep.gain(t, r).to_bits(), scalar.to_bits());
             }
         }
     }

@@ -14,7 +14,6 @@ use vlc_channel::{ChannelMatrix, ChannelUpdater, CylinderBlocker};
 use vlc_geom::Pose;
 use vlc_mac::{BeamspotPlan, Controller, ControllerConfig};
 use vlc_obs::{ObsPlane, TickSample};
-use vlc_par::{Jobs, Pool};
 use vlc_telemetry::{MetricsSnapshot, Registry};
 use vlc_testbed::{AcroPositioner, Deployment};
 use vlc_trace::Span;
@@ -276,13 +275,11 @@ impl Simulation {
         run.attr("engine", if incremental { "incremental" } else { "cold" });
         let steps = (duration_s / self.tick_s).ceil() as usize;
         let mut ticks = Vec::with_capacity(steps);
-        // Run-local engine state: one worker pool for the whole run
-        // (hoisted out of the per-matrix calls), one exact channel updater
-        // (any movement recomputes its column), and whether the channel
-        // changed since this run last planned. Kept off the struct so
-        // serialized simulations and replays stay unaffected; `stale`
-        // starts set so every run plans afresh on its first round.
-        let pool = Pool::new(Jobs::from_env()).with_telemetry(telemetry);
+        // Run-local engine state: one exact channel updater (any movement
+        // recomputes its column) and whether the channel changed since
+        // this run last planned. Kept off the struct so serialized
+        // simulations and replays stay unaffected; `stale` starts set so
+        // every run plans afresh on its first round.
         let mut updater = ChannelUpdater::new(
             &self.deployment.grid,
             self.deployment.half_power_semi_angle,
@@ -318,7 +315,6 @@ impl Simulation {
                     &blockers,
                     &mut world.channel,
                     telemetry,
-                    &pool,
                     &tick_trace,
                 );
                 stale |= update.changed;

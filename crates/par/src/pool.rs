@@ -27,8 +27,8 @@ pub const DEFAULT_CHUNK: usize = 1024;
 /// * [`Pool::map_indexed`] (and [`Pool::fold_chunks`], [`Pool::argmax_by`])
 ///   take closures that **borrow** the caller's data, so they run on fresh
 ///   scoped threads spawned per call. Use them for one-shot batch work —
-///   an experiment set, channel rows, solver starts — where a spawn is
-///   small next to the work.
+///   an experiment set, NLOS quadratures, solver starts — where a spawn
+///   is small next to the work.
 /// * [`Pool::map_owned`] takes an **owned** `'static` closure and runs it on
 ///   the pool's resident crew: at most `jobs − 1` threads, spawned once on
 ///   the first dispatch that needs them, parked on a condvar between

@@ -425,6 +425,18 @@ fn building(args: &[String], telemetry: &Registry, parent: &Span, obs: &ObsOptio
         move_period_ticks: u64_flag(args, "--move-period", 6),
         step_m: f64_flag(args, "--step", 1.5),
     };
+    // The schedule needs at least one tick, and a move a positive step.
+    for (flag, ok) in [("--ticks", load.ticks > 0), ("--step", load.step_m > 0.0)] {
+        if !ok {
+            let value = flag_value(args, flag).unwrap_or_default();
+            eprintln!(
+                "bad {flag} value `{value}` (must be positive)\n\
+                 usage: densevlc-cli building [--rooms CxR] [--ticks N] [--events N] \
+                 [--seed N] [--lifetime T] [--move-period T] [--step M]"
+            );
+            std::process::exit(2);
+        }
+    }
     let config = BuildingConfig::paper(cols, rows);
     let mut engine = BuildingEngine::new(&config, telemetry);
     let pool = Pool::new(Jobs::from_env()).with_telemetry(telemetry);

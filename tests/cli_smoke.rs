@@ -317,3 +317,28 @@ fn bad_numbers_exit_2_naming_the_flag() {
         );
     }
 }
+
+#[test]
+fn building_rejects_an_empty_schedule_and_a_non_positive_step() {
+    for args in [
+        &["building", "--ticks", "0"][..],
+        &["building", "--step", "0"],
+        &["building", "--step", "-1"],
+    ] {
+        let out = cli()
+            .args(args)
+            .args(["--rooms", "1x1", "--events", "20"])
+            .output()
+            .expect("densevlc-cli runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(args[1]),
+            "{args:?} names the flag: {stderr}"
+        );
+        assert!(
+            stderr.contains("usage:"),
+            "{args:?} prints the usage: {stderr}"
+        );
+    }
+}

@@ -1,9 +1,10 @@
 //! The vlc-par determinism contract, end to end: every parallelised layer
-//! (channel sounding, NLOS quadrature, the optimal solver, the exhaustive
-//! search, and whole experiments driven through `DENSEVLC_JOBS`) must
-//! produce *bitwise identical* results for any worker count. `jobs = 1` is
-//! the exact legacy sequential path, so these tests also pin today's
-//! numbers against accidental reassociation.
+//! (NLOS quadrature, the optimal solver, the exhaustive search, and whole
+//! experiments driven through `DENSEVLC_JOBS`) must produce *bitwise
+//! identical* results for any worker count, and channel sounding, which
+//! runs on the calling thread, must not depend on which worker calls it.
+//! `jobs = 1` is the exact legacy sequential path, so these tests also pin
+//! today's numbers against accidental reassociation.
 
 use vlc_alloc::exhaustive::exhaustive_binary_traced;
 use vlc_alloc::model::SystemModel;
@@ -33,17 +34,9 @@ fn paper_setup() -> (TxGrid, Vec<Pose>) {
     (grid, rxs)
 }
 
-/// The LOS matrix at the paper's 15° semi-angle on a `jobs`-worker pool.
-fn sound(grid: &TxGrid, rxs: &[Pose], optics: &RxOptics, jobs: Jobs) -> ChannelMatrix {
-    ChannelMatrix::compute_traced(
-        grid,
-        rxs,
-        15f64.to_radians(),
-        optics,
-        &[],
-        &Pool::new(jobs),
-        &Span::noop(),
-    )
+/// The LOS matrix at the paper's 15° semi-angle.
+fn sound(grid: &TxGrid, rxs: &[Pose], optics: &RxOptics) -> ChannelMatrix {
+    ChannelMatrix::compute_traced(grid, rxs, 15f64.to_radians(), optics, &[], &Span::noop())
 }
 
 /// Bit-exact equality for gain vectors: `==` on f64 would also pass for
@@ -59,21 +52,26 @@ fn assert_bits_eq(a: &[f64], b: &[f64], what: &str) {
     }
 }
 
+/// Sounding runs on the calling thread; a building sounds each shard on
+/// whichever pool worker replans it. Every worker of every pool size
+/// sounds the calling thread's matrix, bit for bit.
 #[test]
 fn channel_matrix_is_bitwise_identical_for_any_worker_count() {
     let (grid, rxs) = paper_setup();
     let optics = RxOptics::paper();
-    let reference = sound(&grid, &rxs, &optics, Jobs::serial());
+    let reference = sound(&grid, &rxs, &optics);
     for jobs in job_grid() {
-        let h = sound(&grid, &rxs, &optics, jobs);
-        assert_eq!(h.n_tx(), reference.n_tx());
-        assert_eq!(h.n_rx(), reference.n_rx());
-        for t in 0..h.n_tx() {
-            assert_bits_eq(
-                h.tx_row(t),
-                reference.tx_row(t),
-                &format!("H row {t} at jobs={jobs}"),
-            );
+        let sounds = Pool::new(jobs).map_indexed(jobs.get(), |_| sound(&grid, &rxs, &optics));
+        for (worker, h) in sounds.iter().enumerate() {
+            assert_eq!(h.n_tx(), reference.n_tx());
+            assert_eq!(h.n_rx(), reference.n_rx());
+            for t in 0..h.n_tx() {
+                assert_bits_eq(
+                    h.tx_row(t),
+                    reference.tx_row(t),
+                    &format!("H row {t} from item {worker} at jobs={jobs}"),
+                );
+            }
         }
     }
 }
@@ -136,7 +134,7 @@ fn nlos_integrals_are_bitwise_identical_for_any_worker_count() {
 #[test]
 fn optimal_solver_report_is_bitwise_identical_for_any_worker_count() {
     let (grid, rxs) = paper_setup();
-    let h = sound(&grid, &rxs, &RxOptics::paper(), Jobs::serial());
+    let h = sound(&grid, &rxs, &RxOptics::paper());
     let model = SystemModel::paper(h);
     let solver = OptimalSolver::quick();
 
@@ -171,7 +169,7 @@ fn exhaustive_search_is_bitwise_identical_for_any_worker_count() {
     let room = Room::paper_simulation();
     let grid = TxGrid::centered(&room, 3, 2, 0.8);
     let rxs = vec![Pose::face_up(0.8, 0.9, 0.8), Pose::face_up(1.9, 1.5, 0.8)];
-    let h = sound(&grid, &rxs, &RxOptics::paper(), Jobs::serial());
+    let h = sound(&grid, &rxs, &RxOptics::paper());
     let model = SystemModel::paper(h);
 
     let reference = exhaustive_binary_traced(&model, 0.9, 1_000, &Pool::sequential());

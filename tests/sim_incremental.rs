@@ -129,7 +129,6 @@ fn static_world_hits_plan_cache() {
     assert!(snap.counter("mac.plan.cache_hits").unwrap_or(0) > 0);
     assert_eq!(snap.counter("mac.plan.cache_misses"), Some(1));
     assert!(snap.counter("channel.cache.hit").unwrap_or(0) > 0);
-    assert!(snap.counter("par.pool.created").unwrap_or(0) >= 1);
 }
 
 #[test]

@@ -41,8 +41,7 @@ fn traced_workload(jobs: Jobs) -> TraceSnapshot {
     ];
     let optics = RxOptics::paper();
     let pool = Pool::new(jobs);
-    let h =
-        ChannelMatrix::compute_traced(&grid, &rxs, 15f64.to_radians(), &optics, &[], &pool, &root);
+    let h = ChannelMatrix::compute_traced(&grid, &rxs, 15f64.to_radians(), &optics, &[], &root);
 
     let cfg = NlosConfig::default();
     let leader = Pose::ceiling(0.6, 0.6, room.height);
