@@ -24,7 +24,7 @@ use vlc_phy::manchester::{manchester_decode, manchester_encode};
 use vlc_phy::packed::PackedChips;
 use vlc_phy::rs::RsCodec;
 use vlc_phy::waveform::{
-    render, render_packed_into, slice_chips, slice_chips_packed_into, WaveformConfig,
+    render, render_packed_into, slice_chips, slice_chips_packed_by, Sliced, WaveformConfig,
 };
 use vlc_phy::RsStack;
 use vlc_phy::{Frame, FrameHeader, ReedSolomon};
@@ -274,13 +274,11 @@ pub fn phy_probe(tracer: &Tracer) {
         chips.encode_bytes(&wire);
         let n_samples = (chips.len() as f64 * cfg.samples_per_chip()).ceil() as usize;
         render_packed_into(&chips, &cfg, 1.0, 0.0, n_samples, &mut wave);
-        assert!(slice_chips_packed_into(
-            &wave,
-            &cfg,
-            0,
-            chips.len(),
-            &mut sliced
-        ));
+        let outcome =
+            slice_chips_packed_by(wave.len(), &cfg, 0, chips.len(), &mut sliced, |lo, hi| {
+                wave[lo..hi].iter().sum::<f64>() >= 0.0
+            });
+        assert_eq!(outcome, Sliced::Whole);
         assert!(sliced.decode_bytes_into(&mut rx_bytes));
         Frame::decode_parts_with(&rx_bytes, &mut stack, &mut payload_rx).expect("clean frame");
         payload_rx.len()

@@ -228,10 +228,7 @@ impl Photodiode {
     /// the scalar path's `slice_chips` + `manchester_decode`, the middle of
     /// `Phy::receive`.
     ///
-    /// With `ber` set — the sent chips and a live registry — every chip
-    /// is sliced and the raw chip error fraction recorded into `phy.ber`
-    /// before the decode, as the scalar path records it. Without it,
-    /// slicing stops at the first pair of equal chips: the decode rejects
+    /// Slicing stops at the first pair of equal chips: the decode rejects
     /// any stream holding one, and a window past the stream ends in the
     /// same `false`, so no later window can change the outcome. The noise
     /// left undrawn is drawn past when the caller finishes the cursor, as
@@ -243,7 +240,6 @@ impl Photodiode {
         bound: f64,
         wave_cfg: &WaveformConfig,
         span: MacSpan,
-        ber: Option<(&PackedChips, &Registry)>,
     ) -> bool {
         let mut sliced = std::mem::take(&mut self.sliced);
         let outcome = slice_chips_packed_by(
@@ -251,21 +247,11 @@ impl Photodiode {
             wave_cfg,
             span.mac_start,
             span.n_chips,
-            ber.is_none(),
             &mut sliced,
             |lo, hi| self.window_is_high(runs, noise, bound, lo, hi),
         );
         self.sliced = sliced;
-        if outcome != Sliced::Whole {
-            return false;
-        }
-        if let Some((sent, telemetry)) = ber {
-            let chip_errors = self.sliced.diff_count(sent);
-            telemetry
-                .histogram("phy.ber")
-                .record(chip_errors as f64 / sent.len().max(1) as f64);
-        }
-        self.sliced.decode_bytes_into(&mut self.rx_bytes)
+        outcome == Sliced::Whole && self.sliced.decode_bytes_into(&mut self.rx_bytes)
     }
 }
 
@@ -346,8 +332,9 @@ pub fn run(
 /// `phy.preamble_misses` (correlator never locks) or `phy.frame_sync_errors`
 /// (chip slicing / Manchester decoding breaks); decodes whose payload does
 /// not match the transmitted one count into `phy.frames_bad_payload`; and
-/// each sliced frame's raw chip error fraction (sliced vs. transmitted MAC
-/// chips, before FEC) lands in the `phy.ber` histogram.
+/// the raw chip error fraction (sliced vs. transmitted MAC chips, before
+/// FEC) of each frame whose chips Manchester-decode lands in the `phy.ber`
+/// histogram.
 pub fn run_traced(
     txs: &[E2eTx],
     scheme: &SyncScheme,
@@ -493,7 +480,12 @@ pub fn run_scalar(
             telemetry.counter("phy.frame_sync_errors").inc();
             continue;
         };
-        // Raw (pre-FEC) chip error rate: sliced chips vs. what was sent.
+        let Some(decoded_bytes) = manchester_decode(&mac_chips) else {
+            telemetry.counter("phy.frame_sync_errors").inc();
+            continue;
+        };
+        // Raw (pre-FEC) chip error rate of a frame that reaches the RS
+        // decoder: sliced chips vs. what was sent.
         let sent_chips = &chips[preamble_chips.len()..];
         let chip_errors = mac_chips
             .iter()
@@ -503,10 +495,6 @@ pub fn run_scalar(
         telemetry
             .histogram("phy.ber")
             .record(chip_errors as f64 / sent_chips.len().max(1) as f64);
-        let Some(decoded_bytes) = manchester_decode(&mac_chips) else {
-            telemetry.counter("phy.frame_sync_errors").inc();
-            continue;
-        };
         match Frame::from_bytes_traced(&decoded_bytes, &rs, telemetry) {
             Ok((decoded, fixed)) if decoded.payload == payload => {
                 frames_ok += 1;
@@ -653,14 +641,8 @@ impl Phy {
                 n_chips: sent.mac.len(),
                 n_samples,
             };
-            self.pd.slice_and_decode(
-                runs,
-                &mut noise,
-                bound,
-                &self.wave_cfg,
-                span,
-                telemetry.is_enabled().then_some((&sent.mac, telemetry)),
-            )
+            self.pd
+                .slice_and_decode(runs, &mut noise, bound, &self.wave_cfg, span)
         });
         {
             let _noise = telemetry.span("phy.noise_s");
@@ -676,6 +658,14 @@ impl Phy {
                 return None;
             }
             Some(true) => {}
+        }
+        // The raw chip error fraction of a frame that reaches the RS
+        // decoder, as `run_scalar` records it after `manchester_decode`.
+        if telemetry.is_enabled() {
+            let chip_errors = self.pd.sliced.diff_count(&sent.mac);
+            telemetry
+                .histogram("phy.ber")
+                .record(chip_errors as f64 / sent.mac.len().max(1) as f64);
         }
         let parsed = {
             let _rs_block = telemetry.span("phy.rs.block_s");
@@ -737,8 +727,8 @@ impl Phy {
 ///   offsets whose score bound can reach the best; the others cannot
 ///   win, so the lock is the exhaustive scan's.
 /// - Slicing: a frame stops at its first pair of equal chips, which no
-///   decode accepts — except under a live registry, where every chip is
-///   sliced to record `phy.ber` (see `Photodiode::slice_and_decode`).
+///   decode accepts, whatever the registry: a live one only adds the
+///   `phy.ber` record of a frame that decodes (see `Phy::receive`).
 #[derive(Debug)]
 pub struct FramePipeline {
     phy: Phy,
@@ -2057,6 +2047,42 @@ mod tests {
                 (ber_scalar.count, ber_scalar.sum.to_bits()),
                 "phy.ber diverged for scheme {scheme:?} seed {seed}"
             );
+        }
+    }
+
+    #[test]
+    fn ber_counts_only_the_frames_that_reach_the_rs_decoder() {
+        // Table 5's rows 2 and 3: four TXs on two hosts, without and with
+        // sync. Without it, the hosts' offsets break a Manchester pair in
+        // every locked frame; those frames stop slicing there, traced or
+        // not, and record no `phy.ber`. With it, most frames decode.
+        let cfg = E2eConfig::default();
+        let frames = 40;
+        let mut pipeline = FramePipeline::new(&cfg);
+        for (scheme, seed) in [
+            (SyncScheme::SyncOff, 42 ^ 1),
+            (SyncScheme::nlos_paper(), 42 ^ 2),
+        ] {
+            let untraced = pipeline.run(&four_tx(), &scheme, &cfg, frames, seed, &Registry::noop());
+            let reg = Registry::new();
+            let traced = pipeline.run(&four_tx(), &scheme, &cfg, frames, seed, &reg);
+            assert_eq!(traced, untraced, "{scheme:?}");
+            let snap = reg.snapshot();
+            let counter = |name: &str| snap.counter(name).unwrap_or(0);
+            let ber = snap.histogram("phy.ber").map_or(0, |h| h.count);
+            let reached_rs = counter("phy.frames_decoded") + counter("phy.rs_uncorrectable");
+            assert_eq!(
+                ber, reached_rs,
+                "{scheme:?}: phy.ber counts the RS decoder's frames"
+            );
+            let locked = frames as u64 - counter("phy.preamble_misses");
+            match scheme {
+                SyncScheme::SyncOff => assert!(
+                    ber < locked,
+                    "a locked frame broke a pair: {ber} of {locked} recorded"
+                ),
+                _ => assert!(ber > 0, "{scheme:?}: no frame reached the RS decoder"),
+            }
         }
     }
 

@@ -142,14 +142,6 @@ impl Controller {
     /// # Panics
     /// Panics if the report's shape doesn't match the deployment.
     pub fn ingest_report(&mut self, report: ChannelReport) {
-        self.ingest_report_traced(report, &Registry::noop());
-    }
-
-    /// [`Self::ingest_report`] with telemetry: ingest time into the
-    /// `mac.ingest_s` histogram and a `mac.reports_ingested` count.
-    pub fn ingest_report_traced(&mut self, report: ChannelReport, telemetry: &Registry) {
-        let _ingest_span = telemetry.span("mac.ingest_s");
-        telemetry.counter("mac.reports_ingested").inc();
         assert!(report.rx < self.n_rx, "unknown RX {}", report.rx);
         assert_eq!(
             report.snr_per_tx.len(),
@@ -170,17 +162,6 @@ impl Controller {
     /// Rebuilds the estimated channel matrix from the latest reports.
     /// Unreported receivers contribute zero gains.
     pub fn estimated_channel(&self, amp_per_gain_over_noise: f64) -> ChannelMatrix {
-        self.estimated_channel_traced(amp_per_gain_over_noise, &Registry::noop())
-    }
-
-    /// [`Self::estimated_channel`] with telemetry: estimation time into the
-    /// `mac.estimate_s` histogram.
-    pub fn estimated_channel_traced(
-        &self,
-        amp_per_gain_over_noise: f64,
-        telemetry: &Registry,
-    ) -> ChannelMatrix {
-        let _estimate_span = telemetry.span("mac.estimate_s");
         let mut gains = vec![0.0; self.n_tx * self.n_rx];
         for (rx, report) in self.reports.iter().enumerate() {
             if let Some(rep) = report {

@@ -481,61 +481,38 @@ pub fn slice_chips(
     Some(chips)
 }
 
-/// [`slice_chips`] into a reusable [`PackedChips`] buffer (cleared first;
-/// zero allocations once capacity is warm). The per-chip windows, means,
-/// and the zero threshold are the exact scalar expressions, so the sliced
-/// chips are bit-identical to [`slice_chips`]'s. Returns `false` — the
-/// scalar `None` — when the stream is too short.
-pub fn slice_chips_packed_into(
-    samples: &[f64],
-    cfg: &WaveformConfig,
-    start_sample: usize,
-    n_chips: usize,
-    out: &mut PackedChips,
-) -> bool {
-    // The window count divides out of the scalar decision (`mean >= 0` ⟺
-    // `sum >= 0` for a positive count, including the −0.0 and NaN cases),
-    // so the per-chip division goes.
-    let sliced = slice_chips_packed_by(
-        samples.len(),
-        cfg,
-        start_sample,
-        n_chips,
-        false,
-        out,
-        |lo, hi| samples[lo..hi].iter().sum::<f64>() >= 0.0,
-    );
-    sliced == Sliced::Whole
-}
-
 /// How a [`slice_chips_packed_by`] pass ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Sliced {
-    /// Every chip was sliced.
+    /// Every chip was sliced and every Manchester pair (chips `2k`,
+    /// `2k + 1`) holds two different chips.
     Whole,
     /// A window ran past the stream — the scalar `None`. `out` is cleared.
     Short,
-    /// A Manchester pair (chips `2k`, `2k + 1`) came out as two equal
-    /// chips, so no decode can succeed, and slicing stopped after it.
+    /// A Manchester pair came out as two equal chips, so no decode can
+    /// succeed, and slicing stopped after it: `out` holds the chips up to
+    /// and including that pair.
     BrokenPair,
 }
 
-/// The slicing loop of [`slice_chips_packed_into`] with the chip decision
-/// left to `decide(lo, hi)`: `true` for a high chip whose window is
-/// `lo..hi`. Windows come in chip order, each one checked against
-/// `n_samples` (and for emptiness) before `decide` sees it, at the same
-/// chip index as the scalar loop. On a too-short stream `out` is cleared
-/// and the result is [`Sliced::Short`]. With `stop_at_broken_pair`, the
-/// pass ends at the first pair of equal chips, counted from chip 0; the
-/// later windows are never checked or decided. A caller that prepares each
-/// window just in time — adds noise, say — gets exactly the windows the
-/// slicer reads.
+/// [`slice_chips`] into a reusable [`PackedChips`] buffer (cleared first;
+/// zero allocations once capacity is warm), with the chip decision left
+/// to `decide(lo, hi)`: `true` for a high chip whose window is `lo..hi`.
+/// Windows come in chip order, each one checked against `n_samples` (and
+/// for emptiness) before `decide` sees it, at the same chip index as the
+/// scalar loop, so with `decide` the scalar window test
+/// (`samples[lo..hi].iter().sum::<f64>() >= 0.0`, the mean's sign) the
+/// chips are bit-identical to [`slice_chips`]'s. On a too-short stream
+/// `out` is cleared and the result is [`Sliced::Short`]. The pass ends at
+/// the first pair of equal chips, counted from chip 0
+/// ([`Sliced::BrokenPair`]); the later windows are never checked or
+/// decided. A caller that prepares each window just in time — adds noise,
+/// say — gets exactly the windows the slicer reads.
 pub fn slice_chips_packed_by(
     n_samples: usize,
     cfg: &WaveformConfig,
     start_sample: usize,
     n_chips: usize,
-    stop_at_broken_pair: bool,
     out: &mut PackedChips,
     mut decide: impl FnMut(usize, usize) -> bool,
 ) -> Sliced {
@@ -578,7 +555,7 @@ pub fn slice_chips_packed_by(
         }
         let high = decide(lo, hi);
         word.push(out, high);
-        if k % 2 == 1 && high == first_of_pair && stop_at_broken_pair {
+        if k % 2 == 1 && high == first_of_pair {
             word.flush(out);
             return Sliced::BrokenPair;
         }
@@ -597,10 +574,13 @@ struct WordFill {
 }
 
 impl WordFill {
+    // `slice_chips_packed_by` is generic, so it compiles in its caller's
+    // crate: without `#[inline]` this per-chip step stays a call there.
+    // The shifted `u64::from(high)` keeps a branch on the chip value off
+    // the per-chip path.
+    #[inline]
     fn push(&mut self, out: &mut PackedChips, high: bool) {
-        if high {
-            self.word |= 1 << self.filled;
-        }
+        self.word |= u64::from(high) << self.filled;
         self.filled += 1;
         if self.filled == 64 {
             out.push_word_aligned(self.word, 64);
@@ -1084,27 +1064,29 @@ mod tests {
 
     #[test]
     fn packed_slice_matches_scalar_slice() {
+        let slice = |w: &[f64], start: usize, n_chips: usize, out: &mut PackedChips| {
+            slice_chips_packed_by(w.len(), &cfg(), start, n_chips, out, |lo, hi| {
+                w[lo..hi].iter().sum::<f64>() >= 0.0
+            })
+        };
         let chips = manchester_encode(&[0xF0, 0x0F, 0x37]);
         let w = render(&chips, &cfg(), 1.0, 2e-6, chips.len() * 10 + 10);
         let scalar = slice_chips(&w, &cfg(), 0, chips.len()).expect("long enough");
-        let mut packed = crate::packed::PackedChips::new();
-        assert!(slice_chips_packed_into(
-            &w,
-            &cfg(),
-            0,
-            chips.len(),
-            &mut packed
-        ));
+        let mut packed = PackedChips::new();
+        assert_eq!(slice(&w, 0, chips.len(), &mut packed), Sliced::Whole);
         assert_eq!(packed.to_chips(), scalar);
         // Too-short stream: both sides refuse.
         assert!(slice_chips(&w, &cfg(), 100, chips.len()).is_none());
-        assert!(!slice_chips_packed_into(
-            &w,
-            &cfg(),
-            100,
-            chips.len(),
-            &mut packed
-        ));
+        assert_eq!(slice(&w, 100, chips.len(), &mut packed), Sliced::Short);
+        assert!(packed.is_empty());
+        // Pair 2 (chips 4, 5) holds two equal chips: the pass keeps the
+        // scalar chips up to that pair and stops.
+        let mut broken = chips.clone();
+        broken[5] = broken[4];
+        let w = render(&broken, &cfg(), 1.0, 2e-6, broken.len() * 10 + 10);
+        let scalar = slice_chips(&w, &cfg(), 0, broken.len()).expect("long enough");
+        assert_eq!(slice(&w, 0, broken.len(), &mut packed), Sliced::BrokenPair);
+        assert_eq!(packed.to_chips(), scalar[..6]);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use vlc_phy::packed::{packed_encode, PackedChips};
 use vlc_phy::rs::{ReedSolomon, RsCodec};
 use vlc_phy::waveform::{
     correlate_pattern, correlate_template, mix_into, render, render_packed_into, slice_chips,
-    slice_chips_packed_into, template_energy, ChipRuns, PreambleCorrelator, Superposition,
+    slice_chips_packed_by, template_energy, ChipRuns, PreambleCorrelator, Sliced, Superposition,
     WaveformConfig,
 };
 use vlc_phy::{Frame, FrameHeader, RsStack};
@@ -25,6 +25,24 @@ use vlc_phy::{Frame, FrameHeader, RsStack};
 fn decoded(packed: &PackedChips) -> Option<Vec<u8>> {
     let mut out = Vec::new();
     packed.decode_bytes_into(&mut out).then_some(out)
+}
+
+/// What [`slice_chips_packed_by`] with the scalar window test must return
+/// for the `n_chips` chips from sample 0, derived from [`slice_chips`]:
+/// the scalar chips cut before the first window past the stream, ending at
+/// their first pair of equal chips ([`Sliced::BrokenPair`]); with no such
+/// pair, all of them ([`Sliced::Whole`]) or, when a window ran past the
+/// stream, none ([`Sliced::Short`]).
+fn scalar_slice_fate(samples: &[f64], cfg: &WaveformConfig, n_chips: usize) -> (Sliced, Vec<Chip>) {
+    let chips = (0..=n_chips)
+        .rev()
+        .find_map(|m| slice_chips(samples, cfg, 0, m))
+        .expect("zero chips always slice");
+    match chips.chunks_exact(2).position(|pair| pair[0] == pair[1]) {
+        Some(pair) => (Sliced::BrokenPair, chips[..2 * pair + 2].to_vec()),
+        None if chips.len() == n_chips => (Sliced::Whole, chips),
+        None => (Sliced::Short, Vec::new()),
+    }
 }
 
 proptest! {
@@ -164,16 +182,18 @@ proptest! {
         render_packed_into(&packed, &cfg, amp, delay, n, &mut buf);
         prop_assert_eq!(&buf, &reference);
 
-        let scalar_sliced = slice_chips(&reference, &cfg, 0, chips.len());
         let mut packed_sliced = PackedChips::new();
-        let ok = slice_chips_packed_into(&reference, &cfg, 0, chips.len(), &mut packed_sliced);
-        match scalar_sliced {
-            Some(s) => {
-                prop_assert!(ok);
-                prop_assert_eq!(packed_sliced.to_chips(), s);
-            }
-            None => prop_assert!(!ok),
-        }
+        let outcome = slice_chips_packed_by(
+            reference.len(),
+            &cfg,
+            0,
+            chips.len(),
+            &mut packed_sliced,
+            |lo, hi| reference[lo..hi].iter().sum::<f64>() >= 0.0,
+        );
+        let (want_outcome, want_chips) = scalar_slice_fate(&reference, &cfg, chips.len());
+        prop_assert_eq!(outcome, want_outcome);
+        prop_assert_eq!(packed_sliced.to_chips(), want_chips);
 
         let template = render(
             &chips,

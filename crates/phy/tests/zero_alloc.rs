@@ -11,8 +11,8 @@ use vlc_phy::codec::registry;
 use vlc_phy::packed::{packed_encode, PackedChips};
 use vlc_phy::rs::RsCodec;
 use vlc_phy::waveform::{
-    correlate_template, render_packed_into, slice_chips_packed_into, template_energy,
-    PreambleCorrelator, WaveformConfig,
+    correlate_template, render_packed_into, slice_chips_packed_by, template_energy,
+    PreambleCorrelator, Sliced, WaveformConfig,
 };
 use vlc_phy::RsStack;
 use vlc_phy::{Frame, FrameHeader};
@@ -190,13 +190,11 @@ fn warmed_frame_render_slice_cycle_is_zero_alloc() {
         let (start, score) =
             correlate_template(samples, &template, t_energy, 0, 32).expect("preamble found");
         assert!(score > 0.9, "clean link must correlate");
-        assert!(slice_chips_packed_into(
-            samples,
-            &cfg,
-            start,
-            chips.len(),
-            sliced
-        ));
+        let outcome =
+            slice_chips_packed_by(samples.len(), &cfg, start, chips.len(), sliced, |lo, hi| {
+                samples[lo..hi].iter().sum::<f64>() >= 0.0
+            });
+        assert_eq!(outcome, Sliced::Whole);
         assert_eq!(sliced.diff_count(chips), 0);
         assert!(sliced.decode_bytes_into(rx_bytes));
         let skip = preamble.len() / 16;

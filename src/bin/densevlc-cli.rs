@@ -385,12 +385,14 @@ fn sync(telemetry: &Registry, parent: &Span) {
 }
 
 fn iperf(args: &[String], telemetry: &Registry) {
-    let frames: usize = flag_value(args, "--frames")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(50);
+    let frames = u64_flag(args, "--frames", 50);
+    if frames == 0 {
+        eprintln!("bad --frames value `0` (must be positive)");
+        std::process::exit(2);
+    }
     print!(
         "{}",
-        tab05_iperf::run_traced(frames, 0x12, telemetry).report()
+        tab05_iperf::run_traced(frames as usize, 0x12, telemetry).report()
     );
 }
 

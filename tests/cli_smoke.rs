@@ -307,6 +307,9 @@ fn bad_numbers_exit_2_naming_the_flag() {
         &["sim", "--period", "nan"],
         &["sim", "--budget", "nan"],
         &["adapt", "--budget", "inf"],
+        &["iperf", "--frames", "0"],
+        &["iperf", "--frames", "-3"],
+        &["iperf", "--frames", "abc"],
     ] {
         let out = cli().args(args).output().expect("densevlc-cli runs");
         let stderr = String::from_utf8_lossy(&out.stderr);
