@@ -30,7 +30,7 @@ use vlc_phy::packed::{packed_encode, PackedChips};
 use vlc_phy::rs::ReedSolomon;
 use vlc_phy::waveform::{
     correlate_pattern, mix_into, render, render_packed_into, slice_chips, slice_chips_packed_by,
-    ChipRuns, PreambleCorrelator, Sliced, Superposition, WaveformConfig,
+    ChipDecider, ChipRuns, PreambleCorrelator, Sliced, Superposition, WaveformConfig, WindowBlock,
 };
 use vlc_sync::SyncScheme;
 use vlc_telemetry::Registry;
@@ -151,9 +151,12 @@ struct MacSpan {
 /// noised) eagerly; past it, a slicing window is decided from its level
 /// when every TX holds one chip over it (or is off the air there) and
 /// that level is beyond the noise bound, and only the other windows are
-/// rendered. The buffer is indexed by absolute sample position, so the
-/// noise cursor sees the same positions as on the eager path; samples no
-/// window reads hold stale values and are never read.
+/// rendered. On the integer sample grid a whole block of 64 windows is
+/// decided from the streams' chip words at once when they agree and no
+/// chip boundary cuts a window (`block_is_high`, the slicer's word path).
+/// The buffer is indexed by absolute sample position, so the noise cursor
+/// sees the same positions as on the eager path; samples no window reads
+/// hold stale values and are never read.
 #[derive(Debug, Default)]
 struct Photodiode {
     samples: Vec<f64>,
@@ -223,10 +226,28 @@ impl Photodiode {
         lazy_window_is_high(&mut self.samples, noise, bound, lo, hi)
     }
 
+    /// The chips of a whole block of slicing windows, bit-identical to
+    /// [`Self::window_is_high`] on each: a block past the search region
+    /// whose TXs each hold one chip over every window, with the streams'
+    /// chips agreeing (see [`Superposition::word`]), has the level `±p` on
+    /// every window, `p` = [`Superposition::peak`]. With `p > bound`
+    /// each window is decided by the sign alone, as `window_is_high`
+    /// decides it, and none is rendered or noised. `None` for any other
+    /// block.
+    fn block_is_high(&mut self, runs: &[ChipRuns], bound: f64, block: WindowBlock) -> Option<u64> {
+        if block.lo >= self.search_end && self.light.peak() > bound {
+            self.light.word(runs, block)
+        } else {
+            None
+        }
+    }
+
     /// Slices a locked frame's MAC chips into `sliced` and
     /// Manchester-decodes them into `rx_bytes`: `true` when both succeed —
     /// the scalar path's `slice_chips` + `manchester_decode`, the middle of
-    /// `Phy::receive`.
+    /// `Phy::receive`. Blocks of 64 windows that [`Self::block_is_high`]
+    /// decides take the slicer's word path; every other window goes through
+    /// [`Self::window_is_high`].
     ///
     /// Slicing stops at the first pair of equal chips: the decode rejects
     /// any stream holding one, and a window past the stream ends in the
@@ -248,10 +269,34 @@ impl Photodiode {
             span.mac_start,
             span.n_chips,
             &mut sliced,
-            |lo, hi| self.window_is_high(runs, noise, bound, lo, hi),
+            Windows {
+                pd: self,
+                runs,
+                noise,
+                bound,
+            },
         );
         self.sliced = sliced;
         outcome == Sliced::Whole && self.sliced.decode_bytes_into(&mut self.rx_bytes)
+    }
+}
+
+/// A [`Photodiode`]'s slicing decisions over one frame.
+struct Windows<'a, 'n, R: Rng + ?Sized> {
+    pd: &'a mut Photodiode,
+    runs: &'a [ChipRuns],
+    noise: &'a mut AwgnCursor<'n, R>,
+    bound: f64,
+}
+
+impl<R: Rng + ?Sized> ChipDecider for Windows<'_, '_, R> {
+    fn decide(&mut self, lo: usize, hi: usize) -> bool {
+        self.pd
+            .window_is_high(self.runs, self.noise, self.bound, lo, hi)
+    }
+
+    fn decide_block(&mut self, block: WindowBlock) -> Option<u64> {
+        self.pd.block_is_high(self.runs, self.bound, block)
     }
 }
 
@@ -728,7 +773,12 @@ impl Phy {
 ///   win, so the lock is the exhaustive scan's.
 /// - Slicing: a frame stops at its first pair of equal chips, which no
 ///   decode accepts, whatever the registry: a live one only adds the
-///   `phy.ber` record of a frame that decodes (see `Phy::receive`).
+///   `phy.ber` record of a frame that decodes (see `Phy::receive`). Where
+///   every stream carries the same chips and no chip boundary cuts a
+///   window (Table 5's one-host and NLOS-synced rows), a block of 64
+///   windows past the search region is decided from one chip word and
+///   pair-checked word-wide: no window is rendered, levelled or noised
+///   (the word path of [`slice_chips_packed_by`], see `Photodiode`).
 #[derive(Debug)]
 pub struct FramePipeline {
     phy: Phy,
@@ -2098,5 +2148,452 @@ mod tests {
             1,
             0,
         );
+    }
+
+    /// A decider that records the first window of each block its inner
+    /// decider decides whole.
+    struct Recording<'r, D> {
+        inner: D,
+        blocks: &'r mut Vec<usize>,
+    }
+
+    impl<D: ChipDecider> ChipDecider for Recording<'_, D> {
+        fn decide(&mut self, lo: usize, hi: usize) -> bool {
+            self.inner.decide(lo, hi)
+        }
+
+        fn decide_block(&mut self, block: WindowBlock) -> Option<u64> {
+            let word = self.inner.decide_block(block);
+            if word.is_some() {
+                self.blocks.push(block.lo);
+            }
+            word
+        }
+    }
+
+    /// One photodiode's frame for the word-path tests: the streams it
+    /// hears and where its slicer cuts them, at unit noise σ.
+    #[derive(Debug, Clone)]
+    struct WordCase {
+        /// Per stream: its chips, the rates it is rendered at (a chip rate
+        /// off the receiver's drifts against its windows) and its delay in
+        /// seconds.
+        streams: Vec<(Vec<Chip>, WaveformConfig, f64)>,
+        /// The TXs in TX order: stream and amplitude.
+        txs: Vec<(usize, f64)>,
+        /// The receiver's rates.
+        rx: WaveformConfig,
+        n_samples: usize,
+        search_len: usize,
+        mac_start: usize,
+        n_chips: usize,
+    }
+
+    /// What a slicing pass over a [`WordCase`] leaves behind.
+    #[derive(Debug, PartialEq)]
+    struct Pass {
+        outcome: Sliced,
+        chips: Vec<Chip>,
+        /// The next noise sample's bits and the next RNG word once the
+        /// frame's noise is drawn out.
+        next: (u64, u64),
+    }
+
+    /// The guard before chip 0 in a [`WordCase`], in samples.
+    const WORD_GUARD: usize = 80;
+
+    impl WordCase {
+        /// `n_chips` chips of a Manchester-coded random payload, sliced at
+        /// 10 samples per chip from sample `WORD_GUARD`, where chip 0 of a
+        /// stream delayed by `0` samples starts. Each TX `(delay, amp)`
+        /// gets a stream of its own. The search region ends before the
+        /// first window, and the frame ends `WORD_GUARD` samples after the
+        /// last chip.
+        fn new(n_chips: usize, txs: &[(f64, f64)]) -> Self {
+            let rx = WaveformConfig::paper();
+            let mut rng = StdRng::seed_from_u64(n_chips as u64);
+            let bytes: Vec<u8> = (0..n_chips.div_ceil(16)).map(|_| rng.gen()).collect();
+            let mut chips = manchester_encode(&bytes);
+            chips.truncate(n_chips);
+            WordCase {
+                streams: txs
+                    .iter()
+                    .map(|&(delay, _)| {
+                        let delay_s = (WORD_GUARD as f64 + delay) / rx.sample_rate_hz;
+                        (chips.clone(), rx, delay_s)
+                    })
+                    .collect(),
+                txs: txs.iter().enumerate().map(|(s, &(_, a))| (s, a)).collect(),
+                rx,
+                n_samples: WORD_GUARD + 10 * n_chips + WORD_GUARD,
+                search_len: WORD_GUARD,
+                mac_start: WORD_GUARD,
+                n_chips,
+            }
+        }
+
+        /// The receiver's window `k`, as the slicer cuts it.
+        fn window(&self, k: usize) -> (usize, usize) {
+            let spc = self.rx.samples_per_chip();
+            let begin = self.mac_start as f64 + k as f64 * spc;
+            (
+                (begin + 0.25 * spc).floor() as usize,
+                (begin + 0.75 * spc).ceil() as usize,
+            )
+        }
+
+        fn runs(&self) -> Vec<ChipRuns> {
+            self.streams
+                .iter()
+                .map(|(chips, cfg, delay)| {
+                    let mut runs = ChipRuns::new();
+                    runs.resolve(&PackedChips::from_chips(chips), cfg, *delay, self.n_samples);
+                    runs
+                })
+                .collect()
+        }
+
+        /// One `Phy::receive`-style pass: the search region noised, the
+        /// MAC chips sliced through `Windows` (`word_path`) or window by
+        /// window through `Photodiode::window_is_high`, the noise drawn
+        /// out. Also returns the photocurrent's bits and how far it is
+        /// rendered, and the chip index of each block decided whole.
+        fn pass(&self, seed: u64, word_path: bool) -> (Pass, (usize, Vec<u64>), Vec<usize>) {
+            let n = self.n_samples;
+            let runs = self.runs();
+            let mut pd = Photodiode::default();
+            for &(s, amp) in &self.txs {
+                pd.light.push(s, amp);
+            }
+            pd.begin(&runs, n, self.search_len);
+            let mut awgn = AwgnChannel::with_sigma(1.0);
+            let bound = awgn.bound();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut noise = awgn.cursor(&mut rng, n);
+            noise.add_to(&mut pd.samples, 0, self.search_len);
+            let mut sliced = PackedChips::new();
+            let mut blocks = Vec::new();
+            let (rx, start, n_chips) = (&self.rx, self.mac_start, self.n_chips);
+            let outcome = if word_path {
+                let windows = Windows {
+                    pd: &mut pd,
+                    runs: &runs,
+                    noise: &mut noise,
+                    bound,
+                };
+                let decider = Recording {
+                    inner: windows,
+                    blocks: &mut blocks,
+                };
+                slice_chips_packed_by(n, rx, start, n_chips, &mut sliced, decider)
+            } else {
+                slice_chips_packed_by(n, rx, start, n_chips, &mut sliced, |lo, hi| {
+                    pd.window_is_high(&runs, &mut noise, bound, lo, hi)
+                })
+            };
+            noise.finish();
+            let next = (awgn.sample(&mut rng).to_bits(), rng.gen());
+            let (lo0, _) = self.window(0);
+            let stride = self.rx.samples_per_chip() as usize;
+            let pass = Pass {
+                outcome,
+                chips: sliced.to_chips(),
+                next,
+            };
+            let photocurrent = pd.samples.iter().map(|x| x.to_bits()).collect();
+            let blocks = blocks.iter().map(|lo| (lo - lo0) / stride).collect();
+            (pass, (pd.rendered_to, photocurrent), blocks)
+        }
+
+        /// The scalar oracle's kernels on the same frame: each TX's
+        /// `render` mixed in TX order, every sample noised, `slice_chips`
+        /// up to the first window past the frame, cut after the first
+        /// broken pair.
+        fn eager(&self, seed: u64) -> Pass {
+            let n = self.n_samples;
+            let mut photocurrent = vec![0.0; n];
+            for &(s, amp) in &self.txs {
+                let (chips, cfg, delay) = &self.streams[s];
+                mix_into(&mut photocurrent, &render(chips, cfg, amp, *delay, n));
+            }
+            let mut awgn = AwgnChannel::with_sigma(1.0);
+            let mut rng = StdRng::seed_from_u64(seed);
+            for x in photocurrent.iter_mut() {
+                *x += awgn.sample(&mut rng);
+            }
+            let next = (awgn.sample(&mut rng).to_bits(), rng.gen());
+            let chips = (0..=self.n_chips)
+                .rev()
+                .find_map(|m| slice_chips(&photocurrent, &self.rx, self.mac_start, m))
+                .expect("zero chips always slice");
+            let (outcome, chips) = match chips.chunks_exact(2).position(|p| p[0] == p[1]) {
+                Some(pair) => (Sliced::BrokenPair, chips[..2 * pair + 2].to_vec()),
+                None if chips.len() == self.n_chips => (Sliced::Whole, chips),
+                None => (Sliced::Short, Vec::new()),
+            };
+            Pass {
+                outcome,
+                chips,
+                next,
+            }
+        }
+
+        /// Slices the frame through the word path and window by window
+        /// and asserts both leave the same outcome, chips, RNG state and
+        /// photocurrent, and that the scalar kernels cut the same chips.
+        /// Returns the word path's pass and the blocks it decided whole.
+        fn check(&self, seed: u64) -> (Pass, Vec<usize>) {
+            let (word, word_pd, blocks) = self.pass(seed, true);
+            let (per_chip, per_chip_pd, none) = self.pass(seed, false);
+            assert!(none.is_empty(), "a closure decides window by window");
+            assert_eq!(word, per_chip, "word path vs per-chip path, seed {seed}");
+            assert_eq!(word_pd.0, per_chip_pd.0, "rendered_to, seed {seed}");
+            assert!(word_pd.1 == per_chip_pd.1, "photocurrent, seed {seed}");
+            assert_eq!(
+                word,
+                self.eager(seed),
+                "word path vs scalar kernels, seed {seed}"
+            );
+            (word, blocks)
+        }
+    }
+
+    #[test]
+    fn word_path_decides_clean_blocks_whole() {
+        // One TX, and three TXs a sample or two apart (the NLOS-synced
+        // row's sub-chip offsets, a fractional one among them), at 128,
+        // 129 and 191 chips: every block is decided whole, the final
+        // 1- and 63-chip blocks included.
+        for n_chips in [128, 129, 191] {
+            let blocks: Vec<usize> = (0..n_chips).step_by(64).collect();
+            for txs in [
+                &[(0.0, 50.0)][..],
+                &[(0.0, 20.0), (1.0, 20.0), (-1.575, 20.0)],
+                &[(2.0, 14.0), (-2.0, 14.0), (0.0, 14.0)],
+            ] {
+                let case = WordCase::new(n_chips, txs);
+                for seed in 0..3 {
+                    let (pass, decided) = case.check(seed);
+                    assert_eq!(pass.outcome, Sliced::Whole, "{n_chips} chips, {txs:?}");
+                    assert_eq!(decided, blocks, "{n_chips} chips, {txs:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn word_path_falls_back_where_its_proof_fails() {
+        let n_chips = 192;
+        let seeds = 0..4;
+
+        // A stream 3 samples late starts each chip one sample inside its
+        // window: no block is decided.
+        let late = WordCase::new(n_chips, &[(0.0, 30.0), (3.0, 30.0)]);
+        for seed in seeds.clone() {
+            assert_eq!(late.check(seed).1, [] as [usize; 0]);
+        }
+
+        // A stream whose chip rate runs 0.16 % slow starts chip 63 one
+        // sample inside window 63, and every chip before it after its
+        // window: block 0 is clean up to its last window.
+        let mut drift = WordCase::new(n_chips, &[(0.0, 30.0), (1.0, 30.0)]);
+        drift.streams[1].1.symbol_rate_hz = 1e6 / 10.016;
+        let runs = drift.runs();
+        let mut light = Superposition::new();
+        light.push(0, 30.0);
+        light.push(1, 30.0);
+        let block = |n| WindowBlock {
+            lo: drift.window(0).0,
+            stride: 10,
+            width: 6,
+            n,
+        };
+        assert!(light.clone().word(&runs, block(63)).is_some());
+        assert_eq!(light.word(&runs, block(64)), None);
+        for seed in seeds.clone() {
+            assert!(!drift.check(seed).1.contains(&0), "seed {seed}");
+        }
+
+        // One stream's chip 70 differs, at the level of the other: the
+        // window's level is 0, so noise decides it, and block 1 is not
+        // decided whole.
+        let mut differ = WordCase::new(n_chips, &[(0.0, 30.0), (0.0, 30.0)]);
+        let chip = &mut differ.streams[1].0[70];
+        *chip = if *chip == Chip::High {
+            Chip::Low
+        } else {
+            Chip::High
+        };
+        for seed in seeds.clone() {
+            let (pass, decided) = differ.check(seed);
+            assert_eq!(decided[0], 0, "seed {seed}");
+            assert!(!decided.contains(&64), "seed {seed}");
+            if pass.outcome == Sliced::Whole {
+                assert_eq!(decided, [0, 128], "seed {seed}");
+            }
+        }
+
+        // The level exactly at the noise bound is not beyond it; one ulp
+        // above, it is.
+        let bound = AwgnChannel::with_sigma(1.0).bound();
+        for (amp, blocks) in [(bound, vec![]), (bound.next_up(), vec![0, 64, 128])] {
+            let case = WordCase::new(n_chips, &[(0.0, amp)]);
+            for seed in seeds.clone() {
+                assert_eq!(case.check(seed).1, blocks, "amp {amp} seed {seed}");
+            }
+        }
+
+        // A stream one sample late whose frame ends 10 chips early is off
+        // the air at the end of the last block.
+        let mut short = WordCase::new(n_chips, &[(0.0, 20.0), (1.0, 20.0)]);
+        short.streams[1].0.truncate(n_chips - 10);
+        for seed in seeds.clone() {
+            assert_eq!(short.check(seed).1, [0, 64], "seed {seed}");
+        }
+
+        // The search region ends inside block 0, then exactly at block
+        // 1's first window: block 0 is sliced window by window.
+        for (search_end, blocks) in [
+            (WORD_GUARD + 300, vec![64, 128]),
+            (WORD_GUARD + 642, vec![64, 128]),
+            (WORD_GUARD + 643, vec![128]),
+        ] {
+            let mut case = WordCase::new(n_chips, &[(0.0, 50.0)]);
+            case.search_len = search_end;
+            for seed in seeds.clone() {
+                assert_eq!(case.check(seed).1, blocks, "search end {search_end}");
+            }
+        }
+
+        // 10.3 samples per chip: no integer grid, no block.
+        let mut fractional = WordCase::new(n_chips, &[(0.0, 50.0), (0.5, 50.0)]);
+        fractional.rx.sample_rate_hz = 1_030_000.0;
+        for stream in &mut fractional.streams {
+            stream.1 = fractional.rx;
+        }
+        fractional.n_samples = 2 * WORD_GUARD + 1_030 * n_chips / 100 + 1;
+        for seed in seeds {
+            let (pass, decided) = fractional.check(seed);
+            assert_eq!(pass.outcome, Sliced::Whole, "seed {seed}");
+            assert!(decided.is_empty(), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn word_path_stops_at_a_broken_pair_inside_a_block() {
+        // Chips 62 and 63 equal: the pass keeps 64 chips. Chips 188 and
+        // 189 of 191, the last whole pair before the odd chip: 190.
+        for (n_chips, pair, blocks) in [(192, 31, vec![0]), (191, 94, vec![0, 64, 128])] {
+            let mut case = WordCase::new(n_chips, &[(0.0, 25.0), (-1.0, 25.0)]);
+            for (chips, _, _) in &mut case.streams {
+                chips[2 * pair + 1] = chips[2 * pair];
+            }
+            for seed in 0..3 {
+                let (pass, decided) = case.check(seed);
+                assert_eq!(pass.outcome, Sliced::BrokenPair, "{n_chips} chips");
+                assert_eq!(pass.chips.len(), 2 * pair + 2, "{n_chips} chips");
+                assert_eq!(decided, blocks, "{n_chips} chips");
+            }
+        }
+    }
+
+    #[test]
+    fn word_path_stops_short_where_the_per_chip_loop_does() {
+        // The frame ends inside the last window: that block is sliced
+        // window by window up to it, and the pass is short.
+        let mut case = WordCase::new(192, &[(0.0, 50.0)]);
+        case.n_samples = case.window(191).1 - 1;
+        for seed in 0..3 {
+            let (pass, decided) = case.check(seed);
+            assert_eq!(pass.outcome, Sliced::Short);
+            assert_eq!(decided, [0, 64]);
+        }
+    }
+
+    proptest::proptest! {
+        /// Random streams — delays whole and fractional, some chip rates
+        /// drifting against the receiver's, one chip flipped or a tail cut
+        /// off, zero and weak amplitudes and levels exactly at the noise
+        /// bound — at 4, 7, 10 and 10.3 samples per chip: the word path
+        /// leaves what the per-chip path leaves, and the scalar kernels
+        /// agree.
+        #[test]
+        fn word_path_matches_per_chip_path_and_scalar_kernels(
+            shape in (1usize..260, 0u8..8, 0usize..400, 0usize..300),
+            streams in proptest::collection::vec(
+                (-3.0f64..3.0, proptest::prelude::any::<bool>(), 0u8..12, 0usize..300, 0usize..300),
+                1..4,
+            ),
+            txs in proptest::collection::vec((0usize..3, 0.0f64..80.0, 0u8..6), 1..5),
+            seed in 0u64..1_000,
+        ) {
+            let (n_chips, spc_pick, search, cut) = shape;
+            let spc = match spc_pick {
+                0 => 10.3,
+                1 => 4.0,
+                2 => 7.0,
+                _ => 10.0,
+            };
+            let rx = WaveformConfig {
+                symbol_rate_hz: 100_000.0,
+                sample_rate_hz: 100_000.0 * spc,
+            };
+            let mut rng = StdRng::seed_from_u64(seed);
+            let bytes: Vec<u8> = (0..n_chips.div_ceil(16)).map(|_| rng.gen()).collect();
+            let mut base = manchester_encode(&bytes);
+            base.truncate(n_chips);
+            let guard = (8.0 * spc) as usize;
+            let streams: Vec<(Vec<Chip>, WaveformConfig, f64)> = streams
+                .into_iter()
+                .map(|(delay, whole, kind, at, tail)| {
+                    let delay = if whole { delay.round() } else { delay };
+                    let mut chips = base.clone();
+                    let mut cfg = rx;
+                    match kind {
+                        // One chip flipped.
+                        0 => {
+                            let k = at % n_chips;
+                            chips[k] = if chips[k] == Chip::High { Chip::Low } else { Chip::High };
+                        }
+                        // The tail cut off.
+                        1 => chips.truncate(n_chips - tail % n_chips),
+                        // A drifting chip rate.
+                        2 => cfg.symbol_rate_hz = cfg.sample_rate_hz / (spc + 0.016),
+                        3 => cfg.symbol_rate_hz = cfg.sample_rate_hz / (spc - 0.1),
+                        _ => {}
+                    }
+                    (chips, cfg, (guard as f64 + delay) / rx.sample_rate_hz)
+                })
+                .collect();
+            let n_streams = streams.len();
+            let frame = 2 * guard + (n_chips as f64 * spc).ceil() as usize;
+            let case = WordCase {
+                streams,
+                // A sixth of the TXs radiate nothing, and a third radiate
+                // the noise bound or half of it, so that one TX, or two
+                // halves, put the level exactly at the bound.
+                txs: txs
+                    .into_iter()
+                    .map(|(s, a, z)| {
+                        let bound = AwgnChannel::with_sigma(1.0).bound();
+                        let amp = match z {
+                            0 => 0.0,
+                            1 => bound,
+                            2 => bound / 2.0,
+                            _ => a,
+                        };
+                        (s % n_streams, amp)
+                    })
+                    .collect(),
+                rx,
+                // Now and then the frame ends inside the MAC chips.
+                n_samples: if cut < 30 { frame - cut * 10 % frame } else { frame },
+                // Now and then the search region runs into the MAC chips.
+                search_len: guard + search.saturating_sub(300) * 2 * spc as usize,
+                mac_start: guard,
+                n_chips,
+            };
+            case.check(seed);
+        }
     }
 }

@@ -274,7 +274,8 @@ impl Simulation {
         run.attr("duration_s", &format!("{duration_s}"));
         run.attr("engine", if incremental { "incremental" } else { "cold" });
         let steps = (duration_s / self.tick_s).ceil() as usize;
-        let mut ticks = Vec::with_capacity(steps);
+        // Grown as the ticks run: `steps` can be far more than memory holds.
+        let mut ticks = Vec::new();
         // Run-local engine state: one exact channel updater (any movement
         // recomputes its column) and whether the channel changed since
         // this run last planned. Kept off the struct so serialized

@@ -48,7 +48,7 @@ const fn manchester_lut() -> [u16; 256] {
 }
 
 /// Even-bit mask: the first chip of every Manchester pair.
-const EVEN: u64 = 0x5555_5555_5555_5555;
+pub(crate) const EVEN: u64 = 0x5555_5555_5555_5555;
 
 /// Compacts the even-positioned bits of `x` (bits 0, 2, 4, …) into the low
 /// 32 bits of the result — the inverse of a Morton interleave.

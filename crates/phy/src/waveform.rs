@@ -8,7 +8,7 @@
 //! with a mid-chip slicer.
 
 use crate::manchester::Chip;
-use crate::packed::PackedChips;
+use crate::packed::{PackedChips, EVEN};
 use serde::{Deserialize, Serialize};
 
 /// Waveform timing configuration.
@@ -283,11 +283,7 @@ impl ChipRuns {
     #[inline]
     fn sign_over(&self, lo: usize, hi: usize, at: &mut usize) -> Option<f64> {
         let ends = &self.ends;
-        let mut k = *at;
-        while k < ends.len() && ends[k] <= lo {
-            k += 1;
-        }
-        *at = k;
+        let mut k = self.seek(lo, at);
         if k == ends.len() || hi <= self.first {
             return Some(0.0);
         }
@@ -303,6 +299,52 @@ impl ChipRuns {
             }
         }
         Some(if high { 1.0 } else { -1.0 })
+    }
+
+    /// Moves the run cursor `at` forward to the first run that ends past
+    /// sample `lo` (`ends.len()` when none does) and returns it.
+    #[inline]
+    fn seek(&self, lo: usize, at: &mut usize) -> usize {
+        while *at < self.ends.len() && self.ends[*at] <= lo {
+            *at += 1;
+        }
+        *at
+    }
+
+    /// The chips of runs `j..j + n` (`n ≤ 64`, `j + n` within the runs),
+    /// chip `j + i` at bit `i`.
+    fn word_at(&self, j: usize, n: usize) -> u64 {
+        let (w, b) = (j >> 6, j & 63);
+        let mut word = self.words[w] >> b;
+        if b > 0 {
+            word |= self.words.get(w + 1).map_or(0, |&next| next << (64 - b));
+        }
+        word & low_bits(n)
+    }
+
+    /// Whether run `j + i` holds the whole of window `i` of `block`, for
+    /// every window, with `j + block.n` within the runs.
+    fn covers(&self, j: usize, block: WindowBlock) -> bool {
+        let Some(ends) = self.ends.get(j..j + block.n) else {
+            return false;
+        };
+        let mut start = if j == 0 { self.first } else { self.ends[j - 1] };
+        let mut covered = true;
+        for (i, &end) in ends.iter().enumerate() {
+            let (lo, hi) = block.window(i);
+            covered &= (start <= lo) & (hi <= end);
+            start = end;
+        }
+        covered
+    }
+}
+
+/// The low `n ≤ 64` bits set.
+fn low_bits(n: usize) -> u64 {
+    if n == 64 {
+        u64::MAX
+    } else {
+        (1 << n) - 1
     }
 }
 
@@ -414,6 +456,64 @@ impl Superposition {
                 .fold(0.0, |level, &(i, amp)| level + streams[i].sign * amp),
         )
     }
+
+    /// The level of a window where every TX holds a high chip: the fold
+    /// of `+amp` over the TXs from `+0.0` in TX order, which is
+    /// [`Self::level`]'s fold with every sign `+1`. With every sign `−1`
+    /// the fold is its exact negation (rounding is symmetric), bar the
+    /// sign of a zero.
+    pub fn peak(&self) -> f64 {
+        self.txs.iter().fold(0.0, |level, &(_, amp)| level + amp)
+    }
+
+    /// The chips of a whole block of windows when every stream holds one
+    /// chip over each of them and the streams agree: bit `i` is set when
+    /// [`Self::level`] of window `i` is [`Self::peak`] and clear when it
+    /// is its negation. `None` when some window straddles a run boundary,
+    /// some stream is off the air there or runs out of chips in the block,
+    /// or two streams' chips differ (no stream at all is `None` too).
+    ///
+    /// Each stream `s` needs one run `j_s` such that run `j_s + i` holds
+    /// the whole of window `i`, for every window; then window `i` has
+    /// stream `s`'s chip `j_s + i` throughout, and the chips `j_s..j_s + n`
+    /// of every stream must be one word. The block must start at or after
+    /// the pass's last window. On `Some` the superposition is left as the
+    /// per-window [`Self::level`] calls leave it, each cursor on the run
+    /// of the block's last window; on `None` a cursor ends no later than
+    /// the run of the block's first window, where that window's call
+    /// moves it anyway.
+    pub fn word(&mut self, runs: &[ChipRuns], block: WindowBlock) -> Option<u64> {
+        let mut agreed = None;
+        for s in &mut self.streams {
+            let stream = &runs[s.slot];
+            let j = stream.seek(block.lo, &mut s.at);
+            if j + block.n > stream.ends.len() {
+                return None;
+            }
+            let word = stream.word_at(j, block.n);
+            if *agreed.get_or_insert(word) ^ word != 0 {
+                return None;
+            }
+        }
+        if !self
+            .streams
+            .iter()
+            .all(|s| runs[s.slot].covers(s.at, block))
+        {
+            return None;
+        }
+        let word = agreed?;
+        let last = if (word >> (block.n - 1)) & 1 == 1 {
+            1.0
+        } else {
+            -1.0
+        };
+        for s in &mut self.streams {
+            s.at += block.n - 1;
+            s.sign = last;
+        }
+        Some(word)
+    }
 }
 
 /// [`render`] of a bit-packed chip stream into a caller-owned buffer
@@ -495,26 +595,83 @@ pub enum Sliced {
     BrokenPair,
 }
 
+/// Up to 64 consecutive slicing windows on an integer grid: window
+/// `i < n` is `lo + i·stride .. lo + i·stride + width`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WindowBlock {
+    /// First sample of window 0.
+    pub lo: usize,
+    /// Samples from one window's start to the next one's.
+    pub stride: usize,
+    /// Samples per window.
+    pub width: usize,
+    /// Windows in the block, `1..=64`.
+    pub n: usize,
+}
+
+impl WindowBlock {
+    /// Window `i`'s samples `lo..hi`.
+    pub fn window(&self, i: usize) -> (usize, usize) {
+        let lo = self.lo + i * self.stride;
+        (lo, lo + self.width)
+    }
+}
+
+/// The chip decisions of a [`slice_chips_packed_by`] pass. Any
+/// `FnMut(lo, hi) -> bool` closure is one that decides window by window.
+pub trait ChipDecider {
+    /// `true` for a high chip whose window is `lo..hi`.
+    fn decide(&mut self, lo: usize, hi: usize) -> bool;
+
+    /// The chips of a whole block of windows at once, window `i`'s at
+    /// bit `i` (bits from `block.n` up are ignored), or `None` to have
+    /// them decided one by one. `Some` must hold exactly what
+    /// [`Self::decide`] would return on each window in turn, with the
+    /// decider left as those calls would leave it. The pass may still end
+    /// inside the block, at a broken pair; it decides nothing after that.
+    #[inline]
+    fn decide_block(&mut self, block: WindowBlock) -> Option<u64> {
+        let _ = block;
+        None
+    }
+}
+
+impl<F: FnMut(usize, usize) -> bool> ChipDecider for F {
+    #[inline]
+    fn decide(&mut self, lo: usize, hi: usize) -> bool {
+        self(lo, hi)
+    }
+}
+
 /// [`slice_chips`] into a reusable [`PackedChips`] buffer (cleared first;
 /// zero allocations once capacity is warm), with the chip decision left
-/// to `decide(lo, hi)`: `true` for a high chip whose window is `lo..hi`.
-/// Windows come in chip order, each one checked against `n_samples` (and
-/// for emptiness) before `decide` sees it, at the same chip index as the
-/// scalar loop, so with `decide` the scalar window test
-/// (`samples[lo..hi].iter().sum::<f64>() >= 0.0`, the mean's sign) the
-/// chips are bit-identical to [`slice_chips`]'s. On a too-short stream
-/// `out` is cleared and the result is [`Sliced::Short`]. The pass ends at
-/// the first pair of equal chips, counted from chip 0
+/// to `decide` ([`ChipDecider::decide`]: `true` for a high chip whose
+/// window is `lo..hi`). Windows come in chip order, each one checked
+/// against `n_samples` (and for emptiness) before `decide` sees it, at
+/// the same chip index as the scalar loop, so with `decide` the scalar
+/// window test (`samples[lo..hi].iter().sum::<f64>() >= 0.0`, the mean's
+/// sign) the chips are bit-identical to [`slice_chips`]'s. On a
+/// too-short stream `out` is cleared and the result is [`Sliced::Short`].
+/// The pass ends at the first pair of equal chips, counted from chip 0
 /// ([`Sliced::BrokenPair`]); the later windows are never checked or
 /// decided. A caller that prepares each window just in time — adds noise,
 /// say — gets exactly the windows the slicer reads.
+///
+/// The word path: on an integer samples-per-chip, every block of chips
+/// `k0..k0 + n` with `k0` a multiple of 64 whose last window ends within
+/// `n_samples` is first offered whole to [`ChipDecider::decide_block`].
+/// A word it returns is pushed as it stands; its Manchester pairs are
+/// checked at once (`!(w ^ (w >> 1))` on the even bits of the whole
+/// pairs), and at the first broken one the pass keeps the chips up to and
+/// including it and ends, as the window-by-window loop does. Any other
+/// block, or one refused, is sliced window by window.
 pub fn slice_chips_packed_by(
     n_samples: usize,
     cfg: &WaveformConfig,
     start_sample: usize,
     n_chips: usize,
     out: &mut PackedChips,
-    mut decide: impl FnMut(usize, usize) -> bool,
+    mut decide: impl ChipDecider,
 ) -> Sliced {
     let spc = cfg.samples_per_chip();
     out.clear();
@@ -529,18 +686,34 @@ pub fn slice_chips_packed_by(
     let grid = (spc.fract() == 0.0
         && spc >= 1.0
         && start_sample as f64 + (n_chips as f64 + 1.0) * spc < 2.0e15)
-        .then(|| {
-            let width = (0.75 * spc).ceil() as usize - (0.25 * spc).floor() as usize;
-            (
-                start_sample + (0.25 * spc).floor() as usize,
-                spc as usize,
-                width,
-            )
+        .then(|| WindowBlock {
+            lo: start_sample + (0.25 * spc).floor() as usize,
+            stride: spc as usize,
+            width: (0.75 * spc).ceil() as usize - (0.25 * spc).floor() as usize,
+            n: n_chips,
         });
     let mut first_of_pair = false;
-    for k in 0..n_chips {
+    let mut k = 0;
+    while k < n_chips {
+        // A block starts at every 64th chip, where `word` is empty: the
+        // chips before it were pushed one by one or as whole blocks.
+        let block = grid
+            .filter(|_| k % 64 == 0)
+            .map(|grid| WindowBlock {
+                lo: grid.window(k).0,
+                n: (n_chips - k).min(64),
+                ..grid
+            })
+            .filter(|block| block.window(block.n - 1).1 <= n_samples);
+        if let Some((block, chips)) = block.and_then(|b| Some((b, decide.decide_block(b)?))) {
+            if push_block(out, chips, block.n) {
+                return Sliced::BrokenPair;
+            }
+            k += block.n;
+            continue;
+        }
         let (lo, hi) = match grid {
-            Some((lo0, stride, width)) => (lo0 + k * stride, lo0 + k * stride + width),
+            Some(grid) => grid.window(k),
             None => {
                 let begin = start_sample as f64 + k as f64 * spc;
                 (
@@ -553,16 +726,33 @@ pub fn slice_chips_packed_by(
             out.clear();
             return Sliced::Short;
         }
-        let high = decide(lo, hi);
+        let high = decide.decide(lo, hi);
         word.push(out, high);
         if k % 2 == 1 && high == first_of_pair {
             word.flush(out);
             return Sliced::BrokenPair;
         }
         first_of_pair = high;
+        k += 1;
     }
     word.flush(out);
     Sliced::Whole
+}
+
+/// Pushes a decided block of `n` chips onto the word-aligned `out`, up
+/// to and including its first broken Manchester pair: `true` when a pair
+/// broke. Bit `2p` of `!(w ^ (w >> 1))` is set when chips `2p` and
+/// `2p + 1` are equal; a last odd chip has no pair yet.
+fn push_block(out: &mut PackedChips, chips: u64, n: usize) -> bool {
+    let chips = chips & low_bits(n);
+    let broken = !(chips ^ (chips >> 1)) & EVEN & low_bits(n & !1);
+    if broken == 0 {
+        out.push_word_aligned(chips, n);
+        return false;
+    }
+    let kept = broken.trailing_zeros() as usize + 2;
+    out.push_word_aligned(chips & low_bits(kept), kept);
+    true
 }
 
 /// Sliced chips accumulate in a local word flushed every 64 — no per-chip

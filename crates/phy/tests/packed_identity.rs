@@ -17,7 +17,7 @@ use vlc_phy::rs::{ReedSolomon, RsCodec};
 use vlc_phy::waveform::{
     correlate_pattern, correlate_template, mix_into, render, render_packed_into, slice_chips,
     slice_chips_packed_by, template_energy, ChipRuns, PreambleCorrelator, Sliced, Superposition,
-    WaveformConfig,
+    WaveformConfig, WindowBlock,
 };
 use vlc_phy::{Frame, FrameHeader, RsStack};
 
@@ -326,6 +326,78 @@ proptest! {
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             prop_assert_eq!(bits(&rendered[lo..hi]), bits(&eager[lo..hi]), "window {}..{}", lo, hi);
             lo += stride;
+        }
+    }
+
+    /// The word path's block proof: wherever `Superposition::word`
+    /// decides a block of slicing windows, each window's
+    /// `Superposition::level` is `±Superposition::peak` with the sign of
+    /// its bit, and the superposition is left as those per-window calls
+    /// leave it — for 1–3 streams at whole and fractional delays, some
+    /// carrying a flipped chip, a cut tail or a chip rate that drifts
+    /// against the windows' grid, and zero amplitudes.
+    #[test]
+    fn block_word_matches_per_window_levels(
+        data in proptest::collection::vec(any::<u8>(), 1..20),
+        streams in proptest::collection::vec((-3.0f64..3.0, any::<bool>(), 0u8..10, any::<u16>()), 1..4),
+        txs in proptest::collection::vec((0usize..3, 0.0f64..2.0, 0u8..6), 1..5),
+        spc in 3usize..14,
+        block_at in (any::<u16>(), 1usize..=64),
+    ) {
+        let cfg = WaveformConfig {
+            symbol_rate_hz: 100_000.0,
+            sample_rate_hz: 100_000.0 * spc as f64,
+        };
+        let chips = manchester_encode(&data);
+        let n_chips = chips.len();
+        let guard = 8 * spc;
+        let n = guard + spc * n_chips + guard;
+        let runs: Vec<ChipRuns> = streams
+            .iter()
+            .map(|&(delay, whole, kind, at)| {
+                let delay = if whole { delay.round() } else { delay };
+                let mut chips = chips.clone();
+                let mut stream_cfg = cfg;
+                match kind {
+                    0 => {
+                        let k = at as usize % n_chips;
+                        chips[k] = if chips[k] == Chip::High { Chip::Low } else { Chip::High };
+                    }
+                    1 => chips.truncate(n_chips - at as usize % n_chips),
+                    2 => stream_cfg.symbol_rate_hz = cfg.sample_rate_hz / (spc as f64 + 0.016),
+                    _ => {}
+                }
+                let mut runs = ChipRuns::new();
+                let delay_s = (guard as f64 + delay) / cfg.sample_rate_hz;
+                runs.resolve(&PackedChips::from_chips(&chips), &stream_cfg, delay_s, n);
+                runs
+            })
+            .collect();
+        let mut light = Superposition::new();
+        for &(s, amp, z) in &txs {
+            light.push(s % runs.len(), if z == 0 { 0.0 } else { amp });
+        }
+        light.rewind();
+        let k0 = block_at.0 as usize % n_chips;
+        let block = WindowBlock {
+            lo: guard + spc / 4 + k0 * spc,
+            stride: spc,
+            width: (3 * spc).div_ceil(4) - spc / 4,
+            n: block_at.1.min(n_chips - k0),
+        };
+        let mut by_word = light.clone();
+        if let Some(word) = by_word.word(&runs, block) {
+            let peak = light.peak();
+            for i in 0..block.n {
+                let (lo, hi) = block.window(i);
+                let want = if (word >> i) & 1 == 1 { peak } else { -peak };
+                let got = light.level(&runs, lo, hi);
+                prop_assert_eq!(got, Some(want), "window {}", i);
+                if peak != 0.0 {
+                    prop_assert_eq!(got.map(f64::to_bits), Some(want.to_bits()), "window {}", i);
+                }
+            }
+            prop_assert_eq!(format!("{by_word:?}"), format!("{light:?}"));
         }
     }
 

@@ -505,6 +505,14 @@ fn sim(
             std::process::exit(2);
         }
     }
+    let ticks = (duration / period).ceil();
+    if ticks > f64::from(u32::MAX) {
+        eprintln!(
+            "bad --duration/--period: {duration} s at {period} s per tick is {ticks:e} ticks (at most {})",
+            u32::MAX
+        );
+        std::process::exit(2);
+    }
     let mut simulation = Simulation::new(Deployment::scenario(scenario), budget, period);
     if let Some(x) = flag_value(args, "--person") {
         let i = args.iter().position(|a| a == "--person").unwrap();
@@ -585,6 +593,8 @@ fn sim(
 
 /// Renders the monitor dashboard from an NDJSON stream file; `--follow`
 /// re-reads and re-renders until the stream ends in a summary or panic.
+/// Without `--follow` a file holding no record is an error (exit 2); with
+/// it, an empty file is a producer that has not written yet.
 fn monitor(args: &[String]) {
     let Some(path) = args.iter().find(|a| !a.starts_with("--")) else {
         eprintln!("monitor expects a stream file (densevlc-cli monitor run.ndjson)");
@@ -606,6 +616,10 @@ fn monitor(args: &[String]) {
             }
         };
         match parse_stream(&text) {
+            Ok(records) if records.is_empty() && !follow => {
+                eprintln!("error: {path} contains no records");
+                std::process::exit(2);
+            }
             Ok(records) => {
                 if follow {
                     // Clear and repaint, terminal-dashboard style.

@@ -295,6 +295,14 @@ fn streamed_sim_validates_and_the_monitor_renders_it() {
     std::fs::write(&bad, "{\"type\":\"nope\"}\n").unwrap();
     let out = cli().arg("monitor").arg(&bad).output().unwrap();
     assert_eq!(out.status.code(), Some(2));
+
+    // So is a stream holding no record, as `obs_check` rejects it.
+    let empty = tmp("empty_stream.ndjson");
+    std::fs::write(&empty, "").unwrap();
+    let out = cli().arg("monitor").arg(&empty).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("contains no records"), "{stderr}");
 }
 
 #[test]
@@ -310,6 +318,8 @@ fn bad_numbers_exit_2_naming_the_flag() {
         &["iperf", "--frames", "0"],
         &["iperf", "--frames", "-3"],
         &["iperf", "--frames", "abc"],
+        // 10^18 ticks: rejected before any of them is reserved.
+        &["sim", "--duration", "1e9", "--period", "1e-9"],
     ] {
         let out = cli().args(args).output().expect("densevlc-cli runs");
         let stderr = String::from_utf8_lossy(&out.stderr);
