@@ -7,14 +7,13 @@
 //! reduced sweep (`--reduced`) is what CI runs and what the golden
 //! snapshot `tests/golden/codec_campaign.json` pins.
 //!
-//! All observability flags are parsed by the shared `vlc_obs::ObsOptions`;
-//! `--obs-stream FILE` records one `job` record per sweep cell (in cell
-//! order) plus a run summary, validated by `obs_check`.
+//! The shared `vlc_obs::ObsOptions` parses and writes the stream flags,
+//! the only observability flags the campaign takes: `--obs-stream FILE`
+//! records one `job` record per sweep cell (in cell order) plus a run
+//! summary, validated by `obs_check`.
 
 use vlc_bench::codec_lab::{CampaignConfig, CampaignReport};
-use vlc_obs::{
-    monitor, parse_stream, FileSink, MemorySink, ObsOptions, ObsRecord, ObsSink, OBS_SCHEMA,
-};
+use vlc_obs::{write_file, ObsOptions};
 use vlc_par::{Jobs, Pool, JOBS_ENV};
 
 const USAGE: &str = "\
@@ -22,7 +21,7 @@ codec_campaign — sweep FEC codec stacks across noise profiles
 
 USAGE:
     codec_campaign [--jobs N] [--frames N] [--reduced] [--out FILE]
-                   [--obs-stream FILE] [--watch]
+                   [observability options]
 
 OPTIONS:
     --jobs N            Worker count for the sweep cells. N = a positive
@@ -35,13 +34,15 @@ OPTIONS:
     --reduced           Run the reduced CI sweep (one scenario, five
                         profiles) instead of the full campaign.
     --out FILE          Write the JSON report to FILE instead of stdout.
-    --obs-stream FILE   Write an NDJSON observability stream: one `job`
-                        record per sweep cell plus a run summary, validated
-                        by `obs_check`.
-    --watch             Render the monitor dashboard from the stream after
-                        the run.
     -h, --help          Print this help.
+
+The stream holds one `job` record per sweep cell plus a run summary.
+
+OBSERVABILITY OPTIONS:
 ";
+
+/// The observability flags the campaign honours: its job stream's.
+const OBS_FLAGS: &str = "--obs-stream --obs-every --watch";
 
 struct Options {
     jobs: Jobs,
@@ -54,10 +55,10 @@ struct Options {
 fn parse_args() -> Result<Options, String> {
     let mut argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.iter().any(|a| a == "-h" || a == "--help") {
-        print!("{USAGE}");
+        print!("{USAGE}{}", ObsOptions::usage(OBS_FLAGS));
         std::process::exit(0);
     }
-    let obs = ObsOptions::parse(&mut argv)?;
+    let obs = ObsOptions::parse(&mut argv, "codec_campaign", OBS_FLAGS)?;
     let mut opts = Options {
         jobs: Jobs::from_env(),
         frames: None,
@@ -95,7 +96,7 @@ fn main() {
     let opts = match parse_args() {
         Ok(o) => o,
         Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
+            eprintln!("error: {e}\n\n{USAGE}{}", ObsOptions::usage(OBS_FLAGS));
             std::process::exit(2);
         }
     };
@@ -110,73 +111,19 @@ fn main() {
         cfg.frames = frames;
     }
 
+    let mut run = opts.obs.start("codec_campaign", opts.jobs.get());
     let pool = Pool::new(opts.jobs);
     let report = CampaignReport::run(&cfg, &pool);
     let json = report.to_json();
-
     match &opts.out {
-        Some(path) => match std::fs::write(path, &json) {
-            Ok(()) => eprintln!("wrote campaign report to {path}"),
-            Err(e) => {
-                eprintln!("error: cannot write report to {path}: {e}");
-                std::process::exit(2);
-            }
-        },
+        Some(path) => write_file(path, &json, "campaign report"),
         None => print!("{json}"),
     }
-
-    // Observability stream: one `job` record per sweep cell, in the fixed
-    // cell order — byte-identical for any worker count.
-    if opts.obs.wants_stream() {
-        let mut records = vec![ObsRecord::Meta {
-            schema: OBS_SCHEMA.into(),
-            run: "codec_campaign".into(),
-            tick_s: 0.0,
-            n_rx: 0,
-            every: opts.obs.obs_every,
-        }];
-        for idx in 0..cfg.n_cells() {
-            records.push(ObsRecord::Job {
-                index: idx as u64,
-                name: cfg.cell_label(idx),
-            });
-        }
-        records.push(ObsRecord::Summary {
-            ticks: 0,
-            mean_system_bps: 0.0,
-            alerts_fired: 0,
-            alerts_cleared: 0,
-            events_dropped: 0,
-            spans_dropped: 0,
-        });
-        let mem = MemorySink::new();
-        let mut sink: Box<dyn ObsSink> = match &opts.obs.obs_stream {
-            Some(path) => match FileSink::create(std::path::Path::new(path)) {
-                Ok(f) => Box::new(f),
-                Err(e) => {
-                    eprintln!("error: cannot create stream file {path}: {e}");
-                    std::process::exit(2);
-                }
-            },
-            None => Box::new(mem.clone()),
-        };
-        for r in &records {
-            let _ = sink.write_line(&r.to_line());
-        }
-        let _ = sink.flush();
-        drop(sink);
-        if let Some(path) = &opts.obs.obs_stream {
-            eprintln!("wrote observability stream to {path}");
-        }
-        if opts.obs.watch {
-            let text = match &opts.obs.obs_stream {
-                Some(path) => std::fs::read_to_string(path).unwrap_or_default(),
-                None => mem.text(),
-            };
-            match parse_stream(&text) {
-                Ok(parsed) => print!("\n{}", monitor::render(&parsed)),
-                Err(e) => eprintln!("error: stream failed validation: {e}"),
-            }
-        }
-    }
+    // One `job` record per sweep cell, in the fixed cell order —
+    // byte-identical for any worker count.
+    run.write_job_stream(
+        "codec_campaign",
+        (0..cfg.n_cells()).map(|i| cfg.cell_label(i)),
+    );
+    run.finish();
 }

@@ -16,33 +16,24 @@
 //! Trace Event file loadable in Perfetto. Neither flag changes the printed
 //! reports: repeats beyond the first only feed the timing statistics.
 //!
-//! All observability flags (including `--obs-stream FILE`, which records
-//! each completed experiment job as an NDJSON stream, and `--watch`, which
-//! renders the monitor dashboard after the run) are parsed by the shared
-//! `vlc_obs::ObsOptions` — the exact flag set `densevlc-cli` takes.
+//! `--obs-stream FILE` records each experiment job as an NDJSON stream and
+//! `--watch` renders the monitor dashboard after the run. The shared
+//! `vlc_obs::ObsOptions` parses and writes every observability flag;
+//! `run_all` takes all of them but the flight recorder's.
 
 use densevlc::experiments::*;
 use vlc_bench::probes::{phase_probe, phy_probe, shard_probe, sparse_probe};
 use vlc_bench::{budget_sweep, rate_sweep};
 use vlc_led::LedParams;
-use vlc_obs::{
-    monitor, parse_stream, FileSink, MemorySink, ObsOptions, ObsRecord, ObsSink, TelemetryFormat,
-    OBS_SCHEMA,
-};
+use vlc_obs::ObsOptions;
 use vlc_par::{Jobs, Pool, JOBS_ENV};
-use vlc_prof::{flamegraph_from_profile, to_folded, Profile};
-use vlc_telemetry::Registry;
 use vlc_testbed::Scenario;
-use vlc_trace::{BenchReport, Tracer};
 
 const USAGE: &str = "\
 run_all — regenerate the full DenseVLC evaluation (every table and figure)
 
 USAGE:
-    run_all [ID...] [--jobs N] [--telemetry FORMAT] [--trace FILE]
-            [--bench-out FILE] [--bench-repeat N]
-            [--profile-out FILE] [--folded-out FILE] [--flame-out FILE]
-            [--obs-stream FILE] [--watch]
+    run_all [ID...] [--jobs N] [observability options]
 
 ARGS:
     ID...               Run only these experiments, in the given order, at
@@ -67,32 +58,19 @@ OPTIONS:
                         DENSEVLC_JOBS environment variable, then to all
                         cores. `--jobs 1` is the exact sequential path;
                         reports are byte-identical for every worker count.
-    --telemetry FORMAT  Append run telemetry: `summary` (per-job span and
-                        per-worker tables), `json`, or `csv`.
-    --trace FILE        Record causal spans for the whole run and write
-                        them as Chrome Trace Event JSON (open in Perfetto
-                        or chrome://tracing).
-    --bench-out FILE    Write per-phase timing statistics (median/MAD/
-                        min/max over repeats) as BENCH.json; compare two
-                        such files with `bench_compare`.
-    --bench-repeat N    Repeat the workload N times (default 1) to tighten
-                        the BENCH medians. Reports print once; repeats
-                        beyond the first only feed the statistics.
-    --profile-out FILE  Build a densevlc-prof/1 self-time profile from the
-                        run's spans and write it as JSON; diff two with
-                        `prof_diff`, validate with `prof_check`.
-    --folded-out FILE   Write the profile as folded stacks (Brendan Gregg
-                        format, loadable by any flamegraph tool).
-    --flame-out FILE    Write a self-contained SVG flamegraph.
-    --obs-stream FILE   Write an NDJSON observability stream: one `job`
-                        record per completed experiment (in the fixed
-                        presentation order) plus a run summary, validated
-                        by `obs_check` and rendered by `densevlc-cli
-                        monitor`.
-    --watch             Render the monitor dashboard from the stream after
-                        the run (with or without --obs-stream).
     -h, --help          Print this help.
+
+The tracer flags time the run and the probes behind it; reports print
+once, and repeats beyond the first only feed the statistics. The stream
+holds one `job` record per experiment, in the fixed presentation order.
+
+OBSERVABILITY OPTIONS:
 ";
+
+/// The observability flags `run_all` honours: every one but the flight
+/// recorder's.
+const OBS_FLAGS: &str = "--telemetry --telemetry-out --trace --bench-out --bench-repeat \
+                         --profile-out --folded-out --flame-out --obs-stream --obs-every --watch";
 
 type Run = Box<dyn Fn() -> String + Send + Sync>;
 
@@ -273,12 +251,12 @@ struct Options {
 fn parse_args() -> Result<Options, String> {
     let mut argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.iter().any(|a| a == "-h" || a == "--help") {
-        print!("{USAGE}");
+        print!("{USAGE}{}", ObsOptions::usage(OBS_FLAGS));
         std::process::exit(0);
     }
     // The shared observability parser consumes its flags; only run_all's
     // own arguments may remain.
-    let obs = ObsOptions::parse(&mut argv)?;
+    let obs = ObsOptions::parse(&mut argv, "run_all", OBS_FLAGS)?;
     let mut ids = Vec::new();
     let mut jobs: Option<Jobs> = None;
     let mut rest = argv.into_iter();
@@ -299,21 +277,11 @@ fn parse_args() -> Result<Options, String> {
     })
 }
 
-fn write_file(path: &str, contents: &str, what: &str) {
-    match std::fs::write(path, contents) {
-        Ok(()) => eprintln!("wrote {what} to {path}"),
-        Err(e) => {
-            eprintln!("error: cannot write {what} to {path}: {e}");
-            std::process::exit(2);
-        }
-    }
-}
-
 fn main() {
     let opts = match parse_args() {
         Ok(o) => o,
         Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
+            eprintln!("error: {e}\n\n{USAGE}{}", ObsOptions::usage(OBS_FLAGS));
             std::process::exit(2);
         }
     };
@@ -341,15 +309,9 @@ fn main() {
     } else {
         set.iter().map(|j| (j.name, &j.reduced)).collect()
     };
-    let registry = Registry::new();
-    let pool = Pool::new(opts.jobs).with_telemetry(&registry);
-    let timing = opts.obs.wants_tracer();
-    let tracer = if timing {
-        Tracer::new()
-    } else {
-        Tracer::noop()
-    };
-    let repeats = if timing { opts.obs.bench_repeat } else { 1 };
+    let mut run = opts.obs.start("run_all", opts.jobs.get());
+    let (registry, tracer) = (&run.registry, &run.tracer);
+    let pool = Pool::new(opts.jobs).with_telemetry(registry);
 
     if !named {
         println!(
@@ -360,7 +322,9 @@ fn main() {
     }
     let _wall = registry.span("bench.run_all_s");
     let mut first_reports: Option<Vec<String>> = None;
-    for _rep in 0..repeats {
+    // `--bench-repeat` is an error without a tracer flag, so an untimed
+    // run makes one pass.
+    for _rep in 0..run.options.bench_repeat.unwrap_or(1) {
         let root = tracer.root("bench.run_all");
         root.attr("jobs", &opts.jobs.get().to_string());
         let reports = pool.map_indexed(selected.len(), |i| {
@@ -373,13 +337,13 @@ fn main() {
             report
         });
         drop(root);
-        if timing {
+        if tracer.is_enabled() {
             // The probes share the experiment pool — one `par.pool.created`
             // for the whole run (pinned by `tests/pool_hoist.rs`).
-            phase_probe(&tracer, &pool);
-            phy_probe(&tracer);
-            sparse_probe(&tracer, &pool);
-            shard_probe(&tracer, &pool);
+            phase_probe(tracer, &pool);
+            phy_probe(tracer);
+            sparse_probe(tracer, &pool);
+            shard_probe(tracer, &pool);
         }
         first_reports.get_or_insert(reports);
     }
@@ -398,115 +362,11 @@ fn main() {
         println!("{report}");
     }
 
-    // Surface span-ring health before snapshotting, so the summary
-    // exporter's rings line can report it (see export::summary).
-    if timing {
-        registry
-            .counter("trace.spans_dropped")
-            .add(tracer.snapshot().dropped);
-    }
-
-    if let Some(format) = opts.obs.telemetry {
-        let snap = registry.snapshot();
-        match format {
-            TelemetryFormat::Json => println!("{}", snap.to_json()),
-            TelemetryFormat::Csv => println!("{}", snap.to_csv()),
-            TelemetryFormat::Summary => println!("{}", snap.summary_table()),
-        }
-    }
-
-    // Observability stream: jobs complete in pool order, but records are
-    // emitted in the fixed presentation order after collection, so the
-    // stream is byte-identical for any worker count (the same contract
-    // the printed reports honor).
-    if opts.obs.wants_stream() {
-        let snap = registry.snapshot();
-        let mut records = vec![ObsRecord::Meta {
-            schema: OBS_SCHEMA.into(),
-            run: "run_all".into(),
-            tick_s: 0.0,
-            n_rx: 0,
-            every: opts.obs.obs_every,
-        }];
-        for (i, (name, _)) in selected.iter().enumerate() {
-            records.push(ObsRecord::Job {
-                index: i as u64,
-                name: (*name).to_string(),
-            });
-        }
-        // A profiled run digests its profile into the stream, ahead of
-        // the summary trailer (obs_check requires summary-last).
-        if timing && opts.obs.wants_profile() {
-            let profile = Profile::from_snapshot(&tracer.snapshot(), opts.jobs.get());
-            records.push(ObsRecord::profile_summary(&profile));
-        }
-        records.push(ObsRecord::Summary {
-            ticks: 0,
-            mean_system_bps: 0.0,
-            alerts_fired: 0,
-            alerts_cleared: 0,
-            events_dropped: snap.events_dropped,
-            spans_dropped: if timing { tracer.snapshot().dropped } else { 0 },
-        });
-        let mem = MemorySink::new();
-        let mut sink: Box<dyn ObsSink> = match &opts.obs.obs_stream {
-            Some(path) => match FileSink::create(std::path::Path::new(path)) {
-                Ok(f) => Box::new(f),
-                Err(e) => {
-                    eprintln!("error: cannot create stream file {path}: {e}");
-                    std::process::exit(2);
-                }
-            },
-            None => Box::new(mem.clone()),
-        };
-        for r in &records {
-            let _ = sink.write_line(&r.to_line());
-        }
-        let _ = sink.flush();
-        drop(sink);
-        if let Some(path) = &opts.obs.obs_stream {
-            eprintln!("wrote observability stream to {path}");
-        }
-        if opts.obs.watch {
-            let text = match &opts.obs.obs_stream {
-                Some(path) => std::fs::read_to_string(path).unwrap_or_default(),
-                None => mem.text(),
-            };
-            match parse_stream(&text) {
-                Ok(parsed) => print!("\n{}", monitor::render(&parsed)),
-                Err(e) => eprintln!("error: stream failed validation: {e}"),
-            }
-        }
-    }
-
-    if timing {
-        let snapshot = tracer.snapshot();
-        if let Some(path) = &opts.obs.bench_out {
-            let report = BenchReport::from_snapshot(&snapshot, opts.jobs.get(), repeats);
-            write_file(path, &report.to_json(), "BENCH.json");
-        }
-        if let Some(path) = &opts.obs.trace {
-            write_file(path, &snapshot.to_chrome_json(), "Chrome trace");
-        }
-        if opts.obs.wants_profile() {
-            let profile = Profile::from_snapshot(&snapshot, opts.jobs.get());
-            if let Some(path) = &opts.obs.profile_out {
-                write_file(path, &profile.to_json(), "self-time profile");
-            }
-            if let Some(path) = &opts.obs.folded_out {
-                write_file(path, &to_folded(&profile), "folded stacks");
-            }
-            if let Some(path) = &opts.obs.flame_out {
-                match flamegraph_from_profile("run_all", &profile) {
-                    Ok(svg) => write_file(path, &svg, "flamegraph"),
-                    Err(e) => {
-                        eprintln!("error: flamegraph rendering failed: {e}");
-                        std::process::exit(2);
-                    }
-                }
-            }
-        }
-    }
+    // Jobs complete in pool order, but the stream records them in the
+    // fixed presentation order, so it is byte-identical for any worker
+    // count (the same contract the printed reports honor).
+    run.write_job_stream("run_all", selected.iter().map(|(name, _)| name.to_string()));
+    run.finish();
 }
 
 #[cfg(test)]

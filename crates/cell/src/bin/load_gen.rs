@@ -9,33 +9,36 @@
 //! ```text
 //! load_gen [--rooms CxR] [--ticks N] [--events N] [--seed N]
 //!          [--policy heuristic|optimal] [--jobs N] [--smoke]
-//!          [--obs-stream PATH] [--obs-every N] [--telemetry]
+//!          [--obs-stream PATH] [--obs-every N] [--watch]
+//!          [--telemetry json|csv|summary]
 //! ```
+//!
+//! The observability flags go through the shared `vlc_obs::ObsOptions`;
+//! the stream's cadence defaults to 50 ticks.
 
-use std::io::Write as _;
 use vlc_cell::{
-    drive, BuildingConfig, BuildingEngine, BuildingObs, BuildingObsConfig, LoadGenConfig,
-    ReplanPolicy,
+    drive_observed, BuildingConfig, BuildingEngine, BuildingObsConfig, LoadGenConfig, ReplanPolicy,
 };
-use vlc_obs::{FileSink, ObsSink};
+use vlc_obs::ObsOptions;
 use vlc_par::{Jobs, Pool};
-use vlc_telemetry::Registry;
 use vlc_trace::Span;
+
+/// The observability flags `load_gen` honours: the building stream's and
+/// the telemetry rendering on stdout.
+const OBS_FLAGS: &str = "--obs-stream --obs-every --watch --telemetry";
 
 struct Options {
     load: LoadGenConfig,
     policy: ReplanPolicy,
     jobs: Jobs,
-    obs_stream: Option<String>,
-    obs_every: u64,
-    telemetry: bool,
+    obs: ObsOptions,
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: load_gen [--rooms CxR] [--ticks N] [--events N] [--seed N] \
-         [--policy heuristic|optimal] [--jobs N] [--smoke] \
-         [--obs-stream PATH] [--obs-every N] [--telemetry]"
+         [--policy heuristic|optimal] [--jobs N] [--smoke] [observability options]\n{}",
+        ObsOptions::usage(OBS_FLAGS)
     );
     std::process::exit(2);
 }
@@ -50,13 +53,15 @@ fn positive<T: std::str::FromStr + Default + PartialEq>(v: &str) -> T {
 }
 
 fn parse_options() -> Options {
+    let mut argv: Vec<String> = std::env::args().skip(1).collect();
+    let obs = ObsOptions::parse(&mut argv, "load_gen", OBS_FLAGS).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        usage()
+    });
     let mut load = LoadGenConfig::default();
     let mut policy = ReplanPolicy::Heuristic;
     let mut jobs = Jobs::from_env();
-    let mut obs_stream = None;
-    let mut obs_every = 50;
-    let mut telemetry = false;
-    let mut args = std::env::args().skip(1);
+    let mut args = argv.into_iter();
     while let Some(arg) = args.next() {
         let mut value = || args.next().unwrap_or_else(|| usage());
         match arg.as_str() {
@@ -89,9 +94,6 @@ fn parse_options() -> Options {
                     step_m: 1.5,
                 };
             }
-            "--obs-stream" => obs_stream = Some(value()),
-            "--obs-every" => obs_every = value().parse().unwrap_or_else(|_| usage()),
-            "--telemetry" => telemetry = true,
             _ => usage(),
         }
     }
@@ -99,20 +101,18 @@ fn parse_options() -> Options {
         load,
         policy,
         jobs,
-        obs_stream,
-        obs_every,
-        telemetry,
+        obs,
     }
 }
 
-fn main() -> std::io::Result<()> {
+fn main() {
     let opts = parse_options();
-    let registry = Registry::new();
-    let pool = Pool::new(opts.jobs).with_telemetry(&registry);
+    let mut run = opts.obs.start("load_gen", opts.jobs.get());
+    let pool = Pool::new(opts.jobs).with_telemetry(&run.registry);
 
     let mut config = BuildingConfig::paper(opts.load.cols, opts.load.rows);
     config.policy = opts.policy.clone();
-    let mut engine = BuildingEngine::new(&config, &registry);
+    let mut engine = BuildingEngine::new(&config, &run.registry);
 
     eprintln!(
         "load_gen: scheduling ≥{} events over {} rooms ({}x{}), {} ticks, seed {} …",
@@ -125,66 +125,48 @@ fn main() -> std::io::Result<()> {
     );
     let schedule = opts.load.schedule();
 
-    let mut obs = match &opts.obs_stream {
-        Some(path) => {
-            let sink: Box<dyn ObsSink> = Box::new(FileSink::create(std::path::Path::new(path))?);
-            let cfg = BuildingObsConfig {
-                run: format!("load_gen seed{}", opts.load.seed),
-                every: opts.obs_every,
-                ..BuildingObsConfig::default()
-            };
-            Some(BuildingObs::new(&cfg, engine.map(), sink)?)
-        }
-        None => None,
+    let stream = BuildingObsConfig {
+        run: format!("load_gen seed{}", opts.load.seed),
+        ..BuildingObsConfig::default()
     };
-
-    let report = drive(&mut engine, &schedule, &pool, obs.as_mut(), &Span::noop())?;
-    if let Some(obs) = obs {
-        obs.finish()?;
-    }
+    let report = drive_observed(
+        &mut engine,
+        &schedule,
+        &pool,
+        &mut run,
+        stream,
+        &Span::noop(),
+    );
 
     let policy = match &opts.policy {
         ReplanPolicy::Heuristic => "heuristic",
         ReplanPolicy::Optimal(_) => "optimal",
     };
-    let mut out = std::io::stdout().lock();
-    writeln!(out, "==== load_gen · sharded building control plane ====")?;
-    writeln!(
-        out,
+    println!("==== load_gen · sharded building control plane ====");
+    println!(
         "rooms {} ({}x{}) · policy {policy} · jobs {} · seed {}",
         opts.load.cols * opts.load.rows,
         opts.load.cols,
         opts.load.rows,
         opts.jobs.get(),
         opts.load.seed
-    )?;
-    writeln!(
-        out,
+    );
+    println!(
         "ticks {} · events {} · sessions {} (peak concurrent {})",
         report.ticks, report.events, report.sessions, report.peak_sessions
-    )?;
-    writeln!(
-        out,
+    );
+    println!(
         "replans {} · plan hits {} · handovers {}",
         report.replans, report.plan_hits, report.handovers
-    )?;
-    writeln!(
-        out,
+    );
+    println!(
         "wall {:.2} s · events/s {:.0} · replans/s {:.0}",
         report.wall_s, report.events_per_s, report.replans_per_s
-    )?;
-    writeln!(
-        out,
+    );
+    println!(
         "control tick: p50 {:.1} µs · p99 {:.1} µs · max {:.1} µs",
         report.tick_p50_us, report.tick_p99_us, report.tick_max_us
-    )?;
-    writeln!(
-        out,
-        "system throughput {:.3e} bit/s",
-        report.final_system_bps
-    )?;
-    if opts.telemetry {
-        writeln!(out, "{}", registry.snapshot().summary_table())?;
-    }
-    Ok(())
+    );
+    println!("system throughput {:.3e} bit/s", report.final_system_bps);
+    run.finish();
 }

@@ -35,7 +35,7 @@ pub mod shard;
 
 pub use building::BuildingMap;
 pub use engine::{BuildingEngine, Command, TickReport};
-pub use loadgen::{drive, DriveReport, LoadGenConfig, Schedule};
+pub use loadgen::{drive, drive_observed, DriveReport, LoadGenConfig, Schedule};
 pub use obs::{BuildingObs, BuildingObsConfig};
 pub use shard::{CellShard, SessionId, ShardTick};
 

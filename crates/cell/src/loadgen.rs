@@ -13,12 +13,15 @@
 //! [`drive`] pumps a schedule through a [`BuildingEngine`] tick by tick,
 //! timing each control tick with the wall clock (report only — never in
 //! the obs stream) and returning throughput/latency figures.
+//! [`drive_observed`] is the binaries' form: it streams what the run's
+//! observability flags ask for.
 
 use crate::engine::{BuildingEngine, Command, TickReport};
-use crate::obs::BuildingObs;
+use crate::obs::{BuildingObs, BuildingObsConfig};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::io;
 use std::time::Instant;
+use vlc_obs::ObsRun;
 use vlc_par::{cell_seed, Pool};
 use vlc_trace::Span;
 
@@ -220,6 +223,29 @@ pub fn drive(
         tick_p99_us: quantile(0.99),
         tick_max_us: tick_us.last().copied().unwrap_or(0.0),
     })
+}
+
+/// [`drive`] with the building stream `run`'s flags ask for, opened on
+/// its sink with `cfg` (`--obs-every` overrides `cfg.every`) and ended
+/// through [`ObsRun::end_stream`]. A failed stream write ends the
+/// process with exit 1 naming the stream.
+pub fn drive_observed(
+    engine: &mut BuildingEngine,
+    schedule: &Schedule,
+    pool: &Pool,
+    run: &mut ObsRun,
+    mut cfg: BuildingObsConfig,
+    parent: &Span,
+) -> DriveReport {
+    cfg.every = run.options.obs_every.unwrap_or(cfg.every);
+    let mut stream = run
+        .take_sink()
+        .map(|sink| run.check_stream(BuildingObs::new(&cfg, engine.map(), sink)));
+    let report = run.check_stream(drive(engine, schedule, pool, stream.as_mut(), parent));
+    if let Some(stream) = stream {
+        run.end_stream(stream.finish());
+    }
+    report
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
 //! Command-line tests of the `load_gen` binary: a degenerate building or
-//! workload size is a usage error (exit code 2), not a panic, and a
-//! crowded room under the optimal planner runs to completion.
+//! workload size is a usage error (exit code 2), not a panic, a crowded
+//! room under the optimal planner runs to completion, and every
+//! observability flag either writes its artifact or exits 2 first.
 
 use std::process::Command;
 
@@ -54,4 +55,70 @@ fn a_crowded_room_under_the_optimal_policy_exits_0() {
         .and_then(|n| n.parse().ok())
         .unwrap_or_else(|| panic!("no session peak in: {stdout}"));
     assert!(peak >= 10, "the room is not crowded: {stdout}");
+}
+
+/// A one-room workload small enough for an unoptimized build.
+const TINY: [&str; 6] = ["--rooms", "1x1", "--ticks", "20", "--events", "40"];
+
+fn tiny(extra: &[&str]) -> std::process::Output {
+    load_gen(&[&TINY[..], extra].concat())
+}
+
+#[test]
+fn telemetry_summary_replaces_the_bare_switch() {
+    let out = tiny(&["--telemetry", "summary"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let report_end = stdout.find("system throughput").expect("report printed");
+    assert!(
+        stdout[report_end..].contains("rings: event ring dropped"),
+        "summary table follows the report: {stdout}"
+    );
+    // The bare switch now lacks its value.
+    assert_usage_error(&[&TINY[..], &["--telemetry"]].concat());
+}
+
+#[test]
+fn flags_load_gen_does_not_honour_exit_2_naming_them() {
+    let dir = std::env::temp_dir().join(format!("load-gen-cli-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let unmade = dir.join("never_written");
+    let path = unmade.to_str().unwrap();
+    for flag in [
+        "--telemetry-out",
+        "--trace",
+        "--bench-out",
+        "--profile-out",
+        "--folded-out",
+        "--flame-out",
+        "--flight-recorder",
+    ] {
+        let out = tiny(&[flag, path]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_usage_error(&[&TINY[..], &[flag, path]].concat());
+        assert!(
+            stderr.contains(flag) && stderr.contains("load_gen does not take"),
+            "{flag}: {stderr}"
+        );
+        assert!(out.stdout.is_empty() && !unmade.exists(), "{flag} ran");
+    }
+    assert_usage_error(&[&TINY[..], &["--obs-every", "5"]].concat());
+}
+
+#[test]
+fn the_stream_validates_renders_and_fails_the_run_on_a_full_disk() {
+    let out = tiny(&["--watch", "--obs-every", "5"]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("densevlc monitor — load_gen seed"),
+        "{stdout}"
+    );
+    assert!(stdout.contains("run complete: 20 ticks"), "{stdout}");
+
+    let out = tiny(&["--obs-stream", "/dev/full"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("/dev/full"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }

@@ -370,8 +370,8 @@ pub fn run(
     run_traced(txs, scheme, cfg, frames, seed, &Registry::noop())
 }
 
-/// [`run`] with telemetry: frame encode/decode counters flow through the
-/// instrumented PHY codec (`phy.frames_encoded`, `phy.frames_decoded`,
+/// [`run`] with telemetry: every frame counts into the frame counters
+/// (`phy.frames_encoded`, `phy.frames_decoded`,
 /// `phy.rs_symbols_corrected`, `phy.rs_uncorrectable`,
 /// `phy.frame_sync_errors`); failures to even reach the decoder count into
 /// `phy.preamble_misses` (correlator never locks) or `phy.frame_sync_errors`
@@ -463,7 +463,8 @@ pub fn run_scalar(
             },
             payload.clone(),
         );
-        let bytes = frame.to_bytes_traced(&rs, telemetry);
+        telemetry.counter("phy.frames_encoded").inc();
+        let bytes = frame.to_bytes(&rs);
         let mut chips: Vec<Chip> = preamble_chips.clone();
         chips.extend(manchester_encode(&bytes));
         let spc = wave_cfg.samples_per_chip();
@@ -540,15 +541,30 @@ pub fn run_scalar(
         telemetry
             .histogram("phy.ber")
             .record(chip_errors as f64 / sent_chips.len().max(1) as f64);
-        match Frame::from_bytes_traced(&decoded_bytes, &rs, telemetry) {
-            Ok((decoded, fixed)) if decoded.payload == payload => {
-                frames_ok += 1;
-                rs_corrections += fixed;
+        // A decode counts into `phy.frames_decoded`, a Reed–Solomon
+        // failure into `phy.rs_uncorrectable`, and any other parse failure
+        // (bad SFD, truncation, length mismatch) into
+        // `phy.frame_sync_errors`, as `FramePipeline` counts them.
+        match Frame::from_bytes(&decoded_bytes, &rs) {
+            Ok((decoded, fixed)) => {
+                telemetry.counter("phy.frames_decoded").inc();
+                telemetry
+                    .counter("phy.rs_symbols_corrected")
+                    .add(fixed as u64);
+                if decoded.payload == payload {
+                    frames_ok += 1;
+                    rs_corrections += fixed;
+                } else {
+                    telemetry.counter("phy.frames_bad_payload").inc();
+                }
             }
-            Ok(_) => {
-                telemetry.counter("phy.frames_bad_payload").inc();
+            Err(FrameError::Uncorrectable) => {
+                telemetry.counter("phy.rs_uncorrectable").inc();
+                telemetry.event("phy.frame", "rs_uncorrectable", &[]);
             }
-            Err(_) => {}
+            Err(_) => {
+                telemetry.counter("phy.frame_sync_errors").inc();
+            }
         }
         let _ = seq;
     }

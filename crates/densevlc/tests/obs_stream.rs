@@ -64,7 +64,7 @@ fn streamed_run_is_byte_identical_to_the_plain_run() {
     let mem = MemorySink::new();
     let mut p = plane(mem.clone(), Vec::new());
     let tl_streamed = sim().run_traced(2.0, Some(&mut p), &Registry::noop(), &Span::noop());
-    p.finish(&Registry::noop(), 0);
+    p.finish(&Registry::noop(), 0).expect("memory sink");
 
     // Bit-for-bit identity of the recorded timelines: the plane only
     // reads, never perturbs.
@@ -128,7 +128,7 @@ fn slo_fires_and_clears_on_a_blockage_scenario_at_expected_ticks() {
         let mem = MemorySink::new();
         let mut p = plane(mem.clone(), vec![rx0_rule()]);
         s.run_traced(3.0, Some(&mut p), &Registry::noop(), &Span::noop());
-        p.finish(&Registry::noop(), 0);
+        p.finish(&Registry::noop(), 0).expect("memory sink");
         mem.text()
     };
 
@@ -178,7 +178,7 @@ fn streamed_runs_are_identical_for_any_worker_count() {
         let mem = MemorySink::new();
         let mut p = plane(mem.clone(), vec![rx0_rule()]);
         s.run_traced(2.0, Some(&mut p), &Registry::noop(), &Span::noop());
-        p.finish(&Registry::noop(), 0);
+        p.finish(&Registry::noop(), 0).expect("memory sink");
         mem.text()
     };
     // Env mutation is process-global: probe each setting sequentially
@@ -265,7 +265,7 @@ fn live_registry_streams_derived_signals_and_embeds_snapshots() {
     let mem = MemorySink::new();
     let mut p = plane(mem.clone(), Vec::new());
     let tl = sim().run_traced(2.0, Some(&mut p), &registry, &Span::noop());
-    p.finish(&registry, 0);
+    p.finish(&registry, 0).expect("memory sink");
     assert!(tl.telemetry.is_some(), "live registry embeds the snapshot");
     let records = parse_stream_strict(&mem.text()).unwrap();
     let signals: Vec<&str> = records

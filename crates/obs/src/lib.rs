@@ -20,10 +20,12 @@
 //!   hysteresis (fire after N breaching windows, clear after M healthy
 //!   ones) evaluated at every flush.
 //!
-//! [`options::ObsOptions`] is the shared command-line surface: every
-//! binary parses the same `--telemetry`/`--trace`/`--obs-stream`/… flags
-//! through it, and [`monitor::render`] turns a parsed stream back into a
-//! terminal dashboard.
+//! [`options::ObsOptions`] is the shared command-line front-end: every
+//! binary parses its `--telemetry`/`--trace`/`--obs-stream`/… flags
+//! through it, against the list of flags it honours, and its
+//! [`options::ObsRun`] builds the registry, tracer and stream sink those
+//! flags need and writes every artifact at exit. [`monitor::render`]
+//! turns a parsed stream back into a terminal dashboard.
 //!
 //! The plane is strictly read-only with respect to the simulation: it
 //! consumes tick samples and registry snapshots, so the streamed and
@@ -44,7 +46,7 @@ pub mod window;
 
 pub use alert::{densevlc_defaults, Cmp, SloEngine, SloRule, Stat};
 pub use flight::{FlightGuard, FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
-pub use options::{inject_panic_from_env, ObsOptions, TelemetryFormat};
+pub use options::{inject_panic_from_env, write_file, ObsOptions, ObsRun, TelemetryFormat};
 pub use plane::{ObsConfig, ObsPlane, TickSample};
 pub use record::{
     parse_stream, parse_stream_strict, AlertState, ObsRecord, StreamError, OBS_SCHEMA,

@@ -1,12 +1,36 @@
 //! The terminal monitor view: a textual dashboard rendered from a parsed
 //! observability stream. `densevlc-cli monitor` tails an NDJSON file and
-//! re-renders this on every poll; `run_all --watch` renders it once at
-//! the end of a streamed run.
+//! re-renders this on every poll; `--watch` renders it once at the end
+//! of a streamed run.
 
 use std::collections::BTreeMap;
 
-use crate::record::{AlertState, ObsRecord};
+use crate::record::{parse_stream, AlertState, ObsRecord, StreamError};
 use crate::window::WindowStats;
+
+/// A stream's rendered dashboard and what a reader of it needs to know.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Dashboard {
+    /// The rendered view.
+    pub view: String,
+    /// How many complete records the stream holds.
+    pub records: usize,
+    /// Whether the stream ends the run (a summary or panic record).
+    pub ended: bool,
+}
+
+/// Parses a stream's text (leniently: see [`parse_stream`]) and renders
+/// its dashboard.
+pub fn dashboard(stream: &str) -> Result<Dashboard, StreamError> {
+    let records = parse_stream(stream)?;
+    Ok(Dashboard {
+        view: render(&records),
+        records: records.len(),
+        ended: records
+            .iter()
+            .any(|r| matches!(r, ObsRecord::Summary { .. } | ObsRecord::Panic { .. })),
+    })
+}
 
 fn fmt_mbps(bps: f64) -> String {
     format!("{:.2}", bps / 1e6)
@@ -229,5 +253,26 @@ mod tests {
     #[test]
     fn an_empty_stream_still_renders_a_header() {
         assert!(render(&[]).contains("densevlc monitor"));
+    }
+
+    #[test]
+    fn a_dashboard_sees_the_run_end() {
+        let mut text: String = stream().iter().map(|r| r.to_line() + "\n").collect();
+        let view = dashboard(&text).unwrap();
+        assert_eq!(view.view, render(&stream()));
+        assert_eq!((view.records, view.ended), (stream().len(), false));
+        let summary = ObsRecord::Summary {
+            ticks: 10,
+            mean_system_bps: 0.0,
+            alerts_fired: 1,
+            alerts_cleared: 0,
+            events_dropped: 0,
+            spans_dropped: 0,
+        };
+        text += &(summary.to_line() + "\n");
+        assert!(dashboard(&text).unwrap().ended);
+        assert!(dashboard("{\"type\":\"nope\"}\n").is_err());
+        // A torn line is not a record yet.
+        assert_eq!(dashboard("{\"type\":\"meta\"").unwrap().records, 0);
     }
 }

@@ -3,7 +3,8 @@
 //! [`ObsPlane`] composes the four streaming pieces — rolling windows,
 //! NDJSON export, the SLO engine, and the flight recorder — behind two
 //! calls: [`ObsPlane::observe_tick`] per simulation tick and
-//! [`ObsPlane::finish`] at the end of the run. The plane only *reads*
+//! [`ObsPlane::finish`] at the end of the run. A sink error never stops
+//! the run: the plane stops writing, and `finish` returns the error. The plane only *reads*
 //! the telemetry registry (snapshot deltas); it never mutates simulation
 //! state, which is how the streamed and unstreamed code paths produce
 //! byte-identical `Timeline`s.
@@ -27,6 +28,7 @@
 //! * `phy.rs_uncorrectable` — RS-uncorrectable blocks in the interval
 
 use std::collections::BTreeMap;
+use std::io;
 
 use vlc_telemetry::{MetricsSnapshot, Registry};
 
@@ -119,9 +121,9 @@ pub struct ObsPlane {
     flight: Option<FlightRecorder>,
     _flight_guard: Option<FlightGuard>,
     cursor: Cursor,
-    /// First sink error disables further writes; observability must never
-    /// take the simulation down.
-    sink_ok: bool,
+    /// The first sink error disables further writes, so observability
+    /// never takes the simulation down; `finish` reports it.
+    sink_err: Option<io::Error>,
     ticks: u64,
     system_bps_sum: f64,
     last_flush_tick: Option<u64>,
@@ -139,7 +141,7 @@ impl ObsPlane {
             flight: None,
             _flight_guard: None,
             cursor: Cursor::default(),
-            sink_ok: true,
+            sink_err: None,
             ticks: 0,
             system_bps_sum: 0.0,
             last_flush_tick: None,
@@ -164,8 +166,20 @@ impl ObsPlane {
         if let Some(f) = &self.flight {
             f.record_line(&line);
         }
-        if self.sink_ok && self.sink.write_line(&line).is_err() {
-            self.sink_ok = false;
+        self.write(&line);
+    }
+
+    /// Writes one line unless an earlier write failed; latches the first
+    /// error.
+    fn write(&mut self, line: &str) {
+        if self.sink_err.is_none() {
+            self.sink_err = self.sink.write_line(line).err();
+        }
+    }
+
+    fn flush_sink(&mut self) {
+        if self.sink_err.is_none() {
+            self.sink_err = self.sink.flush().err();
         }
     }
 
@@ -191,9 +205,7 @@ impl ObsPlane {
             f.push_context(&meta.to_line());
         }
         // Meta goes to the sink only — it is already flight context.
-        if self.sink_ok && self.sink.write_line(&meta.to_line()).is_err() {
-            self.sink_ok = false;
-        }
+        self.write(&meta.to_line());
     }
 
     /// Observes one tick: emits the tick record, feeds the per-RX
@@ -253,9 +265,7 @@ impl ObsPlane {
             }
         }
         self.forward_events(&snap);
-        if self.sink_ok && self.sink.flush().is_err() {
-            self.sink_ok = false;
-        }
+        self.flush_sink();
         self.last_flush_tick = Some(tick);
     }
 
@@ -307,8 +317,8 @@ impl ObsPlane {
     }
 
     /// Ends the stream: a final flush for any partial interval, then the
-    /// summary trailer. Returns the summary for the caller to reuse.
-    pub fn finish(&mut self, telemetry: &Registry, spans_dropped: u64) -> ObsRecord {
+    /// summary trailer. Returns the first sink error of the run, if any.
+    pub fn finish(&mut self, telemetry: &Registry, spans_dropped: u64) -> io::Result<()> {
         if self.ticks > 0 {
             let last_tick = self.ticks - 1;
             if self.last_flush_tick != Some(last_tick) {
@@ -329,12 +339,10 @@ impl ObsPlane {
             spans_dropped,
         };
         self.emit(&summary);
-        if self.sink_ok && self.sink.flush().is_err() {
-            self.sink_ok = false;
-        }
+        self.flush_sink();
         // Disarm the flight hook: the run ended normally.
         self._flight_guard = None;
-        summary
+        self.sink_err.take().map_or(Ok(()), Err)
     }
 }
 
@@ -382,7 +390,7 @@ mod tests {
         for t in 0..10 {
             p.observe_tick(&sample(t, 1e6), &reg);
         }
-        p.finish(&reg, 0);
+        p.finish(&reg, 0).unwrap();
 
         let records = parse_stream_strict(&sink.text()).unwrap();
         assert!(matches!(
@@ -428,7 +436,7 @@ mod tests {
             // 7 ticks, every=5: one cadence flush + one finish flush
             p.observe_tick(&sample(t, 1e6), &reg);
         }
-        p.finish(&reg, 0);
+        p.finish(&reg, 0).unwrap();
         let records = parse_stream_strict(&sink.text()).unwrap();
         let last_window_tick = records
             .iter()
@@ -463,7 +471,7 @@ mod tests {
         for t in 10..20 {
             p.observe_tick(&sample(t, 5e6), &reg);
         }
-        p.finish(&reg, 0);
+        p.finish(&reg, 0).unwrap();
 
         let alerts: Vec<(u64, AlertState)> = parse_stream_strict(&sink.text())
             .unwrap()
@@ -492,7 +500,7 @@ mod tests {
         for t in 0..10 {
             p.observe_tick(&sample(t, 1e6), &reg);
         }
-        p.finish(&reg, 0);
+        p.finish(&reg, 0).unwrap();
         let events = parse_stream_strict(&sink.text())
             .unwrap()
             .into_iter()
@@ -521,6 +529,9 @@ mod tests {
         for t in 0..20 {
             p.observe_tick(&sample(t, 1e6), &reg);
         }
-        p.finish(&reg, 0); // reaching here is the assertion
+        let err = p
+            .finish(&reg, 0)
+            .expect_err("the first sink error is reported");
+        assert_eq!(err.to_string(), "disk full");
     }
 }

@@ -11,7 +11,6 @@ use crate::codec::{CodecError, CodecStack};
 use crate::rs::{ReedSolomon, RsError};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use vlc_telemetry::Registry;
 
 /// Start-of-frame delimiter value.
 pub const SFD: u8 = 0x7E;
@@ -249,44 +248,6 @@ impl Frame {
         }
         let corrected = stack.decode_into(&bytes[Self::FIXED_LEN..], payload_len, payload_out)?;
         Ok((tx_id_mask, FrameHeader { dst, src, protocol }, corrected))
-    }
-
-    /// [`Self::to_bytes`] with telemetry: counts the frame into
-    /// `phy.frames_encoded`.
-    pub fn to_bytes_traced(&self, rs: &ReedSolomon, telemetry: &Registry) -> Vec<u8> {
-        telemetry.counter("phy.frames_encoded").inc();
-        self.to_bytes(rs)
-    }
-
-    /// [`Self::from_bytes`] with telemetry. Successful decodes count into
-    /// `phy.frames_decoded` and their repaired bytes into
-    /// `phy.rs_symbols_corrected`; a Reed–Solomon failure counts into
-    /// `phy.rs_uncorrectable` (plus an `rs_uncorrectable` event); any other
-    /// parse failure — bad SFD, truncation, length mismatch, i.e. loss of
-    /// frame integrity before FEC even runs — counts into
-    /// `phy.frame_sync_errors`.
-    pub fn from_bytes_traced(
-        bytes: &[u8],
-        rs: &ReedSolomon,
-        telemetry: &Registry,
-    ) -> Result<(Frame, usize), FrameError> {
-        let result = Frame::from_bytes(bytes, rs);
-        match &result {
-            Ok((_, corrected)) => {
-                telemetry.counter("phy.frames_decoded").inc();
-                telemetry
-                    .counter("phy.rs_symbols_corrected")
-                    .add(*corrected as u64);
-            }
-            Err(FrameError::Uncorrectable) => {
-                telemetry.counter("phy.rs_uncorrectable").inc();
-                telemetry.event("phy.frame", "rs_uncorrectable", &[]);
-            }
-            Err(_) => {
-                telemetry.counter("phy.frame_sync_errors").inc();
-            }
-        }
-        result
     }
 
     /// Total on-air MAC bytes for a payload of `payload_len` (header fields

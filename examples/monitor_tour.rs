@@ -43,7 +43,9 @@ fn main() {
         },
     );
     let timeline = sim.run_traced(3.0, Some(&mut plane), &telemetry, &Span::noop());
-    plane.finish(&telemetry, 0);
+    plane
+        .finish(&telemetry, 0)
+        .expect("a memory sink never fails");
     println!(
         "streamed {} ticks, mean system {:.2} Mb/s",
         timeline.ticks.len(),

@@ -1,55 +1,29 @@
 //! `densevlc-cli` — drive the DenseVLC reproduction from the command line.
+//! `densevlc-cli help` lists the commands ([`COMMANDS`]); prefixing one
+//! with `profile` (e.g. `densevlc-cli profile sim`) also prints
+//! self/inclusive time tables and attributes heap allocations to the root
+//! span via the process-wide counting allocator.
 //!
-//! ```text
-//! densevlc-cli adapt   [--scenario 1|2|3] [--budget W]   one adaptation round
-//! densevlc-cli map     [--scenario 1|2|3] [--budget W]   ASCII beamspot floor plan
-//! densevlc-cli lux     [--sim|--testbed]                 illuminance check
-//! densevlc-cli codecs                                    FEC stack catalogue
-//! densevlc-cli sync                                      Table-4 measurement
-//! densevlc-cli iperf   [--frames N]                      Table-5 experiment
-//! densevlc-cli faceoff [--scenario 1|2|3]                Fig-21 comparison
-//! densevlc-cli sim     [--scenario 1|2|3] [--duration S] streamed simulation
-//! densevlc-cli building [--rooms CxR] [--events N]       sharded multi-cell load
-//! densevlc-cli monitor <stream.ndjson> [--follow]        dashboard from a stream
-//! densevlc-cli profile <command> [options]               profiled run of any command
-//! densevlc-cli help
-//! ```
-//!
-//! Every command accepts the unified observability flag set parsed by
-//! `vlc_obs::ObsOptions` (the same flags, with the same errors, that
-//! `run_all` takes): `--telemetry <json|csv|summary>` records metrics and
-//! appends the chosen rendering, `--telemetry-out <file>` redirects it,
-//! `--trace <file>` writes Chrome Trace JSON, and the profiling trio
-//! `--profile-out` / `--folded-out` / `--flame-out` derives a
-//! `densevlc-prof/1` self-time profile, folded stacks, or an SVG
-//! flamegraph from the same spans. Prefixing any command with `profile`
-//! (e.g. `densevlc-cli profile sim`) additionally prints self/inclusive
-//! time tables and attributes heap allocations to the root span via the
-//! process-wide counting allocator. The `sim` command adds the
-//! streaming plane: `--obs-stream <file>` writes a live NDJSON record
-//! stream (`--obs-every N` sets the flush cadence), `--flight-recorder
-//! <file>` keeps a crash ring of the last `--flight-last K` records, and
-//! `--watch` renders the monitor dashboard when the run ends.
+//! Each command takes only its own flags: an unknown flag, a flag
+//! without its value, a repeated flag or a stray argument exits 2 with
+//! the command's usage. `vlc_obs::ObsOptions` parses the observability
+//! flags and writes every artifact they ask for. Every command honours
+//! the telemetry, trace, BENCH.json and profile flags; `building` adds
+//! its stream (`--obs-stream`, `--obs-every`, `--watch`), and `sim` adds
+//! those and the flight recorder. Any other observability flag exits 2
+//! naming it and the command.
 //!
 //! Argument parsing is std-only on purpose: the reproduction's dependency
 //! set stays at the approved crates.
 
-use std::path::Path;
-
 use densevlc::experiments::{fig05_illuminance, fig21_baselines, tab04_sync_error, tab05_iperf};
 use densevlc::{Simulation, System};
-use vlc_cell::{
-    drive, BuildingConfig, BuildingEngine, BuildingObs, BuildingObsConfig, LoadGenConfig,
-};
+use vlc_cell::{drive_observed, BuildingConfig, BuildingEngine, BuildingObsConfig, LoadGenConfig};
 use vlc_led::LedParams;
-use vlc_obs::{
-    densevlc_defaults, inject_panic_from_env, monitor::render, parse_stream, FileSink,
-    FlightRecorder, MemorySink, ObsConfig, ObsOptions, ObsPlane, ObsRecord, ObsSink,
-    TelemetryFormat, WindowConfig,
-};
+use vlc_obs::monitor::dashboard;
+use vlc_obs::{densevlc_defaults, inject_panic_from_env, ObsConfig, ObsOptions, ObsRecord, ObsRun};
 use vlc_par::{Jobs, Pool};
 use vlc_prof::alloc_counter::{AllocScope, CountingAlloc};
-use vlc_prof::{flamegraph_from_profile, to_folded, Profile};
 use vlc_telemetry::Registry;
 use vlc_testbed::{Deployment, Scenario};
 use vlc_trace::{Span, Tracer};
@@ -62,15 +36,154 @@ use vlc_trace::{Span, Tracer};
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// The observability flags every command honours (the artifacts its
+/// registry and tracer feed), those `building` adds (its stream), and
+/// those `sim` adds to both (the flight recorder).
+const OBS_ANY: &str =
+    "--telemetry --telemetry-out --trace --bench-out --profile-out --folded-out --flame-out";
+const OBS_STREAM: &str = "--obs-stream --obs-every --watch";
+const OBS_FLIGHT: &str = "--flight-recorder --flight-last";
+
+/// Each command's synopsis and, after `: `, what it does. The synopsis is
+/// also what [`Args::parse`] accepts: a `<positional>`, and each
+/// `[--flag VALUE…]` with one value per word.
+const COMMANDS: [&str; 11] = [
+    "adapt [--scenario 1|2|3] [--budget W]: run one adaptation round",
+    "map [--scenario 1|2|3] [--budget W]: ASCII floor plan of beamspots",
+    "lux: illuminance / ISO 8995-1 check",
+    "codecs: FEC stack catalogue (docs/CODECS.md)",
+    "sync: Table-4 sync-error measurement",
+    "iperf [--frames N]: Table-5 end-to-end experiment",
+    "faceoff [--scenario 1|2|3]: Fig-21 SISO/D-MISO comparison",
+    "sim [--scenario 1|2|3] [--budget W] [--duration S] [--period S] [--person X Y] \
+     [--slo-bps BPS] [--slo-solver-s S]: run the tick simulation",
+    "building [--rooms CxR] [--ticks N] [--events N] [--seed N] [--lifetime T] \
+     [--move-period T] [--step M]: drive a synthetic session load through the sharded \
+     multi-cell engine (docs/SHARDING.md)",
+    "monitor <stream.ndjson> [--follow]: dashboard from an obs stream",
+    "help: this text",
+];
+
+/// The observability flags command `name` honours.
+fn obs_flags(name: &str) -> String {
+    match name {
+        "sim" => [OBS_ANY, OBS_STREAM, OBS_FLIGHT].join(" "),
+        "building" => [OBS_ANY, OBS_STREAM].join(" "),
+        _ => OBS_ANY.to_string(),
+    }
+}
+
+/// Reports a usage error with `cmd`'s usage and exits 2.
+fn usage_error(cmd: &str, message: &str) -> ! {
+    let (synopsis, _) = cmd.split_once(": ").unwrap_or((cmd, ""));
+    let name = synopsis.split(' ').next().unwrap_or(synopsis);
+    eprintln!(
+        "error: {message}\nusage: densevlc-cli {synopsis} [observability options]\n{}",
+        ObsOptions::usage(&obs_flags(name))
+    );
+    std::process::exit(2)
+}
+
+/// A command's own arguments: each flag given with its values, and the
+/// positional argument.
+struct Args {
+    cmd: &'static str,
+    given: Vec<(String, Vec<String>)>,
+    positional: Option<String>,
+}
+
+impl Args {
+    /// Checks `args` against the command's synopsis; an unknown flag, a
+    /// flag without its values, a repeated flag or a stray argument is a
+    /// usage error.
+    fn parse(cmd: &'static str, args: &[String]) -> Args {
+        let mut out = Args {
+            cmd,
+            given: Vec::new(),
+            positional: None,
+        };
+        // Each `--flag VALUE…` group of the synopsis.
+        let specs: Vec<&str> = cmd
+            .split('[')
+            .skip(1)
+            .flat_map(|g| g.split(']').next())
+            .collect();
+        let mut rest = args.iter();
+        while let Some(arg) = rest.next() {
+            if let Some(spec) = specs.iter().find(|g| g.split(' ').next() == Some(arg)) {
+                let n = spec.split(' ').count() - 1;
+                let values: Vec<String> = rest.by_ref().take(n).cloned().collect();
+                if values.len() < n {
+                    out.fail(&format!("{arg} needs a value: {spec}"));
+                }
+                if out.values(arg).is_some() {
+                    out.fail(&format!("{arg} given twice"));
+                }
+                out.given.push((arg.clone(), values));
+            } else if arg.starts_with('-') {
+                out.fail(&format!("unknown flag `{arg}`"));
+            } else if !cmd.contains(" <") || out.positional.is_some() {
+                out.fail(&format!("unexpected argument `{arg}`"));
+            } else {
+                out.positional = Some(arg.clone());
+            }
+        }
+        out
+    }
+
+    fn fail(&self, message: &str) -> ! {
+        usage_error(self.cmd, message)
+    }
+
+    fn values(&self, flag: &str) -> Option<&[String]> {
+        self.given
+            .iter()
+            .find(|(f, _)| f == flag)
+            .map(|(_, v)| v.as_slice())
+    }
+
+    fn value(&self, flag: &str) -> Option<&str> {
+        self.values(flag).map(|v| v[0].as_str())
+    }
+
+    fn u64(&self, flag: &str, default: u64) -> u64 {
+        match self.value(flag) {
+            None => default,
+            Some(v) => v
+                .parse()
+                .unwrap_or_else(|_| self.fail(&format!("bad {flag} value `{v}`"))),
+        }
+    }
+
+    fn f64(&self, flag: &str, default: f64) -> f64 {
+        match self.value(flag) {
+            None => default,
+            Some(v) => match v.parse::<f64>() {
+                Ok(x) if x.is_finite() => x,
+                _ => self.fail(&format!(
+                    "bad {flag} value `{v}` (expected a finite number)"
+                )),
+            },
+        }
+    }
+
+    fn scenario(&self) -> Scenario {
+        match self.value("--scenario") {
+            Some("1") => Scenario::One,
+            Some("3") => Scenario::Three,
+            Some("2") | None => Scenario::Two,
+            Some(other) => self.fail(&format!("unknown scenario `{other}` (expected 1, 2 or 3)")),
+        }
+    }
+}
+
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let obs = match ObsOptions::parse(&mut args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
+    let all = [OBS_ANY, OBS_STREAM, OBS_FLIGHT].join(" ");
+    let obs = ObsOptions::parse(&mut args, "densevlc-cli", &all).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
     // `profile <cmd>` wraps any other command: the tracer goes live, the
     // root span carries this thread's allocation deltas, and the run ends
     // with self/inclusive time tables (plus any --profile-out/--folded-out/
@@ -79,166 +192,67 @@ fn main() {
     if profiling {
         args.remove(0);
     }
-    let telemetry = if obs.wants_registry() {
-        Registry::new()
-    } else {
-        Registry::noop()
-    };
-    let tracer = if profiling || obs.wants_tracer() {
-        Tracer::new()
-    } else {
-        Tracer::noop()
-    };
     // With observability flags (or a bare `profile`) and no command,
     // default to an adaptation round so there is something to record.
-    let cmd = match args.first().map(String::as_str) {
+    let name = match args.first().map(String::as_str) {
+        Some("--help" | "-h") => "help",
         Some(c) => c,
         None if profiling || obs.wants_registry() || obs.wants_tracer() => "adapt",
         None => "help",
     };
-    let root = tracer.root(&format!("cli.{cmd}"));
+    let Some(cmd) = COMMANDS
+        .iter()
+        .find(|c| c.split([' ', ':']).next() == Some(name))
+    else {
+        eprintln!("unknown command `{name}`\n");
+        help();
+        std::process::exit(2);
+    };
+    let title = format!("densevlc-cli {name}");
+    if let Err(e) = obs.honours(&title, &obs_flags(name)) {
+        usage_error(cmd, &e);
+    }
+    let args = Args::parse(cmd, args.get(1..).unwrap_or_default());
+    let mut run = obs.start(&title, Jobs::from_env().get());
+    if profiling {
+        run.tracer = Tracer::new();
+    }
+    let root = run.tracer.root(&format!("cli.{name}"));
     // Dropped (writing alloc attrs) just before the root span closes.
     let alloc_scope = AllocScope::new(&root);
-    match cmd {
-        "adapt" => adapt(rest(&args), &telemetry, &root),
-        "map" => map(rest(&args), &telemetry, &root),
+    let telemetry = &run.registry;
+    match name {
+        "adapt" => adapt(&args, telemetry, &root),
+        "map" => map(&args, telemetry, &root),
         "lux" => lux(),
         "codecs" => codecs(),
-        "sync" => sync(&telemetry, &root),
-        "iperf" => iperf(rest(&args), &telemetry),
-        "faceoff" => faceoff(rest(&args)),
-        "sim" => sim(rest(&args), &telemetry, &root, &obs, &tracer, profiling),
-        "building" => building(rest(&args), &telemetry, &root, &obs),
-        "monitor" => monitor(rest(&args)),
-        "help" | "--help" | "-h" => help(),
-        other => {
-            eprintln!("unknown command `{other}`\n");
-            help();
-            std::process::exit(2);
-        }
+        "sync" => sync(telemetry, &root),
+        "iperf" => iperf(&args, telemetry),
+        "faceoff" => faceoff(&args),
+        "sim" => sim(&args, &mut run, &root, profiling),
+        "building" => building(&args, &mut run, &root),
+        "monitor" => monitor(&args),
+        _ => help(),
     }
     drop(alloc_scope);
     drop(root);
-    if let Some(path) = &obs.trace {
-        write_file(path, &tracer.snapshot().to_chrome_json(), "Chrome trace");
-    }
-    // Surface span-ring health next to event-ring health: the summary
-    // exporter's rings line reads this counter (see export::summary).
-    if obs.wants_tracer() && telemetry.is_enabled() {
-        telemetry
-            .counter("trace.spans_dropped")
-            .add(tracer.snapshot().dropped);
-    }
-    if obs.telemetry.is_some() || obs.telemetry_out.is_some() {
-        let snapshot = telemetry.snapshot();
-        // A bare `--telemetry-out FILE` means JSON; an explicit format
-        // applies to the file just as it would to stdout.
-        let rendered = match obs.telemetry.unwrap_or(TelemetryFormat::Json) {
-            TelemetryFormat::Json => snapshot.to_json() + "\n",
-            TelemetryFormat::Csv => snapshot.to_csv(),
-            TelemetryFormat::Summary => snapshot.summary_table(),
-        };
-        match &obs.telemetry_out {
-            Some(path) => write_file(path, &rendered, "telemetry"),
-            None => match obs.telemetry {
-                Some(TelemetryFormat::Summary) => print!("\n{rendered}"),
-                _ => print!("{rendered}"),
-            },
-        }
-    }
-    if profiling || obs.wants_profile() {
-        let profile = Profile::from_snapshot(&tracer.snapshot(), Jobs::from_env().get());
-        if profiling {
-            println!(
-                "\nprofile: {} paths, {} calls, {:.6} s traced",
-                profile.nodes.len(),
-                profile.nodes.iter().map(|n| n.calls).sum::<u64>(),
-                profile.total_root_s()
-            );
-            print!("\nself time (top 10)\n{}", profile.self_table(10));
-            print!("\ninclusive time (top 10)\n{}", profile.inclusive_table(10));
-        }
-        if let Some(path) = &obs.profile_out {
-            write_file(path, &profile.to_json(), "self-time profile");
-        }
-        if let Some(path) = &obs.folded_out {
-            write_file(path, &to_folded(&profile), "folded stacks");
-        }
-        if let Some(path) = &obs.flame_out {
-            match flamegraph_from_profile(&format!("densevlc-cli {cmd}"), &profile) {
-                Ok(svg) => write_file(path, &svg, "flamegraph"),
-                Err(e) => {
-                    eprintln!("error: flamegraph rendering failed: {e}");
-                    std::process::exit(2);
-                }
-            }
-        }
+    let profile = profiling.then(|| run.profile());
+    run.finish();
+    if let Some(profile) = profile {
+        println!(
+            "\nprofile: {} paths, {} calls, {:.6} s traced",
+            profile.nodes.len(),
+            profile.nodes.iter().map(|n| n.calls).sum::<u64>(),
+            profile.total_root_s()
+        );
+        print!("\nself time (top 10)\n{}", profile.self_table(10));
+        print!("\ninclusive time (top 10)\n{}", profile.inclusive_table(10));
     }
 }
 
-fn write_file(path: &str, contents: &str, what: &str) {
-    if let Err(e) = std::fs::write(path, contents) {
-        eprintln!("error: cannot write {what} to {path}: {e}");
-        std::process::exit(2);
-    }
-    eprintln!("wrote {what} to {path}");
-}
-
-/// The argument slice after the command word (empty when the command was
-/// implied by `--telemetry` alone).
-fn rest(args: &[String]) -> &[String] {
-    if args.is_empty() {
-        args
-    } else {
-        &args[1..]
-    }
-}
-
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-fn u64_flag(args: &[String], flag: &str, default: u64) -> u64 {
-    match flag_value(args, flag) {
-        None => default,
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("bad {flag} value `{v}`");
-            std::process::exit(2);
-        }),
-    }
-}
-
-fn f64_flag(args: &[String], flag: &str, default: f64) -> f64 {
-    match flag_value(args, flag) {
-        None => default,
-        Some(v) => match v.parse::<f64>() {
-            Ok(x) if x.is_finite() => x,
-            _ => {
-                eprintln!("bad {flag} value `{v}` (expected a finite number)");
-                std::process::exit(2);
-            }
-        },
-    }
-}
-
-fn scenario_arg(args: &[String]) -> Scenario {
-    match flag_value(args, "--scenario").as_deref() {
-        Some("1") => Scenario::One,
-        Some("3") => Scenario::Three,
-        Some("2") | None => Scenario::Two,
-        Some(other) => {
-            eprintln!("unknown scenario `{other}` (expected 1, 2 or 3)");
-            std::process::exit(2);
-        }
-    }
-}
-
-fn adapt(args: &[String], telemetry: &Registry, parent: &Span) {
-    let scenario = scenario_arg(args);
-    let budget = f64_flag(args, "--budget", 1.2);
+fn adapt(args: &Args, telemetry: &Registry, parent: &Span) {
+    let scenario = args.scenario();
+    let budget = args.f64("--budget", 1.2);
     let mut system = System::scenario(scenario, budget);
     let round = system.adapt_traced(telemetry, parent);
     println!("{} @ {budget} W", scenario.label());
@@ -293,9 +307,9 @@ fn adapt(args: &[String], telemetry: &Registry, parent: &Span) {
 
 /// Renders the ceiling grid with per-TX beamspot membership and the
 /// receiver positions as an ASCII floor plan.
-fn map(args: &[String], telemetry: &Registry, parent: &Span) {
-    let scenario = scenario_arg(args);
-    let budget = f64_flag(args, "--budget", 1.2);
+fn map(args: &Args, telemetry: &Registry, parent: &Span) {
+    let scenario = args.scenario();
+    let budget = args.f64("--budget", 1.2);
     let mut system = System::scenario(scenario, budget);
     let round = system.adapt_traced(telemetry, parent);
     let grid = &system.deployment.grid;
@@ -384,11 +398,10 @@ fn sync(telemetry: &Registry, parent: &Span) {
     );
 }
 
-fn iperf(args: &[String], telemetry: &Registry) {
-    let frames = u64_flag(args, "--frames", 50);
+fn iperf(args: &Args, telemetry: &Registry) {
+    let frames = args.u64("--frames", 50);
     if frames == 0 {
-        eprintln!("bad --frames value `0` (must be positive)");
-        std::process::exit(2);
+        args.fail("bad --frames value `0` (must be positive)");
     }
     print!(
         "{}",
@@ -396,8 +409,8 @@ fn iperf(args: &[String], telemetry: &Registry) {
     );
 }
 
-fn faceoff(args: &[String]) {
-    print!("{}", fig21_baselines::run(scenario_arg(args)).report());
+fn faceoff(args: &Args) {
+    print!("{}", fig21_baselines::run(args.scenario()).report());
 }
 
 /// Drives a deterministic synthetic session load through the sharded
@@ -405,63 +418,43 @@ fn faceoff(args: &[String]) {
 /// CLI-sized cousin of `cargo run --release -p vlc-cell --bin load_gen`,
 /// sharing its schedule generator so the workload is a pure function of
 /// the seed. `--obs-stream` emits the `building.*` NDJSON signals.
-fn building(args: &[String], telemetry: &Registry, parent: &Span, obs: &ObsOptions) {
-    let rooms = flag_value(args, "--rooms").unwrap_or_else(|| "4x3".into());
+fn building(args: &Args, run: &mut ObsRun, parent: &Span) {
+    let rooms = args.value("--rooms").unwrap_or("4x3");
     let parsed = rooms
         .split_once('x')
         .and_then(|(c, r)| Some((c.parse::<usize>().ok()?, r.parse::<usize>().ok()?)));
     let (cols, rows) = match parsed {
         Some((c, r)) if c * r > 0 => (c, r),
-        _ => {
-            eprintln!("bad --rooms value `{rooms}` (expected CxR, e.g. 4x3)");
-            std::process::exit(2);
-        }
+        _ => args.fail(&format!(
+            "bad --rooms value `{rooms}` (expected CxR, e.g. 4x3)"
+        )),
     };
     let load = LoadGenConfig {
         cols,
         rows,
-        ticks: u64_flag(args, "--ticks", 300),
-        target_events: u64_flag(args, "--events", 60_000),
-        seed: u64_flag(args, "--seed", 42),
-        mean_lifetime_ticks: u64_flag(args, "--lifetime", 80),
-        move_period_ticks: u64_flag(args, "--move-period", 6),
-        step_m: f64_flag(args, "--step", 1.5),
+        ticks: args.u64("--ticks", 300),
+        target_events: args.u64("--events", 60_000),
+        seed: args.u64("--seed", 42),
+        mean_lifetime_ticks: args.u64("--lifetime", 80),
+        move_period_ticks: args.u64("--move-period", 6),
+        step_m: args.f64("--step", 1.5),
     };
     // The schedule needs at least one tick, and a move a positive step.
     for (flag, ok) in [("--ticks", load.ticks > 0), ("--step", load.step_m > 0.0)] {
         if !ok {
-            let value = flag_value(args, flag).unwrap_or_default();
-            eprintln!(
-                "bad {flag} value `{value}` (must be positive)\n\
-                 usage: densevlc-cli building [--rooms CxR] [--ticks N] [--events N] \
-                 [--seed N] [--lifetime T] [--move-period T] [--step M]"
-            );
-            std::process::exit(2);
+            let value = args.value(flag).unwrap_or_default();
+            args.fail(&format!("bad {flag} value `{value}` (must be positive)"));
         }
     }
     let config = BuildingConfig::paper(cols, rows);
-    let mut engine = BuildingEngine::new(&config, telemetry);
-    let pool = Pool::new(Jobs::from_env()).with_telemetry(telemetry);
-    let mut plane = obs.obs_stream.as_ref().map(|path| {
-        let sink: Box<dyn ObsSink> = match FileSink::create(Path::new(path)) {
-            Ok(f) => Box::new(f),
-            Err(e) => {
-                eprintln!("cannot create obs stream `{path}`: {e}");
-                std::process::exit(2);
-            }
-        };
-        let cfg = BuildingObsConfig {
-            run: format!("cli building seed{}", load.seed),
-            every: obs.obs_every,
-            ..BuildingObsConfig::default()
-        };
-        BuildingObs::new(&cfg, engine.map(), sink).expect("obs meta record")
-    });
-    let report = drive(&mut engine, &load.schedule(), &pool, plane.as_mut(), parent)
-        .expect("obs sink write");
-    if let Some(plane) = plane {
-        plane.finish().expect("obs summary record");
-    }
+    let mut engine = BuildingEngine::new(&config, &run.registry);
+    let pool = Pool::new(Jobs::from_env()).with_telemetry(&run.registry);
+    let stream = BuildingObsConfig {
+        run: format!("cli building seed{}", load.seed),
+        every: ObsConfig::default().every,
+        ..BuildingObsConfig::default()
+    };
+    let report = drive_observed(&mut engine, &load.schedule(), &pool, run, stream, parent);
     println!(
         "building {cols}x{rows} ({} rooms), seed {}: {} events, {} sessions (peak {}), \
          {} handovers",
@@ -485,101 +478,51 @@ fn building(args: &[String], telemetry: &Registry, parent: &Span, obs: &ObsOptio
 /// Runs the composable simulation, optionally streaming the
 /// observability plane; `--person X Y` drops a standing occluder to make
 /// blockage (and the per-RX throughput SLOs) do something.
-fn sim(
-    args: &[String],
-    telemetry: &Registry,
-    parent: &Span,
-    obs: &ObsOptions,
-    tracer: &Tracer,
-    profiling: bool,
-) {
-    let scenario = scenario_arg(args);
-    let budget = f64_flag(args, "--budget", 1.2);
-    let duration = f64_flag(args, "--duration", 2.0);
-    let period = f64_flag(args, "--period", 0.25);
-    let slo_bps = f64_flag(args, "--slo-bps", 1e6);
-    let slo_solver_s = f64_flag(args, "--slo-solver-s", 0.05);
+fn sim(args: &Args, run: &mut ObsRun, parent: &Span, profiling: bool) {
+    let scenario = args.scenario();
+    let budget = args.f64("--budget", 1.2);
+    let duration = args.f64("--duration", 2.0);
+    let period = args.f64("--period", 0.25);
+    let slo_bps = args.f64("--slo-bps", 1e6);
+    let slo_solver_s = args.f64("--slo-solver-s", 0.05);
     for (flag, value) in [("--duration", duration), ("--period", period)] {
         if value <= 0.0 {
-            eprintln!("bad {flag} value `{value}` (must be positive)");
-            std::process::exit(2);
+            args.fail(&format!("bad {flag} value `{value}` (must be positive)"));
         }
     }
     let ticks = (duration / period).ceil();
     if ticks > f64::from(u32::MAX) {
-        eprintln!(
+        args.fail(&format!(
             "bad --duration/--period: {duration} s at {period} s per tick is {ticks:e} ticks (at most {})",
             u32::MAX
-        );
-        std::process::exit(2);
+        ));
     }
     let mut simulation = Simulation::new(Deployment::scenario(scenario), budget, period);
-    if let Some(x) = flag_value(args, "--person") {
-        let i = args.iter().position(|a| a == "--person").unwrap();
-        let Some(y) = args.get(i + 2) else {
-            eprintln!("--person expects X Y coordinates");
-            std::process::exit(2);
-        };
+    if let Some([x, y]) = args.values("--person") {
         match (x.parse::<f64>(), y.parse::<f64>()) {
             (Ok(px), Ok(py)) => simulation.add_person(px, py, 0.5, &[]),
-            _ => {
-                eprintln!("bad --person coordinates `{x} {y}`");
-                std::process::exit(2);
-            }
+            _ => args.fail(&format!("bad --person coordinates `{x} {y}`")),
         }
     }
     let n_rx = simulation.deployment.receivers.len();
 
-    let timeline = if obs.wants_stream() {
-        let mem = MemorySink::new();
-        let sink: Box<dyn ObsSink> = match &obs.obs_stream {
-            Some(path) => match FileSink::create(Path::new(path)) {
-                Ok(f) => Box::new(f),
-                Err(e) => {
-                    eprintln!("error: cannot create stream file {path}: {e}");
-                    std::process::exit(2);
-                }
-            },
-            None => Box::new(mem.clone()),
-        };
-        let cfg = ObsConfig {
-            run: format!("sim {}", scenario.label()),
-            every: obs.obs_every,
-            window: WindowConfig::default(),
-            rules: densevlc_defaults(n_rx, slo_bps, slo_solver_s),
-            panic_at_tick: inject_panic_from_env(),
-        };
-        let mut plane = ObsPlane::new(sink, cfg);
-        if let Some(path) = &obs.flight_recorder {
-            plane = plane.with_flight(FlightRecorder::new(Path::new(path), obs.flight_last));
+    let mut plane = run.plane(ObsConfig {
+        run: format!("sim {}", scenario.label()),
+        rules: densevlc_defaults(n_rx, slo_bps, slo_solver_s),
+        panic_at_tick: inject_panic_from_env(),
+        ..ObsConfig::default()
+    });
+    let timeline = simulation.run_traced(duration, plane.as_mut(), &run.registry, parent);
+    if let Some(mut plane) = plane {
+        // A profiled run digests its profile into the stream ahead of
+        // the summary. The root `cli.sim` span is still open here, so its
+        // children surface as profile roots — fine for a hottest-path
+        // digest.
+        if profiling || run.options.wants_profile() {
+            plane.emit_record(&ObsRecord::profile_summary(&run.profile()));
         }
-        let tl = simulation.run_traced(duration, Some(&mut plane), telemetry, parent);
-        // A profiled run digests its profile into the stream ahead of the
-        // summary record (obs_check --expect-summary wants summary last).
-        // The root `cli.sim` span is still open here, so its children
-        // surface as profile roots — fine for a hottest-path digest.
-        if profiling || obs.wants_profile() {
-            let profile = Profile::from_snapshot(&tracer.snapshot(), Jobs::from_env().get());
-            plane.emit_record(&ObsRecord::profile_summary(&profile));
-        }
-        plane.finish(telemetry, tracer.snapshot().dropped);
-        if let Some(path) = &obs.obs_stream {
-            eprintln!("wrote observability stream to {path}");
-        }
-        if obs.watch {
-            let text = match &obs.obs_stream {
-                Some(path) => std::fs::read_to_string(path).unwrap_or_default(),
-                None => mem.text(),
-            };
-            match parse_stream(&text) {
-                Ok(records) => print!("\n{}", render(&records)),
-                Err(e) => eprintln!("error: stream failed validation: {e}"),
-            }
-        }
-        tl
-    } else {
-        simulation.run_traced(duration, None, telemetry, parent)
-    };
+        run.end_stream(plane.finish(&run.registry, run.tracer.snapshot().dropped));
+    }
 
     println!(
         "{}: {} ticks over {duration} s — mean system {:.2} Mb/s, {} replans, outage {:.1}%",
@@ -593,14 +536,13 @@ fn sim(
 
 /// Renders the monitor dashboard from an NDJSON stream file; `--follow`
 /// re-reads and re-renders until the stream ends in a summary or panic.
-/// Without `--follow` a file holding no record is an error (exit 2); with
-/// it, an empty file is a producer that has not written yet.
-fn monitor(args: &[String]) {
-    let Some(path) = args.iter().find(|a| !a.starts_with("--")) else {
-        eprintln!("monitor expects a stream file (densevlc-cli monitor run.ndjson)");
-        std::process::exit(2);
+/// Without `--follow` a file holding no complete record is an error
+/// (exit 2); with it, such a file is a producer that has not written yet.
+fn monitor(args: &Args) {
+    let Some(path) = &args.positional else {
+        args.fail("monitor expects a stream file (densevlc-cli monitor run.ndjson)");
     };
-    let follow = args.iter().any(|a| a == "--follow");
+    let follow = args.values("--follow").is_some();
     loop {
         let text = match std::fs::read_to_string(path) {
             Ok(t) => t,
@@ -615,21 +557,18 @@ fn monitor(args: &[String]) {
                 std::process::exit(2);
             }
         };
-        match parse_stream(&text) {
-            Ok(records) if records.is_empty() && !follow => {
+        match dashboard(&text) {
+            Ok(d) if d.records == 0 && !follow => {
                 eprintln!("error: {path} contains no records");
                 std::process::exit(2);
             }
-            Ok(records) => {
+            Ok(d) => {
                 if follow {
                     // Clear and repaint, terminal-dashboard style.
                     print!("\x1b[2J\x1b[H");
                 }
-                print!("{}", render(&records));
-                let done = records
-                    .iter()
-                    .any(|r| matches!(r, ObsRecord::Summary { .. } | ObsRecord::Panic { .. }));
-                if !follow || done {
+                print!("{}", d.view);
+                if !follow || d.ended {
                     break;
                 }
             }
@@ -645,45 +584,21 @@ fn monitor(args: &[String]) {
 fn help() {
     println!(
         "densevlc-cli — DenseVLC (CoNEXT '18) reproduction\n\n\
-         USAGE:\n  densevlc-cli <command> [options]\n\n\
-         COMMANDS:\n  \
-         adapt   [--scenario 1|2|3] [--budget W]  run one adaptation round\n  \
-         map     [--scenario 1|2|3] [--budget W]  ASCII floor plan of beamspots\n  \
-         lux                                      illuminance / ISO 8995-1 check\n  \
-         codecs                                   FEC stack catalogue (docs/CODECS.md)\n  \
-         sync                                     Table-4 sync-error measurement\n  \
-         iperf   [--frames N]                     Table-5 end-to-end experiment\n  \
-         faceoff [--scenario 1|2|3]               Fig-21 SISO/D-MISO comparison\n  \
-         sim     [--scenario 1|2|3] [--budget W] [--duration S] [--period S]\n  \
-         \x20       [--person X Y] [--slo-bps BPS] [--slo-solver-s S]\n  \
-         \x20                                        run the tick simulation\n  \
-         building [--rooms CxR] [--ticks N] [--events N] [--seed N]\n  \
-         \x20        [--lifetime T] [--move-period T] [--step M]\n  \
-         \x20                                        drive a synthetic session load\n  \
-         \x20                                        through the sharded multi-cell\n  \
-         \x20                                        engine (docs/SHARDING.md)\n  \
-         monitor <stream.ndjson> [--follow]       dashboard from an obs stream\n  \
-         profile <command> [options]              run any command with the tracer\n  \
-         \x20                                        live and print self/inclusive\n  \
-         \x20                                        time tables (docs/OBSERVABILITY.md)\n  \
-         help                                     this text\n\n\
-         OBSERVABILITY OPTIONS (any command):\n  \
-         --telemetry <json|csv|summary>           record metrics during the run\n  \
-         \x20                                        and append them to the output\n  \
-         --telemetry-out <file>                   write the telemetry rendering to\n  \
-         \x20                                        a file instead (default json)\n  \
-         --trace <file>                           record causal spans and write\n  \
-         \x20                                        Chrome Trace JSON (Perfetto)\n  \
-         --profile-out <file>                     densevlc-prof/1 self-time profile\n  \
-         --folded-out <file>                      folded stacks (flamegraph input)\n  \
-         --flame-out <file>                       self-contained SVG flamegraph\n\n\
-         STREAMING OPTIONS (sim):\n  \
-         --obs-stream <file>                      live NDJSON observability stream\n  \
-         --obs-every <n>                          stream flush cadence in ticks\n  \
-         --flight-recorder <file>                 crash dump of the last records\n  \
-         --flight-last <k>                        flight ring capacity (lines)\n  \
-         --watch                                  render the dashboard at exit\n\n\
+         USAGE:\n  densevlc-cli [profile] <command> [options]\n\n\
+         COMMANDS:"
+    );
+    for cmd in COMMANDS {
+        let (synopsis, about) = cmd.split_once(": ").unwrap_or((cmd, ""));
+        println!("  {synopsis}\n      {about}");
+    }
+    print!(
+        "\n`profile <command>` runs any command with the tracer live and prints\n\
+         self/inclusive time tables (docs/OBSERVABILITY.md).\n\n\
+         OBSERVABILITY OPTIONS (every command):\n{}\n\
+         STREAM OPTIONS (building: the first three; sim: all five):\n{}\n\
          Every paper table/figure (add IDs for paper scale) runs with:\n  \
-         cargo run --release -p vlc-bench --bin run_all [-- ID...]"
+         cargo run --release -p vlc-bench --bin run_all [-- ID...]\n",
+        ObsOptions::usage(OBS_ANY),
+        ObsOptions::usage(&[OBS_STREAM, OBS_FLIGHT].join(" "))
     );
 }

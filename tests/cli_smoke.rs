@@ -296,13 +296,20 @@ fn streamed_sim_validates_and_the_monitor_renders_it() {
     let out = cli().arg("monitor").arg(&bad).output().unwrap();
     assert_eq!(out.status.code(), Some(2));
 
-    // So is a stream holding no record, as `obs_check` rejects it.
-    let empty = tmp("empty_stream.ndjson");
-    std::fs::write(&empty, "").unwrap();
-    let out = cli().arg("monitor").arg(&empty).output().unwrap();
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{stderr}");
-    assert!(stderr.contains("contains no records"), "{stderr}");
+    // So is a stream holding no complete record, as `obs_check` rejects
+    // it: an empty file, or one whose only line is torn (no newline).
+    for (name, text) in [
+        ("empty_stream.ndjson", ""),
+        ("torn_stream.ndjson", "{\"type\":\"meta\""),
+    ] {
+        let file = tmp(name);
+        std::fs::write(&file, text).unwrap();
+        let out = cli().arg("monitor").arg(&file).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{name}: {stderr}");
+        assert!(stderr.contains("contains no records"), "{name}: {stderr}");
+        assert!(out.stdout.is_empty(), "{name}: no dashboard");
+    }
 }
 
 #[test]
@@ -354,4 +361,146 @@ fn building_rejects_an_empty_schedule_and_a_non_positive_step() {
             "{args:?} prints the usage: {stderr}"
         );
     }
+}
+
+/// Runs the CLI and returns (exit code, stdout, stderr).
+fn run(args: &[&str]) -> (Option<i32>, String, String) {
+    let out = cli().args(args).output().expect("densevlc-cli runs");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn every_observability_flag_writes_its_artifact_or_exits_2_first() {
+    // `--bench-out` on a non-sim command writes a BENCH.json of its spans.
+    let bench = tmp("adapt_bench.json");
+    let (code, stdout, stderr) = run(&["adapt", "--bench-out", bench.to_str().unwrap()]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(stdout.contains("system:"), "{stdout}");
+    let report = vlc_trace::BenchReport::from_json(&std::fs::read_to_string(&bench).unwrap())
+        .expect("BENCH.json parses");
+    assert!(report.stats("sim.adapt").is_some(), "adaptation span timed");
+
+    // `building` streams, and `--watch` renders the dashboard from it.
+    let stream = tmp("building_stream.ndjson");
+    let (code, stdout, stderr) = run(&[
+        "building",
+        "--rooms",
+        "1x1",
+        "--ticks",
+        "20",
+        "--events",
+        "40",
+        "--obs-stream",
+        stream.to_str().unwrap(),
+        "--obs-every",
+        "5",
+        "--watch",
+    ]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(stdout.contains("densevlc monitor"), "dashboard: {stdout}");
+    let records = vlc_obs::parse_stream_strict(&std::fs::read_to_string(&stream).unwrap())
+        .expect("valid building stream");
+    assert!(matches!(
+        records.first(),
+        Some(vlc_obs::ObsRecord::Meta { every: 5, .. })
+    ));
+    // Without `--obs-every` a building stream flushes every 10 ticks.
+    let (code, _, stderr) = run(&[
+        "building",
+        "--rooms",
+        "1x1",
+        "--ticks",
+        "20",
+        "--events",
+        "40",
+        "--obs-stream",
+        stream.to_str().unwrap(),
+    ]);
+    assert_eq!(code, Some(0), "{stderr}");
+    let records = vlc_obs::parse_stream_strict(&std::fs::read_to_string(&stream).unwrap())
+        .expect("valid building stream");
+    assert!(matches!(
+        records.first(),
+        Some(vlc_obs::ObsRecord::Meta { every: 10, .. })
+    ));
+
+    // A flag the command does not honour exits 2 naming it and the
+    // command, before any report is printed or any file is made.
+    let unmade = tmp("never_written");
+    let path = unmade.to_str().unwrap();
+    for args in [
+        &["adapt", "--obs-stream", path][..],
+        &["adapt", "--watch"],
+        &["lux", "--flight-recorder", path],
+        &["building", "--rooms", "1x1", "--flight-recorder", path],
+        &["sim", "--trace", path, "--bench-repeat", "2"],
+        &["iperf", "--obs-every", "5"],
+        // A tuning flag without the flag it tunes is ignored, so rejected.
+        &["sim", "--obs-every", "5"],
+        &["sim", "--obs-stream", path, "--flight-last", "8"],
+    ] {
+        let (code, stdout, stderr) = run(args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stdout.is_empty(), "{args:?} printed a report: {stdout}");
+        let flag = args.iter().rev().find(|a| a.starts_with("--")).unwrap();
+        assert!(stderr.contains(flag), "{args:?} names {flag}: {stderr}");
+        assert!(!unmade.exists(), "{args:?} made a file");
+    }
+    let (_, _, stderr) = run(&["adapt", "--obs-stream", path]);
+    assert!(stderr.contains("densevlc-cli adapt"), "{stderr}");
+}
+
+#[test]
+fn a_failed_stream_write_fails_the_run() {
+    for args in [
+        &["sim", "--duration", "0.5", "--obs-stream", "/dev/full"][..],
+        &[
+            "building",
+            "--rooms",
+            "1x1",
+            "--ticks",
+            "20",
+            "--events",
+            "40",
+            "--obs-stream",
+            "/dev/full",
+        ],
+    ] {
+        let (code, _, stderr) = run(args);
+        assert_eq!(code, Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains("/dev/full"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("wrote observability stream"), "{stderr}");
+    }
+}
+
+#[test]
+fn unknown_and_trailing_flags_exit_2_with_the_usage() {
+    for args in [
+        &["adapt", "--budget"][..],
+        &["adapt", "--budgte", "0.5"],
+        &["adapt", "--scenario", "2", "--scenario", "3"],
+        &["adapt", "stray"],
+        &["lux", "--whatever"],
+        &["sim", "--person", "1.0"],
+        &["iperf", "--frames"],
+        &["monitor", "a.ndjson", "b.ndjson"],
+        &["building", "--rooms"],
+    ] {
+        let (code, stdout, stderr) = run(args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stdout.is_empty(), "{args:?} ran: {stdout}");
+        assert!(
+            stderr.contains(&format!("usage: densevlc-cli {}", args[0])),
+            "{args:?} prints its usage: {stderr}"
+        );
+    }
+    // `--person X Y` keeps its two values.
+    let (code, stdout, stderr) = run(&["sim", "--duration", "0.5", "--person", "1.0", "1.5"]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(stdout.contains("ticks over 0.5 s"), "{stdout}");
 }
