@@ -66,8 +66,13 @@ fn parse_args() -> Result<Options, String> {
         out: None,
         obs,
     };
+    let mut given: Vec<String> = Vec::new();
     let mut rest = argv.into_iter();
     while let Some(arg) = rest.next() {
+        if given.contains(&arg) {
+            return Err(format!("{arg} given twice"));
+        }
+        given.push(arg.clone());
         match arg.as_str() {
             "--jobs" => {
                 let v = rest.next().ok_or("--jobs needs a value (N or `max`)")?;

@@ -262,6 +262,7 @@ fn parse_args() -> Result<Options, String> {
     let mut rest = argv.into_iter();
     while let Some(arg) = rest.next() {
         match arg.as_str() {
+            "--jobs" if jobs.is_some() => return Err("--jobs given twice".to_string()),
             "--jobs" => {
                 let v = rest.next().ok_or("--jobs needs a value (N or `max`)")?;
                 jobs = Some(Jobs::parse(&v).ok_or(format!("bad --jobs value `{v}`"))?);

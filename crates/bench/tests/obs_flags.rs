@@ -111,3 +111,18 @@ fn a_stream_that_cannot_be_written_fails_the_run() {
         );
     }
 }
+
+/// A repeated `--jobs` is a usage error naming it, before anything runs:
+/// the last value silently winning hid a mistyped command line.
+#[test]
+fn a_repeated_jobs_flag_exits_2_naming_it() {
+    for out in [
+        run_all(&["fig04_taylor_error", "--jobs", "1", "--jobs", "2"]),
+        codec_campaign(&["--reduced", "--jobs", "1", "--jobs", "2"]),
+    ] {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{stderr}");
+        assert!(stderr.contains("--jobs given twice"), "{stderr}");
+        assert!(out.stdout.is_empty(), "a report was printed");
+    }
+}

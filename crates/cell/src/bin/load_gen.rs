@@ -3,8 +3,10 @@
 //! Drives a deterministic synthetic workload (per-cell seeded random
 //! walks with cross-room handovers) through [`vlc_cell::BuildingEngine`]
 //! and reports sessions/sec, replans/sec, and control-tick latency
-//! percentiles. `--smoke` runs the small fixed-seed building CI
-//! validates with `obs_check`.
+//! percentiles. `--smoke` selects the small fixed-seed building CI
+//! validates with `obs_check`; an explicit `--rooms`, `--ticks`,
+//! `--events` or `--seed` overrides its value wherever it stands. A flag
+//! given twice is a usage error (exit 2) naming it.
 //!
 //! ```text
 //! load_gen [--rooms CxR] [--ticks N] [--events N] [--seed N]
@@ -52,28 +54,47 @@ fn positive<T: std::str::FromStr + Default + PartialEq>(v: &str) -> T {
     }
 }
 
+/// The `--smoke` preset: 20 rooms, 200 ticks, seed 42.
+fn smoke() -> LoadGenConfig {
+    LoadGenConfig {
+        cols: 5,
+        rows: 4,
+        ticks: 200,
+        target_events: 20_000,
+        seed: 42,
+        mean_lifetime_ticks: 60,
+        move_period_ticks: 5,
+        step_m: 1.5,
+    }
+}
+
 fn parse_options() -> Options {
     let mut argv: Vec<String> = std::env::args().skip(1).collect();
     let obs = ObsOptions::parse(&mut argv, "load_gen", OBS_FLAGS).unwrap_or_else(|e| {
         eprintln!("error: {e}");
         usage()
     });
-    let mut load = LoadGenConfig::default();
+    let mut smoke_preset = false;
+    let (mut rooms, mut ticks, mut events, mut seed) = (None, None, None, None);
     let mut policy = ReplanPolicy::Heuristic;
     let mut jobs = Jobs::from_env();
+    let mut given: Vec<String> = Vec::new();
     let mut args = argv.into_iter();
     while let Some(arg) = args.next() {
+        if given.contains(&arg) {
+            eprintln!("error: {arg} given twice");
+            usage();
+        }
         let mut value = || args.next().unwrap_or_else(|| usage());
         match arg.as_str() {
             "--rooms" => {
                 let v = value();
                 let (c, r) = v.split_once('x').unwrap_or_else(|| usage());
-                load.cols = positive(c);
-                load.rows = positive(r);
+                rooms = Some((positive(c), positive(r)));
             }
-            "--ticks" => load.ticks = positive(&value()),
-            "--events" => load.target_events = value().parse().unwrap_or_else(|_| usage()),
-            "--seed" => load.seed = value().parse().unwrap_or_else(|_| usage()),
+            "--ticks" => ticks = Some(positive(&value())),
+            "--events" => events = Some(value().parse().unwrap_or_else(|_| usage())),
+            "--seed" => seed = Some(value().parse().unwrap_or_else(|_| usage())),
             "--jobs" => jobs = Jobs::parse(&value()).unwrap_or_else(|| usage()),
             "--policy" => {
                 policy = match value().as_str() {
@@ -82,21 +103,22 @@ fn parse_options() -> Options {
                     _ => usage(),
                 }
             }
-            "--smoke" => {
-                load = LoadGenConfig {
-                    cols: 5,
-                    rows: 4,
-                    ticks: 200,
-                    target_events: 20_000,
-                    seed: 42,
-                    mean_lifetime_ticks: 60,
-                    move_period_ticks: 5,
-                    step_m: 1.5,
-                };
-            }
+            "--smoke" => smoke_preset = true,
             _ => usage(),
         }
+        given.push(arg);
     }
+    let mut load = if smoke_preset {
+        smoke()
+    } else {
+        LoadGenConfig::default()
+    };
+    if let Some((cols, rows)) = rooms {
+        (load.cols, load.rows) = (cols, rows);
+    }
+    load.ticks = ticks.unwrap_or(load.ticks);
+    load.target_events = events.unwrap_or(load.target_events);
+    load.seed = seed.unwrap_or(load.seed);
     Options {
         load,
         policy,

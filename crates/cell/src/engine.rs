@@ -9,11 +9,15 @@
 //! `vlc-par` pool — untouched shards are not visited at all, so a tick
 //! that touches `k` of `N` shards costs O(k · replan), and a tick that
 //! touches nothing is O(1) and allocation-free (proven by
-//! `tests/zero_alloc_tick.rs`). On a multi-worker pool the dirty shards
-//! (boxed, so a hand-off moves one pointer each) move out to the pool's
-//! resident workers through [`Pool::map_owned`] and are all back in place
-//! before the tick folds their outcomes: a tick wakes parked threads
-//! instead of spawning new ones.
+//! `tests/zero_alloc_tick.rs`). The shards live in one shared slice, a
+//! lock each, with the tick's dirty list beside them. On a multi-worker
+//! pool the tick hands that slice to the pool's resident workers through
+//! [`Pool::map_owned`]: each worker locks the dirty shards it claims, in
+//! place, and leaves each replan's outcome in its shard for the tick to
+//! fold. The hand-off moves nothing and allocates nothing, and it reaches
+//! helpers that are still awake from the previous tick instead of
+//! spawning new ones. Outside a tick the engine holds the only handle on
+//! the slice, so commands reach their shards without taking a lock.
 //!
 //! Determinism: dirty shards are replanned in ascending cell order, each
 //! under a `cell.replan` span indexed by its position in that order, and
@@ -29,17 +33,15 @@
 //! what the handover identity test relies on).
 
 use crate::building::BuildingMap;
-use crate::shard::{CellShard, ReplanOutcome, SessionId};
+use crate::shard::{CellShard, SessionId};
 use crate::BuildingConfig;
 use std::collections::HashMap;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::ops::Deref;
+use std::sync::{Arc, PoisonError, RwLock};
 use vlc_geom::Pose;
 use vlc_par::Pool;
 use vlc_telemetry::{Counter, Gauge, Histogram, Registry};
 use vlc_trace::Span;
-
-const IN_PLACE: &str = "every shard is in its cell slot outside a replan";
 
 /// A session event, in global building coordinates.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -137,28 +139,51 @@ impl CellMetrics {
     }
 }
 
-/// What one fanned-out tick shares with its dispatch: the tick span and
-/// the dirty shards, one slot each in dirty-cell order.
-struct Batch {
-    span: Span,
-    slots: Vec<Mutex<Box<CellShard>>>,
+/// What a fanned-out tick shares with the pool's workers.
+struct Cells {
+    /// One shard per cell. Only a tick's workers take the write lock; a
+    /// lock is poisoned only by a panicking replan, and its shard stays
+    /// in use as the panic left it.
+    shards: Box<[RwLock<CellShard>]>,
+    /// Cells dirtied since the last tick (unsorted until the tick sorts
+    /// it; deduped via the per-shard flag). Capacity persists across
+    /// ticks.
+    dirty: Vec<usize>,
+}
+
+impl Cells {
+    fn shard_mut(&mut self, cell: usize) -> &mut CellShard {
+        unpoisoned(self.shards[cell].get_mut())
+    }
+
+    fn mark_dirty(&mut self, cell: usize) {
+        let shard = self.shard_mut(cell);
+        if !shard.dirty {
+            shard.dirty = true;
+            self.dirty.push(cell);
+        }
+    }
+}
+
+/// Exclusive access to the cells. A tick's workers drop their handles
+/// before `Pool::map_owned` returns, so the engine's is the only one
+/// whenever it holds `&mut self`.
+fn cells_mut(cells: &mut Arc<Cells>) -> &mut Cells {
+    Arc::get_mut(cells).expect("a tick's workers release the cells before it returns")
+}
+
+/// A shard's guard or contents, poisoned or not (see [`Cells::shards`]).
+fn unpoisoned<T>(shard: Result<T, PoisonError<T>>) -> T {
+    shard.unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The sharded multi-cell engine. See the module docs.
 pub struct BuildingEngine {
     map: BuildingMap,
     rx_height: f64,
-    /// One shard per cell; a slot is empty only while its shard is out on
-    /// a worker inside `control_tick`.
-    shards: Vec<Option<Box<CellShard>>>,
+    cells: Arc<Cells>,
     /// session → owning cell. Never iterated, so hash order is moot.
     locations: HashMap<SessionId, usize>,
-    /// Cells dirtied since the last tick (unsorted; deduped via the
-    /// per-shard flag). Capacity persists across ticks.
-    dirty: Vec<usize>,
-    /// The in-place path's replan outcomes, in dirty-cell order. Capacity
-    /// persists across ticks.
-    outcomes: Vec<ReplanOutcome>,
     tick: u64,
     sum_bps: f64,
     metrics: CellMetrics,
@@ -181,7 +206,7 @@ impl BuildingEngine {
         let map = config.map();
         let shards = (0..map.cells())
             .map(|cell| {
-                Some(Box::new(CellShard::new(
+                RwLock::new(CellShard::new(
                     cell,
                     &config.grid,
                     config.half_power_semi_angle,
@@ -190,16 +215,17 @@ impl BuildingEngine {
                     config.budget_w,
                     config.policy.clone(),
                     config.record_timelines,
-                )))
+                ))
             })
             .collect();
         BuildingEngine {
             map,
             rx_height: config.rx_height,
-            shards,
+            cells: Arc::new(Cells {
+                shards,
+                dirty: Vec::new(),
+            }),
             locations: HashMap::new(),
-            dirty: Vec::new(),
-            outcomes: Vec::new(),
             tick: 0,
             sum_bps: 0.0,
             metrics: CellMetrics::new(registry),
@@ -217,13 +243,11 @@ impl BuildingEngine {
         &self.map
     }
 
-    /// The shard owning `cell` (timelines, rosters, allocations).
-    pub fn shard(&self, cell: usize) -> &CellShard {
-        self.shards[cell].as_deref().expect(IN_PLACE)
-    }
-
-    fn shard_mut(&mut self, cell: usize) -> &mut CellShard {
-        self.shards[cell].as_deref_mut().expect(IN_PLACE)
+    /// The shard owning `cell` (timelines, rosters, allocations), behind
+    /// a read guard that never waits: only a tick, which borrows the
+    /// engine mutably, writes to a shard.
+    pub fn shard(&self, cell: usize) -> impl Deref<Target = CellShard> + '_ {
+        unpoisoned(self.cells.shards[cell].read())
     }
 
     /// Live sessions across the building.
@@ -246,14 +270,6 @@ impl BuildingEngine {
         self.locations.get(&session).copied()
     }
 
-    fn mark_dirty(&mut self, cell: usize) {
-        let shard = self.shard_mut(cell);
-        if !shard.dirty {
-            shard.dirty = true;
-            self.dirty.push(cell);
-        }
-    }
-
     /// Applies one session event. Commands that cannot apply are ignored
     /// and counted in `cell.commands_ignored`: `Move`/`Leave` for an
     /// unknown session, a duplicate `Arrive`, and any command with a
@@ -269,6 +285,7 @@ impl BuildingEngine {
     /// [`Self::apply`] minus the ignore counter: `false` when the command
     /// was ignored.
     fn try_apply(&mut self, cmd: &Command) -> bool {
+        let cells = cells_mut(&mut self.cells);
         match *cmd {
             Command::Arrive { session, x, y } => {
                 if !(x.is_finite() && y.is_finite()) || self.locations.contains_key(&session) {
@@ -278,9 +295,9 @@ impl BuildingEngine {
                 let cell = self.map.cell_of(x, y);
                 let (lx, ly) = self.map.to_local(cell, x, y);
                 let pose = Pose::face_up(lx, ly, self.rx_height);
-                self.shard_mut(cell).arrive(session, pose);
+                cells.shard_mut(cell).arrive(session, pose);
                 self.locations.insert(session, cell);
-                self.mark_dirty(cell);
+                cells.mark_dirty(cell);
                 self.pend_arrivals += 1;
             }
             Command::Move { session, x, y } => {
@@ -295,16 +312,16 @@ impl BuildingEngine {
                 let (lx, ly) = self.map.to_local(dst, x, y);
                 let pose = Pose::face_up(lx, ly, self.rx_height);
                 if dst == src {
-                    self.shard_mut(src).move_to(session, pose);
-                    self.mark_dirty(src);
+                    cells.shard_mut(src).move_to(session, pose);
+                    cells.mark_dirty(src);
                 } else {
                     // Beamspot handover: carry the allocation column so the
                     // destination's solver can warm-start from it.
-                    let carried = self.shard_mut(src).depart(session);
-                    self.shard_mut(dst).import(session, pose, carried);
+                    let carried = cells.shard_mut(src).depart(session);
+                    cells.shard_mut(dst).import(session, pose, carried);
                     self.locations.insert(session, dst);
-                    self.mark_dirty(src);
-                    self.mark_dirty(dst);
+                    cells.mark_dirty(src);
+                    cells.mark_dirty(dst);
                     self.pend_handovers += 1;
                 }
                 self.pend_moves += 1;
@@ -313,8 +330,8 @@ impl BuildingEngine {
                 let Some(cell) = self.locations.remove(&session) else {
                     return false;
                 };
-                self.shard_mut(cell).depart(session);
-                self.mark_dirty(cell);
+                cells.shard_mut(cell).depart(session);
+                cells.mark_dirty(cell);
                 self.pend_departures += 1;
             }
         }
@@ -336,7 +353,7 @@ impl BuildingEngine {
             departures: self.pend_departures,
             moves: self.pend_moves,
             handovers: self.pend_handovers,
-            dirty_shards: self.dirty.len() as u64,
+            dirty_shards: self.cells.dirty.len() as u64,
             ..TickReport::default()
         };
         self.pend_events = 0;
@@ -345,33 +362,18 @@ impl BuildingEngine {
         self.pend_moves = 0;
         self.pend_handovers = 0;
 
-        if !self.dirty.is_empty() {
+        if report.dirty_shards > 0 {
+            let cells = cells_mut(&mut self.cells);
             // Ascending cell order fixes the span indexing and the
             // throughput fold, independent of which worker runs what.
-            self.dirty.sort_unstable();
+            cells.dirty.sort_unstable();
             let span = parent.child("cell.tick");
             if span.is_enabled() {
                 span.attr("tick", &tick.to_string());
-                span.attr("dirty", &self.dirty.len().to_string());
+                span.attr("dirty", &cells.dirty.len().to_string());
             }
-            if pool.jobs().is_serial() || self.dirty.len() == 1 {
-                // Thread-free path: replan in place, in order.
-                let mut outcomes = std::mem::take(&mut self.outcomes);
-                outcomes.clear();
-                for (i, &cell) in self.dirty.iter().enumerate() {
-                    let child = span.child_indexed("cell.replan", i);
-                    let shard = self.shards[cell].as_deref_mut().expect(IN_PLACE);
-                    outcomes.push(shard.replan(tick, &self.telemetry, &child));
-                }
-                self.settle(&outcomes, &mut report);
-                self.outcomes = outcomes;
-            } else {
-                let (outcomes, span) = self.replan_owned(pool, tick, span);
-                self.settle(&outcomes, &mut report);
-                // `span` closes here, after the fold.
-                drop(span);
-            }
-            self.dirty.clear();
+            self.replan_dirty(pool, tick, span);
+            self.settle(&mut report);
         }
 
         report.sessions = self.locations.len() as u64;
@@ -393,52 +395,35 @@ impl BuildingEngine {
         report
     }
 
-    /// Replans the dirty shards on `pool`'s resident workers under the
-    /// tick span `span`, which comes back with the outcomes. Each shard
-    /// moves out of its cell slot into a slot list shared with the
-    /// dispatch, and every one is back in place before this returns —
-    /// also when a replan panics, whose panic is re-raised after.
-    fn replan_owned(&mut self, pool: &Pool, tick: u64, span: Span) -> (Vec<ReplanOutcome>, Span) {
-        let batch = Arc::new(Batch {
-            span,
-            slots: self
-                .dirty
-                .iter()
-                .map(|&cell| Mutex::new(self.shards[cell].take().expect(IN_PLACE)))
-                .collect(),
-        });
-        let replans = {
-            let batch = Arc::clone(&batch);
+    /// Replans the dirty shards under the tick span `span`, which closes
+    /// when they are done: in place and in order on a one-worker pool or
+    /// for a lone dirty shard, else on `pool`'s resident workers. A
+    /// replan's panic is re-raised once every worker has let go of the
+    /// shards.
+    fn replan_dirty(&mut self, pool: &Pool, tick: u64, span: Span) {
+        let n = self.cells.dirty.len();
+        if pool.jobs().is_serial() || n == 1 {
+            let cells = cells_mut(&mut self.cells);
+            for (i, &cell) in cells.dirty.iter().enumerate() {
+                let child = span.child_indexed("cell.replan", i);
+                unpoisoned(cells.shards[cell].get_mut()).replan(tick, &self.telemetry, &child);
+            }
+        } else {
+            let cells = Arc::clone(&self.cells);
             let telemetry = self.telemetry.clone();
-            let n = batch.slots.len();
-            catch_unwind(AssertUnwindSafe(|| {
-                pool.map_owned(n, move |i| {
-                    let child = batch.span.child_indexed("cell.replan", i);
-                    let mut shard = batch.slots[i]
-                        .lock()
-                        .expect("each slot is locked once per tick");
-                    shard.replan(tick, &telemetry, &child)
-                })
-            }))
-        };
-        let Ok(Batch { span, slots }) = Arc::try_unwrap(batch) else {
-            unreachable!("map_owned drops its closure before it returns");
-        };
-        for (slot, &cell) in slots.into_iter().zip(&self.dirty) {
-            // A poisoned slot held a panicking replan; its shard goes back
-            // as the panic left it, as on the in-place path.
-            self.shards[cell] = Some(slot.into_inner().unwrap_or_else(PoisonError::into_inner));
+            pool.map_owned(n, move |i| {
+                let child = span.child_indexed("cell.replan", i);
+                unpoisoned(cells.shards[cells.dirty[i]].write()).replan(tick, &telemetry, &child);
+            });
         }
-        (
-            replans.unwrap_or_else(|payload| resume_unwind(payload)),
-            span,
-        )
     }
 
-    /// Folds replan outcomes, in dirty-cell order, into the building
-    /// throughput and the tick report.
-    fn settle(&mut self, outcomes: &[ReplanOutcome], report: &mut TickReport) {
-        for outcome in outcomes {
+    /// Folds the dirty shards' replan outcomes, in cell order, into the
+    /// building throughput and the tick report, and clears the dirty list.
+    fn settle(&mut self, report: &mut TickReport) {
+        let cells = cells_mut(&mut self.cells);
+        for &cell in &cells.dirty {
+            let outcome = unpoisoned(cells.shards[cell].get_mut()).outcome;
             self.sum_bps += outcome.new_bps - outcome.old_bps;
             if outcome.replanned {
                 report.replans += 1;
@@ -446,5 +431,6 @@ impl BuildingEngine {
                 report.plan_hits += 1;
             }
         }
+        cells.dirty.clear();
     }
 }

@@ -49,10 +49,11 @@ pub struct ShardTick {
     pub bps: Vec<f64>,
 }
 
-/// What one `CellShard::replan` produced, for the coordinator's
-/// bookkeeping. `old_bps`/`new_bps` let the coordinator maintain the
-/// building throughput by delta in deterministic (cell-index) order.
-#[derive(Debug, Clone, Copy)]
+/// What the latest `CellShard::replan` produced, left in the shard for the
+/// coordinator's bookkeeping. `old_bps`/`new_bps` let the coordinator
+/// maintain the building throughput by delta in deterministic
+/// (cell-index) order.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ReplanOutcome {
     /// `false` when the previous plan stood (channel bitwise unchanged).
     pub replanned: bool,
@@ -89,6 +90,8 @@ pub struct CellShard {
     /// parallelism only.
     inner: Pool,
     pub(crate) dirty: bool,
+    /// What the latest replan produced.
+    pub(crate) outcome: ReplanOutcome,
 }
 
 impl CellShard {
@@ -123,6 +126,7 @@ impl CellShard {
             timeline: Vec::new(),
             inner: Pool::sequential(),
             dirty: false,
+            outcome: ReplanOutcome::default(),
         }
     }
 
@@ -221,14 +225,10 @@ impl CellShard {
         self.poses[idx] = pose;
     }
 
-    /// Recomputes the room's channel and plan. Called by the coordinator
-    /// only when the shard is dirty; runs entirely on the calling worker.
-    pub(crate) fn replan(
-        &mut self,
-        tick: u64,
-        telemetry: &Registry,
-        parent: &Span,
-    ) -> ReplanOutcome {
+    /// Recomputes the room's channel and plan, leaving what it did in
+    /// `outcome`. Called by the coordinator only when the shard is dirty;
+    /// runs entirely on the calling worker.
+    pub(crate) fn replan(&mut self, tick: u64, telemetry: &Registry, parent: &Span) {
         self.dirty = false;
         let old_bps = self.sum_bps;
         if self.sessions.is_empty() {
@@ -244,11 +244,12 @@ impl CellShard {
                     bps: Vec::new(),
                 });
             }
-            return ReplanOutcome {
+            self.outcome = ReplanOutcome {
                 replanned: true,
                 old_bps,
                 new_bps: 0.0,
             };
+            return;
         }
 
         let update = self.updater.update_traced(
@@ -290,11 +291,11 @@ impl CellShard {
                 bps: self.bps.clone(),
             });
         }
-        ReplanOutcome {
+        self.outcome = ReplanOutcome {
             replanned: !hit,
             old_bps,
             new_bps: self.sum_bps,
-        }
+        };
     }
 
     fn solve_optimal(

@@ -103,7 +103,8 @@ fn handover_timeline_matches_a_cold_resolve_in_the_destination() {
     let plan = controller.plan(&model.channel);
     let cold_bps = model.throughput(&plan.allocation);
 
-    let last = engine.shard(1).timeline().last().expect("dest replanned");
+    let dest = engine.shard(1);
+    let last = dest.timeline().last().expect("dest replanned");
     assert!(last.replanned);
     assert_eq!(last.sessions, vec![9, 7]);
     assert_eq!(
@@ -139,7 +140,8 @@ fn optimal_policy_warm_starts_the_destination_solver() {
     let cfg = BuildingConfig::paper(2, 1);
     let model = destination_model(&cfg);
     let cold = OptimalSolver::quick().solve(&model, cfg.budget_w);
-    let warm_alloc = engine.shard(1).allocation().expect("dest has a plan");
+    let dest = engine.shard(1);
+    let warm_alloc = dest.allocation().expect("dest has a plan");
     let warm_objective = model.sum_log_throughput(warm_alloc);
     assert!(
         warm_objective >= cold.objective - 1e-9,

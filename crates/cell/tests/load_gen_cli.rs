@@ -1,7 +1,8 @@
 //! Command-line tests of the `load_gen` binary: a degenerate building or
 //! workload size is a usage error (exit code 2), not a panic, a crowded
-//! room under the optimal planner runs to completion, and every
-//! observability flag either writes its artifact or exits 2 first.
+//! room under the optimal planner runs to completion, explicit sizes
+//! override the `--smoke` preset, a repeated flag exits 2 naming it, and
+//! every observability flag either writes its artifact or exits 2 first.
 
 use std::process::Command;
 
@@ -62,6 +63,48 @@ const TINY: [&str; 6] = ["--rooms", "1x1", "--ticks", "20", "--events", "40"];
 
 fn tiny(extra: &[&str]) -> std::process::Output {
     load_gen(&[&TINY[..], extra].concat())
+}
+
+/// `--smoke` is a preset: explicit sizes and seed win wherever they
+/// stand, before or after it.
+#[test]
+fn explicit_sizes_override_the_smoke_preset_in_any_position() {
+    for args in [
+        [&TINY[..], &["--seed", "7", "--smoke"]].concat(),
+        [&["--smoke", "--seed", "7"], &TINY[..]].concat(),
+    ] {
+        let out = load_gen(&args);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {out:?}");
+        assert!(
+            stdout.contains("rooms 1 (1x1)") && stdout.contains("seed 7"),
+            "{args:?}: {stdout}"
+        );
+        assert!(stdout.contains("ticks 20 ·"), "{args:?}: {stdout}");
+    }
+}
+
+#[test]
+fn a_repeated_flag_exits_2_naming_it() {
+    for repeat in [
+        &["--ticks", "5"][..],
+        &["--rooms", "2x1"],
+        &["--events", "10"],
+        &["--seed", "3", "--seed", "4"],
+        &["--jobs", "1", "--jobs", "2"],
+        &["--policy", "heuristic", "--policy", "optimal"],
+        &["--smoke", "--smoke"],
+    ] {
+        let args = [&TINY[..], repeat].concat();
+        let out = load_gen(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_usage_error(&args);
+        assert!(
+            stderr.contains(&format!("{} given twice", repeat[0])),
+            "{args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} ran");
+    }
 }
 
 #[test]

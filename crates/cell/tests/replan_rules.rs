@@ -36,12 +36,13 @@ fn arrive(session: u64) -> Command {
     }
 }
 
-fn last_tick(engine: &BuildingEngine) -> &ShardTick {
+fn last_tick(engine: &BuildingEngine) -> ShardTick {
     engine
         .shard(0)
         .timeline()
         .last()
         .expect("the shard replanned")
+        .clone()
 }
 
 /// Every session credited with throughput is served by at least one TX.
@@ -86,10 +87,13 @@ fn an_unchanged_channel_over_an_unchanged_roster_keeps_the_plan() {
             y: 1.0,
         }],
     ]);
-    let timeline = engine.shard(0).timeline();
-    assert_eq!(timeline.len(), 2, "the move dirtied the shard");
-    let tick = &timeline[1];
-    assert!(!tick.replanned, "nothing changed: {tick:?}");
-    assert_eq!(tick.bps, timeline[0].bps);
+    {
+        let shard = engine.shard(0);
+        let timeline = shard.timeline();
+        assert_eq!(timeline.len(), 2, "the move dirtied the shard");
+        let tick = &timeline[1];
+        assert!(!tick.replanned, "nothing changed: {tick:?}");
+        assert_eq!(tick.bps, timeline[0].bps);
+    }
     assert_served(&engine);
 }

@@ -114,7 +114,8 @@ fn run_cell_alone(cell: usize) -> Vec<ShardTick> {
         }
         engine.control_tick(&pool, &Span::noop());
     }
-    engine.shard(0).timeline().to_vec()
+    let shard = engine.shard(0);
+    shard.timeline().to_vec()
 }
 
 /// The schedule never hands sessions over, so home cells are static.

@@ -126,7 +126,7 @@ fn dirty_ticks_stay_under_their_allocation_ceilings() {
 /// code's count.
 #[test]
 fn a_fanned_out_dirty_tick_adds_a_fixed_allocation_count() {
-    const DISPATCH_ALLOCS: u64 = 5;
+    const DISPATCH_ALLOCS: u64 = 0;
     let cfg = BuildingConfig::paper(2, 1);
     let span = Span::noop();
     let mut engines = [Jobs::serial(), Jobs::of(2)].map(|jobs| {

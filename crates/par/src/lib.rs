@@ -44,6 +44,7 @@ pub mod jobs;
 pub mod pool;
 pub mod seed;
 
+pub use crew::CREW_SPIN;
 pub use jobs::{available_parallelism, Jobs, JOBS_ENV};
 pub use pool::{Pool, DEFAULT_CHUNK};
 pub use seed::{cell_seed, SEED_GAMMA};

@@ -31,11 +31,13 @@ pub const DEFAULT_CHUNK: usize = 1024;
 ///   is small next to the work.
 /// * [`Pool::map_owned`] takes an **owned** `'static` closure and runs it on
 ///   the pool's resident crew: at most `jobs − 1` threads, spawned once on
-///   the first dispatch that needs them, parked on a condvar between
-///   dispatches (no spinning, so an idle pool uses no CPU), and joined when
-///   the last clone of the pool drops. Clones share the crew. Use it for a
-///   fan-out that repeats at a high rate, such as a control tick, where a
-///   spawn would cost more than the work.
+///   the first dispatch that needs them and joined when the last clone of
+///   the pool drops. After a dispatch each helper spins for up to
+///   [`CREW_SPIN`](crate::CREW_SPIN), so the next dispatch of a tight loop
+///   finds it awake, and then parks on a condvar, so an idle pool uses no
+///   CPU. Clones share the crew. Use it for a fan-out that repeats at a
+///   high rate, such as a control tick, where a spawn would cost more than
+///   the work.
 ///
 /// With [`Pool::with_telemetry`], each dispatch records:
 ///
@@ -180,7 +182,10 @@ impl Pool {
     /// [`Pool::map_indexed`] for an owned closure, run on the pool's
     /// resident crew instead of freshly spawned threads (see the type
     /// docs): the calling thread takes part as worker 0 and the crew's
-    /// helpers are woken, not spawned, so a dispatch costs a wake-up.
+    /// helpers, still spinning from the last dispatch or parked, join
+    /// without a spawn. A steady stream of dispatches with the same
+    /// closure and result types reuses one job's storage, so the dispatch
+    /// itself allocates nothing beyond the returned vector.
     ///
     /// The contract is `map_indexed`'s: results in index order, bitwise
     /// identical for every worker count; `jobs = 1` or `n ≤ 1` runs inline

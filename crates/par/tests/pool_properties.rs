@@ -6,7 +6,9 @@ use proptest::prelude::*;
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Barrier};
-use vlc_par::{Jobs, Pool};
+use std::time::{Duration, Instant};
+use vlc_par::{Jobs, Pool, CREW_SPIN};
+use vlc_telemetry::Registry;
 
 /// A deterministic, index-dependent payload with enough structure to catch
 /// out-of-order reassembly (not symmetric in `i`).
@@ -221,4 +223,95 @@ fn dropping_the_last_clone_joins_every_worker() {
     assert_eq!(weak.strong_count(), jobs - 1, "a live clone keeps the crew");
     drop(clone);
     assert_eq!(weak.strong_count(), 0, "every helper thread has exited");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Back-to-back dispatches meet helpers that are still spinning;
+    /// dispatches after a pause longer than the spin meet parked ones.
+    /// Either way the results are the sequential map's, and the crew
+    /// spawns each helper once.
+    #[test]
+    fn spinning_and_parked_helpers_both_serve_dispatches(
+        jobs in 2usize..6,
+        rounds in proptest::collection::vec((0usize..24, any::<bool>()), 1..12),
+    ) {
+        let registry = Registry::new();
+        let pool = Pool::new(Jobs::of(jobs)).with_telemetry(&registry);
+        for &(n, pause) in &rounds {
+            if pause {
+                std::thread::sleep(CREW_SPIN * 4);
+            }
+            prop_assert_eq!(pool.map_owned(n, payload), (0..n).map(payload).collect::<Vec<_>>());
+        }
+        let max_n = rounds.iter().map(|&(n, _)| n).max().unwrap_or(0);
+        let spawns = registry.snapshot().counter("par.spawns").unwrap_or(0);
+        prop_assert_eq!(spawns as usize, jobs.min(max_n).saturating_sub(1));
+    }
+}
+
+/// Dropping a pool whose helper is still spinning after a dispatch stops
+/// it at once: `Drop` never waits out the spin. Both items wait at a
+/// barrier, so the helper has just finished its share when the drop
+/// starts. A drop that waited out the spin would take longer than
+/// [`CREW_SPIN`] every time; the test passes once the median of a batch
+/// of drops is below it, so a busy machine gets a few attempts.
+#[test]
+fn dropping_a_pool_right_after_a_dispatch_does_not_wait_out_the_spin() {
+    let median_drop = || {
+        let mut drops: Vec<Duration> = (0..15)
+            .map(|_| {
+                let pool = Pool::new(Jobs::of(2));
+                let barrier = Arc::new(Barrier::new(2));
+                pool.map_owned(2, move |_| {
+                    barrier.wait();
+                });
+                let start = Instant::now();
+                drop(pool);
+                start.elapsed()
+            })
+            .collect();
+        drops.sort();
+        drops[drops.len() / 2]
+    };
+    let medians: Vec<Duration> = (0..5).map(|_| median_drop()).collect();
+    assert!(
+        medians.iter().any(|&m| m < CREW_SPIN),
+        "dropping a just-used pool took {medians:?} (medians), spin bound {CREW_SPIN:?}"
+    );
+}
+
+/// A panic on the spin path — a dispatch that follows the previous one at
+/// once, so the helpers are still awake — names the lowest panicking
+/// index and leaves the crew serving the next dispatch with no respawn.
+#[test]
+fn a_panic_on_the_spin_path_names_the_lowest_index_and_the_crew_survives() {
+    let registry = Registry::new();
+    let pool = Pool::new(Jobs::of(3)).with_telemetry(&registry);
+    for round in 0..50 {
+        assert_eq!(
+            pool.map_owned(9, payload),
+            (0..9).map(payload).collect::<Vec<_>>()
+        );
+        let err = catch_unwind(AssertUnwindSafe(|| {
+            pool.map_owned(9, move |i| {
+                if i == 3 || i == 7 {
+                    panic!("boom at {i} in round {round}");
+                }
+                payload(i)
+            })
+        }))
+        .expect_err("a panicking item must propagate");
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert_eq!(
+            msg,
+            format!("parallel item 3 panicked: boom at 3 in round {round}")
+        );
+    }
+    assert_eq!(
+        pool.map_owned(9, payload),
+        (0..9).map(payload).collect::<Vec<_>>()
+    );
+    assert_eq!(registry.snapshot().counter("par.spawns"), Some(2));
 }
