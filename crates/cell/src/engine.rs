@@ -165,6 +165,39 @@ impl Cells {
     }
 }
 
+/// Keeps the dirty list true to the shard flags when a replan panics.
+///
+/// `CellShard::replan` clears its shard's flag as it starts, and the list
+/// is otherwise cleared only once the tick settles, which a panic skips.
+/// Left as it is, the list would still name the cells already replanned,
+/// and the next command in one of them would push it a second time. On
+/// the unwind path the guard keeps only the cells whose flag is still
+/// set, those whose replan never started; a tick that returns disarms it
+/// and pays nothing.
+struct ResyncOnUnwind<'a> {
+    cells: &'a mut Arc<Cells>,
+    armed: bool,
+}
+
+impl ResyncOnUnwind<'_> {
+    fn disarm(mut self) {
+        self.armed = false;
+    }
+}
+
+impl Drop for ResyncOnUnwind<'_> {
+    fn drop(&mut self) {
+        if !self.armed {
+            return;
+        }
+        // The pool re-raises a worker's panic only after every worker
+        // has dropped its handle, so this is the only one left.
+        if let Some(Cells { shards, dirty }) = Arc::get_mut(self.cells) {
+            dirty.retain(|&cell| unpoisoned(shards[cell].get_mut()).dirty);
+        }
+    }
+}
+
 /// Exclusive access to the cells. A tick's workers drop their handles
 /// before `Pool::map_owned` returns, so the engine's is the only one
 /// whenever it holds `&mut self`.
@@ -399,23 +432,29 @@ impl BuildingEngine {
     /// when they are done: in place and in order on a one-worker pool or
     /// for a lone dirty shard, else on `pool`'s resident workers. A
     /// replan's panic is re-raised once every worker has let go of the
-    /// shards.
+    /// shards, and leaves only the cells whose replan never started on
+    /// the dirty list (see [`ResyncOnUnwind`]).
     fn replan_dirty(&mut self, pool: &Pool, tick: u64, span: Span) {
-        let n = self.cells.dirty.len();
+        let guard = ResyncOnUnwind {
+            cells: &mut self.cells,
+            armed: true,
+        };
+        let n = guard.cells.dirty.len();
         if pool.jobs().is_serial() || n == 1 {
-            let cells = cells_mut(&mut self.cells);
+            let cells = cells_mut(guard.cells);
             for (i, &cell) in cells.dirty.iter().enumerate() {
                 let child = span.child_indexed("cell.replan", i);
                 unpoisoned(cells.shards[cell].get_mut()).replan(tick, &self.telemetry, &child);
             }
         } else {
-            let cells = Arc::clone(&self.cells);
+            let cells = Arc::clone(guard.cells);
             let telemetry = self.telemetry.clone();
             pool.map_owned(n, move |i| {
                 let child = span.child_indexed("cell.replan", i);
                 unpoisoned(cells.shards[cells.dirty[i]].write()).replan(tick, &telemetry, &child);
             });
         }
+        guard.disarm();
     }
 
     /// Folds the dirty shards' replan outcomes, in cell order, into the

@@ -77,3 +77,34 @@ fn a_panicking_replan_puts_every_shard_back() {
         assert_eq!(engine.shard(cell).sessions(), &[session]);
     }
 }
+
+/// A panicking replan must not leave its cell on the dirty list: the
+/// session's `Leave` dirties the room once, so the next tick replans it
+/// once (the now empty room plans without the solver, so it succeeds).
+#[test]
+fn a_panicking_replan_leaves_no_stale_dirty_cell() {
+    for jobs in [Jobs::serial(), Jobs::of(2)] {
+        let mut cfg = BuildingConfig::paper(2, 1);
+        cfg.policy = ReplanPolicy::Optimal(OptimalSolver::quick());
+        cfg.budget_w = 0.0;
+        let mut engine = BuildingEngine::new(&cfg, &Registry::noop());
+        let pool = Pool::new(jobs);
+        engine.apply(&Command::Arrive {
+            session: 1,
+            x: 1.0,
+            y: 1.5,
+        });
+        catch_unwind(AssertUnwindSafe(|| {
+            engine.control_tick(&pool, &Span::noop())
+        }))
+        .expect_err("a zero budget must fail the replan");
+        engine.apply(&Command::Leave { session: 1 });
+        let report = engine.control_tick(&pool, &Span::noop());
+        assert_eq!(
+            (report.dirty_shards, report.replans),
+            (1, 1),
+            "{jobs:?}: {report:?}"
+        );
+        assert_eq!(report.sessions, 0);
+    }
+}

@@ -30,7 +30,8 @@ use crate::interleave::Interleaver;
 use crate::rs::{RsCodec, RsError, RsParams};
 use std::fmt;
 
-/// Errors surfaced by a [`CodecStack`] decode.
+/// Errors surfaced by a [`CodecStack`] decode, or by a codec, stack or
+/// interleaver constructor given parameters it cannot build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CodecError {
     /// The stack could not recover the payload (too many errors, or an
@@ -42,6 +43,15 @@ pub enum CodecError {
         /// Offending coded length in bytes.
         len: usize,
     },
+    /// A constructor parameter lies outside the range the code supports.
+    InvalidParameters {
+        /// The parameter's name (`nroots`, `depth`).
+        param: &'static str,
+        /// The value given.
+        value: usize,
+        /// The accepted range.
+        allowed: &'static str,
+    },
 }
 
 impl fmt::Display for CodecError {
@@ -49,6 +59,14 @@ impl fmt::Display for CodecError {
         match self {
             CodecError::Uncorrectable => write!(f, "codec stack could not recover the payload"),
             CodecError::BadLength { len } => write!(f, "invalid coded stream length {len}"),
+            CodecError::InvalidParameters {
+                param,
+                value,
+                allowed,
+            } => write!(
+                f,
+                "invalid codec parameters: {param} = {value}, not in {allowed}"
+            ),
         }
     }
 }
@@ -136,17 +154,19 @@ pub struct RsStack {
 }
 
 impl RsStack {
-    /// A stack with `nroots` parity bytes per chunk.
-    pub fn new(nroots: usize) -> Self {
-        RsStack {
-            codec: RsCodec::new(nroots),
+    /// A stack with `nroots` parity bytes per chunk, or
+    /// [`CodecError::InvalidParameters`] when [`RsCodec::new`] rejects
+    /// `nroots`.
+    pub fn new(nroots: usize) -> Result<Self, CodecError> {
+        Ok(RsStack {
+            codec: RsCodec::new(nroots)?,
             scratch: Vec::new(),
-        }
+        })
     }
 
     /// The paper's RS(216, 200) stack.
     pub fn paper() -> Self {
-        RsStack::new(RsParams::PAPER.nroots)
+        RsStack::new(RsParams::PAPER.nroots).expect("the paper's RS parameters are valid")
     }
 }
 
@@ -215,19 +235,22 @@ pub struct InterleavedRsStack {
 
 impl InterleavedRsStack {
     /// A stack with `nroots` parity bytes per chunk under a `depth`-row
-    /// interleaver.
-    pub fn new(nroots: usize, depth: usize) -> Self {
-        InterleavedRsStack {
-            codec: RsCodec::new(nroots),
-            il: Interleaver::new(depth),
+    /// interleaver, or [`CodecError::InvalidParameters`] when
+    /// [`RsCodec::new`] rejects `nroots` or [`Interleaver::new`] rejects
+    /// `depth`.
+    pub fn new(nroots: usize, depth: usize) -> Result<Self, CodecError> {
+        Ok(InterleavedRsStack {
+            codec: RsCodec::new(nroots)?,
+            il: Interleaver::new(depth)?,
             name: format!("rs+il{depth}"),
             scratch: Vec::new(),
-        }
+        })
     }
 
     /// The paper's RS parameters under a depth-16 interleaver.
     pub fn paper16() -> Self {
         InterleavedRsStack::new(RsParams::PAPER.nroots, 16)
+            .expect("the paper's RS parameters and depth 16 are valid")
     }
 }
 
@@ -477,6 +500,33 @@ mod tests {
                 assert_eq!(out, stack.encode_ref(&payload), "stack {}", stack.name());
             }
         }
+    }
+
+    #[test]
+    fn stack_constructors_reject_bad_parameters() {
+        let invalid = |param, value, allowed| {
+            Err(CodecError::InvalidParameters {
+                param,
+                value,
+                allowed,
+            })
+        };
+        assert_eq!(RsStack::new(0).map(|_| ()), invalid("nroots", 0, "1..=16"));
+        assert_eq!(
+            RsStack::new(17).map(|_| ()),
+            invalid("nroots", 17, "1..=16")
+        );
+        assert_eq!(
+            InterleavedRsStack::new(17, 4).map(|_| ()),
+            invalid("nroots", 17, "1..=16")
+        );
+        assert_eq!(
+            InterleavedRsStack::new(16, 0).map(|_| ()),
+            invalid("depth", 0, "1..")
+        );
+        let stack = InterleavedRsStack::new(4, 2).expect("valid parameters");
+        assert_eq!(stack.name(), "rs+il2");
+        assert_eq!(stack.correction().burst_tolerance, 4);
     }
 
     #[test]

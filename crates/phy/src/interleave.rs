@@ -9,23 +9,33 @@
 //! natural companion to the paper's FEC that the BBB could have afforded
 //! (it is pure byte shuffling).
 
-use serde::{Deserialize, Serialize};
+use crate::codec::CodecError;
 
-/// A block interleaver of fixed depth.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// A block interleaver of fixed, positive depth. The depth is private so
+/// that [`Interleaver::new`] is the only way to build one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Interleaver {
     /// Number of rows — the factor by which bursts are diluted.
-    pub depth: usize,
+    depth: usize,
 }
 
 impl Interleaver {
-    /// Creates an interleaver.
-    ///
-    /// # Panics
-    /// Panics when `depth` is zero.
-    pub fn new(depth: usize) -> Self {
-        assert!(depth > 0, "interleaver depth must be positive");
-        Interleaver { depth }
+    /// Creates an interleaver, or [`CodecError::InvalidParameters`] when
+    /// `depth` is zero.
+    pub fn new(depth: usize) -> Result<Self, CodecError> {
+        if depth == 0 {
+            return Err(CodecError::InvalidParameters {
+                param: "depth",
+                value: depth,
+                allowed: "1..",
+            });
+        }
+        Ok(Interleaver { depth })
+    }
+
+    /// Number of rows — the factor by which bursts are diluted.
+    pub fn depth(&self) -> usize {
+        self.depth
     }
 
     /// Interleaves `data` (any length; a trailing partial column is kept in
@@ -117,7 +127,7 @@ mod tests {
 
     #[test]
     fn roundtrip_exact_block() {
-        let il = Interleaver::new(4);
+        let il = Interleaver::new(4).unwrap();
         let data: Vec<u8> = (0..32).collect();
         let shuffled = il.interleave(&data);
         assert_ne!(shuffled, data, "interleaver was a no-op");
@@ -126,7 +136,7 @@ mod tests {
 
     #[test]
     fn depth_one_is_identity() {
-        let il = Interleaver::new(1);
+        let il = Interleaver::new(1).unwrap();
         let data = vec![5u8, 4, 3, 2, 1];
         assert_eq!(il.interleave(&data), data);
     }
@@ -135,7 +145,7 @@ mod tests {
     fn a_burst_spreads_across_the_block() {
         // Depth 8 over 64 bytes: an 8-byte channel burst must hit each
         // de-interleaved row at most once.
-        let il = Interleaver::new(8);
+        let il = Interleaver::new(8).unwrap();
         let data: Vec<u8> = (0..64).collect();
         let mut on_air = il.interleave(&data);
         for b in on_air.iter_mut().take(8) {
@@ -159,7 +169,7 @@ mod tests {
         // 2·t = 16 errors; bursts beyond that are unrecoverable no matter
         // the interleaving.)
         let rs = ReedSolomon::paper();
-        let il = Interleaver::new(16);
+        let il = Interleaver::new(16).unwrap();
         let payload: Vec<u8> = (0..400).map(|i| (i % 251) as u8).collect();
         let coded = rs.encode_payload(&payload);
         let mut on_air = il.interleave(&coded);
@@ -183,14 +193,21 @@ mod tests {
 
     #[test]
     fn burst_tolerance_formula() {
-        assert_eq!(Interleaver::new(16).burst_tolerance(8), 128);
-        assert_eq!(Interleaver::new(1).burst_tolerance(8), 8);
+        assert_eq!(Interleaver::new(16).unwrap().burst_tolerance(8), 128);
+        assert_eq!(Interleaver::new(1).unwrap().burst_tolerance(8), 8);
     }
 
     #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_depth_panics() {
-        Interleaver::new(0);
+    fn zero_depth_is_rejected() {
+        assert_eq!(
+            Interleaver::new(0),
+            Err(CodecError::InvalidParameters {
+                param: "depth",
+                value: 0,
+                allowed: "1..",
+            })
+        );
+        assert_eq!(Interleaver::new(3).map(|il| il.depth()), Ok(3));
     }
 
     proptest! {
@@ -199,7 +216,7 @@ mod tests {
             data in proptest::collection::vec(any::<u8>(), 0..600),
             depth in 1usize..12,
         ) {
-            let il = Interleaver::new(depth);
+            let il = Interleaver::new(depth).unwrap();
             let shuffled = il.interleave(&data);
             prop_assert_eq!(shuffled.len(), data.len());
             prop_assert_eq!(il.deinterleave(&shuffled), data);
@@ -213,7 +230,7 @@ mod tests {
         ) {
             // The `_into` twins append after any existing prefix and must
             // reproduce the allocating implementations byte for byte.
-            let il = Interleaver::new(depth);
+            let il = Interleaver::new(depth).unwrap();
             let mut fwd = prefix.clone();
             il.interleave_into(&data, &mut fwd);
             prop_assert_eq!(&fwd[prefix.len()..], &il.interleave(&data)[..]);
@@ -228,7 +245,7 @@ mod tests {
             depth in 2usize..10,
         ) {
             let data: Vec<u8> = (0..len).map(|i| (i % 256) as u8).collect();
-            let il = Interleaver::new(depth);
+            let il = Interleaver::new(depth).unwrap();
             let mut shuffled = il.interleave(&data);
             let mut orig = data.clone();
             shuffled.sort_unstable();

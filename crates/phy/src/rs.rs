@@ -6,7 +6,19 @@
 //! systematic LFSR encoding, syndrome computation, Berlekamp–Massey for the
 //! error locator, Chien search for positions, and Forney's formula for
 //! magnitudes.
+//!
+//! Two tiers run it. [`ReedSolomon`] is the scalar oracle: it evaluates
+//! every syndrome over the whole block. [`RsCodec`], the frame pipeline's
+//! workspace, holds the LFSR in one `u128` and checks parity first: it
+//! re-encodes the block's data and compares the result with the block's
+//! parity bytes, which is all a clean block costs. Only on a mismatch does
+//! it compute syndromes, over the `nroots`-byte remainder `r(x) mod g(x)`
+//! (the XOR of the two parities) rather than the block, because
+//! `g(αʲ) = 0` makes `r(αʲ)` equal the remainder's value there. Field
+//! arithmetic is exact, so both tiers return the same corrections and
+//! errors byte for byte.
 
+use crate::codec::CodecError;
 use crate::gf256::Gf256;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -86,29 +98,33 @@ pub struct ReedSolomon {
 }
 
 impl ReedSolomon {
-    /// Creates a codec with the given number of parity symbols.
-    ///
-    /// # Panics
-    /// Panics if `nroots` is 0 or ≥ 255.
-    pub fn new(nroots: usize) -> Self {
-        assert!(nroots > 0 && nroots < 255, "nroots must be in 1..255");
+    /// Creates a codec with the given number of parity symbols, or
+    /// [`CodecError::InvalidParameters`] when `nroots` is outside `1..255`.
+    pub fn new(nroots: usize) -> Result<Self, CodecError> {
+        if !(1..255).contains(&nroots) {
+            return Err(CodecError::InvalidParameters {
+                param: "nroots",
+                value: nroots,
+                allowed: "1..255",
+            });
+        }
         let gf = Gf256::new();
         // g(x) = Π_{i=0}^{nroots-1} (x − α^i); minus is plus in GF(2⁸).
         let mut generator = vec![1u8];
         for i in 0..nroots {
             generator = gf.poly_mul(&generator, &[1, gf.alpha_pow(i)]);
         }
-        ReedSolomon {
+        Ok(ReedSolomon {
             gf,
             nroots,
             generator,
-        }
+        })
     }
 
     /// The paper's RS(216, 200) configuration (t = 8), built from
     /// [`RsParams::PAPER`].
     pub fn paper() -> Self {
-        ReedSolomon::new(RsParams::PAPER.nroots)
+        ReedSolomon::new(RsParams::PAPER.nroots).expect("the paper's RS parameters are valid")
     }
 
     /// Number of parity symbols.
@@ -346,30 +362,49 @@ fn add_shifted_in_place(gf: &Gf256, a: &mut Vec<u8>, b: &[u8], coeff: u8, shift:
     }
 }
 
+/// The most parity bytes [`RsCodec`]'s 128-bit LFSR register holds.
+pub const MAX_CODEC_PARITY: usize = 16;
+
 /// A reusable Reed–Solomon workspace: the same code as [`ReedSolomon`]
 /// (outputs are byte-identical — pinned by proptests in
-/// `crates/phy/tests/packed_identity.rs`) with every per-block allocation
-/// hoisted into the struct, plus two precomputed tables:
+/// `crates/phy/tests/packed_identity.rs` and
+/// `crates/phy/tests/codec_identity.rs`) with every per-block allocation
+/// hoisted into the struct and the parity register held in one `u128`.
 ///
-/// * a 256 × `nroots` feedback table (`feedback → feedback · g_i`) that
-///   turns the systematic LFSR encode into branch-free row XORs, and
-/// * the generator-root/Chien tables `α^p` and `α^{-p}` for `p < 255`,
-///   so syndrome roots and locator arguments are plain lookups.
+/// The register keeps parity byte 0 (the highest-degree coefficient) in
+/// its top byte, so each data byte costs one row of a 256-entry `u128`
+/// table and one shift:
+/// `fb = b ^ (p >> 120) as u8; p = (p << 8) ^ ROW[fb]`, where `ROW[f]`
+/// holds `f · g(x)`'s low `nroots` coefficients. That bounds `nroots` at
+/// [`MAX_CODEC_PARITY`]. Decoding runs in three stages:
 ///
-/// After warm-up (first block of each length), `encode_into` /
+/// 1. **Parity check.** Re-encode the block's data and compare with its
+///    parity bytes. A systematic block is a codeword exactly when its
+///    parity equals the parity of its data, so equal means `Ok(0)` — the
+///    only work a clean block costs.
+/// 2. **Remainder syndromes.** On a mismatch the XOR of the two parities
+///    is `r(x) mod g(x)`, and since `g(αʲ) = 0`, `r(αʲ) = (r mod g)(αʲ)`:
+///    the `nroots` syndromes are evaluated over `nroots` bytes, not the
+///    whole block.
+/// 3. **Correction.** Berlekamp–Massey, Chien search (over the
+///    `α^{-p}` table) and Forney (over the `α^p` table) as in
+///    [`ReedSolomon::decode`]; the miscorrection trap afterwards is the
+///    same parity compare as stage 1.
+///
+/// After warm-up (first corrected block), `encode_into` /
 /// `decode_in_place` perform zero heap allocations — demonstrated by the
 /// counting-allocator test in `crates/phy/tests/zero_alloc.rs`.
 #[derive(Debug, Clone)]
 pub struct RsCodec {
     rs: ReedSolomon,
-    /// Row `f` holds `f · generator[1..]` (`nroots` bytes per row).
-    feedback_tab: Vec<u8>,
-    /// `α^p` for `p < 255` (Forney's X).
+    /// Row `f` holds `f · generator[1..]`, coefficient `i` in bits
+    /// `120 − 8i ..= 127 − 8i` (4 KiB, on the heap).
+    feedback_tab: Box<[u128; 256]>,
+    /// `α^p` for `p < 255` (syndrome roots and Forney's X).
     root: [u8; 255],
     /// `α^{(255 - p) mod 255}` for `p < 255` (Chien's X⁻¹).
     inv_root: [u8; 255],
     // Scratch (capacities established in `new`, reused per block).
-    parity: Vec<u8>,
     synd: Vec<u8>,
     lambda: Vec<u8>,
     prev: Vec<u8>,
@@ -380,16 +415,22 @@ pub struct RsCodec {
 }
 
 impl RsCodec {
-    /// Creates a workspace with `nroots` parity symbols.
-    ///
-    /// # Panics
-    /// Panics if `nroots` is 0 or ≥ 255.
-    pub fn new(nroots: usize) -> Self {
-        let rs = ReedSolomon::new(nroots);
-        let mut feedback_tab = vec![0u8; 256 * nroots];
-        for f in 0..256usize {
+    /// Creates a workspace with `nroots` parity symbols, or
+    /// [`CodecError::InvalidParameters`] when `nroots` is outside
+    /// `1..=`[`MAX_CODEC_PARITY`].
+    pub fn new(nroots: usize) -> Result<Self, CodecError> {
+        if !(1..=MAX_CODEC_PARITY).contains(&nroots) {
+            return Err(CodecError::InvalidParameters {
+                param: "nroots",
+                value: nroots,
+                allowed: "1..=16",
+            });
+        }
+        let rs = ReedSolomon::new(nroots)?;
+        let mut feedback_tab = Box::new([0u128; 256]);
+        for (f, row) in feedback_tab.iter_mut().enumerate() {
             for (i, &g) in rs.generator[1..].iter().enumerate() {
-                feedback_tab[f * nroots + i] = rs.gf.mul(f as u8, g);
+                *row |= u128::from(rs.gf.mul(f as u8, g)) << (120 - 8 * i);
             }
         }
         let mut root = [0u8; 255];
@@ -402,12 +443,11 @@ impl RsCodec {
         // grow Λ to `b.len() + shift` ≤ nroots + 1; syndromes and Ω hold
         // nroots entries; Chien can flag at most 255 candidate positions.
         let poly_cap = 2 * nroots + 4;
-        RsCodec {
+        Ok(RsCodec {
             rs,
             feedback_tab,
             root,
             inv_root,
-            parity: Vec::with_capacity(nroots),
             synd: Vec::with_capacity(nroots),
             lambda: Vec::with_capacity(poly_cap),
             prev: Vec::with_capacity(poly_cap),
@@ -415,13 +455,13 @@ impl RsCodec {
             omega: Vec::with_capacity(nroots),
             lambda_deriv: Vec::with_capacity(nroots),
             positions: Vec::with_capacity(255),
-        }
+        })
     }
 
     /// The paper's RS(216, 200) workspace (t = 8), built from
     /// [`RsParams::PAPER`] — the same definition as [`ReedSolomon::paper`].
     pub fn paper() -> Self {
-        RsCodec::new(RsParams::PAPER.nroots)
+        RsCodec::new(RsParams::PAPER.nroots).expect("the paper's RS parameters are valid")
     }
 
     /// Number of parity symbols.
@@ -440,8 +480,7 @@ impl RsCodec {
     }
 
     /// Appends `data ‖ parity` to `out` — allocation-free counterpart of
-    /// [`ReedSolomon::encode`], with the LFSR feedback multiplications
-    /// replaced by one row XOR from the precomputed feedback table.
+    /// [`ReedSolomon::encode`], the LFSR running in one `u128` register.
     ///
     /// # Panics
     /// Panics if the resulting block would exceed 255 bytes.
@@ -453,19 +492,28 @@ impl RsCodec {
             data.len(),
             nroots
         );
-        self.parity.clear();
-        self.parity.resize(nroots, 0);
-        for &b in data {
-            let feedback = (b ^ self.parity[0]) as usize;
-            let row = &self.feedback_tab[feedback * nroots..(feedback + 1) * nroots];
-            // parity <<= 1 byte; parity[i] ^= feedback · g_{i+1}, fused.
-            for (i, &r) in row.iter().enumerate().take(nroots - 1) {
-                self.parity[i] = self.parity[i + 1] ^ r;
-            }
-            self.parity[nroots - 1] = row[nroots - 1];
-        }
+        let parity = self.lfsr(data).to_be_bytes();
         out.extend_from_slice(data);
-        out.extend_from_slice(&self.parity);
+        out.extend_from_slice(&parity[..nroots]);
+    }
+
+    /// The parity register after shifting `data` through the LFSR:
+    /// `data(x) · x^nroots mod g(x)`, parity byte 0 in the top byte.
+    fn lfsr(&self, data: &[u8]) -> u128 {
+        let tab = &*self.feedback_tab;
+        data.iter().fold(0u128, |p, &b| {
+            (p << 8) ^ tab[usize::from(b ^ (p >> 120) as u8)]
+        })
+    }
+
+    /// `r(x) mod g(x)` of a whole block (at least one data byte), in the
+    /// register layout: the parity of its data XOR its parity bytes. Zero
+    /// exactly when the block is a codeword.
+    fn remainder(&self, block: &[u8]) -> u128 {
+        let (data, parity) = block.split_at(block.len() - self.rs.nroots);
+        let mut bytes = [0u8; MAX_CODEC_PARITY];
+        bytes[..parity.len()].copy_from_slice(parity);
+        self.lfsr(data) ^ u128::from_be_bytes(bytes)
     }
 
     /// Appends the chunked encoding of `payload` (the
@@ -484,14 +532,12 @@ impl RsCodec {
         if n <= nroots || n > 255 {
             return Err(RsError::BadBlockLength { len: n });
         }
-        // Syndromes S_j = r(α^j), j = 0..nroots-1.
-        self.synd.clear();
-        for j in 0..nroots {
-            self.synd.push(self.rs.gf.poly_eval(block, self.root[j]));
-        }
-        if self.synd.iter().all(|&s| s == 0) {
+        // Parity check: a clean block costs one re-encode.
+        let rem = self.remainder(block);
+        if rem == 0 {
             return Ok(0);
         }
+        self.remainder_syndromes(rem);
 
         // Berlekamp–Massey, in place over the struct scratch.
         self.berlekamp_massey();
@@ -547,9 +593,8 @@ impl RsCodec {
             block[i] ^= magnitude;
         }
 
-        // Re-check the syndromes to trap miscorrections.
-        let ok = (0..nroots).all(|j| gf.poly_eval(block, self.root[j]) == 0);
-        if ok {
+        // Re-check the parity to trap miscorrections.
+        if self.remainder(block) == 0 {
             Ok(self.positions.len())
         } else {
             Err(RsError::TooManyErrors)
@@ -593,6 +638,18 @@ impl RsCodec {
             out.extend_from_slice(&coded[offset..offset + chunk_len]);
             offset += chunk_len + self.rs.nroots;
             remaining -= chunk_len;
+        }
+    }
+
+    /// Fills `self.synd` with `S_j = r(α^j) = (r mod g)(α^j)`,
+    /// `j = 0..nroots`, evaluated over the `nroots` bytes of the block's
+    /// remainder `rem` (see [`RsCodec::remainder`]).
+    fn remainder_syndromes(&mut self, rem: u128) {
+        let nroots = self.rs.nroots;
+        let rem = rem.to_be_bytes();
+        self.synd.clear();
+        for &x in &self.root[..nroots] {
+            self.synd.push(self.rs.gf.poly_eval(&rem[..nroots], x));
         }
     }
 
@@ -807,6 +864,50 @@ mod tests {
     #[should_panic(expected = "255")]
     fn oversized_block_panics_on_encode() {
         ReedSolomon::paper().encode(&vec![0u8; 240]);
+    }
+
+    #[test]
+    fn bad_parameters_are_typed_errors() {
+        let invalid = |value, allowed| {
+            Err(CodecError::InvalidParameters {
+                param: "nroots",
+                value,
+                allowed,
+            })
+        };
+        assert_eq!(ReedSolomon::new(0).map(|_| ()), invalid(0, "1..255"));
+        assert_eq!(ReedSolomon::new(255).map(|_| ()), invalid(255, "1..255"));
+        assert!(ReedSolomon::new(254).is_ok());
+        assert_eq!(RsCodec::new(0).map(|_| ()), invalid(0, "1..=16"));
+        assert_eq!(RsCodec::new(17).map(|_| ()), invalid(17, "1..=16"));
+        for nroots in 1..=MAX_CODEC_PARITY {
+            assert_eq!(RsCodec::new(nroots).unwrap().parity_len(), nroots);
+        }
+    }
+
+    #[test]
+    fn remainder_syndromes_equal_block_syndromes() {
+        // S_j over the nroots-byte remainder must equal the Horner
+        // evaluation over the whole 216-byte block, for clean and
+        // corrupted blocks alike.
+        let rs = ReedSolomon::paper();
+        let mut codec = RsCodec::paper();
+        let mut rng = StdRng::seed_from_u64(216);
+        for n_err in 0..=12usize {
+            let data: Vec<u8> = (0..200).map(|_| rng.gen()).collect();
+            let mut block = rs.encode(&data);
+            for _ in 0..n_err {
+                let p = rng.gen_range(0..block.len());
+                block[p] ^= rng.gen_range(1..=255u8);
+            }
+            let rem = codec.remainder(&block);
+            codec.remainder_syndromes(rem);
+            let horner: Vec<u8> = (0..16)
+                .map(|j| rs.gf.poly_eval(&block, rs.gf.alpha_pow(j)))
+                .collect();
+            assert_eq!(codec.synd, horner, "{n_err} errors");
+            assert_eq!(rem == 0, horner.iter().all(|&s| s == 0));
+        }
     }
 
     #[test]

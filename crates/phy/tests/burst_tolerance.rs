@@ -13,7 +13,7 @@ use vlc_phy::rs::RsParams;
 /// starting at a column boundary (so the extra byte of an over-budget
 /// burst concentrates on one chunk), and returns the decode outcome.
 fn run_burst(nroots: usize, depth: usize, burst_len: usize) -> Result<(Vec<u8>, usize), ()> {
-    let mut stack = InterleavedRsStack::new(nroots, depth);
+    let mut stack = InterleavedRsStack::new(nroots, depth).expect("valid parameters");
     let payload_len = depth * RsParams::PAPER.chunk;
     let payload: Vec<u8> = (0..payload_len).map(|i| (i % 251) as u8).collect();
     let mut on_air = Vec::new();
@@ -41,12 +41,12 @@ fn burst_tolerance_is_tight_across_the_grid() {
     for depth in [2usize, 4, 8] {
         for nroots in [4usize, 8, 16] {
             let t = nroots / 2;
-            let il = Interleaver::new(depth);
+            let il = Interleaver::new(depth).expect("depth > 0");
             let tolerance = il.burst_tolerance(t);
             assert_eq!(tolerance, depth * t);
 
             // The advertised metadata agrees with the formula.
-            let stack = InterleavedRsStack::new(nroots, depth);
+            let stack = InterleavedRsStack::new(nroots, depth).expect("valid parameters");
             assert_eq!(stack.correction().burst_tolerance, tolerance);
             assert_eq!(stack.correction().t_per_block, t);
 
@@ -94,7 +94,9 @@ fn without_interleaving_the_same_maximal_burst_fails() {
     // stack's budget — the burst lands in one chunk and kills it.
     let depth = 8;
     let nroots = 16;
-    let tolerance = Interleaver::new(depth).burst_tolerance(nroots / 2);
+    let tolerance = Interleaver::new(depth)
+        .expect("depth > 0")
+        .burst_tolerance(nroots / 2);
     assert!(
         run_burst(nroots, 1, tolerance).is_err(),
         "a {tolerance}-byte burst must kill the non-interleaved stack"

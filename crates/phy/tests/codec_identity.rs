@@ -3,13 +3,58 @@
 //! zero-alloc workspace path byte-identical to its allocating reference —
 //! on clean streams *and* under injected corruption, where accept/reject
 //! and every recovered byte must agree — and (c) reject truncated streams
-//! identically. Mirrors `packed_identity.rs`; `cargo tier2` replays this
-//! suite at `DENSEVLC_JOBS=1` and `DENSEVLC_JOBS=max`.
+//! identically. Beneath the stacks, `RsCodec` must match the scalar
+//! `ReedSolomon` oracle at every parity budget it supports. Mirrors
+//! `packed_identity.rs`; `cargo tier2` replays this suite at
+//! `DENSEVLC_JOBS=1` and `DENSEVLC_JOBS=max`.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vlc_phy::codec::{registry, CodecError, CodecStack};
+use vlc_phy::rs::{ReedSolomon, RsCodec, MAX_CODEC_PARITY};
+
+/// Where [`rs_codec_matches_the_scalar_oracle`] puts a block's errors.
+#[derive(Debug, Clone, Copy)]
+enum Placement {
+    /// Anywhere in the block.
+    Anywhere,
+    /// Only in the parity bytes: the data is intact, so the parity check
+    /// alone has to notice.
+    ParityOnly,
+    /// The first data byte, plus any others: the LFSR's first feedback.
+    FirstDataByte,
+}
+
+/// Corrupts `n_err` distinct positions of `block` (`data_len` data bytes
+/// first) as `placement` says, returning how many it corrupted.
+fn corrupt(
+    block: &mut [u8],
+    data_len: usize,
+    n_err: usize,
+    placement: Placement,
+    rng: &mut StdRng,
+) -> usize {
+    let range = match placement {
+        Placement::ParityOnly => data_len..block.len(),
+        Placement::Anywhere | Placement::FirstDataByte => 0..block.len(),
+    };
+    let n_err = n_err.min(range.len());
+    let mut positions = Vec::with_capacity(n_err);
+    if matches!(placement, Placement::FirstDataByte) && n_err > 0 {
+        positions.push(0);
+    }
+    while positions.len() < n_err {
+        let p = rng.gen_range(range.clone());
+        if !positions.contains(&p) {
+            positions.push(p);
+        }
+    }
+    for &p in &positions {
+        block[p] ^= rng.gen_range(1..=255u8);
+    }
+    n_err
+}
 
 /// Drives one stack's workspace and reference paths over the same corrupted
 /// stream and asserts they agree exactly, returning the shared outcome.
@@ -47,6 +92,45 @@ fn twin_decode(
 }
 
 proptest! {
+    /// `RsCodec` against the scalar `ReedSolomon` oracle at every parity
+    /// budget the codec supports (`nroots` 1..=16) and every data length
+    /// (1..=255 − nroots), with 0..=t+2 byte errors placed anywhere, only
+    /// in the parity, or on the first data byte: both encodes agree, and
+    /// both decodes return the same result and leave the same bytes.
+    #[test]
+    fn rs_codec_matches_the_scalar_oracle(
+        seed in any::<u64>(),
+        placement in 0usize..3,
+    ) {
+        let placement = [
+            Placement::Anywhere,
+            Placement::ParityOnly,
+            Placement::FirstDataByte,
+        ][placement];
+        let mut rng = StdRng::seed_from_u64(seed);
+        for nroots in 1..=MAX_CODEC_PARITY {
+            let rs = ReedSolomon::new(nroots).expect("nroots in range");
+            let mut codec = RsCodec::new(nroots).expect("nroots in range");
+            let t = codec.correction_capacity();
+            let len = rng.gen_range(1..=255 - nroots);
+            let data: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+            let mut block = Vec::new();
+            codec.encode_into(&data, &mut block);
+            prop_assert_eq!(&block, &rs.encode(&data), "nroots {} len {}", nroots, len);
+            let n_err = rng.gen_range(0..=t + 2);
+            let n_err = corrupt(&mut block, len, n_err, placement, &mut rng);
+            let mut oracle = block.clone();
+            let want = rs.decode(&mut oracle);
+            let got = codec.decode_in_place(&mut block);
+            prop_assert_eq!(got, want, "nroots {} len {} errors {}", nroots, len, n_err);
+            prop_assert_eq!(&block, &oracle, "nroots {} len {} errors {}", nroots, len, n_err);
+            if n_err <= t {
+                prop_assert_eq!(got, Ok(n_err), "nroots {} len {}", nroots, len);
+                prop_assert_eq!(&block[..len], &data[..], "nroots {} len {}", nroots, len);
+            }
+        }
+    }
+
     /// Clean roundtrip for every registered stack, payloads 0..=200 (the
     /// paper's Table 3 payload ceiling): encode twins agree byte-for-byte,
     /// decode twins recover the exact payload.

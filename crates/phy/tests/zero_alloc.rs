@@ -34,13 +34,19 @@ fn warmed_rs_codec_is_zero_alloc() {
     block[90] ^= 0x7f;
     codec.decode_in_place(&mut block).expect("correctable");
 
+    // Odd rounds decode a clean block (the parity check alone), even
+    // rounds a block with one corrupted byte (syndromes, locator, fix-up).
     let n = allocations_during(|| {
         for round in 0..32u8 {
             block.clear();
             codec.encode_into(&data, &mut block);
-            let pos = (round as usize * 5) % block.len();
-            block[pos] ^= round | 1;
-            codec.decode_in_place(&mut block).expect("correctable");
+            let corrupted = round % 2 == 0;
+            if corrupted {
+                let pos = (round as usize * 5) % block.len();
+                block[pos] ^= round | 1;
+            }
+            let fixed = codec.decode_in_place(&mut block).expect("correctable");
+            assert_eq!(fixed, usize::from(corrupted));
         }
     });
     assert_eq!(n, 0, "warmed RsCodec made {n} heap allocations");
