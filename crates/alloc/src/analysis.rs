@@ -174,6 +174,7 @@ mod tests {
     use crate::baselines::{dmiso_nearest_geometric, siso_allocation};
     use vlc_channel::{ChannelMatrix, RxOptics};
     use vlc_geom::{Pose, Room, TxGrid};
+    use vlc_trace::Probe;
 
     fn scenario2() -> SystemModel {
         let room = Room::paper_simulation();
@@ -189,6 +190,8 @@ mod tests {
             &rxs,
             15f64.to_radians(),
             &RxOptics::paper(),
+            &[],
+            Probe::off(),
         ))
     }
 

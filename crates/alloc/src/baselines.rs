@@ -130,6 +130,7 @@ mod tests {
     use crate::model::SystemModel;
     use vlc_channel::RxOptics;
     use vlc_geom::{Pose, Room, TxGrid};
+    use vlc_trace::Probe;
 
     fn scenario2() -> SystemModel {
         let room = Room::paper_simulation();
@@ -145,6 +146,8 @@ mod tests {
             &rxs,
             15f64.to_radians(),
             &RxOptics::paper(),
+            &[],
+            Probe::off(),
         ))
     }
 
@@ -176,7 +179,14 @@ mod tests {
             Pose::face_up(0.75, 2.25, 0.8),
             Pose::face_up(0.76, 2.25, 0.8),
         ];
-        let ch = ChannelMatrix::compute(&grid, &rxs, 15f64.to_radians(), &RxOptics::paper());
+        let ch = ChannelMatrix::compute(
+            &grid,
+            &rxs,
+            15f64.to_radians(),
+            &RxOptics::paper(),
+            &[],
+            Probe::off(),
+        );
         let led = vlc_led::LedParams::cree_xte_paper();
         let a = siso_allocation(&ch, &led);
         assert_eq!(a.active_tx_count(), 2);

@@ -9,6 +9,7 @@
 
 use crate::model::{Allocation, SystemModel};
 use serde::{Deserialize, Serialize};
+use std::fmt;
 use vlc_par::{Pool, DEFAULT_CHUNK};
 
 /// The exhaustive-search result.
@@ -24,53 +25,99 @@ pub struct ExhaustiveResult {
     pub evaluated: u64,
 }
 
+/// Why [`exhaustive_binary`] refused to search.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ExhaustiveError {
+    /// A parameter lies outside the range the search accepts.
+    InvalidParameters {
+        /// The parameter's name (`budget_w`).
+        param: &'static str,
+        /// The value given.
+        value: f64,
+        /// The accepted range.
+        allowed: &'static str,
+    },
+    /// The `choices^n_tx` assignments exceed `max_assignments`, or `u64`.
+    SpaceTooLarge {
+        /// Choices per TX: off, or full swing toward one of the receivers.
+        choices: u64,
+        /// Transmitters, the exponent of the space.
+        n_tx: usize,
+        /// The caller's guard.
+        max_assignments: u64,
+    },
+}
+
+impl fmt::Display for ExhaustiveError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ExhaustiveError::InvalidParameters {
+                param,
+                value,
+                allowed,
+            } => write!(
+                f,
+                "invalid search parameters: {param} = {value}, not in {allowed}"
+            ),
+            ExhaustiveError::SpaceTooLarge {
+                choices,
+                n_tx,
+                max_assignments,
+            } => write!(
+                f,
+                "search space {choices}^{n_tx} exceeds the {max_assignments} guard"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ExhaustiveError {}
+
 /// Enumerates every binary assignment (each TX off or full-swing toward one
 /// RX) within the power budget and returns the best by sum-log objective,
 /// falling back to system throughput while some receiver is still unserved.
 ///
-/// The candidate space partitions across `DENSEVLC_JOBS` workers
-/// (sequential when that resolves to 1); the result is bitwise identical
-/// for any worker count — see [`exhaustive_binary_traced`].
+/// Every assignment has an explicit index `i ∈ 0..(M+1)^N`, decoded as a
+/// mixed-radix code with TX 0 the least-significant digit — the same order
+/// the historic sequential counter visited. The candidate space partitions
+/// across `pool`'s workers. The winner is the lowest-index assignment among
+/// those maximal under the ranking predicate (finite objectives first,
+/// throughput among the unserved): candidates are scanned in index order
+/// within fixed-size chunks and the chunk bests merged in chunk order, with
+/// only a *strictly better* candidate displacing the incumbent. Ties
+/// therefore always break to the lowest assignment index, and the result
+/// is bitwise identical for any worker count.
 ///
-/// # Panics
-/// Panics when the search space exceeds `max_assignments` (guard against
-/// accidentally exhausting a 36-TX instance) or the budget is not positive.
+/// # Errors
+/// [`ExhaustiveError::InvalidParameters`] when `budget_w` is not positive
+/// and finite; [`ExhaustiveError::SpaceTooLarge`] when the search space
+/// exceeds `max_assignments` (guard against accidentally exhausting a
+/// 36-TX instance) or does not fit in `u64`.
 pub fn exhaustive_binary(
     model: &SystemModel,
     budget_w: f64,
     max_assignments: u64,
-) -> ExhaustiveResult {
-    exhaustive_binary_traced(model, budget_w, max_assignments, &Pool::from_env())
-}
-
-/// [`exhaustive_binary`] on a caller-supplied pool.
-///
-/// Every assignment has an explicit index `i ∈ 0..(M+1)^N`, decoded as a
-/// mixed-radix code with TX 0 the least-significant digit — the same order
-/// the historic sequential counter visited. The winner is the
-/// lowest-index assignment among those maximal under the ranking
-/// predicate (finite objectives first, throughput among the unserved):
-/// candidates are scanned in index order within fixed-size chunks and the
-/// chunk bests merged in chunk order, with only a *strictly better*
-/// candidate displacing the incumbent. Ties therefore always break to the
-/// lowest assignment index, on one worker or many.
-pub fn exhaustive_binary_traced(
-    model: &SystemModel,
-    budget_w: f64,
-    max_assignments: u64,
     pool: &Pool,
-) -> ExhaustiveResult {
-    assert!(budget_w > 0.0, "budget must be positive");
+) -> Result<ExhaustiveResult, ExhaustiveError> {
+    if !(budget_w.is_finite() && budget_w > 0.0) {
+        return Err(ExhaustiveError::InvalidParameters {
+            param: "budget_w",
+            value: budget_w,
+            allowed: "(0, ∞) W",
+        });
+    }
     let n_tx = model.n_tx();
     let n_rx = model.n_rx();
     let choices = (n_rx + 1) as u64;
-    let space: u64 = choices
-        .checked_pow(n_tx as u32)
-        .expect("search space fits in u64");
-    assert!(
-        space <= max_assignments,
-        "search space {space} exceeds the {max_assignments} guard"
-    );
+    let space = u32::try_from(n_tx)
+        .ok()
+        .and_then(|n| choices.checked_pow(n))
+        .filter(|&space| space <= max_assignments)
+        .ok_or(ExhaustiveError::SpaceTooLarge {
+            choices,
+            n_tx,
+            max_assignments,
+        })?;
 
     let full = model.led.max_swing;
     let full_power = model.dyn_resistance() * (full / 2.0) * (full / 2.0);
@@ -110,12 +157,12 @@ pub fn exhaustive_binary_traced(
     let best = pool.argmax_by(space as usize, DEFAULT_CHUNK, score, better);
     let (_, (allocation, objective, system_bps)) =
         best.expect("the all-off assignment (index 0) is always within budget");
-    ExhaustiveResult {
+    Ok(ExhaustiveResult {
         allocation,
         objective,
         system_bps,
         evaluated: space,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -126,6 +173,7 @@ mod tests {
     use vlc_channel::{ChannelMatrix, RxOptics};
     use vlc_geom::{Pose, Room, TxGrid};
     use vlc_par::Jobs;
+    use vlc_trace::Probe;
 
     /// A 3 × 3 grid with two receivers: 3⁹ ≈ 20k assignments.
     fn tiny_model() -> SystemModel {
@@ -137,6 +185,8 @@ mod tests {
             &rxs,
             15f64.to_radians(),
             &RxOptics::paper(),
+            &[],
+            Probe::off(),
         ))
     }
 
@@ -144,7 +194,7 @@ mod tests {
     fn exhaustive_respects_the_budget() {
         let m = tiny_model();
         let budget = 0.2;
-        let res = exhaustive_binary(&m, budget, 1 << 20);
+        let res = exhaustive_binary(&m, budget, 1 << 20, &Pool::from_env()).unwrap();
         assert!(m.is_feasible(&res.allocation, budget));
         assert_eq!(res.evaluated, 3u64.pow(9));
     }
@@ -155,8 +205,9 @@ mod tests {
         // best binary point (up to solver tolerance).
         let m = tiny_model();
         let budget = 0.3;
-        let truth = exhaustive_binary(&m, budget, 1 << 21);
-        let report = OptimalSolver::default().solve(&m, budget);
+        let truth = exhaustive_binary(&m, budget, 1 << 21, &Pool::from_env()).unwrap();
+        let report =
+            OptimalSolver::default().solve(&m, budget, None, &Pool::from_env(), Probe::off());
         assert!(
             report.objective >= truth.objective - 0.02 * truth.objective.abs(),
             "solver {} far below binary truth {}",
@@ -169,8 +220,14 @@ mod tests {
     fn heuristic_lands_near_the_binary_ground_truth() {
         let m = tiny_model();
         let budget = 0.3;
-        let truth = exhaustive_binary(&m, budget, 1 << 21);
-        let h = heuristic_allocation(&m.channel, &m.led, budget, &HeuristicConfig::paper());
+        let truth = exhaustive_binary(&m, budget, 1 << 21, &Pool::from_env()).unwrap();
+        let h = heuristic_allocation(
+            &m.channel,
+            &m.led,
+            budget,
+            &HeuristicConfig::paper(),
+            Probe::off(),
+        );
         let h_bps = m.system_throughput(&h);
         assert!(
             h_bps > 0.85 * truth.system_bps,
@@ -184,16 +241,44 @@ mod tests {
     fn tiny_budget_returns_the_best_single_tx() {
         let m = tiny_model();
         let full_power = m.dyn_resistance() * (m.led.max_swing / 2.0_f64).powi(2);
-        let res = exhaustive_binary(&m, full_power * 1.01, 1 << 21);
+        let res = exhaustive_binary(&m, full_power * 1.01, 1 << 21, &Pool::from_env()).unwrap();
         assert_eq!(res.allocation.active_tx_count(), 1);
         assert!(res.system_bps > 0.0);
     }
 
     #[test]
-    #[should_panic(expected = "exceeds")]
-    fn oversized_search_space_panics() {
+    fn oversized_search_space_is_rejected() {
         let m = tiny_model();
-        exhaustive_binary(&m, 0.3, 100);
+        let err = exhaustive_binary(&m, 0.3, 100, &Pool::sequential()).unwrap_err();
+        assert_eq!(
+            err,
+            ExhaustiveError::SpaceTooLarge {
+                choices: 3,
+                n_tx: 9,
+                max_assignments: 100
+            }
+        );
+        assert!(err.to_string().contains("exceeds the 100 guard"), "{err}");
+        // 3^41 ≈ 3.6·10^19 > u64::MAX, so no guard admits it.
+        let m = SystemModel::paper(ChannelMatrix::from_gains(41, 2, vec![0.0; 82]));
+        let err = exhaustive_binary(&m, 0.3, u64::MAX, &Pool::sequential()).unwrap_err();
+        assert!(matches!(
+            err,
+            ExhaustiveError::SpaceTooLarge { n_tx: 41, .. }
+        ));
+    }
+
+    #[test]
+    fn a_budget_that_is_not_positive_and_finite_is_rejected() {
+        let m = tiny_model();
+        for budget in [0.0, -0.3, f64::INFINITY, f64::NAN] {
+            let err = exhaustive_binary(&m, budget, 1 << 21, &Pool::sequential()).unwrap_err();
+            let ExhaustiveError::InvalidParameters { param, value, .. } = err else {
+                panic!("budget {budget}: {err:?}");
+            };
+            assert_eq!(param, "budget_w");
+            assert_eq!(value.to_bits(), budget.to_bits());
+        }
     }
 
     #[test]
@@ -206,8 +291,8 @@ mod tests {
         let m = SystemModel::paper(ChannelMatrix::from_gains(2, 1, vec![1e-6, 1e-6]));
         let full_power = m.dyn_resistance() * (m.led.max_swing / 2.0_f64).powi(2);
         for jobs in [1usize, 2, 7] {
-            let res =
-                exhaustive_binary_traced(&m, full_power * 1.5, 1 << 10, &Pool::new(Jobs::of(jobs)));
+            let res = exhaustive_binary(&m, full_power * 1.5, 1 << 10, &Pool::new(Jobs::of(jobs)))
+                .unwrap();
             assert_eq!(res.allocation.active_tx_count(), 1, "jobs={jobs}");
             assert!(
                 res.allocation.swing(0, 0) > 0.0,
@@ -220,9 +305,9 @@ mod tests {
     #[test]
     fn worker_count_never_changes_the_result() {
         let m = tiny_model();
-        let reference = exhaustive_binary_traced(&m, 0.3, 1 << 21, &Pool::sequential());
+        let reference = exhaustive_binary(&m, 0.3, 1 << 21, &Pool::sequential()).unwrap();
         for jobs in [2usize, 7] {
-            let res = exhaustive_binary_traced(&m, 0.3, 1 << 21, &Pool::new(Jobs::of(jobs)));
+            let res = exhaustive_binary(&m, 0.3, 1 << 21, &Pool::new(Jobs::of(jobs))).unwrap();
             assert_eq!(res, reference, "jobs={jobs}");
         }
     }

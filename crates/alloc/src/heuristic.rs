@@ -12,8 +12,7 @@ use crate::model::Allocation;
 use serde::{Deserialize, Serialize};
 use vlc_channel::ChannelMatrix;
 use vlc_led::{power::dynamic_resistance, LedParams};
-use vlc_telemetry::Registry;
-use vlc_trace::Span;
+use vlc_trace::Probe;
 
 /// Configuration of the ranking heuristic.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -322,40 +321,23 @@ pub fn allocate_by_ranking(
     alloc
 }
 
-/// Convenience: rank and allocate in one call.
+/// Ranks and allocates in one call (Algorithm 1), recording into `probe`:
+/// wall-time into the `alloc.heuristic.solve_s` histogram (Fig. 11's cheap
+/// side), the number of scored (TX, RX) candidates into
+/// `alloc.heuristic.candidates`, and — when the budget activates no TX at
+/// all — an `alloc.heuristic.infeasible` count plus an `infeasible_round`
+/// event. Records an `alloc.heuristic.solve` span under `probe.span`, with
+/// `alloc.heuristic.rank` and `alloc.heuristic.allocate` children for the
+/// two phases of Algorithm 1. With [`Probe::off()`] this is the bare
+/// computation plus one branch per recording site.
 pub fn heuristic_allocation(
     channel: &ChannelMatrix,
     led: &LedParams,
     budget_w: f64,
     config: &HeuristicConfig,
+    probe: Probe<'_>,
 ) -> Allocation {
-    heuristic_allocation_traced(
-        channel,
-        led,
-        budget_w,
-        config,
-        &Registry::noop(),
-        &Span::noop(),
-    )
-}
-
-/// [`heuristic_allocation`] with telemetry and tracing: wall-time into the
-/// `alloc.heuristic.solve_s` histogram (Fig. 11's cheap side), the number of
-/// scored (TX, RX) candidates into `alloc.heuristic.candidates`, and — when
-/// the budget activates no TX at all — an `alloc.heuristic.infeasible`
-/// count plus an `infeasible_round` event. Records an
-/// `alloc.heuristic.solve` span under `parent`, with `alloc.heuristic.rank`
-/// and `alloc.heuristic.allocate` children for the two phases of
-/// Algorithm 1. With a noop registry and parent this is the plain path
-/// plus one branch per span site.
-pub fn heuristic_allocation_traced(
-    channel: &ChannelMatrix,
-    led: &LedParams,
-    budget_w: f64,
-    config: &HeuristicConfig,
-    telemetry: &Registry,
-    parent: &Span,
-) -> Allocation {
+    let (telemetry, parent) = (probe.telemetry, probe.span);
     let solve = parent.child("alloc.heuristic.solve");
     if solve.is_enabled() {
         solve.attr("kappa", &format!("{}", config.kappa));
@@ -417,6 +399,7 @@ mod tests {
     use super::*;
     use vlc_channel::RxOptics;
     use vlc_geom::{Pose, Room, TxGrid};
+    use vlc_telemetry::Registry;
 
     fn scenario2_channel() -> ChannelMatrix {
         let room = Room::paper_simulation();
@@ -427,7 +410,14 @@ mod tests {
             Pose::face_up(0.72, 1.93, 0.8),
             Pose::face_up(1.99, 1.69, 0.8),
         ];
-        ChannelMatrix::compute(&grid, &rxs, 15f64.to_radians(), &RxOptics::paper())
+        ChannelMatrix::compute(
+            &grid,
+            &rxs,
+            15f64.to_radians(),
+            &RxOptics::paper(),
+            &[],
+            Probe::off(),
+        )
     }
 
     #[test]
@@ -471,7 +461,8 @@ mod tests {
         let cfg = HeuristicConfig::paper();
         let full_power = dynamic_resistance(&led) * (led.max_swing / 2.0).powi(2);
         for n in [1usize, 4, 10] {
-            let alloc = heuristic_allocation(&ch, &led, full_power * n as f64 + 1e-6, &cfg);
+            let alloc =
+                heuristic_allocation(&ch, &led, full_power * n as f64 + 1e-6, &cfg, Probe::off());
             assert_eq!(alloc.active_tx_count(), n, "budget for {n} TXs");
         }
     }
@@ -482,7 +473,8 @@ mod tests {
         let led = LedParams::cree_xte_paper();
         let full_power = dynamic_resistance(&led) * (led.max_swing / 2.0).powi(2);
         let budget = full_power * 1.5;
-        let strict = heuristic_allocation(&ch, &led, budget, &HeuristicConfig::paper());
+        let strict =
+            heuristic_allocation(&ch, &led, budget, &HeuristicConfig::paper(), Probe::off());
         let partial = heuristic_allocation(
             &ch,
             &led,
@@ -491,6 +483,7 @@ mod tests {
                 allow_partial_last: true,
                 ..HeuristicConfig::paper()
             },
+            Probe::off(),
         );
         assert_eq!(strict.active_tx_count(), 1);
         assert_eq!(partial.active_tx_count(), 2);
@@ -506,7 +499,7 @@ mod tests {
     fn every_tx_serves_exactly_one_rx() {
         let ch = scenario2_channel();
         let led = LedParams::cree_xte_paper();
-        let alloc = heuristic_allocation(&ch, &led, 1.0, &HeuristicConfig::paper());
+        let alloc = heuristic_allocation(&ch, &led, 1.0, &HeuristicConfig::paper(), Probe::off());
         for t in 0..alloc.n_tx() {
             if alloc.tx_total_swing(t) > 0.0 {
                 assert!(alloc.dedicated_rx(t).is_some(), "TX {t} splits its swing");
@@ -518,7 +511,7 @@ mod tests {
     fn zero_budget_activates_nothing() {
         let ch = scenario2_channel();
         let led = LedParams::cree_xte_paper();
-        let alloc = heuristic_allocation(&ch, &led, 0.0, &HeuristicConfig::paper());
+        let alloc = heuristic_allocation(&ch, &led, 0.0, &HeuristicConfig::paper(), Probe::off());
         assert_eq!(alloc.active_tx_count(), 0);
     }
 
@@ -527,13 +520,15 @@ mod tests {
         let ch = scenario2_channel();
         let led = LedParams::cree_xte_paper();
         let telemetry = Registry::new();
-        let alloc = heuristic_allocation_traced(
+        let alloc = heuristic_allocation(
             &ch,
             &led,
             0.0,
             &HeuristicConfig::paper(),
-            &telemetry,
-            &Span::noop(),
+            Probe {
+                telemetry: &telemetry,
+                ..Probe::off()
+            },
         );
         assert_eq!(alloc.active_tx_count(), 0);
         let snap = telemetry.snapshot();
@@ -554,13 +549,15 @@ mod tests {
         let ch = scenario2_channel();
         let led = LedParams::cree_xte_paper();
         let telemetry = Registry::new();
-        let alloc = heuristic_allocation_traced(
+        let alloc = heuristic_allocation(
             &ch,
             &led,
             1.0,
             &HeuristicConfig::paper(),
-            &telemetry,
-            &Span::noop(),
+            Probe {
+                telemetry: &telemetry,
+                ..Probe::off()
+            },
         );
         assert!(alloc.active_tx_count() > 0);
         let snap = telemetry.snapshot();

@@ -30,7 +30,7 @@ pub mod optimal;
 
 pub use adaptive::{adapt_per_tx_kappa, KappaAdaptConfig};
 pub use baselines::{dmiso_allocation, siso_allocation};
-pub use exhaustive::exhaustive_binary;
+pub use exhaustive::{exhaustive_binary, ExhaustiveError};
 pub use heuristic::{rank_by_sjr, rank_by_sjr_scalar, HeuristicConfig, RankedTx};
 pub use model::{Allocation, SystemModel};
 pub use optimal::{OptimalSolver, SolveReport};

@@ -314,6 +314,7 @@ mod tests {
     use super::*;
     use vlc_channel::RxOptics;
     use vlc_geom::{Pose, Room, TxGrid};
+    use vlc_trace::Probe;
 
     /// The Fig. 7 instance: 4 RXs at the Scenario-2 positions (Table 6).
     pub(crate) fn paper_model() -> SystemModel {
@@ -325,7 +326,14 @@ mod tests {
             Pose::face_up(0.72, 1.93, 0.8),
             Pose::face_up(1.99, 1.69, 0.8),
         ];
-        let channel = ChannelMatrix::compute(&grid, &rxs, 15f64.to_radians(), &RxOptics::paper());
+        let channel = ChannelMatrix::compute(
+            &grid,
+            &rxs,
+            15f64.to_radians(),
+            &RxOptics::paper(),
+            &[],
+            Probe::off(),
+        );
         SystemModel::paper(channel)
     }
 

@@ -24,7 +24,7 @@ use serde::{Deserialize, Serialize};
 use vlc_channel::{ChannelMatrix, ChannelSoA, SparseChannelView};
 use vlc_par::Pool;
 use vlc_telemetry::Registry;
-use vlc_trace::Span;
+use vlc_trace::{Probe, Span};
 
 /// Ascent iterations per `alloc.optimal.iters` child span: fine enough to
 /// see where a start spends its time, coarse enough that a full solve adds
@@ -369,11 +369,13 @@ fn project_rows(x: &mut [f64], n_rx: usize, max_swing: f64, r: f64, budget_w: f6
 /// ```
 /// use vlc_alloc::{OptimalSolver, model::SystemModel};
 /// use vlc_channel::ChannelMatrix;
+/// use vlc_par::Pool;
+/// use vlc_trace::Probe;
 ///
 /// // A toy 2-TX / 2-RX system with clean, symmetric channels.
 /// let h = ChannelMatrix::from_gains(2, 2, vec![1e-6, 0.0, 0.0, 1e-6]);
 /// let model = SystemModel::paper(h);
-/// let report = OptimalSolver::quick().solve(&model, 0.15);
+/// let report = OptimalSolver::quick().solve(&model, 0.15, None, &Pool::from_env(), Probe::off());
 /// assert!(model.is_feasible(&report.allocation, 0.15));
 /// assert!(report.objective.is_finite()); // both receivers served
 /// ```
@@ -430,27 +432,6 @@ impl OptimalSolver {
 
     /// Solves the program for `model` under a communication power budget.
     ///
-    /// The independent ascent starts fan out over `DENSEVLC_JOBS` workers
-    /// (sequential when that resolves to 1); the report is bitwise
-    /// identical for any worker count — see [`Self::solve_traced`].
-    ///
-    /// # Panics
-    /// Panics if `budget_w` is non-positive (a zero budget admits only the
-    /// all-zero allocation, whose objective is −∞).
-    pub fn solve(&self, model: &SystemModel, budget_w: f64) -> SolveReport {
-        self.solve_traced(
-            model,
-            budget_w,
-            None,
-            &Registry::noop(),
-            &Pool::from_env(),
-            &Span::noop(),
-        )
-    }
-
-    /// [`Self::solve`] with a warm seed, telemetry, a caller-supplied
-    /// pool, and tracing.
-    ///
     /// `warm` is a previous allocation (projected back onto the feasible
     /// set) used as an extra ascent start. On a mobility tick the channel
     /// changes slightly, so the previous plan is usually in the optimum's
@@ -460,13 +441,14 @@ impl OptimalSolver {
     /// exactly the cold solve. A used seed bumps `alloc.optimal.warm_starts`
     /// and tags the solve span `warm=true`.
     ///
-    /// Telemetry: wall-time into the `alloc.optimal.solve_s` histogram,
-    /// plus `alloc.optimal.solves`, `.iterations`, `.starts`, and
-    /// `.obj_evals` counters — the cost side of the paper's Fig. 11
-    /// optimal-vs-heuristic comparison. Receivers no TX reaches count in
-    /// `alloc.optimal.unserved` (see [`SolveReport::unserved`]). A result
-    /// that activates no TX or has no finite objective counts as
-    /// `alloc.optimal.infeasible` and emits an `infeasible_round` event.
+    /// Telemetry into `probe.telemetry`: wall-time into the
+    /// `alloc.optimal.solve_s` histogram, plus `alloc.optimal.solves`,
+    /// `.iterations`, `.starts`, and `.obj_evals` counters — the cost side
+    /// of the paper's Fig. 11 optimal-vs-heuristic comparison. Receivers no
+    /// TX reaches count in `alloc.optimal.unserved` (see
+    /// [`SolveReport::unserved`]). A result that activates no TX or has no
+    /// finite objective counts as `alloc.optimal.infeasible` and emits an
+    /// `infeasible_round` event.
     ///
     /// Each start's projected-gradient ascent is an independent work item
     /// on `pool`; the winner is selected by scanning the per-start results
@@ -477,20 +459,23 @@ impl OptimalSolver {
     /// created inside the solve, so a long-running control plane can hoist
     /// one pool across every solve.
     ///
-    /// Tracing: an `alloc.optimal.solve` span under `parent`, with one
+    /// Tracing: an `alloc.optimal.solve` span under `probe.span`, with one
     /// `alloc.optimal.start` child per ascent start (indexed by start, so
     /// the span tree is worker-count independent) and an
     /// `alloc.optimal.iters` grandchild per batch of 50 ascent iterations.
-    pub fn solve_traced(
+    ///
+    /// # Panics
+    /// Panics if `budget_w` is non-positive (a zero budget admits only the
+    /// all-zero allocation, whose objective is −∞).
+    pub fn solve(
         &self,
         model: &SystemModel,
         budget_w: f64,
         warm: Option<&Allocation>,
-        telemetry: &Registry,
         pool: &Pool,
-        parent: &Span,
+        probe: Probe<'_>,
     ) -> SolveReport {
-        self.solve_core(model, budget_w, warm, telemetry, pool, parent, Engine::Fast)
+        self.solve_core(model, budget_w, warm, pool, probe, Engine::Fast)
     }
 
     /// [`Self::solve`] forced through the historical dense kernels
@@ -499,15 +484,7 @@ impl OptimalSolver {
     /// fast engine — `tests/sparse_solver_identity.rs` asserts both produce
     /// the same report to the last bit — and for perf A/Bs.
     pub fn solve_dense(&self, model: &SystemModel, budget_w: f64, pool: &Pool) -> SolveReport {
-        self.solve_core(
-            model,
-            budget_w,
-            None,
-            &Registry::noop(),
-            pool,
-            &Span::noop(),
-            Engine::Dense,
-        )
+        self.solve_core(model, budget_w, None, pool, Probe::off(), Engine::Dense)
     }
 
     /// The one solve implementation behind every entry point: with
@@ -520,17 +497,16 @@ impl OptimalSolver {
     /// counted in `alloc.optimal.unserved`, listed in
     /// [`SolveReport::unserved`] with all-zero columns, and the program is
     /// solved over the rest.
-    #[allow(clippy::too_many_arguments)]
     fn solve_core(
         &self,
         model: &SystemModel,
         budget_w: f64,
         warm: Option<&Allocation>,
-        telemetry: &Registry,
         pool: &Pool,
-        parent: &Span,
+        probe: Probe<'_>,
         engine: Engine,
     ) -> SolveReport {
+        let (telemetry, parent) = (probe.telemetry, probe.span);
         assert!(budget_w > 0.0, "power budget must be positive");
         let trace = parent.child("alloc.optimal.solve");
         if trace.is_enabled() {
@@ -647,7 +623,7 @@ impl OptimalSolver {
                 allow_partial_last: true,
                 ..HeuristicConfig::with_kappa(kappa)
             };
-            let a = heuristic_allocation(&model.channel, &model.led, budget_w, &cfg);
+            let a = heuristic_allocation(&model.channel, &model.led, budget_w, &cfg, Probe::off());
             if model.sum_log_throughput(&a).is_finite() {
                 starts.push(a);
             }
@@ -1031,6 +1007,8 @@ mod tests {
             &rxs,
             15f64.to_radians(),
             &RxOptics::paper(),
+            &[],
+            Probe::off(),
         ))
     }
 
@@ -1043,6 +1021,8 @@ mod tests {
             &rxs,
             15f64.to_radians(),
             &RxOptics::paper(),
+            &[],
+            Probe::off(),
         ))
     }
 
@@ -1050,7 +1030,8 @@ mod tests {
     fn solution_is_feasible() {
         let m = scenario2_model();
         let budget = 0.5;
-        let report = OptimalSolver::quick().solve(&m, budget);
+        let report =
+            OptimalSolver::quick().solve(&m, budget, None, &Pool::from_env(), Probe::off());
         assert!(m.is_feasible(&report.allocation, budget));
         assert!(report.power_w <= budget + 1e-9);
         assert!(report.objective.is_finite());
@@ -1061,7 +1042,7 @@ mod tests {
         // Proportional fairness: a starved RX makes the objective −∞, so the
         // optimum serves everyone.
         let m = scenario2_model();
-        let report = OptimalSolver::quick().solve(&m, 0.5);
+        let report = OptimalSolver::quick().solve(&m, 0.5, None, &Pool::from_env(), Probe::off());
         for (i, t) in m.throughput(&report.allocation).iter().enumerate() {
             assert!(*t > 0.0, "RX{} starved", i + 1);
         }
@@ -1072,7 +1053,8 @@ mod tests {
         // The solver must be at least as good as its own warm start.
         let m = scenario2_model();
         let budget = 0.5;
-        let report = OptimalSolver::quick().solve(&m, budget);
+        let report =
+            OptimalSolver::quick().solve(&m, budget, None, &Pool::from_env(), Probe::off());
         let h = heuristic_allocation(
             &m.channel,
             &m.led,
@@ -1081,6 +1063,7 @@ mod tests {
                 allow_partial_last: true,
                 ..HeuristicConfig::paper()
             },
+            Probe::off(),
         );
         let obj_h = m.sum_log_throughput(&h);
         assert!(
@@ -1099,13 +1082,15 @@ mod tests {
         // infeasibility.
         let m = SystemModel::paper(ChannelMatrix::from_gains(4, 2, vec![0.0; 8]));
         let telemetry = Registry::new();
-        let report = OptimalSolver::quick().solve_traced(
+        let report = OptimalSolver::quick().solve(
             &m,
             0.5,
             None,
-            &telemetry,
             &Pool::from_env().with_telemetry(&telemetry),
-            &Span::noop(),
+            Probe {
+                telemetry: &telemetry,
+                ..Probe::off()
+            },
         );
         assert_eq!(report.unserved, vec![0, 1]);
         assert_eq!(report.allocation, Allocation::zeros(4, 2));
@@ -1137,13 +1122,15 @@ mod tests {
         ];
         let m = SystemModel::paper(ChannelMatrix::from_gains(3, 3, gains));
         let telemetry = Registry::new();
-        let report = OptimalSolver::quick().solve_traced(
+        let report = OptimalSolver::quick().solve(
             &m,
             0.3,
             None,
-            &telemetry,
             &Pool::sequential().with_telemetry(&telemetry),
-            &Span::noop(),
+            Probe {
+                telemetry: &telemetry,
+                ..Probe::off()
+            },
         );
         assert_eq!(report.unserved, vec![1]);
         assert!(m.is_feasible(&report.allocation, 0.3));
@@ -1152,13 +1139,15 @@ mod tests {
         let bps = m.throughput(&report.allocation);
         assert!(bps[0] > 0.0 && bps[2] > 0.0, "{bps:?}");
         // A warm seed reaches the served columns' solve.
-        let warm = OptimalSolver::quick().solve_traced(
+        let warm = OptimalSolver::quick().solve(
             &m,
             0.3,
             Some(&report.allocation),
-            &telemetry,
             &Pool::sequential().with_telemetry(&telemetry),
-            &Span::noop(),
+            Probe {
+                telemetry: &telemetry,
+                ..Probe::off()
+            },
         );
         assert_eq!(warm.unserved, vec![1]);
         assert!(warm.objective >= report.objective);
@@ -1187,6 +1176,8 @@ mod tests {
             &rxs,
             15f64.to_radians(),
             &RxOptics::paper(),
+            &[],
+            Probe::off(),
         ))
     }
 
@@ -1198,7 +1189,8 @@ mod tests {
         for (n_rx, seeds) in [(6, 0..2), (8, 0..2), (10, 0..3), (16, 0..2)] {
             for seed in seeds {
                 let m = random_paper_room(seed, n_rx);
-                let report = OptimalSolver::quick().solve(&m, 1.2);
+                let report =
+                    OptimalSolver::quick().solve(&m, 1.2, None, &Pool::from_env(), Probe::off());
                 assert!(
                     m.is_feasible(&report.allocation, 1.2),
                     "{n_rx} RX, seed {seed}"
@@ -1216,13 +1208,15 @@ mod tests {
     fn feasible_solve_records_work_but_no_infeasible_signal() {
         let m = two_rx_model();
         let telemetry = Registry::new();
-        let report = OptimalSolver::quick().solve_traced(
+        let report = OptimalSolver::quick().solve(
             &m,
             0.4,
             None,
-            &telemetry,
             &Pool::from_env().with_telemetry(&telemetry),
-            &Span::noop(),
+            Probe {
+                telemetry: &telemetry,
+                ..Probe::off()
+            },
         );
         assert!(report.allocation.active_tx_count() > 0);
         let snap = telemetry.snapshot();
@@ -1248,8 +1242,8 @@ mod tests {
     fn more_budget_never_hurts() {
         let m = two_rx_model();
         let solver = OptimalSolver::quick();
-        let lo = solver.solve(&m, 0.1);
-        let hi = solver.solve(&m, 0.4);
+        let lo = solver.solve(&m, 0.1, None, &Pool::from_env(), Probe::off());
+        let hi = solver.solve(&m, 0.4, None, &Pool::from_env(), Probe::off());
         assert!(
             hi.objective >= lo.objective - 1e-6,
             "lo {} hi {}",
@@ -1306,7 +1300,8 @@ mod tests {
         let m = two_rx_model();
         let r = dynamic_resistance(&m.led);
         let budget = 0.5 * r * (m.led.max_swing / 2.0).powi(2);
-        let report = OptimalSolver::quick().solve(&m, budget);
+        let report =
+            OptimalSolver::quick().solve(&m, budget, None, &Pool::from_env(), Probe::off());
         assert!(
             report.power_w > 0.8 * budget,
             "spent {} of {}",
@@ -1319,22 +1314,15 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_budget_panics() {
         let m = two_rx_model();
-        OptimalSolver::quick().solve(&m, 0.0);
+        OptimalSolver::quick().solve(&m, 0.0, None, &Pool::from_env(), Probe::off());
     }
 
     #[test]
     fn warm_none_is_bitwise_identical_to_cold() {
         let m = scenario2_model();
         let solver = OptimalSolver::quick();
-        let cold = solver.solve(&m, 0.5);
-        let warm = solver.solve_traced(
-            &m,
-            0.5,
-            None,
-            &Registry::noop(),
-            &Pool::from_env(),
-            &Span::noop(),
-        );
+        let cold = solver.solve(&m, 0.5, None, &Pool::from_env(), Probe::off());
+        let warm = solver.solve(&m, 0.5, None, &Pool::from_env(), Probe::off());
         assert_eq!(warm, cold);
     }
 
@@ -1344,14 +1332,13 @@ mod tests {
         // objective can only match or beat the cold one.
         let m = scenario2_model();
         let solver = OptimalSolver::quick();
-        let cold = solver.solve(&m, 0.5);
-        let warm = solver.solve_traced(
+        let cold = solver.solve(&m, 0.5, None, &Pool::from_env(), Probe::off());
+        let warm = solver.solve(
             &m,
             0.5,
             Some(&cold.allocation),
-            &Registry::noop(),
             &Pool::from_env(),
-            &Span::noop(),
+            Probe::off(),
         );
         assert!(
             warm.objective >= cold.objective - 1e-12,
@@ -1368,13 +1355,15 @@ mod tests {
         let solver = OptimalSolver::quick();
         let foreign = Allocation::zeros(3, 3);
         let telemetry = Registry::new();
-        solver.solve_traced(
+        solver.solve(
             &m,
             0.4,
             Some(&foreign),
-            &telemetry,
             &Pool::sequential().with_telemetry(&telemetry),
-            &Span::noop(),
+            Probe {
+                telemetry: &telemetry,
+                ..Probe::off()
+            },
         );
         let snap = telemetry.snapshot();
         assert_eq!(snap.counter("alloc.optimal.warm_starts"), None);
@@ -1386,26 +1375,39 @@ mod tests {
         let telemetry = Registry::new();
         let pool = Pool::sequential().with_telemetry(&telemetry);
         let m = two_rx_model();
-        let first = solver.solve_traced(&m, 0.4, None, &telemetry, &pool, &Span::noop());
+        let first = solver.solve(
+            &m,
+            0.4,
+            None,
+            &pool,
+            Probe {
+                telemetry: &telemetry,
+                ..Probe::off()
+            },
+        );
         // A different budget re-solves seeded by the previous allocation.
-        let second = solver.solve_traced(
+        let second = solver.solve(
             &m,
             0.3,
             Some(&first.allocation),
-            &telemetry,
             &pool,
-            &Span::noop(),
+            Probe {
+                telemetry: &telemetry,
+                ..Probe::off()
+            },
         );
         assert!(m.is_feasible(&second.allocation, 0.3));
         // So does a perturbed channel.
         let bumped = SystemModel::paper(m.channel.map(|g| g * 1.01));
-        let third = solver.solve_traced(
+        let third = solver.solve(
             &bumped,
             0.3,
             Some(&second.allocation),
-            &telemetry,
             &pool,
-            &Span::noop(),
+            Probe {
+                telemetry: &telemetry,
+                ..Probe::off()
+            },
         );
         assert!(bumped.is_feasible(&third.allocation, 0.3));
         let snap = telemetry.snapshot();

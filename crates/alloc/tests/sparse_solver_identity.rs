@@ -18,8 +18,7 @@ use vlc_channel::{ChannelMatrix, RxOptics};
 use vlc_geom::{Pose, Room, TxGrid};
 use vlc_led::power::dynamic_resistance;
 use vlc_par::{Jobs, Pool};
-use vlc_telemetry::Registry;
-use vlc_trace::Span;
+use vlc_trace::Probe;
 
 /// A reduced-effort solver: the identity must hold per evaluation, so a
 /// short ascent exercises it as well as a long one, much faster.
@@ -98,14 +97,7 @@ fn solve_fast(
     budget: f64,
     jobs: Jobs,
 ) -> vlc_alloc::SolveReport {
-    solver.solve_traced(
-        model,
-        budget,
-        None,
-        &Registry::noop(),
-        &Pool::new(jobs),
-        &Span::noop(),
-    )
+    solver.solve(model, budget, None, &Pool::new(jobs), Probe::off())
 }
 
 fn assert_reports_identical(
@@ -276,6 +268,8 @@ fn paper_model(rxs: &[(f64, f64)]) -> SystemModel {
         &poses,
         15f64.to_radians(),
         &RxOptics::paper(),
+        &[],
+        Probe::off(),
     ))
 }
 

@@ -28,6 +28,7 @@ use vlc_led::LedParams;
 use vlc_obs::ObsOptions;
 use vlc_par::{Jobs, Pool, JOBS_ENV};
 use vlc_testbed::Scenario;
+use vlc_trace::Probe;
 
 const USAGE: &str = "\
 run_all — regenerate the full DenseVLC evaluation (every table and figure)
@@ -143,13 +144,13 @@ fn job_set() -> (Vec<Job>, usize) {
         ),
         scaled(
             "tab04_sync_error",
-            || tab04_sync_error::run(100, 4).report(),
-            || tab04_sync_error::run(200, 0x7AB4).report(),
+            || tab04_sync_error::run(100, 4, Probe::off()).report(),
+            || tab04_sync_error::run(200, 0x7AB4, Probe::off()).report(),
         ),
         scaled(
             "tab05_iperf",
-            || tab05_iperf::run(50, 5).report(),
-            || tab05_iperf::run(100, 0x7AB5).report(),
+            || tab05_iperf::run(50, 5, Probe::off()).report(),
+            || tab05_iperf::run(100, 0x7AB5, Probe::off()).report(),
         ),
         fixed("fig18_scenario1", || {
             fig18_20_scenarios::run(Scenario::One).report()

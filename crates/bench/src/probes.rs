@@ -12,7 +12,7 @@ use densevlc::{Simulation, System};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
-use vlc_alloc::heuristic::heuristic_allocation_traced;
+use vlc_alloc::heuristic::heuristic_allocation;
 use vlc_alloc::model::SystemModel;
 use vlc_alloc::{HeuristicConfig, OptimalSolver};
 use vlc_cell::{BuildingConfig, BuildingEngine, Command};
@@ -26,12 +26,11 @@ use vlc_phy::rs::RsCodec;
 use vlc_phy::waveform::{
     render, render_packed_into, slice_chips, slice_chips_packed_by, Sliced, WaveformConfig,
 };
-use vlc_phy::RsStack;
-use vlc_phy::{Frame, FrameHeader, ReedSolomon};
+use vlc_phy::{Frame, FrameHeader, ReedSolomon, RsStack};
 use vlc_sync::NlosSyncLink;
 use vlc_telemetry::Registry;
 use vlc_testbed::{Deployment, Scenario};
-use vlc_trace::{Span, Tracer};
+use vlc_trace::{Probe, Span, Tracer};
 
 /// Times the library's standard phases once under a `bench.phase_probe`
 /// root, so BENCH.json carries comparable per-phase rows (`channel.sound`,
@@ -39,41 +38,48 @@ use vlc_trace::{Span, Tracer};
 /// `sync.link_build`, `sync.pilot_detect`, …) next to the whole-experiment
 /// rows. Scenario 2 at the paper's 1.2 W budget is the reference workload.
 pub fn phase_probe(tracer: &Tracer, pool: &Pool) {
-    let probe = tracer.root("bench.phase_probe");
-    let quiet = Registry::noop();
+    let root = tracer.root("bench.phase_probe");
+    let probe = Probe {
+        span: &root,
+        ..Probe::off()
+    };
     let dep = Deployment::scenario(Scenario::Two);
-    ChannelMatrix::compute_traced(
+    ChannelMatrix::compute(
         &dep.grid,
         &dep.receivers,
         dep.half_power_semi_angle,
         &dep.optics,
         &[],
-        &probe,
+        probe,
     );
-    heuristic_allocation_traced(
+    heuristic_allocation(
         &dep.model.channel,
         &LedParams::cree_xte_paper(),
         1.2,
         &HeuristicConfig::paper(),
-        &quiet,
-        &probe,
+        probe,
     );
-    OptimalSolver::quick().solve_traced(&dep.model, 1.2, None, &quiet, pool, &probe);
-    System::scenario(Scenario::Two, 1.2).adapt_traced(&quiet, &probe);
-    Simulation::new(Deployment::scenario(Scenario::Two), 1.2, 0.25)
-        .run_traced(0.6, None, &quiet, &probe);
-    let link = NlosSyncLink::between_traced(
+    OptimalSolver::quick().solve(&dep.model, 1.2, None, pool, probe);
+    System::scenario(Scenario::Two, 1.2).adapt(probe);
+    Simulation::new(Deployment::scenario(Scenario::Two), 1.2, 0.25).run(0.6, None, probe);
+    let link = NlosSyncLink::between(
         &dep.grid.pose(1),
         &dep.grid.pose(2),
         &dep.room,
         dep.half_power_semi_angle,
         &dep.optics,
-        &probe,
+        probe,
     );
     let mut rng = StdRng::seed_from_u64(0xBE7C);
     for frame in 0..4 {
-        let round = probe.child_indexed("sync.pilot_round", frame);
-        link.detect_traced(&mut rng, &quiet, &round);
+        let round = root.child_indexed("sync.pilot_round", frame);
+        link.detect(
+            &mut rng,
+            Probe {
+                span: &round,
+                ..probe
+            },
+        );
     }
 }
 
@@ -99,14 +105,7 @@ pub fn sparse_probe(tracer: &Tracer, pool: &Pool) {
     let solver = OptimalSolver::quick();
     {
         let _span = probe.child("sparse.solve.paper");
-        solver.solve_traced(
-            &dep.model,
-            1.2,
-            None,
-            &Registry::noop(),
-            pool,
-            &Span::noop(),
-        );
+        solver.solve(&dep.model, 1.2, None, pool, Probe::off());
     }
     {
         let _span = probe.child("sparse.solve.dense.paper");
@@ -134,7 +133,7 @@ pub fn sparse_probe(tracer: &Tracer, pool: &Pool) {
     let hpsa = dep.half_power_semi_angle;
     let dense_matrix = {
         let _span = probe.child("sparse.channel.dense.building");
-        ChannelMatrix::compute_traced(&grid, &receivers, hpsa, &optics, &[], &Span::noop())
+        ChannelMatrix::compute(&grid, &receivers, hpsa, &optics, &[], Probe::off())
     };
     {
         let span = probe.child("sparse.view.build.building");
@@ -150,7 +149,7 @@ pub fn sparse_probe(tracer: &Tracer, pool: &Pool) {
     };
     {
         let _span = probe.child("sparse.solve.building");
-        building_solver.solve_traced(&model, 1.2, None, &Registry::noop(), pool, &Span::noop());
+        building_solver.solve(&model, 1.2, None, pool, Probe::off());
     }
     {
         let _span = probe.child("sparse.solve.dense.building");

@@ -29,7 +29,7 @@ use vlc_geom::{Pose, TxGrid};
 use vlc_mac::controller::{Controller, ControllerConfig};
 use vlc_par::Pool;
 use vlc_telemetry::Registry;
-use vlc_trace::Span;
+use vlc_trace::{Probe, Span};
 
 /// A session identifier (unique across the building).
 pub type SessionId = u64;
@@ -229,6 +229,10 @@ impl CellShard {
     /// `outcome`. Called by the coordinator only when the shard is dirty;
     /// runs entirely on the calling worker.
     pub(crate) fn replan(&mut self, tick: u64, telemetry: &Registry, parent: &Span) {
+        let probe = Probe {
+            telemetry,
+            span: parent,
+        };
         self.dirty = false;
         let old_bps = self.sum_bps;
         if self.sessions.is_empty() {
@@ -252,13 +256,9 @@ impl CellShard {
             return;
         }
 
-        let update = self.updater.update_traced(
-            &self.poses,
-            &[],
-            &mut self.model.channel,
-            telemetry,
-            parent,
-        );
+        let update = self
+            .updater
+            .update(&self.poses, &[], &mut self.model.channel, probe);
         // An unchanged channel over an unchanged roster means the previous
         // plan is still the answer (planning is a pure function of the
         // channel), so the replan is skipped. A roster edit always replans:
@@ -269,11 +269,9 @@ impl CellShard {
         if !hit {
             let allocation = match &self.policy {
                 ReplanPolicy::Heuristic => {
-                    self.controller
-                        .plan_traced(&self.model.channel, telemetry, parent)
-                        .allocation
+                    self.controller.plan(&self.model.channel, probe).allocation
                 }
-                ReplanPolicy::Optimal(solver) => self.solve_optimal(solver, telemetry, parent),
+                ReplanPolicy::Optimal(solver) => self.solve_optimal(solver, probe),
             };
             self.bps = self.model.throughput(&allocation);
             self.sum_bps = self.bps.iter().sum();
@@ -298,25 +296,13 @@ impl CellShard {
         };
     }
 
-    fn solve_optimal(
-        &self,
-        solver: &OptimalSolver,
-        telemetry: &Registry,
-        parent: &Span,
-    ) -> Allocation {
+    fn solve_optimal(&self, solver: &OptimalSolver, probe: Probe<'_>) -> Allocation {
         let warm = self
             .warm
             .as_ref()
             .filter(|w| w.n_rx() == self.sessions.len());
         solver
-            .solve_traced(
-                &self.model,
-                self.budget_w,
-                warm,
-                telemetry,
-                &self.inner,
-                parent,
-            )
+            .solve(&self.model, self.budget_w, warm, &self.inner, probe)
             .allocation
     }
 }

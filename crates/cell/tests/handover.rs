@@ -13,7 +13,7 @@ use vlc_geom::Pose;
 use vlc_mac::controller::{Controller, ControllerConfig};
 use vlc_par::Pool;
 use vlc_telemetry::Registry;
-use vlc_trace::Span;
+use vlc_trace::{Probe, Span};
 
 /// 1×2 building; session 7 starts in cell 0 and walks into cell 1 where
 /// session 9 already lives.
@@ -70,7 +70,14 @@ fn destination_model(cfg: &BuildingConfig) -> SystemModel {
             Pose::face_up(lx, ly, cfg.rx_height)
         })
         .collect();
-    let channel = ChannelMatrix::compute(&cfg.grid, &poses, cfg.half_power_semi_angle, &cfg.optics);
+    let channel = ChannelMatrix::compute(
+        &cfg.grid,
+        &poses,
+        cfg.half_power_semi_angle,
+        &cfg.optics,
+        &[],
+        Probe::off(),
+    );
     let mut model = SystemModel::paper(channel);
     model.noise = cfg.noise;
     model
@@ -100,7 +107,7 @@ fn handover_timeline_matches_a_cold_resolve_in_the_destination() {
     let cfg = BuildingConfig::paper(2, 1);
     let model = destination_model(&cfg);
     let controller = Controller::new(ControllerConfig::paper(cfg.budget_w), model.n_tx(), 2);
-    let plan = controller.plan(&model.channel);
+    let plan = controller.plan(&model.channel, Probe::off());
     let cold_bps = model.throughput(&plan.allocation);
 
     let dest = engine.shard(1);
@@ -139,7 +146,8 @@ fn optimal_policy_warm_starts_the_destination_solver() {
     // the cold objective.
     let cfg = BuildingConfig::paper(2, 1);
     let model = destination_model(&cfg);
-    let cold = OptimalSolver::quick().solve(&model, cfg.budget_w);
+    let cold =
+        OptimalSolver::quick().solve(&model, cfg.budget_w, None, &Pool::from_env(), Probe::off());
     let dest = engine.shard(1);
     let warm_alloc = dest.allocation().expect("dest has a plan");
     let warm_objective = model.sum_log_throughput(warm_alloc);

@@ -17,7 +17,7 @@ use vlc_obs::NoopSink;
 use vlc_par::{Jobs, Pool};
 use vlc_prof::alloc_counter::{allocations_during, CountingAlloc};
 use vlc_telemetry::Registry;
-use vlc_trace::Span;
+use vlc_trace::{Probe, Span};
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -184,12 +184,13 @@ fn a_cold_sound_allocates_only_the_gains() {
     let blockers = [CylinderBlocker::person(0.92, 0.92)];
     let mut h = None;
     let n = allocations_during(|| {
-        h = Some(ChannelMatrix::compute_with_blockage(
+        h = Some(ChannelMatrix::compute(
             &grid,
             &rxs,
             15f64.to_radians(),
             &optics,
             &blockers,
+            Probe::off(),
         ));
     });
     assert_eq!(h.map(|h| (h.n_tx(), h.n_rx())), Some((36, 4)));

@@ -28,7 +28,7 @@
 //!
 //! **Determinism contract:** matrix entries are pure per-pair functions
 //! (no accumulation), so a recomputed column is bitwise identical to the
-//! same column of a full [`ChannelMatrix::compute_with_blockage`] rebuild,
+//! same column of a full [`ChannelMatrix::compute`] rebuild,
 //! and a reused column is a previously recomputed one left in place.
 //! The updater therefore produces **bitwise identical** matrices to a
 //! cold rebuild on every tick (property-tested in `tests/cache_identity.rs`).
@@ -41,8 +41,7 @@ use crate::blockage::{any_blocks, CylinderBlocker};
 use crate::lambertian::{lambertian_order, los_gain_profiled, RxOptics, RxProfile};
 use crate::matrix::ChannelMatrix;
 use vlc_geom::{Pose, TxGrid};
-use vlc_telemetry::Registry;
-use vlc_trace::Span;
+use vlc_trace::Probe;
 
 /// Telemetry counter: links with nonzero clear gain that the updater
 /// holds after an update, summed over updates.
@@ -147,37 +146,22 @@ impl ChannelUpdater {
     }
 
     /// Advances the world one tick, writing the masked channel into
-    /// `channel` (the caller's copy, kept across updates).
+    /// `channel` (the caller's copy, kept across updates). Records a
+    /// `channel.update` span under `probe.span` with one
+    /// `channel.update.col` child per *recomputed* column (indexed by RX,
+    /// so the span tree depends only on what changed), and bumps the
+    /// `channel.cache.hit` / `channel.cache.partial` / `channel.cache.miss`
+    /// counters. Dirty columns are computed straight into the stored clear
+    /// gains and the caller's matrix, so an update that keeps the receiver
+    /// count allocates nothing once warm.
     pub fn update(
         &mut self,
         receivers: &[Pose],
         blockers: &[CylinderBlocker],
         channel: &mut ChannelMatrix,
+        probe: Probe<'_>,
     ) -> ChannelUpdate {
-        self.update_traced(
-            receivers,
-            blockers,
-            channel,
-            &Registry::noop(),
-            &Span::noop(),
-        )
-    }
-
-    /// [`Self::update`], recording a `channel.update` span under `parent`
-    /// with one `channel.update.col` child per *recomputed* column
-    /// (indexed by RX, so the span tree depends only on what changed), and
-    /// bumping the `channel.cache.hit` / `channel.cache.partial` /
-    /// `channel.cache.miss` counters. Dirty columns are computed straight
-    /// into the stored clear gains and the caller's matrix, so an update
-    /// that keeps the receiver count allocates nothing once warm.
-    pub fn update_traced(
-        &mut self,
-        receivers: &[Pose],
-        blockers: &[CylinderBlocker],
-        channel: &mut ChannelMatrix,
-        telemetry: &Registry,
-        parent: &Span,
-    ) -> ChannelUpdate {
+        let (telemetry, parent) = (probe.telemetry, probe.span);
         let n_tx = self.grid.len();
         let n_rx = receivers.len();
         let span = parent.child("channel.update");
@@ -348,6 +332,7 @@ impl ChannelUpdater {
 mod tests {
     use super::*;
     use vlc_geom::Room;
+    use vlc_telemetry::Registry;
 
     fn setup() -> (TxGrid, Vec<Pose>, RxOptics) {
         let room = Room::paper_simulation();
@@ -367,12 +352,13 @@ mod tests {
     }
 
     fn full(grid: &TxGrid, rxs: &[Pose], blockers: &[CylinderBlocker]) -> ChannelMatrix {
-        ChannelMatrix::compute_with_blockage(
+        ChannelMatrix::compute(
             grid,
             rxs,
             15f64.to_radians(),
             &RxOptics::paper(),
             blockers,
+            Probe::off(),
         )
     }
 
@@ -381,7 +367,7 @@ mod tests {
         let (grid, rxs, optics) = setup();
         let mut up = ChannelUpdater::new(&grid, 15f64.to_radians(), &optics);
         let mut h = empty(&grid);
-        let u = up.update(&rxs, &[], &mut h);
+        let u = up.update(&rxs, &[], &mut h, Probe::off());
         assert_eq!((u.hits, u.partials, u.misses), (0, 0, 4));
         assert!(u.changed);
         assert_eq!(h, full(&grid, &rxs, &[]));
@@ -394,9 +380,9 @@ mod tests {
         let (grid, rxs, optics) = setup();
         let mut up = ChannelUpdater::new(&grid, 15f64.to_radians(), &optics);
         let mut h = empty(&grid);
-        up.update(&rxs, &[], &mut h);
+        up.update(&rxs, &[], &mut h, Probe::off());
         let first = h.clone();
-        let second = up.update(&rxs, &[], &mut h);
+        let second = up.update(&rxs, &[], &mut h, Probe::off());
         assert_eq!((second.hits, second.partials, second.misses), (4, 0, 0));
         assert!(!second.changed);
         assert_eq!(h, first);
@@ -407,9 +393,9 @@ mod tests {
         let (grid, mut rxs, optics) = setup();
         let mut up = ChannelUpdater::new(&grid, 15f64.to_radians(), &optics);
         let mut h = empty(&grid);
-        up.update(&rxs, &[], &mut h);
+        up.update(&rxs, &[], &mut h, Probe::off());
         rxs[2] = Pose::face_up(1.0, 1.5, 0.8);
-        let u = up.update(&rxs, &[], &mut h);
+        let u = up.update(&rxs, &[], &mut h, Probe::off());
         assert_eq!((u.hits, u.partials, u.misses), (3, 0, 1));
         assert!(u.changed);
         assert_eq!(h, full(&grid, &rxs, &[]));
@@ -420,9 +406,9 @@ mod tests {
         let (grid, rxs, optics) = setup();
         let mut up = ChannelUpdater::new(&grid, 15f64.to_radians(), &optics);
         let mut h = empty(&grid);
-        up.update(&rxs, &[], &mut h);
+        up.update(&rxs, &[], &mut h, Probe::off());
         let blockers = [CylinderBlocker::person(0.92, 0.92)];
-        let u = up.update(&rxs, &blockers, &mut h);
+        let u = up.update(&rxs, &blockers, &mut h, Probe::off());
         assert_eq!((u.hits, u.partials, u.misses), (0, 4, 0));
         assert!(u.changed);
         assert_eq!(h, full(&grid, &rxs, &blockers));
@@ -438,10 +424,10 @@ mod tests {
         let (grid, mut rxs, optics) = setup();
         let mut up = ChannelUpdater::new(&grid, 15f64.to_radians(), &optics);
         let mut h = empty(&grid);
-        up.update(&rxs, &[], &mut h);
+        up.update(&rxs, &[], &mut h, Probe::off());
         rxs[0] = Pose::face_up(1.2, 1.2, 0.8);
         let blockers = [CylinderBlocker::person(1.2, 1.2)];
-        let u = up.update(&rxs, &blockers, &mut h);
+        let u = up.update(&rxs, &blockers, &mut h, Probe::off());
         let clear = full(&grid, &rxs, &[]);
         let masked = full(&grid, &rxs, &blockers);
         let expected = clear
@@ -457,9 +443,9 @@ mod tests {
         let (grid, mut rxs, optics) = setup();
         let mut up = ChannelUpdater::new(&grid, 15f64.to_radians(), &optics);
         let mut h = empty(&grid);
-        up.update(&rxs, &[], &mut h);
+        up.update(&rxs, &[], &mut h, Probe::off());
         rxs.pop();
-        let u = up.update(&rxs, &[], &mut h);
+        let u = up.update(&rxs, &[], &mut h, Probe::off());
         assert_eq!(u.misses, 3);
         assert!(u.changed);
         assert_eq!(h, full(&grid, &rxs, &[]));
@@ -471,16 +457,16 @@ mod tests {
         let blockers = [CylinderBlocker::person(1.65, 0.65)];
         let mut up = ChannelUpdater::new(&grid, 15f64.to_radians(), &optics);
         let mut h = empty(&grid);
-        up.update(&rxs, &blockers, &mut h);
+        up.update(&rxs, &blockers, &mut h, Probe::off());
         up.remove_rx(1, &mut h);
         rxs.remove(1);
-        let u = up.update(&rxs, &blockers, &mut h);
+        let u = up.update(&rxs, &blockers, &mut h, Probe::off());
         assert_eq!((u.hits, u.partials, u.misses), (3, 0, 0));
         assert!(u.changed, "a removed column always reports a change");
         assert_eq!(h, full(&grid, &rxs, &blockers));
         rxs.push(Pose::face_up(1.5, 1.5, 0.8));
         rxs.push(Pose::face_up(2.5, 0.5, 0.8));
-        let u = up.update(&rxs, &blockers, &mut h);
+        let u = up.update(&rxs, &blockers, &mut h, Probe::off());
         assert_eq!((u.hits, u.partials, u.misses), (3, 0, 2));
         assert!(u.changed);
         assert_eq!(h, full(&grid, &rxs, &blockers));
@@ -493,10 +479,10 @@ mod tests {
         let mut up = ChannelUpdater::new(&grid, 15f64.to_radians(), &optics);
         let mut h = empty(&grid);
         up.remove_rx(0, &mut h);
-        assert_eq!(up.update(&rxs, &[], &mut h).misses, 4);
+        assert_eq!(up.update(&rxs, &[], &mut h, Probe::off()).misses, 4);
         up.remove_rx(4, &mut h);
         rxs.pop();
-        let u = up.update(&rxs, &[], &mut h);
+        let u = up.update(&rxs, &[], &mut h, Probe::off());
         assert_eq!(u.misses, 3);
         assert_eq!(h, full(&grid, &rxs, &[]));
     }
@@ -509,16 +495,16 @@ mod tests {
         let (grid, mut rxs, optics) = setup();
         let mut up = ChannelUpdater::new(&grid, 15f64.to_radians(), &optics);
         let mut h = empty(&grid);
-        up.update(&rxs, &[], &mut h);
+        up.update(&rxs, &[], &mut h, Probe::off());
         let before = h.clone();
         up.remove_rx(3, &mut h);
         let pose = rxs.pop().expect("four receivers");
         rxs.push(pose);
-        let u = up.update(&rxs, &[], &mut h);
+        let u = up.update(&rxs, &[], &mut h, Probe::off());
         assert_eq!((u.hits, u.partials, u.misses), (3, 0, 1));
         assert!(u.changed);
         assert_eq!(h, before);
-        assert!(!up.update(&rxs, &[], &mut h).changed);
+        assert!(!up.update(&rxs, &[], &mut h, Probe::off()).changed);
     }
 
     #[test]
@@ -526,12 +512,12 @@ mod tests {
         let (grid, mut rxs, optics) = setup();
         let mut up = ChannelUpdater::new(&grid, 15f64.to_radians(), &optics);
         let mut h = empty(&grid);
-        up.update(&rxs, &[], &mut h);
+        up.update(&rxs, &[], &mut h, Probe::off());
         up.remove_rx(0, &mut h);
         rxs.remove(0);
         assert_eq!((h.n_tx(), h.n_rx()), (grid.len(), 3));
         assert_eq!(h.capacity(), grid.len() * 3);
-        up.update(&rxs, &[], &mut h);
+        up.update(&rxs, &[], &mut h, Probe::off());
         assert_eq!(h, full(&grid, &rxs, &[]));
     }
 
@@ -557,12 +543,28 @@ mod tests {
         let mut up = ChannelUpdater::new(&grid, 15f64.to_radians(), &optics);
         let mut h = empty(&grid);
         let mut fov = (0, 0);
-        up.update_traced(&rxs, &[], &mut h, &registry, &Span::noop());
+        up.update(
+            &rxs,
+            &[],
+            &mut h,
+            Probe {
+                telemetry: &registry,
+                ..Probe::off()
+            },
+        );
         let (now, (live, culled)) = fov_delta(fov);
         assert_eq!((live, live + culled), (nonzero(&up), links));
         fov = now;
         rxs[0] = Pose::face_up(1.4, 1.4, 0.8);
-        up.update_traced(&rxs, &[], &mut h, &registry, &Span::noop());
+        up.update(
+            &rxs,
+            &[],
+            &mut h,
+            Probe {
+                telemetry: &registry,
+                ..Probe::off()
+            },
+        );
         let (now, (live, culled)) = fov_delta(fov);
         assert_eq!((live, live + culled), (nonzero(&up), links));
         fov = now;
@@ -580,7 +582,15 @@ mod tests {
         let mut up = ChannelUpdater::new(&grid, 15f64.to_radians(), &narrow);
         let mut h = empty(&grid);
         for blockers in [vec![], vec![CylinderBlocker::person(0.92, 0.92)]] {
-            up.update_traced(&rxs, &blockers, &mut h, &registry, &Span::noop());
+            up.update(
+                &rxs,
+                &blockers,
+                &mut h,
+                Probe {
+                    telemetry: &registry,
+                    ..Probe::off()
+                },
+            );
             let (now, (live, culled)) = fov_delta(fov);
             assert!(culled > 0, "a 30° FOV zeroes some links");
             assert_eq!((live, live + culled), (nonzero(&up), links));

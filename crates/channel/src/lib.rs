@@ -46,3 +46,7 @@ pub use matrix::ChannelMatrix;
 pub use noise::{AwgnChannel, AwgnCursor, NoiseParams, NOISE_BOUND_SIGMAS};
 pub use photometry::{IlluminanceMap, IlluminanceStats};
 pub use soa::{ChannelSoA, SparseChannelView};
+/// The instrumentation argument of [`ChannelMatrix::compute`] and
+/// [`ChannelUpdater::update`], re-exported for callers that do not depend on
+/// `vlc-trace`.
+pub use vlc_trace::Probe;

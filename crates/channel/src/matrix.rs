@@ -4,7 +4,7 @@ use crate::blockage::{any_blocks, CylinderBlocker};
 use crate::lambertian::{lambertian_order, los_gain_profiled, RxOptics};
 use serde::{Deserialize, Serialize};
 use vlc_geom::{Pose, TxGrid};
-use vlc_trace::Span;
+use vlc_trace::Probe;
 
 /// Line-of-sight path gains `H[tx][rx]` for every TX/RX pair.
 ///
@@ -33,38 +33,10 @@ impl ChannelMatrix {
         ChannelMatrix { n_tx, n_rx, gains }
     }
 
-    /// Computes the LOS matrix for a TX grid and receiver poses.
-    pub fn compute(
-        grid: &TxGrid,
-        receivers: &[Pose],
-        half_power_semi_angle: f64,
-        optics: &RxOptics,
-    ) -> Self {
-        Self::compute_with_blockage(grid, receivers, half_power_semi_angle, optics, &[])
-    }
-
-    /// Computes the LOS matrix with cylindrical occluders: a blocked pair
-    /// gets zero gain.
-    pub fn compute_with_blockage(
-        grid: &TxGrid,
-        receivers: &[Pose],
-        half_power_semi_angle: f64,
-        optics: &RxOptics,
-        blockers: &[CylinderBlocker],
-    ) -> Self {
-        Self::compute_traced(
-            grid,
-            receivers,
-            half_power_semi_angle,
-            optics,
-            blockers,
-            &Span::noop(),
-        )
-    }
-
-    /// [`Self::compute_with_blockage`], recording a `channel.sound` span
-    /// under `parent` with one `channel.sound.row` child per TX row
-    /// (indexed by TX).
+    /// Computes the LOS matrix for a TX grid and receiver poses, with
+    /// cylindrical occluders (`&[]` for none): a blocked pair gets zero
+    /// gain. Records a `channel.sound` span under `probe.span` with one
+    /// `channel.sound.row` child per TX row (indexed by TX).
     ///
     /// The sound runs on the calling thread and fills the gains row by row
     /// into one allocation: a row is well under a microsecond of work, too
@@ -72,19 +44,19 @@ impl ChannelMatrix {
     /// independent store of the fused profiled kernel, so the matrix is
     /// bitwise identical to a per-link scalar assembly (pinned by
     /// `tests/soa_identity.rs`).
-    pub fn compute_traced(
+    pub fn compute(
         grid: &TxGrid,
         receivers: &[Pose],
         half_power_semi_angle: f64,
         optics: &RxOptics,
         blockers: &[CylinderBlocker],
-        parent: &Span,
+        probe: Probe<'_>,
     ) -> Self {
         let m = lambertian_order(half_power_semi_angle);
         let n_tx = grid.len();
         let n_rx = receivers.len();
         let profile = optics.profile();
-        let sound = parent.child("channel.sound");
+        let sound = probe.span.child("channel.sound");
         if sound.is_enabled() {
             sound.attr("n_tx", &n_tx.to_string());
             sound.attr("n_rx", &n_rx.to_string());
@@ -262,7 +234,14 @@ mod tests {
     #[test]
     fn matrix_shape_matches_deployment() {
         let (grid, rxs) = paper_setup();
-        let h = ChannelMatrix::compute(&grid, &rxs, 15f64.to_radians(), &RxOptics::paper());
+        let h = ChannelMatrix::compute(
+            &grid,
+            &rxs,
+            15f64.to_radians(),
+            &RxOptics::paper(),
+            &[],
+            Probe::off(),
+        );
         assert_eq!(h.n_tx(), 36);
         assert_eq!(h.n_rx(), 4);
         assert_eq!(h.iter().count(), 144);
@@ -271,7 +250,14 @@ mod tests {
     #[test]
     fn best_tx_is_geometrically_nearest() {
         let (grid, rxs) = paper_setup();
-        let h = ChannelMatrix::compute(&grid, &rxs, 15f64.to_radians(), &RxOptics::paper());
+        let h = ChannelMatrix::compute(
+            &grid,
+            &rxs,
+            15f64.to_radians(),
+            &RxOptics::paper(),
+            &[],
+            Probe::off(),
+        );
         for (i, rx) in rxs.iter().enumerate() {
             let best = h.best_tx_for(i);
             let nearest = grid.nearest(rx.position);
@@ -284,7 +270,14 @@ mod tests {
         // With a 15° half-power lens and 2 m drop, a TX ~2.5 m away laterally is
         // far outside the beam: its cos^20(φ) is numerically negligible.
         let (grid, rxs) = paper_setup();
-        let h = ChannelMatrix::compute(&grid, &rxs, 15f64.to_radians(), &RxOptics::paper());
+        let h = ChannelMatrix::compute(
+            &grid,
+            &rxs,
+            15f64.to_radians(),
+            &RxOptics::paper(),
+            &[],
+            Probe::off(),
+        );
         let far_gain = h.gain(35, 2); // TX36 (corner) vs RX3 (opposite side)
         let near_gain = h.gain(h.best_tx_for(2), 2);
         assert!(far_gain < near_gain * 1e-3);
@@ -294,15 +287,17 @@ mod tests {
     fn blockage_zeroes_only_the_occluded_links() {
         let (grid, rxs) = paper_setup();
         let optics = RxOptics::paper();
-        let clear = ChannelMatrix::compute(&grid, &rxs, 15f64.to_radians(), &optics);
+        let clear =
+            ChannelMatrix::compute(&grid, &rxs, 15f64.to_radians(), &optics, &[], Probe::off());
         // A person standing right next to RX1 blocks its overhead TXs.
         let blockers = [CylinderBlocker::person(0.92, 0.92)];
-        let blocked = ChannelMatrix::compute_with_blockage(
+        let blocked = ChannelMatrix::compute(
             &grid,
             &rxs,
             15f64.to_radians(),
             &optics,
             &blockers,
+            Probe::off(),
         );
         let best_rx1 = clear.best_tx_for(0);
         assert!(clear.gain(best_rx1, 0) > 0.0);

@@ -19,7 +19,7 @@ use crate::soa::LANE;
 use serde::{Deserialize, Serialize};
 use vlc_geom::{Pose, Room, Vec3};
 use vlc_par::Pool;
-use vlc_trace::Span;
+use vlc_trace::Probe;
 
 /// Configuration for the single-bounce integration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -47,6 +47,16 @@ impl Default for NlosConfig {
 /// where `d1, φ1, ψ1` describe the source→patch leg (ψ1 against the floor
 /// normal), `ρ` is the floor reflectance, and `d2, φ2, ψ2` the
 /// patch→receiver leg with the patch re-emitting as an order-1 Lambertian.
+///
+/// Runs on `pool` (so one pool can serve many gain evaluations instead of
+/// being rebuilt per call), recording a `channel.nlos.floor` span under
+/// `probe.span` with one `channel.nlos.floor.row` child per quadrature row.
+///
+/// The quadrature is structured as one partial sum per floor *row* (fixed
+/// `iy`), summed over rows in row order — on the sequential path too — so
+/// fanning rows out over workers reassociates nothing and the integral,
+/// like the span tree, is identical for any worker count.
+#[allow(clippy::too_many_arguments)]
 pub fn floor_bounce_gain(
     tx: &Pose,
     rx: &Pose,
@@ -54,38 +64,8 @@ pub fn floor_bounce_gain(
     optics: &RxOptics,
     room: &Room,
     cfg: &NlosConfig,
-) -> f64 {
-    floor_bounce_gain_traced(
-        tx,
-        rx,
-        lambertian_m,
-        optics,
-        room,
-        cfg,
-        &Pool::from_env(),
-        &Span::noop(),
-    )
-}
-
-/// [`floor_bounce_gain`] on a caller-supplied [`Pool`] (so one pool can
-/// serve many gain evaluations instead of being rebuilt per call),
-/// recording a `channel.nlos.floor` span under `parent` with one
-/// `channel.nlos.floor.row` child per quadrature row.
-///
-/// The quadrature is structured as one partial sum per floor *row* (fixed
-/// `iy`), summed over rows in row order — on the sequential path too — so
-/// fanning rows out over workers reassociates nothing and the integral,
-/// like the span tree, is identical for any worker count.
-#[allow(clippy::too_many_arguments)]
-pub fn floor_bounce_gain_traced(
-    tx: &Pose,
-    rx: &Pose,
-    lambertian_m: f64,
-    optics: &RxOptics,
-    room: &Room,
-    cfg: &NlosConfig,
     pool: &Pool,
-    parent: &Span,
+    probe: Probe<'_>,
 ) -> f64 {
     assert!(cfg.patch_size_m > 0.0, "patch size must be positive");
     let da = cfg.patch_size_m * cfg.patch_size_m;
@@ -97,7 +77,7 @@ pub fn floor_bounce_gain_traced(
     let xs: Vec<f64> = (0..nx)
         .map(|ix| (ix as f64 + 0.5) * cfg.patch_size_m)
         .collect();
-    let floor = parent.child("channel.nlos.floor");
+    let floor = probe.span.child("channel.nlos.floor");
     floor.attr("rows", &ny.to_string());
     let row_sums = pool.map_indexed(ny, |iy| {
         let _row = floor.child_indexed("channel.nlos.floor.row", iy);
@@ -173,6 +153,14 @@ pub fn floor_bounce_gain_scalar(
 /// first-order NLOS contribution to the *data* channel. The tests quantify
 /// it at well under a percent of the LOS gain for the paper's narrow-beam
 /// geometry — the validation behind Eq. 12's LOS-only SINR.
+///
+/// Runs on `pool`, recording a `channel.nlos.wall` span under `probe.span`
+/// with one `channel.nlos.wall.col` child per wall column. Work items are
+/// the vertical wall *columns* (one per `(wall, iu)`), each summed
+/// bottom-up; column partials are added in column order on every path, so
+/// the result is bitwise identical for any worker count (see
+/// [`floor_bounce_gain`]).
+#[allow(clippy::too_many_arguments)]
 pub fn wall_bounce_gain(
     tx: &Pose,
     rx: &Pose,
@@ -180,35 +168,8 @@ pub fn wall_bounce_gain(
     optics: &RxOptics,
     room: &Room,
     cfg: &NlosConfig,
-) -> f64 {
-    wall_bounce_gain_traced(
-        tx,
-        rx,
-        lambertian_m,
-        optics,
-        room,
-        cfg,
-        &Pool::from_env(),
-        &Span::noop(),
-    )
-}
-
-/// [`wall_bounce_gain`] on a caller-supplied [`Pool`], recording a
-/// `channel.nlos.wall` span under `parent` with one `channel.nlos.wall.col`
-/// child per wall column. Work items are the vertical wall *columns* (one
-/// per `(wall, iu)`), each summed bottom-up; column partials are added in
-/// column order on every path, so the result is bitwise identical for any
-/// worker count (see [`floor_bounce_gain_traced`]).
-#[allow(clippy::too_many_arguments)]
-pub fn wall_bounce_gain_traced(
-    tx: &Pose,
-    rx: &Pose,
-    lambertian_m: f64,
-    optics: &RxOptics,
-    room: &Room,
-    cfg: &NlosConfig,
     pool: &Pool,
-    parent: &Span,
+    probe: Probe<'_>,
 ) -> f64 {
     assert!(cfg.patch_size_m > 0.0, "patch size must be positive");
     let da = cfg.patch_size_m * cfg.patch_size_m;
@@ -218,7 +179,7 @@ pub fn wall_bounce_gain_traced(
     let zs: Vec<f64> = (0..nz)
         .map(|iz| (iz as f64 + 0.5) * cfg.patch_size_m)
         .collect();
-    let wall = parent.child("channel.nlos.wall");
+    let wall = probe.span.child("channel.nlos.wall");
     wall.attr("cols", &columns.len().to_string());
     let column_sums = pool.map_indexed(columns.len(), |c| {
         let _col = wall.child_indexed("channel.nlos.wall.col", c);
@@ -595,7 +556,16 @@ mod tests {
         let grid = TxGrid::paper(&room);
         let tx = grid.pose(1); // TX2
         let rx = grid.pose(2); // TX3, 0.5 m away, photodiode facing down
-        let h = floor_bounce_gain(&tx, &rx, m, &optics, &room, &NlosConfig::default());
+        let h = floor_bounce_gain(
+            &tx,
+            &rx,
+            m,
+            &optics,
+            &room,
+            &NlosConfig::default(),
+            &Pool::from_env(),
+            Probe::off(),
+        );
         assert!(h > 0.0, "h = {h}");
     }
 
@@ -608,7 +578,16 @@ mod tests {
         let tx = grid.pose(1);
         let neighbor = grid.pose(2);
         let floor_rx = Pose::face_up(neighbor.position.x, neighbor.position.y - 0.25, 0.0);
-        let h_nlos = floor_bounce_gain(&tx, &neighbor, m, &optics, &room, &NlosConfig::default());
+        let h_nlos = floor_bounce_gain(
+            &tx,
+            &neighbor,
+            m,
+            &optics,
+            &room,
+            &NlosConfig::default(),
+            &Pool::from_env(),
+            Probe::off(),
+        );
         let h_los = los_gain(&tx, &floor_rx, m, &optics);
         assert!(h_nlos < h_los / 10.0, "nlos {h_nlos} vs los {h_los}");
     }
@@ -619,8 +598,26 @@ mod tests {
         let grid = TxGrid::paper(&room);
         let tx = grid.pose(0); // TX1 (corner)
         let cfg = NlosConfig::default();
-        let near = floor_bounce_gain(&tx, &grid.pose(1), m, &optics, &room, &cfg);
-        let far = floor_bounce_gain(&tx, &grid.pose(5), m, &optics, &room, &cfg);
+        let near = floor_bounce_gain(
+            &tx,
+            &grid.pose(1),
+            m,
+            &optics,
+            &room,
+            &cfg,
+            &Pool::from_env(),
+            Probe::off(),
+        );
+        let far = floor_bounce_gain(
+            &tx,
+            &grid.pose(5),
+            m,
+            &optics,
+            &room,
+            &cfg,
+            &Pool::from_env(),
+            Probe::off(),
+        );
         assert!(near > far, "near {near} far {far}");
     }
 
@@ -633,8 +630,26 @@ mod tests {
             floor_reflectance: 0.3,
             ..room
         };
-        let h_bright = floor_bounce_gain(&grid.pose(1), &grid.pose(2), m, &optics, &room, &cfg);
-        let h_dark = floor_bounce_gain(&grid.pose(1), &grid.pose(2), m, &optics, &dark, &cfg);
+        let h_bright = floor_bounce_gain(
+            &grid.pose(1),
+            &grid.pose(2),
+            m,
+            &optics,
+            &room,
+            &cfg,
+            &Pool::from_env(),
+            Probe::off(),
+        );
+        let h_dark = floor_bounce_gain(
+            &grid.pose(1),
+            &grid.pose(2),
+            m,
+            &optics,
+            &dark,
+            &cfg,
+            &Pool::from_env(),
+            Probe::off(),
+        );
         assert!((h_bright / h_dark - 0.6 / 0.3).abs() < 1e-9);
     }
 
@@ -650,6 +665,8 @@ mod tests {
             &optics,
             &room,
             &NlosConfig { patch_size_m: 0.10 },
+            &Pool::from_env(),
+            Probe::off(),
         );
         let fine = floor_bounce_gain(
             &grid.pose(1),
@@ -658,6 +675,8 @@ mod tests {
             &optics,
             &room,
             &NlosConfig { patch_size_m: 0.05 },
+            &Pool::from_env(),
+            Probe::off(),
         );
         assert!(
             ((coarse - fine) / fine).abs() < 0.05,
@@ -682,6 +701,8 @@ mod tests {
             &optics,
             &dull,
             &NlosConfig::default(),
+            &Pool::from_env(),
+            Probe::off(),
         );
         assert!(h > 0.0);
     }
@@ -696,7 +717,16 @@ mod tests {
         let rx = Pose::face_up(0.92, 0.92, 0.0);
         let tx = grid.pose(7); // TX8, the serving TX
         let h_los = los_gain(&tx, &rx, m, &optics);
-        let h_wall = wall_bounce_gain(&tx, &rx, m, &optics, &room, &NlosConfig::default());
+        let h_wall = wall_bounce_gain(
+            &tx,
+            &rx,
+            m,
+            &optics,
+            &room,
+            &NlosConfig::default(),
+            &Pool::from_env(),
+            Probe::off(),
+        );
         assert!(h_wall >= 0.0);
         assert!(
             h_wall < 0.01 * h_los,
@@ -714,8 +744,26 @@ mod tests {
         let rx_near = Pose::face_up(0.75, 0.15, 0.0); // 15 cm from the wall
         let tx_mid = Pose::ceiling(1.75, 1.5, room.height);
         let rx_mid = Pose::face_up(1.75, 1.4, 0.0); // room center-ish
-        let near = wall_bounce_gain(&tx_near, &rx_near, m, &optics, &room, &cfg);
-        let mid = wall_bounce_gain(&tx_mid, &rx_mid, m, &optics, &room, &cfg);
+        let near = wall_bounce_gain(
+            &tx_near,
+            &rx_near,
+            m,
+            &optics,
+            &room,
+            &cfg,
+            &Pool::from_env(),
+            Probe::off(),
+        );
+        let mid = wall_bounce_gain(
+            &tx_mid,
+            &rx_mid,
+            m,
+            &optics,
+            &room,
+            &cfg,
+            &Pool::from_env(),
+            Probe::off(),
+        );
         assert!(near > mid, "near-wall {near:e} !> centered {mid:e}");
     }
 
@@ -727,7 +775,16 @@ mod tests {
         let (room, m, optics) = setup();
         let tx = Pose::ceiling(0.75, 0.75, room.height);
         let rx = Pose::face_up(1.25, 0.75, 0.0);
-        let h_floor = floor_bounce_gain(&tx, &rx, m, &optics, &room, &NlosConfig::default());
+        let h_floor = floor_bounce_gain(
+            &tx,
+            &rx,
+            m,
+            &optics,
+            &room,
+            &NlosConfig::default(),
+            &Pool::from_env(),
+            Probe::off(),
+        );
         assert_eq!(h_floor, 0.0);
     }
 
@@ -744,10 +801,28 @@ mod tests {
                 Pose::face_up(0.75, 0.15, 0.0),
             ),
         ] {
-            let floor_fast = floor_bounce_gain(&tx, &rx, m, &optics, &room, &cfg);
+            let floor_fast = floor_bounce_gain(
+                &tx,
+                &rx,
+                m,
+                &optics,
+                &room,
+                &cfg,
+                &Pool::from_env(),
+                Probe::off(),
+            );
             let floor_ref = floor_bounce_gain_scalar(&tx, &rx, m, &optics, &room, &cfg);
             assert_eq!(floor_fast.to_bits(), floor_ref.to_bits());
-            let wall_fast = wall_bounce_gain(&tx, &rx, m, &optics, &room, &cfg);
+            let wall_fast = wall_bounce_gain(
+                &tx,
+                &rx,
+                m,
+                &optics,
+                &room,
+                &cfg,
+                &Pool::from_env(),
+                Probe::off(),
+            );
             let wall_ref = wall_bounce_gain_scalar(&tx, &rx, m, &optics, &room, &cfg);
             assert_eq!(wall_fast.to_bits(), wall_ref.to_bits());
         }
@@ -765,6 +840,8 @@ mod tests {
             &optics,
             &room,
             &NlosConfig { patch_size_m: 0.0 },
+            &Pool::from_env(),
+            Probe::off(),
         );
     }
 }

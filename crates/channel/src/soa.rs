@@ -176,19 +176,19 @@ mod tests {
     use super::*;
     use crate::lambertian::RxOptics;
     use vlc_geom::{Pose, Room, TxGrid};
-    use vlc_trace::Span;
+    use vlc_trace::Probe;
 
     fn small_matrix() -> ChannelMatrix {
         let room = Room::paper_testbed();
         let grid = TxGrid::paper(&room);
         let receivers = vec![Pose::face_up(0.75, 2.25, 0.8), Pose::face_up(2.0, 1.0, 0.8)];
-        ChannelMatrix::compute_traced(
+        ChannelMatrix::compute(
             &grid,
             &receivers,
             15f64.to_radians(),
             &RxOptics::paper(),
             &[],
-            &Span::noop(),
+            Probe::off(),
         )
     }
 

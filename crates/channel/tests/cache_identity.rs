@@ -6,8 +6,7 @@
 use proptest::prelude::*;
 use vlc_channel::{ChannelMatrix, ChannelUpdater, CylinderBlocker, RxOptics};
 use vlc_geom::{Pose, Room, TxGrid};
-use vlc_telemetry::Registry;
-use vlc_trace::Span;
+use vlc_trace::Probe;
 
 const HPSA: f64 = 0.2617993877991494; // 15° in radians
 
@@ -52,19 +51,9 @@ proptest! {
         let mut masked = ChannelMatrix::from_gains(grid.len(), 0, Vec::new());
         for (step, (poses, blockers)) in steps.iter().enumerate() {
             let previous = masked.clone();
-            let update = updater.update_traced(
-                poses,
-                blockers,
-                &mut masked,
-                &Registry::noop(),
-                &Span::noop(),
-            );
-            let full = ChannelMatrix::compute_traced(
-                &grid, poses, HPSA, &optics, blockers, &Span::noop(),
-            );
-            let clear = ChannelMatrix::compute_traced(
-                &grid, poses, HPSA, &optics, &[], &Span::noop(),
-            );
+            let update = updater.update(poses, blockers, &mut masked, Probe::off());
+            let full = ChannelMatrix::compute(&grid, poses, HPSA, &optics, blockers, Probe::off());
+            let clear = ChannelMatrix::compute(&grid, poses, HPSA, &optics, &[], Probe::off());
             prop_assert_eq!(&masked, &full, "masked");
             prop_assert_eq!(updater.clear_channel(), &clear, "clear");
             prop_assert_eq!(update.changed, step == 0 || masked != previous);
@@ -98,13 +87,7 @@ proptest! {
         let mut masked = ChannelMatrix::from_gains(grid.len(), 0, Vec::new());
         let mut poses = initial.clone();
         let mut blockers = Vec::new();
-        let first = updater.update_traced(
-            &poses,
-            &blockers,
-            &mut masked,
-            &Registry::noop(),
-            &Span::noop(),
-        );
+        let first = updater.update(&poses, &blockers, &mut masked, Probe::off());
         prop_assert!(first.changed, "the first update primes the layout");
         for ops in &steps {
             let previous = masked.clone();
@@ -129,15 +112,9 @@ proptest! {
                     _ => blockers = new_blockers.clone(),
                 }
             }
-            let update = updater.update_traced(
-                &poses,
-                &blockers,
-                &mut masked,
-                &Registry::noop(),
-                &Span::noop(),
-            );
-            let full = ChannelMatrix::compute_with_blockage(&grid, &poses, HPSA, &optics, &blockers);
-            let clear = ChannelMatrix::compute_with_blockage(&grid, &poses, HPSA, &optics, &[]);
+            let update = updater.update(&poses, &blockers, &mut masked, Probe::off());
+            let full = ChannelMatrix::compute(&grid, &poses, HPSA, &optics, &blockers, Probe::off());
+            let clear = ChannelMatrix::compute(&grid, &poses, HPSA, &optics, &[], Probe::off());
             prop_assert_eq!(bits(&masked), bits(&full), "masked");
             prop_assert_eq!(bits(updater.clear_channel()), bits(&clear), "clear");
             prop_assert_eq!(update.changed, reshaped || masked != previous, "changed");

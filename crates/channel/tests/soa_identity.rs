@@ -6,15 +6,15 @@
 
 use proptest::prelude::*;
 use vlc_channel::nlos::{
-    floor_bounce_gain_scalar, floor_bounce_gain_traced, wall_bounce_gain_scalar,
-    wall_bounce_gain_traced, NlosConfig,
+    floor_bounce_gain, floor_bounce_gain_scalar, wall_bounce_gain, wall_bounce_gain_scalar,
+    NlosConfig,
 };
 use vlc_channel::{
     lambertian_order, los_gain, los_gain_profiled, ChannelMatrix, CylinderBlocker, RxOptics,
 };
 use vlc_geom::{Pose, Room, TxGrid};
 use vlc_par::{Jobs, Pool};
-use vlc_trace::Span;
+use vlc_trace::Probe;
 
 const HPSA: f64 = 0.2617993877991494; // 15° in radians
 
@@ -94,9 +94,7 @@ proptest! {
         let room = Room::paper_testbed();
         let grid = TxGrid::paper(&room);
         let m = lambertian_order(HPSA);
-        let sweep = ChannelMatrix::compute_traced(
-            &grid, &rxs, HPSA, &optics, &blockers, &Span::noop(),
-        );
+        let sweep = ChannelMatrix::compute(&grid, &rxs, HPSA, &optics, &blockers, Probe::off());
         for t in 0..grid.len() {
             let tx = grid.pose(t);
             for (r, rx) in rxs.iter().enumerate() {
@@ -128,9 +126,9 @@ proptest! {
         for jobs in [Jobs::serial(), Jobs::max()] {
             let pool = Pool::new(jobs);
             let floor =
-                floor_bounce_gain_traced(&tx, &rx, m, &optics, &room, &cfg, &pool, &Span::noop());
+                floor_bounce_gain(&tx, &rx, m, &optics, &room, &cfg, &pool, Probe::off());
             let wall =
-                wall_bounce_gain_traced(&tx, &rx, m, &optics, &room, &cfg, &pool, &Span::noop());
+                wall_bounce_gain(&tx, &rx, m, &optics, &room, &cfg, &pool, Probe::off());
             prop_assert_eq!(floor.to_bits(), floor_ref.to_bits());
             prop_assert_eq!(wall.to_bits(), wall_ref.to_bits());
         }

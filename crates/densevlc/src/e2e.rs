@@ -34,6 +34,7 @@ use vlc_phy::waveform::{
 };
 use vlc_sync::SyncScheme;
 use vlc_telemetry::Registry;
+use vlc_trace::Probe;
 
 /// The preamble byte pattern (chips alternate at the chip rate, ideal for
 /// correlation locking).
@@ -360,17 +361,8 @@ pub struct E2eResult {
 
 /// Runs `frames` joint transmissions of a fresh random payload each and
 /// reports PER and goodput.
-pub fn run(
-    txs: &[E2eTx],
-    scheme: &SyncScheme,
-    cfg: &E2eConfig,
-    frames: usize,
-    seed: u64,
-) -> E2eResult {
-    run_traced(txs, scheme, cfg, frames, seed, &Registry::noop())
-}
-
-/// [`run`] with telemetry: every frame counts into the frame counters
+///
+/// Every frame counts into `probe.telemetry`'s frame counters
 /// (`phy.frames_encoded`, `phy.frames_decoded`,
 /// `phy.rs_symbols_corrected`, `phy.rs_uncorrectable`,
 /// `phy.frame_sync_errors`); failures to even reach the decoder count into
@@ -379,19 +371,19 @@ pub fn run(
 /// not match the transmitted one count into `phy.frames_bad_payload`; and
 /// the raw chip error fraction (sliced vs. transmitted MAC chips, before
 /// FEC) of each frame whose chips Manchester-decode lands in the `phy.ber`
-/// histogram.
-pub fn run_traced(
+/// histogram. The frame path opens no span.
+pub fn run(
     txs: &[E2eTx],
     scheme: &SyncScheme,
     cfg: &E2eConfig,
     frames: usize,
     seed: u64,
-    telemetry: &Registry,
+    probe: Probe<'_>,
 ) -> E2eResult {
-    FramePipeline::new(cfg).run(txs, scheme, cfg, frames, seed, telemetry)
+    FramePipeline::new(cfg).run(txs, scheme, cfg, frames, seed, probe.telemetry)
 }
 
-/// The scalar reference implementation of [`run_traced`]: `Vec<Chip>`
+/// The scalar reference implementation of [`run`]: `Vec<Chip>`
 /// streams, per-call Reed–Solomon buffers, and fresh waveform allocations
 /// per frame. The packed pipeline ([`FramePipeline`]) is pinned
 /// bit-identical to this path — results and counters — by the
@@ -1390,7 +1382,14 @@ mod tests {
         // Table 5, row 1: 2 TXs on one BBB — no sync required, low PER.
         let txs = two_tx();
         assert_eq!(txs[0].host, txs[1].host);
-        let res = run(&txs, &SyncScheme::SyncOff, &E2eConfig::default(), 30, 1);
+        let res = run(
+            &txs,
+            &SyncScheme::SyncOff,
+            &E2eConfig::default(),
+            30,
+            1,
+            Probe::off(),
+        );
         assert!(res.per < 0.1, "PER {}", res.per);
         assert!(res.goodput_bps > 25e3, "goodput {}", res.goodput_bps);
     }
@@ -1405,6 +1404,7 @@ mod tests {
             &E2eConfig::default(),
             30,
             2,
+            Probe::off(),
         );
         assert!(res.per > 0.6, "PER {}", res.per);
     }
@@ -1419,6 +1419,7 @@ mod tests {
             &E2eConfig::default(),
             30,
             3,
+            Probe::off(),
         );
         assert!(res.per < 0.1, "PER {}", res.per);
         assert!(res.goodput_bps > 25e3, "goodput {}", res.goodput_bps);
@@ -1434,6 +1435,7 @@ mod tests {
             &E2eConfig::default(),
             30,
             4,
+            Probe::off(),
         );
         assert!(
             (res.goodput_bps - 33_900.0).abs() < 4_000.0,
@@ -1452,6 +1454,7 @@ mod tests {
             &E2eConfig::default(),
             30,
             5,
+            Probe::off(),
         );
         let nlos = run(
             &four_tx(),
@@ -1459,6 +1462,7 @@ mod tests {
             &E2eConfig::default(),
             30,
             5,
+            Probe::off(),
         );
         assert!(
             ptp.per > nlos.per + 0.2,
@@ -1476,7 +1480,14 @@ mod tests {
             gain: 1e-12,
             host: 0,
         }];
-        let res = run(&txs, &SyncScheme::SyncOff, &E2eConfig::default(), 5, 6);
+        let res = run(
+            &txs,
+            &SyncScheme::SyncOff,
+            &E2eConfig::default(),
+            5,
+            6,
+            Probe::off(),
+        );
         assert_eq!(res.frames_ok, 0);
         assert_eq!(res.per, 1.0);
         assert_eq!(res.goodput_bps, 0.0);
@@ -1485,7 +1496,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one transmitter")]
     fn empty_tx_set_panics() {
-        run(&[], &SyncScheme::SyncOff, &E2eConfig::default(), 1, 0);
+        run(
+            &[],
+            &SyncScheme::SyncOff,
+            &E2eConfig::default(),
+            1,
+            0,
+            Probe::off(),
+        );
     }
 
     #[test]
@@ -1523,7 +1541,7 @@ mod tests {
             host: hosts.host_of(7),
         }];
         let cfg = E2eConfig::default();
-        let single = run(&txs, &SyncScheme::SyncOff, &cfg, 20, 202);
+        let single = run(&txs, &SyncScheme::SyncOff, &cfg, 20, 202, Probe::off());
         let wifi = vlc_mac::WifiUplink::paper();
         let arq = crate::e2e::run_with_arq(&txs, &SyncScheme::SyncOff, &cfg, &wifi, 20, 5, 202);
         let arq_rate = arq.delivered as f64 / arq.payloads_total as f64;
@@ -1571,7 +1589,7 @@ mod tests {
 
         let d = Deployment::scenario(Scenario::Two);
         let controller = Controller::new(ControllerConfig::paper(1.2), 36, 4);
-        let plan = controller.plan(&d.model.channel);
+        let plan = controller.plan(&d.model.channel, Probe::off());
         let beamspots: Vec<E2eBeamspot> = plan
             .beamspots()
             .into_iter()
@@ -1602,7 +1620,7 @@ mod tests {
 
         let d = Deployment::scenario(Scenario::Three);
         let controller = Controller::new(ControllerConfig::paper(0.6), 36, 4);
-        let plan = controller.plan(&d.model.channel);
+        let plan = controller.plan(&d.model.channel, Probe::off());
         let mut beamspots: Vec<E2eBeamspot> = plan
             .beamspots()
             .into_iter()
@@ -2024,7 +2042,7 @@ mod tests {
         let seed = 301;
         let arq = run_with_arq(&txs, &SyncScheme::SyncOff, &cfg, &wifi, 1, 0, seed);
         // ARQ's first attempt of payload 0 runs the pipeline on this seed.
-        let single = run(&txs, &SyncScheme::SyncOff, &cfg, 1, seed ^ 1);
+        let single = run(&txs, &SyncScheme::SyncOff, &cfg, 1, seed ^ 1, Probe::off());
         assert_eq!((arq.delivered, single.frames_ok), (1, 1));
         assert_eq!(arq.goodput_bps, single.goodput_bps);
     }
@@ -2039,7 +2057,7 @@ mod tests {
         let noop = Registry::noop();
         for seed in [9u64, 10, 11] {
             let reused = pipeline.run(&txs, &SyncScheme::SyncOff, &cfg, 5, seed, &noop);
-            let fresh = run(&txs, &SyncScheme::SyncOff, &cfg, 5, seed);
+            let fresh = run(&txs, &SyncScheme::SyncOff, &cfg, 5, seed, Probe::off());
             assert_eq!(reused, fresh, "seed {seed}");
         }
     }
@@ -2052,7 +2070,7 @@ mod tests {
 
         let d = Deployment::scenario(Scenario::Two);
         let controller = Controller::new(ControllerConfig::paper(1.2), 36, 4);
-        let plan = controller.plan(&d.model.channel);
+        let plan = controller.plan(&d.model.channel, Probe::off());
         let beamspots: Vec<E2eBeamspot> = plan
             .beamspots()
             .into_iter()
@@ -2087,7 +2105,17 @@ mod tests {
         ] {
             let reg_packed = Registry::new();
             let reg_scalar = Registry::new();
-            run_traced(&txs, &scheme, &cfg, 10, seed, &reg_packed);
+            run(
+                &txs,
+                &scheme,
+                &cfg,
+                10,
+                seed,
+                Probe {
+                    telemetry: &reg_packed,
+                    ..Probe::off()
+                },
+            );
             run_scalar(&txs, &scheme, &cfg, 10, seed, &reg_scalar);
             for name in [
                 "phy.frames_encoded",

@@ -13,7 +13,9 @@ use vlc_alloc::analysis::{heuristic_sweep, throughput_at_power};
 use vlc_alloc::heuristic::heuristic_allocation;
 use vlc_alloc::model::Allocation;
 use vlc_alloc::{HeuristicConfig, OptimalSolver};
+use vlc_par::Pool;
 use vlc_testbed::{Deployment, Scenario};
+use vlc_trace::Probe;
 
 /// The ablation deltas.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -64,7 +66,8 @@ pub fn run(kappas: &[f64], budget_w: f64) -> Ablations {
     let model = Deployment::simulation(&Scenario::Two.rx_positions()).model;
 
     // Ablation 1: binary vs continuous optimum.
-    let report = OptimalSolver::quick().solve(&model, budget_w);
+    let report =
+        OptimalSolver::quick().solve(&model, budget_w, None, &Pool::from_env(), Probe::off());
     let continuous_bps = model.system_throughput(&report.allocation);
     let binary_bps = model.system_throughput(&binarize(&report.allocation, model.led.max_swing));
 
@@ -83,6 +86,7 @@ pub fn run(kappas: &[f64], budget_w: f64) -> Ablations {
         &model.led,
         budget_w,
         &HeuristicConfig::paper(),
+        Probe::off(),
     );
     let partial = heuristic_allocation(
         &model.channel,
@@ -92,6 +96,7 @@ pub fn run(kappas: &[f64], budget_w: f64) -> Ablations {
             allow_partial_last: true,
             ..HeuristicConfig::paper()
         },
+        Probe::off(),
     );
     Ablations {
         budget_w,
@@ -137,7 +142,9 @@ mod tests {
     fn binarized_swings_are_off_or_full_with_one_live_stream_per_tx() {
         let model = Deployment::simulation(&Scenario::Two.rx_positions()).model;
         let max = model.led.max_swing;
-        let optimum = OptimalSolver::quick().solve(&model, 1.2).allocation;
+        let optimum = OptimalSolver::quick()
+            .solve(&model, 1.2, None, &Pool::from_env(), Probe::off())
+            .allocation;
         let binary = binarize(&optimum, max);
         let mut live_total = 0;
         for t in 0..binary.n_tx() {

@@ -12,7 +12,9 @@ use std::time::Instant;
 use vlc_alloc::analysis::{heuristic_sweep, throughput_at_power};
 use vlc_alloc::heuristic::heuristic_allocation;
 use vlc_alloc::{HeuristicConfig, OptimalSolver};
+use vlc_par::Pool;
 use vlc_testbed::{Deployment, Scenario};
+use vlc_trace::Probe;
 
 /// The complexity-comparison result.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -37,7 +39,7 @@ pub fn run(budget_w: f64, solver_reps: usize, heuristic_reps: usize) -> Complexi
     let t0 = Instant::now();
     let mut opt_bps = 0.0;
     for _ in 0..solver_reps {
-        let report = solver.solve(&model, budget_w);
+        let report = solver.solve(&model, budget_w, None, &Pool::from_env(), Probe::off());
         opt_bps = model.system_throughput(&report.allocation);
     }
     let optimal_s = t0.elapsed().as_secs_f64() / solver_reps as f64;
@@ -45,7 +47,7 @@ pub fn run(budget_w: f64, solver_reps: usize, heuristic_reps: usize) -> Complexi
     let cfg = HeuristicConfig::paper();
     let t1 = Instant::now();
     for _ in 0..heuristic_reps {
-        let _ = heuristic_allocation(&model.channel, &model.led, budget_w, &cfg);
+        let _ = heuristic_allocation(&model.channel, &model.led, budget_w, &cfg, Probe::off());
     }
     let heuristic_s = t1.elapsed().as_secs_f64() / heuristic_reps as f64;
 

@@ -16,6 +16,7 @@ use serde::{Deserialize, Serialize};
 use vlc_geom::Pose;
 use vlc_mac::{simulate_round, EthernetMulticast, PilotSchedule, WifiUplink};
 use vlc_testbed::{Deployment, Scenario};
+use vlc_trace::Probe;
 
 /// One (speed, decision-time) cell of the study.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -61,7 +62,7 @@ pub fn run(speeds_mps: &[f64], decision_times_s: &[f64], seed: u64) -> ExtAdapta
             let path_len = 2.0;
             let steps = 100usize;
             let dt = path_len / speed_mps / steps as f64;
-            let mut plan = controller.plan(&deployment.model.channel);
+            let mut plan = controller.plan(&deployment.model.channel, Probe::off());
             let mut since_replan = 0.0;
             let mut got = 0.0;
             let mut oracle = 0.0;
@@ -76,10 +77,10 @@ pub fn run(speeds_mps: &[f64], decision_times_s: &[f64], seed: u64) -> ExtAdapta
                 deployment.update_receivers(rxs);
                 since_replan += dt;
                 if since_replan >= round_s {
-                    plan = controller.plan(&deployment.model.channel);
+                    plan = controller.plan(&deployment.model.channel, Probe::off());
                     since_replan = 0.0;
                 }
-                let fresh = controller.plan(&deployment.model.channel);
+                let fresh = controller.plan(&deployment.model.channel, Probe::off());
                 got += deployment.model.throughput(&plan.allocation)[0];
                 oracle += deployment.model.throughput(&fresh.allocation)[0];
             }

@@ -10,7 +10,9 @@ use serde::{Deserialize, Serialize};
 use vlc_alloc::adaptive::{adapt_per_tx_kappa, KappaAdaptConfig};
 use vlc_alloc::heuristic::heuristic_allocation;
 use vlc_alloc::{HeuristicConfig, OptimalSolver};
+use vlc_par::Pool;
 use vlc_testbed::{Deployment, Scenario};
+use vlc_trace::Probe;
 
 /// One budget point of the extension study.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -54,15 +56,25 @@ pub fn run(budgets_w: &[f64], start_kappa: f64) -> ExtKappa {
         .iter()
         .map(|&budget_w| {
             let start = HeuristicConfig::with_kappa(start_kappa);
-            let uniform = heuristic_allocation(&model.channel, &model.led, budget_w, &start);
+            let uniform =
+                heuristic_allocation(&model.channel, &model.led, budget_w, &start, Probe::off());
             let adapted_cfg = adapt_per_tx_kappa(&model, budget_w, &start, &adapt_cfg);
-            let adapted =
-                heuristic_allocation(&model.channel, &model.led, budget_w, &adapted_cfg.config);
+            let adapted = heuristic_allocation(
+                &model.channel,
+                &model.led,
+                budget_w,
+                &adapted_cfg.config,
+                Probe::off(),
+            );
             ExtKappaPoint {
                 budget_w,
                 uniform_bps: model.system_throughput(&uniform),
                 adapted_bps: model.system_throughput(&adapted),
-                optimal_bps: model.system_throughput(&solver.solve(&model, budget_w).allocation),
+                optimal_bps: model.system_throughput(
+                    &solver
+                        .solve(&model, budget_w, None, &Pool::from_env(), Probe::off())
+                        .allocation,
+                ),
             }
         })
         .collect();

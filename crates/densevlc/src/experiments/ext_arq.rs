@@ -11,6 +11,7 @@ use serde::{Deserialize, Serialize};
 use vlc_mac::WifiUplink;
 use vlc_sync::SyncScheme;
 use vlc_testbed::{BbbHostMap, Deployment};
+use vlc_trace::Probe;
 
 /// One attenuation point.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -50,7 +51,14 @@ pub fn run_study(attenuations: &[f64], payloads: usize, seed: u64) -> ExtArq {
                 gain: base_gain * attenuation,
                 host: hosts.host_of(7),
             }];
-            let single = run(&txs, &SyncScheme::SyncOff, &cfg, payloads, seed);
+            let single = run(
+                &txs,
+                &SyncScheme::SyncOff,
+                &cfg,
+                payloads,
+                seed,
+                Probe::off(),
+            );
             let arq = run_with_arq(
                 &txs,
                 &SyncScheme::SyncOff,

@@ -13,6 +13,7 @@ use vlc_alloc::model::SystemModel;
 use vlc_alloc::HeuristicConfig;
 use vlc_channel::{ChannelMatrix, CylinderBlocker};
 use vlc_testbed::{Deployment, Scenario};
+use vlc_trace::Probe;
 
 /// One occluder position's outcome.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -35,12 +36,13 @@ pub struct ExtBlockage {
 }
 
 fn throughput_with(d: &Deployment, blockers: &[CylinderBlocker], budget_w: f64) -> f64 {
-    let channel = ChannelMatrix::compute_with_blockage(
+    let channel = ChannelMatrix::compute(
         &d.grid,
         &d.receivers,
         d.half_power_semi_angle,
         &d.optics,
         blockers,
+        Probe::off(),
     );
     let mut model: SystemModel = d.model.clone();
     model.channel = channel;
@@ -49,6 +51,7 @@ fn throughput_with(d: &Deployment, blockers: &[CylinderBlocker], budget_w: f64) 
         &model.led,
         budget_w,
         &HeuristicConfig::paper(),
+        Probe::off(),
     );
     model.system_throughput(&alloc)
 }

@@ -11,6 +11,7 @@ use crate::e2e::{run_concurrent, E2eBeamspot, E2eConfig, E2eResult};
 use serde::{Deserialize, Serialize};
 use vlc_mac::{Controller, ControllerConfig};
 use vlc_testbed::{Deployment, Scenario};
+use vlc_trace::Probe;
 
 /// Per-receiver outcome of the concurrent run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -43,7 +44,7 @@ pub fn run(scenario: Scenario, budget_w: f64, frames: usize, seed: u64) -> ExtCo
         d.grid.len(),
         d.receivers.len(),
     );
-    let plan = controller.plan(&d.model.channel);
+    let plan = controller.plan(&d.model.channel, Probe::off());
     let beamspots: Vec<E2eBeamspot> = plan
         .beamspots()
         .into_iter()

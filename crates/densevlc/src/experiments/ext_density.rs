@@ -13,6 +13,7 @@ use vlc_alloc::model::SystemModel;
 use vlc_alloc::HeuristicConfig;
 use vlc_channel::{ChannelMatrix, NoiseParams, RxOptics};
 use vlc_geom::{Pose, Room, TxGrid};
+use vlc_trace::Probe;
 
 /// One grid-density point.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -50,8 +51,14 @@ pub fn run(sides: &[usize], budget_w: f64) -> ExtDensity {
             // Keep the outermost TXs at the paper's 0.25 m margin.
             let pitch = 2.5 / (side - 1) as f64;
             let grid = TxGrid::centered(&room, side, side, pitch);
-            let channel =
-                ChannelMatrix::compute(&grid, &rxs, 15f64.to_radians(), &RxOptics::paper());
+            let channel = ChannelMatrix::compute(
+                &grid,
+                &rxs,
+                15f64.to_radians(),
+                &RxOptics::paper(),
+                &[],
+                Probe::off(),
+            );
             let mut model = SystemModel::paper(channel);
             model.noise = NoiseParams::paper();
             let curve = heuristic_sweep(&model, &HeuristicConfig::paper());

@@ -14,6 +14,7 @@ use vlc_alloc::model::SystemModel;
 use vlc_alloc::HeuristicConfig;
 use vlc_channel::{ChannelMatrix, RxOptics};
 use vlc_geom::{Pose, Room, TxGrid};
+use vlc_trace::Probe;
 
 /// One tilt point.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -55,8 +56,14 @@ pub fn run(tilts_deg: &[f64], budget_w: f64) -> ExtOrientation {
                     Pose::tilted(x, y, 0.8, tilt, azimuth)
                 })
                 .collect();
-            let channel =
-                ChannelMatrix::compute(&grid, &receivers, 15f64.to_radians(), &RxOptics::paper());
+            let channel = ChannelMatrix::compute(
+                &grid,
+                &receivers,
+                15f64.to_radians(),
+                &RxOptics::paper(),
+                &[],
+                Probe::off(),
+            );
             let model = SystemModel::paper(channel);
             let curve = heuristic_sweep(&model, &HeuristicConfig::paper());
             let system_bps = throughput_at_power(&curve, budget_w);

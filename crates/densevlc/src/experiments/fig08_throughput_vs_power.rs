@@ -13,7 +13,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use vlc_alloc::OptimalSolver;
+use vlc_par::Pool;
 use vlc_testbed::{random_instances, Deployment};
+use vlc_trace::Probe;
 
 /// One budget point of the Fig. 8 curves.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -52,7 +54,7 @@ pub fn run(budgets_w: &[f64], instances: usize, seed: u64) -> Fig08 {
             let mut sys = Vec::with_capacity(instances);
             let mut per_rx: Vec<Vec<f64>> = (0..4).map(|_| Vec::with_capacity(instances)).collect();
             for model in &models {
-                let report = solver.solve(model, budget_w);
+                let report = solver.solve(model, budget_w, None, &Pool::from_env(), Probe::off());
                 let t = model.throughput(&report.allocation);
                 sys.push(t.iter().sum());
                 for (k, &v) in t.iter().enumerate() {

@@ -11,7 +11,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use vlc_alloc::OptimalSolver;
+use vlc_par::Pool;
 use vlc_testbed::{random_instances, Deployment};
+use vlc_trace::Probe;
 
 /// Empirical CDF of one TX's optimal swing toward RX2.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -59,7 +61,7 @@ pub fn run(txs: &[usize], budget_w: f64, instances: usize, seed: u64) -> Fig10 {
     let mut samples: Vec<Vec<f64>> = vec![Vec::with_capacity(instances); txs.len()];
     for placement in &placements {
         let model = Deployment::simulation(placement).model;
-        let report = solver.solve(&model, budget_w);
+        let report = solver.solve(&model, budget_w, None, &Pool::from_env(), Probe::off());
         for (k, &tx) in txs.iter().enumerate() {
             samples[k].push(report.allocation.swing(tx, 1));
         }

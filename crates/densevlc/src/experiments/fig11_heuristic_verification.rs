@@ -11,7 +11,9 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use vlc_alloc::analysis::{heuristic_sweep, throughput_at_power};
 use vlc_alloc::{HeuristicConfig, OptimalSolver};
+use vlc_par::Pool;
 use vlc_testbed::{random_instances, Deployment, Scenario};
+use vlc_trace::Probe;
 
 /// Throughput-vs-budget curves on the Fig. 7 instance.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -53,7 +55,13 @@ pub fn run(budgets_w: &[f64], instances: usize, loss_budget_w: f64, seed: u64) -
     let model = Deployment::simulation(&Scenario::Two.rx_positions()).model;
     let optimal_bps: Vec<f64> = budgets_w
         .iter()
-        .map(|&b| model.system_throughput(&solver.solve(&model, b).allocation))
+        .map(|&b| {
+            model.system_throughput(
+                &solver
+                    .solve(&model, b, None, &Pool::from_env(), Probe::off())
+                    .allocation,
+            )
+        })
         .collect();
     let heuristic_bps: Vec<(f64, Vec<f64>)> = PAPER_KAPPAS
         .iter()
@@ -76,7 +84,11 @@ pub fn run(budgets_w: &[f64], instances: usize, loss_budget_w: f64, seed: u64) -
         .collect();
     for placement in &placements {
         let m = Deployment::simulation(placement).model;
-        let opt = m.system_throughput(&solver.solve(&m, loss_budget_w).allocation);
+        let opt = m.system_throughput(
+            &solver
+                .solve(&m, loss_budget_w, None, &Pool::from_env(), Probe::off())
+                .allocation,
+        );
         for (k, bucket) in losses.iter_mut() {
             let curve = heuristic_sweep(&m, &HeuristicConfig::with_kappa(*k));
             let h = throughput_at_power(&curve, loss_budget_w);

@@ -12,9 +12,8 @@ use vlc_channel::RxOptics;
 use vlc_geom::{Room, TxGrid};
 use vlc_phy::manchester::manchester_encode;
 use vlc_sync::{ClockModel, NlosSyncLink, SyncScheme};
-use vlc_telemetry::Registry;
 use vlc_testbed::Scope;
-use vlc_trace::Span;
+use vlc_trace::Probe;
 
 /// The Table 4 result, all values in seconds.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -28,7 +27,17 @@ pub struct Tab04 {
 }
 
 /// Runs the scope measurement for each scheme over `frames` frames.
-pub fn run(frames: usize, seed: u64) -> Tab04 {
+///
+/// When `probe` records, the run also probes the paper's TX2→TX3 pilot
+/// link with the instrumented detector (`sync.pilot_snr`,
+/// `sync.pilot_detections` / `sync.pilot_misses`) and publishes the state
+/// of a representative follower clock (`sync.offset_s`, `sync.drift_ppm`).
+/// The pilot probe is recorded under `probe.span`: a `sync.link_build`
+/// span for the floor-bounce link construction, then one
+/// `sync.pilot_round` child per frame (indexed by frame) wrapping the
+/// detector. It draws from its own RNG stream, so the result is the same
+/// with or without it; with [`Probe::off()`] it does not run.
+pub fn run(frames: usize, seed: u64, probe: Probe<'_>) -> Tab04 {
     assert!(frames > 0);
     let scope = Scope::paper();
     let chips = manchester_encode(&[0xA5, 0x5A, 0xC3, 0x3C, 0x0F, 0xF0, 0x99, 0x66]);
@@ -53,38 +62,34 @@ pub fn run(frames: usize, seed: u64) -> Tab04 {
             )
             .expect("both TXs transmit")
     };
-    Tab04 {
+    let result = Tab04 {
         no_sync_s: measure(&SyncScheme::SyncOff, 0x1),
         ntp_ptp_s: measure(&SyncScheme::NtpPtp, 0x2),
         nlos_vlc_s: nlos,
-    }
-}
-
-/// [`run`] with telemetry and tracing: alongside the scope medians, probes
-/// the paper's TX2→TX3 pilot link with the instrumented detector
-/// (`sync.pilot_snr`, `sync.pilot_detections` / `sync.pilot_misses`) and
-/// publishes the state of a representative follower clock (`sync.offset_s`,
-/// `sync.drift_ppm`). The pilot probe is recorded under `parent`: a
-/// `sync.link_build` span for the floor-bounce link construction, then one
-/// `sync.pilot_round` child per frame (indexed by frame) wrapping the
-/// traced detector.
-pub fn run_traced(frames: usize, seed: u64, telemetry: &Registry, parent: &Span) -> Tab04 {
-    let result = run(frames, seed);
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x4);
-    ClockModel::beaglebone(&mut rng).observe(telemetry);
-    let room = Room::paper_testbed();
-    let grid = TxGrid::paper(&room);
-    let link = NlosSyncLink::between_traced(
-        &grid.pose(1),
-        &grid.pose(2),
-        &room,
-        15f64.to_radians(),
-        &RxOptics::paper(),
-        parent,
-    );
-    for frame in 0..frames {
-        let round = parent.child_indexed("sync.pilot_round", frame);
-        link.detect_traced(&mut rng, telemetry, &round);
+    };
+    if probe.telemetry.is_enabled() || probe.span.is_enabled() {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x4);
+        ClockModel::beaglebone(&mut rng).observe(probe.telemetry);
+        let room = Room::paper_testbed();
+        let grid = TxGrid::paper(&room);
+        let link = NlosSyncLink::between(
+            &grid.pose(1),
+            &grid.pose(2),
+            &room,
+            15f64.to_radians(),
+            &RxOptics::paper(),
+            probe,
+        );
+        for frame in 0..frames {
+            let round = probe.span.child_indexed("sync.pilot_round", frame);
+            link.detect(
+                &mut rng,
+                Probe {
+                    span: &round,
+                    ..probe
+                },
+            );
+        }
     }
     result
 }
@@ -110,7 +115,7 @@ mod tests {
 
     #[test]
     fn medians_track_paper_anchors() {
-        let t = run(120, 41);
+        let t = run(120, 41, Probe::off());
         // Scope edge-pairing clips large offsets to the nearest edge, so
         // compare with generous bands around the paper's medians.
         assert!(
@@ -128,7 +133,7 @@ mod tests {
 
     #[test]
     fn ordering_matches_paper() {
-        let t = run(80, 42);
+        let t = run(80, 42, Probe::off());
         assert!(t.no_sync_s > t.ntp_ptp_s);
         assert!(t.ntp_ptp_s > t.nlos_vlc_s);
         // NLOS improves on NTP/PTP by nearly an order of magnitude.
@@ -136,8 +141,57 @@ mod tests {
     }
 
     #[test]
+    fn an_off_probe_returns_the_recorded_bits_and_opens_no_span() {
+        use vlc_telemetry::{ManualClock, Registry};
+        use vlc_trace::Tracer;
+
+        let registry = Registry::new();
+        let tracer = Tracer::with_clock(ManualClock::new());
+        let root = tracer.root("tab04");
+        let live = run(
+            12,
+            44,
+            Probe {
+                telemetry: &registry,
+                span: &root,
+            },
+        );
+        drop(root);
+        let recorded = tracer.snapshot();
+        assert!(recorded.find("sync.link_build").is_some());
+        assert_eq!(
+            recorded
+                .spans
+                .iter()
+                .filter(|s| s.name == "sync.pilot_detect")
+                .count(),
+            12
+        );
+        let counters = registry.snapshot();
+        let detections = counters.counter("sync.pilot_detections").unwrap_or(0)
+            + counters.counter("sync.pilot_misses").unwrap_or(0);
+        assert_eq!(detections, 12);
+
+        // The same run with the probe off, while a live root is open on
+        // this thread: the result is bit-identical and nothing but the
+        // root is recorded.
+        let quiet = Tracer::with_clock(ManualClock::new());
+        let root = quiet.root("tab04");
+        let off = run(12, 44, Probe::off());
+        drop(root);
+        assert_eq!(quiet.snapshot().len(), 1);
+        for (a, b) in [
+            (off.no_sync_s, live.no_sync_s),
+            (off.ntp_ptp_s, live.ntp_ptp_s),
+            (off.nlos_vlc_s, live.nlos_vlc_s),
+        ] {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+
+    #[test]
     fn report_contains_all_rows() {
-        let rep = run(20, 43).report();
+        let rep = run(20, 43, Probe::off()).report();
         assert!(rep.contains("NTP/PTP") && rep.contains("NLOS VLC"));
     }
 }

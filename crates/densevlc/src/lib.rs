@@ -10,11 +10,12 @@
 //!
 //! ```
 //! use densevlc::System;
+//! use vlc_trace::Probe;
 //! use vlc_testbed::Scenario;
 //!
 //! // The paper's testbed: 36 TXs over 3 m × 3 m, four receivers.
 //! let mut system = System::scenario(Scenario::Two, 1.2 /* W budget */);
-//! let round = system.adapt();
+//! let round = system.adapt(Probe::off());
 //! assert!(round.plan.beamspots().len() == 4);
 //! assert!(round.system_throughput_bps > 0.0);
 //! ```

@@ -16,7 +16,7 @@ use vlc_mac::{BeamspotPlan, Controller, ControllerConfig};
 use vlc_obs::{ObsPlane, TickSample};
 use vlc_telemetry::{MetricsSnapshot, Registry};
 use vlc_testbed::{AcroPositioner, Deployment};
-use vlc_trace::Span;
+use vlc_trace::{Probe, Span};
 
 /// A person walking waypoints while occluding light.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -51,7 +51,7 @@ pub struct Timeline {
     /// All ticks in time order.
     pub ticks: Vec<Tick>,
     /// Telemetry snapshot taken at the end of the run, when the run was
-    /// driven through [`Simulation::run_traced`] with a live
+    /// driven through [`Simulation::run`] with a live
     /// registry. `None` for uninstrumented runs.
     pub telemetry: Option<MetricsSnapshot>,
 }
@@ -170,12 +170,13 @@ impl Simulation {
         clear: &ChannelMatrix,
         blockers: &[CylinderBlocker],
     ) -> (ChannelMatrix, usize) {
-        let channel = ChannelMatrix::compute_with_blockage(
+        let channel = ChannelMatrix::compute(
             &self.deployment.grid,
             &self.deployment.receivers,
             self.deployment.half_power_semi_angle,
             &self.deployment.optics,
             blockers,
+            Probe::off(),
         );
         let blocked = clear
             .iter()
@@ -192,31 +193,6 @@ impl Simulation {
     /// since its last plan. The output is bitwise identical to
     /// [`Self::run_cold`] — the incremental layers reproduce the cold
     /// values exactly (see `tests/sim_incremental.rs`) — just faster.
-    pub fn run(&mut self, duration_s: f64) -> Timeline {
-        self.run_traced(duration_s, None, &Registry::noop(), &Span::noop())
-    }
-
-    /// [`Self::run`] with an optional observability plane, telemetry, and
-    /// tracing.
-    ///
-    /// Telemetry: every tick is timed under `sim.tick_s` and counted into
-    /// `sim.ticks`; re-plans (forwarded through the controller's
-    /// instrumented phases) count into `mac.replans` and the ticks spent
-    /// serving traffic on a stale plan into `mac.stale_plan_ticks`; the
-    /// incremental engine adds `channel.cache.hit/partial/miss` and
-    /// `mac.plan.cache_hits/misses` (rounds that kept the stored plan
-    /// because the channel was unchanged since the last plan, and rounds
-    /// that re-planned); `sim.blocked_links` and the
-    /// per-receiver `sim.rx{i}.bps` gauges track the latest tick. With a
-    /// live registry the returned [`Timeline`] embeds the end-of-run
-    /// snapshot.
-    ///
-    /// Tracing: a `sim.run` span under `parent`, with one `sim.tick` child
-    /// per tick (indexed by step), the incremental engine's
-    /// `channel.update` tree inside each tick, and the controller's
-    /// `mac.plan` tree (or, for a kept plan, a `mac.plan.cached` span)
-    /// nested inside re-planning ticks. With a noop registry and parent
-    /// this is the plain path plus one branch per span site.
     ///
     /// With `obs`, the run streams into an observability plane: the
     /// plane's meta record is written up front, every tick feeds it a
@@ -227,20 +203,38 @@ impl Simulation {
     /// unobserved run's (enforced by `tests/obs_stream.rs`). The caller
     /// finishes the stream with [`ObsPlane::finish`] after the run, once
     /// it knows the tracer's span-ring drop count.
-    pub fn run_traced(
+    ///
+    /// Telemetry into `probe.telemetry`: every tick is timed under
+    /// `sim.tick_s` and counted into `sim.ticks`; re-plans (forwarded
+    /// through the controller's instrumented phases) count into
+    /// `mac.replans` and the ticks spent serving traffic on a stale plan
+    /// into `mac.stale_plan_ticks`; the incremental engine adds
+    /// `channel.cache.hit/partial/miss` and `mac.plan.cache_hits/misses`
+    /// (rounds that kept the stored plan because the channel was unchanged
+    /// since the last plan, and rounds that re-planned);
+    /// `sim.blocked_links` and the per-receiver `sim.rx{i}.bps` gauges
+    /// track the latest tick. With a live registry the returned
+    /// [`Timeline`] embeds the end-of-run snapshot.
+    ///
+    /// Tracing: a `sim.run` span under `probe.span`, with one `sim.tick`
+    /// child per tick (indexed by step), the incremental engine's
+    /// `channel.update` tree inside each tick, and the controller's
+    /// `mac.plan` tree (or, for a kept plan, a `mac.plan.cached` span)
+    /// nested inside re-planning ticks. With no plane and [`Probe::off()`]
+    /// this is the bare engine plus one branch per recording site.
+    pub fn run(
         &mut self,
         duration_s: f64,
         obs: Option<&mut ObsPlane>,
-        telemetry: &Registry,
-        parent: &Span,
+        probe: Probe<'_>,
     ) -> Timeline {
-        self.run_engine(duration_s, telemetry, parent, true, obs)
+        self.run_engine(duration_s, probe.telemetry, probe.span, true, obs)
     }
 
     /// [`Self::run`] on the cold engine: rebuild the full channel matrix
     /// and re-plan from scratch every tick, like the pre-incremental code,
-    /// with the telemetry of [`Self::run_traced`]. Kept as the reference
-    /// the incremental engine is verified against.
+    /// with the telemetry of [`Self::run`]. Kept as the reference the
+    /// incremental engine is verified against.
     pub fn run_cold(&mut self, duration_s: f64, telemetry: &Registry) -> Timeline {
         self.run_engine(duration_s, telemetry, &Span::noop(), false, None)
     }
@@ -311,12 +305,14 @@ impl Simulation {
 
             // The channel the world currently presents (with occluders).
             let blocked_links = if incremental {
-                let update = updater.update_traced(
+                let update = updater.update(
                     &positions,
                     &blockers,
                     &mut world.channel,
-                    telemetry,
-                    &tick_trace,
+                    Probe {
+                        telemetry,
+                        span: &tick_trace,
+                    },
                 );
                 stale |= update.changed;
                 self.deployment.receivers = positions;
@@ -351,10 +347,12 @@ impl Simulation {
                             telemetry.counter("mac.plan.cache_misses").inc();
                             stale = false;
                         }
-                        self.plan = Some(self.controller.plan_traced(
+                        self.plan = Some(self.controller.plan(
                             &world.channel,
-                            telemetry,
-                            &tick_trace,
+                            Probe {
+                                telemetry,
+                                span: &tick_trace,
+                            },
                         ));
                     }
                 }
@@ -414,7 +412,7 @@ mod tests {
     #[test]
     fn static_world_is_stable() {
         let mut s = sim();
-        let tl = s.run(2.0);
+        let tl = s.run(2.0, None, Probe::off());
         assert_eq!(tl.ticks.len(), 20);
         assert_eq!(tl.outage_fraction(), 0.0);
         // Throughput identical across ticks (nothing moved).
@@ -431,7 +429,7 @@ mod tests {
     #[test]
     fn replanning_happens_at_the_configured_cadence() {
         let mut s = sim();
-        let tl = s.run(2.0);
+        let tl = s.run(2.0, None, Probe::off());
         // 0.2 s period over 2 s of 0.1 s ticks → ~10 replans.
         assert!((9..=11).contains(&tl.replans()), "{} replans", tl.replans());
     }
@@ -440,7 +438,7 @@ mod tests {
     fn moving_receiver_keeps_service() {
         let mut s = sim();
         s.send_receiver(0, 2.4, 2.4);
-        let tl = s.run(6.0);
+        let tl = s.run(6.0, None, Probe::off());
         // RX1 ends up crowding RX4's corner; the greedy heuristic (the
         // paper's Algorithm 1) can transiently leave a crowded receiver
         // uncovered in its budgeted prefix, so a few percent of outage
@@ -459,7 +457,7 @@ mod tests {
         // LOS ray — physically correct total shadowing.
         let mut s = sim();
         s.add_person(0.92, 0.92, 0.5, &[]);
-        let tl = s.run(0.5);
+        let tl = s.run(0.5, None, Probe::off());
         assert!(
             tl.ticks.iter().all(|t| t.blocked_links > 0),
             "occluder blocked nothing"
@@ -475,7 +473,7 @@ mod tests {
         // the controller re-plans onto unblocked TXs and keeps RX1 served.
         let mut s = sim();
         s.add_person(1.32, 0.92, 0.5, &[]);
-        let tl = s.run(1.0);
+        let tl = s.run(1.0, None, Probe::off());
         assert!(
             tl.ticks.iter().all(|t| t.blocked_links > 0),
             "occluder blocked nothing"
@@ -490,12 +488,12 @@ mod tests {
         let mut fresh = sim();
         fresh.adaptation_period_s = 0.1;
         fresh.send_receiver(0, 2.4, 0.9);
-        let tl_fresh = fresh.run(5.0);
+        let tl_fresh = fresh.run(5.0, None, Probe::off());
 
         let mut stale = sim();
         stale.adaptation_period_s = 1e9; // never re-plan after the first
         stale.send_receiver(0, 2.4, 0.9);
-        let tl_stale = stale.run(5.0);
+        let tl_stale = stale.run(5.0, None, Probe::off());
 
         let rx1 = |tl: &Timeline| {
             tl.ticks.iter().map(|t| t.per_rx_bps[0]).sum::<f64>() / tl.ticks.len() as f64
@@ -511,7 +509,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_duration_panics() {
-        sim().run(0.0);
+        sim().run(0.0, None, Probe::off());
     }
 
     #[test]
@@ -519,12 +517,7 @@ mod tests {
         let mem = vlc_obs::MemorySink::new();
         let mut plane = ObsPlane::new(Box::new(mem.clone()), vlc_obs::ObsConfig::default());
         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            sim().run_traced(
-                f64::INFINITY,
-                Some(&mut plane),
-                &Registry::noop(),
-                &Span::noop(),
-            )
+            sim().run(f64::INFINITY, Some(&mut plane), Probe::off())
         }));
         assert!(run.is_err());
         assert!(

@@ -3,9 +3,8 @@
 use serde::{Deserialize, Serialize};
 use vlc_alloc::analysis::SweepPoint;
 use vlc_mac::{BeamspotPlan, Controller, ControllerConfig};
-use vlc_telemetry::Registry;
 use vlc_testbed::{Deployment, Scenario};
-use vlc_trace::Span;
+use vlc_trace::Probe;
 
 /// The outcome of one adaptation round.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -48,23 +47,23 @@ impl System {
 
     /// Runs one adaptation round on the current (true) channel: the
     /// controller plans beamspots and the model evaluates the result.
-    pub fn adapt(&mut self) -> AdaptationRound {
-        self.adapt_traced(&Registry::noop(), &Span::noop())
-    }
-
-    /// [`Self::adapt`] with telemetry and tracing: times the full round
-    /// under `sim.adapt_s`, forwards the registry to the controller's
-    /// planning phases, and publishes `sim.system_bps`, `sim.power_w`, and
-    /// one `sim.rx{i}.bps` gauge per receiver. Records a `sim.adapt` span
-    /// under `parent`, with the controller's `mac.plan` tree nested inside.
-    /// With a noop registry and parent this is the plain path plus one
-    /// branch per span site.
-    pub fn adapt_traced(&mut self, telemetry: &Registry, parent: &Span) -> AdaptationRound {
-        let adapt = parent.child("sim.adapt");
+    ///
+    /// Records into `probe`: the full round timed under `sim.adapt_s`, the
+    /// controller's planning phases, and `sim.system_bps`, `sim.power_w`
+    /// and one `sim.rx{i}.bps` gauge per receiver. Records a `sim.adapt`
+    /// span under `probe.span`, with the controller's `mac.plan` tree
+    /// nested inside.
+    pub fn adapt(&mut self, probe: Probe<'_>) -> AdaptationRound {
+        let telemetry = probe.telemetry;
+        let adapt = probe.span.child("sim.adapt");
         let _adapt_span = telemetry.span("sim.adapt_s");
-        let plan = self
-            .controller
-            .plan_traced(&self.deployment.model.channel, telemetry, &adapt);
+        let plan = self.controller.plan(
+            &self.deployment.model.channel,
+            Probe {
+                span: &adapt,
+                ..probe
+            },
+        );
         let per_rx_bps = self.deployment.model.throughput(&plan.allocation);
         let round = AdaptationRound {
             power_w: self.deployment.model.comm_power(&plan.allocation),
@@ -107,7 +106,7 @@ mod tests {
     #[test]
     fn adapt_serves_all_receivers_with_enough_budget() {
         let mut sys = System::scenario(Scenario::Two, 1.2);
-        let round = sys.adapt();
+        let round = sys.adapt(Probe::off());
         assert_eq!(round.plan.beamspots().len(), 4);
         assert!(round.per_rx_bps.iter().all(|&t| t > 0.0));
         assert!(round.power_w <= 1.2 + 1e-9);
@@ -116,17 +115,17 @@ mod tests {
     #[test]
     fn tiny_budget_serves_fewer_receivers() {
         let mut sys = System::scenario(Scenario::Two, 0.08); // one TX's worth
-        let round = sys.adapt();
+        let round = sys.adapt(Probe::off());
         assert_eq!(round.plan.active_txs().len(), 1);
     }
 
     #[test]
     fn moving_a_receiver_changes_the_plan() {
         let mut sys = System::scenario(Scenario::Two, 1.2);
-        let before = sys.adapt();
+        let before = sys.adapt(Probe::off());
         // RX1 walks toward the far corner.
         sys.move_receivers(&[(2.6, 2.6), (1.65, 0.65), (0.72, 1.93), (1.99, 1.69)]);
-        let after = sys.adapt();
+        let after = sys.adapt(Probe::off());
         assert_ne!(before.plan.active_txs(), after.plan.active_txs());
         // The moved receiver is still served (cell-free mobility!).
         assert!(after.plan.beamspot_for(0).is_some());
@@ -137,13 +136,16 @@ mod tests {
     fn throughput_grows_with_budget() {
         let mut lo = System::scenario(Scenario::Two, 0.3);
         let mut hi = System::scenario(Scenario::Two, 1.2);
-        assert!(hi.adapt().system_throughput_bps > lo.adapt().system_throughput_bps);
+        assert!(
+            hi.adapt(Probe::off()).system_throughput_bps
+                > lo.adapt(Probe::off()).system_throughput_bps
+        );
     }
 
     #[test]
     fn evaluate_agrees_with_adapt() {
         let mut sys = System::scenario(Scenario::Three, 0.9);
-        let round = sys.adapt();
+        let round = sys.adapt(Probe::off());
         let point = sys.evaluate(&round.plan);
         assert!((point.system_bps - round.system_throughput_bps).abs() < 1.0);
         assert!((point.power_w - round.power_w).abs() < 1e-9);
@@ -155,7 +157,7 @@ mod tests {
         // The builder accepts any deployment, not just the Table 6 ones.
         let d = vlc_testbed::Deployment::simulation(&[(1.0, 1.0), (2.0, 2.0)]);
         let mut sys = System::new(d, 0.6);
-        let round = sys.adapt();
+        let round = sys.adapt(Probe::off());
         assert_eq!(round.per_rx_bps.len(), 2);
         assert!(round.per_rx_bps.iter().all(|&t| t > 0.0));
     }
@@ -163,7 +165,7 @@ mod tests {
     #[test]
     fn per_rx_throughput_sums_to_system() {
         let mut sys = System::scenario(Scenario::One, 1.0);
-        let round = sys.adapt();
+        let round = sys.adapt(Probe::off());
         let sum: f64 = round.per_rx_bps.iter().sum();
         assert!((sum - round.system_throughput_bps).abs() < 1e-6);
     }

@@ -11,6 +11,7 @@ use densevlc::e2e::{run_scalar, E2eConfig, E2eTx, FramePipeline};
 use vlc_prof::alloc_counter::{allocations_during, CountingAlloc};
 use vlc_sync::SyncScheme;
 use vlc_telemetry::Registry;
+use vlc_trace::Probe;
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -141,7 +142,7 @@ fn pipeline_results_are_pinned_to_pre_codec_stack_values() {
         ),
     ];
     for (name, txs, seed, frames, expected) in cases {
-        let got = run(txs, &SyncScheme::SyncOff, &cfg, frames, seed);
+        let got = run(txs, &SyncScheme::SyncOff, &cfg, frames, seed, Probe::off());
         assert_eq!(
             got, expected,
             "case {name} drifted from pre-refactor output"

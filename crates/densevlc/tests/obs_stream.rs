@@ -5,6 +5,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
+use vlc_trace::Probe;
 
 use densevlc::Simulation;
 use vlc_obs::{
@@ -14,7 +15,6 @@ use vlc_obs::{
 use vlc_par::JOBS_ENV;
 use vlc_telemetry::Registry;
 use vlc_testbed::{Deployment, Scenario};
-use vlc_trace::Span;
 
 fn sim() -> Simulation {
     Simulation::new(Deployment::scenario(Scenario::Two), 1.2, 0.2)
@@ -59,11 +59,11 @@ fn rx0_rule() -> SloRule {
 
 #[test]
 fn streamed_run_is_byte_identical_to_the_plain_run() {
-    let tl_plain = sim().run(2.0);
+    let tl_plain = sim().run(2.0, None, Probe::off());
 
     let mem = MemorySink::new();
     let mut p = plane(mem.clone(), Vec::new());
-    let tl_streamed = sim().run_traced(2.0, Some(&mut p), &Registry::noop(), &Span::noop());
+    let tl_streamed = sim().run(2.0, Some(&mut p), Probe::off());
     p.finish(&Registry::noop(), 0).expect("memory sink");
 
     // Bit-for-bit identity of the recorded timelines: the plane only
@@ -127,7 +127,7 @@ fn slo_fires_and_clears_on_a_blockage_scenario_at_expected_ticks() {
         s.add_person(0.92, 0.92, 0.5, &[(0.92, 4.5)]);
         let mem = MemorySink::new();
         let mut p = plane(mem.clone(), vec![rx0_rule()]);
-        s.run_traced(3.0, Some(&mut p), &Registry::noop(), &Span::noop());
+        s.run(3.0, Some(&mut p), Probe::off());
         p.finish(&Registry::noop(), 0).expect("memory sink");
         mem.text()
     };
@@ -177,7 +177,7 @@ fn streamed_runs_are_identical_for_any_worker_count() {
         s.send_receiver(0, 2.4, 2.4);
         let mem = MemorySink::new();
         let mut p = plane(mem.clone(), vec![rx0_rule()]);
-        s.run_traced(2.0, Some(&mut p), &Registry::noop(), &Span::noop());
+        s.run(2.0, Some(&mut p), Probe::off());
         p.finish(&Registry::noop(), 0).expect("memory sink");
         mem.text()
     };
@@ -217,7 +217,7 @@ fn injected_panic_dumps_a_parseable_flight_recording() {
     .with_flight(flight);
 
     let result = catch_unwind(AssertUnwindSafe(|| {
-        sim().run_traced(2.0, Some(&mut p), &Registry::noop(), &Span::noop())
+        sim().run(2.0, Some(&mut p), Probe::off())
     }));
     assert!(result.is_err(), "the injected panic must propagate");
 
@@ -264,7 +264,14 @@ fn live_registry_streams_derived_signals_and_embeds_snapshots() {
     let registry = Registry::new();
     let mem = MemorySink::new();
     let mut p = plane(mem.clone(), Vec::new());
-    let tl = sim().run_traced(2.0, Some(&mut p), &registry, &Span::noop());
+    let tl = sim().run(
+        2.0,
+        Some(&mut p),
+        Probe {
+            telemetry: &registry,
+            ..Probe::off()
+        },
+    );
     p.finish(&registry, 0).expect("memory sink");
     assert!(tl.telemetry.is_some(), "live registry embeds the snapshot");
     let records = parse_stream_strict(&mem.text()).unwrap();

@@ -13,8 +13,7 @@ use vlc_alloc::model::Allocation;
 use vlc_alloc::HeuristicConfig;
 use vlc_channel::ChannelMatrix;
 use vlc_led::LedParams;
-use vlc_telemetry::Registry;
-use vlc_trace::Span;
+use vlc_trace::Probe;
 
 /// One CFM-MIMO beamspot: the TXs jointly serving one receiver.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -180,26 +179,19 @@ impl Controller {
     /// Runs the decision logic on a channel matrix, producing the beamspot
     /// plan (paper §7.2 "Decision logic": `Isw ∈ {0, Isw,max}` per TX based
     /// on the ranking).
-    pub fn plan(&self, channel: &ChannelMatrix) -> BeamspotPlan {
-        self.plan_traced(channel, &Registry::noop(), &Span::noop())
-    }
-
-    /// [`Self::plan`] with telemetry and tracing: total plan time into the
-    /// `mac.plan_s` histogram with the ranking and allocation phases broken
-    /// out (`mac.rank_s`, `mac.allocate_s`), a `mac.rounds_planned` count,
-    /// and — when no ranked TX gets a positive swing, so the plan serves no
-    /// receiver — a `mac.infeasible_rounds` count plus an
-    /// `infeasible_round` event. Records a `mac.plan` span under `parent`,
-    /// with `mac.rank` and `mac.allocate` children for the two decision
-    /// phases; its `beamspots` attribute is derived only when the span is
-    /// enabled. With a noop registry and parent this is the plain path plus
-    /// one branch per span site.
-    pub fn plan_traced(
-        &self,
-        channel: &ChannelMatrix,
-        telemetry: &Registry,
-        parent: &Span,
-    ) -> BeamspotPlan {
+    ///
+    /// Records into `probe`: total plan time into the `mac.plan_s`
+    /// histogram with the ranking and allocation phases broken out
+    /// (`mac.rank_s`, `mac.allocate_s`), a `mac.rounds_planned` count, and —
+    /// when no ranked TX gets a positive swing, so the plan serves no
+    /// receiver — a `mac.infeasible_rounds` count plus an `infeasible_round`
+    /// event. Records a `mac.plan` span under `probe.span`, with `mac.rank`
+    /// and `mac.allocate` children for the two decision phases; its
+    /// `beamspots` attribute is derived only when the span is enabled. With
+    /// [`Probe::off()`] this is the bare decision logic plus one branch per
+    /// recording site.
+    pub fn plan(&self, channel: &ChannelMatrix, probe: Probe<'_>) -> BeamspotPlan {
+        let (telemetry, parent) = (probe.telemetry, probe.span);
         assert_eq!(channel.n_tx(), self.n_tx);
         let plan_trace = parent.child("mac.plan");
         if plan_trace.is_enabled() {
@@ -249,6 +241,7 @@ mod tests {
     use vlc_channel::RxOptics;
     use vlc_geom::{Pose, Room, TxGrid};
     use vlc_led::power::dynamic_resistance;
+    use vlc_telemetry::Registry;
 
     fn channel() -> ChannelMatrix {
         let room = Room::paper_simulation();
@@ -259,7 +252,14 @@ mod tests {
             Pose::face_up(0.72, 1.93, 0.8),
             Pose::face_up(1.99, 1.69, 0.8),
         ];
-        ChannelMatrix::compute(&grid, &rxs, 15f64.to_radians(), &RxOptics::paper())
+        ChannelMatrix::compute(
+            &grid,
+            &rxs,
+            15f64.to_radians(),
+            &RxOptics::paper(),
+            &[],
+            Probe::off(),
+        )
     }
 
     fn controller(budget_w: f64) -> Controller {
@@ -269,7 +269,7 @@ mod tests {
     #[test]
     fn plan_groups_txs_into_beamspots_with_leaders() {
         let ctl = controller(1.2);
-        let plan = ctl.plan(&channel());
+        let plan = ctl.plan(&channel(), Probe::off());
         assert!(!plan.beamspots().is_empty());
         for spot in plan.beamspots() {
             assert_eq!(spot.leader, spot.txs[0], "leader is the best-ranked TX");
@@ -284,7 +284,7 @@ mod tests {
     #[test]
     fn plan_respects_power_budget() {
         let ctl = controller(0.5);
-        let plan = ctl.plan(&channel());
+        let plan = ctl.plan(&channel(), Probe::off());
         let led = LedParams::cree_xte_paper();
         let r = dynamic_resistance(&led);
         let power: f64 = (0..36)
@@ -298,7 +298,7 @@ mod tests {
     #[test]
     fn beamspots_are_disjoint() {
         let ctl = controller(2.0);
-        let plan = ctl.plan(&channel());
+        let plan = ctl.plan(&channel(), Probe::off());
         let txs = plan.active_txs();
         let mut dedup = txs.clone();
         dedup.dedup();
@@ -309,7 +309,13 @@ mod tests {
     fn zero_budget_plan_is_counted_infeasible() {
         let ctl = controller(0.0);
         let telemetry = Registry::new();
-        let plan = ctl.plan_traced(&channel(), &telemetry, &Span::noop());
+        let plan = ctl.plan(
+            &channel(),
+            Probe {
+                telemetry: &telemetry,
+                ..Probe::off()
+            },
+        );
         assert!(plan.beamspots().is_empty());
         let snap = telemetry.snapshot();
         assert_eq!(snap.counter("mac.infeasible_rounds"), Some(1));
@@ -329,7 +335,13 @@ mod tests {
     fn feasible_plan_records_phases_without_infeasible_signal() {
         let ctl = controller(1.2);
         let telemetry = Registry::new();
-        let plan = ctl.plan_traced(&channel(), &telemetry, &Span::noop());
+        let plan = ctl.plan(
+            &channel(),
+            Probe {
+                telemetry: &telemetry,
+                ..Probe::off()
+            },
+        );
         assert!(!plan.beamspots().is_empty());
         let snap = telemetry.snapshot();
         assert_eq!(snap.counter("mac.infeasible_rounds"), None);
@@ -350,7 +362,13 @@ mod tests {
         let ctl = controller(1.2);
         let tracer = Tracer::with_clock(ManualClock::new());
         let root = tracer.root("round");
-        ctl.plan_traced(&channel(), &Registry::noop(), &root);
+        ctl.plan(
+            &channel(),
+            Probe {
+                span: &root,
+                ..Probe::off()
+            },
+        );
         drop(root);
         let snap = tracer.snapshot();
         let plan = snap.find("mac.plan").expect("plan span recorded");
@@ -368,7 +386,7 @@ mod tests {
         let ctl = controller(1.2);
         // The default path: noop registry and noop parent span. Nothing
         // may be recorded anywhere — this is the zero-cost opt-out.
-        let plan = ctl.plan(&channel());
+        let plan = ctl.plan(&channel(), Probe::off());
         assert!(!plan.beamspots().is_empty());
     }
 
@@ -388,8 +406,8 @@ mod tests {
         }
         assert!(ctl.all_reported());
         let est = ctl.estimated_channel(cal);
-        let plan_est = ctl.plan(&est);
-        let plan_true = ctl.plan(&ch);
+        let plan_est = ctl.plan(&est, Probe::off());
+        let plan_true = ctl.plan(&ch, Probe::off());
         assert_eq!(plan_est.active_txs(), plan_true.active_txs());
     }
 
@@ -408,7 +426,7 @@ mod tests {
         }
         assert!(!ctl.all_reported());
         let est = ctl.estimated_channel(cal);
-        let plan = ctl.plan(&est);
+        let plan = ctl.plan(&est, Probe::off());
         assert!(
             plan.beamspot_for(3).is_none(),
             "unreported RX must not be served"
@@ -418,7 +436,7 @@ mod tests {
     #[test]
     fn beamspot_lookup() {
         let ctl = controller(1.2);
-        let plan = ctl.plan(&channel());
+        let plan = ctl.plan(&channel(), Probe::off());
         for spot in plan.beamspots() {
             assert_eq!(plan.beamspot_for(spot.rx).expect("present").rx, spot.rx);
         }

@@ -11,7 +11,7 @@ use vlc_channel::{ChannelMatrix, RxOptics};
 use vlc_geom::{Pose, Room, TxGrid};
 use vlc_mac::controller::{Beamspot, BeamspotPlan, Controller, ControllerConfig};
 use vlc_telemetry::{ManualClock, Registry};
-use vlc_trace::{Span, Tracer};
+use vlc_trace::{Probe, Tracer};
 
 /// The grouping each plan used to carry: ranked entries with a positive
 /// swing, grouped per receiver in rank order, each group led by its first
@@ -47,7 +47,14 @@ fn arb_channel() -> impl Strategy<Value = ChannelMatrix> {
                     .iter()
                     .map(|&(u, v)| Pose::face_up(0.1 + 2.8 * u, 0.1 + 2.8 * v, 0.8))
                     .collect();
-                ChannelMatrix::compute(&grid, &rxs, 15f64.to_radians(), &RxOptics::paper())
+                ChannelMatrix::compute(
+                    &grid,
+                    &rxs,
+                    15f64.to_radians(),
+                    &RxOptics::paper(),
+                    &[],
+                    Probe::off(),
+                )
             } else {
                 let gains = draws
                     .iter()
@@ -83,12 +90,12 @@ proptest! {
         let telemetry = Registry::new();
         let tracer = Tracer::with_clock(ManualClock::new());
         let root = tracer.root("round");
-        let plan = controller.plan_traced(&channel, &telemetry, &root);
+        let plan = controller.plan(&channel, Probe { telemetry: &telemetry, span: &root });
         drop(root);
 
         let eager = eager_beamspots(&plan);
         prop_assert_eq!(&plan.beamspots(), &eager);
-        prop_assert_eq!(plan, controller.plan(&channel));
+        prop_assert_eq!(plan, controller.plan(&channel, Probe::off()));
         prop_assert_eq!(plan.serves_anyone(), !eager.is_empty());
         for rx in 0..channel.n_rx() {
             prop_assert_eq!(plan.beamspot_for(rx), eager.iter().find(|b| b.rx == rx).cloned());
@@ -116,10 +123,23 @@ fn zero_budget_has_no_beamspots_and_counts_one_infeasible_round() {
         Pose::face_up(0.92, 0.92, 0.8),
         Pose::face_up(1.99, 1.69, 0.8),
     ];
-    let channel = ChannelMatrix::compute(&grid, &rxs, 15f64.to_radians(), &RxOptics::paper());
+    let channel = ChannelMatrix::compute(
+        &grid,
+        &rxs,
+        15f64.to_radians(),
+        &RxOptics::paper(),
+        &[],
+        Probe::off(),
+    );
     let controller = Controller::new(ControllerConfig::paper(0.0), grid.len(), 0);
     let telemetry = Registry::new();
-    let plan = controller.plan_traced(&channel, &telemetry, &Span::noop());
+    let plan = controller.plan(
+        &channel,
+        Probe {
+            telemetry: &telemetry,
+            ..Probe::off()
+        },
+    );
     assert!(plan.beamspots().is_empty());
     assert!(!plan.serves_anyone());
     assert_eq!(

@@ -10,13 +10,12 @@
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use vlc_channel::nlos::{floor_bounce_gain_traced, NlosConfig};
+use vlc_channel::nlos::{floor_bounce_gain, NlosConfig};
 use vlc_channel::{NoiseParams, RxOptics};
 use vlc_geom::{Pose, Room};
 use vlc_led::{power::optical_swing_amplitude, LedParams};
 use vlc_par::Pool;
-use vlc_telemetry::Registry;
-use vlc_trace::Span;
+use vlc_trace::Probe;
 
 /// Outcome of a pilot-detection attempt at one follower.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -46,39 +45,20 @@ pub struct NlosSyncLink {
 
 impl NlosSyncLink {
     /// Builds the link for two TX poses in a room, using the paper's
-    /// device parameters and a 32-symbol pilot.
+    /// device parameters and a 32-symbol pilot. Records a `sync.link_build`
+    /// span under `probe.span` that wraps the floor-bounce quadrature
+    /// (whose `channel.nlos.floor` span nests inside).
     pub fn between(
         leader: &Pose,
         follower: &Pose,
         room: &Room,
         half_power_semi_angle: f64,
         optics: &RxOptics,
+        probe: Probe<'_>,
     ) -> Self {
-        Self::between_traced(
-            leader,
-            follower,
-            room,
-            half_power_semi_angle,
-            optics,
-            &Span::noop(),
-        )
-    }
-
-    /// [`Self::between`] recording a `sync.link_build` span under `parent`
-    /// that wraps the floor-bounce quadrature (whose `channel.nlos.floor`
-    /// span nests inside). With a noop parent this is the uninstrumented
-    /// path plus one branch per span site.
-    pub fn between_traced(
-        leader: &Pose,
-        follower: &Pose,
-        room: &Room,
-        half_power_semi_angle: f64,
-        optics: &RxOptics,
-        parent: &Span,
-    ) -> Self {
-        let build = parent.child("sync.link_build");
+        let build = probe.span.child("sync.link_build");
         let m = vlc_channel::lambertian::lambertian_order(half_power_semi_angle);
-        let bounce_gain = floor_bounce_gain_traced(
+        let bounce_gain = floor_bounce_gain(
             leader,
             follower,
             m,
@@ -86,7 +66,10 @@ impl NlosSyncLink {
             room,
             &NlosConfig::default(),
             &Pool::from_env(),
-            &build,
+            Probe {
+                span: &build,
+                ..probe
+            },
         );
         NlosSyncLink {
             bounce_gain,
@@ -113,32 +96,26 @@ impl NlosSyncLink {
     /// `pilot_gain` of SNR; detection succeeds when the post-correlation
     /// SNR clears the threshold. A stochastic margin models per-frame noise
     /// realizations near the threshold.
-    pub fn detect<R: Rng + ?Sized>(&self, rng: &mut R) -> PilotDetection {
+    ///
+    /// Records into `probe`: the pre-correlation pilot SNR into the
+    /// `sync.pilot_snr` gauge, the outcome into `sync.pilot_detections` or
+    /// `sync.pilot_misses`, and a `sync.pilot_detect` span under
+    /// `probe.span` carrying the detection outcome as attributes.
+    pub fn detect<R: Rng + ?Sized>(&self, rng: &mut R, probe: Probe<'_>) -> PilotDetection {
+        let span = probe.span.child("sync.pilot_detect");
         let snr = self.raw_snr();
         let post = snr * self.pilot_gain;
         // Noise realization: ±1 dB of per-frame wobble near the threshold.
         let wobble = 10f64.powf(rng.gen_range(-0.1..0.1));
-        PilotDetection {
+        let detection = PilotDetection {
             snr,
             detected: post * wobble >= self.detection_threshold,
+        };
+        if span.is_enabled() {
+            span.attr("detected", &detection.detected.to_string());
+            span.attr("snr", &format!("{:.6e}", detection.snr));
         }
-    }
-
-    /// [`Self::detect`] with telemetry and tracing: records the
-    /// pre-correlation pilot SNR into the `sync.pilot_snr` gauge, counts
-    /// the outcome into `sync.pilot_detections` or `sync.pilot_misses`,
-    /// and records a `sync.pilot_detect` span under `parent` carrying the
-    /// detection outcome as attributes.
-    pub fn detect_traced<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        telemetry: &Registry,
-        parent: &Span,
-    ) -> PilotDetection {
-        let span = parent.child("sync.pilot_detect");
-        let detection = self.detect(rng);
-        span.attr("detected", &detection.detected.to_string());
-        span.attr("snr", &format!("{:.6e}", detection.snr));
+        let telemetry = probe.telemetry;
         telemetry.gauge("sync.pilot_snr").set(detection.snr);
         if detection.detected {
             telemetry.counter("sync.pilot_detections").inc();
@@ -166,6 +143,7 @@ mod tests {
             &room,
             15f64.to_radians(),
             &RxOptics::paper(),
+            Probe::off(),
         )
     }
 
@@ -174,7 +152,9 @@ mod tests {
         // The testbed's §8.1 experiment: TX2 leads, TX3 follows (adjacent).
         let link = grid_link(1, 2, 0.6);
         let mut rng = StdRng::seed_from_u64(11);
-        let hits = (0..100).filter(|_| link.detect(&mut rng).detected).count();
+        let hits = (0..100)
+            .filter(|_| link.detect(&mut rng, Probe::off()).detected)
+            .count();
         assert!(
             hits >= 95,
             "only {hits}/100 detections, snr {}",
@@ -187,7 +167,9 @@ mod tests {
         // Paper §9: pilots remain detectable on less-reflective floors.
         let link = grid_link(1, 2, 0.25);
         let mut rng = StdRng::seed_from_u64(12);
-        let hits = (0..100).filter(|_| link.detect(&mut rng).detected).count();
+        let hits = (0..100)
+            .filter(|_| link.detect(&mut rng, Probe::off()).detected)
+            .count();
         assert!(hits >= 80, "only {hits}/100 detections on dull floor");
     }
 
@@ -211,7 +193,9 @@ mod tests {
         // be what makes detection work (this is the design point).
         if weak.raw_snr() < weak.detection_threshold {
             let mut rng = StdRng::seed_from_u64(13);
-            let hits = (0..100).filter(|_| link.detect(&mut rng).detected).count();
+            let hits = (0..100)
+                .filter(|_| link.detect(&mut rng, Probe::off()).detected)
+                .count();
             assert!(hits >= 95);
         }
     }

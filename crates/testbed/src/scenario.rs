@@ -10,7 +10,7 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use vlc_alloc::model::SystemModel;
-use vlc_channel::{ChannelMatrix, NoiseParams, RxOptics};
+use vlc_channel::{ChannelMatrix, NoiseParams, Probe, RxOptics};
 use vlc_geom::{Pose, Room, TxGrid, Vec3};
 
 /// The three §8.2 evaluation scenarios.
@@ -96,7 +96,14 @@ impl Deployment {
             .iter()
             .map(|&(x, y)| Pose::face_up(x, y, rx_height))
             .collect();
-        let channel = ChannelMatrix::compute(&grid, &receivers, half_power_semi_angle, &optics);
+        let channel = ChannelMatrix::compute(
+            &grid,
+            &receivers,
+            half_power_semi_angle,
+            &optics,
+            &[],
+            Probe::off(),
+        );
         let mut model = SystemModel::paper(channel);
         model.noise = noise;
         Deployment {
@@ -122,6 +129,8 @@ impl Deployment {
             &self.receivers,
             self.half_power_semi_angle,
             &self.optics,
+            &[],
+            Probe::off(),
         );
     }
 

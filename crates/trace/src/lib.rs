@@ -11,8 +11,9 @@
 //!
 //! 1. **Zero-cost opt-out.** [`Tracer::noop()`] hands out inert spans:
 //!    every operation on the default path is one `Option` branch and
-//!    allocates nothing. Library APIs take `&Span` so uninstrumented
-//!    callers pass [`Span::noop()`].
+//!    allocates nothing. Instrumented library calls take one [`Probe`]
+//!    (a registry and a parent span) last, so uninstrumented callers pass
+//!    [`Probe::off()`].
 //! 2. **Deterministic under [`ManualClock`](vlc_telemetry::ManualClock).**
 //!    Span ids are *structural* — an FNV-1a hash of `(parent id, name,
 //!    sibling sequence)` — so the id of a span does not depend on which
@@ -37,6 +38,7 @@
 
 pub mod bench;
 pub mod chrome;
+mod probe;
 mod snapshot;
 mod span;
 
@@ -44,6 +46,7 @@ pub use bench::{
     format_regressions, BenchReport, BenchStats, CompareTolerance, Regression, BENCH_SCHEMA,
 };
 pub use chrome::{parse_chrome_json, ChromeEvent};
+pub use probe::Probe;
 pub use snapshot::TraceSnapshot;
 pub use span::{
     current_track, set_current_track, worker_track, Span, SpanRecord, Tracer, DEFAULT_SPAN_CAPACITY,

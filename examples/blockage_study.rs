@@ -13,20 +13,28 @@ use vlc_alloc::model::SystemModel;
 use vlc_alloc::HeuristicConfig;
 use vlc_channel::{ChannelMatrix, CylinderBlocker};
 use vlc_testbed::{Deployment, Scenario};
+use vlc_trace::Probe;
 
 fn throughput_with_blockers(d: &Deployment, blockers: &[CylinderBlocker]) -> f64 {
-    let channel = ChannelMatrix::compute_with_blockage(
+    let channel = ChannelMatrix::compute(
         &d.grid,
         &d.receivers,
         d.half_power_semi_angle,
         &d.optics,
         blockers,
+        Probe::off(),
     );
     let mut model: SystemModel = d.model.clone();
     model.channel = channel;
     // The controller re-plans on the blocked channel (it only sees
     // measurements, so blockage is just another channel realization).
-    let alloc = heuristic_allocation(&model.channel, &model.led, 1.2, &HeuristicConfig::paper());
+    let alloc = heuristic_allocation(
+        &model.channel,
+        &model.led,
+        1.2,
+        &HeuristicConfig::paper(),
+        Probe::off(),
+    );
     model.system_throughput(&alloc)
 }
 

@@ -10,6 +10,7 @@
 
 use densevlc::sim::Simulation;
 use vlc_testbed::{Deployment, Scenario};
+use vlc_trace::Probe;
 
 fn main() {
     let mut sim = Simulation::new(Deployment::scenario(Scenario::Two), 1.2, 0.2);
@@ -25,7 +26,7 @@ fn main() {
         &[(1.5, 1.5), (1.8, 0.8), (2.8, 0.8), (2.8, 2.8), (0.2, 2.8)],
     );
 
-    let timeline = sim.run(12.0);
+    let timeline = sim.run(12.0, None, Probe::off());
 
     println!("A day in the office — 12 s, 0.1 s ticks, re-plan every 0.2 s\n");
     println!("  t[s]   system[Mb/s]   RX1[Mb/s]   blocked links   replanned");

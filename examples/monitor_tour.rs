@@ -12,7 +12,7 @@ use vlc_obs::{
 };
 use vlc_telemetry::Registry;
 use vlc_testbed::{Deployment, Scenario};
-use vlc_trace::Span;
+use vlc_trace::Probe;
 
 fn main() {
     println!("Monitor tour: stream -> parse -> alert\n");
@@ -42,7 +42,14 @@ fn main() {
             panic_at_tick: None,
         },
     );
-    let timeline = sim.run_traced(3.0, Some(&mut plane), &telemetry, &Span::noop());
+    let timeline = sim.run(
+        3.0,
+        Some(&mut plane),
+        Probe {
+            telemetry: &telemetry,
+            ..Probe::off()
+        },
+    );
     plane
         .finish(&telemetry, 0)
         .expect("a memory sink never fails");

@@ -11,12 +11,13 @@
 use densevlc::System;
 use vlc_geom::Vec3;
 use vlc_testbed::{AcroPositioner, Scenario};
+use vlc_trace::Probe;
 
 fn main() {
     let budget_w = 1.2;
     let mut adaptive = System::scenario(Scenario::Two, budget_w);
     let mut stale = System::scenario(Scenario::Two, budget_w);
-    let stale_plan = stale.adapt().plan;
+    let stale_plan = stale.adapt(Probe::off()).plan;
 
     // RX1 rides a gantry from its Scenario-2 spot to the opposite corner.
     let room = adaptive.deployment.room;
@@ -36,7 +37,7 @@ fn main() {
         adaptive.move_receivers(&positions);
         stale.move_receivers(&positions);
 
-        let round = adaptive.adapt();
+        let round = adaptive.adapt(Probe::off());
         let stale_bps = stale.deployment.model.throughput(&stale_plan.allocation)[0];
         let leader = round
             .plan

@@ -14,29 +14,30 @@ use densevlc::System;
 use vlc_alloc::OptimalSolver;
 use vlc_par::{Jobs, Pool};
 use vlc_prof::{to_folded, write_flamegraph, Profile, ProfileDiff};
-use vlc_telemetry::Registry;
 use vlc_testbed::Scenario;
-use vlc_trace::Tracer;
+use vlc_trace::{Probe, Tracer};
 
 /// One traced round: adaptation plus a solver probe with `starts` random
 /// restarts. Returns the profile.
 fn traced_round(starts: usize) -> Profile {
     let tracer = Tracer::new();
-    let telemetry = Registry::noop();
     let root = tracer.root("profile_tour");
+    let probe = Probe {
+        span: &root,
+        ..Probe::off()
+    };
     let mut system = System::scenario(Scenario::Two, 1.2);
-    system.adapt_traced(&telemetry, &root);
+    system.adapt(probe);
     let solver = OptimalSolver {
         random_starts: starts,
         ..OptimalSolver::quick()
     };
-    solver.solve_traced(
+    solver.solve(
         &system.deployment.model,
         1.2,
         None,
-        &telemetry,
         &Pool::from_env(),
-        &root,
+        probe,
     );
     drop(root);
     Profile::from_snapshot(&tracer.snapshot(), Jobs::from_env().get())

@@ -6,12 +6,12 @@
 use densevlc::System;
 use vlc_telemetry::Registry;
 use vlc_testbed::Scenario;
-use vlc_trace::Span;
+use vlc_trace::Probe;
 
 fn main() {
     // A live registry: every layer the adaptation round touches records
-    // counters, gauges, and span timings into it (pass `Registry::noop()`
-    // — or call the uninstrumented methods — to skip all of that).
+    // counters, gauges, and span timings into it (pass `Probe::off()` to
+    // skip all of that).
     let telemetry = Registry::new();
 
     // Scenario 2 from the paper (Table 6): four receivers amid the grid,
@@ -28,7 +28,11 @@ fn main() {
     );
 
     // One adaptation round: measure → rank → form beamspots.
-    let round = system.adapt_traced(&telemetry, &Span::noop());
+    let probe = Probe {
+        telemetry: &telemetry,
+        ..Probe::off()
+    };
+    let round = system.adapt(probe);
     println!(
         "controller formed {} beamspots:",
         round.plan.beamspots().len()
@@ -56,7 +60,7 @@ fn main() {
     // Mobility: RX1 strolls to the far corner; the cell-free design just
     // re-forms its beamspot from whatever TXs now have the best channels.
     system.move_receivers(&[(2.55, 2.55), (1.65, 0.65), (0.72, 1.93), (1.99, 1.69)]);
-    let after = system.adapt_traced(&telemetry, &Span::noop());
+    let after = system.adapt(probe);
     let spot = after.plan.beamspot_for(0).expect("RX1 still served");
     let txs: Vec<String> = spot
         .txs

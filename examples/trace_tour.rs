@@ -4,28 +4,30 @@
 //!
 //! Run with: `cargo run --example trace_tour`
 //!
-//! Tracing is opt-in and pay-as-you-go: every traced entry point takes a
-//! parent [`Span`], and passing `Span::noop()` (what the untraced wrappers
-//! do) reduces each span site to a single branch. Here we pass a live
-//! root instead, so the whole `sim.adapt` → `mac.plan` → `mac.rank` /
+//! Tracing is opt-in and pay-as-you-go: every instrumented entry point
+//! takes a [`Probe`] (a registry and a parent span), and passing
+//! `Probe::off()` reduces each span site to a single branch. Here the
+//! probe carries a live root instead, so the whole `sim.adapt` → `mac.plan` → `mac.rank` /
 //! `mac.allocate` tree lands in the tracer's ring — plus the solver probe
 //! with its per-start and per-iteration-batch children.
 
 use densevlc::System;
 use vlc_alloc::OptimalSolver;
 use vlc_par::Pool;
-use vlc_telemetry::Registry;
 use vlc_testbed::Scenario;
-use vlc_trace::Tracer;
+use vlc_trace::{Probe, Tracer};
 
 fn main() {
     let tracer = Tracer::new();
-    let telemetry = Registry::noop();
 
     // One adaptation round on the paper's Scenario 2, traced end to end.
     let root = tracer.root("trace_tour");
+    let probe = Probe {
+        span: &root,
+        ..Probe::off()
+    };
     let mut system = System::scenario(Scenario::Two, 1.2);
-    let round = system.adapt_traced(&telemetry, &root);
+    let round = system.adapt(probe);
     println!(
         "adaptation round: {} beamspots, {:.2} Mb/s at {:.3} W",
         round.plan.beamspots().len(),
@@ -36,13 +38,12 @@ fn main() {
     // The optimal solver fans out over random starts; its spans land on
     // per-worker lanes (Perfetto rows) while the *structure* of the tree
     // stays identical for any worker count.
-    OptimalSolver::quick().solve_traced(
+    OptimalSolver::quick().solve(
         &system.deployment.model,
         1.2,
         None,
-        &telemetry,
         &Pool::from_env(),
-        &root,
+        probe,
     );
     drop(root);
 

@@ -24,9 +24,8 @@ use vlc_obs::monitor::dashboard;
 use vlc_obs::{densevlc_defaults, inject_panic_from_env, ObsConfig, ObsOptions, ObsRecord, ObsRun};
 use vlc_par::{Jobs, Pool};
 use vlc_prof::alloc_counter::{AllocScope, CountingAlloc};
-use vlc_telemetry::Registry;
 use vlc_testbed::{Deployment, Scenario};
-use vlc_trace::{Span, Tracer};
+use vlc_trace::{Probe, Span, Tracer};
 
 // Installed process-wide so `profile <cmd>` can attribute heap churn to
 // span scopes. The cost is one thread-local `Cell` bump per allocation —
@@ -167,6 +166,15 @@ impl Args {
         }
     }
 
+    /// [`Self::f64`], which must also be positive.
+    fn positive(&self, flag: &str, default: f64) -> f64 {
+        let value = self.f64(flag, default);
+        if value <= 0.0 {
+            self.fail(&format!("bad {flag} value `{value}` (must be positive)"));
+        }
+        value
+    }
+
     fn scenario(&self) -> Scenario {
         match self.value("--scenario") {
             Some("1") => Scenario::One,
@@ -220,14 +228,17 @@ fn main() {
     let root = run.tracer.root(&format!("cli.{name}"));
     // Dropped (writing alloc attrs) just before the root span closes.
     let alloc_scope = AllocScope::new(&root);
-    let telemetry = &run.registry;
+    let probe = Probe {
+        telemetry: &run.registry,
+        span: &root,
+    };
     match name {
-        "adapt" => adapt(&args, telemetry, &root),
-        "map" => map(&args, telemetry, &root),
+        "adapt" => adapt(&args, probe),
+        "map" => map(&args, probe),
         "lux" => lux(),
         "codecs" => codecs(),
-        "sync" => sync(telemetry, &root),
-        "iperf" => iperf(&args, telemetry),
+        "sync" => sync(probe),
+        "iperf" => iperf(&args, probe),
         "faceoff" => faceoff(&args),
         "sim" => sim(&args, &mut run, &root, profiling),
         "building" => building(&args, &mut run, &root),
@@ -250,11 +261,11 @@ fn main() {
     }
 }
 
-fn adapt(args: &Args, telemetry: &Registry, parent: &Span) {
+fn adapt(args: &Args, probe: Probe<'_>) {
     let scenario = args.scenario();
-    let budget = args.f64("--budget", 1.2);
+    let budget = args.positive("--budget", 1.2);
     let mut system = System::scenario(scenario, budget);
-    let round = system.adapt_traced(telemetry, parent);
+    let round = system.adapt(probe);
     println!("{} @ {budget} W", scenario.label());
     for spot in round.plan.beamspots() {
         let txs: Vec<String> = spot
@@ -276,25 +287,22 @@ fn adapt(args: &Args, telemetry: &Registry, parent: &Span) {
         round.power_w
     );
     // Fig. 11's cost gap: time both allocators on the same channel so the
-    // summary shows optimal vs heuristic wall-time side by side. The
-    // optimal solver rejects a non-positive budget, so skip the probe.
-    if (telemetry.is_enabled() || parent.is_enabled()) && budget > 0.0 {
+    // summary shows optimal vs heuristic wall-time side by side.
+    if probe.telemetry.is_enabled() || probe.span.is_enabled() {
         let model = &system.deployment.model;
-        let heuristic = vlc_alloc::heuristic::heuristic_allocation_traced(
+        let heuristic = vlc_alloc::heuristic::heuristic_allocation(
             &model.channel,
             &model.led,
             budget,
             &vlc_alloc::HeuristicConfig::paper(),
-            telemetry,
-            parent,
+            probe,
         );
-        let optimal = vlc_alloc::OptimalSolver::quick().solve_traced(
+        let optimal = vlc_alloc::OptimalSolver::quick().solve(
             model,
             budget,
             None,
-            telemetry,
-            &Pool::from_env().with_telemetry(telemetry),
-            parent,
+            &Pool::from_env().with_telemetry(probe.telemetry),
+            probe,
         );
         println!(
             "solver objectives (sum-log): heuristic {:.3}, optimal {:.3} in {} iterations",
@@ -307,11 +315,11 @@ fn adapt(args: &Args, telemetry: &Registry, parent: &Span) {
 
 /// Renders the ceiling grid with per-TX beamspot membership and the
 /// receiver positions as an ASCII floor plan.
-fn map(args: &Args, telemetry: &Registry, parent: &Span) {
+fn map(args: &Args, probe: Probe<'_>) {
     let scenario = args.scenario();
-    let budget = args.f64("--budget", 1.2);
+    let budget = args.positive("--budget", 1.2);
     let mut system = System::scenario(scenario, budget);
-    let round = system.adapt_traced(telemetry, parent);
+    let round = system.adapt(probe);
     let grid = &system.deployment.grid;
 
     // Per-TX glyph: the digit of the served RX, or '.' for illumination.
@@ -391,21 +399,18 @@ fn codecs() {
     );
 }
 
-fn sync(telemetry: &Registry, parent: &Span) {
-    print!(
-        "{}",
-        tab04_sync_error::run_traced(150, 0x11, telemetry, parent).report()
-    );
+fn sync(probe: Probe<'_>) {
+    print!("{}", tab04_sync_error::run(150, 0x11, probe).report());
 }
 
-fn iperf(args: &Args, telemetry: &Registry) {
+fn iperf(args: &Args, probe: Probe<'_>) {
     let frames = args.u64("--frames", 50);
     if frames == 0 {
         args.fail("bad --frames value `0` (must be positive)");
     }
     print!(
         "{}",
-        tab05_iperf::run_traced(frames as usize, 0x12, telemetry).report()
+        tab05_iperf::run(frames as usize, 0x12, probe).report()
     );
 }
 
@@ -437,14 +442,11 @@ fn building(args: &Args, run: &mut ObsRun, parent: &Span) {
         seed: args.u64("--seed", 42),
         mean_lifetime_ticks: args.u64("--lifetime", 80),
         move_period_ticks: args.u64("--move-period", 6),
-        step_m: args.f64("--step", 1.5),
+        step_m: args.positive("--step", 1.5),
     };
-    // The schedule needs at least one tick, and a move a positive step.
-    for (flag, ok) in [("--ticks", load.ticks > 0), ("--step", load.step_m > 0.0)] {
-        if !ok {
-            let value = args.value(flag).unwrap_or_default();
-            args.fail(&format!("bad {flag} value `{value}` (must be positive)"));
-        }
+    // The schedule needs at least one tick.
+    if load.ticks == 0 {
+        args.fail("bad --ticks value `0` (must be positive)");
     }
     let config = BuildingConfig::paper(cols, rows);
     let mut engine = BuildingEngine::new(&config, &run.registry);
@@ -480,16 +482,11 @@ fn building(args: &Args, run: &mut ObsRun, parent: &Span) {
 /// blockage (and the per-RX throughput SLOs) do something.
 fn sim(args: &Args, run: &mut ObsRun, parent: &Span, profiling: bool) {
     let scenario = args.scenario();
-    let budget = args.f64("--budget", 1.2);
-    let duration = args.f64("--duration", 2.0);
-    let period = args.f64("--period", 0.25);
+    let budget = args.positive("--budget", 1.2);
+    let duration = args.positive("--duration", 2.0);
+    let period = args.positive("--period", 0.25);
     let slo_bps = args.f64("--slo-bps", 1e6);
     let slo_solver_s = args.f64("--slo-solver-s", 0.05);
-    for (flag, value) in [("--duration", duration), ("--period", period)] {
-        if value <= 0.0 {
-            args.fail(&format!("bad {flag} value `{value}` (must be positive)"));
-        }
-    }
     let ticks = (duration / period).ceil();
     if ticks > f64::from(u32::MAX) {
         args.fail(&format!(
@@ -512,7 +509,14 @@ fn sim(args: &Args, run: &mut ObsRun, parent: &Span, profiling: bool) {
         panic_at_tick: inject_panic_from_env(),
         ..ObsConfig::default()
     });
-    let timeline = simulation.run_traced(duration, plane.as_mut(), &run.registry, parent);
+    let timeline = simulation.run(
+        duration,
+        plane.as_mut(),
+        Probe {
+            telemetry: &run.registry,
+            span: parent,
+        },
+    );
     if let Some(mut plane) = plane {
         // A profiled run digests its profile into the stream ahead of
         // the summary. The root `cli.sim` span is still open here, so its

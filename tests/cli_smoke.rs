@@ -322,6 +322,12 @@ fn bad_numbers_exit_2_naming_the_flag() {
         &["sim", "--period", "nan"],
         &["sim", "--budget", "nan"],
         &["adapt", "--budget", "inf"],
+        &["adapt", "--budget", "-1"],
+        &["adapt", "--budget", "0"],
+        &["map", "--budget", "0"],
+        &["map", "--budget", "-0.5"],
+        &["sim", "--budget", "0"],
+        &["sim", "--budget", "-1"],
         &["iperf", "--frames", "0"],
         &["iperf", "--frames", "-3"],
         &["iperf", "--frames", "abc"],

@@ -1,14 +1,14 @@
 //! Integration: the full measure → report → plan → serve loop across
 //! `vlc-mac`, `vlc-alloc`, `vlc-channel` and `vlc-testbed`.
 
-use densevlc::e2e::{run_traced as e2e_run, E2eConfig, E2eTx};
+use densevlc::e2e::{run as e2e_run, E2eConfig, E2eTx};
 use densevlc::{Simulation, System};
 use vlc_mac::protocol::ChannelReport;
 use vlc_mac::{Controller, ControllerConfig};
 use vlc_sync::SyncScheme;
 use vlc_telemetry::Registry;
 use vlc_testbed::{Deployment, Scenario};
-use vlc_trace::Span;
+use vlc_trace::Probe;
 
 /// The controller reconstructs (up to calibration) the channel from RX
 /// reports and produces the same plan as on the ground-truth channel.
@@ -26,8 +26,8 @@ fn report_driven_plan_matches_truth() {
     }
     assert!(ctl.all_reported());
     let estimated = ctl.estimated_channel(cal);
-    let plan_est = ctl.plan(&estimated);
-    let plan_truth = ctl.plan(truth);
+    let plan_est = ctl.plan(&estimated, Probe::off());
+    let plan_truth = ctl.plan(truth, Probe::off());
     assert_eq!(plan_est.active_txs(), plan_truth.active_txs());
     assert_eq!(plan_est.beamspots().len(), plan_truth.beamspots().len());
 }
@@ -46,7 +46,7 @@ fn beamspot_follows_a_walking_receiver() {
         let x = 0.5 + 0.2 * step as f64; // RX1 walks diagonally
         let y = 0.5 + 0.2 * step as f64;
         system.move_receivers(&[(x, y), (2.5, 0.5), (0.5, 2.5), (2.5, 2.5)]);
-        let round = system.adapt();
+        let round = system.adapt(Probe::off());
         let spot = round.plan.beamspot_for(0).expect("RX1 always served");
         assert!(round.per_rx_bps[0] > 0.0, "RX1 starved at step {step}");
         // The leader must stay a decent channel for the receiver: within
@@ -81,7 +81,7 @@ fn budget_sweep_is_consistent() {
     let mut prev_bps = 0.0;
     for budget in [0.15, 0.3, 0.6, 0.9, 1.2, 1.8] {
         let mut system = System::scenario(Scenario::Two, budget);
-        let round = system.adapt();
+        let round = system.adapt(Probe::off());
         assert!(round.power_w <= budget + 1e-9, "overspent at {budget} W");
         assert!(
             round.system_throughput_bps >= prev_bps * 0.9,
@@ -107,7 +107,14 @@ fn telemetry_snapshot_reflects_the_full_loop() {
 
     let mut sim = Simulation::new(Deployment::scenario(Scenario::Two), 1.2, 0.2);
     sim.send_receiver(0, 2.0, 2.0);
-    let timeline = sim.run_traced(1.0, None, &telemetry, &Span::noop());
+    let timeline = sim.run(
+        1.0,
+        None,
+        Probe {
+            telemetry: &telemetry,
+            ..Probe::off()
+        },
+    );
 
     // A clean single-host link: every frame should decode without ever
     // exhausting the Reed–Solomon budget.
@@ -121,7 +128,10 @@ fn telemetry_snapshot_reflects_the_full_loop() {
         &E2eConfig::default(),
         5,
         7,
-        &telemetry,
+        Probe {
+            telemetry: &telemetry,
+            ..Probe::off()
+        },
     );
     assert_eq!(e2e.frames_ok, 5, "clean channel should deliver all frames");
 
@@ -140,7 +150,8 @@ fn telemetry_snapshot_reflects_the_full_loop() {
         .expect("instrumented run embeds telemetry");
     assert!(embedded.counter("mac.rounds_planned").unwrap_or(0) >= 1);
     assert!(embedded.counter("phy.frames_decoded").is_none());
-    let plain = Simulation::new(Deployment::scenario(Scenario::Two), 1.2, 0.2).run(0.5);
+    let plain =
+        Simulation::new(Deployment::scenario(Scenario::Two), 1.2, 0.2).run(0.5, None, Probe::off());
     assert!(plain.telemetry.is_none());
 }
 
@@ -152,7 +163,7 @@ fn plans_never_perturb_illumination() {
     use vlc_led::{LedParams, OperatingMode};
     let led = LedParams::cree_xte_paper();
     let mut system = System::scenario(Scenario::Three, 2.0);
-    let round = system.adapt();
+    let round = system.adapt(Probe::off());
     for tx in 0..36 {
         let swing = round.plan.allocation.tx_total_swing(tx);
         let mode = if swing > 0.0 {

@@ -6,6 +6,7 @@
 use densevlc::experiments::*;
 use vlc_led::LedParams;
 use vlc_testbed::Scenario;
+use vlc_trace::Probe;
 
 /// Fig. 4: ≈ 0.45 % Taylor error at the 900 mA maximum swing.
 #[test]
@@ -41,7 +42,7 @@ fn power_accounting_anchors() {
 /// Table 4: sync error medians 10.040 / 4.565 / 0.575 µs.
 #[test]
 fn tab04_sync_error_anchor() {
-    let t = tab04_sync_error::run(150, 7);
+    let t = tab04_sync_error::run(150, 7, Probe::off());
     assert!(
         (t.no_sync_s * 1e6 - 10.040).abs() < 4.0,
         "no-sync {}",
@@ -62,7 +63,7 @@ fn tab04_sync_error_anchor() {
 /// Table 5: ~34 kb/s for synced rows, total collapse without sync.
 #[test]
 fn tab05_iperf_anchor() {
-    let t = tab05_iperf::run(40, 8);
+    let t = tab05_iperf::run(40, 8, Probe::off());
     assert!((t.two_tx.goodput_bps / 1e3 - 33.9).abs() < 4.0);
     assert!(t.two_tx.per < 0.05);
     assert!(

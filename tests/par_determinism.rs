@@ -6,15 +6,14 @@
 //! `jobs = 1` is the exact legacy sequential path, so these tests also pin
 //! today's numbers against accidental reassociation.
 
-use vlc_alloc::exhaustive::exhaustive_binary_traced;
+use vlc_alloc::exhaustive::exhaustive_binary;
 use vlc_alloc::model::SystemModel;
 use vlc_alloc::OptimalSolver;
-use vlc_channel::nlos::{floor_bounce_gain_traced, wall_bounce_gain_traced, NlosConfig};
+use vlc_channel::nlos::{floor_bounce_gain, wall_bounce_gain, NlosConfig};
 use vlc_channel::{ChannelMatrix, RxOptics};
 use vlc_geom::{Pose, Room, TxGrid};
 use vlc_par::{Jobs, Pool, JOBS_ENV};
-use vlc_telemetry::Registry;
-use vlc_trace::Span;
+use vlc_trace::Probe;
 
 /// Worker counts exercised everywhere: sequential, even split, a count
 /// that does not divide typical item counts, and every available core.
@@ -36,7 +35,7 @@ fn paper_setup() -> (TxGrid, Vec<Pose>) {
 
 /// The LOS matrix at the paper's 15° semi-angle.
 fn sound(grid: &TxGrid, rxs: &[Pose], optics: &RxOptics) -> ChannelMatrix {
-    ChannelMatrix::compute_traced(grid, rxs, 15f64.to_radians(), optics, &[], &Span::noop())
+    ChannelMatrix::compute(grid, rxs, 15f64.to_radians(), optics, &[], Probe::off())
 }
 
 /// Bit-exact equality for gain vectors: `==` on f64 would also pass for
@@ -88,7 +87,7 @@ fn nlos_integrals_are_bitwise_identical_for_any_worker_count() {
     let rx = Pose::face_up(1.2, 1.0, 0.8);
 
     let floor_on = |jobs| {
-        floor_bounce_gain_traced(
+        floor_bounce_gain(
             &leader,
             &follower,
             1.0,
@@ -96,11 +95,11 @@ fn nlos_integrals_are_bitwise_identical_for_any_worker_count() {
             &room,
             &cfg,
             &Pool::new(jobs),
-            &Span::noop(),
+            Probe::off(),
         )
     };
     let wall_on = |jobs| {
-        wall_bounce_gain_traced(
+        wall_bounce_gain(
             &leader,
             &rx,
             1.0,
@@ -108,7 +107,7 @@ fn nlos_integrals_are_bitwise_identical_for_any_worker_count() {
             &room,
             &cfg,
             &Pool::new(jobs),
-            &Span::noop(),
+            Probe::off(),
         )
     };
     let floor_ref = floor_on(Jobs::serial());
@@ -138,16 +137,7 @@ fn optimal_solver_report_is_bitwise_identical_for_any_worker_count() {
     let model = SystemModel::paper(h);
     let solver = OptimalSolver::quick();
 
-    let solve_on = |jobs| {
-        solver.solve_traced(
-            &model,
-            1.2,
-            None,
-            &Registry::noop(),
-            &Pool::new(jobs),
-            &Span::noop(),
-        )
-    };
+    let solve_on = |jobs| solver.solve(&model, 1.2, None, &Pool::new(jobs), Probe::off());
     let reference = solve_on(Jobs::serial());
     assert!(reference.objective.is_finite());
     for jobs in job_grid() {
@@ -172,9 +162,9 @@ fn exhaustive_search_is_bitwise_identical_for_any_worker_count() {
     let h = sound(&grid, &rxs, &RxOptics::paper());
     let model = SystemModel::paper(h);
 
-    let reference = exhaustive_binary_traced(&model, 0.9, 1_000, &Pool::sequential());
+    let reference = exhaustive_binary(&model, 0.9, 1_000, &Pool::sequential()).unwrap();
     for jobs in job_grid() {
-        let result = exhaustive_binary_traced(&model, 0.9, 1_000, &Pool::new(jobs));
+        let result = exhaustive_binary(&model, 0.9, 1_000, &Pool::new(jobs)).unwrap();
         assert_bits_eq(
             result.allocation.as_slice(),
             reference.allocation.as_slice(),

@@ -11,6 +11,7 @@ use vlc_led::LedParams;
 use vlc_phy::frame::{Frame, FrameHeader};
 use vlc_phy::manchester::{manchester_decode, manchester_encode};
 use vlc_phy::rs::ReedSolomon;
+use vlc_trace::Probe;
 
 /// Strategy: a random (n_tx × n_rx) channel with gains in the physical
 /// range of the paper's geometry.
@@ -54,8 +55,7 @@ proptest! {
     ) {
         let led = LedParams::cree_xte_paper();
         let budget_w = budget_mw / 1e3;
-        let alloc = heuristic_allocation(
-            &channel, &led, budget_w, &HeuristicConfig::paper());
+        let alloc = heuristic_allocation(&channel, &led, budget_w, &HeuristicConfig::paper(), Probe::off());
         let r = dynamic_resistance(&led);
         let mut power = 0.0;
         for t in 0..alloc.n_tx() {
@@ -74,8 +74,7 @@ proptest! {
         budget_mw in 1.0f64..2000.0,
     ) {
         let model = SystemModel::paper(channel);
-        let alloc = heuristic_allocation(
-            &model.channel, &model.led, budget_mw / 1e3, &HeuristicConfig::paper());
+        let alloc = heuristic_allocation(&model.channel, &model.led, budget_mw / 1e3, &HeuristicConfig::paper(), Probe::off());
         for (rx, s) in model.sinr(&alloc).into_iter().enumerate() {
             prop_assert!(s.is_finite() && s >= 0.0, "RX{rx}: SINR {s}");
         }

@@ -7,7 +7,7 @@ use densevlc::sim::Simulation;
 use vlc_geom::Vec3;
 use vlc_telemetry::Registry;
 use vlc_testbed::{AcroPositioner, Deployment, Scenario};
-use vlc_trace::Span;
+use vlc_trace::Probe;
 
 fn sim() -> Simulation {
     Simulation::new(Deployment::scenario(Scenario::Two), 1.2, 0.2)
@@ -27,7 +27,14 @@ fn run_script(incremental: bool) -> (Vec<densevlc::sim::Tick>, Registry) {
     let telemetry = Registry::new();
     let mut ticks = Vec::new();
     let first = if incremental {
-        s.run_traced(1.0, None, &telemetry, &Span::noop())
+        s.run(
+            1.0,
+            None,
+            Probe {
+                telemetry: &telemetry,
+                ..Probe::off()
+            },
+        )
     } else {
         s.run_cold(1.0, &telemetry)
     };
@@ -37,7 +44,14 @@ fn run_script(incremental: bool) -> (Vec<densevlc::sim::Tick>, Registry) {
     let room = s.deployment.room;
     s.rx_movers[0] = AcroPositioner::new(Vec3::new(0.3, 2.7, 0.0), 0.5, room);
     let second = if incremental {
-        s.run_traced(1.0, None, &telemetry, &Span::noop())
+        s.run(
+            1.0,
+            None,
+            Probe {
+                telemetry: &telemetry,
+                ..Probe::off()
+            },
+        )
     } else {
         s.run_cold(1.0, &telemetry)
     };
@@ -76,7 +90,7 @@ fn end_of_run_deployment_state_matches_cold() {
     // experiment code can't tell which engine ran.
     let mut warm = sim();
     warm.send_receiver(0, 2.4, 2.4);
-    warm.run(2.0);
+    warm.run(2.0, None, Probe::off());
     let mut cold = sim();
     cold.send_receiver(0, 2.4, 2.4);
     cold.run_cold(2.0, &Registry::noop());
@@ -98,7 +112,7 @@ fn blocked_links_are_counted_against_same_tick_clear_gains() {
         s.send_receiver(0, 2.4, 0.9); // RX1 slides past the shadow
         s
     };
-    let warm = build().run(3.0);
+    let warm = build().run(3.0, None, Probe::off());
     let cold = build().run_cold(3.0, &Registry::noop());
     assert_eq!(warm.ticks.len(), cold.ticks.len());
     for (w, c) in warm.ticks.iter().zip(&cold.ticks) {
@@ -124,7 +138,14 @@ fn static_world_hits_plan_cache() {
     // the stored plan.
     let mut s = sim();
     let telemetry = Registry::new();
-    s.run_traced(2.0, None, &telemetry, &Span::noop());
+    s.run(
+        2.0,
+        None,
+        Probe {
+            telemetry: &telemetry,
+            ..Probe::off()
+        },
+    );
     let snap = telemetry.snapshot();
     assert!(snap.counter("mac.plan.cache_hits").unwrap_or(0) > 0);
     assert_eq!(snap.counter("mac.plan.cache_misses"), Some(1));
@@ -143,7 +164,14 @@ fn channel_that_returns_to_the_planned_one_still_replans() {
         s
     };
     let telemetry = Registry::new();
-    let warm = build().run_traced(12.0, None, &telemetry, &Span::noop());
+    let warm = build().run(
+        12.0,
+        None,
+        Probe {
+            telemetry: &telemetry,
+            ..Probe::off()
+        },
+    );
     let cold = build().run_cold(12.0, &Registry::noop());
     assert_eq!(warm.ticks, cold.ticks);
     let snap = telemetry.snapshot();

@@ -16,6 +16,7 @@ use vlc_phy::manchester::manchester_encode;
 use vlc_phy::snr::m2m4_snr;
 use vlc_phy::waveform::{render, WaveformConfig};
 use vlc_testbed::{Deployment, Scenario};
+use vlc_trace::Probe;
 
 /// Renders TX `tx`'s pilot as received by RX `rx` and estimates its SNR.
 fn measure_link(
@@ -78,8 +79,8 @@ fn measured_sounding_reproduces_the_truth_plan() {
 
     // The plan from measurements serves everyone and overlaps the truth
     // plan in its TX selection (weak-tail links may differ).
-    let plan_measured = ctl.plan(&estimated);
-    let plan_truth = ctl.plan(truth);
+    let plan_measured = ctl.plan(&estimated, Probe::off());
+    let plan_truth = ctl.plan(truth, Probe::off());
     assert_eq!(plan_measured.beamspots().len(), 4, "an RX went unserved");
     let measured_txs = plan_measured.active_txs();
     let truth_txs = plan_truth.active_txs();

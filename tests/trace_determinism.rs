@@ -7,16 +7,16 @@
 //! Also pins the zero-cost default: entry points called without a live
 //! parent span record no spans at all.
 
-use vlc_alloc::heuristic::heuristic_allocation_traced;
+use vlc_alloc::heuristic::heuristic_allocation;
 use vlc_alloc::model::SystemModel;
 use vlc_alloc::{HeuristicConfig, OptimalSolver};
-use vlc_channel::nlos::{floor_bounce_gain_traced, wall_bounce_gain_traced, NlosConfig};
+use vlc_channel::nlos::{floor_bounce_gain, wall_bounce_gain, NlosConfig};
 use vlc_channel::{ChannelMatrix, RxOptics};
 use vlc_geom::{Pose, Room, TxGrid};
 use vlc_led::LedParams;
 use vlc_par::{Jobs, Pool};
 use vlc_telemetry::{ManualClock, Registry};
-use vlc_trace::{Span, TraceSnapshot, Tracer};
+use vlc_trace::{Probe, Span, TraceSnapshot, Tracer};
 
 /// Worker counts exercised: sequential, even split, a count that does not
 /// divide typical item counts, and every available core.
@@ -41,26 +41,71 @@ fn traced_workload(jobs: Jobs) -> TraceSnapshot {
     ];
     let optics = RxOptics::paper();
     let pool = Pool::new(jobs);
-    let h = ChannelMatrix::compute_traced(&grid, &rxs, 15f64.to_radians(), &optics, &[], &root);
+    let h = ChannelMatrix::compute(
+        &grid,
+        &rxs,
+        15f64.to_radians(),
+        &optics,
+        &[],
+        Probe {
+            span: &root,
+            ..Probe::off()
+        },
+    );
 
     let cfg = NlosConfig::default();
     let leader = Pose::ceiling(0.6, 0.6, room.height);
     let follower = Pose::ceiling(1.8, 1.4, room.height);
-    floor_bounce_gain_traced(&leader, &follower, 1.0, &optics, &room, &cfg, &pool, &root);
+    floor_bounce_gain(
+        &leader,
+        &follower,
+        1.0,
+        &optics,
+        &room,
+        &cfg,
+        &pool,
+        Probe {
+            span: &root,
+            ..Probe::off()
+        },
+    );
     let rx = Pose::face_up(1.2, 1.0, 0.8);
-    wall_bounce_gain_traced(&leader, &rx, 1.0, &optics, &room, &cfg, &pool, &root);
+    wall_bounce_gain(
+        &leader,
+        &rx,
+        1.0,
+        &optics,
+        &room,
+        &cfg,
+        &pool,
+        Probe {
+            span: &root,
+            ..Probe::off()
+        },
+    );
 
     let model = SystemModel::paper(h);
     let quiet = Registry::noop();
-    heuristic_allocation_traced(
+    heuristic_allocation(
         &model.channel,
         &LedParams::cree_xte_paper(),
         1.2,
         &HeuristicConfig::paper(),
-        &quiet,
-        &root,
+        Probe {
+            telemetry: &quiet,
+            span: &root,
+        },
     );
-    OptimalSolver::quick().solve_traced(&model, 1.2, None, &quiet, &pool, &root);
+    OptimalSolver::quick().solve(
+        &model,
+        1.2,
+        None,
+        &pool,
+        Probe {
+            telemetry: &quiet,
+            span: &root,
+        },
+    );
 
     drop(root);
     tracer.snapshot()
@@ -118,8 +163,11 @@ fn untraced_entry_points_record_zero_spans() {
     let quiet = Registry::noop();
 
     let mut system = densevlc::System::scenario(vlc_testbed::Scenario::Two, 1.2);
-    system.adapt(); // plain, uninstrumented entry point
-    system.adapt_traced(&quiet, &Span::noop()); // instrumented, but noop parent inside
+    system.adapt(Probe::off()); // plain, uninstrumented entry point
+    system.adapt(Probe {
+        telemetry: &quiet,
+        ..Probe::off()
+    }); // instrumented, but noop parent inside
 
     let snap = tracer.snapshot();
     assert_eq!(snap.len(), 0, "no spans recorded on the default path");
