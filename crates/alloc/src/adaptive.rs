@@ -11,11 +11,10 @@
 
 use crate::heuristic::{heuristic_allocation, HeuristicConfig};
 use crate::model::SystemModel;
-use serde::{Deserialize, Serialize};
 use vlc_trace::Probe;
 
 /// Configuration of the κ adaptation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KappaAdaptConfig {
     /// Number of full coordinate-ascent passes over the TXs.
     pub passes: usize,
@@ -39,7 +38,7 @@ impl Default for KappaAdaptConfig {
 }
 
 /// Result of the adaptation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KappaAdaptResult {
     /// The adapted heuristic configuration (with `per_tx_kappa` set).
     pub config: HeuristicConfig,

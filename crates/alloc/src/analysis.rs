@@ -6,10 +6,9 @@
 
 use crate::heuristic::{allocate_first_k, rank_by_sjr, HeuristicConfig};
 use crate::model::{Allocation, SystemModel};
-use serde::{Deserialize, Serialize};
 
 /// One point of a throughput-vs-power curve.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepPoint {
     /// Total communication power of the allocation, in watts.
     pub power_w: f64,
@@ -52,7 +51,7 @@ pub fn heuristic_sweep(model: &SystemModel, config: &HeuristicConfig) -> Vec<Swe
 
 /// Result of comparing DenseVLC with a baseline at matched throughput or
 /// matched power (Fig. 21's two headline numbers).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EfficiencyComparison {
     /// The baseline's operating power in watts.
     pub baseline_power_w: f64,

@@ -8,12 +8,11 @@
 //! allocator: the paper's 36-TX instance has `5³⁶ ≈ 10²⁵` assignments.
 
 use crate::model::{Allocation, SystemModel};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use vlc_par::{Pool, DEFAULT_CHUNK};
 
 /// The exhaustive-search result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExhaustiveResult {
     /// The best binary allocation found.
     pub allocation: Allocation,

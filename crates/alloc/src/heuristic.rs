@@ -9,13 +9,12 @@
 //! budget is exhausted.
 
 use crate::model::Allocation;
-use serde::{Deserialize, Serialize};
 use vlc_channel::ChannelMatrix;
 use vlc_led::{power::dynamic_resistance, LedParams};
 use vlc_trace::Probe;
 
 /// Configuration of the ranking heuristic.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HeuristicConfig {
     /// The exponent κ weighting the desired channel against generated
     /// interference. The paper sweeps {1.0, 1.2, 1.3, 1.5} and finds 1.3
@@ -58,7 +57,7 @@ impl HeuristicConfig {
 
 /// One entry of the heuristic's output ranking: TX `tx` is assigned to RX
 /// `rx` with the given SJR score.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RankedTx {
     /// Zero-based TX index.
     pub tx: usize,

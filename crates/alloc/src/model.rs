@@ -5,7 +5,6 @@
 //! the extra electrical power spent on communication, and Eq. 5 the
 //! proportional-fair sum-log-throughput objective the controller maximizes.
 
-use serde::{Deserialize, Serialize};
 use vlc_channel::matrix::{append_rx_columns, remove_rx_column};
 use vlc_channel::{ChannelMatrix, NoiseParams};
 use vlc_led::{power::dynamic_resistance, LedParams};
@@ -16,7 +15,7 @@ use vlc_led::{power::dynamic_resistance, LedParams};
 /// an all-zero row and stays in pure illumination mode. The per-TX *total*
 /// swing `Σ_k I_sw^{j,k}` is what the hardware realizes and what both the
 /// swing bound (Eq. 6) and the power model (Eq. 7) constrain.
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq)]
 pub struct Allocation {
     n_tx: usize,
     n_rx: usize,
@@ -175,7 +174,7 @@ impl Allocation {
 }
 
 /// The complete system model tying channel, device, and noise together.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemModel {
     /// Line-of-sight channel gains between every TX and RX.
     pub channel: ChannelMatrix,

@@ -20,7 +20,6 @@ use crate::heuristic::{heuristic_allocation, HeuristicConfig};
 use crate::model::{Allocation, SystemModel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use vlc_channel::{ChannelMatrix, ChannelSoA, SparseChannelView};
 use vlc_par::Pool;
 use vlc_telemetry::Registry;
@@ -379,7 +378,7 @@ fn project_rows(x: &mut [f64], n_rx: usize, max_swing: f64, r: f64, budget_w: f6
 /// assert!(model.is_feasible(&report.allocation, 0.15));
 /// assert!(report.objective.is_finite()); // both receivers served
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OptimalSolver {
     /// Maximum gradient-ascent iterations per start.
     pub max_iters: usize,
@@ -403,7 +402,7 @@ impl Default for OptimalSolver {
 }
 
 /// Outcome of a solve: the best allocation plus diagnostics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SolveReport {
     /// The best feasible allocation found.
     pub allocation: Allocation,

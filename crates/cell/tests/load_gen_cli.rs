@@ -86,16 +86,17 @@ fn explicit_sizes_override_the_smoke_preset_in_any_position() {
 
 #[test]
 fn a_repeated_flag_exits_2_naming_it() {
-    for repeat in [
-        &["--ticks", "5"][..],
-        &["--rooms", "2x1"],
-        &["--events", "10"],
-        &["--seed", "3", "--seed", "4"],
-        &["--jobs", "1", "--jobs", "2"],
-        &["--policy", "heuristic", "--policy", "optimal"],
-        &["--smoke", "--smoke"],
+    for (sizes, repeat) in [
+        (&TINY[..], &["--ticks", "5"][..]),
+        (&TINY, &["--rooms", "2x1"]),
+        (&TINY, &["--events", "10"]),
+        (&TINY, &["--seed", "3", "--seed", "4"]),
+        (&TINY, &["--jobs", "1", "--jobs", "2"]),
+        (&TINY, &["--policy", "heuristic", "--policy", "optimal"]),
+        (&TINY, &["--smoke", "--smoke"]),
+        (&["--smoke"], &["--ticks", "5", "--ticks", "6"]),
     ] {
-        let args = [&TINY[..], repeat].concat();
+        let args = [sizes, repeat].concat();
         let out = load_gen(&args);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_usage_error(&args);

@@ -7,11 +7,10 @@
 //! links; the `blockage_study` example uses it to quantify the §9
 //! hypothesis.
 
-use serde::{Deserialize, Serialize};
 use vlc_geom::Vec3;
 
 /// A vertical cylindrical occluder standing on the floor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CylinderBlocker {
     /// Center of the cylinder footprint on the floor.
     pub center_xy: Vec3,

@@ -1,6 +1,5 @@
 //! The line-of-sight Lambertian path-loss model (paper Eq. 2).
 
-use serde::{Deserialize, Serialize};
 use vlc_geom::Pose;
 
 /// Receiver optics: photodiode geometry, field of view, and concentrator.
@@ -9,7 +8,7 @@ use vlc_geom::Pose;
 /// a 1.1 mm² collection area, a 90° field of view, responsivity 0.40 A/W,
 /// and no optical concentrator (refractive index 1 → unit gain at a 90°
 /// FOV).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RxOptics {
     /// Photodiode collection area `Apd` in m².
     pub collection_area_m2: f64,

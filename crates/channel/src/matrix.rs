@@ -2,7 +2,6 @@
 
 use crate::blockage::{any_blocks, CylinderBlocker};
 use crate::lambertian::{lambertian_order, los_gain_profiled, RxOptics};
-use serde::{Deserialize, Serialize};
 use vlc_geom::{Pose, TxGrid};
 use vlc_trace::Probe;
 
@@ -11,7 +10,7 @@ use vlc_trace::Probe;
 /// This is the matrix the paper calls `H` (Eq. 3, Eq. 13): the controller
 /// measures it through pilot rounds and feeds it to the allocation
 /// algorithms. Stored row-major with `n_tx` rows of `n_rx` entries.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChannelMatrix {
     n_tx: usize,
     n_rx: usize,

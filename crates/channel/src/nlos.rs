@@ -16,13 +16,12 @@
 
 use crate::lambertian::{RxOptics, RxProfile};
 use crate::soa::LANE;
-use serde::{Deserialize, Serialize};
 use vlc_geom::{Pose, Room, Vec3};
 use vlc_par::Pool;
 use vlc_trace::Probe;
 
 /// Configuration for the single-bounce integration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NlosConfig {
     /// Floor-patch edge length in meters for the numerical integration.
     /// 5 cm keeps the quadrature error well under 1 % for room-scale

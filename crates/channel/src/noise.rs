@@ -10,13 +10,12 @@
 //! shot-noise term for sensitivity studies.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Elementary charge in coulombs (for shot-noise computations).
 const ELECTRON_CHARGE: f64 = 1.602_176_634e-19;
 
 /// Receiver noise parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NoiseParams {
     /// Single-sided noise spectral power density `N0` in A²/Hz.
     pub n0_a2_per_hz: f64,

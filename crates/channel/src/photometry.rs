@@ -9,7 +9,6 @@
 //! the area of interest from a set of luminaire poses.
 
 use crate::lambertian::lambertian_order;
-use serde::{Deserialize, Serialize};
 use vlc_geom::{AreaOfInterest, Pose, Vec3};
 
 /// Illuminance produced at a floor/table point by one Lambertian luminaire.
@@ -43,7 +42,7 @@ pub fn illuminance_from(
 }
 
 /// Summary statistics of an illuminance distribution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IlluminanceStats {
     /// Mean illuminance in lux.
     pub average_lux: f64,
@@ -64,7 +63,7 @@ impl IlluminanceStats {
 }
 
 /// A sampled illuminance map over an area of interest.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IlluminanceMap {
     /// Sample points (all at the working-plane height).
     pub points: Vec<Vec3>,

@@ -19,7 +19,6 @@ use std::sync::OnceLock;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use vlc_channel::{AwgnChannel, AwgnCursor, NoiseParams};
 use vlc_led::power::optical_swing_amplitude;
 use vlc_led::LedParams;
@@ -302,7 +301,7 @@ impl<R: Rng + ?Sized> ChipDecider for Windows<'_, '_, R> {
 }
 
 /// One transmitter participating in the joint transmission.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct E2eTx {
     /// Line-of-sight gain to the receiver.
     pub gain: f64,
@@ -311,7 +310,7 @@ pub struct E2eTx {
 }
 
 /// Configuration of an end-to-end run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E2eConfig {
     /// Chip (symbol) rate in chips/s.
     pub symbol_rate_hz: f64,
@@ -345,7 +344,7 @@ impl Default for E2eConfig {
 }
 
 /// Result of an end-to-end run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct E2eResult {
     /// Frames transmitted.
     pub frames_total: usize,
@@ -371,7 +370,8 @@ pub struct E2eResult {
 /// not match the transmitted one count into `phy.frames_bad_payload`; and
 /// the raw chip error fraction (sliced vs. transmitted MAC chips, before
 /// FEC) of each frame whose chips Manchester-decode lands in the `phy.ber`
-/// histogram. The frame path opens no span.
+/// histogram. The run is one `e2e.run` span under `probe.span`, carrying
+/// the attributes `txs`, `frames`, `sync` and `frames_ok`.
 pub fn run(
     txs: &[E2eTx],
     scheme: &SyncScheme,
@@ -380,7 +380,24 @@ pub fn run(
     seed: u64,
     probe: Probe<'_>,
 ) -> E2eResult {
-    FramePipeline::new(cfg).run(txs, scheme, cfg, frames, seed, probe.telemetry)
+    let span = probe.span.child("e2e.run");
+    if span.is_enabled() {
+        span.attr("txs", &txs.len().to_string());
+        span.attr("frames", &frames.to_string());
+        span.attr(
+            "sync",
+            match scheme {
+                SyncScheme::SyncOff => "SyncOff",
+                SyncScheme::NtpPtp => "NtpPtp",
+                SyncScheme::NlosVlc { .. } => "NlosVlc",
+            },
+        );
+    }
+    let result = FramePipeline::new(cfg).run(txs, scheme, cfg, frames, seed, probe.telemetry);
+    if span.is_enabled() {
+        span.attr("frames_ok", &result.frames_ok.to_string());
+    }
+    result
 }
 
 /// The scalar reference implementation of [`run`]: `Vec<Chip>`
@@ -1066,7 +1083,7 @@ impl FramePipeline {
 }
 
 /// Result of an ARQ (stop-and-wait) run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ArqResult {
     /// Payloads the application submitted.
     pub payloads_total: usize,
@@ -1149,7 +1166,7 @@ pub fn run_with_arq(
 }
 
 /// One beamspot in a concurrent multi-receiver transmission.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E2eBeamspot {
     /// The served receiver (column index of the channel matrix).
     pub rx: usize,

@@ -8,7 +8,6 @@
 //! * **Partial-last budget usage:** the heuristic with and without a
 //!   fractional final TX.
 
-use serde::{Deserialize, Serialize};
 use vlc_alloc::analysis::{heuristic_sweep, throughput_at_power};
 use vlc_alloc::heuristic::heuristic_allocation;
 use vlc_alloc::model::Allocation;
@@ -18,7 +17,7 @@ use vlc_testbed::{Deployment, Scenario};
 use vlc_trace::Probe;
 
 /// The ablation deltas.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Ablations {
     /// Budget every ablation runs at, in watts.
     pub budget_w: f64,

@@ -7,7 +7,6 @@
 //! faster than Matlab's `fmincon`, but the heuristic is proportionally
 //! faster still).
 
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 use vlc_alloc::analysis::{heuristic_sweep, throughput_at_power};
 use vlc_alloc::heuristic::heuristic_allocation;
@@ -17,7 +16,7 @@ use vlc_testbed::{Deployment, Scenario};
 use vlc_trace::Probe;
 
 /// The complexity-comparison result.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Complexity {
     /// Wall-clock seconds per optimal solve.
     pub optimal_s: f64,

@@ -12,14 +12,13 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use vlc_geom::Pose;
 use vlc_mac::{simulate_round, EthernetMulticast, PilotSchedule, WifiUplink};
 use vlc_testbed::{Deployment, Scenario};
 use vlc_trace::Probe;
 
 /// One (speed, decision-time) cell of the study.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrackingPoint {
     /// Receiver speed in m/s.
     pub speed_mps: f64,
@@ -33,7 +32,7 @@ pub struct TrackingPoint {
 }
 
 /// The mobility-tracking result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExtAdaptation {
     /// All sweep cells.
     pub points: Vec<TrackingPoint>,

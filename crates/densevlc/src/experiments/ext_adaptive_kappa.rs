@@ -6,7 +6,6 @@
 //! instance, it compares the uniform-κ heuristic, the adapted per-TX-κ
 //! heuristic, and the optimal solver.
 
-use serde::{Deserialize, Serialize};
 use vlc_alloc::adaptive::{adapt_per_tx_kappa, KappaAdaptConfig};
 use vlc_alloc::heuristic::heuristic_allocation;
 use vlc_alloc::{HeuristicConfig, OptimalSolver};
@@ -15,7 +14,7 @@ use vlc_testbed::{Deployment, Scenario};
 use vlc_trace::Probe;
 
 /// One budget point of the extension study.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExtKappaPoint {
     /// Budget in watts.
     pub budget_w: f64,
@@ -40,7 +39,7 @@ impl ExtKappaPoint {
 }
 
 /// The extension-study result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExtKappa {
     /// One entry per budget.
     pub points: Vec<ExtKappaPoint>,

@@ -7,14 +7,13 @@
 //! rate, attempts per payload, and the goodput cost of retransmissions.
 
 use crate::e2e::{run, run_with_arq, E2eConfig, E2eTx};
-use serde::{Deserialize, Serialize};
 use vlc_mac::WifiUplink;
 use vlc_sync::SyncScheme;
 use vlc_testbed::{BbbHostMap, Deployment};
 use vlc_trace::Probe;
 
 /// One attenuation point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ArqPoint {
     /// Link attenuation relative to the clean Table-5 link (1.0 = clean).
     pub attenuation: f64,
@@ -29,7 +28,7 @@ pub struct ArqPoint {
 }
 
 /// The ARQ-study result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExtArq {
     /// One entry per attenuation level.
     pub points: Vec<ArqPoint>,

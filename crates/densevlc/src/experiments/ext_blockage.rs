@@ -7,7 +7,6 @@
 //! controller, blockage is just another measured channel), and reports the
 //! distribution of throughput changes.
 
-use serde::{Deserialize, Serialize};
 use vlc_alloc::heuristic::heuristic_allocation;
 use vlc_alloc::model::SystemModel;
 use vlc_alloc::HeuristicConfig;
@@ -16,7 +15,7 @@ use vlc_testbed::{Deployment, Scenario};
 use vlc_trace::Probe;
 
 /// One occluder position's outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BlockagePoint {
     /// Occluder XY position in meters.
     pub x: f64,
@@ -27,7 +26,7 @@ pub struct BlockagePoint {
 }
 
 /// The blockage-study result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExtBlockage {
     /// Clear-room system throughput in bit/s.
     pub clear_bps: f64,

@@ -8,13 +8,12 @@
 //! interference, and we report per-receiver goodput and PER.
 
 use crate::e2e::{run_concurrent, E2eBeamspot, E2eConfig, E2eResult};
-use serde::{Deserialize, Serialize};
 use vlc_mac::{Controller, ControllerConfig};
 use vlc_testbed::{Deployment, Scenario};
 use vlc_trace::Probe;
 
 /// Per-receiver outcome of the concurrent run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConcurrentRx {
     /// The receiver.
     pub rx: usize,
@@ -25,7 +24,7 @@ pub struct ConcurrentRx {
 }
 
 /// The concurrent-transmission result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExtConcurrent {
     /// Which scenario ran.
     pub scenario: Scenario,

@@ -7,7 +7,6 @@
 //! illumination-normalized flux) and the receiver count, and reports system
 //! throughput plus Jain's fairness index.
 
-use serde::{Deserialize, Serialize};
 use vlc_alloc::analysis::{heuristic_sweep, jain_fairness, throughput_at_power};
 use vlc_alloc::model::SystemModel;
 use vlc_alloc::HeuristicConfig;
@@ -16,7 +15,7 @@ use vlc_geom::{Pose, Room, TxGrid};
 use vlc_trace::Probe;
 
 /// One grid-density point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DensityPoint {
     /// Grid side (the grid is `side × side`).
     pub side: usize,
@@ -27,7 +26,7 @@ pub struct DensityPoint {
 }
 
 /// The density-study result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExtDensity {
     /// Budget the comparison runs at, in watts.
     pub budget_w: f64,

@@ -8,7 +8,6 @@
 //! per-TX swing headroom, and the system throughput the heuristic achieves
 //! within that headroom.
 
-use serde::{Deserialize, Serialize};
 use vlc_alloc::analysis::{heuristic_sweep, throughput_at_power};
 use vlc_alloc::HeuristicConfig;
 use vlc_channel::IlluminanceMap;
@@ -17,7 +16,7 @@ use vlc_led::LedParams;
 use vlc_testbed::{Deployment, Scenario};
 
 /// One dimming point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DimmingPoint {
     /// Bias current in amperes.
     pub bias_a: f64,
@@ -32,7 +31,7 @@ pub struct DimmingPoint {
 }
 
 /// The dimming-study result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExtDimming {
     /// Comparison power budget in watts.
     pub budget_w: f64,

@@ -10,7 +10,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use vlc_channel::AwgnChannel;
 use vlc_led::power::optical_swing_amplitude;
 use vlc_led::LedParams;
@@ -18,7 +17,7 @@ use vlc_phy::ofdm::{OfdmModem, QamOrder};
 use vlc_testbed::Deployment;
 
 /// One modulation's outcome on the reference link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModulationPoint {
     /// Bits per second on the 1 Msps front-end.
     pub bit_rate_bps: f64,
@@ -27,7 +26,7 @@ pub struct ModulationPoint {
 }
 
 /// The OFDM-extension result.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExtOfdm {
     /// Manchester-OOK baseline (the paper's PHY): raw rate at chip level.
     pub ook: ModulationPoint,

@@ -8,7 +8,6 @@
 //! light) and re-runs the heuristic to quantify the throughput cost and
 //! confirm the pipeline keeps working.
 
-use serde::{Deserialize, Serialize};
 use vlc_alloc::analysis::{heuristic_sweep, throughput_at_power};
 use vlc_alloc::model::SystemModel;
 use vlc_alloc::HeuristicConfig;
@@ -17,7 +16,7 @@ use vlc_geom::{Pose, Room, TxGrid};
 use vlc_trace::Probe;
 
 /// One tilt point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TiltPoint {
     /// Tilt away from vertical, in degrees.
     pub tilt_deg: f64,
@@ -28,7 +27,7 @@ pub struct TiltPoint {
 }
 
 /// The orientation-study result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExtOrientation {
     /// Comparison budget in watts.
     pub budget_w: f64,

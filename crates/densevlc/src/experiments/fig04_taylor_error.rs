@@ -5,12 +5,11 @@
 //! finding 0.45 % at the 900 mA maximum.
 
 use crate::experiments::format_series;
-use serde::{Deserialize, Serialize};
 use vlc_led::power::taylor_relative_error_total;
 use vlc_led::LedParams;
 
 /// Result of the Fig. 4 sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig04 {
     /// `(swing in mA, relative error in %)` pairs.
     pub points: Vec<(f64, f64)>,

@@ -7,14 +7,13 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use vlc_channel::{IlluminanceMap, IlluminanceStats};
 use vlc_geom::{AreaOfInterest, Room, TxGrid};
 use vlc_led::LedParams;
 use vlc_testbed::LuxMeter;
 
 /// Result of the illuminance experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig05 {
     /// Ideal simulation-geometry statistics (paper: 564 lux / 74 %).
     pub simulation: IlluminanceStats,

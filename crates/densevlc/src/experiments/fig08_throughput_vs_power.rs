@@ -11,14 +11,13 @@
 use crate::experiments::mean_ci95;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use vlc_alloc::OptimalSolver;
 use vlc_par::Pool;
 use vlc_testbed::{random_instances, Deployment};
 use vlc_trace::Probe;
 
 /// One budget point of the Fig. 8 curves.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig08Point {
     /// Power budget in watts.
     pub budget_w: f64,
@@ -29,7 +28,7 @@ pub struct Fig08Point {
 }
 
 /// The Fig. 8 result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig08 {
     /// One entry per budget.
     pub points: Vec<Fig08Point>,

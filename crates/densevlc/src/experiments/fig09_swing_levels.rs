@@ -7,7 +7,6 @@
 //! preferred TXs (Insight 1), and each TX's swing snaps from zero to full
 //! quickly (Insight 2), so gray (partial-swing) regions are rare.
 
-use serde::{Deserialize, Serialize};
 use vlc_alloc::model::SystemModel;
 use vlc_alloc::OptimalSolver;
 use vlc_par::Pool;
@@ -15,7 +14,7 @@ use vlc_testbed::{Deployment, Scenario};
 use vlc_trace::Probe;
 
 /// The Fig. 9 result: swing maps for two receivers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig09 {
     /// The swept budgets in watts.
     pub budgets_w: Vec<f64>,

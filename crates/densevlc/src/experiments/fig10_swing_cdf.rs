@@ -9,14 +9,13 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use vlc_alloc::OptimalSolver;
 use vlc_par::Pool;
 use vlc_testbed::{random_instances, Deployment};
 use vlc_trace::Probe;
 
 /// Empirical CDF of one TX's optimal swing toward RX2.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SwingCdf {
     /// Zero-based TX index.
     pub tx: usize,
@@ -43,7 +42,7 @@ impl SwingCdf {
 }
 
 /// The Fig. 10 result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig10 {
     /// CDFs for the representative TXs.
     pub cdfs: Vec<SwingCdf>,

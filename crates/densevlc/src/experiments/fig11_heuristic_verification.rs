@@ -8,7 +8,6 @@
 use crate::experiments::mean_ci95;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use vlc_alloc::analysis::{heuristic_sweep, throughput_at_power};
 use vlc_alloc::{HeuristicConfig, OptimalSolver};
 use vlc_par::Pool;
@@ -16,7 +15,7 @@ use vlc_testbed::{random_instances, Deployment, Scenario};
 use vlc_trace::Probe;
 
 /// Throughput-vs-budget curves on the Fig. 7 instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig11Curves {
     /// The swept budgets in watts.
     pub budgets_w: Vec<f64>,
@@ -27,14 +26,14 @@ pub struct Fig11Curves {
 }
 
 /// Average loss statistics over random instances.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig11Losses {
     /// `(κ, per-instance loss fractions)`.
     pub losses: Vec<(f64, Vec<f64>)>,
 }
 
 /// The full Fig. 11 result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig11 {
     /// Left panel: curves on the single instance.
     pub curves: Fig11Curves,

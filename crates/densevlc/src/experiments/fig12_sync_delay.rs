@@ -7,11 +7,10 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use vlc_sync::SyncScheme;
 
 /// The Fig. 12 result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig12 {
     /// The swept symbol rates in symbols/s.
     pub rates_hz: Vec<f64>,

@@ -9,13 +9,12 @@
 //! leaves RX1 behind (it sits closest to the interferers); Scenario 3 shows
 //! a throughput drop when too many TXs are assigned.
 
-use serde::{Deserialize, Serialize};
 use vlc_alloc::analysis::{heuristic_sweep, SweepPoint};
 use vlc_alloc::HeuristicConfig;
 use vlc_testbed::{Deployment, Scenario};
 
 /// The per-scenario result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioCurves {
     /// Which scenario this is.
     pub scenario: Scenario,

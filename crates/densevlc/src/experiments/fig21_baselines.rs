@@ -7,14 +7,13 @@
 //! 2.3× better power efficiency than D-MISO and +45 % throughput over
 //! SISO's operating point.
 
-use serde::{Deserialize, Serialize};
 use vlc_alloc::analysis::{compare_efficiency, heuristic_sweep, power_to_reach, SweepPoint};
 use vlc_alloc::baselines::{dmiso_nearest_geometric, siso_allocation};
 use vlc_alloc::HeuristicConfig;
 use vlc_testbed::{Deployment, Scenario};
 
 /// The Fig. 21 result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig21 {
     /// The κ = 1.3 DenseVLC sweep curve.
     pub densevlc_curve: Vec<SweepPoint>,

@@ -7,7 +7,6 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use vlc_channel::RxOptics;
 use vlc_geom::{Room, TxGrid};
 use vlc_phy::manchester::manchester_encode;
@@ -16,7 +15,7 @@ use vlc_testbed::Scope;
 use vlc_trace::Probe;
 
 /// The Table 4 result, all values in seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Tab04 {
     /// Median error without synchronization (paper: 10.040 µs).
     pub no_sync_s: f64,

@@ -9,13 +9,12 @@
 //! | 4 TXs, NLOS sync    | 33.8 kb/s  | 0.55 % |
 
 use crate::e2e::{run as e2e_run, E2eConfig, E2eResult, E2eTx};
-use serde::{Deserialize, Serialize};
 use vlc_sync::SyncScheme;
 use vlc_testbed::{BbbHostMap, Deployment};
 use vlc_trace::Probe;
 
 /// The Table 5 result.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Tab05 {
     /// Row 1: two TXs on one BBB (no sync needed).
     pub two_tx: E2eResult,
@@ -39,7 +38,8 @@ fn setup() -> (Vec<E2eTx>, Vec<E2eTx>) {
 /// Runs the three scenarios with `frames` frames each. The PHY counters
 /// (`phy.frames_encoded`, `phy.frames_decoded`, `phy.rs_*`,
 /// `phy.preamble_misses`, `phy.ber`) accumulate in `probe.telemetry`
-/// across all three rows.
+/// across all three rows, and each row records one `e2e.run` span under
+/// `probe.span`.
 pub fn run(frames: usize, seed: u64, probe: Probe<'_>) -> Tab05 {
     assert!(frames > 0);
     let (two, four) = setup();

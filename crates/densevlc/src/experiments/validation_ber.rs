@@ -11,11 +11,10 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use vlc_channel::AwgnChannel;
 
 /// One SNR point of the validation sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BerPoint {
     /// Per-sample SNR `A²/σ²` in dB.
     pub snr_db: f64,
@@ -26,7 +25,7 @@ pub struct BerPoint {
 }
 
 /// The validation result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ValidationBer {
     /// Samples averaged per decision (mid-chip window).
     pub samples_per_decision: usize,

@@ -8,7 +8,6 @@
 //! deployment. The engine advances in fixed ticks and records a
 //! [`Timeline`] of per-tick system state for analysis or plotting.
 
-use serde::{Deserialize, Serialize};
 use vlc_alloc::model::SystemModel;
 use vlc_channel::{ChannelMatrix, ChannelUpdater, CylinderBlocker};
 use vlc_geom::Pose;
@@ -19,7 +18,7 @@ use vlc_testbed::{AcroPositioner, Deployment};
 use vlc_trace::{Probe, Span};
 
 /// A person walking waypoints while occluding light.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WalkingPerson {
     /// The gantry-like waypoint follower carrying the occluder.
     pub mover: AcroPositioner,
@@ -33,7 +32,7 @@ impl WalkingPerson {
 }
 
 /// One recorded tick.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tick {
     /// Simulation time in seconds.
     pub t_s: f64,
@@ -46,7 +45,7 @@ pub struct Tick {
 }
 
 /// The recorded simulation output.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Timeline {
     /// All ticks in time order.
     pub ticks: Vec<Tick>,
@@ -95,7 +94,7 @@ impl Timeline {
 }
 
 /// The composable simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Simulation {
     /// The physical deployment (mutated as things move).
     pub deployment: Deployment,
@@ -272,8 +271,8 @@ impl Simulation {
         let mut ticks = Vec::new();
         // Run-local engine state: one exact channel updater (any movement
         // recomputes its column) and whether the channel changed since
-        // this run last planned. Kept off the struct so serialized
-        // simulations and replays stay unaffected; `stale` starts set so
+        // this run last planned. Kept off the struct so clones of a
+        // simulation and its replays stay unaffected; `stale` starts set so
         // every run plans afresh on its first round.
         let mut updater = ChannelUpdater::new(
             &self.deployment.grid,

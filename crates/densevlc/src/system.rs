@@ -1,13 +1,12 @@
 //! The assembled DenseVLC system: testbed + controller + adaptation loop.
 
-use serde::{Deserialize, Serialize};
 use vlc_alloc::analysis::SweepPoint;
 use vlc_mac::{BeamspotPlan, Controller, ControllerConfig};
 use vlc_testbed::{Deployment, Scenario};
 use vlc_trace::Probe;
 
 /// The outcome of one adaptation round.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdaptationRound {
     /// The beamspot plan the controller produced.
     pub plan: BeamspotPlan,
@@ -20,7 +19,7 @@ pub struct AdaptationRound {
 }
 
 /// A complete DenseVLC system instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct System {
     /// The physical deployment (room, grid, receivers, channel).
     pub deployment: Deployment,

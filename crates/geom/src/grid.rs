@@ -1,7 +1,6 @@
 //! Builders for dense ceiling grids of LED transmitters.
 
 use crate::{Pose, Room, Vec3};
-use serde::{Deserialize, Serialize};
 
 /// A rectangular ceiling grid of downward-facing LED transmitters.
 ///
@@ -22,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(grid.nearest(Vec3::new(0.92, 0.92, 0.0)), 7);
 /// assert_eq!(grid.label(7), "TX8");
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TxGrid {
     /// Number of columns (along X).
     pub cols: usize,

@@ -1,7 +1,6 @@
 //! Positions with orientation (boresight) for transmitters and receivers.
 
 use crate::Vec3;
-use serde::{Deserialize, Serialize};
 
 /// A position in the room plus a unit boresight direction.
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// is the surface normal of the detector. The paper's deployment uses
 /// downward-facing ceiling TXs and upward-facing RXs, but the channel model
 /// supports arbitrary orientations (paper §9, "RX orientation").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Pose {
     /// Position in meters (room coordinates, z up, floor at z = 0).
     pub position: Vec3,

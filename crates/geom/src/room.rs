@@ -1,10 +1,9 @@
 //! Room geometry and the illumination area of interest.
 
 use crate::Vec3;
-use serde::{Deserialize, Serialize};
 
 /// An axis-aligned rectangular room with the floor at `z = 0`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Room {
     /// Extent along X in meters.
     pub width: f64,
@@ -61,7 +60,7 @@ impl Room {
 /// The central rectangular region where the ISO 8995-1 uniformity requirement
 /// is evaluated (the paper uses 2.2 m × 2.2 m centered in the room, excluding
 /// the boundary strip).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AreaOfInterest {
     /// Minimum X corner in meters.
     pub x_min: f64,

@@ -4,11 +4,10 @@
 //! tiny purpose-built type keeps the dependency surface small (smoltcp-style:
 //! simplicity over generality).
 
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
 /// A 3-component vector of `f64`, in meters when used as a position.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vec3 {
     /// X component (room width direction).
     pub x: f64,

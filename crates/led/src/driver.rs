@@ -12,10 +12,9 @@
 //! (the branch resistors burn most of the extra power).
 
 use crate::{LedParams, OperatingMode};
-use serde::{Deserialize, Serialize};
 
 /// The three drive levels of the front-end.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DriveLevel {
     /// Symbol LOW: the LED emits no light (both branches off).
     SymbolLow,
@@ -33,7 +32,7 @@ pub enum DriveLevel {
 /// swing `Isw = 2·Ib` of the model. Reduced swings are also supported for
 /// completeness, although DenseVLC's practical design (Insight 2) only uses
 /// zero or full swing.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThreeLevelDriver {
     /// The attached LED's parameters.
     pub led: LedParams,

@@ -11,10 +11,9 @@
 
 use crate::power::{communication_power_avg, led_power, optical_swing_amplitude};
 use crate::LedParams;
-use serde::{Deserialize, Serialize};
 
 /// A transmitter luminaire of `count` ganged LEDs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Luminaire {
     /// Per-LED parameters.
     pub led: LedParams,

@@ -7,11 +7,10 @@
 //! round — is invisible to occupants.
 
 use crate::LedParams;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The operating mode of a single LED transmitter.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum OperatingMode {
     /// Constant bias current; no data is transmitted.
     Illumination,

@@ -1,7 +1,5 @@
 //! LED device parameters.
 
-use serde::{Deserialize, Serialize};
-
 /// Electrical and optical parameters of one LED transmitter.
 ///
 /// The default profile, [`LedParams::cree_xte_paper`], matches the paper's
@@ -18,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// figures (e.g. D-MISO's 36 full-swing TXs land at 2.68 W exactly as in
 /// Fig. 21). A physically textbook room-temperature profile is available via
 /// [`LedParams::room_temperature_vt`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LedParams {
     /// Diode ideality factor `k` (dimensionless).
     pub ideality: f64,

@@ -9,7 +9,6 @@
 //! no-synchronization failure mode.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// One standard normal sample (Box–Muller, local to avoid a cross-crate
 /// dependency for two lines of math).
@@ -20,7 +19,7 @@ fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 }
 
 /// The Ethernet multicast downlink (controller → TX hosts).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EthernetMulticast {
     /// Base one-way latency in seconds.
     pub base_latency_s: f64,
@@ -52,7 +51,7 @@ impl EthernetMulticast {
 }
 
 /// The WiFi uplink (RX → controller) used for reports and ACKs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WifiUplink {
     /// Base one-way latency in seconds.
     pub base_latency_s: f64,

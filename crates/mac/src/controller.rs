@@ -7,7 +7,6 @@
 //! leading TX for NLOS-VLC synchronization.
 
 use crate::protocol::{ChannelReport, RxId, TxId};
-use serde::{Deserialize, Serialize};
 use vlc_alloc::heuristic::{allocate_by_ranking, rank_by_sjr, RankedTx};
 use vlc_alloc::model::Allocation;
 use vlc_alloc::HeuristicConfig;
@@ -16,7 +15,7 @@ use vlc_led::LedParams;
 use vlc_trace::Probe;
 
 /// One CFM-MIMO beamspot: the TXs jointly serving one receiver.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Beamspot {
     /// The served receiver.
     pub rx: RxId,
@@ -29,7 +28,7 @@ pub struct Beamspot {
 /// The controller's output for one adaptation round: Algorithm 1's
 /// ranking and the swing allocation it produced. The beamspots are a view
 /// of the two, derived on demand by [`Self::beamspots`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BeamspotPlan {
     /// The SJR ranking, best first: one entry per TX.
     pub ranking: Vec<RankedTx>,
@@ -86,7 +85,7 @@ impl BeamspotPlan {
 }
 
 /// Controller configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ControllerConfig {
     /// Heuristic configuration (κ etc.).
     pub heuristic: HeuristicConfig,
@@ -113,7 +112,7 @@ impl ControllerConfig {
 /// channel with any number of receivers, so a planner that never ingests
 /// reports (a building shard, whose roster changes) can be built with
 /// `n_rx = 0` once.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Controller {
     /// Configuration.
     pub config: ControllerConfig,

@@ -1,7 +1,5 @@
 //! Controller ↔ TX ↔ RX message vocabulary.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a transmitter (zero-based index into the grid).
 pub type TxId = usize;
 /// Identifier of a receiver.
@@ -9,7 +7,7 @@ pub type RxId = usize;
 
 /// A channel-quality report from one receiver (sent over the WiFi uplink
 /// after a pilot round). Values are linear SNRs measured with M2M4.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChannelReport {
     /// The reporting receiver.
     pub rx: RxId,
@@ -39,7 +37,7 @@ impl ChannelReport {
 }
 
 /// A MAC acknowledgement from a receiver (over WiFi).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Ack {
     /// The acknowledging receiver.
     pub rx: RxId,
@@ -50,7 +48,7 @@ pub struct Ack {
 }
 
 /// Messages flowing through the system.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Message {
     /// Controller → one TX: transmit the sounding pilot in your slot.
     SoundingAssignment {

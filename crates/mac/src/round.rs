@@ -10,10 +10,9 @@
 use crate::backhaul::{EthernetMulticast, WifiUplink};
 use crate::schedule::PilotSchedule;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Durations of one adaptation round, in seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoundTimeline {
     /// TDM channel sounding over all scheduled TXs.
     pub sounding_s: f64,

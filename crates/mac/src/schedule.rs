@@ -7,10 +7,9 @@
 //! cut the sounding overhead for fast re-adaptation.
 
 use crate::protocol::TxId;
-use serde::{Deserialize, Serialize};
 
 /// A time-division pilot schedule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PilotSchedule {
     /// The TX sounding in each slot, in slot order.
     pub slots: Vec<TxId>,

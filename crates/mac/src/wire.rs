@@ -13,7 +13,6 @@
 //! * ACK: `0x41 ('A') | rx:u8 | seq:u32 | ok:u8`
 
 use crate::protocol::{Ack, ChannelReport};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 const REPORT_TAG: u8 = b'R';
@@ -22,7 +21,7 @@ const ACK_TAG: u8 = b'A';
 const SNR_FLOOR_CENTI_DB: i16 = -8000;
 
 /// Errors raised while decoding an uplink message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireError {
     /// The buffer ended before the message completed.
     Truncated,

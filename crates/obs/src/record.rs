@@ -191,7 +191,7 @@ fn stats_to_json(out: &mut String, s: &WindowStats) {
 }
 
 impl ObsRecord {
-    /// Serializes this record as one NDJSON line (no trailing newline).
+    /// Writes this record as one NDJSON line (no trailing newline).
     pub fn to_line(&self) -> String {
         let mut out = String::with_capacity(96);
         match self {

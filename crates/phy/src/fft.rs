@@ -6,11 +6,10 @@
 //! implementation over an in-tree complex type keeps the dependency set
 //! unchanged.
 
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign, Mul, Neg, Sub};
 
 /// A complex number over `f64`.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Complex {
     /// Real part.
     pub re: f64,

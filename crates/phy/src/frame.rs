@@ -9,7 +9,6 @@
 
 use crate::codec::{CodecError, CodecStack};
 use crate::rs::{ReedSolomon, RsError};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Start-of-frame delimiter value.
@@ -22,7 +21,7 @@ pub const PREAMBLE_SYMBOLS: usize = 32;
 pub const MAX_PAYLOAD: usize = u16::MAX as usize;
 
 /// Errors raised while parsing a frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameError {
     /// The byte stream ended before the fixed header completed.
     Truncated,
@@ -79,7 +78,7 @@ impl From<CodecError> for FrameError {
 }
 
 /// The MAC-level header fields of a frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameHeader {
     /// Destination address (receiver ID).
     pub dst: u16,
@@ -90,7 +89,7 @@ pub struct FrameHeader {
 }
 
 /// A DenseVLC MAC frame.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
     /// Bitmask of TX IDs that must radiate this frame (bit `i` = TX `i`).
     pub tx_id_mask: u64,
@@ -135,7 +134,7 @@ impl Frame {
         mask
     }
 
-    /// Serializes the MAC portion (from SFD; the pilot and preamble are
+    /// Encodes the MAC portion (from SFD; the pilot and preamble are
     /// waveform-level and prepended by the modulator): SFD, Length, Dst,
     /// Src, Protocol, RS-coded payload.
     pub fn to_bytes(&self, rs: &ReedSolomon) -> Vec<u8> {
@@ -192,7 +191,7 @@ impl Frame {
     /// fields precede it; the 8-byte TX mask comes first).
     pub const FIXED_LEN: usize = 8 + 1 + 2 + 2 + 2 + 2;
 
-    /// Serializes a frame's parts into `out` (appended) through any
+    /// Encodes a frame's parts into `out` (appended) through any
     /// [`CodecStack`] — the generic zero-alloc twin of [`Frame::to_bytes`]:
     /// same fixed header, with the payload region coded by the stack.
     pub fn encode_parts_with<S: CodecStack + ?Sized>(

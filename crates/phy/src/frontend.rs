@@ -7,10 +7,8 @@
 //! stage as a discrete-time operation so the symbol-level simulations see
 //! the same band-shaping and quantization as the testbed.
 
-use serde::{Deserialize, Serialize};
-
 /// Transimpedance stage: photocurrent (A) → voltage (V).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Tia {
     /// Transimpedance gain in V/A (feedback resistor).
     pub gain_v_per_a: f64,
@@ -32,7 +30,7 @@ impl Tia {
 
 /// Single-pole AC-coupling high-pass filter: rejects DC and slow ambient
 /// light while passing the Manchester chip stream.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AcCoupler {
     alpha: f64,
 }
@@ -76,7 +74,7 @@ impl AcCoupler {
 }
 
 /// A second-order IIR section (Direct Form I).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Biquad {
     b0: f64,
     b1: f64,
@@ -118,7 +116,7 @@ impl Biquad {
 }
 
 /// First-order low-pass section (for the odd pole of odd-order filters).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct OnePole {
     b0: f64,
     b1: f64,
@@ -157,7 +155,7 @@ impl OnePole {
 /// A 7th-order Butterworth has poles at angles `(2k+6)/14·π`; grouped into
 /// three conjugate pairs (Q = 1/(2·cos θ_k) for θ_k = 2π·k/14, k = 1..3)
 /// plus one real pole.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Butterworth7 {
     sections: [Biquad; 3],
     real_pole: OnePole,
@@ -201,7 +199,7 @@ impl Butterworth7 {
 }
 
 /// The quantizing ADC (ADS7883: 12-bit, 1 Msps in the testbed).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Adc {
     /// Resolution in bits.
     pub bits: u32,
@@ -235,7 +233,7 @@ impl Adc {
 }
 
 /// The complete receive chain applied to a photocurrent sample stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FrontEnd {
     /// Stage 1: transimpedance amplifier.
     pub tia: Tia,

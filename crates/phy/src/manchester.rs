@@ -5,10 +5,8 @@
 //! `HIGH → LOW` transition a binary 1. Every bit therefore occupies two
 //! chips and the long-run average light level is exactly the bias.
 
-use serde::{Deserialize, Serialize};
-
 /// One Manchester chip: the LED is at the HIGH or LOW symbol level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Chip {
     /// LED at `Il = Ib − Isw/2`.
     Low,

@@ -19,11 +19,10 @@
 //! it as future work enabled by better hardware.
 
 use crate::fft::{fft, ifft, Complex};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Errors raised by the modem.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OfdmError {
     /// The bit payload doesn't fill a whole number of OFDM symbols.
     PartialSymbol {
@@ -60,7 +59,7 @@ impl fmt::Display for OfdmError {
 impl std::error::Error for OfdmError {}
 
 /// QAM constellation order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QamOrder {
     /// 4-QAM (QPSK): 2 bits per subcarrier.
     Qam4,
@@ -135,7 +134,7 @@ impl QamOrder {
 }
 
 /// The DCO-OFDM modem configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OfdmModem {
     /// FFT size (power of two).
     pub fft_size: usize,

@@ -20,7 +20,6 @@
 
 use crate::codec::CodecError;
 use crate::gf256::Gf256;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The paper's parity budget: 16 bytes per chunk.
@@ -32,7 +31,7 @@ pub const PAPER_CHUNK: usize = RsParams::PAPER.chunk;
 /// constructor ([`ReedSolomon::paper`], [`RsCodec::paper`]) builds from,
 /// so the Table 3 constants cannot drift apart (pinned by
 /// `paper_constructors_share_one_definition`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RsParams {
     /// Parity symbols appended to each chunk.
     pub nroots: usize,
@@ -55,7 +54,7 @@ impl RsParams {
 }
 
 /// Errors surfaced by the decoder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RsError {
     /// More errors than the code can correct (or a miscorrection trap).
     TooManyErrors,

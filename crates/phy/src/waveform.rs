@@ -9,10 +9,9 @@
 
 use crate::manchester::Chip;
 use crate::packed::{PackedChips, EVEN};
-use serde::{Deserialize, Serialize};
 
 /// Waveform timing configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WaveformConfig {
     /// Chip (symbol) rate at the transmitter, in chips per second.
     pub symbol_rate_hz: f64,

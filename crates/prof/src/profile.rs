@@ -278,7 +278,7 @@ impl Profile {
         out
     }
 
-    /// Serializes to the `densevlc-prof/1` JSON document: nodes in path
+    /// Writes to the `densevlc-prof/1` JSON document: nodes in path
     /// order, floats in shortest round-trip formatting — deterministic,
     /// and byte-identical across worker counts under `ManualClock`.
     pub fn to_json(&self) -> String {

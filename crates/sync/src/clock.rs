@@ -5,11 +5,10 @@
 //! terms are what the synchronization schemes fight against.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use vlc_telemetry::Registry;
 
 /// A free-running clock with offset, drift, and per-event jitter.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClockModel {
     /// Constant offset from true time, in seconds.
     pub offset_s: f64,

@@ -13,14 +13,13 @@
 
 use crate::clock::gaussian;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Median of `|X − Y|` for independent standard normals is `0.6745·√2·σ`;
 /// dividing the Table 4 medians by this constant gives per-TX sigmas.
 const MEDIAN_ABS_DIFF: f64 = 0.674_489 * std::f64::consts::SQRT_2;
 
 /// How a group of TXs is synchronized.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SyncScheme {
     /// TXs fire on Ethernet frame arrival; no alignment at all.
     SyncOff,

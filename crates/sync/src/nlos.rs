@@ -9,7 +9,6 @@
 //! decides detectability.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use vlc_channel::nlos::{floor_bounce_gain, NlosConfig};
 use vlc_channel::{NoiseParams, RxOptics};
 use vlc_geom::{Pose, Room};
@@ -18,7 +17,7 @@ use vlc_par::Pool;
 use vlc_trace::Probe;
 
 /// Outcome of a pilot-detection attempt at one follower.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PilotDetection {
     /// Pilot SNR at the follower's photodiode (linear).
     pub snr: f64,
@@ -27,7 +26,7 @@ pub struct PilotDetection {
 }
 
 /// A leader→follower NLOS synchronization link.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NlosSyncLink {
     /// Floor-bounce path gain between the two TXs.
     pub bounce_gain: f64,

@@ -62,7 +62,7 @@ fn fmt_f64(v: f64) -> String {
     }
 }
 
-/// Serializes a snapshot; see the module docs for the line format.
+/// Writes a snapshot; see the module docs for the line format.
 pub fn to_csv(snap: &MetricsSnapshot) -> String {
     let mut out = String::with_capacity(1024);
     out.push_str(HEADER);

@@ -28,7 +28,7 @@ use crate::event::Event;
 use crate::histogram::HistogramSnapshot;
 use crate::snapshot::MetricsSnapshot;
 
-/// Serializes a snapshot; see the module docs for the document shape.
+/// Writes a snapshot; see the module docs for the document shape.
 pub fn to_json(snap: &MetricsSnapshot) -> String {
     let mut out = String::with_capacity(1024);
     out.push_str("{\"counters\":{");
@@ -85,7 +85,7 @@ pub fn to_json(snap: &MetricsSnapshot) -> String {
     out
 }
 
-/// Serializes one event as a standalone JSON object
+/// Writes one event as a standalone JSON object
 /// (`{"t_s":…,"target":…,"kind":…,"fields":{…}}`) — the element shape of
 /// the snapshot's `events` array, also embedded in `vlc-obs` stream lines.
 pub fn event_to_json(e: &Event) -> String {

@@ -50,7 +50,7 @@ impl MetricsSnapshot {
         self.events.iter().filter(move |e| e.kind == kind)
     }
 
-    /// Serializes to the JSON document described in [`crate::export::json`].
+    /// Writes to the JSON document described in [`crate::export::json`].
     pub fn to_json(&self) -> String {
         crate::export::json::to_json(self)
     }
@@ -60,7 +60,7 @@ impl MetricsSnapshot {
         crate::export::json::from_json(text)
     }
 
-    /// Serializes to the CSV document described in [`crate::export::csv`].
+    /// Writes to the CSV document described in [`crate::export::csv`].
     pub fn to_csv(&self) -> String {
         crate::export::csv::to_csv(self)
     }

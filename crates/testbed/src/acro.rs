@@ -7,11 +7,10 @@
 //! which the mobility experiments use to study re-adaptation under receiver
 //! movement (the paper's "fast adaptation" design goal).
 
-use serde::{Deserialize, Serialize};
 use vlc_geom::{Room, Vec3};
 
 /// A 2-axis positioner carrying one receiver at a fixed height.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AcroPositioner {
     /// Current position (z = carried receiver height).
     pub position: Vec3,

@@ -8,10 +8,8 @@
 //! which puts TX2/TX8 on one BBB and TX3/TX9 on another, exactly as in the
 //! paper's §8.1 experiment.
 
-use serde::{Deserialize, Serialize};
-
 /// Maps grid TXs to their hosting embedded computer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BbbHostMap {
     cols: usize,
     rows: usize,

@@ -9,13 +9,12 @@
 //! 564 lux / 74 % ideal simulation.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use vlc_channel::lambertian::lambertian_order;
 use vlc_channel::photometry::illuminance_from;
 use vlc_geom::{Pose, Vec3};
 
 /// A handheld lux meter.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LuxMeter {
     /// Reading resolution in lux (display quantization).
     pub resolution_lux: f64,

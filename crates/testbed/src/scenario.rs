@@ -8,13 +8,12 @@
 //! (Fig. 7, identical to Scenario 2's positions).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use vlc_alloc::model::SystemModel;
 use vlc_channel::{ChannelMatrix, NoiseParams, Probe, RxOptics};
 use vlc_geom::{Pose, Room, TxGrid, Vec3};
 
 /// The three §8.2 evaluation scenarios.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scenario {
     /// Interference-free; no dominating TX (2 m inter-RX distance).
     One,
@@ -45,7 +44,7 @@ impl Scenario {
 }
 
 /// A complete deployment: room, grid, receivers, and the system model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Deployment {
     /// The room.
     pub room: Room,

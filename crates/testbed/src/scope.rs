@@ -8,14 +8,13 @@
 //! applied and reuses `vlc-sync`'s edge-delay estimator.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use vlc_phy::manchester::Chip;
 use vlc_phy::waveform::{render, WaveformConfig};
 use vlc_sync::measure::average_median_delay;
 use vlc_sync::SyncScheme;
 
 /// A two-channel digital scope.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Scope {
     /// Scope sampling rate in Hz.
     pub sample_rate_hz: f64,

@@ -148,7 +148,7 @@ impl BenchReport {
         self.entries.iter().find(|(n, _)| n == name).map(|(_, s)| s)
     }
 
-    /// Serializes to the BENCH.json format (deterministic: entries are
+    /// Writes to the BENCH.json format (deterministic: entries are
     /// name-sorted and floats use shortest-roundtrip formatting).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n  \"schema\": ");

@@ -485,8 +485,8 @@ fn sim(args: &Args, run: &mut ObsRun, parent: &Span, profiling: bool) {
     let budget = args.positive("--budget", 1.2);
     let duration = args.positive("--duration", 2.0);
     let period = args.positive("--period", 0.25);
-    let slo_bps = args.f64("--slo-bps", 1e6);
-    let slo_solver_s = args.f64("--slo-solver-s", 0.05);
+    let slo_bps = args.positive("--slo-bps", 1e6);
+    let slo_solver_s = args.positive("--slo-solver-s", 0.05);
     let ticks = (duration / period).ceil();
     if ticks > f64::from(u32::MAX) {
         args.fail(&format!(

@@ -77,6 +77,48 @@ fn adapt_trace_writes_a_perfetto_loadable_span_tree() {
 }
 
 #[test]
+fn iperf_trace_records_one_e2e_run_span_per_table_5_row() {
+    let trace = tmp("iperf_trace.json");
+    let out = cli()
+        .args(["iperf", "--frames", "5", "--trace"])
+        .arg(&trace)
+        .output()
+        .expect("densevlc-cli runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let events = parse_chrome_json(&std::fs::read_to_string(&trace).unwrap())
+        .expect("valid Chrome Trace JSON");
+    let root = events
+        .iter()
+        .find(|e| e.ph == "X" && e.name == "cli.iperf")
+        .expect("cli.iperf root span");
+    let runs: Vec<_> = events
+        .iter()
+        .filter(|e| e.ph == "X" && e.name == "e2e.run")
+        .collect();
+    let rows: Vec<_> = runs
+        .iter()
+        .map(|e| (e.arg("txs"), e.arg("frames"), e.arg("sync")))
+        .collect();
+    assert_eq!(
+        rows,
+        [
+            (Some("2"), Some("5"), Some("SyncOff")),
+            (Some("4"), Some("5"), Some("SyncOff")),
+            (Some("4"), Some("5"), Some("NlosVlc")),
+        ]
+    );
+    for run in &runs {
+        assert_eq!(run.arg("parent_id"), root.arg("span_id"));
+        let ok: usize = run.arg("frames_ok").expect("frames_ok").parse().unwrap();
+        assert!(ok <= 5, "frames_ok {ok} of 5");
+    }
+}
+
+#[test]
 fn telemetry_out_writes_the_chosen_format_off_stdout() {
     // Default format: JSON.
     let json_path = tmp("telemetry.json");
@@ -328,6 +370,10 @@ fn bad_numbers_exit_2_naming_the_flag() {
         &["map", "--budget", "-0.5"],
         &["sim", "--budget", "0"],
         &["sim", "--budget", "-1"],
+        &["sim", "--slo-bps", "-5"],
+        &["sim", "--slo-bps", "0"],
+        &["sim", "--slo-solver-s", "0"],
+        &["sim", "--slo-solver-s", "-1"],
         &["iperf", "--frames", "0"],
         &["iperf", "--frames", "-3"],
         &["iperf", "--frames", "abc"],

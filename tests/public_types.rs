@@ -1,27 +1,7 @@
-//! Stability checks for the public configuration and result types.
-//!
-//! Every public config/result type derives `Serialize`/`Deserialize` so a
-//! deployment or plan can be persisted by downstream tooling. The approved
-//! dependency set contains no serializer *format* crate, so these tests pin
-//! the contracts those derives rest on: `Clone`/`PartialEq` stability,
-//! determinism of the planning pipeline, and serde's value-level plumbing.
+//! Stability checks for the public configuration and result types:
+//! `Clone`/`PartialEq` stability and determinism of the planning pipeline.
 
-use serde::de::value::{Error as ValueError, F64Deserializer};
-use serde::de::IntoDeserializer;
-use serde::Deserialize;
 use vlc_trace::Probe;
-
-/// Round-trips an `f64` through serde's value deserializer — a smoke check
-/// that the serde wiring compiles and runs end to end.
-fn roundtrip_f64(x: f64) -> f64 {
-    let de: F64Deserializer<ValueError> = x.into_deserializer();
-    f64::deserialize(de).expect("f64 round-trip")
-}
-
-#[test]
-fn serde_value_plumbing_works() {
-    assert_eq!(roundtrip_f64(0.3675), 0.3675);
-}
 
 #[test]
 fn public_types_are_cloneable_and_comparable() {
